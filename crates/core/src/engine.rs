@@ -1013,6 +1013,45 @@ pub struct QueryEngine {
     patch_done: Condvar,
 }
 
+/// A key registered in [`QueryEngine::patching`] for the duration of one
+/// stale-artifact repair. Dropping the guard unregisters the key and wakes
+/// every reader waiting on [`QueryEngine::patch_done`] — also when the
+/// repair panics, so a failed repair can never leave readers of the slice
+/// blocked forever.
+struct PatchGuard<'a> {
+    engine: &'a QueryEngine,
+    transitive: bool,
+    key: (PeerId, String),
+}
+
+impl<'a> PatchGuard<'a> {
+    fn register(engine: &'a QueryEngine, transitive: bool, key: (PeerId, String)) -> Self {
+        engine
+            .patching
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .insert((transitive, key.0.clone(), key.1.clone()));
+        PatchGuard {
+            engine,
+            transitive,
+            key,
+        }
+    }
+}
+
+impl Drop for PatchGuard<'_> {
+    fn drop(&mut self) {
+        let mut patching = self
+            .engine
+            .patching
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        patching.remove(&(self.transitive, self.key.0.clone(), self.key.1.clone()));
+        drop(patching);
+        self.engine.patch_done.notify_all();
+    }
+}
+
 impl QueryEngine {
     /// Worlds per prepared entry below which the certain-answer
     /// intersection stays sequential (fan-out overhead dominates).
@@ -1465,8 +1504,8 @@ impl QueryEngine {
         }
         // Bookkeeping under the write lock; collect the slices this commit
         // staled so *this* thread can repair them below.
-        let mut to_patch: Vec<(bool, (PeerId, String))> = Vec::new();
-        {
+        let to_patch = {
+            let mut to_patch: Vec<(bool, (PeerId, String))> = Vec::new();
             let mut cache = self.write_cache();
             cache.versions.insert(peer.clone(), version);
             // Incremental maintenance of the materialized global instance:
@@ -1521,28 +1560,18 @@ impl QueryEngine {
             // Register the repair set while still inside the cache write
             // section: a reader that observes a stale entry afterwards is
             // guaranteed to find its key registered and wait for the patch.
-            if !to_patch.is_empty() {
-                let mut patching = self
-                    .patching
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                for (transitive, key) in &to_patch {
-                    patching.insert((*transitive, key.0.clone(), key.1.clone()));
-                }
-            }
-        }
+            to_patch
+                .into_iter()
+                .map(|(transitive, key)| PatchGuard::register(self, transitive, key))
+                .collect::<Vec<_>>()
+        };
         // Repair off the reader hot path: the committing thread patches,
         // re-solves and swaps each staled artifact (outside every lock), so
-        // the next reader *hits* instead of paying the patch itself.
-        for (transitive, key) in to_patch {
-            self.repair_stale(transitive, &key);
-            let mut patching = self
-                .patching
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            patching.remove(&(transitive, key.0.clone(), key.1.clone()));
-            drop(patching);
-            self.patch_done.notify_all();
+        // the next reader *hits* instead of paying the patch itself. Each
+        // guard unregisters its key and wakes the waiting readers when it
+        // drops — after its repair, or while unwinding from a panic in it.
+        for guard in to_patch {
+            self.repair_stale(guard.transitive, &guard.key);
         }
         self.metrics.commits.fetch_add(1, Ordering::Relaxed);
         Ok(version)
@@ -1557,6 +1586,7 @@ impl QueryEngine {
     /// next query re-grounds from scratch.
     fn repair_stale(&self, transitive: bool, key: &(PeerId, String)) {
         let drop_entry = || {
+            self.recorder.count("cache.repair_failed", 1);
             let mut cache = self.write_cache();
             if cache.asp_slot(transitive).remove(key).is_some() {
                 self.metrics.invalidated.fetch_add(1, Ordering::Relaxed);
@@ -3736,5 +3766,76 @@ mod tests {
             .answer_with(Strategy::TransitiveAsp, &a, &query, &vars(&["X"]))
             .unwrap();
         assert_eq!(transitive.tuples, BTreeSet::from([Tuple::strs(["v"])]));
+    }
+
+    #[test]
+    fn patch_guard_unregisters_and_wakes_waiters_on_panic() {
+        let engine = example1_engine(Strategy::Asp);
+        let key = (PeerId::new("P1"), "slice".to_string());
+        let token = (false, key.0.clone(), key.1.clone());
+        let registered = |engine: &QueryEngine| engine.patching.lock().unwrap().contains(&token);
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let guard = PatchGuard::register(&engine, false, key.clone());
+            assert!(registered(&engine));
+            // A reader of the registered key, racing the failing repair:
+            // whether it starts waiting before or after the unwind, it must
+            // return (before the guard it would block forever once waiting).
+            let waiter = scope.spawn(|| {
+                started.wait();
+                engine.wait_for_patch(false, &key)
+            });
+            started.wait();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let _guard = guard;
+                panic!("repair failed mid-patch");
+            }));
+            assert!(unwound.is_err());
+            assert!(!registered(&engine), "the unwound guard must unregister");
+            waiter.join().expect("the waiter returns");
+        });
+        // A reader arriving after the failure does not wait at all.
+        assert!(!engine.wait_for_patch(false, &key));
+    }
+
+    #[test]
+    fn failed_repairs_drop_the_entry_and_are_counted() {
+        use relalg::database::GroundAtom;
+        use relalg::Delta;
+        let p1 = PeerId::new("P1");
+        let p3 = PeerId::new("P3");
+        let (query, fv) = r1_query();
+        // Size the branch-node budget to exactly what the cold preparation
+        // needs, so the repair of a commit that adds a conflict exceeds it.
+        let probe = pdes_obs::TraceRecorder::new();
+        let engine = QueryEngine::builder(example1_system())
+            .strategy(Strategy::Asp)
+            .recorder(Arc::new(probe.clone()))
+            .build();
+        let _ = engine.answer(&p1, &query, &fv).unwrap();
+        let nodes = probe.registry().counter_value("solver.branch_nodes") as usize;
+        let recorder = pdes_obs::TraceRecorder::new();
+        let engine = QueryEngine::builder(example1_system())
+            .strategy(Strategy::Asp)
+            .solver_config(SolverConfig {
+                max_branch_nodes: nodes,
+                ..SolverConfig::default()
+            })
+            .recorder(Arc::new(recorder.clone()))
+            .build();
+        let _ = engine.answer(&p1, &query, &fv).unwrap();
+        assert_eq!(engine.cached_artifact_count(), 1);
+        // R3(c, z) conflicts with the R1(c, d) that P1 imports from P2.
+        let delta = Delta::from_changes([GroundAtom::new("R3", Tuple::strs(["c", "z"]))], []);
+        engine.commit_delta(&p3, &delta).unwrap();
+        let registry = recorder.registry();
+        assert_eq!(registry.counter_value("cache.stale_patch"), 1);
+        assert_eq!(registry.counter_value("cache.repair_failed"), 1);
+        assert_eq!(
+            engine.cached_artifact_count(),
+            0,
+            "the failed entry is dropped"
+        );
+        assert!(!engine.wait_for_patch(false, &(p1, String::new())));
     }
 }

@@ -1,16 +1,41 @@
 //! Grounding: from programs with variables to propositional programs.
 //!
-//! The grounder performs *intelligent instantiation*: it first saturates the
-//! set of atoms that can possibly be derived (treating default negation
-//! optimistically and disjunctive heads as fully derivable), then instantiates
-//! every rule against that set. Default-negated literals whose atom can never
-//! be derived are dropped from the instantiated bodies; built-in comparisons
-//! are evaluated away during instantiation.
+//! The grounder performs *intelligent instantiation*: only atoms that can
+//! possibly be derived (reading default negation optimistically and
+//! disjunctive heads as fully derivable) are instantiated. Default-negated
+//! literals whose atom can never be derived are dropped from the
+//! instantiated bodies; built-in comparisons are evaluated away.
+//!
+//! [`Grounder::ground`] and [`crate::incremental::IncrementalGround::new`]
+//! share one core: a single semi-naive pass over interned ids.
+//!
+//! * **Per-grounding symbol table.** Signed predicates and constants are
+//!   interned as dense `u32` ids, and ground atoms as `(predicate, argument
+//!   ids)`. `=` and `!=` compare ids; `<`, `<=`, `>`, `>=` resolve ids back
+//!   to text and keep their lexicographic meaning.
+//! * **Slot substitutions.** Each non-fact rule is compiled once into
+//!   templates whose variables are numbered slots, so a substitution is a
+//!   `Vec<u32>` indexed by slot. Join plans run each built-in as soon as its
+//!   slots are bound and look partly bound atoms up in hash indexes keyed on
+//!   the bound argument positions; plans and indexes are built per grounding
+//!   and dropped with it.
+//! * **One pass.** Grounding inserts the facts into an empty state by
+//!   semi-naive evaluation: each round joins every rule with one positive
+//!   occurrence pinned to the round's new atoms, so every derivation over
+//!   the final possible set — every rule instance — is found exactly once.
+//!   Headless constraints are matched once against the final possible set.
+//! * **Emission order.** Rules are emitted in program order; each rule's
+//!   instances are sorted by their tuple of positive-body atoms in
+//!   [`GroundAtom`] order — the order of a nested-loop join over sorted
+//!   candidate sets — and atoms are numbered in first-use order (heads, then
+//!   body literals in source order), so the output does not depend on how
+//!   the joins ran.
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
 use crate::relevance::{QuerySeed, RelevanceAnalysis};
-use crate::syntax::{Atom, BodyItem, Builtin, Program, Rule, Term};
+use crate::seminaive::{self, Emitter};
+use crate::syntax::Program;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -139,6 +164,14 @@ impl GroundProgram {
         id
     }
 
+    /// Append an atom known not to be interned yet, returning its id.
+    pub(crate) fn push_new(&mut self, atom: GroundAtom) -> AtomId {
+        let id = self.atoms.len();
+        self.atoms.push(atom.clone());
+        self.index.insert(atom, id);
+        id
+    }
+
     /// Add a ground rule.
     pub fn add_rule(&mut self, rule: GroundRule) {
         self.rules.push(rule);
@@ -237,13 +270,6 @@ pub fn ground_relevant(
     Grounder::new(program).ground_relevant(seeds)
 }
 
-/// Partial substitution from variable names to constant symbols.
-pub(crate) type Subst = BTreeMap<String, Arc<str>>;
-
-/// Possibly-derivable atoms bucketed by signed predicate key — the working
-/// state of the saturation phase, shared with [`crate::incremental`].
-pub(crate) type PossibleSets = BTreeMap<String, BTreeSet<GroundAtom>>;
-
 /// The grounder.
 pub struct Grounder {
     program: Program,
@@ -266,58 +292,30 @@ impl Grounder {
         &self.program
     }
 
-    /// Ground the program.
+    /// Ground the program: one semi-naive pass over interned ids, then emission in source order — every rule's
+    /// instances in program order, each rule's sorted by its positive-body
+    /// atoms in [`GroundAtom`] order. Default-negated literals whose atom
+    /// can never be derived are dropped; built-ins are evaluated away.
     pub fn ground(&self) -> Result<GroundProgram, DatalogError> {
-        // Safety check.
         if let Some(rule) = self.program.unsafe_rules().first() {
             return Err(DatalogError::UnsafeRule(rule.to_string()));
         }
-
-        // Phase 1: saturate the possibly-derivable atoms.
-        let possible = self.saturate()?;
-
-        // Phase 2: instantiate rules against the saturated set.
-        let mut ground = GroundProgram::default();
+        let built = seminaive::build(self.program.rules());
+        let mut emitter = Emitter::new(&built.core);
+        let mut facts = built.fact_atoms.iter();
+        let mut compiled = 0;
         for rule in self.program.rules() {
-            let substitutions = self.matches(rule, &possible);
-            'subst: for theta in substitutions {
-                let mut heads = Vec::with_capacity(rule.head.len());
-                for h in &rule.head {
-                    heads.push(ground.intern(apply(h, &theta)));
+            if rule.is_fact() {
+                emitter.fact(*facts.next().expect("one atom per fact rule"));
+            } else {
+                let matches = &built.matches[compiled];
+                for i in 0..matches.len() {
+                    emitter.source_instance(compiled, matches, i);
                 }
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for item in &rule.body {
-                    match item {
-                        BodyItem::Pos(a) => {
-                            let g = apply(a, &theta);
-                            pos.push(ground.intern(g));
-                        }
-                        BodyItem::Naf(a) => {
-                            let g = apply(a, &theta);
-                            if contains(&possible, &g) {
-                                neg.push(ground.intern(g));
-                            }
-                            // Atom can never be derived: `not g` is true,
-                            // drop the literal.
-                        }
-                        BodyItem::Builtin(_) => {
-                            // Already checked during matching.
-                        }
-                        BodyItem::Choice(_) => {
-                            // Unfolded in the constructor; unreachable.
-                            continue 'subst;
-                        }
-                    }
-                }
-                // Drop tautologies: a head atom also in the positive body.
-                if heads.iter().any(|h| pos.contains(h)) {
-                    continue;
-                }
-                ground.add_rule(GroundRule { heads, pos, neg });
+                compiled += 1;
             }
         }
-        Ok(ground)
+        Ok(emitter.finish())
     }
 
     /// Ground only the slice of the program relevant to the query seeds
@@ -348,201 +346,12 @@ impl Grounder {
     pub fn relevance(&self, seeds: &[QuerySeed]) -> RelevanceAnalysis {
         RelevanceAnalysis::analyze(&self.program, seeds)
     }
-
-    /// Fixpoint of possibly-derivable atoms.
-    fn saturate(&self) -> Result<PossibleSets, DatalogError> {
-        let mut possible: PossibleSets = BTreeMap::new();
-        loop {
-            let mut changed = false;
-            for rule in self.program.rules() {
-                for theta in rule_matches(rule, &possible) {
-                    for h in &rule.head {
-                        let g = apply(h, &theta);
-                        let entry = possible.entry(g.predicate_key()).or_default();
-                        if entry.insert(g) {
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                return Ok(possible);
-            }
-        }
-    }
-
-    /// All substitutions that satisfy the positive body atoms (against the
-    /// possible-atom sets) and the built-in comparisons. Default-negated
-    /// literals are ignored here (optimistic reading).
-    fn matches(&self, rule: &Rule, possible: &PossibleSets) -> Vec<Subst> {
-        rule_matches(rule, possible)
-    }
-}
-
-/// All substitutions satisfying a rule's positive body atoms against the
-/// possible sets and its built-in comparisons (default-negated literals are
-/// read optimistically, i.e. ignored). Shared by the full grounder and
-/// [`crate::incremental`].
-pub(crate) fn rule_matches(rule: &Rule, possible: &PossibleSets) -> Vec<Subst> {
-    let positives: Vec<&Atom> = rule
-        .body
-        .iter()
-        .filter_map(|b| match b {
-            BodyItem::Pos(a) => Some(a),
-            _ => None,
-        })
-        .collect();
-    let mut results = Vec::new();
-    let mut current = Subst::new();
-    join(&positives, 0, possible, &mut current, &mut results);
-    retain_builtin_satisfying(rule, &mut results);
-    results
-}
-
-/// Keep only substitutions satisfying the rule's built-in comparisons (all
-/// their variables are bound by safety).
-pub(crate) fn retain_builtin_satisfying(rule: &Rule, results: &mut Vec<Subst>) {
-    let builtins: Vec<&Builtin> = rule
-        .body
-        .iter()
-        .filter_map(|b| match b {
-            BodyItem::Builtin(b) => Some(b),
-            _ => None,
-        })
-        .collect();
-    if builtins.is_empty() {
-        return;
-    }
-    results.retain(|theta| {
-        builtins.iter().all(|b| {
-            let l = resolve(&b.left, theta);
-            let r = resolve(&b.right, theta);
-            match (l, r) {
-                (Some(l), Some(r)) => b.op.eval(&l, &r),
-                _ => false,
-            }
-        })
-    });
-}
-
-/// Backtracking join of positive body atoms against the possible sets.
-/// The semi-naive evaluation of [`crate::incremental`] uses its own variant
-/// with per-occurrence candidate splits; both share [`try_unify`].
-fn join(
-    positives: &[&Atom],
-    idx: usize,
-    possible: &PossibleSets,
-    current: &mut Subst,
-    results: &mut Vec<Subst>,
-) {
-    if idx == positives.len() {
-        results.push(current.clone());
-        return;
-    }
-    let atom = positives[idx];
-    let key = signed_key(atom);
-    let empty = BTreeSet::new();
-    let candidates = possible.get(&key).unwrap_or(&empty);
-    for cand in candidates {
-        if let Some(added) = try_unify(atom, cand, current) {
-            join(positives, idx + 1, possible, current, results);
-            for v in added {
-                current.remove(&v);
-            }
-        }
-    }
-}
-
-/// Unify one body atom occurrence with a candidate ground atom under the
-/// current substitution. On success, returns the variables newly bound (the
-/// caller unbinds them when backtracking); on clash, restores `current` and
-/// returns `None`.
-pub(crate) fn try_unify(
-    atom: &Atom,
-    cand: &GroundAtom,
-    current: &mut Subst,
-) -> Option<Vec<String>> {
-    if cand.args.len() != atom.terms.len() {
-        return None;
-    }
-    let mut added: Vec<String> = Vec::new();
-    for (term, value) in atom.terms.iter().zip(cand.args.iter()) {
-        let ok = match term {
-            Term::Const(c) => c == value,
-            Term::Var(v) => match current.get(v) {
-                Some(bound) => bound == value,
-                None => {
-                    current.insert(v.clone(), value.clone());
-                    added.push(v.clone());
-                    true
-                }
-            },
-        };
-        if !ok {
-            for v in added {
-                current.remove(&v);
-            }
-            return None;
-        }
-    }
-    Some(added)
-}
-
-impl GroundAtom {
-    /// The signed-predicate key used to bucket atoms during grounding.
-    pub(crate) fn predicate_key(&self) -> String {
-        if self.strong_neg {
-            format!("-{}", self.predicate)
-        } else {
-            self.predicate.clone()
-        }
-    }
-}
-
-pub(crate) fn signed_key(atom: &Atom) -> String {
-    if atom.strong_neg {
-        format!("-{}", atom.predicate)
-    } else {
-        atom.predicate.clone()
-    }
-}
-
-pub(crate) fn contains(possible: &PossibleSets, atom: &GroundAtom) -> bool {
-    possible
-        .get(&atom.predicate_key())
-        .map(|set| set.contains(atom))
-        .unwrap_or(false)
-}
-
-pub(crate) fn apply(atom: &Atom, theta: &Subst) -> GroundAtom {
-    GroundAtom {
-        predicate: atom.predicate.clone(),
-        strong_neg: atom.strong_neg,
-        args: atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => c.clone(),
-                Term::Var(v) => theta
-                    .get(v)
-                    .cloned()
-                    .unwrap_or_else(|| Arc::from(format!("_unbound_{v}").as_str())),
-            })
-            .collect(),
-    }
-}
-
-fn resolve(term: &Term, theta: &Subst) -> Option<Arc<str>> {
-    match term {
-        Term::Const(c) => Some(c.clone()),
-        Term::Var(v) => theta.get(v).cloned(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syntax::{BuiltinOp, ChoiceAtom};
+    use crate::syntax::{Atom, BodyItem, Builtin, BuiltinOp, ChoiceAtom, Rule, Term};
 
     fn atom(p: &str, args: &[&str]) -> Atom {
         Atom::new(p, args)

@@ -1,17 +1,16 @@
 //! Delta-driven incremental re-grounding.
 //!
-//! Grounding a program has two expensive phases: *saturation* (the fixpoint
-//! of possibly-derivable atoms) and *instantiation* (joining every rule body
-//! against the saturated sets). Both are pure functions of the program's
-//! rules and facts, so when an update changes only a handful of base facts,
-//! re-running them from scratch — as a fresh [`crate::ground::Grounder`]
-//! does — throws away almost everything it just computed. This module keeps
-//! the intermediate state alive and patches it:
+//! Grounding is a pure function of a program's rules and facts, so when an
+//! update changes only a handful of base facts, re-grounding from scratch
+//! throws away almost everything it just computed. [`IncrementalGround`]
+//! keeps the grounding core's state alive and patches it:
 //!
-//! * [`IncrementalGround::new`] grounds a program once, retaining the
-//!   saturated possible-atom sets, a *support count* per possible atom (how
-//!   many distinct derivations — base fact or rule instantiation — produce
-//!   it), and the rule instantiations grouped by source rule.
+//! * [`IncrementalGround::new`] grounds a program once — the same one-pass
+//!   semi-naive build as [`crate::ground::Grounder`], over a per-grounding
+//!   symbol table of dense `u32` ids — and retains the interned atoms, the
+//!   possible set with a *support count* per atom (how many distinct
+//!   derivations — base fact or rule instantiation — produce it), the
+//!   compiled rules, and the rule instances grouped by source rule.
 //! * [`IncrementalGround::apply_delta`] takes base-fact insertions and
 //!   deletions and repairs the state:
 //!   * **Insertions** propagate by *semi-naive evaluation*: each round joins
@@ -19,7 +18,8 @@
 //!     (occurrences before the pinned one range over the pre-delta set,
 //!     occurrences after it over the full set, so every new derivation is
 //!     counted exactly once), incrementing support counts and seeding the
-//!     next round with atoms that became possible.
+//!     next round with atoms that became possible. The initial build is this
+//!     same pass from an empty state.
 //!   * **Deletions** run the same delta join in reverse, *decrementing* the
 //!     support count of every lost derivation; an atom whose count reaches
 //!     zero stops being possible and joins the next deletion round. Support
@@ -31,23 +31,30 @@
 //!     (head, positive *or default-negated* body — a possibility flip under
 //!     `not` changes which literals instantiation drops) are re-instantiated;
 //!     every other rule keeps its existing ground instances untouched.
-//! * [`IncrementalGround::to_ground`] rebuilds the interned
-//!   [`GroundProgram`] from the patched groups — the only full pass, and a
-//!   cheap one (no joins, just interning).
+//! * [`IncrementalGround::to_ground`] materializes the interned
+//!   [`GroundProgram`] from the facts and instance groups — no joins, each
+//!   atom built once. **Emission order:** facts in [`GroundAtom`] order,
+//!   then the groups in source-rule order, each sorted by its tuple of
+//!   positive-body atoms in [`GroundAtom`] order (the order of a nested-loop
+//!   join over sorted candidate sets); atoms are numbered in first-use order
+//!   (heads, then positive body, then naf literals). A patched state
+//!   therefore emits exactly what a fresh grounding of the updated program
+//!   emits, byte for byte.
 //!
-//! The instantiated slice after a patch is identical to what a fresh
-//! grounding of the updated program would produce, up to rule order and atom
-//! ids (the unit tests assert rule-set equality against a fresh
-//! [`crate::ground::Grounder`]).
+//! Hash indexes over bound argument positions are built per grounding or
+//! patch and dropped with it, so they never count against the retained
+//! state; [`IncrementalGround::exact_bytes`] charges what the state keeps.
+//! Deletions retire atoms without freeing them; once retired atoms
+//! outnumber live ones, the patch compacts the core (drops them and the
+//! constants only they used, renumbering the rest), so the state stays
+//! within about twice the size of a fresh build under any update stream.
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
-use crate::ground::{
-    apply, contains, retain_builtin_satisfying, rule_matches, signed_key, try_unify, GroundAtom,
-    GroundProgram, GroundRule, PossibleSets, Subst,
-};
-use crate::syntax::{Atom, BodyItem, Program, Rule};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::ground::{GroundAtom, GroundProgram};
+use crate::seminaive::{self, Core, Emitter, Group, Scratch};
+use crate::syntax::Program;
+use std::mem::size_of;
 
 /// What one [`IncrementalGround::apply_delta`] call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,172 +77,118 @@ pub struct PatchStats {
     pub full_resaturation: bool,
 }
 
-/// One rule instantiation in symbolic form (ground atoms, not interned ids),
-/// so unaffected groups survive re-interning untouched.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct SymRule {
-    heads: Vec<GroundAtom>,
-    pos: Vec<GroundAtom>,
-    neg: Vec<GroundAtom>,
-}
-
-/// A ground program kept in patchable form: the source rules, the base
-/// facts, the saturated possible sets with per-atom support counts, and the
-/// rule instantiations grouped by source rule. See the module docs.
+/// A ground program kept in patchable form: the grounding core (symbols,
+/// atoms with support counts, compiled rules), the base facts and the rule
+/// instances grouped by source rule. See the module docs.
 #[derive(Debug, Clone)]
 pub struct IncrementalGround {
-    /// Non-fact source rules, in program order.
-    rules: Vec<Rule>,
-    /// Current base facts (ground fact rules of the program).
-    facts: BTreeSet<GroundAtom>,
-    /// Saturated possibly-derivable atoms, by signed predicate key.
-    possible: PossibleSets,
-    /// Derivation count per possible atom: 1 for a base fact, plus 1 per
-    /// (rule, substitution, head) instantiation deriving it.
-    support: BTreeMap<GroundAtom, u64>,
-    /// Signed predicates from which a positive-dependency path reaches a
-    /// positive recursive component — deletions touching them force a full
+    core: Core,
+    /// Base facts, in [`GroundAtom`] order.
+    facts: Vec<u32>,
+    /// Instances per compiled (non-fact) rule, in emission order.
+    groups: Vec<Group>,
+    /// Per predicate id: does a positive-dependency path reach a positive
+    /// recursive component? Deletions touching one force a full
     /// re-saturation.
-    feeds_recursion: BTreeSet<String>,
-    /// Every signed predicate occurring in the slice (rule heads, positive
-    /// and negated bodies, and base facts). Deltas outside this set cannot
-    /// affect the grounding.
-    predicates: BTreeSet<String>,
-    /// Instantiations per source rule (same indexing as `rules`).
-    groups: Vec<Vec<SymRule>>,
+    feeds_recursion: Vec<bool>,
 }
 
 impl IncrementalGround {
     /// Ground `program`, retaining the incremental state. Choice atoms are
     /// unfolded first, exactly like [`crate::ground::Grounder::new`].
     pub fn new(program: &Program) -> Result<Self, DatalogError> {
+        let unfolded;
         let program = if program.has_choice() {
-            unfold_choices(program)
+            unfolded = unfold_choices(program);
+            &unfolded
         } else {
-            program.clone()
+            program
         };
         if let Some(rule) = program.unsafe_rules().first() {
             return Err(DatalogError::UnsafeRule(rule.to_string()));
         }
-        let mut facts: BTreeSet<GroundAtom> = BTreeSet::new();
-        let mut rules: Vec<Rule> = Vec::new();
-        for rule in program.rules() {
-            if rule.is_fact() {
-                facts.insert(apply(&rule.head[0], &Subst::new()));
-            } else {
-                rules.push(rule.clone());
-            }
-        }
-        let mut predicates: BTreeSet<String> =
-            facts.iter().map(GroundAtom::predicate_key).collect();
-        for rule in &rules {
-            predicates.extend(rule.head.iter().map(signed_key));
-            for item in &rule.body {
-                match item {
-                    BodyItem::Pos(a) | BodyItem::Naf(a) => {
-                        predicates.insert(signed_key(a));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let feeds_recursion = feeds_recursion(&rules);
-        let mut state = IncrementalGround {
-            rules,
-            facts,
-            possible: PossibleSets::new(),
-            support: BTreeMap::new(),
-            feeds_recursion,
-            predicates,
-            groups: Vec::new(),
-        };
-        state.resaturate();
-        state.groups = state
-            .rules
-            .iter()
-            .map(|rule| instantiate(rule, &state.possible))
+        let built = seminaive::build(program.rules());
+        let core = built.core;
+        let mut facts: Vec<u32> = (0..core.atoms.len() as u32)
+            .filter(|&a| core.atoms.is_fact(a))
             .collect();
-        Ok(state)
+        facts.sort_unstable_by_key(|&a| built.rank[a as usize]);
+        let groups = built
+            .matches
+            .iter()
+            .enumerate()
+            .map(|(r, m)| core.instances(r, m))
+            .collect();
+        let feeds_recursion = feeds_recursion(&core);
+        Ok(IncrementalGround {
+            core,
+            facts,
+            groups,
+            feeds_recursion,
+        })
     }
 
-    /// Signed predicates occurring anywhere in the slice. A delta over a
-    /// predicate outside this set leaves the grounding — and therefore the
-    /// solved worlds — untouched.
+    /// Signed predicates occurring anywhere in the slice (rule heads,
+    /// positive and negated bodies, base facts — `-p` for `¬p`). A delta
+    /// over a predicate outside this set leaves the grounding — and
+    /// therefore the solved worlds — untouched.
     pub fn touches(&self, signed_predicate: &str) -> bool {
-        self.predicates.contains(signed_predicate)
+        let symbols = &self.core.symbols;
+        symbols.find_predicate(signed_predicate, false).is_some()
+            || signed_predicate
+                .strip_prefix('-')
+                .is_some_and(|name| symbols.find_predicate(name, true).is_some())
     }
 
     /// Number of ground rules currently instantiated (facts included).
     pub fn rule_count(&self) -> usize {
-        self.facts.len() + self.groups.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Current base facts.
-    pub fn facts(&self) -> &BTreeSet<GroundAtom> {
-        &self.facts
+        self.facts.len() + self.groups.iter().map(Group::len).sum::<usize>()
     }
 
     /// A deterministic, platform-independent estimate of the state's memory
-    /// footprint in bytes, used by the engine's byte-budgeted cache. Based
-    /// on element counts only (no allocator or pointer-width specifics), so
-    /// eviction counts are reproducible across CI runners.
+    /// footprint in bytes, used by the engine's byte-budgeted cache when the
+    /// interned data plane is off. Based on element counts only (no
+    /// allocator or pointer-width specifics), so eviction counts are
+    /// reproducible across CI runners: 24 bytes plus the predicate text
+    /// plus 16 per argument for each possible atom and each fact, 48 per
+    /// supported atom, and 48 plus 16 per atom reference for each rule
+    /// instance.
     pub fn approx_bytes(&self) -> usize {
-        let atom_bytes = |a: &GroundAtom| 24 + a.predicate.len() + 16 * a.args.len();
-        let possible: usize = self
-            .possible
-            .values()
-            .flat_map(|set| set.iter())
+        let atoms = &self.core.atoms;
+        let atom_bytes =
+            |a: u32| 24 + self.core.symbols.pred(atoms.pred(a)).0.len() + 16 * atoms.args(a).len();
+        let all = 0..atoms.len() as u32;
+        let possible: usize = all
+            .clone()
+            .filter(|&a| atoms.is_possible(a))
             .map(atom_bytes)
             .sum();
-        let support = self.support.len() * 48;
+        let support = all.filter(|&a| atoms.is_supported(a)).count() * 48;
         let groups: usize = self
             .groups
             .iter()
-            .flat_map(|g| g.iter())
-            .map(|r| 48 + 16 * (r.heads.len() + r.pos.len() + r.neg.len()))
+            .flat_map(|g| (0..g.len()).map(move |i| 48 + 16 * g.instance(i).len()))
             .sum();
-        let facts: usize = self.facts.iter().map(atom_bytes).sum();
+        let facts: usize = self.facts.iter().map(|&a| atom_bytes(a)).sum();
         possible + support + groups + facts
     }
 
-    /// Exact interned-size accounting for the byte-budgeted cache, the
-    /// interned data plane's replacement for
-    /// [`IncrementalGround::approx_bytes`]. The atom stores (`possible` and
-    /// the base facts) charge each atom its predicate text, 8 bytes per
-    /// constant-argument reference and each `Arc<str>` payload *once per
-    /// distinct allocation* (shared interned text deduplicates by pointer
-    /// identity, so the figure reflects what sharing actually saves); rule
-    /// instantiations charge 8 bytes per atom reference — the interned-id
-    /// form [`IncrementalGround::to_ground`] materializes, whose atoms the
-    /// stores above already carry. Deterministic for a given grounding:
-    /// which arguments share an allocation is fixed by how the program was
-    /// built, never by the allocator.
+    /// Exact size of the retained state for the byte-budgeted cache: the
+    /// symbol table (each constant's text once, plus its `Arc` header and
+    /// map entry), the atom store (predicate id, argument offset, argument
+    /// ids, support count and flags per atom, plus the open-addressing
+    /// table), the compiled rule templates, the fact list, the instance
+    /// groups at 4 bytes per atom id and one recursion flag per predicate.
+    /// Join plans, hash indexes and per-predicate member lists are rebuilt
+    /// for each grounding or patch and dropped with it, so they are not
+    /// charged. Atoms retired by deletions stay charged until the next
+    /// compaction (see the module docs). Deterministic for a given
+    /// grounding and patch sequence on a given target.
     pub fn exact_bytes(&self) -> usize {
-        let mut seen: std::collections::HashSet<*const u8> = std::collections::HashSet::new();
-        let mut atom_bytes = |a: &GroundAtom| -> usize {
-            let mut bytes = 24 + a.predicate.len() + 8 * a.args.len();
-            for arg in &a.args {
-                if seen.insert(arg.as_ptr()) {
-                    bytes += arg.len();
-                }
-            }
-            bytes
-        };
-        let possible: usize = self
-            .possible
-            .values()
-            .flat_map(|set| set.iter())
-            .map(&mut atom_bytes)
-            .sum();
-        let support = self.support.len() * 48;
-        let groups: usize = self
-            .groups
-            .iter()
-            .flat_map(|g| g.iter())
-            .map(|r| 48 + 8 * (r.heads.len() + r.pos.len() + r.neg.len()))
-            .sum();
-        let facts: usize = self.facts.iter().map(&mut atom_bytes).sum();
-        possible + support + groups + facts
+        self.core.bytes()
+            + self.facts.len() * size_of::<u32>()
+            + self.groups.iter().map(Group::bytes).sum::<usize>()
+            + self.feeds_recursion.len()
     }
 
     /// Patch the state for a base-fact delta. Insertions already present and
@@ -245,16 +198,21 @@ impl IncrementalGround {
         insertions: &[GroundAtom],
         deletions: &[GroundAtom],
     ) -> PatchStats {
-        let inserted: Vec<GroundAtom> = insertions
-            .iter()
-            .filter(|a| !self.facts.contains(a))
-            .cloned()
-            .collect();
-        let deleted: Vec<GroundAtom> = deletions
-            .iter()
-            .filter(|a| self.facts.contains(a))
-            .cloned()
-            .collect();
+        let mut deleted: Vec<u32> = Vec::new();
+        for atom in deletions {
+            if let Some(id) = self.core.find_ground(atom) {
+                if self.core.atoms.is_fact(id) && !deleted.contains(&id) {
+                    deleted.push(id);
+                }
+            }
+        }
+        let mut inserted: Vec<u32> = Vec::new();
+        for atom in insertions {
+            let id = self.core.intern_ground(atom);
+            if !self.core.atoms.is_fact(id) && !inserted.contains(&id) {
+                inserted.push(id);
+            }
+        }
         let mut stats = PatchStats {
             fact_changes: inserted.len() + deleted.len(),
             ..PatchStats::default()
@@ -263,466 +221,152 @@ impl IncrementalGround {
             stats.reused_rules = self.rule_count();
             return stats;
         }
-
-        for atom in &deleted {
-            self.facts.remove(atom);
+        for &atom in &deleted {
+            self.core.atoms.set_fact(atom, false);
         }
-        for atom in &inserted {
-            self.facts.insert(atom.clone());
-            self.predicates.insert(atom.predicate_key());
+        for &atom in &inserted {
+            self.core.atoms.set_fact(atom, true);
         }
+        self.facts.retain(|&a| self.core.atoms.is_fact(a));
+        self.facts.extend_from_slice(&inserted);
+        self.feeds_recursion
+            .resize(self.core.symbols.pred_count(), false);
 
         // Predicates whose possible set changes; seeds re-instantiation.
-        let mut changed: BTreeSet<String> = BTreeSet::new();
-
+        let mut changed = vec![false; self.core.symbols.pred_count()];
+        let pred = |core: &Core, a: u32| core.atoms.pred(a) as usize;
+        let mut scratch = Scratch::new(&self.core);
         let recursive_deletion = deleted
             .iter()
-            .any(|a| self.feeds_recursion.contains(&a.predicate_key()));
+            .any(|&a| self.feeds_recursion[pred(&self.core, a)]);
         if recursive_deletion {
             // Cyclic supports defeat counting: re-saturate from scratch and
             // diff the possible sets to find what changed.
             stats.full_resaturation = true;
-            let before = std::mem::take(&mut self.possible);
-            self.resaturate();
-            for key in before.keys().chain(self.possible.keys()) {
-                let old = before.get(key);
-                let new = self.possible.get(key);
-                if old != new {
-                    changed.insert(key.clone());
+            let before: Vec<bool> = (0..self.core.atoms.len() as u32)
+                .map(|a| self.core.atoms.is_possible(a))
+                .collect();
+            self.core.saturate(&mut scratch, &self.facts, None);
+            // Saturation may intern atoms (derived from a new constant):
+            // they were not possible before.
+            for a in 0..self.core.atoms.len() as u32 {
+                let was = before.get(a as usize).copied().unwrap_or(false);
+                if was != self.core.atoms.is_possible(a) {
+                    changed[pred(&self.core, a)] = true;
                 }
             }
-            changed.extend(inserted.iter().map(GroundAtom::predicate_key));
-            changed.extend(deleted.iter().map(GroundAtom::predicate_key));
+            for &a in inserted.iter().chain(&deleted) {
+                changed[pred(&self.core, a)] = true;
+            }
         } else {
-            self.propagate_deletions(&deleted, &mut changed);
-            self.propagate_insertions(&inserted, &mut changed);
+            self.core.delete(&mut scratch, &deleted, &mut changed);
+            // Retired atoms may become possible again below.
+            scratch.compact(&self.core.atoms);
+            self.core
+                .insert(&mut scratch, &inserted, &mut changed, None, false);
         }
 
+        let rank = self.core.ranks();
+        self.facts.sort_unstable_by_key(|&a| rank[a as usize]);
         // Re-instantiate exactly the rules that can observe a changed
         // predicate (head, positive or negated body occurrence).
-        for (idx, rule) in self.rules.iter().enumerate() {
-            if rule_mentions(rule, &changed) {
+        for r in 0..self.groups.len() {
+            if self.core.rules[r].mentions(&changed) {
                 stats.affected_source_rules += 1;
-                self.groups[idx] = instantiate(rule, &self.possible);
-                stats.reinstantiated_rules += self.groups[idx].len();
+                let mut matches = self.core.full_matches(&mut scratch, r);
+                matches.sort_by_rank(&rank);
+                self.groups[r] = self.core.instances(r, &matches);
+                stats.reinstantiated_rules += self.groups[r].len();
             } else {
-                stats.reused_rules += self.groups[idx].len();
+                stats.reused_rules += self.groups[r].len();
             }
         }
         stats.reinstantiated_rules += stats.fact_changes;
         stats.reused_rules += self.facts.len();
+        // Deletions retire atoms (and maybe constants) without freeing
+        // them; once retired atoms outnumber live ones, drop them.
+        let live = self.core.atoms.possible_count();
+        if self.core.atoms.len() - live > live {
+            self.compact();
+        }
         stats
     }
 
-    /// Rebuild the interned [`GroundProgram`] from the current facts and
-    /// instantiation groups (no joins — pure interning).
+    /// Drop retired atoms and unused constants from the core and renumber
+    /// the atom ids held by the facts and instance groups.
+    fn compact(&mut self) {
+        let map = self.core.compact();
+        for fact in &mut self.facts {
+            *fact = map[*fact as usize];
+        }
+        for group in &mut self.groups {
+            group.remap(&map);
+        }
+    }
+
+    /// Materialize the interned [`GroundProgram`] from the current facts and
+    /// instance groups (no joins — each atom is built once, in first-use
+    /// order).
     pub fn to_ground(&self) -> GroundProgram {
-        let mut ground = GroundProgram::default();
-        for fact in &self.facts {
-            let id = ground.intern(fact.clone());
-            ground.add_rule(GroundRule {
-                heads: vec![id],
-                pos: Vec::new(),
-                neg: Vec::new(),
-            });
+        let mut emitter = Emitter::new(&self.core);
+        for &fact in &self.facts {
+            emitter.fact(fact);
         }
-        for group in &self.groups {
-            for rule in group {
-                let heads = rule
-                    .heads
-                    .iter()
-                    .map(|a| ground.intern(a.clone()))
-                    .collect();
-                let pos = rule.pos.iter().map(|a| ground.intern(a.clone())).collect();
-                let neg = rule.neg.iter().map(|a| ground.intern(a.clone())).collect();
-                ground.add_rule(GroundRule { heads, pos, neg });
+        for (r, group) in self.groups.iter().enumerate() {
+            let rule = &self.core.rules[r];
+            let (heads, pos) = (rule.head_count(), rule.pos_count());
+            for i in 0..group.len() {
+                let ids = group.instance(i);
+                emitter.rule(&ids[..heads], &ids[heads..heads + pos], &ids[heads + pos..]);
             }
         }
-        ground
-    }
-
-    /// Recompute the possible sets and support counts from scratch (build
-    /// time, and the recursive-deletion fallback).
-    fn resaturate(&mut self) {
-        let mut possible: PossibleSets = BTreeMap::new();
-        for fact in &self.facts {
-            possible
-                .entry(fact.predicate_key())
-                .or_default()
-                .insert(fact.clone());
-        }
-        loop {
-            let mut changed = false;
-            for rule in &self.rules {
-                for theta in rule_matches(rule, &possible) {
-                    for h in &rule.head {
-                        let g = apply(h, &theta);
-                        if possible.entry(g.predicate_key()).or_default().insert(g) {
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Exact derivation counts in one pass over the fixpoint.
-        let mut support: BTreeMap<GroundAtom, u64> = BTreeMap::new();
-        for fact in &self.facts {
-            *support.entry(fact.clone()).or_insert(0) += 1;
-        }
-        for rule in &self.rules {
-            for theta in rule_matches(rule, &possible) {
-                for h in &rule.head {
-                    *support.entry(apply(h, &theta)).or_insert(0) += 1;
-                }
-            }
-        }
-        self.possible = possible;
-        self.support = support;
-    }
-
-    /// Counting deletion: each round joins every rule body with one
-    /// occurrence pinned to an atom that just lost its last support, to
-    /// find (and un-count) the derivations that died with it.
-    ///
-    /// The possible sets are *frozen* for the duration of a round: a
-    /// round's atoms are only retired from `possible` after its joins ran
-    /// (so `possible` itself is the pre-round "old" state — no snapshot
-    /// clone needed), and atoms dying mid-round keep their membership
-    /// until their own round ends. Exactness depends on this: a derivation
-    /// whose body atoms die in different rounds is un-counted exactly once,
-    /// in the earliest round (where the later-dying occurrences are still
-    /// in the frozen old state), and the before/after split excludes the
-    /// current delta from earlier occurrences so within-round pairs are
-    /// not double-counted either.
-    fn propagate_deletions(&mut self, deleted: &[GroundAtom], changed: &mut BTreeSet<String>) {
-        let mut round: Vec<GroundAtom> = Vec::new();
-        for atom in deleted {
-            changed.insert(atom.predicate_key());
-            if decrement_map(&mut self.support, atom) {
-                round.push(atom.clone());
-            }
-        }
-        while !round.is_empty() {
-            let delta = bucket(&round);
-            for atom in &round {
-                changed.insert(atom.predicate_key());
-            }
-            let mut next: Vec<GroundAtom> = Vec::new();
-            for rule in &self.rules {
-                for theta in delta_matches(rule, &delta, &self.possible) {
-                    for h in &rule.head {
-                        let g = apply(h, &theta);
-                        if self.support.get(&g).copied().unwrap_or(0) == 0 {
-                            continue; // already dead (queued in an earlier round)
-                        }
-                        if decrement_map(&mut self.support, &g) {
-                            next.push(g);
-                        }
-                    }
-                }
-            }
-            // Only now retire this round's atoms from the possible sets.
-            for atom in &round {
-                remove_possible(&mut self.possible, atom);
-            }
-            round = next;
-        }
-    }
-
-    /// Semi-naive insertion: each round joins rule bodies with one
-    /// occurrence pinned to a newly-possible atom, counting every new
-    /// derivation exactly once and seeding the next round with atoms that
-    /// just became possible.
-    ///
-    /// Mirror-image freezing of [`IncrementalGround::propagate_deletions`]:
-    /// a round's delta atoms enter `possible` at the start of the round,
-    /// but atoms *derived during* the round do not — they only become
-    /// visible as the next round's delta. Otherwise a derivation through a
-    /// two-level chain would be counted twice: once in the round that
-    /// derived its intermediate atom (which a mid-round insert would make
-    /// joinable immediately) and again in the next round with the pin on
-    /// that intermediate atom.
-    fn propagate_insertions(&mut self, inserted: &[GroundAtom], changed: &mut BTreeSet<String>) {
-        let mut round: Vec<GroundAtom> = Vec::new();
-        let mut queued: BTreeSet<GroundAtom> = BTreeSet::new();
-        for atom in inserted {
-            changed.insert(atom.predicate_key());
-            *self.support.entry(atom.clone()).or_insert(0) += 1;
-            if !contains(&self.possible, atom) && queued.insert(atom.clone()) {
-                round.push(atom.clone());
-            }
-        }
-        while !round.is_empty() {
-            // The round's delta becomes possible (and joinable) now;
-            // anything derived below stays invisible until the next round.
-            for atom in &round {
-                changed.insert(atom.predicate_key());
-                self.possible
-                    .entry(atom.predicate_key())
-                    .or_default()
-                    .insert(atom.clone());
-            }
-            let delta = bucket(&round);
-            let mut next: Vec<GroundAtom> = Vec::new();
-            let mut seen: BTreeSet<GroundAtom> = BTreeSet::new();
-            for rule in &self.rules {
-                for theta in delta_matches(rule, &delta, &self.possible) {
-                    for h in &rule.head {
-                        let g = apply(h, &theta);
-                        *self.support.entry(g.clone()).or_insert(0) += 1;
-                        if !contains(&self.possible, &g) && seen.insert(g.clone()) {
-                            next.push(g);
-                        }
-                    }
-                }
-            }
-            round = next;
-        }
+        emitter.finish()
     }
 }
 
-/// Group a flat atom list by signed predicate key.
-fn bucket(atoms: &[GroundAtom]) -> PossibleSets {
-    let mut out = PossibleSets::new();
-    for atom in atoms {
-        out.entry(atom.predicate_key())
-            .or_default()
-            .insert(atom.clone());
-    }
-    out
-}
-
-/// Decrement an atom's support count; true when it reached zero (the entry
-/// is removed).
-fn decrement_map(support: &mut BTreeMap<GroundAtom, u64>, atom: &GroundAtom) -> bool {
-    match support.get_mut(atom) {
-        Some(count) if *count > 1 => {
-            *count -= 1;
-            false
-        }
-        Some(_) => {
-            support.remove(atom);
-            true
-        }
-        None => false,
-    }
-}
-
-fn remove_possible(possible: &mut PossibleSets, atom: &GroundAtom) {
-    if let Some(set) = possible.get_mut(&atom.predicate_key()) {
-        set.remove(atom);
-        if set.is_empty() {
-            possible.remove(&atom.predicate_key());
-        }
-    }
-}
-
-/// Does a rule mention (head, positive or negated body) any predicate of
-/// `changed`?
-fn rule_mentions(rule: &Rule, changed: &BTreeSet<String>) -> bool {
-    rule.head.iter().any(|a| changed.contains(&signed_key(a)))
-        || rule.body.iter().any(|item| match item {
-            BodyItem::Pos(a) | BodyItem::Naf(a) => changed.contains(&signed_key(a)),
-            _ => false,
-        })
-}
-
-/// All substitutions of `rule`'s positive body over `full` that use at least
-/// one atom of `delta`, each counted exactly once: for every occurrence `k`
-/// whose predicate has delta atoms, pin occurrence `k` to the delta while
-/// occurrences before `k` range over `full \ delta` and occurrences after
-/// `k` over `full`. Built-ins filter as usual.
-fn delta_matches(rule: &Rule, delta: &PossibleSets, full: &PossibleSets) -> Vec<Subst> {
-    let positives: Vec<&Atom> = rule
-        .body
-        .iter()
-        .filter_map(|b| match b {
-            BodyItem::Pos(a) => Some(a),
-            _ => None,
-        })
-        .collect();
-    let empty = BTreeSet::new();
-    let mut results = Vec::new();
-    for k in 0..positives.len() {
-        let key_k = signed_key(positives[k]);
-        let Some(delta_k) = delta.get(&key_k) else {
-            continue;
-        };
-        // Pin occurrence k to each delta atom, then join the rest with the
-        // before/after split.
-        let rest: Vec<&Atom> = positives
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != k)
-            .map(|(_, a)| *a)
-            .collect();
-        // `rest` index j corresponds to original occurrence j (j < k) or
-        // j + 1 (j >= k).
-        for pinned in delta_k {
-            let mut current = Subst::new();
-            let Some(added) = try_unify(positives[k], pinned, &mut current) else {
-                continue;
-            };
-            // Join the remaining occurrences with the before/after split
-            // (before-the-pin occurrences exclude the delta so each new or
-            // lost derivation is counted exactly once).
-            let mut cand_sets: Vec<(&Atom, Vec<&GroundAtom>)> = Vec::with_capacity(rest.len());
-            let mut viable = true;
-            for (j, atom) in rest.iter().enumerate() {
-                let original = if j < k { j } else { j + 1 };
-                let key = signed_key(atom);
-                let full_set = full.get(&key).unwrap_or(&empty);
-                let atoms: Vec<&GroundAtom> = if original < k {
-                    match delta.get(&key) {
-                        Some(d) => full_set.iter().filter(|a| !d.contains(*a)).collect(),
-                        None => full_set.iter().collect(),
-                    }
-                } else {
-                    full_set.iter().collect()
-                };
-                if atoms.is_empty() {
-                    viable = false;
-                    break;
-                }
-                cand_sets.push((atom, atoms));
-            }
-            if viable {
-                join_vec(&cand_sets, 0, &mut current, &mut results);
-            }
-            for v in added {
-                current.remove(&v);
-            }
-        }
-    }
-    retain_builtin_satisfying(rule, &mut results);
-    results
-}
-
-/// Backtracking join over pre-materialized candidate vectors.
-fn join_vec(
-    occurrences: &[(&Atom, Vec<&GroundAtom>)],
-    idx: usize,
-    current: &mut Subst,
-    results: &mut Vec<Subst>,
-) {
-    if idx == occurrences.len() {
-        results.push(current.clone());
-        return;
-    }
-    let (atom, cands) = &occurrences[idx];
-    for cand in cands {
-        if let Some(added) = try_unify(atom, cand, current) {
-            join_vec(occurrences, idx + 1, current, results);
-            for v in added {
-                current.remove(&v);
-            }
-        }
-    }
-}
-
-/// Instantiate one rule against the possible sets, with the same
-/// naf-dropping and tautology elimination as [`crate::ground::Grounder`].
-fn instantiate(rule: &Rule, possible: &PossibleSets) -> Vec<SymRule> {
-    rule_matches(rule, possible)
-        .into_iter()
-        .filter_map(|theta| {
-            let heads: Vec<GroundAtom> = rule.head.iter().map(|h| apply(h, &theta)).collect();
-            let mut pos = Vec::new();
-            let mut neg = Vec::new();
-            for item in &rule.body {
-                match item {
-                    BodyItem::Pos(a) => pos.push(apply(a, &theta)),
-                    BodyItem::Naf(a) => {
-                        let g = apply(a, &theta);
-                        if contains(possible, &g) {
-                            neg.push(g);
-                        }
-                    }
-                    BodyItem::Builtin(_) => {}
-                    BodyItem::Choice(_) => return None, // unfolded in `new`
-                }
-            }
-            if heads.iter().any(|h| pos.contains(h)) {
-                return None;
-            }
-            Some(SymRule { heads, pos, neg })
-        })
-        .collect()
-}
-
-/// Signed predicates from which a positive-dependency path reaches a
-/// positive recursive component (including the components themselves).
-fn feeds_recursion(rules: &[Rule]) -> BTreeSet<String> {
-    let mut index: BTreeMap<String, usize> = BTreeMap::new();
-    let mut names: Vec<String> = Vec::new();
-    let intern = |name: String, names: &mut Vec<String>, index: &mut BTreeMap<String, usize>| {
-        *index.entry(name.clone()).or_insert_with(|| {
-            names.push(name);
-            names.len() - 1
-        })
-    };
-    let mut edges_pairs: Vec<(usize, usize)> = Vec::new();
-    for rule in rules {
-        let heads: Vec<usize> = rule
-            .head
-            .iter()
-            .map(|a| intern(signed_key(a), &mut names, &mut index))
-            .collect();
-        for item in &rule.body {
-            if let BodyItem::Pos(a) = item {
-                let b = intern(signed_key(a), &mut names, &mut index);
-                for &h in &heads {
-                    edges_pairs.push((b, h));
-                }
-            }
-        }
-    }
-    let n = names.len();
+/// Per predicate id: can a positive-dependency path reach a positive
+/// recursive component (including the components themselves)?
+fn feeds_recursion(core: &Core) -> Vec<bool> {
+    let n = core.symbols.pred_count();
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut self_loop = vec![false; n];
-    for (from, to) in edges_pairs {
-        if from == to {
-            self_loop[from] = true;
+    for rule in &core.rules {
+        for (body, head) in rule.positive_edges() {
+            let (from, to) = (body as usize, head as usize);
+            if from == to {
+                self_loop[from] = true;
+            }
+            edges[from].push(to);
         }
-        edges[from].push(to);
     }
     let component = crate::graph::strongly_connected_components(n, &edges);
-    let mut members: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut members = vec![0usize; n];
     for &c in &component {
-        *members.entry(c).or_insert(0) += 1;
+        members[c] += 1;
     }
-    let recursive: Vec<bool> = (0..n)
-        .map(|v| self_loop[v] || members[&component[v]] > 1)
-        .collect();
     // Backward reachability: nodes that can reach a recursive node.
-    let mut reaches = recursive.clone();
+    let mut reaches: Vec<bool> = (0..n)
+        .map(|v| self_loop[v] || members[component[v]] > 1)
+        .collect();
     let mut changed = true;
     while changed {
         changed = false;
         for v in 0..n {
-            if reaches[v] {
-                continue;
-            }
-            if edges[v].iter().any(|&w| reaches[w]) {
+            if !reaches[v] && edges[v].iter().any(|&w| reaches[w]) {
                 reaches[v] = true;
                 changed = true;
             }
         }
     }
-    (0..n)
-        .filter(|&v| reaches[v])
-        .map(|v| names[v].clone())
-        .collect()
+    reaches
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ground::Grounder;
-    use crate::syntax::{Builtin, BuiltinOp, Term};
+    use crate::syntax::{Atom, BodyItem, Builtin, BuiltinOp, Rule, Term};
+    use std::collections::BTreeSet;
 
     fn atom(p: &str, args: &[&str]) -> Atom {
         Atom::new(p, args)
@@ -758,6 +402,12 @@ mod tests {
             canonical(&fresh),
             "patched grounding must equal a fresh grounding"
         );
+        let rebuilt = IncrementalGround::new(program).unwrap().to_ground();
+        assert_eq!(
+            patched.to_string(),
+            rebuilt.to_string(),
+            "patched emission order must equal a fresh build's"
+        );
     }
 
     /// The non-recursive program used by most tests.
@@ -788,7 +438,10 @@ mod tests {
         let mut out = Program::new();
         for rule in base.rules() {
             if rule.is_fact() {
-                let fact = apply(&rule.head[0], &Subst::new());
+                let head = &rule.head[0];
+                let args: Vec<&str> = head.terms.iter().filter_map(Term::as_const).collect();
+                let mut fact = GroundAtom::new(head.predicate.clone(), &args);
+                fact.strong_neg = head.strong_neg;
                 if del.contains(&fact) {
                     continue;
                 }
@@ -935,6 +588,47 @@ mod tests {
     }
 
     #[test]
+    fn resaturation_reinstantiates_rules_over_atoms_it_interns() {
+        // Regression: the full-resaturation path diffed the possible flags
+        // only over the atoms interned before saturating, so `r(z)` — first
+        // interned by the re-saturation itself — never marked `r` changed
+        // and `r(z) :- q(z)` was missing from the patched grounding.
+        let mut p = Program::new();
+        p.add_fact(atom("edge", &["a", "b"]));
+        p.add_fact(atom("edge", &["b", "a"]));
+        p.add_fact(atom("node", &["a"]));
+        p.add_rule(Rule::new(
+            vec![atom("reach", &["X", "Y"])],
+            vec![BodyItem::Pos(atom("edge", &["X", "Y"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("reach", &["X", "Z"])],
+            vec![
+                BodyItem::Pos(atom("reach", &["X", "Y"])),
+                BodyItem::Pos(atom("edge", &["Y", "Z"])),
+            ],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("q", &["X"])],
+            vec![BodyItem::Pos(atom("node", &["X"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("r", &["X"])],
+            vec![BodyItem::Pos(atom("q", &["X"]))],
+        ));
+        let mut state = IncrementalGround::new(&p).unwrap();
+        let ins = [ga("node", &["z"])];
+        let del = [ga("edge", &["b", "a"])];
+        let stats = state.apply_delta(&ins, &del);
+        assert!(stats.full_resaturation);
+        assert_matches_fresh(
+            &state,
+            &program_with(&program_with(&p, &[], &del), &ins, &[]),
+        );
+        assert!(state.to_ground().atom_id(&ga("r", &["z"])).is_some());
+    }
+
+    #[test]
     fn naf_literals_flip_with_the_possible_set() {
         let p = base_program();
         let mut state = IncrementalGround::new(&p).unwrap();
@@ -1050,33 +744,58 @@ mod tests {
     }
 
     #[test]
-    fn exact_bytes_charges_shared_payloads_once() {
+    fn exact_bytes_stays_bounded_under_fresh_constants() {
+        // Each round inserts a fact over a new constant (deriving a hop over
+        // it) and deletes it again. The retired atoms and constants are
+        // dropped once they outnumber the live atoms, so the size never
+        // exceeds twice the starting size and returns to it exactly.
         let p = base_program();
-        let state = IncrementalGround::new(&p).unwrap();
-        // Upper bound with every argument's payload charged per reference:
-        // what the accounting would report if nothing were shared. The
-        // saturated sets and facts carry copies of the same constants, so
-        // the exact figure must come in strictly below it.
-        let mut references = 0usize;
-        let mut flat = 0usize;
-        let mut charge = |a: &GroundAtom| {
-            flat += 24 + a.predicate.len() + 8 * a.args.len();
-            for arg in &a.args {
-                references += 1;
-                flat += arg.len();
+        let mut state = IncrementalGround::new(&p).unwrap();
+        let start = state.exact_bytes();
+        let mut returned = 0;
+        for i in 0..40 {
+            let fact = [ga("edge", &["c", &format!("n{i}")])];
+            state.apply_delta(&fact, &[]);
+            assert!(state.exact_bytes() <= 2 * start, "round {i} insert");
+            state.apply_delta(&[], &fact);
+            assert!(state.exact_bytes() <= 2 * start, "round {i} delete");
+            if state.exact_bytes() == start {
+                returned += 1;
             }
+        }
+        assert!(
+            returned >= 10,
+            "compaction ran {returned} times in 40 rounds"
+        );
+        assert_matches_fresh(&state, &p);
+    }
+
+    #[test]
+    fn exact_bytes_charges_each_constant_text_once() {
+        // `b` occurs in three facts and in derived atoms; lengthening it by
+        // nine bytes must grow the exact size by exactly nine bytes, since
+        // atoms hold constant ids and the text lives once in the symbol
+        // table.
+        let rename = |from: &str, to: &str| -> Program {
+            base_program()
+                .rules()
+                .iter()
+                .map(|rule| {
+                    let mut rule = rule.clone();
+                    for atom in rule.head.iter_mut() {
+                        for t in atom.terms.iter_mut() {
+                            if t.as_const() == Some(from) {
+                                *t = Term::cnst(to);
+                            }
+                        }
+                    }
+                    rule
+                })
+                .collect()
         };
-        for set in state.possible.values() {
-            set.iter().for_each(&mut charge);
-        }
-        state.facts.iter().for_each(&mut charge);
-        for group in &state.groups {
-            for r in group {
-                flat += 48 + 8 * (r.heads.len() + r.pos.len() + r.neg.len());
-            }
-        }
-        let flat = flat + state.support.len() * 48;
-        assert!(references > 1);
-        assert!(state.exact_bytes() <= flat);
+        let short = IncrementalGround::new(&rename("b", "b")).unwrap();
+        let long = IncrementalGround::new(&rename("b", "bbbbbbbbbb")).unwrap();
+        assert_eq!(short.rule_count(), long.rule_count());
+        assert_eq!(long.exact_bytes() - short.exact_bytes(), 9);
     }
 }

@@ -62,6 +62,7 @@ pub mod ground;
 pub mod incremental;
 pub mod reason;
 pub mod relevance;
+mod seminaive;
 pub mod shift;
 pub mod solve;
 pub mod syntax;
