@@ -1,4 +1,4 @@
-//! Prints the B1–B15 experiment tables (see DESIGN.md and EXPERIMENTS.md),
+//! Prints the B1–B14 experiment tables (see DESIGN.md and EXPERIMENTS.md),
 //! or runs the CI perf-smoke gate.
 //!
 //! Usage:
@@ -17,8 +17,8 @@
 use pdes_bench::experiments;
 use pdes_bench::smoke::{run_smoke_traced, SmokeReport};
 use pdes_bench::{
-    render_grounding_table, render_incremental_table, render_interned_table, render_live_table,
-    render_mvcc_table, render_obs_table, render_parallel_table, render_shard_table, render_table,
+    render_grounding_table, render_incremental_table, render_live_table, render_mvcc_table,
+    render_obs_table, render_parallel_table, render_shard_table, render_table,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -78,7 +78,7 @@ fn main() -> ExitCode {
         };
 
     println!("Peer-to-peer data exchange — experiment harness");
-    println!("(one run per point; see `cargo bench` for statistically repeated timings)");
+    println!("(one run per point)");
 
     print!(
         "{}",
@@ -189,23 +189,6 @@ fn main() -> ExitCode {
             &pdes_bench::mvcc::table_b14(&b14_readers, b14_window_ms)
         )
     );
-    let b15_tuples = if quick { 12 } else { 24 };
-    match workload::generate(&workload::WorkloadSpec {
-        peers: 2,
-        tuples_per_relation: b15_tuples,
-        violations_per_dec: 2,
-        trust_mix: workload::TrustMix::AllLess,
-        ..workload::WorkloadSpec::default()
-    }) {
-        Ok(w) => print!(
-            "{}",
-            render_interned_table(
-                "B15: interned columnar data plane vs. legacy string path",
-                &pdes_bench::interned::table_b15(&w, &format!("peers=2 tuples={b15_tuples}"))
-            )
-        ),
-        Err(e) => eprintln!("B15 workload generation failed: {e}"),
-    }
     ExitCode::SUCCESS
 }
 

@@ -14,7 +14,7 @@ use crate::runners::{
 };
 use datalog::graph::is_head_cycle_free;
 use datalog::solve::{solve_ground, DisjunctiveSolver, NormalSolver, SolverConfig};
-use datalog::{Grounder, Program};
+use datalog::Grounder;
 use pdes_core::asp::annotated::annotated_program;
 use pdes_core::asp::paper::section31_program;
 use relalg::Tuple;
@@ -368,22 +368,6 @@ pub fn table_b11(peer_counts: &[usize]) -> Vec<LiveMeasurement> {
         }
     }
     rows
-}
-
-/// A tiny program whose grounding/solving is used as a Criterion
-/// micro-benchmark target.
-pub fn small_spec_program() -> Program {
-    let w = generate(&WorkloadSpec {
-        peers: 2,
-        tuples_per_relation: 10,
-        violations_per_dec: 2,
-        trust_mix: TrustMix::AllLess,
-        ..WorkloadSpec::default()
-    })
-    .expect("valid workload spec");
-    annotated_program(&w.system, &w.queried_peer)
-        .expect("spec")
-        .program
 }
 
 #[cfg(test)]

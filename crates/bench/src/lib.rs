@@ -7,8 +7,7 @@
 //! solution enumeration, the head-cycle-free shifting optimization, the
 //! transitive (global) semantics and the single-database CQA baseline.
 //!
-//! * `cargo run -p pdes-bench --release --bin harness` prints every table;
-//! * `cargo bench` runs the Criterion micro-benchmarks (one per table).
+//! `cargo run -p pdes-bench --release --bin harness` prints every table.
 //!
 //! Table B8 ([`live`]) measures sustained query throughput under a mutation
 //! stream: cold engines vs. full cache flushes vs. the engine's incremental
@@ -47,13 +46,6 @@
 //! counts and hard-errors if the sharded answers diverge from the
 //! single-store oracle.
 //!
-//! Table B15 ([`interned`]) compares the interned, columnar data plane
-//! against the legacy string path on the same workload: cold preparation,
-//! warm per-query time, resident cache bytes (exact interned sizes vs. the
-//! element-count estimate) and symbol counts, per strategy; the smoke gate
-//! pins `interned_cached_bytes` / `legacy_cached_bytes` exactly and
-//! hard-errors when interning stops shrinking the cache.
-//!
 //! Table B14 ([`mvcc`]) measures reader latency and throughput under a
 //! sustained writer: a closed loop of reader threads over cloned
 //! `ReadHandle`s, the single `Writer` committing back to back, p50/p99
@@ -65,7 +57,6 @@
 
 pub mod experiments;
 pub mod grounding;
-pub mod interned;
 pub mod live;
 pub mod mvcc;
 pub mod obs;
@@ -75,7 +66,6 @@ pub mod sharding;
 pub mod smoke;
 
 pub use grounding::{render_grounding_table, GroundingMeasurement};
-pub use interned::{render_interned_table, InternedMeasurement};
 pub use live::{render_incremental_table, render_live_table, LiveMeasurement, LiveMode};
 pub use mvcc::{render_mvcc_table, MvccMeasurement};
 pub use obs::{render_obs_table, ObsMeasurement};

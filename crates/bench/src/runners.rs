@@ -3,10 +3,10 @@
 //! statistics.
 //!
 //! The per-mechanism `run_*` functions are thin wrappers over
-//! [`run_strategy`]; the Criterion benches build an engine once per workload
-//! with [`engine_for`] and answer repeatedly, which exercises the engine's
-//! per-peer memoization (repeat queries skip re-grounding/solving — the hot
-//! path this suite measures).
+//! [`run_strategy`]; callers that answer repeatedly build an engine once per
+//! workload with [`engine_for`], which exercises the engine's per-peer
+//! memoization (repeat queries skip re-grounding/solving — the hot path the
+//! smoke gate's warm metrics measure).
 
 use pdes_core::engine::{QueryEngine, Strategy};
 use repair::{consistent_answers, RepairEngine};
@@ -20,8 +20,7 @@ pub struct Measurement {
     pub mechanism: &'static str,
     /// Workload parameters, rendered for the table.
     pub params: String,
-    /// Wall-clock time in milliseconds (one run; the Criterion benches do
-    /// the statistically careful repetitions).
+    /// Wall-clock time in milliseconds (one run).
     pub millis: f64,
     /// Number of peer consistent answers returned.
     pub answers: usize,

@@ -290,38 +290,17 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
         start.elapsed().as_secs_f64() * 1e3,
     ));
 
-    // Interned vs. legacy data plane (the B15 pair on the same workload).
-    // `asp_warm500_ms` above already measures the interned path (the
-    // default); `legacy_warm500_ms` is the same warm loop with
-    // `interned_data_plane(false)`, riding the ordinary 2x timing gate. The
-    // byte counters are exact-match metrics, and interning failing to
-    // shrink the resident cache below the legacy estimate is a hard error —
-    // the whole point of exact columnar sizing.
-    let (interned, legacy) = crate::interned::run_interned_pair(&w, Strategy::Asp, "smoke")
-        .map_err(|e| e.to_string())?;
-    if interned.cached_bytes >= legacy.cached_bytes {
-        return Err(format!(
-            "interned cache is not smaller than the legacy estimate: \
-             {} >= {} bytes",
-            interned.cached_bytes, legacy.cached_bytes
-        ));
-    }
-    if interned.symbols == 0 {
+    // Resident bytes of the warm engine's cache (exact interned columnar
+    // sizes) and the store's symbol count: both exact-match metrics.
+    let symbols = engine.store().symbols().len();
+    if symbols == 0 {
         return Err("the store interned no symbols on the smoke workload".to_string());
     }
     metrics.push((
         "interned_cached_bytes".to_string(),
-        interned.cached_bytes as f64,
+        engine.cached_bytes() as f64,
     ));
-    metrics.push((
-        "legacy_cached_bytes".to_string(),
-        legacy.cached_bytes as f64,
-    ));
-    metrics.push(("interned_symbols".to_string(), interned.symbols as f64));
-    metrics.push((
-        "legacy_warm500_ms".to_string(),
-        legacy.warm_per_op_us * crate::interned::WARM_OPS as f64 / 1e3,
-    ));
+    metrics.push(("interned_symbols".to_string(), symbols as f64));
 
     // Observability overhead + exact trace-shape counters. First the
     // NullRecorder control: an engine with the default (null) recorder
@@ -716,9 +695,7 @@ mod tests {
             "asp_cold10_ms",
             "asp_warm500_ms",
             "interned_cached_bytes",
-            "legacy_cached_bytes",
             "interned_symbols",
-            "legacy_warm500_ms",
             "obs_null_warm500_ms",
             "trace_span_count",
             "trace_event_count",
@@ -753,9 +730,7 @@ mod tests {
         );
         // The tiny-budget engine evicted (hard error inside the run).
         assert!(smoke.get("cache_evictions") > Some(0.0));
-        // Exact interned sizing comes in under the legacy estimate (hard
-        // error inside the run), and the store interned the workload.
-        assert!(smoke.get("interned_cached_bytes") < smoke.get("legacy_cached_bytes"));
+        // The store interned the workload (hard error inside the run).
         assert!(smoke.get("interned_symbols") > Some(0.0));
         // The traced sub-workload produced a well-formed, non-empty trace
         // with two events (enter + exit) per span.

@@ -43,8 +43,8 @@
 //! strategy's enumerated solutions and the rewriting strategy's materialized
 //! global instance are computed once per `(engine, peer)`, and the ASP
 //! strategies' *grounded and solved* specification programs (decoded into
-//! per-world databases) once per `(engine, peer, query slice)`. By default
-//! the ASP strategies ground only the query-relevant slice of the
+//! per-world columnar databases) once per `(engine, peer, query slice)`. By
+//! default the ASP strategies ground only the query-relevant slice of the
 //! specification ([`datalog::relevance`], magic-sets-style pruning seeded by
 //! the query's relations and bound constants —
 //! [`QueryEngineBuilder::relevance_pruning`] turns it off), so the cache key
@@ -95,12 +95,13 @@
 //! [`QueryEngineBuilder::cache_capacity`] caps the estimated bytes of all
 //! memoized artifacts with least-recently-used eviction
 //! ([`CacheMetrics::evictions`]), so adversarial streams of distinct
-//! bound-constant queries cannot grow the cache without bound. The estimate
-//! is a deterministic element count, which lets the CI smoke gate pin
-//! eviction counts exactly.
+//! bound-constant queries cannot grow the cache without bound. The budget
+//! meters the exact size of the interned columnar worlds and the retained
+//! grounding state — deterministic and platform-independent — which lets
+//! the CI smoke gate pin eviction counts exactly.
 //!
-//! Skipping the solver on repeat queries is sound because the appended query
-//! rules of the legacy path are non-disjunctive, positive definitions layered
+//! Skipping the solver on repeat queries is sound because a positive
+//! existential query translates into non-disjunctive, positive rules layered
 //! on top of the solution predicates: they never change the answer sets, so
 //! cautious reasoning over `spec ∪ query` coincides with evaluating the query
 //! over each decoded solution world and intersecting.
@@ -518,7 +519,6 @@ pub trait AnsweringStrategy: Send + Sync {
 /// let engine = QueryEngine::builder(example1_system())
 ///     .strategy(Strategy::Asp)          // pin one mechanism (default: Auto)
 ///     .cache_capacity(1 << 20)          // bound the memo cache to 1 MiB
-///     .interned_data_plane(true)        // columnar id kernels (the default)
 ///     .build();
 /// let answers = engine
 ///     .answer(&PeerId::new("P1"), &Formula::atom("R1", vec!["X", "Y"]), &vars(&["X", "Y"]))
@@ -535,7 +535,6 @@ pub struct QueryEngineBuilder {
     exec: ExecConfig,
     relevance_pruning: bool,
     incremental_reground: bool,
-    interned_data_plane: bool,
     cache_capacity: Option<usize>,
     strict_analysis: bool,
     recorder: Option<Arc<dyn Recorder>>,
@@ -615,29 +614,13 @@ impl QueryEngineBuilder {
         self
     }
 
-    /// Enable or disable the interned, columnar data plane. On (the
-    /// default), prepared worlds are additionally indexed as columnar
-    /// `u32` blocks against the store's [`SymbolTable`]
-    /// ([`PeerStore::symbols`]): conjunctive queries evaluate with
-    /// hash-join / semi-join kernels over ids (strings materialize only at
-    /// the [`Answers`] boundary), ASP fact encoding aliases one shared
-    /// `Arc<str>` per distinct constant, and the memo cache budgets
-    /// *exact* interned-table sizes instead of element-count estimates.
-    /// Off reproduces the legacy string path (the B15 benchmark's
-    /// comparison baseline).
-    pub fn interned_data_plane(mut self, enabled: bool) -> Self {
-        self.interned_data_plane = enabled;
-        self
-    }
-
     /// Cap the memo cache at `bytes` bytes of prepared artifacts, evicting
     /// least-recently-used entries on overflow (counted in
-    /// [`CacheMetrics::evictions`]). Unbounded by default. With the
-    /// interned data plane on (the default) the budgeted quantity is the
-    /// *exact* size of the interned columnar artifacts — deterministic and
-    /// platform-independent (4 bytes per stored id plus fixed per-relation
-    /// overheads), so eviction behaviour is reproducible in CI; the legacy
-    /// path keeps the element-count estimate.
+    /// [`CacheMetrics::evictions`]). Unbounded by default. The budgeted
+    /// quantity is the *exact* size of the interned columnar worlds and the
+    /// retained grounding state — deterministic and platform-independent
+    /// (4 bytes per stored id plus fixed per-relation overheads), so
+    /// eviction behaviour is reproducible in CI.
     pub fn cache_capacity(mut self, bytes: usize) -> Self {
         self.cache_capacity = Some(bytes);
         self
@@ -699,7 +682,6 @@ impl QueryEngineBuilder {
             recorder,
             relevance_pruning: self.relevance_pruning,
             incremental_reground: self.incremental_reground,
-            interned_data_plane: self.interned_data_plane,
             symbols,
             cache_capacity: self.cache_capacity,
             analysis: report,
@@ -918,8 +900,11 @@ impl EngineCache {
 /// The decoded worlds of one peer under one mechanism, plus how long the
 /// preparation took.
 struct PreparedWorlds {
-    /// One database per distinct world (solution / answer set).
-    databases: Vec<Database>,
+    /// One columnar database per distinct world (solution / answer set),
+    /// interned against the store's symbol table. Conjunctive queries
+    /// intersect over these id blocks; other formulas decode a world on
+    /// demand ([`relalg::ColumnarDatabase::to_database`]).
+    columnar: Vec<relalg::ColumnarDatabase>,
     /// World count before deduplication (matches the legacy result structs).
     worlds: usize,
     prepare_nanos: u64,
@@ -933,36 +918,19 @@ struct PreparedWorlds {
     regrounded_rules: usize,
     /// Evidence template cloned into every answer served from this entry.
     provenance: Provenance,
-    /// Interned columnar index of `databases` (one [`ColumnarDatabase`] per
-    /// world, same order), built once per preparation when the engine's
-    /// interned data plane is on. Conjunctive queries intersect over these
-    /// id blocks instead of re-walking string tuples, and the memo cache
-    /// budgets their *exact* size. `None` on the legacy path.
-    columnar: Option<Vec<relalg::ColumnarDatabase>>,
 }
 
 impl PreparedWorlds {
-    /// Deterministic, platform-independent size estimate (element counts
-    /// only), mirroring [`datalog::IncrementalGround::approx_bytes`]. The
-    /// legacy sizing, kept for `interned_data_plane(false)`.
-    fn approx_bytes(&self) -> usize {
-        let db_bytes = |db: &Database| -> usize {
-            db.relations()
-                .map(|rel| 64 + rel.iter().map(|t| 16 + 24 * t.arity()).sum::<usize>())
-                .sum()
-        };
-        256 + self.databases.iter().map(db_bytes).sum::<usize>()
-    }
-
     /// Bytes this entry charges against [`QueryEngineBuilder::cache_capacity`]:
-    /// the *exact* interned columnar size when the columnar index exists
-    /// ([`ColumnarDatabase::exact_bytes`] — 4 bytes per stored id plus fixed
-    /// per-relation overheads), the legacy element-count estimate otherwise.
+    /// the *exact* interned columnar size
+    /// ([`relalg::ColumnarDatabase::exact_bytes`] — 4 bytes per stored id
+    /// plus fixed per-relation overheads).
     fn bytes(&self) -> usize {
-        match &self.columnar {
-            Some(worlds) => 256 + worlds.iter().map(|db| db.exact_bytes()).sum::<usize>(),
-            None => self.approx_bytes(),
-        }
+        256 + self
+            .columnar
+            .iter()
+            .map(|db| db.exact_bytes())
+            .sum::<usize>()
     }
 }
 
@@ -986,7 +954,6 @@ pub struct QueryEngine {
     recorder: Arc<dyn Recorder>,
     relevance_pruning: bool,
     incremental_reground: bool,
-    interned_data_plane: bool,
     /// The store's symbol table ([`PeerStore::symbols`]): the single
     /// interning authority the columnar fast path and shared-text ASP
     /// encoding resolve against.
@@ -1070,7 +1037,6 @@ impl QueryEngine {
             exec: ExecConfig::sequential(),
             relevance_pruning: true,
             incremental_reground: true,
-            interned_data_plane: true,
             cache_capacity: None,
             strict_analysis: false,
             recorder: None,
@@ -1616,8 +1582,7 @@ impl QueryEngine {
         let mut insertions = Vec::new();
         let mut deletions = Vec::new();
         for delta in pending.values() {
-            let (ins, del) =
-                program_delta_atoms(delta, self.interned_data_plane.then(|| &*self.symbols));
+            let (ins, del) = program_delta_atoms(delta, &self.symbols);
             insertions.extend(ins);
             deletions.extend(del);
         }
@@ -1637,10 +1602,9 @@ impl QueryEngine {
             return;
         };
         let provenance = spec.provenance(&solved.sets);
-        let columnar = self.columnar_worlds(&databases);
         let prepared = Arc::new(PreparedWorlds {
+            columnar: self.columnar_worlds(&databases),
             worlds: solved.sets.len(),
-            databases,
             prepare_nanos: duration_nanos(prepare_span.finish()),
             ground_nanos,
             solve_nanos: solved.solve_nanos,
@@ -1648,10 +1612,9 @@ impl QueryEngine {
             grounded_atoms: solved.grounded_atoms,
             regrounded_rules: patch.reinstantiated_rules,
             provenance,
-            columnar,
         });
         self.metrics.patched.fetch_add(1, Ordering::Relaxed);
-        let state_bytes = self.state_bytes(&state);
+        let state_bytes = state.exact_bytes();
         let mut cache = self.write_cache();
         if let Some(entry) = cache.asp_slot(transitive).get_mut(key) {
             entry.bytes = prepared.bytes() + state_bytes;
@@ -1851,10 +1814,9 @@ impl QueryEngine {
         for solution in &solutions {
             databases.push(self.topology.restrict_to_peer(&solution.database, peer)?);
         }
-        let columnar = self.columnar_worlds(&databases);
         let prepared = Arc::new(PreparedWorlds {
+            columnar: self.columnar_worlds(&databases),
             worlds: solutions.len(),
-            databases,
             prepare_nanos: duration_nanos(span.finish()),
             ground_nanos: 0,
             solve_nanos: 0,
@@ -1865,7 +1827,6 @@ impl QueryEngine {
                 solution_count: solutions.len(),
                 search,
             },
-            columnar,
         });
         let mut cache = self.write_cache();
         let entry = cache
@@ -1897,8 +1858,7 @@ impl QueryEngine {
         }
         use std::fmt::Write as _;
         let mut out = String::new();
-        let symbols = self.interned_data_plane.then(|| &*self.symbols);
-        for (relation, bindings) in query_binding_patterns(query, symbols) {
+        for (relation, bindings) in query_binding_patterns(query, &self.symbols) {
             let _ = write!(out, "r{}:{};", relation.len(), relation);
             for binding in &bindings {
                 match binding {
@@ -1925,7 +1885,7 @@ impl QueryEngine {
             return None;
         }
         Some(
-            query_binding_patterns(query, self.interned_data_plane.then(|| &*self.symbols))
+            query_binding_patterns(query, &self.symbols)
                 .into_iter()
                 .map(|(relation, bindings)| {
                     datalog::QuerySeed::with_bindings(solution_predicate(&relation), bindings)
@@ -2015,10 +1975,10 @@ impl QueryEngine {
         } else {
             self.pin()?.system()?
         };
-        // With the interned data plane on, fact constants alias the store's
-        // interned text (one shared `Arc<str>` per distinct constant)
-        // instead of re-rendering per tuple occurrence.
-        let symbols = self.interned_data_plane.then(|| &*self.symbols);
+        // Fact constants alias the store's interned text (one shared
+        // `Arc<str>` per distinct constant) instead of re-rendering per
+        // tuple occurrence.
+        let symbols = Some(&*self.symbols);
         let spec = Arc::new(if transitive {
             SpecProgram::Transitive(crate::asp::transitive_program_with(
                 &hydrated, peer, symbols,
@@ -2094,10 +2054,7 @@ impl QueryEngine {
                 let mut insertions = Vec::new();
                 let mut deletions = Vec::new();
                 for delta in pending.values() {
-                    let (ins, del) = program_delta_atoms(
-                        delta,
-                        self.interned_data_plane.then(|| &*self.symbols),
-                    );
+                    let (ins, del) = program_delta_atoms(delta, &self.symbols);
                     insertions.extend(ins);
                     deletions.extend(del);
                 }
@@ -2127,10 +2084,9 @@ impl QueryEngine {
         let databases = spec.solution_databases(&hydrated, &solved.sets)?;
         decode_span.finish();
         let provenance = spec.provenance(&solved.sets);
-        let columnar = self.columnar_worlds(&databases);
         let prepared = Arc::new(PreparedWorlds {
+            columnar: self.columnar_worlds(&databases),
             worlds: solved.sets.len(),
-            databases,
             prepare_nanos: duration_nanos(prepare_span.finish()),
             ground_nanos,
             solve_nanos: solved.solve_nanos,
@@ -2138,9 +2094,8 @@ impl QueryEngine {
             grounded_atoms: solved.grounded_atoms,
             regrounded_rules,
             provenance,
-            columnar,
         });
-        let state_bytes = state.as_ref().map(|s| self.state_bytes(s)).unwrap_or(0);
+        let state_bytes = state.as_ref().map_or(0, |s| s.exact_bytes());
         let mut cache = self.write_cache();
         let entry = cache
             .asp_slot(transitive)
@@ -2276,141 +2231,52 @@ impl QueryEngine {
     }
 
     /// Intersect the query's answers over every prepared world, evaluating
-    /// worlds on the engine's pool (set intersection commutes, so the fold
-    /// over per-world results in world order is identical to the sequential
-    /// loop for every pool size). Small world sets stay on the calling
-    /// thread: below [`QueryEngine::MIN_PARALLEL_WORLDS`] the per-world
-    /// evaluations are cheaper than spawning workers for them.
+    /// worlds on the engine's pool ([`Executor::try_intersect`]: set
+    /// intersection commutes, so the answers are identical for every pool
+    /// size). Small world sets stay on the calling thread: below
+    /// [`QueryEngine::MIN_PARALLEL_WORLDS`] the per-world evaluations are
+    /// cheaper than spawning workers for them.
+    ///
+    /// Queries in [`CqPlan`]'s fragment (conjunction, disjunction,
+    /// existentials, comparisons, safe negation) run the join kernels over
+    /// the columnar id blocks and materialize strings once, at the end.
+    /// Anything else (∀, →, unsafe ¬) decodes each world on demand and runs
+    /// the general [`QueryEvaluator`].
     fn certain_answers(
         &self,
         worlds: &PreparedWorlds,
         query: &Formula,
         free_vars: &[String],
     ) -> Result<BTreeSet<Tuple>> {
-        // Interned fast path: conjunctive queries (with disjunction) run the
-        // hash-join / semi-join kernels over the columnar id blocks and
-        // materialize strings once, at the end. Plans that don't compile
-        // (negation, nested quantifiers, …) fall through to the legacy
-        // string evaluator on the same worlds — answers are identical either
-        // way (property-tested in `tests/interned.rs`).
-        if let Some(columnar) = &worlds.columnar {
-            if let Some(plan) = CqPlan::compile(query, free_vars) {
-                return self.certain_answers_columnar(columnar, &plan);
-            }
-        }
-        // One streamed intersection over a slice of worlds: peak memory is
-        // one answer set plus the accumulator, never all worlds at once.
-        let intersect = |dbs: &[Database]| -> Result<Option<BTreeSet<Tuple>>> {
-            let mut certain: Option<BTreeSet<Tuple>> = None;
-            for db in dbs {
-                let these = QueryEvaluator::new(db)
-                    .answers(query, free_vars)
-                    .map_err(CoreError::from)?;
-                certain = Some(match certain {
-                    None => these,
-                    Some(acc) => acc.intersection(&these).cloned().collect(),
-                });
-            }
-            Ok(certain)
-        };
-        let databases = &worlds.databases;
-        let exec = if databases.len() >= Self::MIN_PARALLEL_WORLDS {
-            self.query_exec()
-        } else {
-            Executor::sequential()
-        };
-        let workers = exec.workers_for(databases.len());
-        if workers <= 1 {
-            return Ok(intersect(databases)?.unwrap_or_default());
-        }
-        // Parallel: each worker streams one contiguous chunk, so at most
-        // `workers` partial intersections are live simultaneously.
-        let chunks: Vec<&[Database]> = databases
-            .chunks(databases.len().div_ceil(workers))
-            .collect();
-        let per_chunk = exec.try_map(&chunks, |chunk| intersect(chunk))?;
-        let mut certain: Option<BTreeSet<Tuple>> = None;
-        for partial in per_chunk.into_iter().flatten() {
-            certain = Some(match certain {
-                None => partial,
-                Some(acc) => acc.intersection(&partial).cloned().collect(),
-            });
-        }
-        Ok(certain.unwrap_or_default())
-    }
-
-    /// The columnar twin of the legacy intersection in
-    /// [`QueryEngine::certain_answers`]: the same chunked parallel fold, but
-    /// each per-world answer set is a `BTreeSet<Vec<u32>>` of symbol rows.
-    /// Only the final certain set pays string materialization
-    /// ([`CqPlan::materialize`]).
-    fn certain_answers_columnar(
-        &self,
-        worlds: &[relalg::ColumnarDatabase],
-        plan: &CqPlan,
-    ) -> Result<BTreeSet<Tuple>> {
-        let intersect = |dbs: &[relalg::ColumnarDatabase]| -> Result<Option<BTreeSet<Vec<u32>>>> {
-            let mut certain: Option<BTreeSet<Vec<u32>>> = None;
-            for db in dbs {
-                let these = plan.answers(db).map_err(CoreError::from)?;
-                certain = Some(match certain {
-                    None => these,
-                    Some(acc) => acc.intersection(&these).cloned().collect(),
-                });
-            }
-            Ok(certain)
-        };
+        let worlds = &worlds.columnar;
         let exec = if worlds.len() >= Self::MIN_PARALLEL_WORLDS {
             self.query_exec()
         } else {
             Executor::sequential()
         };
-        let workers = exec.workers_for(worlds.len());
-        let certain = if workers <= 1 {
-            intersect(worlds)?
-        } else {
-            let chunks: Vec<&[relalg::ColumnarDatabase]> =
-                worlds.chunks(worlds.len().div_ceil(workers)).collect();
-            let per_chunk = exec.try_map(&chunks, |chunk| intersect(chunk))?;
-            let mut certain: Option<BTreeSet<Vec<u32>>> = None;
-            for partial in per_chunk.into_iter().flatten() {
-                certain = Some(match certain {
-                    None => partial,
-                    Some(acc) => acc.intersection(&partial).cloned().collect(),
-                });
+        match CqPlan::compile(query, free_vars) {
+            Some(plan) => {
+                let rows =
+                    exec.try_intersect(worlds, |db| plan.answers(db).map_err(CoreError::from))?;
+                Ok(CqPlan::materialize(&rows, &self.symbols))
             }
-            certain
-        };
-        Ok(CqPlan::materialize(
-            &certain.unwrap_or_default(),
-            &self.symbols,
-        ))
-    }
-
-    /// Bytes a retained grounding state charges against the cache budget:
-    /// exact pointer-identity accounting
-    /// ([`datalog::IncrementalGround::exact_bytes`]) on the interned data
-    /// plane, the legacy element-count estimate otherwise.
-    fn state_bytes(&self, state: &datalog::IncrementalGround) -> usize {
-        if self.interned_data_plane {
-            state.exact_bytes()
-        } else {
-            state.approx_bytes()
+            None => exec.try_intersect(worlds, |db| {
+                QueryEvaluator::new(&db.to_database())
+                    .answers(query, free_vars)
+                    .map_err(CoreError::from)
+            }),
         }
     }
 
     /// Index freshly decoded worlds as columnar id blocks against the
-    /// store's symbol table — `None` on the legacy path
-    /// ([`QueryEngineBuilder::interned_data_plane`] off). Solver-introduced
-    /// constants the store has never seen are interned here, so the table
-    /// stays total over everything the cache holds.
-    fn columnar_worlds(&self, databases: &[Database]) -> Option<Vec<relalg::ColumnarDatabase>> {
-        self.interned_data_plane.then(|| {
-            databases
-                .iter()
-                .map(|db| relalg::ColumnarDatabase::from_database(db, &self.symbols))
-                .collect()
-        })
+    /// store's symbol table. Solver-introduced constants the store has
+    /// never seen are interned here, so the table stays total over
+    /// everything the cache holds.
+    fn columnar_worlds(&self, databases: &[Database]) -> Vec<relalg::ColumnarDatabase> {
+        databases
+            .iter()
+            .map(|db| relalg::ColumnarDatabase::from_database(db, &self.symbols))
+            .collect()
     }
 }
 
@@ -2505,22 +2371,18 @@ fn solve_prepared(
 /// names are the fact predicates of the specification programs
 /// ([`crate::asp::encode::facts_for_system`]) and values encode through
 /// [`crate::asp::encode::encode_value`], so a relational delta is also a
-/// logic-program delta verbatim. With a symbol table (the interned data
-/// plane), constant arguments alias the store's shared text
-/// ([`crate::asp::encode::encode_value_shared`]) instead of allocating per
-/// atom.
+/// logic-program delta verbatim. Constant arguments alias the store's
+/// shared text ([`crate::asp::encode::encode_value_shared`]) instead of
+/// allocating per atom.
 fn program_delta_atoms(
     delta: &relalg::Delta,
-    symbols: Option<&relalg::SymbolTable>,
+    symbols: &relalg::SymbolTable,
 ) -> (Vec<datalog::GroundAtom>, Vec<datalog::GroundAtom>) {
     let encode = |atom: &relalg::database::GroundAtom| {
         let args: Vec<Arc<str>> = atom
             .tuple
             .iter()
-            .map(|v| match symbols {
-                Some(symbols) => crate::asp::encode::encode_value_shared(v, symbols),
-                None => Arc::from(crate::asp::encode::encode_value(v).as_str()),
-            })
+            .map(|v| crate::asp::encode::encode_value_shared(v, symbols))
             .collect();
         datalog::GroundAtom {
             predicate: atom.relation.to_string(),
@@ -2540,10 +2402,10 @@ fn program_delta_atoms(
 /// position `i`. Restricting a relation's extension to such a pattern
 /// preserves the answers of every atom occurrence, which makes the pattern
 /// safe to hand to the grounder as a [`datalog::QuerySeed`]. Constants the
-/// store has interned alias its shared text when `symbols` is given.
+/// store has interned alias its shared text.
 fn query_binding_patterns(
     query: &Formula,
-    symbols: Option<&relalg::SymbolTable>,
+    symbols: &relalg::SymbolTable,
 ) -> BTreeMap<String, Vec<Option<Arc<str>>>> {
     fn meet(
         out: &mut BTreeMap<String, Vec<Option<Arc<str>>>>,
@@ -2571,7 +2433,7 @@ fn query_binding_patterns(
     }
     fn walk(
         query: &Formula,
-        symbols: Option<&relalg::SymbolTable>,
+        symbols: &relalg::SymbolTable,
         out: &mut BTreeMap<String, Vec<Option<Arc<str>>>>,
     ) {
         match query {
@@ -2579,10 +2441,8 @@ fn query_binding_patterns(
                 let pattern = terms
                     .iter()
                     .map(|t| {
-                        t.as_const().map(|v| match symbols {
-                            Some(symbols) => crate::asp::encode::encode_value_shared(v, symbols),
-                            None => Arc::from(crate::asp::encode::encode_value(v).as_str()),
-                        })
+                        t.as_const()
+                            .map(|v| crate::asp::encode::encode_value_shared(v, symbols))
                     })
                     .collect();
                 meet(out, relation, pattern);

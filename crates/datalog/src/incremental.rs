@@ -145,34 +145,6 @@ impl IncrementalGround {
         self.facts.len() + self.groups.iter().map(Group::len).sum::<usize>()
     }
 
-    /// A deterministic, platform-independent estimate of the state's memory
-    /// footprint in bytes, used by the engine's byte-budgeted cache when the
-    /// interned data plane is off. Based on element counts only (no
-    /// allocator or pointer-width specifics), so eviction counts are
-    /// reproducible across CI runners: 24 bytes plus the predicate text
-    /// plus 16 per argument for each possible atom and each fact, 48 per
-    /// supported atom, and 48 plus 16 per atom reference for each rule
-    /// instance.
-    pub fn approx_bytes(&self) -> usize {
-        let atoms = &self.core.atoms;
-        let atom_bytes =
-            |a: u32| 24 + self.core.symbols.pred(atoms.pred(a)).0.len() + 16 * atoms.args(a).len();
-        let all = 0..atoms.len() as u32;
-        let possible: usize = all
-            .clone()
-            .filter(|&a| atoms.is_possible(a))
-            .map(atom_bytes)
-            .sum();
-        let support = all.filter(|&a| atoms.is_supported(a)).count() * 48;
-        let groups: usize = self
-            .groups
-            .iter()
-            .flat_map(|g| (0..g.len()).map(move |i| 48 + 16 * g.instance(i).len()))
-            .sum();
-        let facts: usize = self.facts.iter().map(|&a| atom_bytes(a)).sum();
-        possible + support + groups + facts
-    }
-
     /// Exact size of the retained state for the byte-budgeted cache: the
     /// symbol table (each constant's text once, plus its `Arc` header and
     /// map entry), the atom store (predicate id, argument offset, argument
@@ -721,16 +693,6 @@ mod tests {
         assert!(state.touches("edge"));
         assert!(state.touches("hop"));
         assert!(!state.touches("unrelated"));
-    }
-
-    #[test]
-    fn approx_bytes_grows_with_the_state() {
-        let p = base_program();
-        let mut state = IncrementalGround::new(&p).unwrap();
-        let before = state.approx_bytes();
-        assert!(before > 0);
-        state.apply_delta(&[ga("edge", &["c", "d"]), ga("edge", &["d", "e"])], &[]);
-        assert!(state.approx_bytes() > before);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! ```
 
 use pdes_obs::{duration_nanos, Recorder};
+use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -307,12 +308,53 @@ impl Executor {
         }
         Ok(out)
     }
+
+    /// Intersect the sets `f(item)` over every item (the empty set for no
+    /// items) — the certain-answer fold over worlds or repairs.
+    ///
+    /// Each worker streams one contiguous chunk into a running
+    /// intersection, so at most one partial set per worker is live (exactly
+    /// one on the sequential path), never one per item. Set intersection
+    /// commutes, so the result is identical for every pool size; an error
+    /// is the one of the lowest-indexed failing item, as in
+    /// [`Executor::try_map`].
+    pub fn try_intersect<T, U, E, F>(&self, items: &[T], f: F) -> Result<BTreeSet<U>, E>
+    where
+        T: Sync,
+        U: Ord + Clone + Send,
+        E: Send,
+        F: Fn(&T) -> Result<BTreeSet<U>, E> + Sync,
+    {
+        let meet =
+            |acc: BTreeSet<U>, these: BTreeSet<U>| acc.intersection(&these).cloned().collect();
+        let fold = |chunk: &[T]| -> Result<Option<BTreeSet<U>>, E> {
+            let mut acc: Option<BTreeSet<U>> = None;
+            for item in chunk {
+                let these = f(item)?;
+                acc = Some(match acc {
+                    None => these,
+                    Some(acc) => meet(acc, these),
+                });
+            }
+            Ok(acc)
+        };
+        let workers = self.workers_for(items.len());
+        let certain = if workers <= 1 {
+            fold(items)?
+        } else {
+            let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(workers)).collect();
+            self.try_map(&chunks, |chunk| fold(chunk))?
+                .into_iter()
+                .flatten()
+                .reduce(meet)
+        };
+        Ok(certain.unwrap_or_default())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -377,6 +419,25 @@ mod tests {
             assert_eq!(result, Err(3), "{workers} workers");
             let ok = exec.try_map(&items, |&n| Ok::<_, u32>(n * 2));
             assert_eq!(ok.unwrap()[13], 26);
+        }
+    }
+
+    #[test]
+    fn try_intersect_matches_the_sequential_fold() {
+        // Item n contributes the multiples of n below 60; lcm(1..=6) = 60.
+        let items: Vec<u32> = (1..=6).collect();
+        let multiples = |&n: &u32| Ok::<_, u32>((0..60).filter(|m| m % n == 0).collect());
+        let expected = BTreeSet::from([0]);
+        for workers in [1, 2, 4, 8] {
+            let exec = Executor::new(ExecConfig::with_workers(workers));
+            assert_eq!(exec.try_intersect(&items, multiples), Ok(expected.clone()));
+            let failing =
+                exec.try_intersect(&items, |&n| if n > 3 { Err(n) } else { multiples(&n) });
+            assert_eq!(failing, Err(4), "{workers} workers");
+            assert_eq!(
+                exec.try_intersect(&[] as &[u32], multiples),
+                Ok(BTreeSet::new())
+            );
         }
     }
 

@@ -8,19 +8,22 @@
 //! [`Relation`]'s deterministic `BTreeSet` iteration order, so two columnar
 //! snapshots of equal relations are bit-identical.
 //!
-//! [`CqPlan`] compiles the conjunctive fragment of [`Formula`] (atoms,
+//! [`CqPlan`] compiles the safe conjunctive fragment of [`Formula`] (atoms,
 //! conjunction, disjunction, existentials, comparisons over bound
-//! variables) into a pipeline of hash-join and semi-join kernel steps. Any
-//! formula outside the fragment simply fails to compile
-//! ([`CqPlan::compile`] returns `None`) and callers fall back to the
-//! general active-domain [`QueryEvaluator`](crate::query::QueryEvaluator) —
-//! the plan is a fast path, never a semantic fork.
+//! variables, and negated atoms `¬A` / `¬∃Ȳ A` over bound variables) into a
+//! pipeline of hash-join, semi-join and anti-join kernel steps. Any formula
+//! outside the fragment (universals, implications, unsafe negation) fails
+//! to compile ([`CqPlan::compile`] returns `None`); callers decode the
+//! instance with [`ColumnarDatabase::to_database`] and run the general
+//! active-domain [`QueryEvaluator`](crate::query::QueryEvaluator) — the plan
+//! is a fast path, never a semantic fork.
 
 use crate::database::Database;
 use crate::error::RelalgError;
 use crate::intern::{Symbol, SymbolTable};
 use crate::query::ast::{CompareOp, Formula, Term};
 use crate::relation::Relation;
+use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
@@ -123,6 +126,30 @@ impl ColumnarDatabase {
         self.relations.values()
     }
 
+    /// Decode the blocks back into a string [`Database`] — the on-demand
+    /// bridge for formulas [`CqPlan`] cannot express. Attribute names are
+    /// not stored, so relations come back with positional schemas
+    /// ([`RelationSchema::with_arity`]); names, arities and tuples
+    /// round-trip exactly.
+    pub fn to_database(&self) -> Database {
+        let mut db = Database::new();
+        for rel in self.relations.values() {
+            let mut relation = Relation::new(RelationSchema::with_arity(&rel.name, rel.arity()));
+            for r in 0..rel.rows {
+                let values: Vec<Value> = rel
+                    .columns
+                    .iter()
+                    .map(|col| self.symbols.resolve(Symbol::from_id(col[r])))
+                    .collect();
+                relation
+                    .insert(Tuple::from(values))
+                    .expect("every row has the relation's arity");
+            }
+            db.add_relation(relation);
+        }
+        db
+    }
+
     /// Exact resident bytes of all column blocks (excluding the shared
     /// symbol table, which is owned by the store and amortized across every
     /// snapshot and cache entry).
@@ -162,16 +189,97 @@ struct FilterStep {
     right: PlanTerm,
 }
 
-/// One conjunctive block: atoms joined left to right, then filters.
-#[derive(Debug, Clone)]
+/// One conjunctive block: atoms joined left to right, then filters, then
+/// anti-joins against the negated atoms.
+#[derive(Debug, Clone, Default)]
 struct Conjunct {
     atoms: Vec<AtomStep>,
     filters: Vec<FilterStep>,
+    /// Safely negated atoms (`¬A` / `¬∃Ȳ A`). Their variables are either
+    /// bound by `atoms` or local to the negation (`Ȳ`); a local never
+    /// appears anywhere else, so the kernel reads it as a wildcard.
+    negated: Vec<AtomStep>,
+}
+
+/// How one atom meets the binding rows built so far: constant columns,
+/// join-key columns (variables already bound), fresh columns (variables the
+/// atom binds first) and intra-atom repeats of a fresh variable.
+#[derive(Default)]
+struct Access {
+    /// (column, constant id).
+    consts: Vec<(usize, u32)>,
+    /// (column, position in the binding row).
+    keys: Vec<(usize, usize)>,
+    /// (column, plan variable) — the first column of each fresh variable.
+    fresh: Vec<(usize, usize)>,
+    /// (column, earlier column of the same fresh variable).
+    repeats: Vec<(usize, usize)>,
+}
+
+impl Access {
+    /// Resolve an atom against the variables bound so far. `None` when a
+    /// constant was never minted by the table: the atom matches nothing
+    /// (and the constant is only looked up, never interned).
+    fn resolve(atom: &AtomStep, symbols: &SymbolTable, bound: &[usize]) -> Option<Access> {
+        let mut access = Access::default();
+        let mut first_col: HashMap<usize, usize> = HashMap::new();
+        for (col, term) in atom.terms.iter().enumerate() {
+            match term {
+                PlanTerm::Const(value) => access.consts.push((col, symbols.lookup(value)?.id())),
+                PlanTerm::Var(var) => {
+                    if let Some(earlier) = first_col.get(var) {
+                        access.repeats.push((col, *earlier));
+                    } else {
+                        first_col.insert(*var, col);
+                        match bound.iter().position(|b| b == var) {
+                            Some(pos) => access.keys.push((col, pos)),
+                            None => access.fresh.push((col, *var)),
+                        }
+                    }
+                }
+            }
+        }
+        Some(access)
+    }
+
+    /// Does stored row `r` agree with the atom's constants and repeats?
+    fn matches(&self, rel: &ColumnarRelation, r: usize) -> bool {
+        self.consts
+            .iter()
+            .all(|(col, id)| rel.id_at(r, *col) == *id)
+            && self
+                .repeats
+                .iter()
+                .all(|(col, earlier)| rel.id_at(r, *col) == rel.id_at(r, *earlier))
+    }
+
+    /// The join key of stored row `r`.
+    fn stored_key(&self, rel: &ColumnarRelation, r: usize) -> Vec<u32> {
+        self.keys
+            .iter()
+            .map(|(col, _)| rel.id_at(r, *col))
+            .collect()
+    }
+
+    /// The join key of a binding row.
+    fn probe(&self, row: &[u32]) -> Vec<u32> {
+        self.keys.iter().map(|(_, pos)| row[*pos]).collect()
+    }
+
+    /// The key of every matching stored row: the semi-join and anti-join
+    /// kernels test binding rows for membership in this set (an atom with
+    /// no bound variables has the empty key, present iff any row matches).
+    fn key_set(&self, rel: &ColumnarRelation) -> HashSet<Vec<u32>> {
+        (0..rel.rows())
+            .filter(|r| self.matches(rel, *r))
+            .map(|r| self.stored_key(rel, r))
+            .collect()
+    }
 }
 
 /// A compiled conjunctive plan: a union of conjuncts, each evaluated with
-/// hash-join / semi-join kernels over interned ids, projected onto the
-/// query's free variables.
+/// hash-join / semi-join / anti-join kernels over interned ids, projected
+/// onto the query's free variables.
 ///
 /// # Examples
 ///
@@ -204,21 +312,160 @@ pub struct CqPlan {
     disjuncts: Vec<Conjunct>,
 }
 
-impl CqPlan {
-    /// Compile the conjunctive fragment: outer existentials, a top-level
-    /// disjunction of conjunctive blocks (each binding every free
-    /// variable), atoms, and comparisons whose variables the atoms bind.
-    /// Returns `None` for anything else — negation, universals,
-    /// implications, unsafe comparisons — which callers evaluate on the
-    /// legacy path.
-    pub fn compile(query: &Formula, free_vars: &[String]) -> Option<CqPlan> {
-        let mut vars: Vec<String> = Vec::new();
-        let mut var_index: HashMap<String, usize> = HashMap::new();
-        for v in free_vars {
-            if !var_index.contains_key(v) {
-                var_index.insert(v.clone(), vars.len());
-                vars.push(v.clone());
+/// Compile-time variable numbering shared by every block of one plan.
+#[derive(Default)]
+struct Compiler {
+    vars: Vec<String>,
+    var_index: HashMap<String, usize>,
+}
+
+impl Compiler {
+    /// The plan variable named `name`, numbered on first sight.
+    fn var(&mut self, name: &str) -> usize {
+        if let Some(&idx) = self.var_index.get(name) {
+            return idx;
+        }
+        self.vars.push(name.to_string());
+        self.var_index.insert(name.to_string(), self.vars.len() - 1);
+        self.vars.len() - 1
+    }
+
+    fn term(&mut self, term: &Term) -> PlanTerm {
+        match term {
+            Term::Const(v) => PlanTerm::Const(v.clone()),
+            Term::Var(name) => PlanTerm::Var(self.var(name)),
+        }
+    }
+
+    /// Compile one conjunctive block, flattening nested `And`/`Exists`.
+    fn conjunct(
+        &mut self,
+        block: &Formula,
+        free_vars: &[String],
+        outer_scope: &HashSet<String>,
+    ) -> Option<Conjunct> {
+        let mut out = Conjunct::default();
+        let mut locals = HashSet::new();
+        let mut scope = outer_scope.clone();
+        self.flatten(block, &mut scope, &mut out, &mut locals)?;
+        // Safety: every free variable, every filter variable and every
+        // non-local variable of a negated atom must be bound by some
+        // positive atom of this block.
+        let bound: HashSet<usize> = out
+            .atoms
+            .iter()
+            .flat_map(|a| a.terms.iter())
+            .filter_map(|t| match t {
+                PlanTerm::Var(i) => Some(*i),
+                PlanTerm::Const(_) => None,
+            })
+            .collect();
+        let is_safe = |t: &PlanTerm| match t {
+            PlanTerm::Var(i) => bound.contains(i) || locals.contains(i),
+            PlanTerm::Const(_) => true,
+        };
+        let safe = free_vars.iter().all(|v| bound.contains(&self.var_index[v]))
+            && out
+                .filters
+                .iter()
+                .flat_map(|f| [&f.left, &f.right])
+                .chain(out.negated.iter().flat_map(|a| a.terms.iter()))
+                .all(is_safe);
+        safe.then_some(out)
+    }
+
+    /// Recursive flattening of a conjunctive block into atom, filter and
+    /// negation steps. Bails (returns `None`) on any construct outside the
+    /// fragment.
+    fn flatten(
+        &mut self,
+        f: &Formula,
+        scope: &mut HashSet<String>,
+        out: &mut Conjunct,
+        locals: &mut HashSet<usize>,
+    ) -> Option<()> {
+        match f {
+            Formula::True => Some(()),
+            Formula::Atom { relation, terms } => {
+                let terms = terms.iter().map(|t| self.term(t)).collect();
+                out.atoms.push(AtomStep {
+                    relation: relation.clone(),
+                    terms,
+                });
+                Some(())
             }
+            Formula::Compare { op, left, right } => {
+                out.filters.push(FilterStep {
+                    op: *op,
+                    left: self.term(left),
+                    right: self.term(right),
+                });
+                Some(())
+            }
+            Formula::And(parts) => {
+                for p in parts {
+                    self.flatten(p, scope, out, locals)?;
+                }
+                Some(())
+            }
+            Formula::Exists(qvars, inner) => {
+                for v in qvars {
+                    if !scope.insert(v.clone()) {
+                        return None; // shadowing: fall back to the evaluator
+                    }
+                }
+                self.flatten(inner, scope, out, locals)
+            }
+            // Safe negation `¬A` / `¬∃Ȳ A`: an anti-join step. Each `Ȳ`
+            // gets a slot of its own, so it is scoped to this negation
+            // exactly like the evaluator's quantifier.
+            Formula::Not(inner) => {
+                let (qvars, body) = match inner.as_ref() {
+                    Formula::Exists(qvars, body) => (qvars.as_slice(), body.as_ref()),
+                    other => (&[][..], other),
+                };
+                let Formula::Atom { relation, terms } = body else {
+                    return None;
+                };
+                let mut own: HashMap<&str, usize> = HashMap::new();
+                let terms = terms
+                    .iter()
+                    .map(|t| match t {
+                        Term::Var(name) if qvars.contains(name) => {
+                            PlanTerm::Var(*own.entry(name).or_insert_with(|| {
+                                self.vars.push(name.clone());
+                                self.vars.len() - 1
+                            }))
+                        }
+                        t => self.term(t),
+                    })
+                    .collect();
+                locals.extend(own.into_values());
+                out.negated.push(AtomStep {
+                    relation: relation.clone(),
+                    terms,
+                });
+                Some(())
+            }
+            // Outside the fragment.
+            Formula::False | Formula::Or(_) | Formula::Implies(..) | Formula::Forall(..) => None,
+        }
+    }
+}
+
+impl CqPlan {
+    /// Compile the safe conjunctive fragment: outer existentials, a
+    /// top-level disjunction of conjunctive blocks (each binding every free
+    /// variable), atoms, comparisons whose variables the atoms bind, and
+    /// safe negation `¬A` / `¬∃Ȳ A` whose other variables the block's
+    /// positive atoms bind. Returns `None` for anything else — universals,
+    /// implications, unsafe negation or comparisons — which callers
+    /// evaluate with the general
+    /// [`QueryEvaluator`](crate::query::QueryEvaluator).
+    pub fn compile(query: &Formula, free_vars: &[String]) -> Option<CqPlan> {
+        let mut compiler = Compiler::default();
+        for v in free_vars {
+            compiler.var(v);
         }
         // Strip outer existentials; their variables must not shadow free
         // variables (the evaluator would scope them, the flat plan cannot).
@@ -236,134 +483,28 @@ impl CqPlan {
             Formula::Or(parts) => parts.iter().collect(),
             other => vec![other],
         };
-        let mut disjuncts = Vec::with_capacity(blocks.len());
-        for block in blocks {
-            let conjunct =
-                Self::compile_conjunct(block, free_vars, &mut vars, &mut var_index, &scope)?;
-            disjuncts.push(conjunct);
-        }
-        let output = free_vars.iter().map(|v| var_index[v]).collect();
+        let disjuncts = blocks
+            .into_iter()
+            .map(|block| compiler.conjunct(block, free_vars, &scope))
+            .collect::<Option<Vec<_>>>()?;
+        let output = free_vars.iter().map(|v| compiler.var_index[v]).collect();
         Some(CqPlan {
-            vars,
+            vars: compiler.vars,
             output,
             disjuncts,
         })
     }
 
-    /// Compile one conjunctive block, flattening nested `And`/`Exists`.
-    fn compile_conjunct(
-        block: &Formula,
-        free_vars: &[String],
-        vars: &mut Vec<String>,
-        var_index: &mut HashMap<String, usize>,
-        outer_scope: &HashSet<String>,
-    ) -> Option<Conjunct> {
-        let mut atoms = Vec::new();
-        let mut filters = Vec::new();
-        let mut scope = outer_scope.clone();
-        Self::flatten(block, vars, var_index, &mut scope, &mut atoms, &mut filters)?;
-        // Safety: every free variable and every filter variable must be
-        // bound by some atom of this block.
-        let bound: HashSet<usize> = atoms
-            .iter()
-            .flat_map(|a| a.terms.iter())
-            .filter_map(|t| match t {
-                PlanTerm::Var(i) => Some(*i),
-                PlanTerm::Const(_) => None,
-            })
-            .collect();
-        for v in free_vars {
-            if !bound.contains(&var_index[v]) {
-                return None;
-            }
-        }
-        for f in &filters {
-            for side in [&f.left, &f.right] {
-                if let PlanTerm::Var(i) = side {
-                    if !bound.contains(i) {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(Conjunct { atoms, filters })
-    }
-
-    /// Recursive flattening of a conjunctive block into atom and filter
-    /// steps. Bails (returns `None`) on any construct outside the fragment.
-    fn flatten(
-        f: &Formula,
-        vars: &mut Vec<String>,
-        var_index: &mut HashMap<String, usize>,
-        scope: &mut HashSet<String>,
-        atoms: &mut Vec<AtomStep>,
-        filters: &mut Vec<FilterStep>,
-    ) -> Option<()> {
-        let plan_term =
-            |t: &Term, vars: &mut Vec<String>, var_index: &mut HashMap<String, usize>| match t {
-                Term::Const(v) => PlanTerm::Const(v.clone()),
-                Term::Var(name) => {
-                    let idx = *var_index.entry(name.clone()).or_insert_with(|| {
-                        vars.push(name.clone());
-                        vars.len() - 1
-                    });
-                    PlanTerm::Var(idx)
-                }
-            };
-        match f {
-            Formula::True => Some(()),
-            Formula::Atom { relation, terms } => {
-                let terms = terms
-                    .iter()
-                    .map(|t| plan_term(t, vars, var_index))
-                    .collect();
-                atoms.push(AtomStep {
-                    relation: relation.clone(),
-                    terms,
-                });
-                Some(())
-            }
-            Formula::Compare { op, left, right } => {
-                filters.push(FilterStep {
-                    op: *op,
-                    left: plan_term(left, vars, var_index),
-                    right: plan_term(right, vars, var_index),
-                });
-                Some(())
-            }
-            Formula::And(parts) => {
-                for p in parts {
-                    Self::flatten(p, vars, var_index, scope, atoms, filters)?;
-                }
-                Some(())
-            }
-            Formula::Exists(qvars, inner) => {
-                for v in qvars {
-                    if !scope.insert(v.clone()) {
-                        return None; // shadowing: fall back to the evaluator
-                    }
-                }
-                Self::flatten(inner, vars, var_index, scope, atoms, filters)
-            }
-            // Outside the conjunctive fragment.
-            Formula::False
-            | Formula::Not(_)
-            | Formula::Or(_)
-            | Formula::Implies(..)
-            | Formula::Forall(..) => None,
-        }
-    }
-
     /// All variables of the plan, in first-seen binding order (free
-    /// variables first).
+    /// variables first), including the local variables of negated atoms.
     pub fn variables(&self) -> &[String] {
         &self.vars
     }
 
-    /// Evaluate the plan over a columnar instance: per-disjunct hash joins
-    /// and semi-joins over interned ids, unioned and projected onto the
-    /// free variables. Rows come back as id vectors; materialize them with
-    /// [`CqPlan::materialize`] only at the answer boundary.
+    /// Evaluate the plan over a columnar instance: per-disjunct hash joins,
+    /// semi-joins and anti-joins over interned ids, unioned and projected
+    /// onto the free variables. Rows come back as id vectors; materialize
+    /// them with [`CqPlan::materialize`] only at the answer boundary.
     pub fn answers(&self, db: &ColumnarDatabase) -> Result<BTreeSet<Vec<u32>>> {
         let mut out = BTreeSet::new();
         for conjunct in &self.disjuncts {
@@ -396,88 +537,36 @@ impl CqPlan {
                     found: atom.terms.len(),
                 });
             }
-            // Resolve constants: a constant the table never minted cannot
-            // match any stored id, so the atom (and the conjunct) is empty.
-            let mut consts: Vec<(usize, u32)> = Vec::new();
-            let mut atom_vars: Vec<(usize, usize)> = Vec::new(); // (column, var)
-            let mut unseen_const = false;
-            for (col, term) in atom.terms.iter().enumerate() {
-                match term {
-                    PlanTerm::Const(value) => match symbols.lookup(value) {
-                        Some(sym) => consts.push((col, sym.id())),
-                        None => unseen_const = true,
-                    },
-                    PlanTerm::Var(v) => atom_vars.push((col, *v)),
-                }
-            }
-            if unseen_const {
+            // An unseen constant empties the atom, and with it the conjunct.
+            let Some(access) = Access::resolve(atom, symbols, &bound) else {
                 return Ok(());
-            }
-            // Split the atom's variables into join keys (already bound) and
-            // fresh columns, keeping the first column of a repeated fresh
-            // variable as its binding site and the rest as intra-atom
-            // equality checks.
-            let mut keys: Vec<(usize, usize)> = Vec::new(); // (column, pos in `bound`)
-            let mut fresh: Vec<(usize, usize)> = Vec::new(); // (column, var)
-            let mut repeats: Vec<(usize, usize)> = Vec::new(); // (column, earlier column)
-            let mut first_col: HashMap<usize, usize> = HashMap::new();
-            for (col, var) in &atom_vars {
-                if let Some(earlier) = first_col.get(var) {
-                    repeats.push((*col, *earlier));
-                } else {
-                    first_col.insert(*var, *col);
-                    if let Some(pos) = bound.iter().position(|b| b == var) {
-                        keys.push((*col, pos));
-                    } else {
-                        fresh.push((*col, *var));
-                    }
-                }
-            }
-            let row_matches = |r: usize| -> bool {
-                consts.iter().all(|(col, id)| rel.id_at(r, *col) == *id)
-                    && repeats
-                        .iter()
-                        .all(|(col, earlier)| rel.id_at(r, *col) == rel.id_at(r, *earlier))
             };
-            if fresh.is_empty() {
+            if access.fresh.is_empty() {
                 // Semi-join kernel: the atom introduces no new variables, so
-                // it only filters existing binding rows by key membership
-                // (an all-constant atom has the empty key: it keeps every
-                // row iff some stored row matches).
-                let mut present: HashSet<Vec<u32>> = HashSet::new();
-                for r in 0..rel.rows() {
-                    if row_matches(r) {
-                        present.insert(keys.iter().map(|(col, _)| rel.id_at(r, *col)).collect());
-                    }
-                }
-                rows.retain(|row| {
-                    let probe: Vec<u32> = keys.iter().map(|(_, pos)| row[*pos]).collect();
-                    present.contains(&probe)
-                });
+                // it only filters existing binding rows by key membership.
+                let present = access.key_set(rel);
+                rows.retain(|row| present.contains(&access.probe(row)));
             } else {
                 // Hash-join kernel: index matching relation rows by their
                 // join-key projection, probe with every binding row, emit
                 // rows extended with the fresh columns.
                 let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
                 for r in 0..rel.rows() {
-                    if row_matches(r) {
-                        let key: Vec<u32> =
-                            keys.iter().map(|(col, _)| rel.id_at(r, *col)).collect();
-                        index.entry(key).or_default().push(r);
+                    if access.matches(rel, r) {
+                        index.entry(access.stored_key(rel, r)).or_default().push(r);
                     }
                 }
                 let mut next = Vec::new();
                 for row in &rows {
-                    let probe: Vec<u32> = keys.iter().map(|(_, pos)| row[*pos]).collect();
-                    if let Some(matches) = index.get(&probe) {
+                    if let Some(matches) = index.get(&access.probe(row)) {
                         for &r in matches {
                             let mut extended = row.clone();
-                            extended.extend(fresh.iter().map(|(col, _)| rel.id_at(r, *col)));
+                            extended.extend(access.fresh.iter().map(|(col, _)| rel.id_at(r, *col)));
                             next.push(extended);
                         }
                     }
                 }
-                bound.extend(fresh.iter().map(|(_, var)| *var));
+                bound.extend(access.fresh.iter().map(|(_, var)| *var));
                 rows = next;
             }
             if rows.is_empty() {
@@ -519,6 +608,25 @@ impl CqPlan {
                 }
             });
         }
+        // Anti-join kernel: drop the binding rows whose key some stored row
+        // of the negated atom matches; the negation's local variables are
+        // never bound, so they resolve as wildcard columns. A missing
+        // relation, an arity no stored tuple has or an unseen constant
+        // matches nothing, and the negation keeps every row (mirrors
+        // `Database::holds`).
+        for atom in &conjunct.negated {
+            let Some(rel) = db
+                .relation(&atom.relation)
+                .filter(|rel| rel.arity() == atom.terms.len())
+            else {
+                continue;
+            };
+            let Some(access) = Access::resolve(atom, symbols, &bound) else {
+                continue;
+            };
+            let present = access.key_set(rel);
+            rows.retain(|row| !present.contains(&access.probe(row)));
+        }
         // Project onto the output variables.
         for row in rows {
             out.insert(
@@ -553,7 +661,6 @@ impl CqPlan {
 mod tests {
     use super::*;
     use crate::query::QueryEvaluator;
-    use crate::schema::RelationSchema;
 
     fn fixture() -> (Database, Arc<SymbolTable>, ColumnarDatabase) {
         let mut db = Database::new();
@@ -663,6 +770,105 @@ mod tests {
     }
 
     #[test]
+    fn negated_atom_over_bound_variables() {
+        // R(X, Y) ∧ ¬R(Y, X) — the warm-read benchmark's negated query.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::atom("R", vec!["Y", "X"])),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+        // A bound variable repeated inside the negated atom.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::atom("R", vec!["Y", "Y"])),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+        // Missing relations and arities no stored tuple has match nothing,
+        // so their negation keeps every row.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::atom("Elsewhere", vec!["X"])),
+            Formula::not(Formula::atom("S", vec!["X"])),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn negated_atom_with_constants() {
+        let negate_s = |c: &str| {
+            Formula::and(vec![
+                Formula::atom("R", vec!["X", "Y"]),
+                Formula::not(Formula::atom_terms(
+                    "S",
+                    vec![Term::var("Y"), Term::cnst(c)],
+                )),
+            ])
+        };
+        check_matches_evaluator(&negate_s("1"), &["X", "Y"]);
+        // A constant the table never minted matches nothing: every row
+        // survives, and the constant does not leak into the table.
+        let q = negate_s("never-stored");
+        check_matches_evaluator(&q, &["X", "Y"]);
+        let (_, symbols, columnar) = fixture();
+        let plan = CqPlan::compile(&q, &["X".to_string(), "Y".to_string()]).unwrap();
+        assert_eq!(plan.answers(&columnar).unwrap().len(), 4);
+        assert_eq!(symbols.lookup(&Value::str("never-stored")), None);
+    }
+
+    #[test]
+    fn negated_existential_is_local_to_the_negation() {
+        // R(X, Y) ∧ ¬∃Z S(X, Z).
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::exists(
+                vec!["Z"],
+                Formula::atom("S", vec!["X", "Z"]),
+            )),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+        // The negation's Y is its own, not the outer R's Y.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::exists(
+                vec!["Y"],
+                Formula::atom("S", vec!["X", "Y"]),
+            )),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+        // A repeated local variable must agree with itself.
+        let q = Formula::and(vec![
+            Formula::atom("S", vec!["X", "Y"]),
+            Formula::not(Formula::exists(
+                vec!["Z"],
+                Formula::atom("R", vec!["Z", "Z"]),
+            )),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn negation_inside_one_disjunct() {
+        let q = Formula::Or(vec![
+            Formula::and(vec![
+                Formula::atom("R", vec!["X", "Y"]),
+                Formula::not(Formula::atom("R", vec!["Y", "X"])),
+            ]),
+            Formula::atom("S", vec!["X", "Y"]),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn to_database_round_trips() {
+        let (db, _, columnar) = fixture();
+        let back = columnar.to_database();
+        assert_eq!(back.ground_atoms(), db.ground_atoms());
+        for rel in db.relations() {
+            assert_eq!(back.relation(rel.name()).unwrap().arity(), rel.arity());
+        }
+    }
+
+    #[test]
     fn missing_relation_is_empty() {
         let (_, _, columnar) = fixture();
         let q = Formula::atom("Elsewhere", vec!["X"]);
@@ -684,12 +890,40 @@ mod tests {
     #[test]
     fn out_of_fragment_formulas_do_not_compile() {
         let x = "X".to_string();
-        // Negation.
+        // Unsafe negation: no positive atom binds the negated variables.
         assert!(CqPlan::compile(
             &Formula::not(Formula::atom("R", vec!["X", "Y"])),
             std::slice::from_ref(&x)
         )
         .is_none());
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::atom("S", vec!["Y", "Z"])),
+        ]);
+        assert!(CqPlan::compile(&q, &[x.clone(), "Y".to_string()]).is_none());
+        // Negation of anything but an atom (or ∃ over one).
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::Or(vec![
+                Formula::atom("S", vec!["Y", "X"]),
+                Formula::atom("R", vec!["Y", "X"]),
+            ])),
+        ]);
+        assert!(CqPlan::compile(&q, std::slice::from_ref(&x)).is_none());
+        // Universals and implications.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::forall(vec!["Z"], Formula::atom("S", vec!["X", "Z"])),
+        ]);
+        assert!(CqPlan::compile(&q, std::slice::from_ref(&x)).is_none());
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::implies(
+                Formula::atom("S", vec!["X", "Y"]),
+                Formula::atom("R", vec!["Y", "X"]),
+            ),
+        ]);
+        assert!(CqPlan::compile(&q, std::slice::from_ref(&x)).is_none());
         // Unbound free variable in a disjunct.
         let q = Formula::Or(vec![
             Formula::atom("R", vec!["X", "Y"]),

@@ -79,90 +79,33 @@ pub fn consistent_answers_recorded(
         states_explored,
     } = engine.repairs_recorded(db, recorder)?;
     let eval_span = pdes_obs::Span::enter(recorder, "eval");
-    // Interned fast path: conjunctive queries compile to a columnar plan
-    // once and evaluate over per-repair `u32` column blocks against one
-    // shared symbol table (every repair is a subset of `db` plus
+    let relalg_err = |e| RepairError::Constraint(constraints::ConstraintError::Relalg(e));
+    // Interned fast path: queries in the plan's fragment compile once and
+    // evaluate over per-repair `u32` column blocks against one shared
+    // symbol table (every repair is a subset of `db` plus
     // constraint-introduced tuples, so the table is built once from the
     // dirty instance and extended only by what a repair actually adds);
-    // only the final certain set materializes strings. Plans the compiler
-    // rejects (negation, nested quantifiers, …) take the legacy evaluator
-    // below — answers are identical either way.
-    if let Some(plan) = CqPlan::compile(query, free_vars) {
-        let symbols = Arc::new(SymbolTable::new());
-        symbols.intern_database(db);
-        let intersect =
-            |chunk: &[crate::Repair]| -> Result<Option<BTreeSet<Vec<u32>>>, RepairError> {
-                let mut acc: Option<BTreeSet<Vec<u32>>> = None;
-                for repair in chunk {
-                    let columnar = ColumnarDatabase::from_database(&repair.database, &symbols);
-                    let these = plan.answers(&columnar).map_err(|e| {
-                        RepairError::Constraint(constraints::ConstraintError::Relalg(e))
-                    })?;
-                    acc = Some(match acc {
-                        None => these,
-                        Some(previous) => previous.intersection(&these).cloned().collect(),
-                    });
-                }
-                Ok(acc)
-            };
-        let workers = exec.workers_for(repairs.len());
-        let answers = if workers <= 1 {
-            intersect(&repairs)?
-        } else {
-            let chunks: Vec<&[crate::Repair]> =
-                repairs.chunks(repairs.len().div_ceil(workers)).collect();
-            let per_chunk = exec.try_map(&chunks, |chunk| intersect(chunk))?;
-            let mut acc: Option<BTreeSet<Vec<u32>>> = None;
-            for partial in per_chunk.into_iter().flatten() {
-                acc = Some(match acc {
-                    None => partial,
-                    Some(previous) => previous.intersection(&partial).cloned().collect(),
-                });
-            }
-            acc
-        };
-        eval_span.finish();
-        return Ok(ConsistentAnswers {
-            answers: CqPlan::materialize(&answers.unwrap_or_default(), &symbols),
-            repair_count: repairs.len(),
-            states_explored,
-        });
-    }
-    // One streamed intersection per chunk of repairs: at most `workers`
-    // partial answer sets are live at once (and exactly one on the
-    // sequential path), never one per repair.
-    let intersect = |chunk: &[crate::Repair]| -> Result<Option<BTreeSet<Tuple>>, RepairError> {
-        let mut acc: Option<BTreeSet<Tuple>> = None;
-        for repair in chunk {
-            let these = QueryEvaluator::new(&repair.database)
+    // only the final certain set materializes strings. Other formulas
+    // (∀, →, unsafe ¬) run the general evaluator on each repair.
+    let answers = match CqPlan::compile(query, free_vars) {
+        Some(plan) => {
+            let symbols = Arc::new(SymbolTable::new());
+            symbols.intern_database(db);
+            let rows = exec.try_intersect(&repairs, |repair| {
+                let columnar = ColumnarDatabase::from_database(&repair.database, &symbols);
+                plan.answers(&columnar).map_err(relalg_err)
+            })?;
+            CqPlan::materialize(&rows, &symbols)
+        }
+        None => exec.try_intersect(&repairs, |repair| {
+            QueryEvaluator::new(&repair.database)
                 .answers(query, free_vars)
-                .map_err(|e| RepairError::Constraint(constraints::ConstraintError::Relalg(e)))?;
-            acc = Some(match acc {
-                None => these,
-                Some(previous) => previous.intersection(&these).cloned().collect(),
-            });
-        }
-        Ok(acc)
-    };
-    let workers = exec.workers_for(repairs.len());
-    let answers = if workers <= 1 {
-        intersect(&repairs)?
-    } else {
-        let chunks: Vec<&[crate::Repair]> =
-            repairs.chunks(repairs.len().div_ceil(workers)).collect();
-        let per_chunk = exec.try_map(&chunks, |chunk| intersect(chunk))?;
-        let mut acc: Option<BTreeSet<Tuple>> = None;
-        for partial in per_chunk.into_iter().flatten() {
-            acc = Some(match acc {
-                None => partial,
-                Some(previous) => previous.intersection(&partial).cloned().collect(),
-            });
-        }
-        acc
+                .map_err(relalg_err)
+        })?,
     };
     eval_span.finish();
     Ok(ConsistentAnswers {
-        answers: answers.unwrap_or_default(),
+        answers,
         repair_count: repairs.len(),
         states_explored,
     })
@@ -257,11 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn negated_queries_fall_back_to_the_legacy_evaluator() {
-        // Negation defeats the columnar plan compiler, so this exercises the
-        // legacy per-repair evaluator behind the same entry point — and
-        // pins the expected certain answers for both routes: `bob` is the
-        // only tuple satisfying Emp(X, Y) ∧ ¬Emp(X, "200") in *every*
+    fn safe_negation_runs_on_the_plan_and_universals_on_the_evaluator() {
+        // Safe negation compiles to the columnar plan's anti-join: `bob` is
+        // the only tuple satisfying Emp(X, Y) ∧ ¬Emp(X, "200") in *every*
         // repair ("ann" fails it in the repair that keeps her 200 salary).
         let mut db = Database::new();
         db.add_relation(Relation::new(RelationSchema::new(
@@ -282,10 +223,31 @@ mod tests {
                 ],
             )),
         ]);
-        assert!(relalg::CqPlan::compile(&q, &vars(&["X", "Y"])).is_none());
         let out = consistent_answers(&engine, &db, &q, &vars(&["X", "Y"])).unwrap();
         assert_eq!(out.repair_count, 2);
         assert_eq!(out.answers, BTreeSet::from([Tuple::strs(["bob", "150"])]));
+        // A universal leaves the plan's fragment and takes the general
+        // evaluator: Emp(X, Y) ∧ ∀Z (Emp(X, Z) → Z = Y) holds for "ann" in
+        // both repairs (each keeps one salary), but with different salaries,
+        // so only `bob` is certain.
+        let q = Formula::and(vec![
+            Formula::atom("Emp", vec!["X", "Y"]),
+            Formula::forall(
+                vec!["Z"],
+                Formula::implies(
+                    Formula::atom("Emp", vec!["X", "Z"]),
+                    Formula::eq(relalg::query::Term::var("Z"), relalg::query::Term::var("Y")),
+                ),
+            ),
+        ]);
+        assert!(CqPlan::compile(&q, &vars(&["X", "Y"])).is_none());
+        let out = consistent_answers(&engine, &db, &q, &vars(&["X", "Y"])).unwrap();
+        assert_eq!(out.answers, BTreeSet::from([Tuple::strs(["bob", "150"])]));
+        let out = consistent_answers(&engine, &db, &q, &vars(&["X"])).unwrap();
+        assert_eq!(
+            out.answers,
+            BTreeSet::from([Tuple::strs(["ann"]), Tuple::strs(["bob"])])
+        );
     }
 
     #[test]

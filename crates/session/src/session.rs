@@ -11,13 +11,11 @@ use crate::error::SessionError;
 use crate::Result;
 use constraints::ConstraintChecker;
 use pdes_core::engine::{CacheMetrics, QueryEngine};
-use pdes_core::pca::vars;
 use pdes_core::store::Snapshot;
 use pdes_core::system::{P2PSystem, PeerId};
 use pdes_core::{Answers, MvccStats, Query, Strategy, VersionMap};
 use pdes_exec::Executor;
 use relalg::database::GroundAtom;
-use relalg::query::Formula;
 use relalg::{Delta, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -341,38 +339,6 @@ impl Session {
     /// epoch. Replaces the pre-MVCC `Session::system` mirror.
     pub fn current_system(&self) -> Result<P2PSystem> {
         self.core.current_system()
-    }
-
-    /// Answer a query against the current snapshot (engine's strategy).
-    #[deprecated(note = "use `Session::query` with a `Query` value")]
-    pub fn answer(&self, peer: &PeerId, query: &Formula, free_vars: &[String]) -> Result<Answers> {
-        self.query(&Query::new(peer.clone(), query.clone(), free_vars.to_vec()))
-    }
-
-    /// Answer with an explicit strategy, sharing the engine's cache.
-    #[deprecated(note = "use `Session::query_with` with a `Query` value")]
-    pub fn answer_with(
-        &self,
-        strategy: Strategy,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[String],
-    ) -> Result<Answers> {
-        self.query_with(
-            strategy,
-            &Query::new(peer.clone(), query.clone(), free_vars.to_vec()),
-        )
-    }
-
-    /// Convenience wrapper: answer variables by name.
-    #[deprecated(note = "use `Session::query` with `Query::named`")]
-    pub fn answer_named(
-        &self,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[&str],
-    ) -> Result<Answers> {
-        self.query(&Query::new(peer.clone(), query.clone(), vars(free_vars)))
     }
 
     /// A peer's current version.
@@ -743,6 +709,7 @@ impl Tx<'_> {
 mod tests {
     use super::*;
     use pdes_core::system::example1_system;
+    use relalg::query::Formula;
 
     fn r1_query() -> Query {
         Query::named("P1", Formula::atom("R1", vec!["X", "Y"]), &["X", "Y"])
@@ -798,23 +765,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
         assert_send_sync(&reader);
         assert_send_sync(&session);
-    }
-
-    #[test]
-    fn deprecated_forwarders_still_answer() {
-        #![allow(deprecated)]
-        let session = Session::new(example1_system());
-        let p1 = PeerId::new("P1");
-        let formula = Formula::atom("R1", vec!["X", "Y"]);
-        let via_query = session.query(&r1_query()).unwrap();
-        let via_answer = session.answer(&p1, &formula, &vars(&["X", "Y"])).unwrap();
-        let via_named = session.answer_named(&p1, &formula, &["X", "Y"]).unwrap();
-        let via_with = session
-            .answer_with(Strategy::Auto, &p1, &formula, &vars(&["X", "Y"]))
-            .unwrap();
-        assert_eq!(via_query.tuples, via_answer.tuples);
-        assert_eq!(via_query.tuples, via_named.tuples);
-        assert_eq!(via_query.tuples, via_with.tuples);
     }
 
     #[test]

@@ -1,21 +1,28 @@
-//! Interned-data-plane equivalence: an engine running the columnar id
-//! kernels must be byte-identical to the legacy string evaluator — for all
+//! Columnar-plane equivalence: the engine, whose prepared worlds live only
+//! as interned columnar id blocks, must answer exactly like the string-world
+//! reference (`tests/support/string_worlds.rs`, which builds every world as
+//! a string `Database` and intersects `QueryEvaluator` answers) — for all
 //! four strategies, over the in-process store and the sharded store at
-//! shard counts 1/2, pool sizes 1/4, and across live commits — and the
-//! store's symbol table must be a bijection on everything it has interned
-//! (`intern(resolve(id)) == id`).
+//! shard counts 1/2, pool sizes 1/4, and across live commits, on a plain
+//! scan and on a negated query. The store's symbol table must be a
+//! bijection on everything it has interned (`intern(resolve(id)) == id`),
+//! and columnar worlds must decode back to the databases they came from.
 //!
 //! Like the sharding suite, the grids narrow through `PDES_SHARDS` /
 //! `PDES_POOLS` so a CI matrix leg can exercise one cell.
+
+#[path = "support/string_worlds.rs"]
+mod string_worlds;
 
 use p2p_data_exchange::{
     vars, ExecConfig, Formula, P2PSystem, PeerId, PeerStore, QueryEngine, ShardedStore, Strategy,
     Tuple,
 };
 use relalg::database::GroundAtom;
-use relalg::{Delta, Symbol, SymbolTable};
+use relalg::{ColumnarDatabase, Delta, Symbol, SymbolTable};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use string_worlds::reference_answers;
 use workload::generator::GeneratedWorkload;
 use workload::{generate, Topology, TrustMix, WorkloadSpec};
 
@@ -69,23 +76,36 @@ fn workloads() -> Vec<GeneratedWorkload> {
     ]
 }
 
-/// Every peer's canonical `R(X, Y)` query over its first relation.
+/// `R(X, Y) ∧ ¬R(Y, X)`: safe negation, answered by the columnar
+/// anti-join on the naive strategy and refused by the others.
+fn negated(relation: &str) -> Formula {
+    Formula::and(vec![
+        Formula::atom(relation, vec!["X", "Y"]),
+        Formula::not(Formula::atom(relation, vec!["Y", "X"])),
+    ])
+}
+
+/// Every peer's canonical `R(X, Y)` query over its first relation, plus its
+/// negated variant.
 fn peer_queries(system: &P2PSystem) -> Vec<(PeerId, Formula)> {
     system
         .peers()
-        .map(|p| {
+        .flat_map(|p| {
             let relation = p
                 .schema
                 .relation_names()
                 .next()
                 .expect("every peer owns one relation");
-            (p.id.clone(), Formula::atom(relation, vec!["X", "Y"]))
+            [
+                (p.id.clone(), Formula::atom(relation, vec!["X", "Y"])),
+                (p.id.clone(), negated(relation)),
+            ]
         })
         .collect()
 }
 
-/// Answers for every peer query, with unsupported combinations recorded as
-/// `None` so both data planes must fail alike.
+/// Engine answers for every peer query, with unsupported combinations
+/// recorded as `None` so the engine and the reference must fail alike.
 fn all_answers(
     engine: &QueryEngine,
     strategy: Strategy,
@@ -103,17 +123,23 @@ fn all_answers(
         .collect()
 }
 
-/// An engine pair over the same system: interned data plane on vs. off.
-fn engine_pair(system: &P2PSystem, strategy: Strategy) -> (QueryEngine, QueryEngine) {
-    let interned = QueryEngine::builder(system.clone())
+/// The string-world reference answers for every peer query over `system`.
+fn reference(
+    system: &P2PSystem,
+    strategy: Strategy,
+    queries: &[(PeerId, Formula)],
+) -> Vec<Option<BTreeSet<Tuple>>> {
+    let fv = vars(&["X", "Y"]);
+    queries
+        .iter()
+        .map(|(peer, query)| reference_answers(system, strategy, peer, query, &fv))
+        .collect()
+}
+
+fn engine_for(system: &P2PSystem, strategy: Strategy) -> QueryEngine {
+    QueryEngine::builder(system.clone())
         .strategy(strategy)
-        .interned_data_plane(true)
-        .build();
-    let legacy = QueryEngine::builder(system.clone())
-        .strategy(strategy)
-        .interned_data_plane(false)
-        .build();
-    (interned, legacy)
+        .build()
 }
 
 #[test]
@@ -121,11 +147,16 @@ fn interned_answers_match_the_legacy_string_path() {
     for w in workloads() {
         let queries = peer_queries(&w.system);
         for strategy in ALL_STRATEGIES {
-            let (interned, legacy) = engine_pair(&w.system, strategy);
+            let engine = engine_for(&w.system, strategy);
+            let want = reference(&w.system, strategy, &queries);
+            assert!(
+                want.iter().any(Option::is_some),
+                "{strategy:?} answers something"
+            );
             assert_eq!(
-                all_answers(&interned, strategy, &queries),
-                all_answers(&legacy, strategy, &queries),
-                "{strategy:?} interned answers diverged from the legacy path"
+                all_answers(&engine, strategy, &queries),
+                want,
+                "{strategy:?} columnar answers diverged from the string reference"
             );
         }
     }
@@ -136,12 +167,12 @@ fn interned_answers_match_legacy_across_live_commits() {
     for w in workloads() {
         let queries = peer_queries(&w.system);
         for strategy in ALL_STRATEGIES {
-            let (interned, legacy) = engine_pair(&w.system, strategy);
-            // Warm both planes, then interleave commits and warm reads so
-            // the interned plane's patched/repaired artifacts are compared
-            // too, with constants the store has never seen before.
-            let _ = all_answers(&interned, strategy, &queries);
-            let _ = all_answers(&legacy, strategy, &queries);
+            let engine = engine_for(&w.system, strategy);
+            let mut system = w.system.clone();
+            // Warm the engine, then interleave commits and warm reads so
+            // patched/repaired artifacts are compared too, with constants
+            // the store has never seen before.
+            let _ = all_answers(&engine, strategy, &queries);
             let peers: Vec<PeerId> = w.system.peer_ids().cloned().collect();
             for round in 0..4 {
                 let peer = peers[round % peers.len()].clone();
@@ -161,11 +192,11 @@ fn interned_answers_match_legacy_across_live_commits() {
                     )],
                     [],
                 );
-                interned.commit_delta(&peer, &delta).expect("commit");
-                legacy.commit_delta(&peer, &delta).expect("commit");
+                engine.commit_delta(&peer, &delta).expect("commit");
+                system.apply_delta(&peer, &delta).expect("apply");
                 assert_eq!(
-                    all_answers(&interned, strategy, &queries),
-                    all_answers(&legacy, strategy, &queries),
+                    all_answers(&engine, strategy, &queries),
+                    reference(&system, strategy, &queries),
                     "{strategy:?} diverged after commit {round}"
                 );
             }
@@ -177,29 +208,25 @@ fn interned_answers_match_legacy_across_live_commits() {
 fn interned_answers_match_legacy_over_the_sharded_store() {
     for w in workloads() {
         let queries = peer_queries(&w.system);
-        for shards in shard_counts() {
-            for pool in pool_sizes() {
-                for strategy in ALL_STRATEGIES {
+        for strategy in ALL_STRATEGIES {
+            let want = reference(&w.system, strategy, &queries);
+            for shards in shard_counts() {
+                for pool in pool_sizes() {
                     let store = Arc::new(
                         ShardedStore::builder(w.system.clone())
                             .shards(shards)
                             .exec(ExecConfig::with_workers(pool))
                             .build(),
                     );
-                    let interned = QueryEngine::builder(w.system.clone())
-                        .store(store.clone() as Arc<dyn PeerStore>)
+                    let engine = QueryEngine::builder(w.system.clone())
+                        .store(store as Arc<dyn PeerStore>)
                         .strategy(strategy)
-                        .interned_data_plane(true)
-                        .build();
-                    let legacy = QueryEngine::builder(w.system.clone())
-                        .strategy(strategy)
-                        .interned_data_plane(false)
                         .build();
                     assert_eq!(
-                        all_answers(&interned, strategy, &queries),
-                        all_answers(&legacy, strategy, &queries),
-                        "{strategy:?} interned/sharded diverged from legacy \
-                         at shards={shards} pool={pool}"
+                        all_answers(&engine, strategy, &queries),
+                        want,
+                        "{strategy:?} sharded answers diverged from the string \
+                         reference at shards={shards} pool={pool}"
                     );
                 }
             }
@@ -254,6 +281,21 @@ fn symbol_tables_round_trip_over_generated_workloads() {
         for id in 0..symbols.len() as u32 {
             let symbol = Symbol::from_id(id);
             assert_eq!(symbols.intern(&symbols.resolve(symbol)), symbol);
+        }
+    }
+    // Columnar worlds decode back to the databases they were built from:
+    // same relations, arities and tuples.
+    for w in workloads() {
+        let symbols = Arc::new(SymbolTable::new());
+        for peer in w.system.peers() {
+            let columnar = ColumnarDatabase::from_database(&peer.instance, &symbols);
+            let back = columnar.to_database();
+            assert_eq!(back.ground_atoms(), peer.instance.ground_atoms());
+            for relation in peer.instance.relations() {
+                let decoded = back.relation(relation.name()).expect("relation kept");
+                assert_eq!(decoded.arity(), relation.arity());
+            }
+            assert_eq!(back.relation_count(), peer.instance.relation_count());
         }
     }
     // A fresh table round-trips arbitrary values, independent of any store.
