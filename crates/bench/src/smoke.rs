@@ -209,6 +209,28 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
     // blow-up (or an unsound over-prune) fails CI deterministically even on
     // single-core runners where the timing gates are mushy.
     metrics.push(("batch_grounded_rules".to_string(), w1.grounded_rules as f64));
+    // The solver's search tree over the same batch on one cold engine,
+    // pinned exactly: a solver change that keeps the answers but explores a
+    // different tree (another propagation closure or branching order) fails
+    // the gate.
+    let solver_recorder = Arc::new(TraceRecorder::new());
+    let solver_engine = pdes_core::engine::QueryEngine::builder(system.clone())
+        .strategy(Strategy::Asp)
+        .recorder(solver_recorder.clone())
+        .build();
+    let mut answers = 0;
+    for result in solver_engine.answer_batch(&batch) {
+        answers += result.map_err(|e| e.to_string())?.len();
+    }
+    if answers != w1.answers {
+        return Err("the traced batch diverged from the untraced one".to_string());
+    }
+    metrics.push((
+        "asp_branch_nodes".to_string(),
+        solver_recorder
+            .registry()
+            .counter_value("solver.branch_nodes") as f64,
+    ));
 
     // Cold + warm single-query latency on the canonical generated workload.
     let w = generate(&WorkloadSpec {
@@ -699,6 +721,7 @@ mod tests {
             "obs_null_warm500_ms",
             "trace_span_count",
             "trace_event_count",
+            "asp_branch_nodes",
             "asp_grounded_rules",
             "asp_grounded_atoms",
             "asp_full_grounded_rules",

@@ -3,8 +3,8 @@
 //! The solver has three layers:
 //!
 //! * [`NormalSolver`] — stable models of ground *normal* programs (single-atom
-//!   heads) by DPLL-style search: unit/forward propagation, unsupported-atom
-//!   and unfounded-set pruning, branching on undetermined atoms, and a final
+//!   heads) by DPLL-style search: forward propagation, unsupported-atom and
+//!   unfounded-set pruning, branching on undetermined atoms, and a final
 //!   Gelfond–Lifschitz reduct check on every complete candidate.
 //! * [`DisjunctiveSolver`] — answer sets of arbitrary ground disjunctive
 //!   programs by candidate-model enumeration plus a reduct-minimality check.
@@ -14,6 +14,34 @@
 //! * [`solve`] — the front door: unfolds choices, grounds, picks the
 //!   appropriate solver (normal / shifted-HCF / generic disjunctive) and
 //!   enforces coherence of classical negation.
+//!
+//! ## Propagation
+//!
+//! [`NormalSolver`] does work linear in the program size at each branch
+//! node, in the style of clasp (Gebser et al., "Conflict-driven answer set
+//! solving", IJCAI 2007):
+//!
+//! * **Occurrence lists.** Built once per program: per atom, the rules it
+//!   occurs in positively and under default negation, and the number of
+//!   rules it heads; per rule, its head and body lengths.
+//! * **Counters.** Each assignment updates per-rule counts of true and false
+//!   body literals and per-atom counts of live supporting rules, touching
+//!   only the rules the atom occurs in. A rule whose body turns true queues
+//!   its head as true (a constraint's is a conflict); an atom whose last
+//!   supporting rule dies is queued as false.
+//! * **Unfounded sets.** Once the queues are empty, one worklist pass
+//!   computes the atoms still derivable when unassigned negated literals
+//!   are read optimistically — a Horn least model by missing-positive
+//!   counters (Dowling & Gallier, 1984) — and every other atom becomes
+//!   false. The candidate check computes the reduct's least model the same
+//!   way, and coherence compares ids through a complement-id table.
+//! * **Trail.** Assignments are recorded on a trail; backtracking undoes
+//!   them and their counter updates instead of cloning the assignment.
+//!
+//! Every propagation rule is monotone, so the closure at a node is unique:
+//! it does not depend on the order in which rules fire. With the branching
+//! choice fixed, the search tree — and so the branch-node count and the
+//! order in which answer sets are found — is a function of the program.
 //!
 //! ## Parallel model search
 //!
@@ -199,29 +227,110 @@ impl NodeBudget<'_> {
 /// Truth assignment used during search.
 type Assignment = Vec<Option<bool>>;
 
-/// Is the candidate coherent, i.e. free of `p` / `¬p` clashes?
-fn is_coherent(program: &GroundProgram, model: &BTreeSet<AtomId>) -> bool {
-    for &id in model {
-        let atom = program.atom(id);
-        if atom.strong_neg {
+/// The complement-id table of a ground program: for every atom whose
+/// complement (`p` ↔ `-p`) is interned too, the complement's id. Computed
+/// once per ground program, so the coherence check compares ids only.
+fn complement_ids(program: &GroundProgram) -> Vec<Option<AtomId>> {
+    let mut complements = vec![None; program.atom_count()];
+    for (id, atom) in program.atoms() {
+        if !atom.strong_neg {
             continue;
         }
-        let complement = atom.complement();
-        if let Some(comp_id) = program.atom_id(&complement) {
-            if model.contains(&comp_id) {
-                return false;
-            }
+        if let Some(positive) = program.atom_id(&atom.complement()) {
+            complements[id] = Some(positive);
+            complements[positive] = Some(id);
         }
     }
-    true
+    complements
+}
+
+/// Is the complete assignment coherent, i.e. free of `p` / `-p` clashes?
+fn is_coherent(complements: &[Option<AtomId>], assign: &Assignment) -> bool {
+    let holds = |a: AtomId| assign[a] == Some(true);
+    complements
+        .iter()
+        .enumerate()
+        .all(|(atom, complement)| !(holds(atom) && complement.is_some_and(holds)))
+}
+
+/// The true atoms of a complete assignment.
+fn true_atoms(assign: &Assignment) -> BTreeSet<AtomId> {
+    assign
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| if *v == Some(true) { Some(i) } else { None })
+        .collect()
+}
+
+/// The shape of one normal ground rule, as the counters need it.
+#[derive(Debug, Clone, Copy)]
+struct RuleShape {
+    /// The head atom; `None` for a constraint.
+    head: Option<AtomId>,
+    /// Number of body literals (positive and default-negated).
+    body_len: usize,
+    /// Number of positive body literals.
+    pos_len: usize,
+}
+
+/// Per-atom rule lists in one flat buffer: the rules of atom `a` are
+/// `rules[offsets[a]..offsets[a + 1]]`, once per occurrence.
+struct Occurrences {
+    offsets: Vec<usize>,
+    rules: Vec<usize>,
+}
+
+impl Occurrences {
+    /// The occurrence lists of the body atoms `body` selects from each rule.
+    fn build(atoms: usize, rules: &[GroundRule], body: impl Fn(&GroundRule) -> &[AtomId]) -> Self {
+        let mut offsets = vec![0; atoms + 1];
+        for rule in rules {
+            for &atom in body(rule) {
+                offsets[atom + 1] += 1;
+            }
+        }
+        for atom in 0..atoms {
+            offsets[atom + 1] += offsets[atom];
+        }
+        let mut cursor = offsets.clone();
+        let mut flat = vec![0; offsets[atoms]];
+        for (idx, rule) in rules.iter().enumerate() {
+            for &atom in body(rule) {
+                flat[cursor[atom]] = idx;
+                cursor[atom] += 1;
+            }
+        }
+        Occurrences {
+            offsets,
+            rules: flat,
+        }
+    }
+
+    fn of(&self, atom: AtomId) -> &[usize] {
+        &self.rules[self.offsets[atom]..self.offsets[atom + 1]]
+    }
 }
 
 /// Stable-model enumeration for normal ground programs.
+///
+/// [`NormalSolver::new`] builds the occurrence lists once; each subtree walk
+/// then owns the counters, queues and trail of the assignment it explores
+/// (see the module docs' *Propagation*). A complete assignment is kept when
+/// it is the least model of its reduct, satisfies every constraint and is
+/// coherent.
 pub struct NormalSolver<'a> {
     program: &'a GroundProgram,
     config: SolverConfig,
-    /// For each atom, the indices of rules having it as head.
-    rules_by_head: Vec<Vec<usize>>,
+    /// Per rule: its head and body lengths.
+    shapes: Vec<RuleShape>,
+    /// Per atom: the number of rules having it as head.
+    head_rules: Vec<usize>,
+    /// Per atom: the rules with the atom in their positive body.
+    pos_occ: Occurrences,
+    /// Per atom: the rules with the atom default-negated in their body.
+    neg_occ: Occurrences,
+    /// Per atom: its complement's id (see [`complement_ids`]).
+    complements: Vec<Option<AtomId>>,
 }
 
 impl<'a> NormalSolver<'a> {
@@ -232,16 +341,29 @@ impl<'a> NormalSolver<'a> {
             !program.is_disjunctive(),
             "NormalSolver requires a non-disjunctive program"
         );
-        let mut rules_by_head = vec![Vec::new(); program.atom_count()];
-        for (idx, rule) in program.rules().iter().enumerate() {
-            for &h in &rule.heads {
-                rules_by_head[h].push(idx);
+        let atoms = program.atom_count();
+        let rules = program.rules();
+        let mut head_rules = vec![0; atoms];
+        let mut shapes = Vec::with_capacity(rules.len());
+        for rule in rules {
+            let head = rule.heads.first().copied();
+            if let Some(h) = head {
+                head_rules[h] += 1;
             }
+            shapes.push(RuleShape {
+                head,
+                body_len: rule.pos.len() + rule.neg.len(),
+                pos_len: rule.pos.len(),
+            });
         }
         NormalSolver {
             program,
             config,
-            rules_by_head,
+            shapes,
+            head_rules,
+            pos_occ: Occurrences::build(atoms, rules, |rule| &rule.pos),
+            neg_occ: Occurrences::build(atoms, rules, |rule| &rule.neg),
+            complements: complement_ids(program),
         }
     }
 
@@ -285,14 +407,14 @@ impl<'a> NormalSolver<'a> {
             || self.config.max_answer_sets != usize::MAX
             || self.program.atom_count() < self.config.parallel_min_atoms
         {
-            self.search(root, &mut models, &budget)?;
+            self.search(&mut SearchState::new(self, &root), &mut models, &budget)?;
         } else {
             let seeds = self.expand_seeds(root, workers * 4, &mut models, &budget)?;
             recorder.count("solver.subtrees", seeds.len() as u64);
             let found = exec.try_map(&seeds, |seed| {
                 let span = Span::enter(recorder, "solve.subtree");
                 let mut local = Vec::new();
-                self.search(seed.clone(), &mut local, &budget)?;
+                self.search(&mut SearchState::new(self, seed), &mut local, &budget)?;
                 span.finish();
                 Ok::<_, DatalogError>(local)
             })?;
@@ -320,18 +442,19 @@ impl<'a> NormalSolver<'a> {
     ) -> Result<Vec<Assignment>, DatalogError> {
         let mut frontier: VecDeque<Assignment> = VecDeque::from([root]);
         while frontier.len() < target {
-            let Some(mut assign) = frontier.pop_front() else {
+            let Some(seed) = frontier.pop_front() else {
                 break;
             };
             budget.tick()?;
-            if !self.propagate(&mut assign) {
+            let mut state = SearchState::new(self, &seed);
+            if !state.propagate() {
                 continue;
             }
-            match self.pick_branch_atom(&assign) {
-                None => self.collect_if_stable(&assign, models),
+            match self.pick_branch_atom(&state.assign) {
+                None => self.collect_if_stable(&state.assign, models),
                 Some(atom) => {
                     for value in [true, false] {
-                        let mut next = assign.clone();
+                        let mut next = state.assign.clone();
                         next[atom] = Some(value);
                         frontier.push_back(next);
                     }
@@ -343,19 +466,16 @@ impl<'a> NormalSolver<'a> {
 
     /// Model-check a complete assignment and keep it when stable+coherent.
     fn collect_if_stable(&self, assign: &Assignment, models: &mut Vec<BTreeSet<AtomId>>) {
-        let model: BTreeSet<AtomId> = assign
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| if *v == Some(true) { Some(i) } else { None })
-            .collect();
-        if self.is_stable(&model) && is_coherent(self.program, &model) {
-            models.push(model);
+        if self.is_stable(assign) && is_coherent(&self.complements, assign) {
+            models.push(true_atoms(assign));
         }
     }
 
+    /// Search the subtree below `state`'s assignment. The caller undoes
+    /// whatever this leaves on the trail.
     fn search(
         &self,
-        mut assign: Assignment,
+        state: &mut SearchState<'_, 'a>,
         models: &mut Vec<BTreeSet<AtomId>>,
         budget: &NodeBudget<'_>,
     ) -> Result<(), DatalogError> {
@@ -363,19 +483,21 @@ impl<'a> NormalSolver<'a> {
             return Ok(());
         }
         budget.tick()?;
-        if !self.propagate(&mut assign) {
+        if !state.propagate() {
             return Ok(());
         }
-        match self.pick_branch_atom(&assign) {
+        match self.pick_branch_atom(&state.assign) {
             None => {
-                self.collect_if_stable(&assign, models);
+                self.collect_if_stable(&state.assign, models);
                 Ok(())
             }
             Some(atom) => {
+                let mark = state.trail.len();
                 for value in [true, false] {
-                    let mut next = assign.clone();
-                    next[atom] = Some(value);
-                    self.search(next, models, budget)?;
+                    state.set(atom, value);
+                    let explored = self.search(state, models, budget);
+                    state.undo(mark);
+                    explored?;
                     if models.len() >= self.config.max_answer_sets {
                         break;
                     }
@@ -385,103 +507,51 @@ impl<'a> NormalSolver<'a> {
         }
     }
 
-    /// Deterministic propagation. Returns `false` on conflict.
-    fn propagate(&self, assign: &mut Assignment) -> bool {
-        loop {
-            let mut changed = false;
-
-            // Forward propagation and constraint checking.
-            for rule in self.program.rules() {
-                match self.body_status(rule, assign) {
-                    BodyStatus::Satisfied => {
-                        if let Some(&head) = rule.heads.first() {
-                            match assign[head] {
-                                Some(false) => return false,
-                                Some(true) => {}
-                                None => {
-                                    assign[head] = Some(true);
-                                    changed = true;
-                                }
-                            }
-                        } else {
-                            // Satisfied constraint body.
-                            return false;
-                        }
-                    }
-                    BodyStatus::Dead | BodyStatus::Open => {}
-                }
-            }
-
-            // Unsupported atoms must be false; true atoms whose every rule is
-            // dead are a conflict.
-            for atom in 0..self.program.atom_count() {
-                if assign[atom] == Some(false) {
-                    continue;
-                }
-                let alive = self.rules_by_head[atom].iter().any(|&r| {
-                    self.body_status(&self.program.rules()[r], assign) != BodyStatus::Dead
-                });
-                if !alive {
-                    match assign[atom] {
-                        Some(true) => return false,
-                        Some(false) => {}
-                        None => {
-                            assign[atom] = Some(false);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-
-            // Unfounded-set pruning: atoms outside the optimistic derivable
-            // set cannot be true.
-            let derivable = self.optimistic_derivable(assign);
-            for (atom, slot) in assign.iter_mut().enumerate() {
-                if derivable.contains(&atom) {
-                    continue;
-                }
-                match *slot {
-                    Some(true) => return false,
-                    Some(false) => {}
-                    None => {
-                        *slot = Some(false);
-                        changed = true;
-                    }
-                }
-            }
-
-            if !changed {
-                return true;
-            }
+    /// The rules in which assigning `value` to `atom` makes a body literal
+    /// true, and those in which it makes one false.
+    fn occurrences(&self, atom: AtomId, value: bool) -> (&[usize], &[usize]) {
+        let (pos, neg) = (self.pos_occ.of(atom), self.neg_occ.of(atom));
+        if value {
+            (pos, neg)
+        } else {
+            (neg, pos)
         }
     }
 
-    /// Least fixpoint of atoms still derivable given the current assignment,
-    /// reading unassigned default-negated literals optimistically.
-    fn optimistic_derivable(&self, assign: &Assignment) -> BTreeSet<AtomId> {
-        let mut derivable: BTreeSet<AtomId> = BTreeSet::new();
-        loop {
-            let mut changed = false;
-            for rule in self.program.rules() {
-                let head = match rule.heads.first() {
-                    Some(&h) => h,
-                    None => continue,
-                };
-                if derivable.contains(&head) || assign[head] == Some(false) {
-                    continue;
-                }
-                let pos_ok = rule
-                    .pos
-                    .iter()
-                    .all(|&p| derivable.contains(&p) && assign[p] != Some(false));
-                let neg_ok = rule.neg.iter().all(|&n| assign[n] != Some(true));
-                if pos_ok && neg_ok {
-                    derivable.insert(head);
-                    changed = true;
+    /// Least model of the rules `eligible` admits, each read as the Horn
+    /// clause `head :- pos`: one worklist pass in which every derived atom
+    /// decrements the missing-positive counter of the rules it occurs in,
+    /// and a rule whose counter reaches zero derives its head. Linear in
+    /// the program size (Dowling & Gallier). `derived` and `missing` are
+    /// sized buffers that this overwrites.
+    fn horn_closure(
+        &self,
+        eligible: impl Fn(usize, AtomId) -> bool,
+        derived: &mut [bool],
+        missing: &mut [usize],
+    ) {
+        derived.fill(false);
+        let mut worklist = Vec::new();
+        let fire = |rule: usize, derived: &mut [bool], worklist: &mut Vec<AtomId>| {
+            if let Some(head) = self.shapes[rule].head {
+                if !derived[head] && eligible(rule, head) {
+                    derived[head] = true;
+                    worklist.push(head);
                 }
             }
-            if !changed {
-                return derivable;
+        };
+        for (rule, shape) in self.shapes.iter().enumerate() {
+            missing[rule] = shape.pos_len;
+            if shape.pos_len == 0 {
+                fire(rule, derived, &mut worklist);
+            }
+        }
+        while let Some(atom) = worklist.pop() {
+            for &rule in self.pos_occ.of(atom) {
+                missing[rule] -= 1;
+                if missing[rule] == 0 {
+                    fire(rule, derived, &mut worklist);
+                }
             }
         }
     }
@@ -539,45 +609,205 @@ impl<'a> NormalSolver<'a> {
         }
     }
 
-    /// Gelfond–Lifschitz check: is the candidate the least model of its own
-    /// reduct, and does it satisfy every constraint?
-    fn is_stable(&self, model: &BTreeSet<AtomId>) -> bool {
+    /// Gelfond–Lifschitz check on a complete assignment: is its set of true
+    /// atoms the least model of its own reduct, and does it satisfy every
+    /// constraint?
+    fn is_stable(&self, assign: &Assignment) -> bool {
+        let holds = |a: &AtomId| assign[*a] == Some(true);
+        let rules = self.program.rules();
         // Constraints must be classically satisfied.
-        for rule in self.program.rules() {
-            if !rule.heads.is_empty() {
-                continue;
-            }
-            let body_true = rule.pos.iter().all(|p| model.contains(p))
-                && rule.neg.iter().all(|n| !model.contains(n));
-            if body_true {
-                return false;
+        let violated = rules.iter().any(|rule| {
+            rule.heads.is_empty() && rule.pos.iter().all(holds) && !rule.neg.iter().any(holds)
+        });
+        if violated {
+            return false;
+        }
+        // Least model of the reduct: rules with a true negated atom are
+        // removed, the rest lose their negative body.
+        let mut least = vec![false; assign.len()];
+        let mut missing = vec![0; rules.len()];
+        self.horn_closure(
+            |rule, _| !rules[rule].neg.iter().any(holds),
+            &mut least,
+            &mut missing,
+        );
+        least
+            .iter()
+            .zip(assign)
+            .all(|(&derived, &value)| derived == (value == Some(true)))
+    }
+}
+
+/// The state of one sequential subtree walk of a [`NormalSolver`]: the
+/// partial assignment, its trail, the propagation counters and queues, and
+/// the unfounded-set pass's buffers.
+struct SearchState<'s, 'a> {
+    solver: &'s NormalSolver<'a>,
+    assign: Assignment,
+    /// Assigned atoms in assignment order.
+    trail: Vec<AtomId>,
+    /// Per rule: body literals currently true.
+    true_lits: Vec<usize>,
+    /// Per rule: body literals currently false (the body is dead when > 0).
+    false_lits: Vec<usize>,
+    /// Per atom: rules with the atom as head whose body is not dead.
+    live_rules: Vec<usize>,
+    /// Rules whose body became true, not yet propagated.
+    fired: Vec<usize>,
+    /// Atoms whose last live rule died, not yet propagated.
+    unsupported: Vec<AtomId>,
+    /// The optimistically derivable atoms of the last unfounded-set pass.
+    derivable: Vec<bool>,
+    /// Per rule: the unfounded-set pass's missing-positive counters.
+    missing: Vec<usize>,
+}
+
+impl<'s, 'a> SearchState<'s, 'a> {
+    /// The state with `seed`'s literals assigned and nothing propagated yet.
+    fn new(solver: &'s NormalSolver<'a>, seed: &[Option<bool>]) -> Self {
+        let atoms = solver.program.atom_count();
+        let rules = solver.shapes.len();
+        let mut state = SearchState {
+            solver,
+            assign: vec![None; atoms],
+            trail: Vec::with_capacity(atoms),
+            true_lits: vec![0; rules],
+            false_lits: vec![0; rules],
+            live_rules: solver.head_rules.clone(),
+            // Bodiless rules fire, and atoms that head no rule are
+            // unsupported, before anything is assigned.
+            fired: (0..rules)
+                .filter(|&r| solver.shapes[r].body_len == 0)
+                .collect(),
+            unsupported: (0..atoms).filter(|&a| solver.head_rules[a] == 0).collect(),
+            derivable: vec![false; atoms],
+            missing: vec![0; rules],
+        };
+        for (atom, value) in seed.iter().enumerate() {
+            if let Some(value) = *value {
+                state.set(atom, value);
             }
         }
-        // Least model of the reduct.
-        let mut least: BTreeSet<AtomId> = BTreeSet::new();
+        state
+    }
+
+    /// Assign an unassigned atom, updating the counters of the rules it
+    /// occurs in and queueing the rules and atoms that now propagate.
+    fn set(&mut self, atom: AtomId, value: bool) {
+        debug_assert!(self.assign[atom].is_none());
+        self.assign[atom] = Some(value);
+        self.trail.push(atom);
+        let solver = self.solver;
+        let (made_true, made_false) = solver.occurrences(atom, value);
+        for &rule in made_true {
+            self.true_lits[rule] += 1;
+            if self.true_lits[rule] == solver.shapes[rule].body_len {
+                self.fired.push(rule);
+            }
+        }
+        for &rule in made_false {
+            self.false_lits[rule] += 1;
+            if self.false_lits[rule] == 1 {
+                if let Some(head) = solver.shapes[rule].head {
+                    self.live_rules[head] -= 1;
+                    if self.live_rules[head] == 0 {
+                        self.unsupported.push(head);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Unassign every atom assigned after the trail had length `mark`,
+    /// reverting their counter updates. `mark` must be taken at a
+    /// propagation fixpoint, where both queues are empty.
+    fn undo(&mut self, mark: usize) {
+        let solver = self.solver;
+        for atom in self.trail.drain(mark..).rev() {
+            let value = self.assign[atom].take() == Some(true);
+            let (made_true, made_false) = solver.occurrences(atom, value);
+            for &rule in made_true {
+                self.true_lits[rule] -= 1;
+            }
+            for &rule in made_false {
+                self.false_lits[rule] -= 1;
+                if self.false_lits[rule] == 0 {
+                    if let Some(head) = solver.shapes[rule].head {
+                        self.live_rules[head] += 1;
+                    }
+                }
+            }
+        }
+        self.fired.clear();
+        self.unsupported.clear();
+    }
+
+    /// Extend the assignment to the closure of forward, support and
+    /// unfounded-set propagation. Returns `false` on conflict.
+    fn propagate(&mut self) -> bool {
         loop {
+            if !self.propagate_queued() {
+                return false;
+            }
+            // Unfounded-set pruning: atoms outside the optimistic derivable
+            // set cannot be true.
+            self.optimistic_derivable();
             let mut changed = false;
-            for rule in self.program.rules() {
-                let head = match rule.heads.first() {
-                    Some(&h) => h,
-                    None => continue,
-                };
-                if least.contains(&head) {
+            for atom in 0..self.assign.len() {
+                if self.derivable[atom] {
                     continue;
                 }
-                if rule.neg.iter().any(|n| model.contains(n)) {
-                    continue; // removed by the reduct
-                }
-                if rule.pos.iter().all(|p| least.contains(p)) {
-                    least.insert(head);
-                    changed = true;
+                match self.assign[atom] {
+                    Some(true) => return false,
+                    Some(false) => {}
+                    None => {
+                        self.set(atom, false);
+                        changed = true;
+                    }
                 }
             }
             if !changed {
-                break;
+                return true;
             }
         }
-        &least == model
+    }
+
+    /// Drain the forward and support queues. Returns `false` on conflict.
+    fn propagate_queued(&mut self) -> bool {
+        loop {
+            if let Some(rule) = self.fired.pop() {
+                // A constraint whose body is true is a conflict.
+                let Some(head) = self.solver.shapes[rule].head else {
+                    return false;
+                };
+                match self.assign[head] {
+                    Some(false) => return false,
+                    Some(true) => {}
+                    None => self.set(head, true),
+                }
+            } else if let Some(atom) = self.unsupported.pop() {
+                match self.assign[atom] {
+                    Some(true) => return false,
+                    Some(false) => {}
+                    None => self.set(atom, false),
+                }
+            } else {
+                return true;
+            }
+        }
+    }
+
+    /// Fill `derivable` with the atoms still derivable under the current
+    /// assignment, reading unassigned default-negated literals
+    /// optimistically: a rule can fire when its head is not false and its
+    /// body is not dead (no positive atom false, no negated atom true).
+    fn optimistic_derivable(&mut self) {
+        let (assign, false_lits) = (&self.assign, &self.false_lits);
+        self.solver.horn_closure(
+            |rule, head| assign[head] != Some(false) && false_lits[rule] == 0,
+            &mut self.derivable,
+            &mut self.missing,
+        );
     }
 }
 
@@ -597,12 +827,18 @@ enum BodyStatus {
 pub struct DisjunctiveSolver<'a> {
     program: &'a GroundProgram,
     config: SolverConfig,
+    /// Per atom: its complement's id (see [`complement_ids`]).
+    complements: Vec<Option<AtomId>>,
 }
 
 impl<'a> DisjunctiveSolver<'a> {
     /// Create a solver.
     pub fn new(program: &'a GroundProgram, config: SolverConfig) -> Self {
-        DisjunctiveSolver { program, config }
+        DisjunctiveSolver {
+            program,
+            config,
+            complements: complement_ids(program),
+        }
     }
 
     /// Enumerate all answer sets. Returns (models, branch node count).
@@ -637,12 +873,8 @@ impl<'a> DisjunctiveSolver<'a> {
         }
         match assign.iter().position(|v| v.is_none()) {
             None => {
-                let model: BTreeSet<AtomId> = assign
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| if *v == Some(true) { Some(i) } else { None })
-                    .collect();
-                if self.is_answer_set(&model) && is_coherent(self.program, &model) {
+                let model = true_atoms(&assign);
+                if self.is_answer_set(&model) && is_coherent(&self.complements, &assign) {
                     models.push(model);
                 }
                 Ok(())
