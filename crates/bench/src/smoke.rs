@@ -34,6 +34,7 @@ use crate::live::{run_live, LiveMode};
 use crate::parallel::{cluster_batch, cluster_system, run_batch};
 use pdes_core::engine::Strategy;
 use pdes_obs::{NullRecorder, TraceRecorder};
+use relalg::query::Formula;
 use std::sync::Arc;
 use std::time::Instant;
 use workload::{generate, generate_updates, Topology, TrustMix, UpdateSpec, WorkloadSpec};
@@ -230,6 +231,33 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
         solver_recorder
             .registry()
             .counter_value("solver.branch_nodes") as f64,
+    ));
+
+    // Plan fallbacks, pinned exactly: Example 1's rewritings of a scan, a
+    // projection and a self-join (guarded universals, nested negation, ∧
+    // over ∨) must all run on the columnar plan, not the evaluator.
+    let plan_recorder = Arc::new(TraceRecorder::new());
+    let plan_engine = pdes_core::engine::QueryEngine::builder(pdes_core::example1_system())
+        .strategy(Strategy::Auto)
+        .recorder(plan_recorder.clone())
+        .build();
+    let p1 = pdes_core::PeerId::new("P1");
+    let scan = Formula::atom("R1", vec!["X", "Y"]);
+    for (query, free) in [
+        (scan.clone(), vec!["X", "Y"]),
+        (Formula::exists(vec!["Y"], scan.clone()), vec!["X"]),
+        (
+            Formula::and(vec![scan, Formula::atom("R1", vec!["X", "Z"])]),
+            vec!["X", "Y", "Z"],
+        ),
+    ] {
+        let _ = plan_engine
+            .answer(&p1, &query, &pdes_core::pca::vars(&free))
+            .map_err(|e| e.to_string())?;
+    }
+    metrics.push((
+        "cq_fallbacks".to_string(),
+        plan_recorder.registry().counter_value("cq.fallback") as f64,
     ));
 
     // Cold + warm single-query latency on the canonical generated workload.
@@ -722,6 +750,7 @@ mod tests {
             "trace_span_count",
             "trace_event_count",
             "asp_branch_nodes",
+            "cq_fallbacks",
             "asp_grounded_rules",
             "asp_grounded_atoms",
             "asp_full_grounded_rules",
@@ -774,6 +803,8 @@ mod tests {
         // The smoke workloads are analyzer-error-free (hard error inside
         // the run); the warning/info counters are exact-match in the gate.
         assert_eq!(smoke.get("analyzer_errors"), Some(0.0));
+        // Example 1's rewritings all run on the columnar plan.
+        assert_eq!(smoke.get("cq_fallbacks"), Some(0.0));
         // Self-comparison always passes.
         let (_, pass) = smoke.compare(&smoke);
         assert!(pass);

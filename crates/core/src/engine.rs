@@ -71,8 +71,9 @@
 //! artifacts of peers whose closure contains `P`; warm queries on peers
 //! outside the closure stay warm, which [`CacheMetrics`] and
 //! [`EngineStats::cache_hit`] make observable. The materialized global
-//! instance is not invalidated at all: the committed delta is applied to it
-//! incrementally (relation names are globally unique, so a peer-local delta
+//! instance (columnar, interned against the store's symbol table) is not
+//! invalidated at all: the committed delta is applied to it and the result
+//! re-interned (relation names are globally unique, so a peer-local delta
 //! is also a global-instance delta). The `pdes-session` crate builds the
 //! transactional `Session`/`Tx` surface on top of these primitives.
 //!
@@ -137,7 +138,7 @@ use datalog::solve::solve_ground_recorded;
 use datalog::{Grounder, SolverConfig};
 use pdes_exec::{ExecConfig, Executor};
 use relalg::query::{Formula, QueryEvaluator};
-use relalg::{CqPlan, Database, Tuple};
+use relalg::{ColumnarDatabase, CqPlan, Database, Tuple};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -772,11 +773,12 @@ struct EngineCache {
     /// Monotonically increasing per-peer versions (absent = 0, the
     /// construction-time instance).
     versions: BTreeMap<PeerId, u64>,
-    /// Materialized global instance (rewriting strategy) plus the
-    /// nanoseconds its original materialization cost (reported as
-    /// [`EngineStats::cached_prepare_time`] on hits). Maintained
-    /// incrementally across commits rather than invalidated.
-    global: Option<(Arc<Database>, u64)>,
+    /// Materialized global instance (rewriting strategy), interned against
+    /// the store's symbol table, plus the nanoseconds its original
+    /// materialization cost (reported as
+    /// [`EngineStats::cached_prepare_time`] on hits). Maintained across
+    /// commits rather than invalidated.
+    global: Option<(Arc<ColumnarDatabase>, u64)>,
     /// Per-peer enumerated solutions, restricted to the peer (naive).
     naive: BTreeMap<PeerId, NaiveEntry>,
     /// Grounded + solved direct specification programs, keyed by peer plus
@@ -903,8 +905,8 @@ struct PreparedWorlds {
     /// One columnar database per distinct world (solution / answer set),
     /// interned against the store's symbol table. Conjunctive queries
     /// intersect over these id blocks; other formulas decode a world on
-    /// demand ([`relalg::ColumnarDatabase::to_database`]).
-    columnar: Vec<relalg::ColumnarDatabase>,
+    /// demand ([`ColumnarDatabase::to_database`]).
+    columnar: Vec<ColumnarDatabase>,
     /// World count before deduplication (matches the legacy result structs).
     worlds: usize,
     prepare_nanos: u64,
@@ -923,7 +925,7 @@ struct PreparedWorlds {
 impl PreparedWorlds {
     /// Bytes this entry charges against [`QueryEngineBuilder::cache_capacity`]:
     /// the *exact* interned columnar size
-    /// ([`relalg::ColumnarDatabase::exact_bytes`] — 4 bytes per stored id
+    /// ([`ColumnarDatabase::exact_bytes`] — 4 bytes per stored id
     /// plus fixed per-relation overheads).
     fn bytes(&self) -> usize {
         256 + self
@@ -1474,12 +1476,16 @@ impl QueryEngine {
             let mut to_patch: Vec<(bool, (PeerId, String))> = Vec::new();
             let mut cache = self.write_cache();
             cache.versions.insert(peer.clone(), version);
-            // Incremental maintenance of the materialized global instance:
-            // relation names are globally unique (Definition 2(b)), so a
-            // peer-local delta applies verbatim to the union of all
-            // instances.
+            // Maintenance of the materialized global instance: relation
+            // names are globally unique (Definition 2(b)), so a peer-local
+            // delta applies verbatim to the union of all instances. The
+            // blocks are decoded, patched and re-interned: O(|global|).
             if let Some((global, nanos)) = cache.global.take() {
-                cache.global = Some((Arc::new(delta.apply(&global)?), nanos));
+                let patched = delta.apply(&global.to_database())?;
+                cache.global = Some((
+                    Arc::new(ColumnarDatabase::from_database(&patched, &self.symbols)),
+                    nanos,
+                ));
             }
             // Naive artifacts: no patchable state — drop the affected ones.
             let mut invalidated = 0u64;
@@ -1734,11 +1740,12 @@ impl QueryEngine {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The materialized global instance, computed once per engine. Returns
+    /// The materialized global instance, interned against the store's
+    /// symbol table and computed once per engine. Returns
     /// `(instance, cache_hit, nanos_this_run, nanos_originally)` — on a hit
     /// the run cost is 0 and the original materialization cost is reported
     /// instead ([`EngineStats::cached_prepare_time`]).
-    fn global_instance(&self) -> Result<(Arc<Database>, bool, u64, u64)> {
+    fn global_instance(&self) -> Result<(Arc<ColumnarDatabase>, bool, u64, u64)> {
         if let Some((db, nanos)) = &self.read_cache().global {
             let db = Arc::clone(db);
             let nanos = *nanos;
@@ -1751,7 +1758,8 @@ impl QueryEngine {
         // Materialize outside the lock, from one pinned epoch; concurrent
         // misses may duplicate the work but never block each other on it.
         let span = Span::enter(self.recorder.as_ref(), "prepare");
-        let db = Arc::new(self.pin()?.system()?.global_instance()?);
+        let global = self.pin()?.system()?.global_instance()?;
+        let db = Arc::new(ColumnarDatabase::from_database(&global, &self.symbols));
         let nanos = duration_nanos(span.finish());
         let mut cache = self.write_cache();
         let (entry, nanos) = cache.global.get_or_insert_with(|| (Arc::clone(&db), nanos));
@@ -2238,10 +2246,11 @@ impl QueryEngine {
     /// cheaper than spawning workers for them.
     ///
     /// Queries in [`CqPlan`]'s fragment (conjunction, disjunction,
-    /// existentials, comparisons, safe negation) run the join kernels over
-    /// the columnar id blocks and materialize strings once, at the end.
-    /// Anything else (∀, →, unsafe ¬) decodes each world on demand and runs
-    /// the general [`QueryEvaluator`].
+    /// existentials, comparisons, nested safe negation and guarded ∀) run
+    /// the join kernels over the columnar id blocks and materialize strings
+    /// once, at the end. Anything else (unguarded ∀, bare →, unsafe ¬)
+    /// decodes each world on demand, runs the general [`QueryEvaluator`]
+    /// and counts one `cq.fallback`.
     fn certain_answers(
         &self,
         worlds: &PreparedWorlds,
@@ -2260,11 +2269,14 @@ impl QueryEngine {
                     exec.try_intersect(worlds, |db| plan.answers(db).map_err(CoreError::from))?;
                 Ok(CqPlan::materialize(&rows, &self.symbols))
             }
-            None => exec.try_intersect(worlds, |db| {
-                QueryEvaluator::new(&db.to_database())
-                    .answers(query, free_vars)
-                    .map_err(CoreError::from)
-            }),
+            None => {
+                self.recorder.count("cq.fallback", 1);
+                exec.try_intersect(worlds, |db| {
+                    QueryEvaluator::new(&db.to_database())
+                        .answers(query, free_vars)
+                        .map_err(CoreError::from)
+                })
+            }
         }
     }
 
@@ -2272,10 +2284,10 @@ impl QueryEngine {
     /// store's symbol table. Solver-introduced constants the store has
     /// never seen are interned here, so the table stays total over
     /// everything the cache holds.
-    fn columnar_worlds(&self, databases: &[Database]) -> Vec<relalg::ColumnarDatabase> {
+    fn columnar_worlds(&self, databases: &[Database]) -> Vec<ColumnarDatabase> {
         databases
             .iter()
-            .map(|db| relalg::ColumnarDatabase::from_database(db, &self.symbols))
+            .map(|db| ColumnarDatabase::from_database(db, &self.symbols))
             .collect()
     }
 }
@@ -2561,10 +2573,13 @@ impl AnsweringStrategy for RewritingStrategy {
         let (global, cache_hit, prepare_nanos, cached_prepare_nanos) = engine.global_instance()?;
         let span = Span::enter(engine.recorder().as_ref(), "eval");
         let rewritten = rewriting::rewrite_query(engine.topology(), peer, query)?;
-        let evaluator = QueryEvaluator::new(&global);
-        let tuples = evaluator
-            .answers(&rewritten, free_vars)
-            .map_err(CoreError::from)?;
+        let tuples = match CqPlan::compile(&rewritten, free_vars) {
+            Some(plan) => CqPlan::materialize(&plan.answers(&global)?, &engine.symbols),
+            None => {
+                engine.recorder.count("cq.fallback", 1);
+                QueryEvaluator::new(&global.to_database()).answers(&rewritten, free_vars)?
+            }
+        };
         let eval_nanos = duration_nanos(span.finish());
         Ok(Answers {
             tuples,
@@ -3255,6 +3270,55 @@ mod tests {
         let warm = engine.answer(&p1, &query, &fv).unwrap();
         assert!(warm.stats.cache_hit);
         assert!(warm.contains(&Tuple::strs(["x", "y"])));
+    }
+
+    #[test]
+    fn only_queries_outside_the_plan_count_a_fallback() {
+        let recorder = Arc::new(pdes_obs::TraceRecorder::new());
+        let engine = QueryEngine::builder(example1_system())
+            .strategy(Strategy::Rewriting)
+            .recorder(recorder.clone())
+            .build();
+        let p1 = PeerId::new("P1");
+        let fallbacks = || recorder.registry().counter_value("cq.fallback");
+        // Example 1's rewritings — a scan, a projection and a self-join —
+        // carry guarded universals, imports and (for the join) ∧ over ∨;
+        // all run on the plan.
+        let (scan, fv) = r1_query();
+        assert_eq!(
+            engine.answer(&p1, &scan, &fv).unwrap().tuples,
+            expected_example1()
+        );
+        let projection = Formula::exists(vec!["Y"], scan.clone());
+        let self_join = Formula::and(vec![scan.clone(), Formula::atom("R1", vec!["X", "Z"])]);
+        for (query, fv) in [
+            (projection, vars(&["X"])),
+            (self_join, vars(&["X", "Y", "Z"])),
+        ] {
+            let want =
+                QueryEvaluator::new(&engine.snapshot_system().unwrap().global_instance().unwrap())
+                    .answers(
+                        &rewriting::rewrite_query(engine.topology(), &p1, &query).unwrap(),
+                        &fv,
+                    )
+                    .unwrap();
+            assert_eq!(
+                engine.answer(&p1, &query, &fv).unwrap().tuples,
+                want,
+                "{query}"
+            );
+        }
+        assert_eq!(fallbacks(), 0);
+        // An unguarded universal leaves the plan: one fallback per query,
+        // however many worlds it is evaluated over.
+        let unguarded = Formula::and(vec![
+            scan.clone(),
+            Formula::forall(vec!["Z"], Formula::atom("R1", vec!["X", "Z"])),
+        ]);
+        let _ = engine
+            .answer_with(Strategy::Naive, &p1, &unguarded, &fv)
+            .unwrap();
+        assert_eq!(fallbacks(), 1);
     }
 
     #[test]

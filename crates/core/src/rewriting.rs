@@ -22,6 +22,14 @@
 //! Q'': [R1(x, y) ∧ ∀z1 (R3(x, z1) ∧ ¬∃z2 R2(x, z2) → z1 = y)] ∨ R2(x, y)
 //! ```
 //!
+//! The engine's rewriting strategy evaluates `Q''` as a
+//! [`relalg::CqPlan`] over the global instance interned as columnar id
+//! blocks. The guard is a guarded universal, which the plan runs the way
+//! the consistent-query-answering literature evaluates it, as a `NOT
+//! EXISTS` anti-join: `¬∃z1 (R3(x, z1) ∧ ¬∃z2 R2(x, z2) ∧ z1 ≠ y)`, with
+//! the inner `¬∃z2` a nested anti-join. A query joining several rewritten
+//! atoms distributes its `∧` over their `∨` into a union of such blocks.
+//!
 //! The mechanism is *sound but not complete* in general — the paper notes
 //! that "a FO query rewriting approach to P2P query answering is bound to
 //! have important limitations" (Section 2) — so [`rewrite_query`] refuses

@@ -8,15 +8,17 @@
 //! [`Relation`]'s deterministic `BTreeSet` iteration order, so two columnar
 //! snapshots of equal relations are bit-identical.
 //!
-//! [`CqPlan`] compiles the safe conjunctive fragment of [`Formula`] (atoms,
+//! [`CqPlan`] compiles the safe fragment of [`Formula`] — atoms,
 //! conjunction, disjunction, existentials, comparisons over bound
-//! variables, and negated atoms `¬A` / `¬∃Ȳ A` over bound variables) into a
-//! pipeline of hash-join, semi-join and anti-join kernel steps. Any formula
-//! outside the fragment (universals, implications, unsafe negation) fails
-//! to compile ([`CqPlan::compile`] returns `None`); callers decode the
-//! instance with [`ColumnarDatabase::to_database`] and run the general
-//! active-domain [`QueryEvaluator`](crate::query::QueryEvaluator) — the plan
-//! is a fast path, never a semantic fork.
+//! variables, and nested negation `¬∃Ȳ B` of such blocks, which covers
+//! guarded universals `∀Ȳ (φ → ψ)` (compiled as `¬∃Ȳ (φ ∧ ¬ψ)`) — into a
+//! union of blocks run by hash-join, semi-join and correlated anti-join
+//! kernel steps. Any formula outside the fragment (unguarded universals,
+//! bare implications, unsafe negation) fails to compile
+//! ([`CqPlan::compile`] returns `None`); callers decode the instance with
+//! [`ColumnarDatabase::to_database`] and run the general active-domain
+//! [`QueryEvaluator`](crate::query::QueryEvaluator) — the plan is a fast
+//! path, never a semantic fork.
 
 use crate::database::Database;
 use crate::error::RelalgError;
@@ -170,15 +172,31 @@ enum PlanTerm {
     /// table lazily at evaluation time (a constant the table has never
     /// minted cannot match any stored tuple).
     Const(Value),
-    /// Variable: index into the plan's variable list.
+    /// Variable: the slot of one variable binding (every quantifier gets
+    /// slots of its own).
     Var(usize),
 }
 
-/// One relational atom step of a conjunct.
+impl PlanTerm {
+    fn slot(&self) -> Option<usize> {
+        match self {
+            PlanTerm::Var(slot) => Some(*slot),
+            PlanTerm::Const(_) => None,
+        }
+    }
+}
+
+/// One relational atom step of a block.
 #[derive(Debug, Clone)]
 struct AtomStep {
     relation: String,
     terms: Vec<PlanTerm>,
+}
+
+impl AtomStep {
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.terms.iter().filter_map(PlanTerm::slot)
+    }
 }
 
 /// One comparison filter applied once both sides are bound.
@@ -189,16 +207,190 @@ struct FilterStep {
     right: PlanTerm,
 }
 
+impl FilterStep {
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        [&self.left, &self.right]
+            .into_iter()
+            .filter_map(PlanTerm::slot)
+    }
+
+    /// Keep the rows the comparison holds on. Ids decide equality
+    /// directly; ordered comparisons, and constants the table never
+    /// minted, compare values.
+    fn apply(&self, symbols: &SymbolTable, bound: &[usize], rows: &mut Vec<Vec<u32>>) {
+        let column = |term: &PlanTerm| {
+            term.slot().map(|slot| {
+                bound
+                    .iter()
+                    .position(|b| *b == slot)
+                    .expect("filter var bound")
+            })
+        };
+        let constant = |term: &PlanTerm| match term {
+            PlanTerm::Const(value) => symbols.lookup(value).map(Symbol::id),
+            PlanTerm::Var(_) => None,
+        };
+        let (left_col, right_col) = (column(&self.left), column(&self.right));
+        let (left_const, right_const) = (constant(&self.left), constant(&self.right));
+        let value = |term: &PlanTerm, id: Option<u32>| match (term, id) {
+            (_, Some(id)) => symbols.resolve(Symbol::from_id(id)),
+            (PlanTerm::Const(value), None) => value.clone(),
+            (PlanTerm::Var(_), None) => unreachable!("variables are bound"),
+        };
+        rows.retain(|row| {
+            let left = left_col.map(|c| row[c]).or(left_const);
+            let right = right_col.map(|c| row[c]).or(right_const);
+            match (self.op, left, right) {
+                (CompareOp::Eq, Some(l), Some(r)) => l == r,
+                (CompareOp::Neq, Some(l), Some(r)) => l != r,
+                (op, l, r) => op.apply(&value(&self.left, l), &value(&self.right, r)),
+            }
+        });
+    }
+}
+
 /// One conjunctive block: atoms joined left to right, then filters, then
-/// anti-joins against the negated atoms.
+/// correlated anti-joins against the negated sub-blocks.
 #[derive(Debug, Clone, Default)]
 struct Conjunct {
     atoms: Vec<AtomStep>,
     filters: Vec<FilterStep>,
-    /// Safely negated atoms (`¬A` / `¬∃Ȳ A`). Their variables are either
-    /// bound by `atoms` or local to the negation (`Ȳ`); a local never
-    /// appears anywhere else, so the kernel reads it as a wildcard.
-    negated: Vec<AtomStep>,
+    /// Negated sub-blocks `¬∃Ȳ B`: each is a block of its own, evaluated
+    /// seeded with this block's binding rows.
+    negated: Vec<Conjunct>,
+    /// The slots this block quantifies: `Ȳ` for a negated sub-block (the
+    /// existentials of a top-level block need no check).
+    locals: Vec<usize>,
+}
+
+impl Conjunct {
+    /// The conjunction of two blocks.
+    fn and(&self, other: &Conjunct) -> Conjunct {
+        fn both<T: Clone>(a: &[T], b: &[T]) -> Vec<T> {
+            a.iter().chain(b).cloned().collect()
+        }
+        Conjunct {
+            atoms: both(&self.atoms, &other.atoms),
+            filters: both(&self.filters, &other.filters),
+            negated: both(&self.negated, &other.negated),
+            locals: both(&self.locals, &other.locals),
+        }
+    }
+
+    /// Check the block's safety, given the slots `outer` bound on entry.
+    /// Returns the slots bound on exit, or `None` for an unsafe block.
+    ///
+    /// Every filter variable must be bound by some atom of the block or an
+    /// enclosing one. In a negated sub-block, every atom variable must be
+    /// bound on entry or be one of the block's own quantified variables,
+    /// and each of those must occur in an atom (the guard a quantifier
+    /// ranges over).
+    fn safe(&self, outer: &HashSet<usize>, negated: bool) -> Option<HashSet<usize>> {
+        let mut bound = outer.clone();
+        for slot in self.atoms.iter().flat_map(AtomStep::slots) {
+            if negated && !outer.contains(&slot) && !self.locals.contains(&slot) {
+                return None;
+            }
+            bound.insert(slot);
+        }
+        let guarded = !negated || self.locals.iter().all(|slot| bound.contains(slot));
+        let filtered = self
+            .filters
+            .iter()
+            .flat_map(FilterStep::slots)
+            .all(|slot| bound.contains(&slot));
+        if !(guarded && filtered) {
+            return None;
+        }
+        for sub in &self.negated {
+            sub.safe(&bound, true)?;
+        }
+        Some(bound)
+    }
+
+    /// Evaluate the block over the binding rows `rows`, whose columns hold
+    /// the slots `bound`: the join, filter and anti-join steps in order. On
+    /// return `rows` are the block's extended bindings and `bound` their
+    /// columns. Under a negation (`negated`), an atom whose arity no stored
+    /// tuple has matches nothing (like `Database::holds`); in positive
+    /// position it errors (like the evaluator).
+    fn run(
+        &self,
+        db: &ColumnarDatabase,
+        bound: &mut Vec<usize>,
+        rows: &mut Vec<Vec<u32>>,
+        negated: bool,
+    ) -> Result<()> {
+        let symbols = db.symbols();
+        for atom in &self.atoms {
+            let rel = match db.relation(&atom.relation) {
+                Some(rel) if rel.arity() != atom.terms.len() && !negated => {
+                    return Err(RelalgError::ArityMismatch {
+                        relation: atom.relation.clone(),
+                        expected: rel.arity(),
+                        found: atom.terms.len(),
+                    });
+                }
+                // Undeclared relations are empty (mirrors the evaluator).
+                rel => rel.filter(|rel| rel.arity() == atom.terms.len()),
+            };
+            // An unseen constant empties the atom, and with it the block.
+            let Some((rel, access)) =
+                rel.and_then(|rel| Some((rel, Access::resolve(atom, symbols, bound)?)))
+            else {
+                rows.clear();
+                return Ok(());
+            };
+            if access.fresh.is_empty() {
+                // Semi-join kernel: the atom introduces no new variables, so
+                // it only filters the binding rows by key membership.
+                let present = access.key_set(rel);
+                rows.retain(|row| present.contains(&access.probe(row)));
+            } else {
+                // Hash-join kernel: index matching relation rows by their
+                // join-key projection, probe with every binding row, emit
+                // rows extended with the fresh columns.
+                let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
+                for r in 0..rel.rows() {
+                    if access.matches(rel, r) {
+                        index.entry(access.stored_key(rel, r)).or_default().push(r);
+                    }
+                }
+                let mut next = Vec::new();
+                for row in rows.iter() {
+                    if let Some(matches) = index.get(&access.probe(row)) {
+                        for &r in matches {
+                            let mut extended = row.clone();
+                            extended.extend(access.fresh.iter().map(|(col, _)| rel.id_at(r, *col)));
+                            next.push(extended);
+                        }
+                    }
+                }
+                bound.extend(access.fresh.iter().map(|(_, slot)| *slot));
+                *rows = next;
+            }
+            if rows.is_empty() {
+                return Ok(());
+            }
+        }
+        for filter in &self.filters {
+            filter.apply(symbols, bound, rows);
+        }
+        // Correlated anti-join kernel: run each sub-block seeded with the
+        // binding rows, then drop every row some extended row starts with.
+        for sub in &self.negated {
+            if rows.is_empty() {
+                break;
+            }
+            let mut sub_bound = bound.clone();
+            let mut extended = rows.clone();
+            sub.run(db, &mut sub_bound, &mut extended, true)?;
+            let width = bound.len();
+            let matched: HashSet<&[u32]> = extended.iter().map(|row| &row[..width]).collect();
+            rows.retain(|row| !matched.contains(row.as_slice()));
+        }
+        Ok(())
+    }
 }
 
 /// How one atom meets the binding rows built so far: constant columns,
@@ -210,14 +402,14 @@ struct Access {
     consts: Vec<(usize, u32)>,
     /// (column, position in the binding row).
     keys: Vec<(usize, usize)>,
-    /// (column, plan variable) — the first column of each fresh variable.
+    /// (column, slot) — the first column of each fresh variable.
     fresh: Vec<(usize, usize)>,
     /// (column, earlier column of the same fresh variable).
     repeats: Vec<(usize, usize)>,
 }
 
 impl Access {
-    /// Resolve an atom against the variables bound so far. `None` when a
+    /// Resolve an atom against the slots bound so far. `None` when a
     /// constant was never minted by the table: the atom matches nothing
     /// (and the constant is only looked up, never interned).
     fn resolve(atom: &AtomStep, symbols: &SymbolTable, bound: &[usize]) -> Option<Access> {
@@ -226,14 +418,14 @@ impl Access {
         for (col, term) in atom.terms.iter().enumerate() {
             match term {
                 PlanTerm::Const(value) => access.consts.push((col, symbols.lookup(value)?.id())),
-                PlanTerm::Var(var) => {
-                    if let Some(earlier) = first_col.get(var) {
+                PlanTerm::Var(slot) => {
+                    if let Some(earlier) = first_col.get(slot) {
                         access.repeats.push((col, *earlier));
                     } else {
-                        first_col.insert(*var, col);
-                        match bound.iter().position(|b| b == var) {
+                        first_col.insert(*slot, col);
+                        match bound.iter().position(|b| b == slot) {
                             Some(pos) => access.keys.push((col, pos)),
-                            None => access.fresh.push((col, *var)),
+                            None => access.fresh.push((col, *slot)),
                         }
                     }
                 }
@@ -266,9 +458,9 @@ impl Access {
         self.keys.iter().map(|(_, pos)| row[*pos]).collect()
     }
 
-    /// The key of every matching stored row: the semi-join and anti-join
-    /// kernels test binding rows for membership in this set (an atom with
-    /// no bound variables has the empty key, present iff any row matches).
+    /// The key of every matching stored row: the semi-join kernel tests
+    /// binding rows for membership in this set (an atom with no bound
+    /// variables has the empty key, present iff any row matches).
     fn key_set(&self, rel: &ColumnarRelation) -> HashSet<Vec<u32>> {
         (0..rel.rows())
             .filter(|r| self.matches(rel, *r))
@@ -277,9 +469,9 @@ impl Access {
     }
 }
 
-/// A compiled conjunctive plan: a union of conjuncts, each evaluated with
-/// hash-join / semi-join / anti-join kernels over interned ids, projected
-/// onto the query's free variables.
+/// A compiled conjunctive plan: a union of blocks, each evaluated with
+/// hash-join / semi-join / correlated anti-join kernels over interned ids,
+/// projected onto the query's free variables.
 ///
 /// # Examples
 ///
@@ -304,342 +496,222 @@ impl Access {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CqPlan {
-    /// All variables of the plan, in first-seen order.
-    vars: Vec<String>,
-    /// Positions of the query's free variables inside `vars`.
+    /// The slots of the query's free variables.
     output: Vec<usize>,
     /// Union of conjunctive blocks (one for a plain conjunctive query).
     disjuncts: Vec<Conjunct>,
 }
 
-/// Compile-time variable numbering shared by every block of one plan.
+/// The most blocks one union may expand to when `∧` distributes over `∨`;
+/// a larger plan falls back to the evaluator rather than blow up.
+const MAX_BLOCKS: usize = 64;
+
+/// The blocks of `A ∧ B`, given those of `A` and `B`.
+fn conjoin(left: &[Conjunct], right: &[Conjunct]) -> Option<Vec<Conjunct>> {
+    (left.len() * right.len() <= MAX_BLOCKS).then(|| {
+        left.iter()
+            .flat_map(|l| right.iter().map(move |r| l.and(r)))
+            .collect()
+    })
+}
+
+/// Compile-time slot numbering shared by every block of one plan.
 #[derive(Default)]
 struct Compiler {
-    vars: Vec<String>,
-    var_index: HashMap<String, usize>,
+    /// Slots handed out so far.
+    slots: usize,
+    /// Slots of the variables no quantifier binds (the free variables
+    /// first).
+    names: HashMap<String, usize>,
+    /// The quantified variables in scope, innermost last.
+    scope: Vec<(String, usize)>,
 }
 
 impl Compiler {
-    /// The plan variable named `name`, numbered on first sight.
-    fn var(&mut self, name: &str) -> usize {
-        if let Some(&idx) = self.var_index.get(name) {
-            return idx;
-        }
-        self.vars.push(name.to_string());
-        self.var_index.insert(name.to_string(), self.vars.len() - 1);
-        self.vars.len() - 1
+    fn fresh(&mut self) -> usize {
+        self.slots += 1;
+        self.slots - 1
     }
 
+    /// The slot of an unquantified variable, numbered on first sight.
+    fn name(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.names.get(name) {
+            return slot;
+        }
+        let slot = self.fresh();
+        self.names.insert(name.to_string(), slot);
+        slot
+    }
+
+    /// A term's plan form: a constant, or the slot its variable denotes
+    /// here — its innermost quantifier's, else the unquantified variable's.
     fn term(&mut self, term: &Term) -> PlanTerm {
         match term {
             Term::Const(v) => PlanTerm::Const(v.clone()),
-            Term::Var(name) => PlanTerm::Var(self.var(name)),
+            Term::Var(name) => {
+                PlanTerm::Var(match self.scope.iter().rev().find(|(n, _)| n == name) {
+                    Some(&(_, slot)) => slot,
+                    None => self.name(name),
+                })
+            }
         }
     }
 
-    /// Compile one conjunctive block, flattening nested `And`/`Exists`.
-    fn conjunct(
-        &mut self,
-        block: &Formula,
-        free_vars: &[String],
-        outer_scope: &HashSet<String>,
-    ) -> Option<Conjunct> {
-        let mut out = Conjunct::default();
-        let mut locals = HashSet::new();
-        let mut scope = outer_scope.clone();
-        self.flatten(block, &mut scope, &mut out, &mut locals)?;
-        // Safety: every free variable, every filter variable and every
-        // non-local variable of a negated atom must be bound by some
-        // positive atom of this block.
-        let bound: HashSet<usize> = out
-            .atoms
-            .iter()
-            .flat_map(|a| a.terms.iter())
-            .filter_map(|t| match t {
-                PlanTerm::Var(i) => Some(*i),
-                PlanTerm::Const(_) => None,
-            })
-            .collect();
-        let is_safe = |t: &PlanTerm| match t {
-            PlanTerm::Var(i) => bound.contains(i) || locals.contains(i),
-            PlanTerm::Const(_) => true,
-        };
-        let safe = free_vars.iter().all(|v| bound.contains(&self.var_index[v]))
-            && out
-                .filters
-                .iter()
-                .flat_map(|f| [&f.left, &f.right])
-                .chain(out.negated.iter().flat_map(|a| a.terms.iter()))
-                .all(is_safe);
-        safe.then_some(out)
+    fn atom(&mut self, relation: &str, terms: &[Term]) -> Conjunct {
+        let terms = terms.iter().map(|t| self.term(t)).collect();
+        Conjunct {
+            atoms: vec![AtomStep {
+                relation: relation.to_string(),
+                terms,
+            }],
+            ..Conjunct::default()
+        }
     }
 
-    /// Recursive flattening of a conjunctive block into atom, filter and
-    /// negation steps. Bails (returns `None`) on any construct outside the
-    /// fragment.
-    fn flatten(
+    fn filter(&mut self, op: CompareOp, left: &Term, right: &Term) -> Conjunct {
+        Conjunct {
+            filters: vec![FilterStep {
+                op,
+                left: self.term(left),
+                right: self.term(right),
+            }],
+            ..Conjunct::default()
+        }
+    }
+
+    /// Compile `inner` with `qvars` bound to fresh slots, so they shadow
+    /// any outer variable of the same name exactly like the evaluator's
+    /// quantifiers. The slots become locals of every block of `inner`.
+    fn quantified(
         &mut self,
-        f: &Formula,
-        scope: &mut HashSet<String>,
-        out: &mut Conjunct,
-        locals: &mut HashSet<usize>,
-    ) -> Option<()> {
+        qvars: &[String],
+        inner: impl FnOnce(&mut Self) -> Option<Vec<Conjunct>>,
+    ) -> Option<Vec<Conjunct>> {
+        let mark = self.scope.len();
+        let locals: Vec<usize> = qvars.iter().map(|_| self.fresh()).collect();
+        self.scope
+            .extend(qvars.iter().cloned().zip(locals.iter().copied()));
+        let blocks = inner(self);
+        self.scope.truncate(mark);
+        let mut blocks = blocks?;
+        for block in &mut blocks {
+            block.locals.extend(&locals);
+        }
+        Some(blocks)
+    }
+
+    /// Flatten a formula in positive position into a union of blocks,
+    /// distributing `∧` over `∨`. Bails (returns `None`) on any construct
+    /// outside the fragment.
+    fn flatten(&mut self, f: &Formula) -> Option<Vec<Conjunct>> {
         match f {
-            Formula::True => Some(()),
-            Formula::Atom { relation, terms } => {
-                let terms = terms.iter().map(|t| self.term(t)).collect();
-                out.atoms.push(AtomStep {
-                    relation: relation.clone(),
-                    terms,
-                });
-                Some(())
-            }
-            Formula::Compare { op, left, right } => {
-                out.filters.push(FilterStep {
-                    op: *op,
-                    left: self.term(left),
-                    right: self.term(right),
-                });
-                Some(())
-            }
-            Formula::And(parts) => {
-                for p in parts {
-                    self.flatten(p, scope, out, locals)?;
+            Formula::True => Some(vec![Conjunct::default()]),
+            Formula::False => Some(Vec::new()),
+            Formula::Atom { relation, terms } => Some(vec![self.atom(relation, terms)]),
+            Formula::Compare { op, left, right } => Some(vec![self.filter(*op, left, right)]),
+            Formula::And(parts) => parts
+                .iter()
+                .try_fold(vec![Conjunct::default()], |blocks, part| {
+                    conjoin(&blocks, &self.flatten(part)?)
+                }),
+            Formula::Or(parts) => {
+                let mut blocks = Vec::new();
+                for part in parts {
+                    blocks.extend(self.flatten(part)?);
                 }
-                Some(())
+                (blocks.len() <= MAX_BLOCKS).then_some(blocks)
             }
-            Formula::Exists(qvars, inner) => {
-                for v in qvars {
-                    if !scope.insert(v.clone()) {
-                        return None; // shadowing: fall back to the evaluator
+            Formula::Exists(qvars, inner) => self.quantified(qvars, |c| c.flatten(inner)),
+            Formula::Not(inner) => self.negation(inner),
+            // ∀Ȳ (φ → ψ) is ¬∃Ȳ (φ ∧ ¬ψ), and ∀Ȳ ψ is ¬∃Ȳ ¬ψ.
+            Formula::Forall(qvars, body) => {
+                let negated = self.quantified(qvars, |c| match body.as_ref() {
+                    Formula::Implies(guard, consequent) => {
+                        conjoin(&c.flatten(guard)?, &c.negation(consequent)?)
                     }
-                }
-                self.flatten(inner, scope, out, locals)
+                    other => c.negation(other),
+                })?;
+                Some(vec![Conjunct {
+                    negated,
+                    ..Conjunct::default()
+                }])
             }
-            // Safe negation `¬A` / `¬∃Ȳ A`: an anti-join step. Each `Ȳ`
-            // gets a slot of its own, so it is scoped to this negation
-            // exactly like the evaluator's quantifier.
-            Formula::Not(inner) => {
-                let (qvars, body) = match inner.as_ref() {
-                    Formula::Exists(qvars, body) => (qvars.as_slice(), body.as_ref()),
-                    other => (&[][..], other),
-                };
-                let Formula::Atom { relation, terms } = body else {
-                    return None;
-                };
-                let mut own: HashMap<&str, usize> = HashMap::new();
-                let terms = terms
-                    .iter()
-                    .map(|t| match t {
-                        Term::Var(name) if qvars.contains(name) => {
-                            PlanTerm::Var(*own.entry(name).or_insert_with(|| {
-                                self.vars.push(name.clone());
-                                self.vars.len() - 1
-                            }))
-                        }
-                        t => self.term(t),
-                    })
-                    .collect();
-                locals.extend(own.into_values());
-                out.negated.push(AtomStep {
-                    relation: relation.clone(),
-                    terms,
-                });
-                Some(())
+            // A bare implication has no guard to range over.
+            Formula::Implies(..) => None,
+        }
+    }
+
+    /// Flatten `¬f`: a negated comparison is a filter with the negated
+    /// operator; anything else becomes one negated sub-block per block of
+    /// `f` (so `¬(A ∨ B)` is `¬A ∧ ¬B`).
+    fn negation(&mut self, f: &Formula) -> Option<Vec<Conjunct>> {
+        match f {
+            Formula::Compare { op, left, right } => {
+                Some(vec![self.filter(op.negate(), left, right)])
             }
-            // Outside the fragment.
-            Formula::False | Formula::Or(_) | Formula::Implies(..) | Formula::Forall(..) => None,
+            other => Some(vec![Conjunct {
+                negated: self.flatten(other)?,
+                ..Conjunct::default()
+            }]),
         }
     }
 }
 
 impl CqPlan {
-    /// Compile the safe conjunctive fragment: outer existentials, a
-    /// top-level disjunction of conjunctive blocks (each binding every free
-    /// variable), atoms, comparisons whose variables the atoms bind, and
-    /// safe negation `¬A` / `¬∃Ȳ A` whose other variables the block's
-    /// positive atoms bind. Returns `None` for anything else — universals,
+    /// Compile the safe fragment: atoms, comparisons, `∧`, `∨` (with `∧`
+    /// distributed over it into a top-level union of blocks), `∃`, and
+    /// nested negation `¬∃Ȳ B` of such blocks, including guarded
+    /// universals `∀Ȳ (φ → ψ)`, compiled as `¬∃Ȳ (φ ∧ ¬ψ)`. Every block
+    /// must bind the free variables; every comparison's variables must be
+    /// bound by an atom; every variable of a negated block must be bound
+    /// outside it or be quantified by it and occur in one of its atoms.
+    /// Returns `None` for anything else — unguarded universals, bare
     /// implications, unsafe negation or comparisons — which callers
     /// evaluate with the general
     /// [`QueryEvaluator`](crate::query::QueryEvaluator).
     pub fn compile(query: &Formula, free_vars: &[String]) -> Option<CqPlan> {
         let mut compiler = Compiler::default();
-        for v in free_vars {
-            compiler.var(v);
-        }
-        // Strip outer existentials; their variables must not shadow free
-        // variables (the evaluator would scope them, the flat plan cannot).
-        let mut scope: HashSet<String> = free_vars.iter().cloned().collect();
-        let mut inner = query;
-        while let Formula::Exists(qvars, f) = inner {
-            for v in qvars {
-                if !scope.insert(v.clone()) {
-                    return None;
-                }
+        let output: Vec<usize> = free_vars.iter().map(|v| compiler.name(v)).collect();
+        let disjuncts = compiler.flatten(query)?;
+        for block in &disjuncts {
+            let bound = block.safe(&HashSet::new(), false)?;
+            if !output.iter().all(|slot| bound.contains(slot)) {
+                return None;
             }
-            inner = f;
         }
-        let blocks: Vec<&Formula> = match inner {
-            Formula::Or(parts) => parts.iter().collect(),
-            other => vec![other],
-        };
-        let disjuncts = blocks
-            .into_iter()
-            .map(|block| compiler.conjunct(block, free_vars, &scope))
-            .collect::<Option<Vec<_>>>()?;
-        let output = free_vars.iter().map(|v| compiler.var_index[v]).collect();
-        Some(CqPlan {
-            vars: compiler.vars,
-            output,
-            disjuncts,
-        })
+        Some(CqPlan { output, disjuncts })
     }
 
-    /// All variables of the plan, in first-seen binding order (free
-    /// variables first), including the local variables of negated atoms.
-    pub fn variables(&self) -> &[String] {
-        &self.vars
-    }
-
-    /// Evaluate the plan over a columnar instance: per-disjunct hash joins,
-    /// semi-joins and anti-joins over interned ids, unioned and projected
-    /// onto the free variables. Rows come back as id vectors; materialize
-    /// them with [`CqPlan::materialize`] only at the answer boundary.
+    /// Evaluate the plan over a columnar instance: per-block hash joins,
+    /// semi-joins and correlated anti-joins over interned ids, unioned and
+    /// projected onto the free variables. Rows come back as id vectors;
+    /// materialize them with [`CqPlan::materialize`] only at the answer
+    /// boundary.
     pub fn answers(&self, db: &ColumnarDatabase) -> Result<BTreeSet<Vec<u32>>> {
         let mut out = BTreeSet::new();
-        for conjunct in &self.disjuncts {
-            self.eval_conjunct(conjunct, db, &mut out)?;
+        for block in &self.disjuncts {
+            let mut bound = Vec::new();
+            let mut rows = vec![Vec::new()];
+            block.run(db, &mut bound, &mut rows, false)?;
+            if rows.is_empty() {
+                continue;
+            }
+            let columns: Vec<usize> = self
+                .output
+                .iter()
+                .map(|slot| bound.iter().position(|b| b == slot).expect("output bound"))
+                .collect();
+            // Rows already laid out as the output move into the set as-is.
+            if columns.iter().copied().eq(0..bound.len()) {
+                out.extend(rows);
+            } else {
+                out.extend(
+                    rows.into_iter()
+                        .map(|row| columns.iter().map(|c| row[*c]).collect::<Vec<u32>>()),
+                );
+            }
         }
         Ok(out)
-    }
-
-    /// Evaluate one conjunct, projecting onto the output variables into
-    /// `out`.
-    fn eval_conjunct(
-        &self,
-        conjunct: &Conjunct,
-        db: &ColumnarDatabase,
-        out: &mut BTreeSet<Vec<u32>>,
-    ) -> Result<()> {
-        let symbols = db.symbols();
-        // Binding rows over the subset of plan variables bound so far.
-        let mut bound: Vec<usize> = Vec::new();
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new()];
-        for atom in &conjunct.atoms {
-            let Some(rel) = db.relation(&atom.relation) else {
-                // Undeclared relations are empty (mirrors the evaluator).
-                return Ok(());
-            };
-            if rel.arity() != atom.terms.len() {
-                return Err(RelalgError::ArityMismatch {
-                    relation: atom.relation.clone(),
-                    expected: rel.arity(),
-                    found: atom.terms.len(),
-                });
-            }
-            // An unseen constant empties the atom, and with it the conjunct.
-            let Some(access) = Access::resolve(atom, symbols, &bound) else {
-                return Ok(());
-            };
-            if access.fresh.is_empty() {
-                // Semi-join kernel: the atom introduces no new variables, so
-                // it only filters existing binding rows by key membership.
-                let present = access.key_set(rel);
-                rows.retain(|row| present.contains(&access.probe(row)));
-            } else {
-                // Hash-join kernel: index matching relation rows by their
-                // join-key projection, probe with every binding row, emit
-                // rows extended with the fresh columns.
-                let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-                for r in 0..rel.rows() {
-                    if access.matches(rel, r) {
-                        index.entry(access.stored_key(rel, r)).or_default().push(r);
-                    }
-                }
-                let mut next = Vec::new();
-                for row in &rows {
-                    if let Some(matches) = index.get(&access.probe(row)) {
-                        for &r in matches {
-                            let mut extended = row.clone();
-                            extended.extend(access.fresh.iter().map(|(col, _)| rel.id_at(r, *col)));
-                            next.push(extended);
-                        }
-                    }
-                }
-                bound.extend(access.fresh.iter().map(|(_, var)| *var));
-                rows = next;
-            }
-            if rows.is_empty() {
-                return Ok(());
-            }
-        }
-        // Filters: ids decide equality directly; ordered comparisons
-        // resolve to values (rare in the hot path).
-        for filter in &conjunct.filters {
-            let side = |term: &PlanTerm, row: &[u32]| -> Option<u32> {
-                match term {
-                    PlanTerm::Const(v) => symbols.lookup(v).map(Symbol::id),
-                    PlanTerm::Var(v) => {
-                        let pos = bound.iter().position(|b| b == v).expect("filter var bound");
-                        Some(row[pos])
-                    }
-                }
-            };
-            rows.retain(|row| {
-                let left = side(&filter.left, row);
-                let right = side(&filter.right, row);
-                match (filter.op, left, right) {
-                    (CompareOp::Eq, Some(l), Some(r)) => l == r,
-                    (CompareOp::Eq, _, _) => false, // unseen const equals nothing stored
-                    (CompareOp::Neq, Some(l), Some(r)) => l != r,
-                    (CompareOp::Neq, _, _) => true,
-                    (op, l, r) => {
-                        // Ordered comparison: fall back to value order. An
-                        // unseen constant resolves from the filter itself.
-                        let resolve = |term: &PlanTerm, id: Option<u32>| -> Value {
-                            match (term, id) {
-                                (_, Some(id)) => symbols.resolve(Symbol::from_id(id)),
-                                (PlanTerm::Const(v), None) => v.clone(),
-                                (PlanTerm::Var(_), None) => unreachable!("vars always resolve"),
-                            }
-                        };
-                        op.apply(&resolve(&filter.left, l), &resolve(&filter.right, r))
-                    }
-                }
-            });
-        }
-        // Anti-join kernel: drop the binding rows whose key some stored row
-        // of the negated atom matches; the negation's local variables are
-        // never bound, so they resolve as wildcard columns. A missing
-        // relation, an arity no stored tuple has or an unseen constant
-        // matches nothing, and the negation keeps every row (mirrors
-        // `Database::holds`).
-        for atom in &conjunct.negated {
-            let Some(rel) = db
-                .relation(&atom.relation)
-                .filter(|rel| rel.arity() == atom.terms.len())
-            else {
-                continue;
-            };
-            let Some(access) = Access::resolve(atom, symbols, &bound) else {
-                continue;
-            };
-            let present = access.key_set(rel);
-            rows.retain(|row| !present.contains(&access.probe(row)));
-        }
-        // Project onto the output variables.
-        for row in rows {
-            out.insert(
-                self.output
-                    .iter()
-                    .map(|var| {
-                        let pos = bound.iter().position(|b| b == var).expect("output bound");
-                        row[pos]
-                    })
-                    .collect(),
-            );
-        }
-        Ok(())
     }
 
     /// Materialize id rows back into tuples — the single point where the
@@ -888,6 +960,183 @@ mod tests {
     }
 
     #[test]
+    fn negated_disjunction_is_two_anti_joins() {
+        // R(X, Y) ∧ ¬(S(Y, X) ∨ R(Y, X)).
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::Or(vec![
+                Formula::atom("S", vec!["Y", "X"]),
+                Formula::atom("R", vec!["Y", "X"]),
+            ])),
+        ]);
+        check_matches_evaluator(&q, &["X"]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn negated_comparison_is_a_filter() {
+        // R(X, Y) ∧ ¬(X = Y), R(X, Y) ∧ ¬(X < c), and a constant the table
+        // never minted on either side.
+        for (op, right) in [
+            (CompareOp::Eq, Term::var("Y")),
+            (CompareOp::Lt, Term::cnst("c")),
+            (CompareOp::Eq, Term::cnst("never-stored")),
+            (CompareOp::Geq, Term::cnst("never-stored")),
+        ] {
+            let q = Formula::and(vec![
+                Formula::atom("R", vec!["X", "Y"]),
+                Formula::not(Formula::compare(op, Term::var("X"), right)),
+            ]);
+            check_matches_evaluator(&q, &["X", "Y"]);
+        }
+        // Two constants the table never minted compare by value.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::eq(Term::cnst("never-stored"), Term::cnst("never-stored")),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn guarded_universals_run_as_anti_joins() {
+        // R(X, Y) ∧ ∀Z (S(Y, Z) → Z = 1): comparison consequent.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::forall(
+                vec!["Z"],
+                Formula::implies(
+                    Formula::atom("S", vec!["Y", "Z"]),
+                    Formula::eq(Term::var("Z"), Term::cnst("1")),
+                ),
+            ),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+        // R(X, Y) ∧ ∀Z (R(Y, Z) → R(Z, Z)): atom consequent.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::forall(
+                vec!["Z"],
+                Formula::implies(
+                    Formula::atom("R", vec!["Y", "Z"]),
+                    Formula::atom("R", vec!["Z", "Z"]),
+                ),
+            ),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn example2_rewriting_runs_on_the_plan() {
+        // Q'' of Example 2: [R1(x,y) ∧ ∀z1 (R3(x,z1) ∧ ¬∃z2 R2(x,z2) → z1 = y)] ∨ R2(x,y).
+        let mut db = Database::new();
+        for r in ["R1", "R2", "R3"] {
+            db.add_relation(Relation::new(RelationSchema::new(r, &["x", "y"])));
+        }
+        for (r, a, b) in [
+            ("R1", "a", "b"),
+            ("R1", "s", "t"),
+            ("R2", "c", "d"),
+            ("R2", "a", "e"),
+            ("R3", "a", "f"),
+            ("R3", "s", "u"),
+        ] {
+            db.insert(r, Tuple::strs([a, b])).unwrap();
+        }
+        let guard = Formula::forall(
+            vec!["Z1"],
+            Formula::implies(
+                Formula::and(vec![
+                    Formula::atom("R3", vec!["X", "Z1"]),
+                    Formula::not(Formula::exists(
+                        vec!["Z2"],
+                        Formula::atom("R2", vec!["X", "Z2"]),
+                    )),
+                ]),
+                Formula::eq(Term::var("Z1"), Term::var("Y")),
+            ),
+        );
+        let q = Formula::or(vec![
+            Formula::and(vec![Formula::atom("R1", vec!["X", "Y"]), guard]),
+            Formula::atom("R2", vec!["X", "Y"]),
+        ]);
+        let free = vec!["X".to_string(), "Y".to_string()];
+        let symbols = Arc::new(SymbolTable::new());
+        let columnar = ColumnarDatabase::from_database(&db, &symbols);
+        let plan = CqPlan::compile(&q, &free).expect("guarded rewriting compiles");
+        let got = CqPlan::materialize(&plan.answers(&columnar).unwrap(), &symbols);
+        assert_eq!(got, QueryEvaluator::new(&db).answers(&q, &free).unwrap());
+        assert_eq!(
+            got,
+            BTreeSet::from([
+                Tuple::strs(["a", "b"]),
+                Tuple::strs(["c", "d"]),
+                Tuple::strs(["a", "e"]),
+            ])
+        );
+    }
+
+    #[test]
+    fn conjunction_distributes_over_disjunction() {
+        // (R(X, Y) ∨ S(X, Y)) ∧ ∃Z (R(Y, Z) ∨ S(Y, Z)).
+        let q = Formula::and(vec![
+            Formula::Or(vec![
+                Formula::atom("R", vec!["X", "Y"]),
+                Formula::atom("S", vec!["X", "Y"]),
+            ]),
+            Formula::exists(
+                vec!["Z"],
+                Formula::Or(vec![
+                    Formula::atom("R", vec!["Y", "Z"]),
+                    Formula::atom("S", vec!["Y", "Z"]),
+                ]),
+            ),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn quantifiers_shadow_outer_variables() {
+        // R(X, Y) ∧ ∃Y S(X, Y): the existential's Y is its own.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::exists(vec!["Y"], Formula::atom("S", vec!["X", "Y"])),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+        // R(X, Y) ∧ ∀Y (R(X, Y) → ¬∃Y S(Y, Y)): nested shadowing.
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::forall(
+                vec!["Y"],
+                Formula::implies(
+                    Formula::atom("R", vec!["X", "Y"]),
+                    Formula::not(Formula::exists(
+                        vec!["Y"],
+                        Formula::atom("S", vec!["Y", "Y"]),
+                    )),
+                ),
+            ),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
+    fn arity_mismatch_under_negation_matches_nothing() {
+        // ∀Z (R(X, Z, Z) → Z = Y): no stored R tuple has three columns, so
+        // the universal holds vacuously (like `Database::holds`).
+        let q = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::forall(
+                vec!["Z"],
+                Formula::implies(
+                    Formula::atom("R", vec!["X", "Z", "Z"]),
+                    Formula::eq(Term::var("Z"), Term::var("Y")),
+                ),
+            ),
+        ]);
+        check_matches_evaluator(&q, &["X", "Y"]);
+    }
+
+    #[test]
     fn out_of_fragment_formulas_do_not_compile() {
         let x = "X".to_string();
         // Unsafe negation: no positive atom binds the negated variables.
@@ -901,21 +1150,26 @@ mod tests {
             Formula::not(Formula::atom("S", vec!["Y", "Z"])),
         ]);
         assert!(CqPlan::compile(&q, &[x.clone(), "Y".to_string()]).is_none());
-        // Negation of anything but an atom (or ∃ over one).
-        let q = Formula::and(vec![
-            Formula::atom("R", vec!["X", "Y"]),
-            Formula::not(Formula::Or(vec![
-                Formula::atom("S", vec!["Y", "X"]),
+        // Unguarded universals: ∀Z S(X, Z), ∀Z (Z = Y), and a quantified
+        // variable no atom of the universal mentions.
+        for body in [
+            Formula::atom("S", vec!["X", "Z"]),
+            Formula::eq(Term::var("Z"), Term::var("Y")),
+            Formula::implies(
+                Formula::atom("S", vec!["X", "Y"]),
                 Formula::atom("R", vec!["Y", "X"]),
-            ])),
-        ]);
-        assert!(CqPlan::compile(&q, std::slice::from_ref(&x)).is_none());
-        // Universals and implications.
-        let q = Formula::and(vec![
-            Formula::atom("R", vec!["X", "Y"]),
-            Formula::forall(vec!["Z"], Formula::atom("S", vec!["X", "Z"])),
-        ]);
-        assert!(CqPlan::compile(&q, std::slice::from_ref(&x)).is_none());
+            ),
+        ] {
+            let q = Formula::and(vec![
+                Formula::atom("R", vec!["X", "Y"]),
+                Formula::forall(vec!["Z"], body),
+            ]);
+            assert!(
+                CqPlan::compile(&q, std::slice::from_ref(&x)).is_none(),
+                "{q}"
+            );
+        }
+        // A bare implication.
         let q = Formula::and(vec![
             Formula::atom("R", vec!["X", "Y"]),
             Formula::implies(
@@ -935,7 +1189,18 @@ mod tests {
             Formula::atom("R", vec!["X", "Y"]),
             Formula::compare(CompareOp::Eq, Term::var("Free"), Term::cnst("v")),
         ]);
-        assert!(CqPlan::compile(&q, &[x]).is_none());
+        assert!(CqPlan::compile(&q, std::slice::from_ref(&x)).is_none());
+        // ∧ over seven ∨s distributes into 128 blocks, past MAX_BLOCKS.
+        let either = Formula::Or(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::atom("S", vec!["X", "Y"]),
+        ]);
+        assert!(CqPlan::compile(
+            &Formula::And(vec![either.clone(); 6]),
+            std::slice::from_ref(&x)
+        )
+        .is_some());
+        assert!(CqPlan::compile(&Formula::And(vec![either; 7]), &[x]).is_none());
     }
 
     #[test]

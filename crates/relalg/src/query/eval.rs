@@ -234,9 +234,15 @@ impl<'a> QueryEvaluator<'a> {
                 Ok(out)
             }
             Formula::Exists(vars, inner) => {
+                // The quantified variables are the quantifier's own: an
+                // outer binding of the same name is hidden inside.
+                let mut scoped = input.clone();
+                for v in vars {
+                    scoped.remove(v);
+                }
                 let mut out = Vec::new();
                 let mut seen = BTreeSet::new();
-                for mut b in self.bindings(inner, input)? {
+                for mut b in self.bindings(inner, &scoped)? {
                     for v in vars {
                         b.remove(v);
                     }
@@ -586,6 +592,20 @@ mod tests {
                 Tuple::strs(["a", "e"]),
             ])
         );
+    }
+
+    #[test]
+    fn existentials_shadow_outer_bindings() {
+        let db = example1_db();
+        let eval = QueryEvaluator::new(&db);
+        // R1(X, Y) ∧ ∃Y R2(X, Y): the existential's Y is not R1's, so
+        // (a, b) qualifies through R2(a, e).
+        let q = Formula::and(vec![
+            Formula::atom("R1", vec!["X", "Y"]),
+            Formula::exists(vec!["Y"], Formula::atom("R2", vec!["X", "Y"])),
+        ]);
+        let ans = eval.answers(&q, &vars(&["X", "Y"])).unwrap();
+        assert_eq!(ans, BTreeSet::from([Tuple::strs(["a", "b"])]));
     }
 
     #[test]

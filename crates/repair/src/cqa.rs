@@ -62,7 +62,8 @@ pub fn consistent_answers_with(
 }
 
 /// [`consistent_answers_with`] with the repair search and per-repair query
-/// evaluation instrumented on `recorder` (`repair.search` and `eval` spans).
+/// evaluation instrumented on `recorder` (`repair.search` and `eval` spans,
+/// and one `cq.fallback` count for a query outside [`CqPlan`]'s fragment).
 pub fn consistent_answers_recorded(
     engine: &RepairEngine,
     db: &Database,
@@ -86,7 +87,8 @@ pub fn consistent_answers_recorded(
     // constraint-introduced tuples, so the table is built once from the
     // dirty instance and extended only by what a repair actually adds);
     // only the final certain set materializes strings. Other formulas
-    // (∀, →, unsafe ¬) run the general evaluator on each repair.
+    // (unguarded ∀, bare →, unsafe ¬) run the general evaluator on each
+    // repair.
     let answers = match CqPlan::compile(query, free_vars) {
         Some(plan) => {
             let symbols = Arc::new(SymbolTable::new());
@@ -97,11 +99,14 @@ pub fn consistent_answers_recorded(
             })?;
             CqPlan::materialize(&rows, &symbols)
         }
-        None => exec.try_intersect(&repairs, |repair| {
-            QueryEvaluator::new(&repair.database)
-                .answers(query, free_vars)
-                .map_err(relalg_err)
-        })?,
+        None => {
+            recorder.count("cq.fallback", 1);
+            exec.try_intersect(&repairs, |repair| {
+                QueryEvaluator::new(&repair.database)
+                    .answers(query, free_vars)
+                    .map_err(relalg_err)
+            })?
+        }
     };
     eval_span.finish();
     Ok(ConsistentAnswers {
@@ -115,6 +120,7 @@ pub fn consistent_answers_recorded(
 mod tests {
     use super::*;
     use constraints::builders::{full_inclusion, key_denial};
+    use relalg::query::Term;
     use relalg::{Relation, RelationSchema};
 
     fn vars(names: &[&str]) -> Vec<String> {
@@ -200,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn safe_negation_runs_on_the_plan_and_universals_on_the_evaluator() {
+    fn negation_and_guarded_universals_run_on_the_plan() {
         // Safe negation compiles to the columnar plan's anti-join: `bob` is
         // the only tuple satisfying Emp(X, Y) ∧ ¬Emp(X, "200") in *every*
         // repair ("ann" fails it in the repair that keeps her 200 salary).
@@ -213,41 +219,62 @@ mod tests {
         db.insert("Emp", Tuple::strs(["ann", "200"])).unwrap();
         db.insert("Emp", Tuple::strs(["bob", "150"])).unwrap();
         let engine = RepairEngine::new(vec![key_denial("key", "Emp").unwrap()]);
+        let recorder = pdes_obs::TraceRecorder::new();
+        let answer = |q: &Formula, free: &[&str]| {
+            consistent_answers_recorded(
+                &engine,
+                &db,
+                q,
+                &vars(free),
+                &Executor::sequential(),
+                &recorder,
+            )
+            .unwrap()
+        };
+        let fallbacks = || recorder.registry().counter_value("cq.fallback");
         let q = Formula::and(vec![
             Formula::atom("Emp", vec!["X", "Y"]),
             Formula::not(Formula::atom_terms(
                 "Emp",
-                vec![
-                    relalg::query::Term::var("X"),
-                    relalg::query::Term::cnst("200"),
-                ],
+                vec![Term::var("X"), Term::cnst("200")],
             )),
         ]);
-        let out = consistent_answers(&engine, &db, &q, &vars(&["X", "Y"])).unwrap();
+        let out = answer(&q, &["X", "Y"]);
         assert_eq!(out.repair_count, 2);
         assert_eq!(out.answers, BTreeSet::from([Tuple::strs(["bob", "150"])]));
-        // A universal leaves the plan's fragment and takes the general
-        // evaluator: Emp(X, Y) ∧ ∀Z (Emp(X, Z) → Z = Y) holds for "ann" in
-        // both repairs (each keeps one salary), but with different salaries,
-        // so only `bob` is certain.
+        // A guarded universal runs on the plan too, as a correlated
+        // anti-join: Emp(X, Y) ∧ ∀Z (Emp(X, Z) → Z = Y) holds for "ann" in
+        // both repairs (each keeps one salary), but with different
+        // salaries, so only `bob` is certain.
         let q = Formula::and(vec![
             Formula::atom("Emp", vec!["X", "Y"]),
             Formula::forall(
                 vec!["Z"],
                 Formula::implies(
                     Formula::atom("Emp", vec!["X", "Z"]),
-                    Formula::eq(relalg::query::Term::var("Z"), relalg::query::Term::var("Y")),
+                    Formula::eq(Term::var("Z"), Term::var("Y")),
                 ),
             ),
         ]);
-        assert!(CqPlan::compile(&q, &vars(&["X", "Y"])).is_none());
-        let out = consistent_answers(&engine, &db, &q, &vars(&["X", "Y"])).unwrap();
+        assert!(CqPlan::compile(&q, &vars(&["X", "Y"])).is_some());
+        let out = answer(&q, &["X", "Y"]);
         assert_eq!(out.answers, BTreeSet::from([Tuple::strs(["bob", "150"])]));
-        let out = consistent_answers(&engine, &db, &q, &vars(&["X"])).unwrap();
+        let out = answer(&q, &["X"]);
         assert_eq!(
             out.answers,
             BTreeSet::from([Tuple::strs(["ann"]), Tuple::strs(["bob"])])
         );
+        assert_eq!(fallbacks(), 0);
+        // An unguarded universal leaves the fragment and takes the general
+        // evaluator: Emp(X, Y) ∧ ∀Z Emp(X, Z) ranges over the active domain,
+        // so no employee has every value as a salary.
+        let q = Formula::and(vec![
+            Formula::atom("Emp", vec!["X", "Y"]),
+            Formula::forall(vec!["Z"], Formula::atom("Emp", vec!["X", "Z"])),
+        ]);
+        assert!(CqPlan::compile(&q, &vars(&["X", "Y"])).is_none());
+        assert!(answer(&q, &["X", "Y"]).answers.is_empty());
+        assert_eq!(fallbacks(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use string_worlds::reference_answers;
 use workload::generator::GeneratedWorkload;
-use workload::{generate, Topology, TrustMix, WorkloadSpec};
+use workload::{generate, generate_updates, Topology, TrustMix, UpdateSpec, WorkloadSpec};
 
 const ALL_STRATEGIES: [Strategy; 4] = [
     Strategy::Naive,
@@ -311,5 +311,146 @@ fn symbol_tables_round_trip_over_generated_workloads() {
         let symbol = table.intern(&value);
         assert_eq!(table.resolve(symbol), value);
         assert_eq!(table.intern(&table.resolve(symbol)), symbol);
+    }
+}
+
+/// The rewriting oracle's queries over `relation`: a scan, a bound constant
+/// the instance holds, one the store never minted, a projection and a
+/// self-join. Their rewritings carry guarded universals, nested negation
+/// and (for the self-join) `∧` over `∨`.
+fn rewriting_queries(relation: &str, key: &str) -> Vec<(Formula, Vec<String>)> {
+    use relalg::query::Term;
+    let scan = Formula::atom(relation, vec!["X", "Y"]);
+    let bound = |k: &str| Formula::atom_terms(relation, vec![Term::cnst(k), Term::var("Y")]);
+    vec![
+        (scan.clone(), vars(&["X", "Y"])),
+        (bound(key), vars(&["Y"])),
+        (bound("never_minted_key"), vars(&["Y"])),
+        (Formula::exists(vec!["Y"], scan.clone()), vars(&["X"])),
+        (
+            Formula::and(vec![scan, Formula::atom(relation, vec!["X", "Z"])]),
+            vars(&["X", "Y", "Z"]),
+        ),
+    ]
+}
+
+/// Assert the engine's rewriting answers equal the string reference's
+/// (`rewrite_query` evaluated by `QueryEvaluator` over the string global
+/// instance) for every query, and that the reference answers something.
+fn assert_rewriting_matches(
+    engine: &QueryEngine,
+    system: &P2PSystem,
+    peer: &PeerId,
+    queries: &[(Formula, Vec<String>)],
+    context: &str,
+) {
+    for (query, fv) in queries {
+        let want = reference_answers(system, Strategy::Rewriting, peer, query, fv)
+            .unwrap_or_else(|| panic!("{context}: the reference rewrites {query}"));
+        let got = engine
+            .answer_with(Strategy::Rewriting, peer, query, fv)
+            .unwrap_or_else(|e| panic!("{context}: the engine rewrites {query}: {e}"));
+        assert_eq!(got.tuples, want, "{context}: {query}");
+    }
+    let scan = &queries[0];
+    assert!(
+        !reference_answers(system, Strategy::Rewriting, peer, &scan.0, &scan.1)
+            .expect("rewritable")
+            .is_empty(),
+        "{context}: the scan answers something"
+    );
+}
+
+/// The same-trust key-agreement workload `Auto` answers by rewriting.
+fn keyed_workload() -> GeneratedWorkload {
+    generate(&WorkloadSpec {
+        peers: 2,
+        tuples_per_relation: 8,
+        violations_per_dec: 2,
+        trust_mix: TrustMix::AllSame,
+        key_constraint_percent: 100,
+        ..WorkloadSpec::default()
+    })
+    .expect("valid keyed spec")
+}
+
+#[test]
+fn rewriting_matches_the_string_reference_with_imports_and_conflicts() {
+    // Example 1: P1 imports R2 (more trusted) and conflicts with R3 (same
+    // trust), so its rewriting is the paper's guarded universal.
+    let system = p2p_data_exchange::example1_system();
+    let engine = engine_for(&system, Strategy::Rewriting);
+    let p1 = PeerId::new("P1");
+    assert_rewriting_matches(
+        &engine,
+        &system,
+        &p1,
+        &rewriting_queries("R1", "a"),
+        "example 1",
+    );
+    // The generator's same-trust key-agreement shape.
+    let w = keyed_workload();
+    let engine = engine_for(&w.system, Strategy::Rewriting);
+    for peer in w.system.peer_ids() {
+        let index = &peer.name()[1..];
+        assert_rewriting_matches(
+            &engine,
+            &w.system,
+            peer,
+            &rewriting_queries(&format!("T{index}"), &format!("k_{index}_0")),
+            "keyed workload",
+        );
+    }
+}
+
+#[test]
+fn rewriting_matches_the_string_reference_across_commits() {
+    // A seeded stream of commits maintains the engine's interned global
+    // instance (decode, apply, re-intern); after each one the rewriting
+    // must still answer like the string reference on the patched system.
+    // The stream deletes P1's base tuples and inserts fresh keys; two more
+    // commits insert into P0's keys on both sides of the key agreement.
+    let w = keyed_workload();
+    let mut batches: Vec<(PeerId, Delta)> = generate_updates(
+        &w,
+        &UpdateSpec {
+            batches: 6,
+            batch_size: 2,
+            insert_percent: 50,
+            seed: 11,
+            ..UpdateSpec::default()
+        },
+    )
+    .expect("valid update spec")
+    .into_iter()
+    .map(|batch| (batch.peer, batch.delta))
+    .collect();
+    for (peer, relation) in [("P1", "T1"), ("P0", "T0")] {
+        batches.push((
+            PeerId::new(peer),
+            Delta::from_changes(
+                [GroundAtom::new(
+                    relation,
+                    Tuple::strs(["k_0_1", "fresh_value"]),
+                )],
+                [],
+            ),
+        ));
+    }
+    let engine = engine_for(&w.system, Strategy::Rewriting);
+    let mut system = w.system.clone();
+    let p0 = PeerId::new("P0");
+    let queries = rewriting_queries("T0", "k_0_1");
+    assert_rewriting_matches(&engine, &system, &p0, &queries, "before commits");
+    for (round, (peer, delta)) in batches.iter().enumerate() {
+        engine.commit_delta(peer, delta).expect("commit");
+        system.apply_delta(peer, delta).expect("apply");
+        assert_rewriting_matches(
+            &engine,
+            &system,
+            &p0,
+            &queries,
+            &format!("after commit {round}"),
+        );
     }
 }
