@@ -93,7 +93,7 @@
 //! restores the drop-and-re-ground behaviour.
 //!
 //! The memo map itself can be bounded:
-//! [`QueryEngineBuilder::cache_capacity`] caps the estimated bytes of all
+//! [`QueryEngineBuilder::cache_capacity`] caps the exact bytes of all
 //! memoized artifacts with least-recently-used eviction
 //! ([`CacheMetrics::evictions`]), so adversarial streams of distinct
 //! bound-constant queries cannot grow the cache without bound. The budget
@@ -126,6 +126,7 @@
 //!   Both merges are order-insensitive (sort+dedup, set intersection), so
 //!   answers are identical to the sequential path for every pool size.
 
+use crate::cache::{CacheEvent, Cached, Key, Mechanism, MemoCache, Pending};
 use crate::error::CoreError;
 use crate::pca::vars;
 use crate::rewriting;
@@ -141,8 +142,7 @@ use relalg::query::{Formula, QueryEvaluator};
 use relalg::{ColumnarDatabase, CqPlan, Database, Tuple};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pdes_obs::{duration_nanos, NullRecorder, Recorder, Span};
@@ -350,8 +350,10 @@ pub enum Provenance {
 /// Cumulative cache behaviour of one engine, across every query and commit
 /// it has served. Unlike the per-run [`EngineStats`], these counters
 /// aggregate over the engine's lifetime, which is what the live-update
-/// benchmarks report. A snapshot of the engine's internal counters, which
-/// are atomics so that batch-parallel queries never under-count.
+/// benchmarks report. A read-only view of the memo cache's lifetime
+/// counters: each field is written at one place, which also forwards it to
+/// the engine's [`Recorder`] as the `cache.*` counter of the same name
+/// (`hits` as `cache.hit`, `evictions` as `cache.evict`, and so on).
 ///
 /// Marked `#[non_exhaustive]`: construct it via [`QueryEngine::metrics`] (or
 /// `Default`); new counters can be added without a breaking release.
@@ -372,34 +374,6 @@ pub struct CacheMetrics {
     /// Artifacts evicted by the byte-budgeted LRU policy
     /// ([`QueryEngineBuilder::cache_capacity`]).
     pub evictions: u64,
-}
-
-/// The engine's live metric counters. Plain `u64` fields behind the cache
-/// lock under-counted when concurrent batch partitions raced on the hit
-/// path; atomics make every increment lock-free and loss-free.
-#[derive(Debug, Default)]
-struct MetricCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidated: AtomicU64,
-    commits: AtomicU64,
-    patched: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl MetricCounters {
-    /// A consistent-enough snapshot for reporting (individual counters are
-    /// exact; cross-counter skew is bounded by in-flight queries).
-    fn snapshot(&self) -> CacheMetrics {
-        CacheMetrics {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            patched: self.patched.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The unified result of answering a query through the engine.
@@ -680,18 +654,13 @@ impl QueryEngineBuilder {
             solver_config: self.solver_config,
             solution_options: self.solution_options,
             exec: Executor::new(self.exec).with_recorder(Arc::clone(&recorder)),
-            recorder,
             relevance_pruning: self.relevance_pruning,
             incremental_reground: self.incremental_reground,
             symbols,
-            cache_capacity: self.cache_capacity,
             analysis: report,
-            cache: RwLock::new(EngineCache::default()),
-            metrics: MetricCounters::default(),
-            clock: AtomicU64::new(0),
+            cache: MemoCache::new(self.cache_capacity, Arc::clone(&recorder)),
+            recorder,
             commit_lock: Mutex::new(()),
-            patching: Mutex::new(BTreeSet::new()),
-            patch_done: Condvar::new(),
         })
     }
 
@@ -709,199 +678,9 @@ impl QueryEngineBuilder {
     }
 }
 
-/// A version stamp: the per-peer versions an artifact was computed from.
-type VersionStamp = BTreeMap<PeerId, u64>;
-
-/// One memoized naive-strategy artifact (per peer).
-struct NaiveEntry {
-    /// The `(peer, version)` set this entry was computed from.
-    stamp: VersionStamp,
-    prepared: Arc<PreparedWorlds>,
-    /// Deterministic size estimate for the byte-budgeted eviction policy.
-    bytes: usize,
-    /// Engine-clock tick of the last hit (LRU victim selection).
-    last_used: AtomicU64,
-}
-
-/// One memoized ASP artifact (per `(peer, slice)`): the solved worlds, plus
-/// — when incremental re-grounding is enabled — the grounding's saturation
-/// state and the update deltas committed since the worlds were solved. An
-/// entry with pending deltas is *stale*: its worlds are not served, but its
-/// state lets the next query repair the grounding by patching only the
-/// affected rules instead of re-grounding the slice.
-struct AspEntry {
-    /// The `(peer, version)` set the *worlds* were computed from. Commits
-    /// that cannot touch the slice refresh the stamp in place (the worlds
-    /// stay valid); commits that can leave it current too but queue their
-    /// delta in `pending`.
-    stamp: VersionStamp,
-    prepared: Arc<PreparedWorlds>,
-    /// The grounding's saturation state ([`datalog::IncrementalGround`]),
-    /// kept for future patches. `None` when incremental re-grounding is
-    /// disabled.
-    state: Option<datalog::IncrementalGround>,
-    /// Net per-peer deltas committed since `prepared` was solved (empty =
-    /// the entry is valid). Composed, not merged: an insert-then-delete
-    /// cancels.
-    pending: BTreeMap<PeerId, relalg::Delta>,
-    /// The specification program the entry was built from, retained (when
-    /// incremental re-grounding is on) so the *committing* thread can patch
-    /// and re-solve the artifact without the original query — the repair
-    /// runs off the reader hot path ([`QueryEngine::commit_delta`]).
-    spec: Option<Arc<SpecProgram>>,
-    /// Deterministic size estimate (worlds + saturation state) for the
-    /// byte-budgeted eviction policy.
-    bytes: usize,
-    /// Engine-clock tick of the last hit (LRU victim selection).
-    last_used: AtomicU64,
-}
-
-impl AspEntry {
-    /// Is this entry servable as-is (no queued deltas)?
-    fn is_valid(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
-/// Per-peer prepared state shared by repeated queries. Behind an `RwLock`:
-/// warm (hit-path) queries take the read lock only, so concurrent batch
-/// partitions never serialize on each other's lookups; preparation inserts
-/// and invalidation take the write lock. Lifetime counters live outside the
-/// lock entirely (see [`MetricCounters`]).
-#[derive(Default)]
-struct EngineCache {
-    /// Monotonically increasing per-peer versions (absent = 0, the
-    /// construction-time instance).
-    versions: BTreeMap<PeerId, u64>,
-    /// Materialized global instance (rewriting strategy), interned against
-    /// the store's symbol table, plus the nanoseconds its original
-    /// materialization cost (reported as
-    /// [`EngineStats::cached_prepare_time`] on hits). Maintained across
-    /// commits rather than invalidated.
-    global: Option<(Arc<ColumnarDatabase>, u64)>,
-    /// Per-peer enumerated solutions, restricted to the peer (naive).
-    naive: BTreeMap<PeerId, NaiveEntry>,
-    /// Grounded + solved direct specification programs, keyed by peer plus
-    /// the *canonical slice fingerprint*
-    /// ([`datalog::RelevanceAnalysis::fingerprint`]): distinct queries over
-    /// one peer no longer share an over-wide grounding, while queries whose
-    /// slices coincide (same relations; bindings the analysis cannot apply)
-    /// share one artifact.
-    asp: BTreeMap<(PeerId, String), AspEntry>,
-    /// Grounded + solved transitive programs, keyed like `asp`.
-    transitive: BTreeMap<(PeerId, String), AspEntry>,
-    /// Cheap query-shape key ([`QueryEngine::slice_key`]) → canonical slice
-    /// fingerprint, per mechanism. Lets the warm path skip building the
-    /// specification program: a repeated query resolves its alias and its
-    /// artifact under the read lock alone. Aliases never need invalidation —
-    /// a stale target simply misses (the artifact was dropped) and the slow
-    /// path rewrites the alias.
-    asp_alias: BTreeMap<(PeerId, String), String>,
-    /// Alias map of the transitive mechanism.
-    transitive_alias: BTreeMap<(PeerId, String), String>,
-}
-
-impl EngineCache {
-    /// The version stamp for a set of relevant peers, under the current
-    /// versions.
-    fn stamp_for(&self, relevant: impl IntoIterator<Item = PeerId>) -> VersionStamp {
-        relevant
-            .into_iter()
-            .map(|p| {
-                let v = self.versions.get(&p).copied().unwrap_or(0);
-                (p, v)
-            })
-            .collect()
-    }
-
-    /// The per-(peer, slice) artifact slot for the direct or transitive ASP
-    /// mechanism.
-    fn asp_slot(&mut self, transitive: bool) -> &mut BTreeMap<(PeerId, String), AspEntry> {
-        if transitive {
-            &mut self.transitive
-        } else {
-            &mut self.asp
-        }
-    }
-
-    /// Read-only view of [`EngineCache::asp_slot`] (the hit path holds only
-    /// the read lock).
-    fn asp_slot_ref(&self, transitive: bool) -> &BTreeMap<(PeerId, String), AspEntry> {
-        if transitive {
-            &self.transitive
-        } else {
-            &self.asp
-        }
-    }
-
-    /// The query-shape → fingerprint alias map of a mechanism.
-    fn alias_slot(&mut self, transitive: bool) -> &mut BTreeMap<(PeerId, String), String> {
-        if transitive {
-            &mut self.transitive_alias
-        } else {
-            &mut self.asp_alias
-        }
-    }
-
-    /// Read-only view of [`EngineCache::alias_slot`].
-    fn alias_slot_ref(&self, transitive: bool) -> &BTreeMap<(PeerId, String), String> {
-        if transitive {
-            &self.transitive_alias
-        } else {
-            &self.asp_alias
-        }
-    }
-
-    /// Is a stamp still current? (Belt-and-braces: eager invalidation on
-    /// commit should make a stale stamp unobservable, but the check is
-    /// cheap and makes the cache self-validating.)
-    fn stamp_current(&self, stamp: &VersionStamp) -> bool {
-        stamp
-            .iter()
-            .all(|(p, v)| self.versions.get(p).copied().unwrap_or(0) == *v)
-    }
-
-    /// Drop every memoized artifact whose version stamp mentions a touched
-    /// peer (i.e. whose owning peer's relevant-peer closure intersects
-    /// `touched`), stale or not. Returns how many artifacts were dropped.
-    /// The global instance is left alone: callers either maintain it
-    /// incrementally (commit) or drop it explicitly (external
-    /// invalidation). [`QueryEngine::commit_delta`] does *not* use this —
-    /// it stales patchable entries instead of dropping them.
-    fn drop_stamped(&mut self, touched: &BTreeSet<PeerId>) -> u64 {
-        let mut dropped = 0;
-        self.naive.retain(|_, entry| {
-            let keep = !entry.stamp.keys().any(|p| touched.contains(p));
-            if !keep {
-                dropped += 1;
-            }
-            keep
-        });
-        for slot in [&mut self.asp, &mut self.transitive] {
-            slot.retain(|_, entry| {
-                let keep = !entry.stamp.keys().any(|p| touched.contains(p));
-                if !keep {
-                    dropped += 1;
-                }
-                keep
-            });
-        }
-        dropped
-    }
-
-    /// Total estimated bytes of memoized artifacts (the global instance is
-    /// not budgeted — it is one instance, maintained incrementally, and
-    /// every rewriting query needs it).
-    fn total_bytes(&self) -> usize {
-        self.naive.values().map(|e| e.bytes).sum::<usize>()
-            + self.asp.values().map(|e| e.bytes).sum::<usize>()
-            + self.transitive.values().map(|e| e.bytes).sum::<usize>()
-    }
-}
-
 /// The decoded worlds of one peer under one mechanism, plus how long the
 /// preparation took.
-struct PreparedWorlds {
+pub(crate) struct PreparedWorlds {
     /// One columnar database per distinct world (solution / answer set),
     /// interned against the store's symbol table. Conjunctive queries
     /// intersect over these id blocks; other formulas decode a world on
@@ -927,7 +706,7 @@ impl PreparedWorlds {
     /// the *exact* interned columnar size
     /// ([`ColumnarDatabase::exact_bytes`] — 4 bytes per stored id
     /// plus fixed per-relation overheads).
-    fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         256 + self
             .columnar
             .iter()
@@ -960,65 +739,13 @@ pub struct QueryEngine {
     /// interning authority the columnar fast path and shared-text ASP
     /// encoding resolve against.
     symbols: Arc<relalg::SymbolTable>,
-    cache_capacity: Option<usize>,
     /// The construction-time static-analysis report over the system.
     analysis: crate::analyze::Report,
-    cache: RwLock<EngineCache>,
-    metrics: MetricCounters,
-    /// Monotone tick source for LRU recency (bumped on every cache touch).
-    clock: AtomicU64,
+    /// Every memoized artifact, its stamps and the cache counters.
+    cache: MemoCache,
     /// Serializes engine-level commits (store publish + cache bookkeeping +
     /// stale-artifact repair). Readers never take it.
     commit_lock: Mutex<()>,
-    /// `(transitive, peer, slice)` keys currently being repaired by a
-    /// committing thread. A reader that finds a stale entry waits on
-    /// [`QueryEngine::patch_done`] for the repair instead of re-preparing,
-    /// then counts a single cache *hit* (the hit-after-patch rule). Readers
-    /// only lock this after releasing the cache lock; the committer
-    /// registers keys inside the cache write section, so a reader that
-    /// observes a stale entry is guaranteed to find its key here.
-    patching: Mutex<BTreeSet<(bool, PeerId, String)>>,
-    /// Signalled after each repaired (or dropped) stale artifact.
-    patch_done: Condvar,
-}
-
-/// A key registered in [`QueryEngine::patching`] for the duration of one
-/// stale-artifact repair. Dropping the guard unregisters the key and wakes
-/// every reader waiting on [`QueryEngine::patch_done`] — also when the
-/// repair panics, so a failed repair can never leave readers of the slice
-/// blocked forever.
-struct PatchGuard<'a> {
-    engine: &'a QueryEngine,
-    transitive: bool,
-    key: (PeerId, String),
-}
-
-impl<'a> PatchGuard<'a> {
-    fn register(engine: &'a QueryEngine, transitive: bool, key: (PeerId, String)) -> Self {
-        engine
-            .patching
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert((transitive, key.0.clone(), key.1.clone()));
-        PatchGuard {
-            engine,
-            transitive,
-            key,
-        }
-    }
-}
-
-impl Drop for PatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut patching = self
-            .engine
-            .patching
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        patching.remove(&(self.transitive, self.key.0.clone(), self.key.1.clone()));
-        drop(patching);
-        self.engine.patch_done.notify_all();
-    }
 }
 
 impl QueryEngine {
@@ -1137,18 +864,13 @@ impl QueryEngine {
 
     /// The memo cache's byte budget (`None` = unbounded).
     pub fn cache_capacity(&self) -> Option<usize> {
-        self.cache_capacity
+        self.cache.capacity()
     }
 
     /// The static-analysis report computed when the engine was built
     /// (always present; with strict analysis it is guaranteed error-free).
     pub fn analysis_report(&self) -> &crate::analyze::Report {
         &self.analysis
-    }
-
-    /// The next LRU recency tick.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The executor for *within-query* fan-out: the engine's pool, unless
@@ -1470,82 +1192,19 @@ impl QueryEngine {
         if cow > 0 {
             self.recorder.count("mvcc.cow_pages", cow);
         }
-        // Bookkeeping under the write lock; collect the slices this commit
-        // staled so *this* thread can repair them below.
-        let to_patch = {
-            let mut to_patch: Vec<(bool, (PeerId, String))> = Vec::new();
-            let mut cache = self.write_cache();
-            cache.versions.insert(peer.clone(), version);
-            // Maintenance of the materialized global instance: relation
-            // names are globally unique (Definition 2(b)), so a peer-local
-            // delta applies verbatim to the union of all instances. The
-            // blocks are decoded, patched and re-interned: O(|global|).
-            if let Some((global, nanos)) = cache.global.take() {
-                let patched = delta.apply(&global.to_database())?;
-                cache.global = Some((
-                    Arc::new(ColumnarDatabase::from_database(&patched, &self.symbols)),
-                    nanos,
-                ));
-            }
-            // Naive artifacts: no patchable state — drop the affected ones.
-            let mut invalidated = 0u64;
-            cache.naive.retain(|_, entry| {
-                let keep = !entry.stamp.contains_key(peer);
-                if !keep {
-                    invalidated += 1;
-                }
-                keep
-            });
-            // ASP artifacts: refresh, stale or drop.
-            let incremental = self.incremental_reground;
-            for transitive in [false, true] {
-                cache.asp_slot(transitive).retain(|key, entry| {
-                    if !entry.stamp.contains_key(peer) {
-                        return true; // outside the closure: untouched
-                    }
-                    let Some(state) = entry.state.as_ref().filter(|_| incremental) else {
-                        invalidated += 1;
-                        return false; // not patchable: drop, as before
-                    };
-                    entry.stamp.insert(peer.clone(), version);
-                    if delta.relations().iter().any(|r| state.touches(r)) {
-                        // The slice can observe the delta: queue it (net
-                        // composition — insert-then-delete cancels).
-                        if entry.is_valid() {
-                            invalidated += 1;
-                        }
-                        let queued = entry.pending.entry(peer.clone()).or_default();
-                        *queued = queued.compose(delta);
-                        if queued.is_empty() {
-                            entry.pending.remove(peer);
-                        } else {
-                            to_patch.push((transitive, key.clone()));
-                        }
-                    } // else: the slice provably cannot observe the delta —
-                      // the refreshed stamp keeps the entry warm.
-                    true
-                });
-            }
-            self.metrics
-                .invalidated
-                .fetch_add(invalidated, Ordering::Relaxed);
-            // Register the repair set while still inside the cache write
-            // section: a reader that observes a stale entry afterwards is
-            // guaranteed to find its key registered and wait for the patch.
-            to_patch
-                .into_iter()
-                .map(|(transitive, key)| PatchGuard::register(self, transitive, key))
-                .collect::<Vec<_>>()
-        };
+        // Cache bookkeeping mirrors the store's stamp so memo artifacts key
+        // off store truth; it registers the slices this commit staled so
+        // *this* thread can repair them below.
+        let staled = self.cache.commit(peer, version, delta, &self.symbols)?;
         // Repair off the reader hot path: the committing thread patches,
         // re-solves and swaps each staled artifact (outside every lock), so
         // the next reader *hits* instead of paying the patch itself. Each
         // guard unregisters its key and wakes the waiting readers when it
         // drops — after its repair, or while unwinding from a panic in it.
-        for guard in to_patch {
-            self.repair_stale(guard.transitive, &guard.key);
+        for guard in staled {
+            self.repair_stale(&guard.key);
         }
-        self.metrics.commits.fetch_add(1, Ordering::Relaxed);
+        self.cache.note(CacheEvent::Commit);
         Ok(version)
     }
 
@@ -1553,82 +1212,65 @@ impl QueryEngine {
     /// retained saturation state with the queued deltas, re-solve, re-decode
     /// and swap the result into the entry. Grounding, solving and decoding
     /// all run without the cache lock; the entry stays visible (and stale)
-    /// throughout, so racing readers wait on [`QueryEngine::patch_done`]
-    /// rather than re-preparing. On any failure the entry is dropped and the
-    /// next query re-grounds from scratch.
-    fn repair_stale(&self, transitive: bool, key: &(PeerId, String)) {
-        let drop_entry = || {
-            self.recorder.count("cache.repair_failed", 1);
-            let mut cache = self.write_cache();
-            if cache.asp_slot(transitive).remove(key).is_some() {
-                self.metrics.invalidated.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        // Take the saturation state out (leaving `pending` in place, so the
-        // entry still reads as stale to concurrent lookups).
-        let (spec, mut state, pending) = {
-            let mut cache = self.write_cache();
-            let Some(entry) = cache.asp_slot(transitive).get_mut(key) else {
-                return;
-            };
-            if entry.is_valid() {
-                return;
-            }
-            let (Some(spec), Some(state)) = (entry.spec.clone(), entry.state.take()) else {
-                drop(cache);
-                drop_entry();
-                return;
-            };
-            (spec, state, entry.pending.clone())
+    /// throughout, so racing readers wait for the guard rather than
+    /// re-preparing. On any failure the entry is dropped and the next query
+    /// re-grounds from scratch.
+    fn repair_stale(&self, key: &Key) {
+        let Some(((spec, mut state), pending)) = self.cache.take_for_repair(key) else {
+            return;
         };
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
         let patch_span = Span::enter(recorder, "patch");
-        recorder.count("cache.stale_patch", 1);
-        let mut insertions = Vec::new();
-        let mut deletions = Vec::new();
-        for delta in pending.values() {
-            let (ins, del) = program_delta_atoms(delta, &self.symbols);
-            insertions.extend(ins);
-            deletions.extend(del);
-        }
-        let patch = state.apply_delta(&insertions, &deletions);
-        let ground = state.to_ground();
+        let (ground, regrounded_rules) = self.patch_grounding(&mut state, &pending);
         let ground_nanos = duration_nanos(patch_span.finish());
-        let Ok(solved) = solve_prepared(ground, self.solver_config, &self.query_exec(), recorder)
-        else {
-            drop_entry();
-            return;
-        };
         // Decoding only consults the topology (relation ownership), never
         // instance data — the worlds themselves come from the patched
         // program.
-        let Ok(databases) = spec.solution_databases(&self.topology, &solved.sets) else {
-            drop_entry();
-            return;
+        let repaired = self.solve_worlds(
+            &spec,
+            ground,
+            prepare_span,
+            (ground_nanos, regrounded_rules),
+            |sets| spec.solution_databases(&self.topology, sets),
+        );
+        self.cache
+            .finish_repair(key, repaired.map(|prepared| (prepared, (spec, state))));
+    }
+
+    /// Patch a stale grounding with the deltas committed since it was
+    /// solved and re-derive only the affected rules. Returns the patched
+    /// ground program and the number of rules re-derived. Shared by the
+    /// reader's stale path and the commit-side repair.
+    ///
+    /// Relation names are the fact predicates of the specification programs
+    /// ([`crate::asp::encode::facts_for_system`]) and values encode through
+    /// [`crate::asp::encode::encode_value`], so a relational delta is also a
+    /// logic-program delta verbatim. Constant arguments alias the store's
+    /// shared text ([`crate::asp::encode::encode_value_shared`]) instead of
+    /// allocating per atom.
+    fn patch_grounding(
+        &self,
+        state: &mut datalog::IncrementalGround,
+        pending: &Pending,
+    ) -> (datalog::GroundProgram, usize) {
+        self.cache.note(CacheEvent::StalePatch);
+        let encode = |atom: &relalg::database::GroundAtom| datalog::GroundAtom {
+            predicate: atom.relation.to_string(),
+            strong_neg: false,
+            args: atom
+                .tuple
+                .iter()
+                .map(|v| crate::asp::encode::encode_value_shared(v, &self.symbols))
+                .collect(),
         };
-        let provenance = spec.provenance(&solved.sets);
-        let prepared = Arc::new(PreparedWorlds {
-            columnar: self.columnar_worlds(&databases),
-            worlds: solved.sets.len(),
-            prepare_nanos: duration_nanos(prepare_span.finish()),
-            ground_nanos,
-            solve_nanos: solved.solve_nanos,
-            grounded_rules: solved.grounded_rules,
-            grounded_atoms: solved.grounded_atoms,
-            regrounded_rules: patch.reinstantiated_rules,
-            provenance,
-        });
-        self.metrics.patched.fetch_add(1, Ordering::Relaxed);
-        let state_bytes = state.exact_bytes();
-        let mut cache = self.write_cache();
-        if let Some(entry) = cache.asp_slot(transitive).get_mut(key) {
-            entry.bytes = prepared.bytes() + state_bytes;
-            entry.prepared = prepared;
-            entry.state = Some(state);
-            entry.pending.clear();
+        let (mut insertions, mut deletions) = (Vec::new(), Vec::new());
+        for delta in pending.values() {
+            insertions.extend(delta.insertions.iter().map(encode));
+            deletions.extend(delta.deletions.iter().map(encode));
         }
-        self.enforce_capacity(&mut cache);
+        let patch = state.apply_delta(&insertions, &deletions);
+        (state.to_ground(), patch.reinstantiated_rules)
     }
 
     /// Drop every memoized artifact whose relevant-peer closure intersects
@@ -1641,46 +1283,24 @@ impl QueryEngine {
         if touched.is_empty() {
             return 0;
         }
-        let mut cache = self.write_cache();
-        let mut dropped = cache.drop_stamped(&touched);
-        if cache.global.take().is_some() {
-            dropped += 1;
-        }
-        self.metrics
-            .invalidated
-            .fetch_add(dropped, Ordering::Relaxed);
-        dropped
+        self.cache
+            .drop_where(|stamp| stamp.keys().any(|p| touched.contains(p)))
     }
 
     /// Drop the entire cache (the "full flush" baseline of the live-update
     /// benchmarks). Returns the number of artifacts dropped.
     pub fn flush_cache(&self) -> u64 {
-        let mut cache = self.write_cache();
-        let mut dropped = (cache.naive.len() + cache.asp.len() + cache.transitive.len()) as u64;
-        cache.naive.clear();
-        cache.asp.clear();
-        cache.transitive.clear();
-        if cache.global.take().is_some() {
-            dropped += 1;
-        }
-        self.metrics
-            .invalidated
-            .fetch_add(dropped, Ordering::Relaxed);
-        dropped
+        self.cache.drop_where(|_| true)
     }
 
     /// The current version of a peer (0 until its first committed update).
     pub fn version_of(&self, peer: &PeerId) -> u64 {
-        self.read_cache().versions.get(peer).copied().unwrap_or(0)
+        self.cache.stamp([peer.clone()])[peer]
     }
 
     /// The current per-peer versions of every peer in the system.
     pub fn versions(&self) -> BTreeMap<PeerId, u64> {
-        let cache = self.read_cache();
-        self.topology
-            .peer_ids()
-            .map(|p| (p.clone(), cache.versions.get(p).copied().unwrap_or(0)))
-            .collect()
+        self.cache.stamp(self.topology.peer_ids().cloned())
     }
 
     /// The relevant-peer closure of a peer — the peers whose commits
@@ -1691,7 +1311,7 @@ impl QueryEngine {
 
     /// Lifetime cache counters (hits, misses, invalidations, commits).
     pub fn metrics(&self) -> CacheMetrics {
-        self.metrics.snapshot()
+        self.cache.metrics()
     }
 
     /// How many per-peer artifacts (naive / ASP / transitive entries) are
@@ -1699,46 +1319,25 @@ impl QueryEngine {
     /// entries awaiting an incremental repair (see
     /// [`QueryEngine::stale_artifact_count`]).
     pub fn cached_artifact_count(&self) -> usize {
-        let cache = self.read_cache();
-        cache.naive.len() + cache.asp.len() + cache.transitive.len()
+        self.cache.len()
     }
 
     /// How many memoized ASP artifacts are *stale* — invalidated by a
     /// commit but kept with their saturation state for the next query to
     /// repair incrementally.
     pub fn stale_artifact_count(&self) -> usize {
-        let cache = self.read_cache();
-        cache.asp.values().filter(|e| !e.is_valid()).count()
-            + cache.transitive.values().filter(|e| !e.is_valid()).count()
+        self.cache.stale_len()
     }
 
-    /// The estimated total size of the memoized artifacts in bytes (the
+    /// The exact total size of the memoized artifacts in bytes (the
     /// quantity bounded by [`QueryEngineBuilder::cache_capacity`]).
     pub fn cached_bytes(&self) -> usize {
-        self.read_cache().total_bytes()
+        self.cache.bytes()
     }
 
     // ------------------------------------------------------------------
     // Shared preparation (the memoized hot path).
     // ------------------------------------------------------------------
-
-    /// Shared (read) access to the cache, recovering from poisoning: the
-    /// cache only holds immutable prepared state behind `Arc`s, so observing
-    /// it after a panicked preparation is safe (the failed entry was never
-    /// inserted).
-    fn read_cache(&self) -> RwLockReadGuard<'_, EngineCache> {
-        self.cache
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Exclusive (write) access to the cache; see [`QueryEngine::read_cache`]
-    /// for the poisoning rationale.
-    fn write_cache(&self) -> RwLockWriteGuard<'_, EngineCache> {
-        self.cache
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     /// The materialized global instance, interned against the store's
     /// symbol table and computed once per engine. Returns
@@ -1746,24 +1345,18 @@ impl QueryEngine {
     /// the run cost is 0 and the original materialization cost is reported
     /// instead ([`EngineStats::cached_prepare_time`]).
     fn global_instance(&self) -> Result<(Arc<ColumnarDatabase>, bool, u64, u64)> {
-        if let Some((db, nanos)) = &self.read_cache().global {
-            let db = Arc::clone(db);
-            let nanos = *nanos;
-            self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-            self.recorder.count("cache.hit", 1);
-            return Ok((db, true, 0, nanos));
-        }
-        self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-        self.recorder.count("cache.miss", 1);
+        let stamp = match self.cache.global(self.topology.peer_ids().cloned()) {
+            Ok((db, nanos)) => return Ok((db, true, 0, nanos)),
+            Err(stamp) => stamp,
+        };
         // Materialize outside the lock, from one pinned epoch; concurrent
         // misses may duplicate the work but never block each other on it.
         let span = Span::enter(self.recorder.as_ref(), "prepare");
         let global = self.pin()?.system()?.global_instance()?;
         let db = Arc::new(ColumnarDatabase::from_database(&global, &self.symbols));
         let nanos = duration_nanos(span.finish());
-        let mut cache = self.write_cache();
-        let (entry, nanos) = cache.global.get_or_insert_with(|| (Arc::clone(&db), nanos));
-        Ok((Arc::clone(entry), false, *nanos, 0))
+        self.cache.insert_global(&stamp, (Arc::clone(&db), nanos));
+        Ok((db, false, nanos, 0))
     }
 
     /// Enumerated solutions of `peer`, restricted to the peer's relations.
@@ -1772,38 +1365,17 @@ impl QueryEngine {
     /// the global instance and draws existential witnesses from its active
     /// domain, so in principle any peer's data can influence it.
     fn naive_worlds(&self, peer: &PeerId) -> Result<(Arc<PreparedWorlds>, bool)> {
-        // Fast path: a warm entry costs only the read lock.
+        let shape = (Mechanism::Naive, String::new());
+        let stamp = match self
+            .cache
+            .lookup(peer, &shape, || self.topology.peer_ids().cloned().collect())
         {
-            let cache = self.read_cache();
-            if let Some(entry) = cache.naive.get(peer) {
-                if cache.stamp_current(&entry.stamp) {
-                    entry.last_used.store(self.tick(), Ordering::Relaxed);
-                    let prepared = Arc::clone(&entry.prepared);
-                    self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    self.recorder.count("cache.hit", 1);
-                    return Ok((prepared, true));
-                }
-            }
-        }
-        // Slow path: re-check under the write lock (another worker may have
-        // prepared the peer between the two lock acquisitions), evict a
-        // stale entry, and record the stamp the preparation will carry.
-        let stamp = {
-            let mut cache = self.write_cache();
-            if let Some(entry) = cache.naive.get(peer) {
-                if cache.stamp_current(&entry.stamp) {
-                    entry.last_used.store(self.tick(), Ordering::Relaxed);
-                    let prepared = Arc::clone(&entry.prepared);
-                    self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    self.recorder.count("cache.hit", 1);
-                    return Ok((prepared, true));
-                }
-                cache.naive.remove(peer);
-                self.metrics.invalidated.fetch_add(1, Ordering::Relaxed);
-            }
-            self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-            self.recorder.count("cache.miss", 1);
-            cache.stamp_for(self.topology.peer_ids().cloned())
+            Cached::Hit(prepared) => return Ok((prepared, true)),
+            Cached::Miss(stamp) => stamp,
+        };
+        let key = match self.cache.claim(peer, shape, String::new()) {
+            Cached::Hit(prepared) => return Ok((prepared, true)),
+            Cached::Miss((key, _)) => key,
         };
         // Enumerate outside the lock (solution search can be expensive).
         // The repair search needs every instance (it operates on the global
@@ -1836,19 +1408,7 @@ impl QueryEngine {
                 search,
             },
         });
-        let mut cache = self.write_cache();
-        let entry = cache
-            .naive
-            .entry(peer.clone())
-            .or_insert_with(|| NaiveEntry {
-                stamp,
-                bytes: prepared.bytes(),
-                last_used: AtomicU64::new(0),
-                prepared,
-            });
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-        let prepared = Arc::clone(&entry.prepared);
-        self.enforce_capacity(&mut cache);
+        self.cache.insert(key, stamp, Arc::clone(&prepared), None);
         Ok((prepared, false))
     }
 
@@ -1859,7 +1419,7 @@ impl QueryEngine {
     /// queries with the same shape key always ground the same slice; shapes
     /// whose differences the relevance analysis cannot exploit (bindings on
     /// unrestrictable seeds) are deduplicated onto one artifact through the
-    /// alias map ([`EngineCache::alias_slot`]).
+    /// alias map of [`crate::cache::MemoCache`].
     fn slice_key(&self, query: &Formula) -> String {
         if !self.relevance_pruning {
             return "<full>".to_string();
@@ -1925,61 +1485,34 @@ impl QueryEngine {
     fn asp_worlds(
         &self,
         peer: &PeerId,
-        transitive: bool,
+        mechanism: Mechanism,
         query: &Formula,
     ) -> Result<(Arc<PreparedWorlds>, bool)> {
-        let shape_key = (peer.clone(), self.slice_key(query));
-        // Fast path: resolve alias and artifact under the read lock. A
-        // stale entry under repair by a committing thread is *waited for*
-        // (never re-prepared): after the patch lands this loop retries and
-        // serves it as one ordinary hit — the hit-after-patch rule, which
-        // keeps the read-path metrics from conflating a committer's patch
-        // with a reader's miss.
-        let mut waited = false;
-        loop {
-            let patching;
-            {
-                let cache = self.read_cache();
-                if let Some(fingerprint) = cache.alias_slot_ref(transitive).get(&shape_key) {
-                    let canonical = (peer.clone(), fingerprint.clone());
-                    if let Some(entry) = cache.asp_slot_ref(transitive).get(&canonical) {
-                        if entry.is_valid() && cache.stamp_current(&entry.stamp) {
-                            entry.last_used.store(self.tick(), Ordering::Relaxed);
-                            let prepared = Arc::clone(&entry.prepared);
-                            self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                            self.recorder.count("cache.hit", 1);
-                            return Ok((prepared, true));
-                        }
-                        patching = (!waited && !entry.is_valid()).then_some(canonical);
-                    } else {
-                        patching = None;
-                    }
-                } else {
-                    patching = None;
-                }
-            }
-            match patching {
-                Some(canonical) if self.wait_for_patch(transitive, &canonical) => {
-                    waited = true; // retry the fast path once, expecting a hit
-                }
-                _ => break,
-            }
-        }
+        let shape = (mechanism, self.slice_key(query));
+        // Fast path: resolve alias and artifact under the read lock. A miss
+        // hands out the stamp the preparation will carry, read before the
+        // hydration below reads the store.
+        let stamp = match self
+            .cache
+            .lookup(peer, &shape, || self.topology.dependencies_of(peer))
+        {
+            Cached::Hit(prepared) => return Ok((prepared, true)),
+            Cached::Miss(stamp) => stamp,
+        };
         // Build the specification program, the restricted slice and the
         // canonical fingerprint outside any lock (program construction is
         // cheap next to grounding and solving, which only run when the
         // canonical artifact is cold or stale). The program embeds peer
         // instances as facts; with relevance pruning on, only the peer's
-        // relevant-peer closure can influence its answers, so the slow path
-        // hydrates exactly that closure through the store — one batched
-        // fetch, never the whole system. With pruning off the legacy full
-        // grounding is reproduced verbatim (every peer's facts in the
-        // program), which needs the full snapshot.
+        // relevant-peer closure (the stamp's peers) can influence its
+        // answers, so the slow path hydrates exactly that closure through the
+        // store — one batched fetch, never the whole system. With pruning off
+        // the legacy full grounding is reproduced verbatim (every peer's
+        // facts in the program), which needs the full snapshot.
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
-        let closure = self.topology.dependencies_of(peer);
         let hydrated = if self.relevance_pruning {
-            self.hydrated(&closure)?
+            self.hydrated(&stamp.keys().cloned().collect())?
         } else {
             self.pin()?.system()?
         };
@@ -1987,7 +1520,7 @@ impl QueryEngine {
         // `Arc<str>` per distinct constant) instead of re-rendering per
         // tuple occurrence.
         let symbols = Some(&*self.symbols);
-        let spec = Arc::new(if transitive {
+        let spec = Arc::new(if mechanism == Mechanism::Transitive {
             SpecProgram::Transitive(crate::asp::transitive_program_with(
                 &hydrated, peer, symbols,
             )?)
@@ -2006,70 +1539,29 @@ impl QueryEngine {
         let relevance_span = Span::enter(recorder, "relevance");
         let analysis = seeds.as_ref().map(|seeds| grounder.relevance(seeds));
         relevance_span.finish();
-        let fingerprint = analysis
-            .as_ref()
-            .map(|a| a.fingerprint())
-            .unwrap_or_else(|| "<full>".to_string());
         let restrict = || match &analysis {
             Some(analysis) => analysis.restrict(grounder.program()),
             None => grounder.program().clone(),
         };
-        let canonical = (peer.clone(), fingerprint.clone());
+        let fingerprint = analysis
+            .as_ref()
+            .map(|a| a.fingerprint())
+            .unwrap_or_else(|| "<full>".to_string());
         // Slow path: record the alias, re-check the canonical artifact
-        // under the write lock, pull out a stale entry's saturation state
-        // for patching, and record the stamp the preparation will carry.
-        let (stamp, stale) = {
-            let mut cache = self.write_cache();
-            cache.alias_slot(transitive).insert(shape_key, fingerprint);
-            if let Some(entry) = cache.asp_slot_ref(transitive).get(&canonical) {
-                if entry.is_valid() && cache.stamp_current(&entry.stamp) {
-                    entry.last_used.store(self.tick(), Ordering::Relaxed);
-                    let prepared = Arc::clone(&entry.prepared);
-                    self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    self.recorder.count("cache.hit", 1);
-                    return Ok((prepared, true));
-                }
-            }
-            let mut stale = None;
-            if let Some(entry) = cache.asp_slot(transitive).remove(&canonical) {
-                let patchable = self.incremental_reground
-                    && !entry.pending.is_empty()
-                    && cache.stamp_current(&entry.stamp);
-                match entry.state.filter(|_| patchable) {
-                    // Stale-but-patchable: its staling was already counted
-                    // as an invalidation at commit time.
-                    Some(state) => stale = Some((state, entry.pending)),
-                    None => {
-                        self.metrics.invalidated.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-            self.recorder.count("cache.miss", 1);
-            (cache.stamp_for(closure.iter().cloned()), stale)
+        // under the write lock, and pull out a stale entry's saturation
+        // state for patching.
+        let (key, stale) = match self.cache.claim(peer, shape, fingerprint) {
+            Cached::Hit(prepared) => return Ok((prepared, true)),
+            Cached::Miss(miss) => miss,
         };
         // Ground (or patch) and solve outside the lock: these are the
         // expensive phases and must not serialize unrelated queries.
         let ground_span = Span::enter(recorder, if stale.is_some() { "patch" } else { "ground" });
-        if stale.is_some() {
-            recorder.count("cache.stale_patch", 1);
-        }
         let (ground, state, regrounded_rules) = match stale {
             Some((mut state, pending)) => {
-                // Repair the stale grounding: translate the queued update
-                // deltas into program-level fact changes and re-derive only
-                // the affected rules.
-                let mut insertions = Vec::new();
-                let mut deletions = Vec::new();
-                for delta in pending.values() {
-                    let (ins, del) = program_delta_atoms(delta, &self.symbols);
-                    insertions.extend(ins);
-                    deletions.extend(del);
-                }
-                let patch = state.apply_delta(&insertions, &deletions);
-                let ground = state.to_ground();
-                self.metrics.patched.fetch_add(1, Ordering::Relaxed);
-                (ground, Some(state), patch.reinstantiated_rules)
+                let (ground, regrounded_rules) = self.patch_grounding(&mut state, &pending);
+                self.cache.note(CacheEvent::Patched);
+                (ground, Some(state), regrounded_rules)
             }
             None if self.incremental_reground => {
                 let state =
@@ -2087,108 +1579,69 @@ impl QueryEngine {
             }
         };
         let ground_nanos = duration_nanos(ground_span.finish());
-        let solved = solve_prepared(ground, self.solver_config, &self.query_exec(), recorder)?;
-        let decode_span = Span::enter(recorder, "decode");
-        let databases = spec.solution_databases(&hydrated, &solved.sets)?;
-        decode_span.finish();
-        let provenance = spec.provenance(&solved.sets);
-        let prepared = Arc::new(PreparedWorlds {
-            columnar: self.columnar_worlds(&databases),
-            worlds: solved.sets.len(),
-            prepare_nanos: duration_nanos(prepare_span.finish()),
-            ground_nanos,
-            solve_nanos: solved.solve_nanos,
-            grounded_rules: solved.grounded_rules,
-            grounded_atoms: solved.grounded_atoms,
-            regrounded_rules,
-            provenance,
-        });
-        let state_bytes = state.as_ref().map_or(0, |s| s.exact_bytes());
-        let mut cache = self.write_cache();
-        let entry = cache
-            .asp_slot(transitive)
-            .entry(canonical)
-            .or_insert_with(|| AspEntry {
-                stamp,
-                bytes: prepared.bytes() + state_bytes,
-                state,
-                pending: BTreeMap::new(),
-                spec: self.incremental_reground.then(|| Arc::clone(&spec)),
-                last_used: AtomicU64::new(0),
-                prepared,
-            });
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-        let prepared = Arc::clone(&entry.prepared);
-        self.enforce_capacity(&mut cache);
+        let prepared = self.solve_worlds(
+            &spec,
+            ground,
+            prepare_span,
+            (ground_nanos, regrounded_rules),
+            |sets| {
+                let decode_span = Span::enter(recorder, "decode");
+                let databases = spec.solution_databases(&hydrated, sets);
+                decode_span.finish();
+                databases
+            },
+        )?;
+        let grounding = state.map(|state| (spec, state));
+        self.cache
+            .insert(key, stamp, Arc::clone(&prepared), grounding);
         Ok((prepared, false))
     }
 
-    /// Block until no committing thread is repairing `key`'s artifact.
-    /// Returns whether the key was under repair at all (callers retry the
-    /// fast path only when it was). Never called with a cache lock held.
-    fn wait_for_patch(&self, transitive: bool, key: &(PeerId, String)) -> bool {
-        let token = (transitive, key.0.clone(), key.1.clone());
-        let mut patching = self
-            .patching
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if !patching.contains(&token) {
-            return false;
-        }
-        while patching.contains(&token) {
-            patching = self
-                .patch_done
-                .wait(patching)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        true
-    }
-
-    /// Evict least-recently-used artifacts until the cache fits its byte
-    /// budget (no-op when unbounded). Called with the write lock held, right
-    /// after an insert; the freshly inserted entry has the newest tick, so
-    /// it is evicted only when it alone exceeds the whole budget.
-    fn enforce_capacity(&self, cache: &mut EngineCache) {
-        let Some(capacity) = self.cache_capacity else {
-            return;
+    /// Solve a grounded (or patched) slice and assemble its worlds, closing
+    /// the preparation's `prepare` span. `decode` turns the answer sets into
+    /// per-world databases; `ground_nanos` and `regrounded_rules` report the
+    /// grounding (or patch) that built `ground`. Stable-model search fans
+    /// out across the query executor's workers. Shared by the reader's
+    /// preparation and the commit-side repair.
+    fn solve_worlds(
+        &self,
+        spec: &SpecProgram,
+        ground: datalog::GroundProgram,
+        prepare_span: Span<'_>,
+        (ground_nanos, regrounded_rules): (u64, usize),
+        decode: impl FnOnce(&AnswerSets) -> Result<Vec<Database>>,
+    ) -> Result<Arc<PreparedWorlds>> {
+        // Counters before solving: the HCF shift rewrites the ground program,
+        // so `result.ground` would not reflect what the grounder instantiated.
+        let grounded_rules = ground.rule_count();
+        let grounded_atoms = ground.atom_count();
+        let recorder = self.recorder.as_ref();
+        let span = Span::enter(recorder, "solve");
+        let result =
+            solve_ground_recorded(ground, self.solver_config, &self.query_exec(), recorder)
+                .map_err(CoreError::from)?;
+        let solve_nanos = duration_nanos(span.finish());
+        let sets = AnswerSets {
+            sets: result
+                .answer_sets
+                .iter()
+                .map(|s| result.ground.decode(s))
+                .collect(),
+            branch_nodes: result.branch_nodes,
+            used_shift: result.used_shift,
         };
-        while cache.total_bytes() > capacity {
-            enum Victim {
-                Naive(PeerId),
-                Asp(bool, (PeerId, String)),
-            }
-            let mut best: Option<(u64, Victim)> = None;
-            let mut consider = |used: u64, victim: Victim| {
-                if best.as_ref().map(|(u, _)| used < *u).unwrap_or(true) {
-                    best = Some((used, victim));
-                }
-            };
-            for (key, entry) in &cache.naive {
-                consider(
-                    entry.last_used.load(Ordering::Relaxed),
-                    Victim::Naive(key.clone()),
-                );
-            }
-            for transitive in [false, true] {
-                for (key, entry) in cache.asp_slot_ref(transitive) {
-                    consider(
-                        entry.last_used.load(Ordering::Relaxed),
-                        Victim::Asp(transitive, key.clone()),
-                    );
-                }
-            }
-            match best {
-                Some((_, Victim::Naive(key))) => {
-                    cache.naive.remove(&key);
-                }
-                Some((_, Victim::Asp(transitive, key))) => {
-                    cache.asp_slot(transitive).remove(&key);
-                }
-                None => break,
-            }
-            self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-            self.recorder.count("cache.evict", 1);
-        }
+        let databases = decode(&sets)?;
+        Ok(Arc::new(PreparedWorlds {
+            columnar: self.columnar_worlds(&databases),
+            worlds: sets.len(),
+            prepare_nanos: duration_nanos(prepare_span.finish()),
+            ground_nanos,
+            solve_nanos,
+            grounded_rules,
+            grounded_atoms,
+            regrounded_rules,
+            provenance: spec.provenance(&sets),
+        }))
     }
 
     /// Evaluate a query over prepared worlds and assemble the unified
@@ -2294,7 +1747,7 @@ impl QueryEngine {
 
 /// The two ASP specification flavours behind one preparation pipeline
 /// (build → fingerprint → ground → solve → decode).
-enum SpecProgram {
+pub(crate) enum SpecProgram {
     Direct(crate::asp::AnnotatedSpec),
     Transitive(crate::asp::TransitiveSpec),
 }
@@ -2335,77 +1788,6 @@ impl SpecProgram {
             },
         }
     }
-}
-
-/// The decoded output of one solve run, with the solve timing and the
-/// grounding-size counters the perf-smoke gate tracks.
-struct SolvedSpec {
-    sets: AnswerSets,
-    solve_nanos: u64,
-    grounded_rules: usize,
-    grounded_atoms: usize,
-}
-
-/// Solve an already-instantiated ground program (built by the grounder or
-/// patched by [`datalog::incremental`]). Stable-model search fans out across
-/// `exec`'s workers.
-fn solve_prepared(
-    ground: datalog::GroundProgram,
-    config: SolverConfig,
-    exec: &Executor,
-    recorder: &dyn Recorder,
-) -> Result<SolvedSpec> {
-    // Counters before solving: the HCF shift rewrites the ground program,
-    // so `result.ground` would not reflect what the grounder instantiated.
-    let grounded_rules = ground.rule_count();
-    let grounded_atoms = ground.atom_count();
-    let span = Span::enter(recorder, "solve");
-    let result = solve_ground_recorded(ground, config, exec, recorder).map_err(CoreError::from)?;
-    let solve_nanos = duration_nanos(span.finish());
-    let sets = result
-        .answer_sets
-        .iter()
-        .map(|s| result.ground.decode(s))
-        .collect();
-    Ok(SolvedSpec {
-        sets: AnswerSets {
-            sets,
-            branch_nodes: result.branch_nodes,
-            used_shift: result.used_shift,
-        },
-        solve_nanos,
-        grounded_rules,
-        grounded_atoms,
-    })
-}
-
-/// Translate an update delta into program-level base-fact atoms: relation
-/// names are the fact predicates of the specification programs
-/// ([`crate::asp::encode::facts_for_system`]) and values encode through
-/// [`crate::asp::encode::encode_value`], so a relational delta is also a
-/// logic-program delta verbatim. Constant arguments alias the store's
-/// shared text ([`crate::asp::encode::encode_value_shared`]) instead of
-/// allocating per atom.
-fn program_delta_atoms(
-    delta: &relalg::Delta,
-    symbols: &relalg::SymbolTable,
-) -> (Vec<datalog::GroundAtom>, Vec<datalog::GroundAtom>) {
-    let encode = |atom: &relalg::database::GroundAtom| {
-        let args: Vec<Arc<str>> = atom
-            .tuple
-            .iter()
-            .map(|v| crate::asp::encode::encode_value_shared(v, symbols))
-            .collect();
-        datalog::GroundAtom {
-            predicate: atom.relation.to_string(),
-            strong_neg: false,
-            args,
-        }
-    };
-    (
-        delta.insertions.iter().map(encode).collect(),
-        delta.deletions.iter().map(encode).collect(),
-    )
 }
 
 /// The generalized binding pattern of every relation in a query: position
@@ -2625,7 +2007,7 @@ impl AnsweringStrategy for AspStrategy {
         engine.check_language(peer, query)?;
         ensure_positive_existential(query)?;
         check_free_vars_bound(query, free_vars)?;
-        let (worlds, cache_hit) = engine.asp_worlds(peer, false, query)?;
+        let (worlds, cache_hit) = engine.asp_worlds(peer, Mechanism::Asp, query)?;
         engine.answers_from_worlds(StrategyKind::Asp, &worlds, cache_hit, query, free_vars)
     }
 }
@@ -2653,7 +2035,7 @@ impl AnsweringStrategy for TransitiveAspStrategy {
         engine.check_language(peer, query)?;
         ensure_positive_existential(query)?;
         check_free_vars_bound(query, free_vars)?;
-        let (worlds, cache_hit) = engine.asp_worlds(peer, true, query)?;
+        let (worlds, cache_hit) = engine.asp_worlds(peer, Mechanism::Transitive, query)?;
         engine.answers_from_worlds(
             StrategyKind::TransitiveAsp,
             &worlds,
@@ -3693,36 +3075,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_guard_unregisters_and_wakes_waiters_on_panic() {
-        let engine = example1_engine(Strategy::Asp);
-        let key = (PeerId::new("P1"), "slice".to_string());
-        let token = (false, key.0.clone(), key.1.clone());
-        let registered = |engine: &QueryEngine| engine.patching.lock().unwrap().contains(&token);
-        let started = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            let guard = PatchGuard::register(&engine, false, key.clone());
-            assert!(registered(&engine));
-            // A reader of the registered key, racing the failing repair:
-            // whether it starts waiting before or after the unwind, it must
-            // return (before the guard it would block forever once waiting).
-            let waiter = scope.spawn(|| {
-                started.wait();
-                engine.wait_for_patch(false, &key)
-            });
-            started.wait();
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                let _guard = guard;
-                panic!("repair failed mid-patch");
-            }));
-            assert!(unwound.is_err());
-            assert!(!registered(&engine), "the unwound guard must unregister");
-            waiter.join().expect("the waiter returns");
-        });
-        // A reader arriving after the failure does not wait at all.
-        assert!(!engine.wait_for_patch(false, &key));
-    }
-
-    #[test]
     fn failed_repairs_drop_the_entry_and_are_counted() {
         use relalg::database::GroundAtom;
         use relalg::Delta;
@@ -3760,6 +3112,8 @@ mod tests {
             0,
             "the failed entry is dropped"
         );
-        assert!(!engine.wait_for_patch(false, &(p1, String::new())));
+        assert!(!engine
+            .cache
+            .wait_for_patch(&(Mechanism::Asp, p1, String::new())));
     }
 }

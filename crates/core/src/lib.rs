@@ -44,6 +44,7 @@
 
 pub mod analyze;
 pub mod asp;
+mod cache;
 pub mod engine;
 pub mod error;
 pub mod pca;

@@ -11,18 +11,23 @@
 //! * the `CacheMetrics` conflation regression: 8 readers hammering an
 //!   artifact that the committing thread is repairing account for exactly
 //!   one hit-or-miss per query — a read racing the patch never counts as a
-//!   miss *and* a patch.
+//!   miss *and* a patch;
+//! * stale-artifact races: a cold preparation that read the store before a
+//!   commit never memoizes what it read as current, for every strategy;
+//! * fault injection: a panic inside the commit-side repair leaves no
+//!   reader blocked and no wrong answer behind.
 
+use p2p_data_exchange::obs::Recorder;
 use p2p_data_exchange::{
-    example1_system, ExecConfig, Formula, InProcessStore, P2PSystem, PeerId, PeerStore, Query,
-    QueryEngine, Session, ShardedStore, Strategy, Tuple, Update, Version,
+    example1_system, vars, ExecConfig, Formula, InProcessStore, P2PSystem, PeerId, PeerStore,
+    Query, QueryEngine, Session, ShardedStore, Strategy, Tuple, Update, Version,
 };
 use proptest::prelude::*;
-use relalg::database::Database;
+use relalg::database::{Database, GroundAtom};
 use relalg::Delta;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use workload::{generate, generate_updates, TrustMix, UpdateSpec, WorkloadSpec};
 
@@ -346,4 +351,145 @@ fn racing_readers_count_once_per_query_during_patches() {
         "commits must invalidate P1's artifact"
     );
     assert!(metrics.patched >= 1, "commit-thread repair must be counted");
+}
+
+/// Parks the first thread that closes a `relevance` or `prepare` span until
+/// the test releases it. Both spans close after a cold preparation has read
+/// the store and before it memoizes what it read.
+struct PauseFirstPreparation {
+    armed: AtomicBool,
+    reached: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Recorder for PauseFirstPreparation {
+    fn span_exit(&self, label: &'static str, _at: Instant, _dur: Duration) {
+        if matches!(label, "relevance" | "prepare") && self.armed.swap(false, Ordering::SeqCst) {
+            self.reached.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+    }
+}
+
+fn r2_insert(a: &str, b: &str) -> Delta {
+    Delta::from_changes([GroundAtom::new("R2", Tuple::strs([a, b]))], [])
+}
+
+/// The answers of a fresh engine over `engine`'s current system.
+fn fresh_answers(engine: &QueryEngine, strategy: Strategy, peer: &PeerId) -> BTreeSet<Tuple> {
+    let fresh = QueryEngine::builder(engine.snapshot_system().unwrap())
+        .strategy(strategy)
+        .build();
+    fresh
+        .answer(
+            peer,
+            &Formula::atom("R1", vec!["X", "Y"]),
+            &vars(&["X", "Y"]),
+        )
+        .unwrap()
+        .tuples
+}
+
+/// A cold preparation that read the store before a commit must not be
+/// memoized as current: the commit lands while the reader is parked between
+/// its store read and its cache insert, and the next query must see the
+/// committed tuple. Every artifact's stamp is read before its preparation
+/// reads the store, and an artifact whose stamp a commit has since moved is
+/// not memoized, so the racing artifact is never served. A second commit
+/// before the next query — one the slice observes (repaired in place) and
+/// an empty one (stamp refreshed in place) — must not revalidate it either.
+#[test]
+fn cold_preparations_racing_a_commit_never_serve_pre_commit_data() {
+    let p1 = PeerId::new("P1");
+    let p2 = PeerId::new("P2");
+    let query = Formula::atom("R1", vec!["X", "Y"]);
+    let fv = vars(&["X", "Y"]);
+    let second_commits = [None, Some(r2_insert("n", "o")), Some(Delta::default())];
+    for strategy in ALL_STRATEGIES {
+        for second in &second_commits {
+            let (reached_tx, reached) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel();
+            let engine = QueryEngine::builder(example1_system())
+                .strategy(strategy)
+                .recorder(Arc::new(PauseFirstPreparation {
+                    armed: AtomicBool::new(true),
+                    reached: Mutex::new(reached_tx),
+                    release: Mutex::new(release_rx),
+                }))
+                .build();
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(|| engine.answer(&p1, &query, &fv));
+                reached.recv().expect("the reader reaches its preparation");
+                engine.commit_delta(&p2, &r2_insert("k", "m")).unwrap();
+                release.send(()).unwrap();
+                let _ = reader.join().unwrap().expect("the racing read answers");
+            });
+            if let Some(delta) = second {
+                engine.commit_delta(&p2, delta).unwrap();
+            }
+            let after = engine.answer(&p1, &query, &fv).unwrap();
+            let case = format!("{strategy:?}, second commit {second:?}");
+            assert_eq!(
+                after.tuples,
+                fresh_answers(&engine, strategy, &p1),
+                "{case}"
+            );
+            assert!(after.contains(&Tuple::strs(["k", "m"])), "{case}");
+        }
+    }
+}
+
+/// Panics on the first `cache.stale_patch`: the commit-side repair fails
+/// mid-patch.
+struct PanicOnFirstPatch(AtomicBool);
+
+impl Recorder for PanicOnFirstPatch {
+    fn count(&self, name: &'static str, _delta: u64) {
+        if name == "cache.stale_patch" && self.0.swap(false, Ordering::SeqCst) {
+            panic!("injected fault in the commit-side repair");
+        }
+    }
+}
+
+/// A panic inside the commit-side repair unwinds the commit, but leaves no
+/// reader of the staled slice blocked and no stale answer behind: the next
+/// read returns within a bound with a fresh engine's answers, and later
+/// commits keep the engine correct.
+#[test]
+fn a_panicking_repair_blocks_no_reader_and_serves_no_stale_answer() {
+    let engine = Arc::new(
+        QueryEngine::builder(example1_system())
+            .strategy(Strategy::Asp)
+            .recorder(Arc::new(PanicOnFirstPatch(AtomicBool::new(true))))
+            .build(),
+    );
+    let p1 = PeerId::new("P1");
+    let query = Formula::atom("R1", vec!["X", "Y"]);
+    let fv = vars(&["X", "Y"]);
+    let _ = engine.answer(&p1, &query, &fv).unwrap();
+    // R3(c, z) conflicts with the R1(c, d) that P1 imports: it stales P1's
+    // slice, and its repair hits the injected fault.
+    let delta = Delta::from_changes([GroundAtom::new("R3", Tuple::strs(["c", "z"]))], []);
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.commit_delta(&PeerId::new("P3"), &delta)
+    }));
+    assert!(unwound.is_err(), "the injected fault unwinds the commit");
+
+    let (tx, rx) = mpsc::channel();
+    let reader = {
+        let (engine, p1, query, fv) = (Arc::clone(&engine), p1.clone(), query.clone(), fv.clone());
+        std::thread::spawn(move || tx.send(engine.answer(&p1, &query, &fv).map(|a| a.tuples)))
+    };
+    let read = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a reader returns within 5 s of the failed repair")
+        .unwrap();
+    reader.join().unwrap().unwrap();
+    assert_eq!(read, fresh_answers(&engine, Strategy::Asp, &p1));
+
+    engine
+        .commit_delta(&PeerId::new("P2"), &r2_insert("k", "m"))
+        .unwrap();
+    let read = engine.answer(&p1, &query, &fv).unwrap().tuples;
+    assert_eq!(read, fresh_answers(&engine, Strategy::Asp, &p1));
 }

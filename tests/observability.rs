@@ -3,11 +3,16 @@
 //! spans, `EngineStats` timings are exactly the recorded span durations
 //! (one clock, one truth), and traces stay well-formed — with exact
 //! counters — while `answer_batch` hammers the recorder from worker pools
-//! of every size.
+//! of every size. Every `CacheMetrics` field has exactly one source: it
+//! equals the recorder counter of the same cache event.
 
 use p2p_data_exchange::obs::parse_chrome_trace;
-use p2p_data_exchange::{vars, Formula, PeerId, Query, QueryEngine, Strategy, TraceRecorder};
+use p2p_data_exchange::{
+    vars, Formula, PeerId, Query, QueryEngine, Strategy, TraceRecorder, Tuple,
+};
 use proptest::prelude::*;
+use relalg::database::GroundAtom;
+use relalg::{Delta, RelationSchema};
 use std::sync::Arc;
 use workload::{generate, TrustMix, WorkloadSpec};
 
@@ -200,6 +205,88 @@ proptest! {
                 .find(|(label, _)| *label == "query")
                 .unwrap();
             prop_assert_eq!(summary.count, batch.len() as u64);
+        }
+    }
+}
+
+/// `CacheMetrics` is a view of one set of counters: each field equals the
+/// recorder counter its event forwards, across batches on pools of 1, 2 and
+/// 8 workers, commits that refresh, stale-and-patch and drop entries, a byte
+/// budget that evicts, `invalidate_peers` and `flush_cache`.
+#[test]
+fn cache_metrics_equal_their_recorder_counters() {
+    // Example 1 plus a relation of P3 that no DEC or query reads: a commit
+    // into it refreshes the ASP slices stamped with P3 in place.
+    let mut system = p2p_data_exchange::example1_system();
+    let (p1, p2, p3) = (PeerId::new("P1"), PeerId::new("P2"), PeerId::new("P3"));
+    system
+        .add_relation(&p3, RelationSchema::new("S3", &["x", "y"]))
+        .unwrap();
+    let insert = |relation: &str, a: &str, b: &str| {
+        Delta::from_changes([GroundAtom::new(relation, Tuple::strs([a, b]))], [])
+    };
+    let fv = vars(&["X", "Y"]);
+    let scan = |relation: &str| Formula::atom(relation, vec!["X", "Y"]);
+    let batch: Vec<Query> = (0..3)
+        .flat_map(|_| {
+            [
+                Query::new(p1.clone(), scan("R1"), fv.clone()),
+                Query::new(p2.clone(), scan("R2"), fv.clone()),
+                Query::new(p3.clone(), scan("R3"), fv.clone()),
+            ]
+        })
+        .collect();
+    for workers in [1usize, 2, 8] {
+        for capacity in [None, Some(20_000)] {
+            let recorder = Arc::new(TraceRecorder::new());
+            let mut builder = QueryEngine::builder(system.clone())
+                .strategy(Strategy::Asp)
+                .workers(workers)
+                .recorder(recorder.clone());
+            if let Some(bytes) = capacity {
+                builder = builder.cache_capacity(bytes);
+            }
+            let engine = builder.build();
+            let warm = |engine: &QueryEngine| {
+                for result in engine.answer_batch(&batch) {
+                    let _ = result.unwrap();
+                }
+                for strategy in [
+                    Strategy::Naive,
+                    Strategy::TransitiveAsp,
+                    Strategy::Rewriting,
+                ] {
+                    let _ = engine.answer_with(strategy, &p1, &scan("R1"), &fv).unwrap();
+                }
+            };
+            warm(&engine);
+            // Refreshes P1's and P3's slices, drops the naive entry.
+            engine.commit_delta(&p3, &insert("S3", "s", "t")).unwrap();
+            warm(&engine);
+            // Stales P1's slices; the committing thread patches them.
+            engine.commit_delta(&p2, &insert("R2", "k", "m")).unwrap();
+            warm(&engine);
+            engine.invalidate_peers([p2.clone()]);
+            warm(&engine);
+            engine.flush_cache();
+
+            let metrics = engine.metrics();
+            let registry = recorder.registry();
+            let counted = |name| registry.counter_value(name);
+            let cell = format!("workers {workers}, capacity {capacity:?}: {metrics:?}");
+            assert_eq!(metrics.hits, counted("cache.hit"), "{cell}");
+            assert_eq!(metrics.misses, counted("cache.miss"), "{cell}");
+            assert_eq!(metrics.invalidated, counted("cache.invalidated"), "{cell}");
+            assert_eq!(metrics.commits, counted("cache.commit"), "{cell}");
+            assert_eq!(metrics.patched, counted("cache.patched"), "{cell}");
+            assert_eq!(metrics.evictions, counted("cache.evict"), "{cell}");
+            assert!(metrics.hits > 0 && metrics.invalidated > 0, "{cell}");
+            assert_eq!(metrics.commits, 2, "{cell}");
+            if capacity.is_some() {
+                assert!(metrics.evictions > 0, "{cell}");
+            } else {
+                assert!(metrics.patched > 0, "{cell}");
+            }
         }
     }
 }
