@@ -1,74 +1,26 @@
-//! Live-update runners: sustained query throughput under a mutation stream.
+//! Query throughput under a mutation stream.
 //!
-//! Each run replays a deterministic [`UpdateBatch`] stream against a
-//! workload's system and interleaves queries between commits. Four cache
-//! regimes are compared:
-//!
-//! * [`LiveMode::Cold`] — a fresh engine is built after every commit
-//!   (no memoization survives anything; the floor);
-//! * [`LiveMode::FullFlush`] — one engine, but the whole cache is flushed
-//!   on every commit (memoization without an invalidation story — what the
-//!   engine had before the live-update subsystem);
-//! * [`LiveMode::Invalidate`] — one session with closure-based
-//!   invalidation and incremental re-grounding *disabled*: a commit drops
-//!   the artifacts whose relevant-peer closure intersects the touched
-//!   peers, and the next query re-grounds the slice from scratch (what the
-//!   engine had before the incremental subsystem);
-//! * [`LiveMode::Incremental`] — one session with closure-based staling
-//!   and delta-driven incremental re-grounding: a commit *stales* the
-//!   affected artifacts, keeping their saturation state, and the next
-//!   query patches only the rules the delta touched
-//!   ([`datalog::incremental`] — the point of the subsystem).
+//! [`run_live`] replays a deterministic [`UpdateBatch`] stream through one
+//! [`Session`] and interleaves queries between commits. Each commit stales
+//! the artifacts whose relevant-peer closure it touches, keeping their
+//! saturation state, and the commit-side repair patches only the rules the
+//! delta touched ([`datalog::incremental`]).
 //!
 //! Between commits, every peer is queried round-robin with its canonical
 //! `T<i>(X, Y)` query, so the measurement mixes queries inside and outside
-//! the mutated peers' closures. The B11 table additionally reports the
-//! *re-derived rule* counters: how many ground rules the warm-after-commit
-//! preparations actually re-instantiated, versus the full slice size.
+//! the mutated peers' closures.
 
 use pdes_core::engine::{Query, QueryEngine, Strategy};
 use pdes_core::pca::vars;
-use pdes_obs::Histogram;
 use pdes_session::{Session, Update};
 use relalg::query::Formula;
 use std::time::Instant;
 use workload::generator::GeneratedWorkload;
 use workload::UpdateBatch;
 
-/// Cache regime of a live run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveMode {
-    /// Fresh engine after every commit.
-    Cold,
-    /// One engine, full cache flush on every commit.
-    FullFlush,
-    /// One session, closure-based invalidation, incremental re-grounding
-    /// disabled (stale slices re-ground from scratch).
-    Invalidate,
-    /// One session, closure-based staling plus delta-driven incremental
-    /// re-grounding (stale slices are patched).
-    Incremental,
-}
-
-impl LiveMode {
-    /// Stable label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            LiveMode::Cold => "live-cold",
-            LiveMode::FullFlush => "live-full-flush",
-            LiveMode::Invalidate => "live-invalidate",
-            LiveMode::Incremental => "live-incremental",
-        }
-    }
-}
-
 /// One measured live run.
 #[derive(Debug, Clone)]
 pub struct LiveMeasurement {
-    /// The cache regime.
-    pub mode: LiveMode,
-    /// Workload/stream parameters, rendered for the table.
-    pub params: String,
     /// Commits replayed.
     pub commits: usize,
     /// Queries answered.
@@ -76,37 +28,17 @@ pub struct LiveMeasurement {
     /// Queries served from warm cache entries.
     pub cache_hits: usize,
     /// Stale artifacts repaired by the incremental patch instead of a full
-    /// re-ground (engine lifetime counter; 0 outside incremental mode).
+    /// re-ground (engine lifetime counter).
     pub patched: u64,
-    /// Ground rules re-derived across every preparation that ran (full
-    /// re-grounds count their whole slice; incremental patches only the
-    /// rules the delta touched).
-    pub regrounded_rules: usize,
-    /// The largest single-preparation slice size seen (ground rules) — the
-    /// per-preparation cost ceiling the incremental patch is compared
-    /// against.
-    pub slice_rules: usize,
     /// Total wall-clock time in milliseconds.
     pub millis: f64,
-    /// Sustained throughput over the whole run.
-    pub queries_per_sec: f64,
-    /// Median per-query latency in milliseconds (shared
-    /// [`pdes_obs::Histogram`] machinery — the same log-linear buckets the
-    /// engine's trace histograms use).
-    pub p50_ms: f64,
-    /// 99th-percentile per-query latency in milliseconds.
-    pub p99_ms: f64,
-    /// Preparation milliseconds the warm (cache-hit) queries *saved* — the
-    /// sum of [`pdes_core::engine::EngineStats::cached_prepare_time`] over
-    /// every hit.
-    pub warm_saved_ms: f64,
 }
 
 /// The per-peer canonical queries `T<i>(X, Y)` of a generated workload. The
 /// relation name comes from each peer's own schema (peer ids sort
 /// lexicographically, so an enumeration index would mispair peers and
 /// relations beyond 10 peers).
-pub(crate) fn peer_queries(w: &GeneratedWorkload) -> Vec<Query> {
+fn peer_queries(w: &GeneratedWorkload) -> Vec<Query> {
     let fv = vars(&["X", "Y"]);
     w.system
         .peers()
@@ -125,7 +57,7 @@ pub(crate) fn peer_queries(w: &GeneratedWorkload) -> Vec<Query> {
         .collect()
 }
 
-/// Replay `stream` against the workload under the given mode and strategy,
+/// Replay `stream` against the workload under the given strategy,
 /// answering `queries_per_commit` round-robin peer queries after every
 /// commit. Returns `None` when a query or commit fails (e.g. a strategy
 /// that does not support the workload's DEC class).
@@ -133,164 +65,40 @@ pub fn run_live(
     w: &GeneratedWorkload,
     stream: &[UpdateBatch],
     strategy: Strategy,
-    mode: LiveMode,
     queries_per_commit: usize,
-    params: &str,
 ) -> Option<LiveMeasurement> {
     let queries = peer_queries(w);
-    let build = |system| {
-        QueryEngine::builder(system)
+    let session = Session::with_engine(
+        QueryEngine::builder(w.system.clone())
             .strategy(strategy)
-            // `Invalidate` is the drop-and-re-ground regime the engine had
-            // before the incremental subsystem.
-            .incremental_reground(mode == LiveMode::Incremental)
-            .build()
-    };
-    let mut session = Session::with_engine(build(w.system.clone()));
-    let mut commits = 0usize;
+            .build(),
+    );
     let mut answered = 0usize;
     let mut cache_hits = 0usize;
-    let mut regrounded_rules = 0usize;
-    let mut slice_rules = 0usize;
-    let mut round_robin = 0usize;
-    let mut warm_saved = std::time::Duration::ZERO;
-    let latency = Histogram::new();
 
     let start = Instant::now();
     for batch in stream {
-        match mode {
-            LiveMode::Cold => {
-                // Mutate the system, then throw the whole engine away.
-                let mut system = session.current_system().ok()?;
-                system.apply_delta(&batch.peer, &batch.delta).ok()?;
-                session = Session::with_engine(build(system));
-            }
-            LiveMode::FullFlush => {
-                let _ = session
-                    .writer()
-                    .ok()?
-                    .apply(&[Update::new(batch.peer.clone(), batch.delta.clone())])
-                    .ok()?;
-                let _ = session.engine().flush_cache();
-            }
-            LiveMode::Invalidate | LiveMode::Incremental => {
-                let _ = session
-                    .writer()
-                    .ok()?
-                    .apply(&[Update::new(batch.peer.clone(), batch.delta.clone())])
-                    .ok()?;
-            }
-        }
-        commits += 1;
+        let _ = session
+            .writer()
+            .ok()?
+            .apply(&[Update::new(batch.peer.clone(), batch.delta.clone())])
+            .ok()?;
         for _ in 0..queries_per_commit {
-            let query = &queries[round_robin % queries.len()];
-            round_robin += 1;
-            let query_start = Instant::now();
+            let query = &queries[answered % queries.len()];
             let answers = session.query(query).ok()?;
-            latency.record(pdes_obs::duration_nanos(query_start.elapsed()));
             answered += 1;
             if answers.stats.cache_hit {
                 cache_hits += 1;
-                warm_saved += answers.stats.cached_prepare_time().unwrap_or_default();
-            } else {
-                regrounded_rules += answers.stats.regrounded_rules;
-                slice_rules = slice_rules.max(answers.stats.grounded_rules);
             }
         }
     }
-    let millis = start.elapsed().as_secs_f64() * 1e3;
     Some(LiveMeasurement {
-        mode,
-        params: params.to_string(),
-        commits,
+        commits: stream.len(),
         queries: answered,
         cache_hits,
         patched: session.metrics().patched,
-        regrounded_rules,
-        slice_rules,
-        millis,
-        queries_per_sec: if millis > 0.0 {
-            answered as f64 / (millis / 1e3)
-        } else {
-            f64::INFINITY
-        },
-        p50_ms: latency.quantile(0.50) as f64 / 1e6,
-        p99_ms: latency.quantile(0.99) as f64 / 1e6,
-        warm_saved_ms: warm_saved.as_secs_f64() * 1e3,
+        millis: start.elapsed().as_secs_f64() * 1e3,
     })
-}
-
-/// Render the incremental-commit comparison (B11): the four cache regimes
-/// with their warm-after-commit re-derivation counters.
-pub fn render_incremental_table(title: &str, rows: &[LiveMeasurement]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<30} {:<18} {:>7} {:>6} {:>7} {:>10} {:>9} {:>11} {:>11} {:>9} {:>9}\n",
-        "parameters",
-        "mode",
-        "commits",
-        "warm",
-        "patched",
-        "rederived",
-        "slice",
-        "time (ms)",
-        "queries/s",
-        "p50 (ms)",
-        "p99 (ms)"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<30} {:<18} {:>7} {:>6} {:>7} {:>10} {:>9} {:>11.3} {:>11.1} {:>9.3} {:>9.3}\n",
-            row.params,
-            row.mode.label(),
-            row.commits,
-            row.cache_hits,
-            row.patched,
-            row.regrounded_rules,
-            row.slice_rules,
-            row.millis,
-            row.queries_per_sec,
-            row.p50_ms,
-            row.p99_ms
-        ));
-    }
-    out
-}
-
-/// Render live measurements as an aligned text table.
-pub fn render_live_table(title: &str, rows: &[LiveMeasurement]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<34} {:<18} {:>8} {:>8} {:>6} {:>12} {:>12} {:>9} {:>9} {:>11}\n",
-        "parameters",
-        "mode",
-        "commits",
-        "queries",
-        "warm",
-        "time (ms)",
-        "queries/s",
-        "p50 (ms)",
-        "p99 (ms)",
-        "saved (ms)"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<34} {:<18} {:>8} {:>8} {:>6} {:>12.3} {:>12.1} {:>9.3} {:>9.3} {:>11.3}\n",
-            row.params,
-            row.mode.label(),
-            row.commits,
-            row.queries,
-            row.cache_hits,
-            row.millis,
-            row.queries_per_sec,
-            row.p50_ms,
-            row.p99_ms,
-            row.warm_saved_ms
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -298,7 +106,8 @@ mod tests {
     use super::*;
     use workload::{generate, generate_updates, TrustMix, UpdateSpec, WorkloadSpec};
 
-    fn tiny() -> (GeneratedWorkload, Vec<UpdateBatch>) {
+    #[test]
+    fn live_runs_patch_stale_slices_and_stay_warm() {
         let w = generate(&WorkloadSpec {
             peers: 3,
             trust_mix: TrustMix::AllLess,
@@ -314,70 +123,11 @@ mod tests {
             },
         )
         .unwrap();
-        (w, stream)
-    }
-
-    #[test]
-    fn all_four_modes_answer_the_same_stream() {
-        let (w, stream) = tiny();
-        let mut counts = Vec::new();
-        for mode in [
-            LiveMode::Cold,
-            LiveMode::FullFlush,
-            LiveMode::Invalidate,
-            LiveMode::Incremental,
-        ] {
-            let m = run_live(&w, &stream, Strategy::Asp, mode, 3, "tiny").unwrap();
-            assert_eq!(m.commits, stream.len());
-            assert_eq!(m.queries, stream.len() * 3);
-            counts.push(m.queries);
-        }
-        assert!(counts.windows(2).all(|c| c[0] == c[1]));
-    }
-
-    #[test]
-    fn incremental_mode_keeps_more_queries_warm() {
-        let (w, stream) = tiny();
-        let cold = run_live(&w, &stream, Strategy::Asp, LiveMode::Cold, 3, "t").unwrap();
-        let flush = run_live(&w, &stream, Strategy::Asp, LiveMode::FullFlush, 3, "t").unwrap();
-        let incr = run_live(&w, &stream, Strategy::Asp, LiveMode::Incremental, 3, "t").unwrap();
-        // Closure-based invalidation keeps strictly more entries warm than
-        // flushing everything; a cold engine never hits at all across
-        // commits (hits within one inter-commit window are possible).
-        assert!(incr.cache_hits > flush.cache_hits);
-        assert!(incr.cache_hits > cold.cache_hits);
-    }
-
-    #[test]
-    fn incremental_mode_rederives_fewer_rules_than_invalidate() {
-        let (w, stream) = tiny();
-        let inval = run_live(&w, &stream, Strategy::Asp, LiveMode::Invalidate, 3, "t").unwrap();
-        let incr = run_live(&w, &stream, Strategy::Asp, LiveMode::Incremental, 3, "t").unwrap();
-        // Same stream, same answers; the patch re-derives strictly fewer
-        // ground rules than dropping and re-grounding the slices.
-        assert_eq!(inval.queries, incr.queries);
-        assert_eq!(inval.patched, 0);
-        assert!(incr.patched > 0, "stale artifacts must be patched");
-        assert!(
-            incr.regrounded_rules < inval.regrounded_rules,
-            "incremental {} !< invalidate {}",
-            incr.regrounded_rules,
-            inval.regrounded_rules
-        );
-    }
-
-    #[test]
-    fn live_tables_render_rows() {
-        let (w, stream) = tiny();
-        let m = run_live(&w, &stream, Strategy::Asp, LiveMode::Incremental, 2, "t").unwrap();
-        let table = render_live_table("B8", std::slice::from_ref(&m));
-        assert!(table.contains("live-incremental"));
-        assert!(table.contains("queries/s"));
-        assert!(table.contains("p50 (ms)"));
-        assert!(table.contains("saved (ms)"));
-        let b11 = render_incremental_table("B11", &[m]);
-        assert!(b11.contains("rederived"));
-        assert!(b11.contains("slice"));
-        assert!(b11.contains("p99 (ms)"));
+        let m = run_live(&w, &stream, Strategy::Asp, 3).unwrap();
+        assert_eq!(m.commits, stream.len());
+        assert_eq!(m.queries, stream.len() * 3);
+        assert!(m.patched > 0, "stale artifacts must be patched");
+        assert!(m.cache_hits > 0, "repaired artifacts must serve warm");
+        assert!(m.millis >= 0.0);
     }
 }

@@ -1,5 +1,5 @@
-//! Table B14: reader latency and throughput under a sustained writer —
-//! the closed-loop benchmark behind the MVCC snapshot-isolation redesign.
+//! Reader throughput under a sustained writer — the closed loop behind the
+//! smoke gate's `reader_qps_under_writes`.
 //!
 //! The workload is the disjoint-cluster system of [`crate::parallel`]: N
 //! reader threads share one [`Session`] through cloned
@@ -11,19 +11,16 @@
 //! the committing thread*, so readers stay on the warm path: they pin a
 //! published epoch and never wait for the writer.
 //!
-//! Per point the table reports the reader-side closed-loop throughput
-//! (queries/second across all readers), the p50/p99 single-query latency in
-//! microseconds (shared lock-free [`Histogram`]), the number of commits the
-//! writer managed in the same window, and the store's MVCC counters
-//! (epochs published, snapshots pinned). The `reader_qps_under_writes`
-//! smoke metric is this driver at a fixed small configuration, gated
-//! *downward* in CI: losing more than half the measured throughput under
-//! writes is a concurrency regression.
+//! A run reports the reader-side closed-loop throughput (queries/second
+//! across all readers), the number of commits the writer managed in the
+//! same window, and the store's MVCC counters (epochs published, snapshots
+//! pinned). The smoke gate runs it at a fixed small configuration and gates
+//! the throughput *downward*: losing more than half of it under writes is a
+//! concurrency regression.
 
 use crate::parallel::cluster_system;
 use pdes_core::engine::{Query, QueryEngine, Strategy};
 use pdes_core::system::PeerId;
-use pdes_obs::Histogram;
 use pdes_session::{Session, Update};
 use relalg::database::GroundAtom;
 use relalg::query::Formula;
@@ -31,22 +28,14 @@ use relalg::{Delta, Tuple};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Clusters in the B14 workload (matches the B9 disjoint-cluster shape).
+/// Clusters in the workload.
 const CLUSTERS: usize = 4;
 
-/// One B14 row: reader-side percentiles and throughput at one reader count.
+/// Reader throughput and MVCC counters of one closed-loop run.
 #[derive(Debug, Clone)]
 pub struct MvccMeasurement {
-    /// Workload parameters, rendered for the table.
-    pub params: String,
-    /// Concurrent reader threads (each a cloned `ReadHandle`).
-    pub readers: usize,
     /// Closed-loop reader throughput, queries/second across all readers.
     pub reader_qps: f64,
-    /// Median single-query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile single-query latency, microseconds.
-    pub p99_us: f64,
     /// Commits the writer completed inside the measurement window.
     pub commits: u64,
     /// Epochs the store published (from [`pdes_core::MvccStats`]).
@@ -57,8 +46,8 @@ pub struct MvccMeasurement {
 
 /// Run one closed-loop point: `readers` reader threads for `window_ms`
 /// milliseconds against a sustained writer. Returns `None` if the workload
-/// fails to build or a query errors (the callers turn that into a skipped
-/// row / failed smoke run).
+/// fails to build or a query errors (the smoke gate turns that into a
+/// failed run).
 pub fn run_readers_under_writes(
     readers: usize,
     window_ms: u64,
@@ -86,7 +75,6 @@ pub fn run_readers_under_writes(
         let _ = session.query(query).ok()?;
     }
 
-    let latency = Histogram::new();
     let answered = AtomicU64::new(0);
     let commits = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
@@ -99,19 +87,17 @@ pub fn run_readers_under_writes(
         for reader in 0..readers {
             let handle = session.reader();
             let queries = &queries;
-            let (latency, answered, stop, failed) = (&latency, &answered, &stop, &failed);
+            let (answered, stop, failed) = (&answered, &stop, &failed);
             scope.spawn(move || {
                 let mut round = reader;
                 while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
                     let query = &queries[round % CLUSTERS];
                     round += 1;
-                    let t0 = Instant::now();
                     if handle.query(query).is_err() {
                         failed.store(true, Ordering::Relaxed);
                         stop.store(true, Ordering::Relaxed);
                         return;
                     }
-                    latency.record(t0.elapsed().as_micros() as u64);
                     answered.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -147,54 +133,11 @@ pub fn run_readers_under_writes(
     let total = answered.load(Ordering::Relaxed);
     let mvcc = session.mvcc_stats();
     Some(MvccMeasurement {
-        params: format!("clusters={CLUSTERS} tuples={tuples} window={window_ms}ms"),
-        readers,
         reader_qps: total as f64 / elapsed.max(f64::EPSILON),
-        p50_us: latency.quantile(0.50) as f64,
-        p99_us: latency.quantile(0.99) as f64,
         commits: commits.load(Ordering::Relaxed),
         publishes: mvcc.publishes,
         pins: mvcc.pins,
     })
-}
-
-/// Run the B14 sweep: one closed-loop window per reader count.
-pub fn table_b14(reader_counts: &[usize], window_ms: u64) -> Vec<MvccMeasurement> {
-    reader_counts
-        .iter()
-        .filter_map(|&readers| run_readers_under_writes(readers, window_ms, 6))
-        .collect()
-}
-
-/// Render B14 as an aligned text table.
-pub fn render_mvcc_table(title: &str, rows: &[MvccMeasurement]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<36} {:>7} {:>12} {:>9} {:>9} {:>8} {:>9} {:>9}\n",
-        "parameters",
-        "readers",
-        "reader qps",
-        "p50 (us)",
-        "p99 (us)",
-        "commits",
-        "publishes",
-        "pins"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<36} {:>7} {:>12.0} {:>9.0} {:>9.0} {:>8} {:>9} {:>9}\n",
-            row.params,
-            row.readers,
-            row.reader_qps,
-            row.p50_us,
-            row.p99_us,
-            row.commits,
-            row.publishes,
-            row.pins
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -202,16 +145,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn b14_reports_throughput_and_percentiles() {
+    fn readers_and_the_writer_both_make_progress() {
         let row = run_readers_under_writes(2, 120, 4).expect("closed loop runs");
-        assert_eq!(row.readers, 2);
         assert!(row.reader_qps > 0.0, "readers made progress: {row:?}");
-        assert!(row.p50_us <= row.p99_us);
         assert!(row.commits > 0, "the writer made progress: {row:?}");
         assert!(row.publishes >= row.commits, "every commit publishes");
         assert!(row.pins > 0, "reads pin epochs");
-        let table = render_mvcc_table("B14", &[row]);
-        assert!(table.contains("reader qps"));
-        assert!(table.contains("p99 (us)"));
     }
 }

@@ -1,4 +1,4 @@
-//! B9 — batched answering throughput vs. worker count.
+//! Batched answering over closure-disjoint clusters.
 //!
 //! The batch workload is a set of *independent clusters*: pairs of peers
 //! `(A_i, B_i)` where `A_i` owns a binary relation with a key-agreement DEC
@@ -7,8 +7,8 @@
 //! pairwise disjoint — so a batch that queries every cluster partitions into
 //! one partition per cluster and [`pdes_core::engine::QueryEngine::answer_batch`]
 //! spreads the per-cluster preparation (grounding + 2^conflicts-model
-//! solving + per-world evaluation) across the pool. The table reports the
-//! same batch at increasing worker counts and the speedup over one worker.
+//! solving + per-world evaluation) across the pool. The smoke gate runs the
+//! same batch at one and four workers and requires identical output.
 
 use pdes_core::engine::{Query, QueryEngine, Strategy};
 use pdes_core::pca::vars;
@@ -20,10 +20,6 @@ use std::time::Instant;
 /// One measured batch run.
 #[derive(Debug, Clone)]
 pub struct ParallelMeasurement {
-    /// Worker pool size the batch ran on.
-    pub workers: usize,
-    /// Workload parameters, rendered for the table.
-    pub params: String,
     /// Queries in the batch.
     pub queries: usize,
     /// Total certain answers across the batch.
@@ -36,11 +32,6 @@ pub struct ParallelMeasurement {
     pub grounded_rules: usize,
     /// Wall-clock time of the whole batch in milliseconds.
     pub millis: f64,
-    /// Sustained throughput.
-    pub queries_per_sec: f64,
-    /// Speedup over the 1-worker row of the same sweep (1.0 for the
-    /// 1-worker row itself; filled in by [`table_b9`]).
-    pub speedup: f64,
 }
 
 /// Build a system of `clusters` independent two-peer clusters. Cluster `i`
@@ -113,7 +104,6 @@ pub fn run_batch(
     batch: &[Query],
     strategy: Strategy,
     workers: usize,
-    params: &str,
 ) -> Option<ParallelMeasurement> {
     let engine = QueryEngine::builder(system.clone())
         .strategy(strategy)
@@ -132,78 +122,12 @@ pub fn run_batch(
         grounded_rules += a.stats.grounded_rules;
     }
     Some(ParallelMeasurement {
-        workers,
-        params: params.to_string(),
         queries: batch.len(),
         answers,
         worlds,
         grounded_rules,
         millis,
-        queries_per_sec: if millis > 0.0 {
-            batch.len() as f64 / (millis / 1e3)
-        } else {
-            f64::INFINITY
-        },
-        speedup: 1.0,
     })
-}
-
-/// B9 — the batch workload at each worker count, with speedups relative to
-/// the first (1-worker) row. Every row answers the identical batch, so the
-/// `answers`/`worlds` columns double as an equal-output check.
-pub fn table_b9(worker_counts: &[usize]) -> Vec<ParallelMeasurement> {
-    let clusters = 6;
-    let (tuples, conflicts, repeat) = (16, 6, 3);
-    let system = cluster_system(clusters, tuples, conflicts);
-    let batch = cluster_batch(clusters, repeat);
-    let params = format!("clusters={clusters} tuples={tuples} conflicts={conflicts}");
-    let mut rows: Vec<ParallelMeasurement> = Vec::new();
-    for &workers in worker_counts {
-        if let Some(m) = run_batch(&system, &batch, Strategy::Asp, workers, &params) {
-            rows.push(m);
-        }
-    }
-    if let Some(base) = rows.first().map(|r| r.millis) {
-        for row in &mut rows {
-            row.speedup = if row.millis > 0.0 {
-                base / row.millis
-            } else {
-                f64::INFINITY
-            };
-        }
-    }
-    rows
-}
-
-/// Render batch measurements as an aligned text table.
-pub fn render_parallel_table(title: &str, rows: &[ParallelMeasurement]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<40} {:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>8}\n",
-        "parameters",
-        "workers",
-        "queries",
-        "answers",
-        "worlds",
-        "time (ms)",
-        "queries/s",
-        "speedup"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<40} {:>8} {:>8} {:>8} {:>8} {:>12.3} {:>12.1} {:>7.2}x\n",
-            row.params,
-            row.workers,
-            row.queries,
-            row.answers,
-            row.worlds,
-            row.millis,
-            row.queries_per_sec,
-            row.speedup
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -237,21 +161,11 @@ mod tests {
         let batch = cluster_batch(3, 2);
         let rows: Vec<ParallelMeasurement> = [1usize, 4]
             .iter()
-            .filter_map(|&w| run_batch(&system, &batch, Strategy::Asp, w, "t"))
+            .filter_map(|&w| run_batch(&system, &batch, Strategy::Asp, w))
             .collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].answers, rows[1].answers);
         assert_eq!(rows[0].worlds, rows[1].worlds);
         assert_eq!(rows[0].queries, batch.len());
-    }
-
-    #[test]
-    fn b9_table_reports_speedups() {
-        let rows = table_b9(&[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].speedup - 1.0).abs() < f64::EPSILON);
-        let table = render_parallel_table("B9", &rows);
-        assert!(table.contains("speedup"));
-        assert!(table.contains("workers"));
     }
 }

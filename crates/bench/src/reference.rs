@@ -1,20 +1,22 @@
-//! A string-world reference for the engine's certain answers, built from
+//! The full-program reference for the engine's certain answers, built from
 //! public APIs only: every world is a string `Database`, and the answer is
 //! the intersection of `QueryEvaluator`'s answers over all worlds (the peer
 //! consistent answers of Definition 5).
 //!
 //! * Naive: `solutions_for`, each solution restricted to the peer.
-//! * ASP / transitive ASP: the full (unpruned) specification program,
-//!   encoded without a symbol table, solved by `datalog`'s solver
-//!   (`AnswerSets::compute`) and decoded by the spec's
-//!   `solution_databases`.
+//! * ASP / transitive ASP: the full (unpruned) specification program, every
+//!   peer's facts included, encoded without a symbol table, solved by
+//!   `datalog`'s solver (`AnswerSets::compute`) and decoded by the spec's
+//!   `solution_databases`. No relevance analysis and no incremental
+//!   grounding is involved, so the engine's pruned, patched slices are
+//!   checked against the program they are slices of.
 //! * Rewriting: the rewritten query over the global instance.
 //!
 //! A strategy that cannot answer a query (a non-positive query on the ASP
 //! or rewriting route, a peer outside the rewritable class) yields `None`,
 //! where the engine returns an error.
 
-use datalog::{AnswerSets, SolverConfig};
+use datalog::{AnswerSets, GroundProgram, Grounder, SolverConfig};
 use pdes_core::asp::{annotated_program_with, transitive_program_with};
 use pdes_core::engine::Strategy;
 use pdes_core::rewriting::{rewrite_query, supports_query};
@@ -68,4 +70,21 @@ pub fn reference_answers(
         });
     }
     Some(certain.unwrap_or_default())
+}
+
+/// The full specification program of `peer` under an ASP strategy, grounded
+/// without relevance analysis: the grounding the engine's relevance-pruned
+/// slices are measured against. `None` for the strategies that do not
+/// ground (and where the program cannot be built or grounded).
+pub fn full_grounding(
+    system: &P2PSystem,
+    strategy: Strategy,
+    peer: &PeerId,
+) -> Option<GroundProgram> {
+    let program = match strategy {
+        Strategy::Asp => annotated_program_with(system, peer, None).ok()?.program,
+        Strategy::TransitiveAsp => transitive_program_with(system, peer, None).ok()?.program,
+        _ => return None,
+    };
+    Grounder::new(&program).ground().ok()
 }

@@ -1,57 +1,15 @@
-//! Table B13: cross-shard query latency vs. closure size at shard counts
-//! 1/2/4.
+//! The disjoint-chain system behind the smoke gate's sharded leg.
 //!
-//! The workload is four *disjoint* DEC chains of length `closure` (built
-//! through the DSL so relation names stay globally unique): each chain is
-//! one closure-connected component, so a [`pdes_store::ShardedStore`]
-//! places whole chains on shards and a chain-head query's relevant-peer
-//! closure is exactly its chain. Per point the table reports, against the
-//! same store, the three latencies that bound sharded serving:
-//!
-//! * `closure fetch` — the store-level `instances` read of one chain-head
-//!   closure (single-shard by construction: the placement unit *is* the
-//!   component);
-//! * `snapshot` — the full-system assembly (fans out to every shard; the
-//!   cross-shard round-trip the naive strategy's cold path pays);
-//! * `cold query` — an end-to-end ASP answer over a chain head through an
-//!   engine serving from the sharded store.
-//!
-//! The `local`/`remote` columns are the store's own operation counters
-//! after the point ran, separating single-shard from cross-shard traffic.
+//! Four *disjoint* DEC chains (built through the DSL so relation names stay
+//! globally unique): each chain is one closure-connected component, so a
+//! [`pdes_store::ShardedStore`] places whole chains on shards and a
+//! chain-head query's relevant-peer closure is exactly its chain.
 
-use pdes_core::engine::{QueryEngine, Strategy};
-use pdes_core::store::PeerStore;
-use pdes_core::system::PeerId;
-use pdes_exec::ExecConfig;
-use pdes_store::ShardedStore;
-use relalg::query::Formula;
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::Instant;
 
-/// Disjoint chains in the B13 workload (also the maximum useful shard
-/// count + a spare, so four shards still get distinct components).
+/// Disjoint chains in the system (so up to four shards get distinct
+/// components).
 const CHAINS: usize = 4;
-
-/// One B13 row: latencies and traffic split for one (closure, shards)
-/// point.
-#[derive(Debug, Clone)]
-pub struct ShardMeasurement {
-    /// Workload parameters, rendered for the table.
-    pub params: String,
-    /// Worker shards in the store.
-    pub shards: usize,
-    /// Store-level closure `instances` fetch, milliseconds.
-    pub closure_fetch_ms: f64,
-    /// Store-level full snapshot (cross-shard fan-out), milliseconds.
-    pub snapshot_ms: f64,
-    /// End-to-end cold ASP answer over a chain head, milliseconds.
-    pub cold_query_ms: f64,
-    /// Store operations that stayed on one shard.
-    pub local: u64,
-    /// Store operations that fanned out across shards.
-    pub remote: u64,
-}
 
 /// DSL source for `CHAINS` disjoint chains of `len` peers: peer `c<k>p<i>`
 /// owns `T<k>_<i>(k, v)` and imports from `c<k>p<i+1>` (so a head query's
@@ -85,112 +43,21 @@ fn chain_source(len: usize) -> String {
     out
 }
 
-/// The deterministic chain system behind B13 and the smoke gate's sharded
-/// leg: four disjoint chains of `len` peers each.
+/// The deterministic chain system of the smoke gate's sharded leg: four
+/// disjoint chains of `len` peers each.
 pub fn chain_system(len: usize) -> Result<pdes_core::system::P2PSystem, String> {
     dsl::parse(&chain_source(len))
         .map(|parsed| parsed.system)
         .map_err(|e| e.to_string())
 }
 
-/// Run the B13 sweep: one sharded store per (closure, shards) point.
-pub fn table_b13(closure_sizes: &[usize], shard_counts: &[usize]) -> Vec<ShardMeasurement> {
-    let mut rows = Vec::new();
-    for &closure in closure_sizes {
-        let Ok(system) = chain_system(closure) else {
-            continue;
-        };
-        for &shards in shard_counts {
-            let store = Arc::new(
-                ShardedStore::builder(system.clone())
-                    .shards(shards)
-                    .exec(ExecConfig::with_workers(shards))
-                    .build(),
-            );
-
-            let head = PeerId::new("c0p0");
-            let chain: std::collections::BTreeSet<PeerId> = store.topology().dependencies_of(&head);
-            let start = Instant::now();
-            let fetched = store.instances(&chain).expect("closure fetch");
-            let closure_fetch_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(fetched.len(), closure, "closure is the whole chain");
-
-            let start = Instant::now();
-            let _ = store.snapshot().expect("snapshot");
-            let snapshot_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            let engine = QueryEngine::builder(system.clone())
-                .store(store.clone() as Arc<dyn PeerStore>)
-                .strategy(Strategy::Asp)
-                .build();
-            let query = Formula::atom("T0_0", vec!["X", "Y"]);
-            let fv = pdes_core::pca::vars(&["X", "Y"]);
-            let start = Instant::now();
-            let _ = engine.answer(&head, &query, &fv).expect("cold answer");
-            let cold_query_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            let metrics = store.metrics();
-            rows.push(ShardMeasurement {
-                params: format!("closure={closure} chains={CHAINS}"),
-                shards,
-                closure_fetch_ms,
-                snapshot_ms,
-                cold_query_ms,
-                local: metrics.local,
-                remote: metrics.remote,
-            });
-        }
-    }
-    rows
-}
-
-/// Render B13 as an aligned text table.
-pub fn render_shard_table(title: &str, rows: &[ShardMeasurement]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<24} {:>6} {:>13} {:>13} {:>13} {:>6} {:>7}\n",
-        "parameters", "shards", "closure (ms)", "snapshot (ms)", "cold qry (ms)", "local", "remote"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<24} {:>6} {:>13.4} {:>13.4} {:>13.4} {:>6} {:>7}\n",
-            row.params,
-            row.shards,
-            row.closure_fetch_ms,
-            row.snapshot_ms,
-            row.cold_query_ms,
-            row.local,
-            row.remote
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdes_core::system::PeerId;
 
     #[test]
-    fn b13_covers_the_sweep_and_splits_traffic() {
-        let rows = table_b13(&[2], &[1, 2, 4]);
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
-            assert!(row.closure_fetch_ms >= 0.0);
-            assert!(row.local > 0, "closure fetches must stay local");
-            if row.shards == 1 {
-                assert_eq!(row.remote, 0, "one shard can never fan out");
-            } else {
-                assert!(row.remote > 0, "the snapshot must cross shards");
-            }
-        }
-        let table = render_shard_table("B13", &rows);
-        assert!(table.contains("snapshot (ms)"));
-        assert!(table.contains("closure=2"));
-    }
-
-    #[test]
-    fn b13_chain_source_parses_into_disjoint_chains() {
+    fn chain_source_parses_into_disjoint_chains() {
         let parsed = dsl::parse(&chain_source(3)).expect("valid source");
         assert_eq!(parsed.system.peer_count(), CHAINS * 3);
         let head = PeerId::new("c1p0");

@@ -30,8 +30,9 @@
 //! of milliseconds so scheduler jitter on shared CI runners stays well
 //! inside the 2x margin.
 
-use crate::live::{run_live, LiveMode};
+use crate::live::run_live;
 use crate::parallel::{cluster_batch, cluster_system, run_batch};
+use crate::reference::{full_grounding, reference_answers};
 use pdes_core::engine::Strategy;
 use pdes_obs::{NullRecorder, TraceRecorder};
 use relalg::query::Formula;
@@ -191,10 +192,10 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
     // Batched answering over disjoint clusters, sequential vs. pooled.
     let system = cluster_system(4, 12, 5);
     let batch = cluster_batch(4, 3);
-    let w1 = run_batch(&system, &batch, Strategy::Asp, 1, "smoke")
-        .ok_or("smoke batch failed at 1 worker")?;
-    let w4 = run_batch(&system, &batch, Strategy::Asp, 4, "smoke")
-        .ok_or("smoke batch failed at 4 workers")?;
+    let w1 =
+        run_batch(&system, &batch, Strategy::Asp, 1).ok_or("smoke batch failed at 1 worker")?;
+    let w4 =
+        run_batch(&system, &batch, Strategy::Asp, 4).ok_or("smoke batch failed at 4 workers")?;
     if (w1.answers, w1.worlds, w1.grounded_rules) != (w4.answers, w4.worlds, w4.grounded_rules) {
         return Err(format!(
             "parallel batch diverged from sequential: {}/{}/{} vs {}/{}/{} \
@@ -272,10 +273,15 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
     // Repetition counts are sized so each metric lands in the tens of
     // milliseconds — large enough that CI scheduler jitter stays well
     // inside the 2x regression margin.
+    let asp_engine = || {
+        pdes_core::engine::QueryEngine::builder(w.system.clone())
+            .strategy(Strategy::Asp)
+            .build()
+    };
     let start = Instant::now();
     let mut cold_tuples = None;
     for _ in 0..10 {
-        let engine = crate::runners::engine_for(&w, Strategy::Asp);
+        let engine = asp_engine();
         let cold = engine
             .answer(&w.queried_peer, &w.query, &w.free_vars)
             .map_err(|e| e.to_string())?;
@@ -287,9 +293,10 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
     ));
     let (cold_tuples, cold_stats) = cold_tuples.expect("ten cold runs");
     // Per-scenario grounding counters (exact-match in the gate), plus the
-    // full-grounding reference: relevance pruning must instantiate strictly
-    // fewer rules than the legacy full grounding on this workload — a
-    // structural regression here is a hard failure, not a perf note.
+    // full-program reference: the pruned answers must equal the unpruned
+    // specification's, and relevance pruning must instantiate strictly fewer
+    // rules than grounding the whole program — a structural regression here
+    // is a hard failure, not a perf note.
     metrics.push((
         "asp_grounded_rules".to_string(),
         cold_stats.grounded_rules as f64,
@@ -298,31 +305,35 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
         "asp_grounded_atoms".to_string(),
         cold_stats.grounded_atoms as f64,
     ));
-    let full_engine = pdes_core::engine::QueryEngine::builder(w.system.clone())
-        .strategy(Strategy::Asp)
-        .relevance_pruning(false)
-        .build();
-    let full = full_engine
-        .answer(&w.queried_peer, &w.query, &w.free_vars)
-        .map_err(|e| e.to_string())?;
-    if full.tuples != cold_tuples {
-        return Err("full grounding diverged from pruned answers".to_string());
+    let full_answers = reference_answers(
+        &w.system,
+        Strategy::Asp,
+        &w.queried_peer,
+        &w.query,
+        &w.free_vars,
+    )
+    .ok_or("the full-program reference failed")?;
+    if full_answers != cold_tuples {
+        return Err("the full program's answers diverged from the pruned ones".to_string());
     }
-    if cold_stats.grounded_rules >= full.stats.grounded_rules {
+    let full = full_grounding(&w.system, Strategy::Asp, &w.queried_peer)
+        .ok_or("the full program failed to ground")?;
+    if cold_stats.grounded_rules >= full.rule_count() {
         return Err(format!(
             "relevance pruning did not shrink the grounding: pruned {} >= full {}",
-            cold_stats.grounded_rules, full.stats.grounded_rules
+            cold_stats.grounded_rules,
+            full.rule_count()
         ));
     }
     metrics.push((
         "asp_full_grounded_rules".to_string(),
-        full.stats.grounded_rules as f64,
+        full.rule_count() as f64,
     ));
     metrics.push((
         "asp_full_grounded_atoms".to_string(),
-        full.stats.grounded_atoms as f64,
+        full.atom_count() as f64,
     ));
-    let engine = crate::runners::engine_for(&w, Strategy::Asp);
+    let engine = asp_engine();
     let _ = engine
         .answer(&w.queried_peer, &w.query, &w.free_vars)
         .map_err(|e| e.to_string())?;
@@ -424,15 +435,7 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
         },
     )
     .map_err(|e| e.to_string())?;
-    let live = run_live(
-        &live_w,
-        &stream,
-        Strategy::Asp,
-        LiveMode::Incremental,
-        4,
-        "smoke",
-    )
-    .ok_or("smoke live run failed")?;
+    let live = run_live(&live_w, &stream, Strategy::Asp, 4).ok_or("smoke live run failed")?;
     metrics.push(("live_incremental_ms".to_string(), live.millis));
 
     // Incremental-commit counters: warm the star hub's slice, commit into a
@@ -622,9 +625,9 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
         shard_metrics.remote as f64,
     ));
 
-    // Closed-loop readers under a sustained writer (the B14 driver at a
-    // fixed small configuration): the throughput is gated *downward* in CI
-    // — a read path that starts blocking on commits loses most of it.
+    // Closed-loop readers under a sustained writer at a fixed small
+    // configuration: the throughput is gated *downward* in CI — a read path
+    // that starts blocking on commits loses most of it.
     let under_writes =
         crate::mvcc::run_readers_under_writes(4, 150, 4).ok_or("reader-under-writes run failed")?;
     if under_writes.commits == 0 {

@@ -92,8 +92,8 @@ pub(crate) enum CacheEvent {
     RepairFailed,
 }
 
-/// One memoized artifact: the solved worlds and — for ASP artifacts under
-/// incremental re-grounding — the grounding's saturation state, the
+/// One memoized artifact: the solved worlds and — for ASP artifacts — the
+/// grounding's saturation state, the
 /// specification program it was built from, and the deltas committed since
 /// the worlds were solved. An entry with pending deltas is *stale*: its
 /// worlds are not served, but its state lets a repair patch only the
@@ -104,8 +104,8 @@ struct Entry {
     /// their delta in `pending`.
     stamp: VersionStamp,
     prepared: Arc<PreparedWorlds>,
-    /// Retained under incremental re-grounding, so the committing thread
-    /// can repair the entry without the query that prepared it.
+    /// Retained for ASP artifacts, so the committing thread can repair the
+    /// entry without the query that prepared it.
     grounding: Option<Grounding>,
     pending: Pending,
     /// Exact bytes charged against the budget: interned worlds plus the
@@ -431,7 +431,7 @@ impl MemoCache {
                 return true; // outside the closure: untouched
             }
             let Some((_, state)) = &entry.grounding else {
-                // Naive worlds, or no incremental state: nothing to patch.
+                // Naive worlds: nothing to patch.
                 invalidated += 1;
                 return false;
             };

@@ -43,18 +43,16 @@
 //! strategy's enumerated solutions and the rewriting strategy's materialized
 //! global instance are computed once per `(engine, peer)`, and the ASP
 //! strategies' *grounded and solved* specification programs (decoded into
-//! per-world columnar databases) once per `(engine, peer, query slice)`. By
-//! default the ASP strategies ground only the query-relevant slice of the
-//! specification ([`datalog::relevance`], magic-sets-style pruning seeded by
-//! the query's relations and bound constants —
-//! [`QueryEngineBuilder::relevance_pruning`] turns it off), so the cache key
-//! carries the slice: distinct queries over one peer no longer share an
-//! over-wide grounding, while repeated queries of the same shape skip spec
-//! generation, grounding and stable-model search entirely and only re-run
-//! the cheap per-world query evaluation — the hot path of the benchmark
-//! suite. [`EngineStats::grounded_rules`] / [`EngineStats::grounded_atoms`]
-//! expose the instantiated slice sizes (tracked exactly by the CI smoke
-//! gate).
+//! per-world columnar databases) once per `(engine, peer, query slice)`. The
+//! ASP strategies ground only the query-relevant slice of the specification
+//! ([`datalog::relevance`], magic-sets-style pruning seeded by the query's
+//! relations and bound constants), so the cache key carries the slice:
+//! distinct queries over one peer no longer share an over-wide grounding,
+//! while repeated queries of the same shape skip spec generation, grounding
+//! and stable-model search entirely and only re-run the cheap per-world
+//! query evaluation — the hot path of the benchmark suite.
+//! [`EngineStats::grounded_rules`] / [`EngineStats::grounded_atoms`] expose
+//! the instantiated slice sizes (tracked exactly by the CI smoke gate).
 //!
 //! ## Live updates and incremental invalidation
 //!
@@ -89,8 +87,8 @@
 //! deletion — re-deriving only the rules the deltas touched
 //! ([`EngineStats::regrounded_rules`] vs. the full slice's
 //! [`EngineStats::grounded_rules`]; [`CacheMetrics::patched`] counts the
-//! repairs), then re-solves. [`QueryEngineBuilder::incremental_reground`]
-//! restores the drop-and-re-ground behaviour.
+//! repairs), then re-solves. [`QueryEngine::invalidate_peers`] drops the
+//! artifacts instead, so the next query re-grounds them from scratch.
 //!
 //! The memo map itself can be bounded:
 //! [`QueryEngineBuilder::cache_capacity`] caps the exact bytes of all
@@ -199,7 +197,7 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// Stable human-readable label (also used by the benchmark tables).
+    /// Stable human-readable label (also used in reports and traces).
     pub fn label(self) -> &'static str {
         match self {
             StrategyKind::Naive => "naive-solutions",
@@ -243,9 +241,8 @@ pub struct EngineStats {
     /// answer sets (ASP), or 1 (rewriting).
     pub worlds: usize,
     /// Ground rules instantiated for this query's preparation (ASP
-    /// strategies; 0 elsewhere). With relevance pruning enabled this counts
-    /// only the query-relevant slice — the deterministic counter the
-    /// perf-smoke gate tracks exactly.
+    /// strategies; 0 elsewhere). Counts only the query-relevant slice — the
+    /// deterministic counter the perf-smoke gate tracks exactly.
     pub grounded_rules: usize,
     /// Distinct ground atoms interned during the preparation (ASP
     /// strategies; 0 elsewhere).
@@ -508,8 +505,6 @@ pub struct QueryEngineBuilder {
     solver_config: SolverConfig,
     solution_options: SolutionOptions,
     exec: ExecConfig,
-    relevance_pruning: bool,
-    incremental_reground: bool,
     cache_capacity: Option<usize>,
     strict_analysis: bool,
     recorder: Option<Arc<dyn Recorder>>,
@@ -565,28 +560,6 @@ impl QueryEngineBuilder {
     /// of `workers` threads (`0` = one per available core).
     pub fn workers(self, workers: usize) -> Self {
         self.exec(ExecConfig::with_workers(workers))
-    }
-
-    /// Enable or disable relevance-driven grounding ([`datalog::relevance`])
-    /// for the ASP strategies. On (the default), each query grounds only the
-    /// program slice that can influence it, seeded from the query's bound
-    /// constants where sound; off reproduces the legacy full grounding
-    /// (used by the B10 benchmark and the pruned-vs-full property tests).
-    pub fn relevance_pruning(mut self, enabled: bool) -> Self {
-        self.relevance_pruning = enabled;
-        self
-    }
-
-    /// Enable or disable delta-driven incremental re-grounding
-    /// ([`datalog::incremental`]) for the ASP strategies. On (the default),
-    /// [`QueryEngine::commit_delta`] upgrades invalidated `(peer, slice)`
-    /// artifacts to *stale* entries carrying their saturation state, and the
-    /// next query repairs them by re-deriving only the affected rules; off
-    /// reproduces the drop-and-re-ground behaviour (the B11 benchmark's
-    /// `invalidate` mode).
-    pub fn incremental_reground(mut self, enabled: bool) -> Self {
-        self.incremental_reground = enabled;
-        self
     }
 
     /// Cap the memo cache at `bytes` bytes of prepared artifacts, evicting
@@ -654,8 +627,6 @@ impl QueryEngineBuilder {
             solver_config: self.solver_config,
             solution_options: self.solution_options,
             exec: Executor::new(self.exec).with_recorder(Arc::clone(&recorder)),
-            relevance_pruning: self.relevance_pruning,
-            incremental_reground: self.incremental_reground,
             symbols,
             analysis: report,
             cache: MemoCache::new(self.cache_capacity, Arc::clone(&recorder)),
@@ -733,8 +704,6 @@ pub struct QueryEngine {
     solution_options: SolutionOptions,
     exec: Executor,
     recorder: Arc<dyn Recorder>,
-    relevance_pruning: bool,
-    incremental_reground: bool,
     /// The store's symbol table ([`PeerStore::symbols`]): the single
     /// interning authority the columnar fast path and shared-text ASP
     /// encoding resolve against.
@@ -764,8 +733,6 @@ impl QueryEngine {
             solver_config: SolverConfig::default(),
             solution_options: SolutionOptions::default(),
             exec: ExecConfig::sequential(),
-            relevance_pruning: true,
-            incremental_reground: true,
             cache_capacity: None,
             strict_analysis: false,
             recorder: None,
@@ -852,14 +819,18 @@ impl QueryEngine {
         self.exec.config()
     }
 
-    /// Is relevance-driven grounding enabled for the ASP strategies?
+    /// Always `true`: the ASP strategies always ground the query-relevant
+    /// slice. Kept only because the `perfbench` replay asserts it; delete it
+    /// with the next change to that benchmark.
     pub fn relevance_pruning(&self) -> bool {
-        self.relevance_pruning
+        true
     }
 
-    /// Is delta-driven incremental re-grounding enabled?
+    /// Always `true`: commits always patch stale slices in place. Kept only
+    /// because the `perfbench` replay asserts it; delete it with the next
+    /// change to that benchmark.
     pub fn incremental_reground(&self) -> bool {
-        self.incremental_reground
+        true
     }
 
     /// The memo cache's byte budget (`None` = unbounded).
@@ -1287,8 +1258,8 @@ impl QueryEngine {
             .drop_where(|stamp| stamp.keys().any(|p| touched.contains(p)))
     }
 
-    /// Drop the entire cache (the "full flush" baseline of the live-update
-    /// benchmarks). Returns the number of artifacts dropped.
+    /// Drop the entire cache, so every next query prepares from scratch.
+    /// Returns the number of artifacts dropped.
     pub fn flush_cache(&self) -> u64 {
         self.cache.drop_where(|_| true)
     }
@@ -1415,15 +1386,11 @@ impl QueryEngine {
     /// The cheap *query-shape* key: an injective rendering of the query's
     /// relations with their generalized constant bindings (every segment is
     /// length-prefixed, so constants containing delimiter characters cannot
-    /// collide), or `"<full>"` when relevance pruning is disabled. Two
-    /// queries with the same shape key always ground the same slice; shapes
-    /// whose differences the relevance analysis cannot exploit (bindings on
-    /// unrestrictable seeds) are deduplicated onto one artifact through the
-    /// alias map of [`crate::cache::MemoCache`].
+    /// collide). Two queries with the same shape key always ground the same
+    /// slice; shapes whose differences the relevance analysis cannot exploit
+    /// (bindings on unrestrictable seeds) are deduplicated onto one artifact
+    /// through the alias map of [`crate::cache::MemoCache`].
     fn slice_key(&self, query: &Formula) -> String {
-        if !self.relevance_pruning {
-            return "<full>".to_string();
-        }
         use std::fmt::Write as _;
         let mut out = String::new();
         for (relation, bindings) in query_binding_patterns(query, &self.symbols) {
@@ -1443,23 +1410,18 @@ impl QueryEngine {
 
     /// The query seeds handed to [`datalog::ground_relevant`]: the query's
     /// relations mapped to their solution predicates, carrying the
-    /// generalized constant bindings. `None` when pruning is disabled.
+    /// generalized constant bindings.
     fn query_seeds(
         &self,
         query: &Formula,
         solution_predicate: &dyn Fn(&str) -> String,
-    ) -> Option<Vec<datalog::QuerySeed>> {
-        if !self.relevance_pruning {
-            return None;
-        }
-        Some(
-            query_binding_patterns(query, &self.symbols)
-                .into_iter()
-                .map(|(relation, bindings)| {
-                    datalog::QuerySeed::with_bindings(solution_predicate(&relation), bindings)
-                })
-                .collect(),
-        )
+    ) -> Vec<datalog::QuerySeed> {
+        query_binding_patterns(query, &self.symbols)
+            .into_iter()
+            .map(|(relation, bindings)| {
+                datalog::QuerySeed::with_bindings(solution_predicate(&relation), bindings)
+            })
+            .collect()
     }
 
     /// Grounded + solved specification program of `peer` (direct or
@@ -1468,12 +1430,11 @@ impl QueryEngine {
     /// The entry's stamp covers the peer's relevant-peer closure
     /// ([`P2PSystem::dependencies_of`]): the specification programs only read
     /// the instances of DEC-reachable peers, so commits outside the closure
-    /// leave the entry warm. With relevance pruning enabled, only the
-    /// query-relevant slice of the specification is grounded and solved
-    /// ([`datalog::relevance`]); the decoded worlds carry empty extensions
-    /// for pruned relations, which is sound because the artifact is keyed by
-    /// the slice fingerprint and only ever evaluates queries over seeded
-    /// relations.
+    /// leave the entry warm. Only the query-relevant slice of the
+    /// specification is grounded and solved ([`datalog::relevance`]); the
+    /// decoded worlds carry empty extensions for pruned relations, which is
+    /// sound because the artifact is keyed by the slice fingerprint and only
+    /// ever evaluates queries over seeded relations.
     ///
     /// Two-level keying: the cheap query-shape key
     /// ([`QueryEngine::slice_key`]) resolves through an alias map to the
@@ -1503,19 +1464,13 @@ impl QueryEngine {
         // canonical fingerprint outside any lock (program construction is
         // cheap next to grounding and solving, which only run when the
         // canonical artifact is cold or stale). The program embeds peer
-        // instances as facts; with relevance pruning on, only the peer's
-        // relevant-peer closure (the stamp's peers) can influence its
-        // answers, so the slow path hydrates exactly that closure through the
-        // store — one batched fetch, never the whole system. With pruning off
-        // the legacy full grounding is reproduced verbatim (every peer's
-        // facts in the program), which needs the full snapshot.
+        // instances as facts; only the peer's relevant-peer closure (the
+        // stamp's peers) can influence its answers, so the slow path hydrates
+        // exactly that closure through the store — one batched fetch, never
+        // the whole system.
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
-        let hydrated = if self.relevance_pruning {
-            self.hydrated(&stamp.keys().cloned().collect())?
-        } else {
-            self.pin()?.system()?
-        };
+        let hydrated = self.hydrated(&stamp.keys().cloned().collect())?;
         // Fact constants alias the store's interned text (one shared
         // `Arc<str>` per distinct constant) instead of re-rendering per
         // tuple occurrence.
@@ -1533,20 +1488,10 @@ impl QueryEngine {
             spec.solution_predicate(&hydrated, relation)
         });
         let grounder = Grounder::new(spec.program());
-        // The restricted program is only needed by the cold full-grounding
-        // branches below; the stale-patch hot path repairs its retained
-        // state instead, so the (slice-sized) clone is deferred.
         let relevance_span = Span::enter(recorder, "relevance");
-        let analysis = seeds.as_ref().map(|seeds| grounder.relevance(seeds));
+        let analysis = grounder.relevance(&seeds);
         relevance_span.finish();
-        let restrict = || match &analysis {
-            Some(analysis) => analysis.restrict(grounder.program()),
-            None => grounder.program().clone(),
-        };
-        let fingerprint = analysis
-            .as_ref()
-            .map(|a| a.fingerprint())
-            .unwrap_or_else(|| "<full>".to_string());
+        let fingerprint = analysis.fingerprint();
         // Slow path: record the alias, re-check the canonical artifact
         // under the write lock, and pull out a stale entry's saturation
         // state for patching.
@@ -1557,25 +1502,20 @@ impl QueryEngine {
         // Ground (or patch) and solve outside the lock: these are the
         // expensive phases and must not serialize unrelated queries.
         let ground_span = Span::enter(recorder, if stale.is_some() { "patch" } else { "ground" });
+        // The stale-patch hot path repairs its retained state; only a cold
+        // slice pays for the (slice-sized) restricted program.
         let (ground, state, regrounded_rules) = match stale {
             Some((mut state, pending)) => {
                 let (ground, regrounded_rules) = self.patch_grounding(&mut state, &pending);
                 self.cache.note(CacheEvent::Patched);
-                (ground, Some(state), regrounded_rules)
-            }
-            None if self.incremental_reground => {
-                let state =
-                    datalog::IncrementalGround::new(&restrict()).map_err(CoreError::from)?;
-                let ground = state.to_ground();
-                let all = ground.rule_count();
-                (ground, Some(state), all)
+                (ground, state, regrounded_rules)
             }
             None => {
-                let ground = Grounder::new(&restrict())
-                    .ground()
+                let state = datalog::IncrementalGround::new(&analysis.restrict(grounder.program()))
                     .map_err(CoreError::from)?;
+                let ground = state.to_ground();
                 let all = ground.rule_count();
-                (ground, None, all)
+                (ground, state, all)
             }
         };
         let ground_nanos = duration_nanos(ground_span.finish());
@@ -1591,9 +1531,8 @@ impl QueryEngine {
                 databases
             },
         )?;
-        let grounding = state.map(|state| (spec, state));
         self.cache
-            .insert(key, stamp, Arc::clone(&prepared), grounding);
+            .insert(key, stamp, Arc::clone(&prepared), Some((spec, state)));
         Ok((prepared, false))
     }
 
@@ -2503,33 +2442,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_disabled_reproduces_drop_on_commit() {
-        use relalg::database::GroundAtom;
-        use relalg::Delta;
-        let engine = QueryEngine::builder(example1_system())
-            .strategy(Strategy::Asp)
-            .incremental_reground(false)
-            .build();
-        assert!(!engine.incremental_reground());
-        let p1 = PeerId::new("P1");
-        let p2 = PeerId::new("P2");
-        let (query, fv) = r1_query();
-        let _ = engine.answer(&p1, &query, &fv).unwrap();
-        let delta = Delta::from_changes([GroundAtom::new("R2", Tuple::strs(["x", "y"]))], []);
-        engine.commit_delta(&p2, &delta).unwrap();
-        // The artifact is gone, not stale; the re-query re-grounds fully.
-        assert_eq!(engine.cached_artifact_count(), 0);
-        let recomputed = engine.answer(&p1, &query, &fv).unwrap();
-        assert!(!recomputed.stats.cache_hit);
-        assert_eq!(
-            recomputed.stats.regrounded_rules,
-            recomputed.stats.grounded_rules
-        );
-        assert_eq!(engine.metrics().patched, 0);
-        assert!(recomputed.contains(&Tuple::strs(["x", "y"])));
-    }
-
-    #[test]
     fn commits_outside_the_slice_keep_artifacts_warm() {
         use relalg::database::GroundAtom;
         use relalg::Delta;
@@ -2913,24 +2825,25 @@ mod tests {
     fn relevance_pruning_grounds_strictly_fewer_rules() {
         let p1 = PeerId::new("P1");
         let (query, fv) = r1_query();
-        let pruned_engine = QueryEngine::builder(example1_with_bystander())
+        let system = example1_with_bystander();
+        let pruned = QueryEngine::builder(system.clone())
             .strategy(Strategy::Asp)
-            .build();
-        let full_engine = QueryEngine::builder(example1_with_bystander())
-            .strategy(Strategy::Asp)
-            .relevance_pruning(false)
-            .build();
-        let pruned = pruned_engine.answer(&p1, &query, &fv).unwrap();
-        let full = full_engine.answer(&p1, &query, &fv).unwrap();
-        assert_eq!(pruned.tuples, full.tuples);
-        assert!(full.stats.grounded_rules > 0);
+            .build()
+            .answer(&p1, &query, &fv)
+            .unwrap();
+        // The reference: the whole specification program, every peer's
+        // facts included, grounded without any relevance analysis.
+        let spec = crate::asp::annotated_program_with(&system, &p1, None).unwrap();
+        let full = Grounder::new(&spec.program).ground().unwrap();
+        assert_eq!(pruned.tuples, expected_example1());
+        assert!(full.rule_count() > 0);
         assert!(
-            pruned.stats.grounded_rules < full.stats.grounded_rules,
+            pruned.stats.grounded_rules < full.rule_count(),
             "pruned {} !< full {}",
             pruned.stats.grounded_rules,
-            full.stats.grounded_rules
+            full.rule_count()
         );
-        assert!(pruned.stats.grounded_atoms < full.stats.grounded_atoms);
+        assert!(pruned.stats.grounded_atoms < full.atom_count());
     }
 
     #[test]
@@ -3016,28 +2929,6 @@ mod tests {
         // Repeats of the bound shape hit through the alias.
         let warm = engine.answer(&p3, &bound, &vars(&["Y"])).unwrap();
         assert!(warm.stats.cache_hit);
-    }
-
-    #[test]
-    fn pruning_disabled_reproduces_one_artifact_per_peer() {
-        let engine = QueryEngine::builder(example1_system())
-            .strategy(Strategy::Asp)
-            .relevance_pruning(false)
-            .build();
-        assert!(!engine.relevance_pruning());
-        let p1 = PeerId::new("P1");
-        let (query, fv) = r1_query();
-        let _ = engine.answer(&p1, &query, &fv).unwrap();
-        let bound_atom = Formula::atom_terms(
-            "R1",
-            vec![
-                relalg::query::Term::cnst(relalg::Value::str("a")),
-                relalg::query::Term::var("Y"),
-            ],
-        );
-        let warm = engine.answer(&p1, &bound_atom, &vars(&["Y"])).unwrap();
-        assert!(warm.stats.cache_hit, "full grounding is shared per peer");
-        assert_eq!(engine.cached_artifact_count(), 1);
     }
 
     #[test]

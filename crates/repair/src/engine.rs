@@ -150,73 +150,6 @@ impl RepairEngine {
         !self.protected.contains(relation)
     }
 
-    /// An engine restricted to the constraints *relevant to a query* — those
-    /// in the same shared-relation connected component as some query
-    /// relation — or `None` when the restriction would not be sound or
-    /// would drop nothing.
-    ///
-    /// Repairs factorize over shared-relation components: a minimal repair
-    /// of the full constraint set is a product of independent per-component
-    /// minimal repairs, so the query (which only reads its own components'
-    /// relations) sees exactly the same per-repair answers, intersected over
-    /// fewer repairs. The restriction is only offered when the dropped
-    /// constraints touch no protected relation: with every relation
-    /// flexible, a dropped component always admits at least one repair
-    /// (deleting its violating tuples), so the full system has repairs iff
-    /// the restricted one does — a dropped *unrepairable* component, by
-    /// contrast, would empty the answer set, which the restriction must not
-    /// hide.
-    pub fn restrict_to_relevant(&self, query_relations: &BTreeSet<String>) -> Option<RepairEngine> {
-        // Connected components over shared relations, grown from the query.
-        let mut reachable: BTreeSet<String> = query_relations.clone();
-        let mut kept = vec![false; self.constraints.len()];
-        loop {
-            let mut changed = false;
-            for (idx, constraint) in self.constraints.iter().enumerate() {
-                if kept[idx] {
-                    continue;
-                }
-                let relations = constraint.relations();
-                if relations.iter().any(|rel| reachable.contains(rel)) {
-                    kept[idx] = true;
-                    reachable.extend(relations);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let dropped: Vec<&Constraint> = self
-            .constraints
-            .iter()
-            .zip(&kept)
-            .filter(|(_, &keep)| !keep)
-            .map(|(c, _)| c)
-            .collect();
-        if dropped.is_empty() {
-            return None;
-        }
-        let sound = dropped
-            .iter()
-            .all(|c| c.relations().iter().all(|rel| self.is_flexible(rel)));
-        if !sound {
-            return None;
-        }
-        Some(RepairEngine {
-            constraints: self
-                .constraints
-                .iter()
-                .zip(&kept)
-                .filter(|(_, &keep)| keep)
-                .map(|(c, _)| c.clone())
-                .collect(),
-            protected: self.protected.clone(),
-            limits: self.limits,
-            extra_domain: self.extra_domain.clone(),
-        })
-    }
-
     /// Enumerate the minimal repairs of `base`.
     pub fn repairs(&self, base: &Database) -> Result<RepairOutcome, RepairError> {
         self.repairs_recorded(base, &pdes_obs::NullRecorder)

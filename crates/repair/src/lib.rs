@@ -1,22 +1,16 @@
-//! # repair — minimal-change database repairs and consistent query answering
+//! # repair — minimal-change database repairs
 //!
 //! Definition 1 of the paper (taken from Arenas, Bertossi & Chomicki, PODS
 //! 1999) defines a *repair* of an instance `r` w.r.t. a set of integrity
 //! constraints `IC` as a consistent instance `r'` whose symmetric difference
-//! `Δ(r, r')` is minimal under set inclusion. *Consistent query answers*
-//! (CQA) are the answers returned in every repair.
+//! `Δ(r, r')` is minimal under set inclusion.
 //!
-//! This crate implements both notions:
-//!
-//! * [`RepairEngine`] enumerates the repairs of an instance w.r.t. a set of
-//!   [`constraints::Constraint`]s, with an optional set of **protected**
-//!   relations that may not change. Protected relations are what turns plain
-//!   repairs into the building block of the paper's peer *solutions*
-//!   (Definition 4): when a peer trusts another peer more than itself, the
-//!   other peer's relations are protected during the repair.
-//! * [`cqa`] computes consistent query answers by intersecting the answers
-//!   over all repairs — the baseline that the peer-consistent-answer
-//!   machinery in `pdes-core` is benchmarked against.
+//! [`RepairEngine`] enumerates the repairs of an instance w.r.t. a set of
+//! [`constraints::Constraint`]s, with an optional set of **protected**
+//! relations that may not change. Protected relations are what turns plain
+//! repairs into the building block of the paper's peer *solutions*
+//! (Definition 4): when a peer trusts another peer more than itself, the
+//! other peer's relations are protected during the repair.
 //!
 //! The search is a conflict-driven exploration: pick a violation, branch on
 //! its possible fixes (delete a flexible body tuple, or insert the missing
@@ -25,10 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cqa;
 pub mod engine;
 
-pub use cqa::{
-    consistent_answers, consistent_answers_recorded, consistent_answers_with, ConsistentAnswers,
-};
 pub use engine::{Repair, RepairEngine, RepairError, RepairLimits, RepairOutcome};

@@ -9,7 +9,7 @@
 //! commit are repaired *on the committing thread*, so the serve loop stays
 //! on the warm path throughout. Per-request latency lands in a shared
 //! lock-free [`Histogram`]; the example prints the p50/p99 and aggregate
-//! QPS the B14 bench table measures, then proves the served answers equal
+//! QPS, then proves the served answers equal
 //! a fresh engine built on the final snapshot.
 //!
 //! Run with `cargo run --release --example server`.

@@ -38,8 +38,7 @@ fn main() {
     println!("\nphase profile (Example 1, 1 cold + 5 warm queries):");
     print!("{}", trace.text_profile());
 
-    // Percentiles come from the recorder's shared histogram registry — the
-    // identical machinery behind the B8/B11/B12 bench columns.
+    // Percentiles come from the recorder's shared histogram registry.
     println!("per-phase latency percentiles:");
     println!(
         "{:<24} {:>7} {:>10} {:>10} {:>10}",

@@ -8,7 +8,7 @@
 //! * [`relalg`] — relational substrate (values, instances, first-order
 //!   queries, the Δ of Definition 1);
 //! * [`constraints`] — integrity and data exchange constraints;
-//! * [`repair`] — minimal-change repairs and single-database CQA;
+//! * [`repair`] — minimal-change repairs;
 //! * [`datalog`] — the disjunctive answer-set engine (choice operator, HCF
 //!   shifting, cautious reasoning);
 //! * [`core`] — the paper's contribution: P2P systems, trust,

@@ -195,28 +195,37 @@ fn repeated_commits_keep_patching_the_same_slice() {
 
 #[test]
 fn disabling_incremental_reground_still_matches_fresh_answers() {
-    // The drop-and-re-ground escape hatch must agree with both the fresh
-    // engine and the incremental path.
+    // The drop-and-re-ground path that remains: a commit patches the
+    // warm slices, `invalidate_peers` then drops them, and the re-answer
+    // grounds every slice from scratch. It must agree with both the
+    // patched answers and a fresh engine.
     let w = star_workload();
     let queries = peer_queries(&w);
     let session = Session::with_engine(
         QueryEngine::builder(w.system.clone())
             .strategy(Strategy::Asp)
-            .incremental_reground(false)
             .build(),
     );
     let _ = all_answers(session.engine(), Strategy::Asp, &queries);
+    let updates = round_updates(&w, DeltaKind::Mixed, 0);
     let _ = session
         .writer()
         .expect("writer claim")
-        .apply(&round_updates(&w, DeltaKind::Mixed, 0))
+        .apply(&updates)
         .expect("commit applies");
-    let live = all_answers(session.engine(), Strategy::Asp, &queries);
+    let patched = all_answers(session.engine(), Strategy::Asp, &queries);
+    assert!(session.metrics().patched > 0, "the commit patched no slice");
+    let touched = updates.iter().map(|u| u.peer.clone());
+    assert!(session.engine().invalidate_peers(touched) > 0);
+    let regrounded = all_answers(session.engine(), Strategy::Asp, &queries);
+    assert_eq!(regrounded, patched);
     let fresh_engine = QueryEngine::builder(session.current_system().unwrap())
         .strategy(Strategy::Asp)
         .build();
-    assert_eq!(live, all_answers(&fresh_engine, Strategy::Asp, &queries));
-    assert_eq!(session.metrics().patched, 0);
+    assert_eq!(
+        regrounded,
+        all_answers(&fresh_engine, Strategy::Asp, &queries)
+    );
 }
 
 #[test]

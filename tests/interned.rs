@@ -1,6 +1,6 @@
 //! Columnar-plane equivalence: the engine, whose prepared worlds live only
 //! as interned columnar id blocks, must answer exactly like the string-world
-//! reference (`tests/support/string_worlds.rs`, which builds every world as
+//! reference (`pdes_bench::reference`, which builds every world as
 //! a string `Database` and intersects `QueryEvaluator` answers) — for all
 //! four strategies, over the in-process store and the sharded store at
 //! shard counts 1/2, pool sizes 1/4, and across live commits, on a plain
@@ -11,18 +11,15 @@
 //! Like the sharding suite, the grids narrow through `PDES_SHARDS` /
 //! `PDES_POOLS` so a CI matrix leg can exercise one cell.
 
-#[path = "support/string_worlds.rs"]
-mod string_worlds;
-
 use p2p_data_exchange::{
     vars, ExecConfig, Formula, P2PSystem, PeerId, PeerStore, QueryEngine, ShardedStore, Strategy,
     Tuple,
 };
+use pdes_bench::reference::reference_answers;
 use relalg::database::GroundAtom;
 use relalg::{ColumnarDatabase, Delta, Symbol, SymbolTable};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use string_worlds::reference_answers;
 use workload::generator::GeneratedWorkload;
 use workload::{generate, generate_updates, Topology, TrustMix, UpdateSpec, WorkloadSpec};
 

@@ -1,12 +1,15 @@
-//! Pruned-vs-full grounding equivalence: relevance-driven grounding
-//! (`datalog::relevance`, engine default) must yield byte-identical certain
-//! answers to the legacy full grounding — for all four strategies, at pool
-//! sizes 1/2/8, on generated workloads and the paper's Example 1, including
-//! queries with bound constants and queries whose relevant slice is empty.
+//! Pruned-vs-full grounding equivalence: the engine's relevance-driven
+//! grounding (`datalog::relevance`) must yield byte-identical certain
+//! answers to the full-program reference (`pdes_bench::reference`, which
+//! solves the whole specification program without any relevance analysis)
+//! — for all four strategies, at pool sizes 1/2/8, on generated workloads
+//! and the paper's Example 1, including queries with bound constants and
+//! queries whose relevant slice is empty.
 
 use p2p_data_exchange::{
     example1_system, vars, Formula, P2PSystem, PeerId, QueryEngine, Strategy, Tuple,
 };
+use pdes_bench::reference::{full_grounding, reference_answers};
 use relalg::query::Term;
 use relalg::{RelationSchema, Value};
 use std::collections::BTreeSet;
@@ -21,8 +24,9 @@ const ALL_STRATEGIES: [Strategy; 4] = [
 
 const POOLS: [usize; 3] = [1, 2, 8];
 
-/// Build a pruned and an unpruned engine over the same system/pool and
-/// assert every strategy produces identical answers for every query.
+/// Build a pruned engine per pool size and assert every strategy answers
+/// every query exactly like the full-program reference, never grounding
+/// more rules than the whole program.
 fn assert_pruned_matches_full(
     system: &P2PSystem,
     peer: &PeerId,
@@ -35,15 +39,24 @@ fn assert_pruned_matches_full(
         p2p_data_exchange::analysis::classify_rewritability(system, peer).unwrap(),
         p2p_data_exchange::analysis::RewriteVerdict::Rewritable
     );
+    let full_rules: Vec<Option<usize>> = ALL_STRATEGIES
+        .iter()
+        .map(|&strategy| full_grounding(system, strategy, peer).map(|g| g.rule_count()))
+        .collect();
+    let references: Vec<Vec<Option<BTreeSet<Tuple>>>> = queries
+        .iter()
+        .map(|(query, fv)| {
+            ALL_STRATEGIES
+                .iter()
+                .map(|&strategy| reference_answers(system, strategy, peer, query, fv))
+                .collect()
+        })
+        .collect();
     for workers in POOLS {
         let pruned = QueryEngine::builder(system.clone())
             .workers(workers)
             .build();
-        let full = QueryEngine::builder(system.clone())
-            .workers(workers)
-            .relevance_pruning(false)
-            .build();
-        for (query, fv) in queries {
+        for ((query, fv), references) in queries.iter().zip(&references) {
             if rewritable && p2p_data_exchange::core::rewriting::supports_query(query) {
                 assert_eq!(
                     pruned.resolve(Strategy::Auto, peer, query),
@@ -57,30 +70,30 @@ fn assert_pruned_matches_full(
                     "{context}: Auto disagrees with the analyzer verdict"
                 );
             }
-            for strategy in ALL_STRATEGIES {
-                let a = pruned.answer_with(strategy, peer, query, fv);
-                let b = full.answer_with(strategy, peer, query, fv);
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
+            for ((strategy, reference), full_rules) in
+                ALL_STRATEGIES.into_iter().zip(references).zip(&full_rules)
+            {
+                match (pruned.answer_with(strategy, peer, query, fv), reference) {
+                    (Ok(a), Some(reference)) => {
                         assert_eq!(
-                            a.tuples, b.tuples,
+                            &a.tuples, reference,
                             "{context}: {strategy:?} workers={workers} query {query}"
                         );
                         // The ASP strategies must also never ground *more*
                         // than the full program.
-                        assert!(
-                            a.stats.grounded_rules <= b.stats.grounded_rules,
-                            "{context}: pruned grounded {} > full {}",
-                            a.stats.grounded_rules,
-                            b.stats.grounded_rules
-                        );
+                        if let Some(full_rules) = full_rules {
+                            assert!(
+                                a.stats.grounded_rules <= *full_rules,
+                                "{context}: pruned grounded {} > full {full_rules}",
+                                a.stats.grounded_rules,
+                            );
+                        }
                     }
-                    (Err(_), Err(_)) => {} // unsupported on both paths alike
-                    (a, b) => panic!(
+                    (Err(_), None) => {} // unsupported on both paths alike
+                    (a, reference) => panic!(
                         "{context}: {strategy:?} workers={workers} query {query}: \
-                         pruned and full disagree on success: {:?} vs {:?}",
+                         pruned and full disagree on success: {:?} vs {reference:?}",
                         a.map(|x| x.tuples),
-                        b.map(|x| x.tuples)
                     ),
                 }
             }
@@ -186,9 +199,9 @@ fn generated_workloads_agree_across_strategies_and_pools() {
 
 #[test]
 fn star_workload_prunes_strictly_on_the_asp_path() {
-    // The acceptance check of the PR: on a multi-peer workload the pruned
-    // grounding instantiates strictly fewer rules than the full grounding,
-    // with identical answers (the byte-for-byte case is covered above).
+    // On a multi-peer workload the pruned grounding instantiates strictly
+    // fewer rules than the full program, with identical answers (the
+    // byte-for-byte case is covered above).
     let w = generate(&WorkloadSpec {
         peers: 6,
         tuples_per_relation: 8,
@@ -201,24 +214,25 @@ fn star_workload_prunes_strictly_on_the_asp_path() {
     let pruned = QueryEngine::builder(w.system.clone())
         .strategy(Strategy::Asp)
         .build();
-    let full = QueryEngine::builder(w.system.clone())
-        .strategy(Strategy::Asp)
-        .relevance_pruning(false)
-        .build();
     let a = pruned
         .answer(&w.queried_peer, &w.query, &w.free_vars)
         .unwrap();
-    let b = full
-        .answer(&w.queried_peer, &w.query, &w.free_vars)
-        .unwrap();
-    assert_eq!(a.tuples, b.tuples);
+    let reference = reference_answers(
+        &w.system,
+        Strategy::Asp,
+        &w.queried_peer,
+        &w.query,
+        &w.free_vars,
+    );
+    assert_eq!(Some(a.tuples), reference);
+    let full = full_grounding(&w.system, Strategy::Asp, &w.queried_peer).unwrap();
     assert!(
-        a.stats.grounded_rules < b.stats.grounded_rules,
+        a.stats.grounded_rules < full.rule_count(),
         "pruned {} !< full {}",
         a.stats.grounded_rules,
-        b.stats.grounded_rules
+        full.rule_count()
     );
-    assert!(a.stats.grounded_atoms < b.stats.grounded_atoms);
+    assert!(a.stats.grounded_atoms < full.atom_count());
 }
 
 #[test]
@@ -261,14 +275,8 @@ fn empty_relevant_slice_grounds_nothing_and_agrees() {
         answers.stats.grounded_rules, 0,
         "an empty relevant slice must ground nothing"
     );
-    let full = QueryEngine::builder(system)
-        .relevance_pruning(false)
-        .build();
-    let full_answers = full
-        .answer_with(Strategy::Asp, &a, &queries[0].0, &queries[0].1)
-        .unwrap();
-    assert!(full_answers.stats.grounded_rules > 0);
-    assert_eq!(answers.tuples, full_answers.tuples);
+    let full = full_grounding(&system, Strategy::Asp, &a).unwrap();
+    assert!(full.rule_count() > 0);
 }
 
 #[test]
