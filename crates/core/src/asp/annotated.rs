@@ -31,6 +31,7 @@
 //! the restrictions the paper itself imposes on the repair layer
 //! (Section 4.2: "no cycles and single atom consequents").
 
+use crate::asp::decode::decode_worlds;
 use crate::asp::encode::{
     ann, annotated_predicate, copy_rule, encode_value, facts_for_system, positional_vars,
     ValueDecoder,
@@ -39,10 +40,11 @@ use crate::error::CoreError;
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
 use constraints::{AtomPattern, Constraint, ConstraintClass, ConstraintHead};
-use datalog::{Atom, BodyItem, Builtin, BuiltinOp, ChoiceAtom, Program, Rule, Term};
+use datalog::{Atom, BodyItem, Builtin, BuiltinOp, ChoiceAtom, Program, Rule, SolveResult, Term};
 use relalg::query::{CompareOp, Term as RelTerm};
-use relalg::{Database, RelationSchema};
+use relalg::{ColumnarDatabase, Database, RelationSchema, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The generated specification program for one peer, together with the
 /// metadata needed to interpret its answer sets.
@@ -75,8 +77,29 @@ impl AnnotatedSpec {
         }
     }
 
+    /// Decode the models of a solved program (this spec or a slice of it)
+    /// straight into distinct columnar solution worlds over the relevant
+    /// relations, interning constants into `symbols` (the id-native decode
+    /// of the `asp::decode` module). The same worlds as
+    /// [`AnnotatedSpec::solution_databases`] over the same models.
+    pub fn columnar_worlds(
+        &self,
+        result: &SolveResult,
+        symbols: &Arc<SymbolTable>,
+    ) -> Result<Vec<ColumnarDatabase>> {
+        decode_worlds(
+            result,
+            &self.relevant,
+            &self.arities,
+            |relation| self.solution_predicate(relation),
+            &self.decoder,
+            symbols,
+        )
+    }
+
     /// Decode the answer sets of this program into solution databases
-    /// (deduplicated, over the relevant relations).
+    /// (deduplicated, over the relevant relations). The string reference
+    /// for [`AnnotatedSpec::columnar_worlds`].
     pub fn solution_databases(&self, sets: &datalog::AnswerSets) -> Result<Vec<Database>> {
         let mut out: Vec<Database> = Vec::new();
         let mut seen = BTreeSet::new();

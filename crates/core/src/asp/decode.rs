@@ -1,0 +1,112 @@
+//! Id-native decoding of answer sets into columnar solution worlds.
+//!
+//! Each answer set of a specification program stands for one solution of
+//! the peer (Definition 3), and the peer consistent answers are those true
+//! in every solution (Definition 5). [`decode_worlds`] turns the solver's
+//! models — sets of atom ids of the solved [`GroundProgram`] — straight into
+//! [`ColumnarDatabase`] worlds over the store's [`SymbolTable`]:
+//!
+//! * one table maps each atom id to its relation slot and its row of store
+//!   symbol ids. An atom is decoded the first time some model holds it;
+//!   atoms of other predicates and strongly negated atoms map to nothing;
+//! * every distinct constant text is decoded to its typed [`Value`] by the
+//!   spec's [`ValueDecoder`] and interned once;
+//! * a model becomes a world by table lookups: rows are collected per
+//!   relation, sorted by id and deduplicated, and worlds with equal rows
+//!   are kept once, in model order.
+//!
+//! The string decode (`AnswerSets` plus the specs' `solution_databases`)
+//! stays as the reference this module is checked against; both give the
+//! same worlds.
+//!
+//! [`Value`]: relalg::Value
+
+use crate::asp::encode::ValueDecoder;
+use crate::Result;
+use datalog::SolveResult;
+use relalg::{ColumnarDatabase, SymbolTable};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
+
+/// What one atom id contributes to a world.
+#[derive(Clone)]
+enum Decoded {
+    /// Not yet held by any model.
+    Unseen,
+    /// No row: another predicate, or a strongly negated atom.
+    Skip,
+    /// A row of the `slot`-th relevant relation, as store symbol ids.
+    Row(usize, Box<[u32]>),
+}
+
+/// Decode the models of `result` into distinct columnar worlds over the
+/// `relevant` relations, interning constants into `symbols`. A relation's
+/// tuples are the positive atoms of its `solution_predicate`; solution
+/// predicates are distinct across relations. Every world declares every
+/// relevant relation, empty or not. Fails when an atom's argument count
+/// differs from its relation's arity.
+pub(crate) fn decode_worlds(
+    result: &SolveResult,
+    relevant: &BTreeSet<String>,
+    arities: &BTreeMap<String, usize>,
+    solution_predicate: impl Fn(&str) -> String,
+    decoder: &ValueDecoder,
+    symbols: &Arc<SymbolTable>,
+) -> Result<Vec<ColumnarDatabase>> {
+    let (ground, models) = (&result.ground, &result.answer_sets);
+    let slots: HashMap<String, usize> = relevant
+        .iter()
+        .enumerate()
+        .map(|(slot, relation)| (solution_predicate(relation), slot))
+        .collect();
+    let mut constants: HashMap<&str, u32> = HashMap::new();
+    let mut table = vec![Decoded::Unseen; ground.atom_count()];
+    for &id in models.iter().flatten() {
+        if !matches!(table[id], Decoded::Unseen) {
+            continue;
+        }
+        let atom = ground.atom(id);
+        table[id] = match slots.get(atom.predicate.as_str()) {
+            Some(&slot) if !atom.strong_neg => Decoded::Row(
+                slot,
+                atom.args
+                    .iter()
+                    .map(|arg| {
+                        *constants
+                            .entry(&**arg)
+                            .or_insert_with(|| symbols.intern(&decoder.decode(arg)).id())
+                    })
+                    .collect(),
+            ),
+            _ => Decoded::Skip,
+        };
+    }
+    let worlds: Vec<Vec<Vec<&[u32]>>> = models
+        .iter()
+        .map(|model| {
+            let mut rows = vec![Vec::new(); relevant.len()];
+            for &id in model {
+                if let Decoded::Row(slot, row) = &table[id] {
+                    rows[*slot].push(&**row);
+                }
+            }
+            for rows in &mut rows {
+                rows.sort_unstable();
+                rows.dedup();
+            }
+            rows
+        })
+        .collect();
+    let mut seen = HashSet::new();
+    worlds
+        .iter()
+        .filter(|world| seen.insert(*world))
+        .map(|world| {
+            let blocks = relevant.iter().zip(world).map(|(relation, rows)| {
+                let arity = arities.get(relation).copied().unwrap_or(0);
+                (relation.as_str(), arity, rows.as_slice())
+            });
+            Ok(ColumnarDatabase::from_id_rows(blocks, symbols)?)
+        })
+        .collect()
+}

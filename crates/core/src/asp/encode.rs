@@ -3,10 +3,14 @@
 //! Values are encoded as constant symbols via their textual rendering and
 //! decoded back through a [`ValueDecoder`] built from the system's active
 //! domain, so that the original typed values (integers vs. strings) are
-//! recovered. Two distinct values that render identically (e.g. the integer
-//! `1` and the string `"1"`) would collide; the workloads and examples in
-//! this repository never mix the two forms within one system, and the
-//! limitation is documented in DESIGN.md.
+//! recovered.
+//!
+//! Limitation: two distinct values that render identically (the integer
+//! `1` and the string `"1"`) encode to the same constant, and the decoder
+//! maps that constant back to whichever of the two it met first. Answers
+//! over a system that holds both forms can therefore confuse them. The
+//! workloads and examples in this repository never mix the two forms
+//! within one system.
 
 use crate::system::P2PSystem;
 use datalog::{Atom, Program, Rule, Term};
@@ -70,6 +74,18 @@ impl ValueDecoder {
             map.entry(encode_value(&value)).or_insert(value);
         }
         ValueDecoder { map }
+    }
+
+    /// Add the constants of `values` the decoder does not know yet, so a
+    /// value first seen after the decoder was built (one a commit
+    /// inserted) decodes to itself rather than to a string. A constant
+    /// already known keeps its value.
+    pub(crate) fn learn<'v>(&mut self, values: impl IntoIterator<Item = &'v Value>) {
+        for value in values {
+            self.map
+                .entry(encode_value(value))
+                .or_insert_with(|| value.clone());
+        }
     }
 
     /// Decode a symbol; unknown symbols become string values (they can only
@@ -193,6 +209,15 @@ mod tests {
         db.insert("N", Tuple::ints([42])).unwrap();
         let decoder = ValueDecoder::for_database(&db);
         assert_eq!(decoder.decode("42"), Value::int(42));
+    }
+
+    #[test]
+    fn learned_values_decode_typed_and_keep_known_constants() {
+        let mut decoder = ValueDecoder::for_system(&example1_system());
+        assert_eq!(decoder.decode("7"), Value::str("7"));
+        decoder.learn(&[Value::int(7), Value::str("a"), Value::int(7)]);
+        assert_eq!(decoder.decode("7"), Value::int(7));
+        assert_eq!(decoder.decode("a"), Value::str("a"));
     }
 
     #[test]

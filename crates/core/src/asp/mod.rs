@@ -7,6 +7,10 @@
 //!
 //! * [`encode`] — conversions between relational values/tuples and logic
 //!   program constants, fact generation and predicate-name conventions;
+//! * `decode` — the id-native decode of solver models into columnar
+//!   solution worlds ([`AnnotatedSpec::columnar_worlds`],
+//!   [`TransitiveSpec::columnar_worlds`]), the path the [`crate::engine`]
+//!   answers through;
 //! * [`annotated`] — the general *annotation-based* specification program
 //!   (the style of Section 4.2 and the appendix, with `td`/`ta`/`fa`/`tss`
 //!   annotations realized as predicate suffixes). This is the workhorse
@@ -19,6 +23,7 @@
 //!   global programs of Section 4.3.
 
 pub mod annotated;
+pub(crate) mod decode;
 pub mod encode;
 pub mod paper;
 pub mod transitive;

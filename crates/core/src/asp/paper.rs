@@ -12,9 +12,10 @@
 //!   already unfolded into its stable version (`chosen` / `diffchoice`).
 //!
 //! They serve a single purpose: validating that our answer-set engine
-//! produces *exactly* the stable models the paper reports (experiments E3,
-//! E4 and E6 in DESIGN.md). The general-purpose generators live in
-//! [`crate::asp::annotated`] and [`crate::asp::transitive`].
+//! produces *exactly* the stable models the paper reports (the Section 3.1,
+//! appendix and Example 4 checks of `tests/paper_examples.rs`). The
+//! general-purpose generators live in [`crate::asp::annotated`] and
+//! [`crate::asp::transitive`].
 
 use crate::asp::encode::encode_tuple;
 use datalog::{Atom, BodyItem, Builtin, BuiltinOp, ChoiceAtom, Program, Rule, Term};

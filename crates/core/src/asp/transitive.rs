@@ -17,12 +17,14 @@
 //! `tss` predicates.
 
 use crate::asp::annotated::AnnotatedSpec;
+use crate::asp::decode::decode_worlds;
 use crate::asp::encode::ValueDecoder;
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
-use datalog::{Atom, BodyItem, Program, Rule};
-use relalg::{Database, RelationSchema};
+use datalog::{Atom, BodyItem, Program, Rule, SolveResult};
+use relalg::{ColumnarDatabase, Database, RelationSchema, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The combined (global) specification program for a peer.
 #[derive(Debug, Clone)]
@@ -62,7 +64,30 @@ impl TransitiveSpec {
         relation.to_string()
     }
 
-    /// Decode the answer sets into distinct global solution databases.
+    /// Decode the models of a solved program (this spec or a slice of it)
+    /// straight into distinct columnar global-solution worlds, interning
+    /// constants into `symbols` (the id-native decode of the `asp::decode`
+    /// module). `system` only resolves relation ownership, so the topology
+    /// suffices. The same worlds as [`TransitiveSpec::solution_databases`]
+    /// over the same models.
+    pub fn columnar_worlds(
+        &self,
+        system: &P2PSystem,
+        result: &SolveResult,
+        symbols: &Arc<SymbolTable>,
+    ) -> Result<Vec<ColumnarDatabase>> {
+        decode_worlds(
+            result,
+            &self.relevant,
+            &self.arities,
+            |relation| self.solution_predicate(system, relation),
+            &self.decoder,
+            symbols,
+        )
+    }
+
+    /// Decode the answer sets into distinct global solution databases. The
+    /// string reference for [`TransitiveSpec::columnar_worlds`].
     pub fn solution_databases(
         &self,
         system: &P2PSystem,

@@ -42,11 +42,14 @@
 //! The engine owns its system, which makes preparation cacheable: the naive
 //! strategy's enumerated solutions and the rewriting strategy's materialized
 //! global instance are computed once per `(engine, peer)`, and the ASP
-//! strategies' *grounded and solved* specification programs (decoded into
-//! per-world columnar databases) once per `(engine, peer, query slice)`. The
-//! ASP strategies ground only the query-relevant slice of the specification
-//! ([`datalog::relevance`], magic-sets-style pruning seeded by the query's
-//! relations and bound constants), so the cache key carries the slice:
+//! strategies' *grounded and solved* specification programs once per
+//! `(engine, peer, query slice)`. The solver's models (sets of atom ids) are
+//! decoded straight into per-world columnar databases over the store's
+//! symbol table ([`crate::asp::AnnotatedSpec::columnar_worlds`]), with no
+//! string world in between. The ASP strategies ground only the
+//! query-relevant slice of the specification ([`datalog::relevance`],
+//! magic-sets-style pruning seeded by the query's relations and bound
+//! constants), so the cache key carries the slice:
 //! distinct queries over one peer no longer share an over-wide grounding,
 //! while repeated queries of the same shape skip spec generation, grounding
 //! and stable-model search entirely and only re-run the cheap per-world
@@ -103,7 +106,8 @@
 //! existential query translates into non-disjunctive, positive rules layered
 //! on top of the solution predicates: they never change the answer sets, so
 //! cautious reasoning over `spec ∪ query` coincides with evaluating the query
-//! over each decoded solution world and intersecting.
+//! over each solution world (one per distinct decoded answer set) and
+//! intersecting.
 //!
 //! ## Parallel execution
 //!
@@ -132,12 +136,11 @@ use crate::solution::{SolutionOptions, SolutionStats};
 use crate::store::{InProcessStore, MvccStats, PeerStore, Snapshot};
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
-use datalog::reason::AnswerSets;
 use datalog::solve::solve_ground_recorded;
-use datalog::{Grounder, SolverConfig};
+use datalog::{Grounder, SolveResult, SolverConfig};
 use pdes_exec::{ExecConfig, Executor};
 use relalg::query::{Formula, QueryEvaluator};
-use relalg::{ColumnarDatabase, CqPlan, Database, Tuple};
+use relalg::{ColumnarDatabase, CqPlan, Tuple};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -657,7 +660,8 @@ pub(crate) struct PreparedWorlds {
     /// intersect over these id blocks; other formulas decode a world on
     /// demand ([`ColumnarDatabase::to_database`]).
     columnar: Vec<ColumnarDatabase>,
-    /// World count before deduplication (matches the legacy result structs).
+    /// World count before deduplication: the answer-set (ASP) or solution
+    /// (naive) count, which [`EngineStats::worlds`] reports.
     worlds: usize,
     prepare_nanos: u64,
     ground_nanos: u64,
@@ -1187,23 +1191,29 @@ impl QueryEngine {
     /// re-preparing. On any failure the entry is dropped and the next query
     /// re-grounds from scratch.
     fn repair_stale(&self, key: &Key) {
-        let Some(((spec, mut state), pending)) = self.cache.take_for_repair(key) else {
+        let Some(((mut spec, mut state), pending)) = self.cache.take_for_repair(key) else {
             return;
         };
+        // The retained spec's decoder predates these commits: teach it the
+        // values they carry, so a value first inserted by one decodes to
+        // its typed self, in this repair and every later one.
+        Arc::make_mut(&mut spec).learn_values(pending.values().flat_map(|delta| {
+            delta
+                .insertions
+                .iter()
+                .chain(&delta.deletions)
+                .flat_map(|atom| atom.tuple.iter())
+        }));
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
         let patch_span = Span::enter(recorder, "patch");
         let (ground, regrounded_rules) = self.patch_grounding(&mut state, &pending);
         let ground_nanos = duration_nanos(patch_span.finish());
-        // Decoding only consults the topology (relation ownership), never
-        // instance data — the worlds themselves come from the patched
-        // program.
         let repaired = self.solve_worlds(
             &spec,
             ground,
             prepare_span,
             (ground_nanos, regrounded_rules),
-            |sets| spec.solution_databases(&self.topology, sets),
         );
         self.cache
             .finish_repair(key, repaired.map(|prepared| (prepared, (spec, state))));
@@ -1361,12 +1371,13 @@ impl QueryEngine {
             self.solution_options,
             self.recorder.as_ref(),
         )?;
-        let mut databases = Vec::with_capacity(solutions.len());
+        let mut columnar = Vec::with_capacity(solutions.len());
         for solution in &solutions {
-            databases.push(self.topology.restrict_to_peer(&solution.database, peer)?);
+            let world = self.topology.restrict_to_peer(&solution.database, peer)?;
+            columnar.push(ColumnarDatabase::from_database(&world, &self.symbols));
         }
         let prepared = Arc::new(PreparedWorlds {
-            columnar: self.columnar_worlds(&databases),
+            columnar,
             worlds: solutions.len(),
             prepare_nanos: duration_nanos(span.finish()),
             ground_nanos: 0,
@@ -1524,31 +1535,24 @@ impl QueryEngine {
             ground,
             prepare_span,
             (ground_nanos, regrounded_rules),
-            |sets| {
-                let decode_span = Span::enter(recorder, "decode");
-                let databases = spec.solution_databases(&hydrated, sets);
-                decode_span.finish();
-                databases
-            },
         )?;
         self.cache
             .insert(key, stamp, Arc::clone(&prepared), Some((spec, state)));
         Ok((prepared, false))
     }
 
-    /// Solve a grounded (or patched) slice and assemble its worlds, closing
-    /// the preparation's `prepare` span. `decode` turns the answer sets into
-    /// per-world databases; `ground_nanos` and `regrounded_rules` report the
-    /// grounding (or patch) that built `ground`. Stable-model search fans
-    /// out across the query executor's workers. Shared by the reader's
-    /// preparation and the commit-side repair.
+    /// Solve a grounded (or patched) slice and decode its models straight
+    /// into columnar worlds (under one `decode` span), closing the
+    /// preparation's `prepare` span. `ground_nanos` and `regrounded_rules`
+    /// report the grounding (or patch) that built `ground`. Stable-model
+    /// search fans out across the query executor's workers. Shared by the
+    /// reader's preparation and the commit-side repair.
     fn solve_worlds(
         &self,
         spec: &SpecProgram,
         ground: datalog::GroundProgram,
         prepare_span: Span<'_>,
         (ground_nanos, regrounded_rules): (u64, usize),
-        decode: impl FnOnce(&AnswerSets) -> Result<Vec<Database>>,
     ) -> Result<Arc<PreparedWorlds>> {
         // Counters before solving: the HCF shift rewrites the ground program,
         // so `result.ground` would not reflect what the grounder instantiated.
@@ -1560,26 +1564,21 @@ impl QueryEngine {
             solve_ground_recorded(ground, self.solver_config, &self.query_exec(), recorder)
                 .map_err(CoreError::from)?;
         let solve_nanos = duration_nanos(span.finish());
-        let sets = AnswerSets {
-            sets: result
-                .answer_sets
-                .iter()
-                .map(|s| result.ground.decode(s))
-                .collect(),
-            branch_nodes: result.branch_nodes,
-            used_shift: result.used_shift,
-        };
-        let databases = decode(&sets)?;
+        // Decoding consults the topology (relation ownership), never
+        // instance data: the worlds come from the solved program.
+        let decode_span = Span::enter(recorder, "decode");
+        let columnar = spec.columnar_worlds(&self.topology, &result, &self.symbols)?;
+        decode_span.finish();
         Ok(Arc::new(PreparedWorlds {
-            columnar: self.columnar_worlds(&databases),
-            worlds: sets.len(),
+            columnar,
+            worlds: result.answer_sets.len(),
             prepare_nanos: duration_nanos(prepare_span.finish()),
             ground_nanos,
             solve_nanos,
             grounded_rules,
             grounded_atoms,
             regrounded_rules,
-            provenance: spec.provenance(&sets),
+            provenance: spec.provenance(&result),
         }))
     }
 
@@ -1671,21 +1670,11 @@ impl QueryEngine {
             }
         }
     }
-
-    /// Index freshly decoded worlds as columnar id blocks against the
-    /// store's symbol table. Solver-introduced constants the store has
-    /// never seen are interned here, so the table stays total over
-    /// everything the cache holds.
-    fn columnar_worlds(&self, databases: &[Database]) -> Vec<ColumnarDatabase> {
-        databases
-            .iter()
-            .map(|db| ColumnarDatabase::from_database(db, &self.symbols))
-            .collect()
-    }
 }
 
 /// The two ASP specification flavours behind one preparation pipeline
 /// (build → fingerprint → ground → solve → decode).
+#[derive(Clone)]
 pub(crate) enum SpecProgram {
     Direct(crate::asp::AnnotatedSpec),
     Transitive(crate::asp::TransitiveSpec),
@@ -1706,24 +1695,47 @@ impl SpecProgram {
         }
     }
 
-    fn solution_databases(&self, system: &P2PSystem, sets: &AnswerSets) -> Result<Vec<Database>> {
+    /// The id-native decode of a solved slice (the specs'
+    /// `columnar_worlds`).
+    fn columnar_worlds(
+        &self,
+        system: &P2PSystem,
+        result: &SolveResult,
+        symbols: &Arc<relalg::SymbolTable>,
+    ) -> Result<Vec<ColumnarDatabase>> {
         match self {
-            SpecProgram::Direct(spec) => spec.solution_databases(sets),
-            SpecProgram::Transitive(spec) => spec.solution_databases(system, sets),
+            SpecProgram::Direct(spec) => spec.columnar_worlds(result, symbols),
+            SpecProgram::Transitive(spec) => spec.columnar_worlds(system, result, symbols),
         }
     }
 
-    fn provenance(&self, sets: &AnswerSets) -> Provenance {
+    /// Teach the spec's value decoder the constants of `values`
+    /// ([`crate::asp::encode::ValueDecoder::learn`]).
+    fn learn_values<'v>(&mut self, values: impl IntoIterator<Item = &'v relalg::Value>) {
+        match self {
+            SpecProgram::Direct(spec) => spec.decoder.learn(values),
+            SpecProgram::Transitive(spec) => spec.decoder.learn(values),
+        }
+    }
+
+    /// Provenance from the solver's counts; `answer_set_count` counts
+    /// models before world deduplication.
+    fn provenance(&self, result: &SolveResult) -> Provenance {
+        let (answer_set_count, branch_nodes, used_shift) = (
+            result.answer_sets.len(),
+            result.branch_nodes,
+            result.used_shift,
+        );
         match self {
             SpecProgram::Direct(_) => Provenance::Asp {
-                answer_set_count: sets.len(),
-                branch_nodes: sets.branch_nodes,
-                used_shift: sets.used_shift,
+                answer_set_count,
+                branch_nodes,
+                used_shift,
             },
             SpecProgram::Transitive(_) => Provenance::TransitiveAsp {
-                answer_set_count: sets.len(),
-                branch_nodes: sets.branch_nodes,
-                used_shift: sets.used_shift,
+                answer_set_count,
+                branch_nodes,
+                used_shift,
             },
         }
     }

@@ -4,9 +4,11 @@
 //! value replaced by its [`Symbol`] id from a shared [`SymbolTable`] — so a
 //! conjunctive query can be answered entirely with integer comparisons and
 //! dense hashing; strings are materialized only at the answer boundary
-//! ([`CqPlan::materialize`]). Row order matches the source
-//! [`Relation`]'s deterministic `BTreeSet` iteration order, so two columnar
-//! snapshots of equal relations are bit-identical.
+//! ([`CqPlan::materialize`]). Row order is whatever the constructor was
+//! given: [`ColumnarRelation::from_relation`] keeps the source
+//! [`Relation`]'s value order, and [`ColumnarDatabase::from_id_rows`]
+//! keeps the order of its id rows (the ASP decode passes them sorted by
+//! id). No kernel depends on row order: answers are sets of id rows.
 //!
 //! [`CqPlan`] compiles the safe fragment of [`Formula`] — atoms,
 //! conjunction, disjunction, existentials, comparisons over bound
@@ -42,8 +44,8 @@ pub struct ColumnarRelation {
 }
 
 impl ColumnarRelation {
-    /// Intern a relation into column blocks. Row order is the relation's
-    /// own deterministic iteration order.
+    /// Intern a relation into column blocks. Rows follow the relation's
+    /// iteration order, which is its tuples' value order.
     pub fn from_relation(relation: &Relation, symbols: &SymbolTable) -> Self {
         let arity = relation.arity();
         let mut columns = vec![Vec::with_capacity(relation.len()); arity];
@@ -57,6 +59,32 @@ impl ColumnarRelation {
             columns,
             rows: relation.len(),
         }
+    }
+
+    /// Build a relation from rows of symbol ids already minted by the table
+    /// the relation will be read against. Rows keep the given order, and
+    /// `rows` may be empty (the relation is then present with no rows).
+    /// Fails when a row's length is not `arity`.
+    fn from_id_rows(name: impl Into<String>, arity: usize, rows: &[&[u32]]) -> Result<Self> {
+        let name = name.into();
+        let mut columns = vec![Vec::with_capacity(rows.len()); arity];
+        for row in rows {
+            if row.len() != arity {
+                return Err(RelalgError::ArityMismatch {
+                    relation: name,
+                    expected: arity,
+                    found: row.len(),
+                });
+            }
+            for (col, &id) in columns.iter_mut().zip(row.iter()) {
+                col.push(id);
+            }
+        }
+        Ok(ColumnarRelation {
+            name,
+            columns,
+            rows: rows.len(),
+        })
     }
 
     /// The relation's name.
@@ -111,6 +139,29 @@ impl ColumnarDatabase {
             relations,
             symbols: Arc::clone(symbols),
         }
+    }
+
+    /// Assemble a database from per-relation id rows: one
+    /// `(name, arity, rows)` entry per relation, its rows of symbol ids
+    /// already minted by `symbols` and kept in the given order. A relation
+    /// with no rows is kept as an empty block, so the database declares
+    /// every relation listed. Fails when a row's length is not its
+    /// relation's arity.
+    pub fn from_id_rows<'r, N: Into<String>>(
+        relations: impl IntoIterator<Item = (N, usize, &'r [&'r [u32]])>,
+        symbols: &Arc<SymbolTable>,
+    ) -> Result<Self> {
+        let relations = relations
+            .into_iter()
+            .map(|(name, arity, rows)| {
+                let relation = ColumnarRelation::from_id_rows(name, arity, rows)?;
+                Ok((relation.name.clone(), relation))
+            })
+            .collect::<Result<_>>()?;
+        Ok(ColumnarDatabase {
+            relations,
+            symbols: Arc::clone(symbols),
+        })
     }
 
     /// The shared symbol table the blocks are interned against.
@@ -938,6 +989,38 @@ mod tests {
         for rel in db.relations() {
             assert_eq!(back.relation(rel.name()).unwrap().arity(), rel.arity());
         }
+    }
+
+    #[test]
+    fn id_rows_build_the_same_blocks_and_keep_empty_relations() {
+        let (db, symbols, columnar) = fixture();
+        let id_rows = |name: &str| -> Vec<Vec<u32>> {
+            let rel = columnar.relation(name).unwrap();
+            (0..rel.rows())
+                .map(|r| (0..rel.arity()).map(|c| rel.id_at(r, c)).collect())
+                .collect()
+        };
+        let (r, s) = (id_rows("R"), id_rows("S"));
+        let r: Vec<&[u32]> = r.iter().map(Vec::as_slice).collect();
+        let s: Vec<&[u32]> = s.iter().map(Vec::as_slice).collect();
+        let built = ColumnarDatabase::from_id_rows(
+            [
+                ("R", 2, r.as_slice()),
+                ("S", 2, s.as_slice()),
+                ("E", 3, &[]),
+            ],
+            &symbols,
+        )
+        .unwrap();
+        assert_eq!(built.relation("R"), columnar.relation("R"));
+        assert_eq!(built.relation("S"), columnar.relation("S"));
+        let empty = built.relation("E").expect("an empty relation is kept");
+        assert_eq!((empty.arity(), empty.rows()), (3, 0));
+        assert_eq!(built.to_database().ground_atoms(), db.ground_atoms());
+        assert!(matches!(
+            ColumnarRelation::from_id_rows("R", 2, &[&[1, 2, 3]]),
+            Err(RelalgError::ArityMismatch { found: 3, .. })
+        ));
     }
 
     #[test]

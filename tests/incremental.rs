@@ -266,3 +266,42 @@ fn eviction_pressure_keeps_answers_correct() {
     );
     assert_eq!(unbounded.metrics().evictions, 0);
 }
+
+#[test]
+fn typed_values_inserted_by_a_commit_stay_typed_on_the_repair_path() {
+    // A commit that inserts values the engine has never seen must decode
+    // them to their typed `Value`s when the committing thread repairs the
+    // warm slice, and the repaired slice must keep that mapping for the
+    // next commit's repair: answers equal a fresh engine's after each.
+    let p1 = PeerId::new("P1");
+    let p2 = PeerId::new("P2");
+    let query = Formula::atom("R1", vec!["X", "Y"]);
+    let fv = vars(&["X", "Y"]);
+    for strategy in [Strategy::Asp, Strategy::TransitiveAsp] {
+        let engine = QueryEngine::builder(p2p_data_exchange::example1_system())
+            .strategy(strategy)
+            .build();
+        let _ = engine.answer(&p1, &query, &fv).expect("warm answer");
+        for (round, (x, y)) in [(7, 8), (9, 10)].into_iter().enumerate() {
+            let inserted = GroundAtom::new("R2", Tuple::ints([x, y]));
+            engine
+                .commit_delta(&p2, &Delta::from_changes([inserted], []))
+                .expect("commit applies");
+            let live = engine.answer(&p1, &query, &fv).expect("live answer");
+            assert!(live.stats.cache_hit, "the commit must repair the slice");
+            assert!(
+                live.tuples.contains(&Tuple::ints([x, y])),
+                "{strategy:?} round {round}: ({x}, {y}) decoded untyped: {:?}",
+                live.tuples
+            );
+            let fresh = QueryEngine::builder(engine.snapshot_system().unwrap())
+                .strategy(strategy)
+                .build();
+            assert_eq!(
+                live.tuples,
+                fresh.answer(&p1, &query, &fv).expect("fresh answer").tuples,
+                "{strategy:?} round {round}: repaired answers diverged from a fresh engine"
+            );
+        }
+    }
+}

@@ -133,6 +133,57 @@ fn engine_stats_equal_recorded_span_durations() {
     assert_eq!(recorder.registry().counter_value("cache.hit"), 1);
 }
 
+/// A commit that stales a warm ASP slice repairs it on the committing
+/// thread, and the repair decodes its models under one `decode` span
+/// nested in the repair's `prepare`, after `patch` and `solve`. The next
+/// query hits the repaired entry and decodes nothing.
+#[test]
+fn repair_path_decodes_under_one_span_nested_in_prepare() {
+    let (engine, recorder) = traced_example1_engine();
+    let (p1, p2) = (PeerId::new("P1"), PeerId::new("P2"));
+    let query = Formula::atom("R1", vec!["X", "Y"]);
+    let fv = vars(&["X", "Y"]);
+    let _ = engine.answer(&p1, &query, &fv).unwrap();
+    let insert = GroundAtom::new("R2", Tuple::strs(["k", "m"]));
+    engine
+        .commit_delta(&p2, &Delta::from_changes([insert], []))
+        .unwrap();
+    let repaired = engine.answer(&p1, &query, &fv).unwrap();
+    assert!(repaired.stats.cache_hit);
+    assert!(repaired.tuples.contains(&Tuple::strs(["k", "m"])));
+
+    let trace = recorder.trace();
+    assert_well_formed(&trace);
+    let labelled = |label: &str| -> Vec<usize> {
+        (0..trace.spans.len())
+            .filter(|&i| trace.spans[i].label == label)
+            .collect()
+    };
+    let children = |parent: usize| -> Vec<&str> {
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(parent))
+            .map(|s| s.label)
+            .collect()
+    };
+    let commit = labelled("commit");
+    assert_eq!(commit.len(), 1);
+    let repair: Vec<usize> = labelled("prepare")
+        .into_iter()
+        .filter(|&i| trace.spans[i].parent == Some(commit[0]))
+        .collect();
+    assert_eq!(repair.len(), 1, "one repair under the commit");
+    assert_eq!(children(repair[0]), ["patch", "solve", "decode"]);
+    // One decode for the cold query, one for the repair, none for the hit.
+    let decodes = labelled("decode");
+    assert_eq!(decodes.len(), 2);
+    for i in decodes {
+        let parent = trace.spans[i].parent.expect("decode nests in prepare");
+        assert_eq!(trace.spans[parent].label, "prepare");
+    }
+}
+
 /// Check one replayed trace for structural well-formedness: no malformed
 /// events, every span closed, and every child interval contained in its
 /// parent's.

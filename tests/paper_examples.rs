@@ -1,5 +1,5 @@
-//! End-to-end reproduction of every worked example of the paper
-//! (experiments E1–E6 of DESIGN.md), exercised through the public API of the
+//! End-to-end reproduction of every worked example of the paper (tests
+//! `e1`–`e6`, one per example), exercised through the public API of the
 //! umbrella crate.
 
 use datalog::{AnswerSets, SolverConfig};
