@@ -42,7 +42,7 @@ use crate::Result;
 use constraints::{AtomPattern, Constraint, ConstraintClass, ConstraintHead};
 use datalog::{Atom, BodyItem, Builtin, BuiltinOp, ChoiceAtom, Program, Rule, SolveResult, Term};
 use relalg::query::{CompareOp, Term as RelTerm};
-use relalg::{ColumnarDatabase, Database, RelationSchema, SymbolTable};
+use relalg::{Database, RelationSchema, SymbolTable, WorldSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -78,15 +78,16 @@ impl AnnotatedSpec {
     }
 
     /// Decode the models of a solved program (this spec or a slice of it)
-    /// straight into distinct columnar solution worlds over the relevant
-    /// relations, interning constants into `symbols` (the id-native decode
-    /// of the `asp::decode` module). The same worlds as
+    /// straight into the [`WorldSet`] of distinct solution worlds over the
+    /// relevant relations — a shared core plus per-world deltas —
+    /// interning constants into `symbols` (the id-native decode of the
+    /// `asp::decode` module). The same worlds as
     /// [`AnnotatedSpec::solution_databases`] over the same models.
     pub fn columnar_worlds(
         &self,
         result: &SolveResult,
         symbols: &Arc<SymbolTable>,
-    ) -> Result<Vec<ColumnarDatabase>> {
+    ) -> Result<WorldSet> {
         decode_worlds(
             result,
             &self.relevant,

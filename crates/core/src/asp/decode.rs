@@ -4,7 +4,7 @@
 //! the peer (Definition 3), and the peer consistent answers are those true
 //! in every solution (Definition 5). [`decode_worlds`] turns the solver's
 //! models — sets of atom ids of the solved [`GroundProgram`] — straight into
-//! [`ColumnarDatabase`] worlds over the store's [`SymbolTable`]:
+//! a [`WorldSet`] over the store's [`SymbolTable`]:
 //!
 //! * one table maps each atom id to its relation slot and its row of store
 //!   symbol ids. An atom is decoded the first time some model holds it;
@@ -12,8 +12,10 @@
 //! * every distinct constant text is decoded to its typed [`Value`] by the
 //!   spec's [`ValueDecoder`] and interned once;
 //! * a model becomes a world by table lookups: rows are collected per
-//!   relation, sorted by id and deduplicated, and worlds with equal rows
-//!   are kept once, in model order.
+//!   relation, and [`WorldSet::from_id_rows`] sorts them by id,
+//!   deduplicates them, keeps worlds with equal rows once, in model order,
+//!   and splits the sorted rows into the core every world shares and each
+//!   world's delta by merging — no full world is ever built as blocks.
 //!
 //! The string decode (`AnswerSets` plus the specs' `solution_databases`)
 //! stays as the reference this module is checked against; both give the
@@ -24,8 +26,8 @@
 use crate::asp::encode::ValueDecoder;
 use crate::Result;
 use datalog::SolveResult;
-use relalg::{ColumnarDatabase, SymbolTable};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use relalg::{SymbolTable, WorldSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// What one atom id contributes to a world.
@@ -39,12 +41,12 @@ enum Decoded {
     Row(usize, Box<[u32]>),
 }
 
-/// Decode the models of `result` into distinct columnar worlds over the
+/// Decode the models of `result` into the set of distinct worlds over the
 /// `relevant` relations, interning constants into `symbols`. A relation's
 /// tuples are the positive atoms of its `solution_predicate`; solution
-/// predicates are distinct across relations. Every world declares every
-/// relevant relation, empty or not. Fails when an atom's argument count
-/// differs from its relation's arity.
+/// predicates are distinct across relations. The set's core, and with it
+/// every world, declares every relevant relation, empty or not. Fails when
+/// an atom's argument count differs from its relation's arity.
 pub(crate) fn decode_worlds(
     result: &SolveResult,
     relevant: &BTreeSet<String>,
@@ -52,7 +54,7 @@ pub(crate) fn decode_worlds(
     solution_predicate: impl Fn(&str) -> String,
     decoder: &ValueDecoder,
     symbols: &Arc<SymbolTable>,
-) -> Result<Vec<ColumnarDatabase>> {
+) -> Result<WorldSet> {
     let (ground, models) = (&result.ground, &result.answer_sets);
     let slots: HashMap<String, usize> = relevant
         .iter()
@@ -81,32 +83,21 @@ pub(crate) fn decode_worlds(
             _ => Decoded::Skip,
         };
     }
-    let worlds: Vec<Vec<Vec<&[u32]>>> = models
+    let worlds = models.iter().map(|model| {
+        let mut rows: Vec<Vec<&[u32]>> = vec![Vec::new(); relevant.len()];
+        for &id in model {
+            if let Decoded::Row(slot, row) = &table[id] {
+                rows[*slot].push(&**row);
+            }
+        }
+        rows
+    });
+    let relations: Vec<(&str, usize)> = relevant
         .iter()
-        .map(|model| {
-            let mut rows = vec![Vec::new(); relevant.len()];
-            for &id in model {
-                if let Decoded::Row(slot, row) = &table[id] {
-                    rows[*slot].push(&**row);
-                }
-            }
-            for rows in &mut rows {
-                rows.sort_unstable();
-                rows.dedup();
-            }
-            rows
+        .map(|relation| {
+            let arity = arities.get(relation).copied().unwrap_or(0);
+            (relation.as_str(), arity)
         })
         .collect();
-    let mut seen = HashSet::new();
-    worlds
-        .iter()
-        .filter(|world| seen.insert(*world))
-        .map(|world| {
-            let blocks = relevant.iter().zip(world).map(|(relation, rows)| {
-                let arity = arities.get(relation).copied().unwrap_or(0);
-                (relation.as_str(), arity, rows.as_slice())
-            });
-            Ok(ColumnarDatabase::from_id_rows(blocks, symbols)?)
-        })
-        .collect()
+    Ok(WorldSet::from_id_rows(&relations, worlds, symbols)?)
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`encode`] — conversions between relational values/tuples and logic
 //!   program constants, fact generation and predicate-name conventions;
-//! * `decode` — the id-native decode of solver models into columnar
-//!   solution worlds ([`AnnotatedSpec::columnar_worlds`],
+//! * `decode` — the id-native decode of solver models into a columnar
+//!   core plus per-world deltas ([`AnnotatedSpec::columnar_worlds`],
 //!   [`TransitiveSpec::columnar_worlds`]), the path the [`crate::engine`]
 //!   answers through;
 //! * [`annotated`] — the general *annotation-based* specification program

@@ -22,7 +22,7 @@ use crate::asp::encode::ValueDecoder;
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
 use datalog::{Atom, BodyItem, Program, Rule, SolveResult};
-use relalg::{ColumnarDatabase, Database, RelationSchema, SymbolTable};
+use relalg::{Database, RelationSchema, SymbolTable, WorldSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -65,17 +65,18 @@ impl TransitiveSpec {
     }
 
     /// Decode the models of a solved program (this spec or a slice of it)
-    /// straight into distinct columnar global-solution worlds, interning
-    /// constants into `symbols` (the id-native decode of the `asp::decode`
-    /// module). `system` only resolves relation ownership, so the topology
-    /// suffices. The same worlds as [`TransitiveSpec::solution_databases`]
-    /// over the same models.
+    /// straight into the [`WorldSet`] of distinct global-solution worlds —
+    /// a shared core plus per-world deltas — interning constants into
+    /// `symbols` (the id-native decode of the `asp::decode` module).
+    /// `system` only resolves relation ownership, so the topology suffices.
+    /// The same worlds as [`TransitiveSpec::solution_databases`] over the
+    /// same models.
     pub fn columnar_worlds(
         &self,
         system: &P2PSystem,
         result: &SolveResult,
         symbols: &Arc<SymbolTable>,
-    ) -> Result<Vec<ColumnarDatabase>> {
+    ) -> Result<WorldSet> {
         decode_worlds(
             result,
             &self.relevant,

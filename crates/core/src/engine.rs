@@ -44,16 +44,19 @@
 //! global instance are computed once per `(engine, peer)`, and the ASP
 //! strategies' *grounded and solved* specification programs once per
 //! `(engine, peer, query slice)`. The solver's models (sets of atom ids) are
-//! decoded straight into per-world columnar databases over the store's
-//! symbol table ([`crate::asp::AnnotatedSpec::columnar_worlds`]), with no
-//! string world in between. The ASP strategies ground only the
+//! decoded straight into a [`WorldSet`] over the store's symbol table
+//! ([`crate::asp::AnnotatedSpec::columnar_worlds`]), with no string world in
+//! between: one columnar core holding the rows every world shares plus one
+//! delta per world; the naive strategy's solutions are split the same way.
+//! The ASP strategies ground only the
 //! query-relevant slice of the specification ([`datalog::relevance`],
 //! magic-sets-style pruning seeded by the query's relations and bound
 //! constants), so the cache key carries the slice:
 //! distinct queries over one peer no longer share an over-wide grounding,
 //! while repeated queries of the same shape skip spec generation, grounding
-//! and stable-model search entirely and only re-run the cheap per-world
-//! query evaluation — the hot path of the benchmark suite.
+//! and stable-model search entirely and only re-run the cheap certain-answer
+//! evaluation over the prepared worlds — the hot path of the benchmark
+//! suite.
 //! [`EngineStats::grounded_rules`] / [`EngineStats::grounded_atoms`] expose
 //! the instantiated slice sizes (tracked exactly by the CI smoke gate).
 //!
@@ -109,6 +112,14 @@
 //! over each solution world (one per distinct decoded answer set) and
 //! intersecting.
 //!
+//! That intersection rarely needs every world. Each world is the core plus
+//! its delta, so for a query without negation every answer over the core is
+//! an answer in every world: [`WorldSet::certain`] evaluates the core, takes
+//! the smallest world's other answers as the only candidates, and checks
+//! them in the remaining worlds until none is left. A query with negation
+//! is evaluated on every world. The `cq.worlds_checked` counter reports how
+//! many world evaluations each answer took, the core's included.
+//!
 //! ## Parallel execution
 //!
 //! The engine parallelizes at two independent levels, both driven by the
@@ -124,9 +135,11 @@
 //!   atomics, so concurrent partitions never serialize on bookkeeping.
 //! * **Within a query** — stable-model search fans independent search
 //!   subtrees out across workers ([`datalog::solve::solve_ground_with`]) and
-//!   the per-world certain-answer intersection evaluates worlds in parallel.
-//!   Both merges are order-insensitive (sort+dedup, set intersection), so
-//!   answers are identical to the sequential path for every pool size.
+//!   the certain-answer intersection evaluates the worlds it still has to
+//!   check in parallel ([`Executor::try_intersect`], which stops once the
+//!   intersection is empty). Both merges are order-insensitive (sort+dedup,
+//!   set intersection), so answers are identical to the sequential path for
+//!   every pool size.
 
 use crate::cache::{CacheEvent, Cached, Key, Mechanism, MemoCache, Pending};
 use crate::error::CoreError;
@@ -140,7 +153,7 @@ use datalog::solve::solve_ground_recorded;
 use datalog::{Grounder, SolveResult, SolverConfig};
 use pdes_exec::{ExecConfig, Executor};
 use relalg::query::{Formula, QueryEvaluator};
-use relalg::{ColumnarDatabase, CqPlan, Tuple};
+use relalg::{ColumnarDatabase, CqPlan, Tuple, WorldSet};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -655,11 +668,12 @@ impl QueryEngineBuilder {
 /// The decoded worlds of one peer under one mechanism, plus how long the
 /// preparation took.
 pub(crate) struct PreparedWorlds {
-    /// One columnar database per distinct world (solution / answer set),
-    /// interned against the store's symbol table. Conjunctive queries
-    /// intersect over these id blocks; other formulas decode a world on
-    /// demand ([`ColumnarDatabase::to_database`]).
-    columnar: Vec<ColumnarDatabase>,
+    /// The distinct worlds (solutions / answer sets) as one columnar core
+    /// every world shares plus one delta per world, interned against the
+    /// store's symbol table ([`WorldSet`]). Queries in [`CqPlan`]'s
+    /// fragment are answered by [`WorldSet::certain`]; other formulas
+    /// decode a world on demand ([`WorldSet::world`]).
+    set: WorldSet,
     /// World count before deduplication: the answer-set (ASP) or solution
     /// (naive) count, which [`EngineStats::worlds`] reports.
     worlds: usize,
@@ -678,15 +692,11 @@ pub(crate) struct PreparedWorlds {
 
 impl PreparedWorlds {
     /// Bytes this entry charges against [`QueryEngineBuilder::cache_capacity`]:
-    /// the *exact* interned columnar size
-    /// ([`ColumnarDatabase::exact_bytes`] — 4 bytes per stored id
-    /// plus fixed per-relation overheads).
+    /// the *exact* interned columnar size of the core plus every delta
+    /// ([`WorldSet::exact_bytes`] — 4 bytes per stored id plus fixed
+    /// per-relation and per-world overheads).
     pub(crate) fn bytes(&self) -> usize {
-        256 + self
-            .columnar
-            .iter()
-            .map(|db| db.exact_bytes())
-            .sum::<usize>()
+        256 + self.set.exact_bytes()
     }
 }
 
@@ -1371,13 +1381,30 @@ impl QueryEngine {
             self.solution_options,
             self.recorder.as_ref(),
         )?;
-        let mut columnar = Vec::with_capacity(solutions.len());
-        for solution in &solutions {
-            let world = self.topology.restrict_to_peer(&solution.database, peer)?;
-            columnar.push(ColumnarDatabase::from_database(&world, &self.symbols));
-        }
+        // Each solution restricted to the peer's relations, as id rows;
+        // the set keeps distinct worlds once, like the ASP decode.
+        let schema = &self.topology.peer(peer)?.schema;
+        let relations: Vec<(&str, usize)> = schema
+            .relation_names()
+            .filter_map(|name| Some((name, schema.relation(name)?.arity())))
+            .collect();
+        let worlds = solutions.iter().map(|solution| {
+            relations
+                .iter()
+                .map(|(name, _)| {
+                    let tuples = solution
+                        .database
+                        .relation(name)
+                        .into_iter()
+                        .flat_map(|r| r.iter());
+                    tuples
+                        .map(|tuple| tuple.iter().map(|v| self.symbols.intern(v).id()).collect())
+                        .collect::<Vec<Vec<u32>>>()
+                })
+                .collect()
+        });
         let prepared = Arc::new(PreparedWorlds {
-            columnar,
+            set: WorldSet::from_id_rows(&relations, worlds, &self.symbols)?,
             worlds: solutions.len(),
             prepare_nanos: duration_nanos(span.finish()),
             ground_nanos: 0,
@@ -1436,7 +1463,7 @@ impl QueryEngine {
     }
 
     /// Grounded + solved specification program of `peer` (direct or
-    /// transitive) for one query slice, decoded into per-world databases.
+    /// transitive) for one query slice, decoded into its set of worlds.
     ///
     /// The entry's stamp covers the peer's relevant-peer closure
     /// ([`P2PSystem::dependencies_of`]): the specification programs only read
@@ -1567,10 +1594,10 @@ impl QueryEngine {
         // Decoding consults the topology (relation ownership), never
         // instance data: the worlds come from the solved program.
         let decode_span = Span::enter(recorder, "decode");
-        let columnar = spec.columnar_worlds(&self.topology, &result, &self.symbols)?;
+        let set = spec.columnar_worlds(&self.topology, &result, &self.symbols)?;
         decode_span.finish();
         Ok(Arc::new(PreparedWorlds {
-            columnar,
+            set,
             worlds: result.answer_sets.len(),
             prepare_nanos: duration_nanos(prepare_span.finish()),
             ground_nanos,
@@ -1629,41 +1656,52 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Intersect the query's answers over every prepared world, evaluating
-    /// worlds on the engine's pool ([`Executor::try_intersect`]: set
-    /// intersection commutes, so the answers are identical for every pool
-    /// size). Small world sets stay on the calling thread: below
-    /// [`QueryEngine::MIN_PARALLEL_WORLDS`] the per-world evaluations are
-    /// cheaper than spawning workers for them.
+    /// The query's certain answers over the prepared worlds: the tuples it
+    /// returns in every world (Definition 5).
     ///
     /// Queries in [`CqPlan`]'s fragment (conjunction, disjunction,
     /// existentials, comparisons, nested safe negation and guarded ∀) run
-    /// the join kernels over the columnar id blocks and materialize strings
-    /// once, at the end. Anything else (unguarded ∀, bare →, unsafe ¬)
-    /// decodes each world on demand, runs the general [`QueryEvaluator`]
-    /// and counts one `cq.fallback`.
+    /// the join kernels over the columnar id blocks through
+    /// [`WorldSet::certain`] and materialize strings once, at the end. A
+    /// plan with no negation is answered over the core first, and only the
+    /// smallest world's remaining answers are checked in the other worlds;
+    /// a plan with negation is evaluated on every world. Anything else
+    /// (unguarded ∀, bare →, unsafe ¬) decodes each world on demand, runs
+    /// the general [`QueryEvaluator`] and counts one `cq.fallback`. Every
+    /// world evaluation, `Q(core)` included, counts one
+    /// `cq.worlds_checked`.
+    ///
+    /// Worlds are intersected on the engine's pool
+    /// ([`Executor::try_intersect`]: set intersection commutes, so the
+    /// answers are identical for every pool size). Small world sets stay
+    /// on the calling thread: below [`QueryEngine::MIN_PARALLEL_WORLDS`]
+    /// the per-world evaluations are cheaper than spawning workers for
+    /// them.
     fn certain_answers(
         &self,
         worlds: &PreparedWorlds,
         query: &Formula,
         free_vars: &[String],
     ) -> Result<BTreeSet<Tuple>> {
-        let worlds = &worlds.columnar;
-        let exec = if worlds.len() >= Self::MIN_PARALLEL_WORLDS {
+        let set = &worlds.set;
+        let exec = if set.len() >= Self::MIN_PARALLEL_WORLDS {
             self.query_exec()
         } else {
             Executor::sequential()
         };
         match CqPlan::compile(query, free_vars) {
             Some(plan) => {
-                let rows =
-                    exec.try_intersect(worlds, |db| plan.answers(db).map_err(CoreError::from))?;
+                let (rows, checked) =
+                    set.certain(&plan, |items, answers| exec.try_intersect(items, answers))?;
+                self.recorder.count("cq.worlds_checked", checked as u64);
                 Ok(CqPlan::materialize(&rows, &self.symbols))
             }
             None => {
                 self.recorder.count("cq.fallback", 1);
-                exec.try_intersect(worlds, |db| {
-                    QueryEvaluator::new(&db.to_database())
+                let all: Vec<usize> = (0..set.len()).collect();
+                exec.try_intersect(&all, |&i| {
+                    self.recorder.count("cq.worlds_checked", 1);
+                    QueryEvaluator::new(&set.world(i))
                         .answers(query, free_vars)
                         .map_err(CoreError::from)
                 })
@@ -1702,7 +1740,7 @@ impl SpecProgram {
         system: &P2PSystem,
         result: &SolveResult,
         symbols: &Arc<relalg::SymbolTable>,
-    ) -> Result<Vec<ColumnarDatabase>> {
+    ) -> Result<WorldSet> {
         match self {
             SpecProgram::Direct(spec) => spec.columnar_worlds(result, symbols),
             SpecProgram::Transitive(spec) => spec.columnar_worlds(system, result, symbols),

@@ -314,10 +314,13 @@ impl Executor {
     ///
     /// Each worker streams one contiguous chunk into a running
     /// intersection, so at most one partial set per worker is live (exactly
-    /// one on the sequential path), never one per item. Set intersection
-    /// commutes, so the result is identical for every pool size; an error
-    /// is the one of the lowest-indexed failing item, as in
-    /// [`Executor::try_map`].
+    /// one on the sequential path), never one per item. A running
+    /// intersection that empties stops its fold: no later item of that
+    /// chunk (of the slice, on the sequential path) is evaluated. Set
+    /// intersection commutes, so the result is identical for every pool
+    /// size; an error is the one of the first failing item in input order
+    /// that the sequential fold reaches, i.e. one met before the
+    /// intersection of the items ahead of it is empty.
     pub fn try_intersect<T, U, E, F>(&self, items: &[T], f: F) -> Result<BTreeSet<U>, E>
     where
         T: Sync,
@@ -325,29 +328,47 @@ impl Executor {
         E: Send,
         F: Fn(&T) -> Result<BTreeSet<U>, E> + Sync,
     {
-        let meet =
-            |acc: BTreeSet<U>, these: BTreeSet<U>| acc.intersection(&these).cloned().collect();
-        let fold = |chunk: &[T]| -> Result<Option<BTreeSet<U>>, E> {
+        let meet = |acc: Option<BTreeSet<U>>, these: BTreeSet<U>| match acc {
+            None => these,
+            Some(acc) => acc.intersection(&these).cloned().collect(),
+        };
+        // A chunk's running intersection up to where its fold stopped, and
+        // the error it stopped on, if any.
+        let fold = |chunk: &[T]| -> (Option<BTreeSet<U>>, Option<E>) {
             let mut acc: Option<BTreeSet<U>> = None;
             for item in chunk {
-                let these = f(item)?;
-                acc = Some(match acc {
-                    None => these,
-                    Some(acc) => meet(acc, these),
-                });
+                match f(item) {
+                    Ok(these) => acc = Some(meet(acc, these)),
+                    Err(e) => return (acc, Some(e)),
+                }
+                if acc.as_ref().is_some_and(BTreeSet::is_empty) {
+                    break;
+                }
             }
-            Ok(acc)
+            (acc, None)
         };
         let workers = self.workers_for(items.len());
-        let certain = if workers <= 1 {
-            fold(items)?
+        let chunks = if workers <= 1 {
+            vec![fold(items)]
         } else {
             let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(workers)).collect();
-            self.try_map(&chunks, |chunk| fold(chunk))?
-                .into_iter()
-                .flatten()
-                .reduce(meet)
+            self.map(&chunks, |chunk| fold(chunk))
         };
+        // Merge in input order, as the sequential fold would meet them: an
+        // intersection that is already empty ends the fold before any later
+        // chunk's error.
+        let mut certain: Option<BTreeSet<U>> = None;
+        for (acc, error) in chunks {
+            if let Some(acc) = acc {
+                certain = Some(meet(certain, acc));
+            }
+            if certain.as_ref().is_some_and(BTreeSet::is_empty) {
+                break;
+            }
+            if let Some(e) = error {
+                return Err(e);
+            }
+        }
         Ok(certain.unwrap_or_default())
     }
 }
@@ -437,6 +458,75 @@ mod tests {
             assert_eq!(
                 exec.try_intersect(&[] as &[u32], multiples),
                 Ok(BTreeSet::new())
+            );
+        }
+    }
+
+    #[test]
+    fn try_intersect_stops_once_the_intersection_is_empty() {
+        // Items 0..4 keep {0, 1}, item 4 empties the intersection, and the
+        // items after it fail: the fold never reaches them.
+        let items: Vec<u32> = (0..12).collect();
+        let sets = |n: u32| -> Result<BTreeSet<u32>, u32> {
+            match n {
+                0..=3 => Ok(BTreeSet::from([0, 1, n + 2])),
+                4 => Ok(BTreeSet::from([7])),
+                _ => Err(n),
+            }
+        };
+        let calls = AtomicU64::new(0);
+        let counted = |&n: &u32| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            sets(n)
+        };
+        let sequential = Executor::sequential().try_intersect(&items, counted);
+        assert_eq!(sequential, Ok(BTreeSet::new()));
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            5,
+            "items after 4 are skipped"
+        );
+        // An error met before the intersection empties is returned.
+        let failing = |&n: &u32| if n == 2 { Err(n) } else { sets(n) };
+        assert_eq!(
+            Executor::sequential().try_intersect(&items, failing),
+            Err(2)
+        );
+        // Items 0..4 keep {0, 1}; every pool size agrees with the
+        // sequential fold, whichever chunk empties or fails first.
+        let shifted = |&n: &u32| if n < 4 { sets(n) } else { sets(n - 1) };
+        // The second chunk of two fails only after an item that already
+        // empties the intersection with the first chunk's.
+        let late = |&n: &u32| match n {
+            0 | 1 => Ok(BTreeSet::from([1])),
+            2 => Ok(BTreeSet::from([2])),
+            _ => Err(n),
+        };
+        assert_eq!(
+            Executor::new(ExecConfig::with_workers(2)).try_intersect(&items[..4], late),
+            Ok(BTreeSet::new())
+        );
+        for workers in [1, 2, 4, 8] {
+            let exec = Executor::new(ExecConfig::with_workers(workers));
+            assert_eq!(
+                exec.try_intersect(&items, |n| sets(*n)),
+                sequential,
+                "{workers} workers"
+            );
+            assert_eq!(
+                exec.try_intersect(&items, failing),
+                Err(2),
+                "{workers} workers"
+            );
+            assert_eq!(
+                exec.try_intersect(&items[..4], |n| sets(*n)),
+                Ok(BTreeSet::from([0, 1])),
+                "{workers} workers"
+            );
+            assert_eq!(
+                exec.try_intersect(&items, shifted),
+                Ok(BTreeSet::new()),
+                "{workers} workers"
             );
         }
     }

@@ -1,4 +1,5 @@
-//! Columnar relation storage and join kernels over interned symbols.
+//! Columnar relation storage, solution worlds and join kernels over
+//! interned symbols.
 //!
 //! A [`ColumnarRelation`] stores one `Vec<u32>` block per attribute — each
 //! value replaced by its [`Symbol`] id from a shared [`SymbolTable`] — so a
@@ -6,9 +7,19 @@
 //! dense hashing; strings are materialized only at the answer boundary
 //! ([`CqPlan::materialize`]). Row order is whatever the constructor was
 //! given: [`ColumnarRelation::from_relation`] keeps the source
-//! [`Relation`]'s value order, and [`ColumnarDatabase::from_id_rows`]
-//! keeps the order of its id rows (the ASP decode passes them sorted by
-//! id). No kernel depends on row order: answers are sets of id rows.
+//! [`Relation`]'s value order, and [`WorldSet::from_id_rows`] sorts its id
+//! rows. No kernel depends on row order: answers are sets of id rows.
+//!
+//! A [`WorldSet`] holds the distinct solution worlds of one prepared slice
+//! as a shared core — the rows every world has — plus one delta per world,
+//! its rows beyond the core, kept by ascending size. Solutions are the
+//! peer's instance changed by a minimal set of changes, so they overlap
+//! heavily and the core carries most rows once. A plan reads world `i`
+//! through a two-part view: each relation's core block followed by its
+//! delta block. [`WorldSet::certain`] answers Definition 5 from the core
+//! first: a monotone plan's answers over the core are answers in every
+//! world, and only the smallest world's remaining answers need checking in
+//! the others.
 //!
 //! [`CqPlan`] compiles the safe fragment of [`Formula`] — atoms,
 //! conjunction, disjunction, existentials, comparisons over bound
@@ -18,7 +29,8 @@
 //! kernel steps. Any formula outside the fragment (unguarded universals,
 //! bare implications, unsafe negation) fails to compile
 //! ([`CqPlan::compile`] returns `None`); callers decode the instance with
-//! [`ColumnarDatabase::to_database`] and run the general active-domain
+//! [`ColumnarDatabase::to_database`] (a world with [`WorldSet::world`]) and
+//! run the general active-domain
 //! [`QueryEvaluator`](crate::query::QueryEvaluator) — the plan is a fast
 //! path, never a semantic fork.
 
@@ -32,6 +44,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One relation stored column-wise as interned symbol ids.
@@ -102,9 +115,14 @@ impl ColumnarRelation {
         self.rows
     }
 
-    /// The id at (row, column).
-    fn id_at(&self, row: usize, col: usize) -> u32 {
-        self.columns[col][row]
+    /// Row `r` decoded back into a tuple.
+    fn tuple(&self, r: usize, symbols: &SymbolTable) -> Tuple {
+        Tuple::from(
+            self.columns
+                .iter()
+                .map(|col| symbols.resolve(Symbol::from_id(col[r])))
+                .collect::<Vec<Value>>(),
+        )
     }
 
     /// Exact resident bytes of the column blocks: 4 bytes per id plus the
@@ -147,7 +165,7 @@ impl ColumnarDatabase {
     /// with no rows is kept as an empty block, so the database declares
     /// every relation listed. Fails when a row's length is not its
     /// relation's arity.
-    pub fn from_id_rows<'r, N: Into<String>>(
+    fn from_id_rows<'r, N: Into<String>>(
         relations: impl IntoIterator<Item = (N, usize, &'r [&'r [u32]])>,
         symbols: &Arc<SymbolTable>,
     ) -> Result<Self> {
@@ -189,13 +207,8 @@ impl ColumnarDatabase {
         for rel in self.relations.values() {
             let mut relation = Relation::new(RelationSchema::with_arity(&rel.name, rel.arity()));
             for r in 0..rel.rows {
-                let values: Vec<Value> = rel
-                    .columns
-                    .iter()
-                    .map(|col| self.symbols.resolve(Symbol::from_id(col[r])))
-                    .collect();
                 relation
-                    .insert(Tuple::from(values))
+                    .insert(rel.tuple(r, &self.symbols))
                     .expect("every row has the relation's arity");
             }
             db.add_relation(relation);
@@ -207,11 +220,289 @@ impl ColumnarDatabase {
     /// symbol table, which is owned by the store and amortized across every
     /// snapshot and cache entry).
     pub fn exact_bytes(&self) -> usize {
-        32 + self
-            .relations
+        32 + self.block_bytes()
+    }
+
+    /// The blocks' share of [`ColumnarDatabase::exact_bytes`]: 16 bytes
+    /// per relation plus its ids and name.
+    fn block_bytes(&self) -> usize {
+        self.relations
             .values()
             .map(|r| 16 + r.exact_bytes())
             .sum::<usize>()
+    }
+
+    /// Number of rows over all relations.
+    fn row_count(&self) -> usize {
+        self.relations.values().map(ColumnarRelation::rows).sum()
+    }
+}
+
+/// The distinct worlds of one prepared slice — the solutions of a peer
+/// (Definition 3) — stored as a shared core plus one delta per world.
+///
+/// The `core` holds the rows present in every world; world `i`'s delta
+/// holds its rows minus the core, so world `i` is exactly `core ⊎ deltaᵢ`.
+/// The core declares every relation; a delta holds blocks only for the
+/// relations it has rows for, and a lookup falls through to the core.
+/// Deltas are kept by ascending row count (ties in input order), so world
+/// 0 is a smallest world.
+///
+/// [`WorldSet::certain`] answers Definition 5 — the tuples that are
+/// answers in every world — without running the plan on every world when
+/// it can.
+#[derive(Debug, Clone)]
+pub struct WorldSet {
+    core: ColumnarDatabase,
+    deltas: Vec<ColumnarDatabase>,
+}
+
+impl WorldSet {
+    /// Split worlds given as id rows into a core and per-world deltas.
+    /// `relations` lists each relation's name and arity; each world lists
+    /// its rows of symbol ids, already minted by `symbols`, per relation in
+    /// `relations` order, in any order and with repeats. Rows are sorted
+    /// and deduplicated per relation, and worlds with equal rows are kept
+    /// once, in input order. The core is then the merge-intersection of
+    /// each relation's sorted rows over the worlds, and each delta the
+    /// merge-difference of a world's rows and the core's. Fails when a
+    /// row's length is not its relation's arity.
+    pub fn from_id_rows<R>(
+        relations: &[(&str, usize)],
+        worlds: impl IntoIterator<Item = Vec<Vec<R>>>,
+        symbols: &Arc<SymbolTable>,
+    ) -> Result<WorldSet>
+    where
+        R: AsRef<[u32]> + Ord + std::hash::Hash,
+    {
+        let worlds: Vec<Vec<Vec<R>>> = worlds
+            .into_iter()
+            .map(|mut world| {
+                for rows in &mut world {
+                    rows.sort_unstable();
+                    rows.dedup();
+                }
+                world
+            })
+            .collect();
+        let mut seen = HashSet::new();
+        let distinct: Vec<&Vec<Vec<R>>> = worlds.iter().filter(|w| seen.insert(*w)).collect();
+        let database = |blocks: Vec<(&str, usize, Vec<&[u32]>)>| {
+            let blocks = blocks
+                .iter()
+                .map(|(name, arity, rows)| (*name, *arity, &rows[..]));
+            ColumnarDatabase::from_id_rows(blocks, symbols)
+        };
+        // The core declares no relation when there is no world, so an empty
+        // set charges nothing.
+        let core: Vec<Vec<&[u32]>> = match distinct.split_first() {
+            None => Vec::new(),
+            Some((first, rest)) => (0..relations.len())
+                .map(|slot| {
+                    let mut shared: Vec<&[u32]> = first[slot].iter().map(AsRef::as_ref).collect();
+                    for world in rest {
+                        shared = merge(&shared, &world[slot], true);
+                    }
+                    shared
+                })
+                .collect(),
+        };
+        let mut deltas = distinct
+            .iter()
+            .map(|world| {
+                let blocks = relations
+                    .iter()
+                    .zip(world.iter().zip(&core))
+                    .map(|(&(name, arity), (rows, shared))| {
+                        (name, arity, merge(shared, rows, false))
+                    })
+                    .filter(|(_, _, rows)| !rows.is_empty())
+                    .collect();
+                database(blocks)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        deltas.sort_by_key(ColumnarDatabase::row_count);
+        let core = relations
+            .iter()
+            .zip(core)
+            .map(|(&(name, arity), rows)| (name, arity, rows))
+            .collect();
+        Ok(WorldSet {
+            core: database(core)?,
+            deltas,
+        })
+    }
+
+    /// Number of distinct worlds.
+    pub fn len(&self) -> usize {
+        self.deltas.len()
+    }
+
+    /// True when there is no world (the peer has no solution).
+    pub fn is_empty(&self) -> bool {
+        self.deltas.is_empty()
+    }
+
+    /// The rows present in every world.
+    pub fn core(&self) -> &ColumnarDatabase {
+        &self.core
+    }
+
+    /// World `i` (`core ⊎ deltaᵢ`, worlds by ascending size) decoded into
+    /// a string [`Database`], like [`ColumnarDatabase::to_database`]: the
+    /// on-demand bridge for formulas [`CqPlan`] cannot express.
+    pub fn world(&self, i: usize) -> Database {
+        let mut db = self.core.to_database();
+        for rel in self.deltas[i].relations() {
+            for r in 0..rel.rows {
+                db.insert(&rel.name, rel.tuple(r, &self.core.symbols))
+                    .expect("the core declares every delta relation at its arity");
+            }
+        }
+        db
+    }
+
+    /// Exact resident bytes: one 32-byte database header per world, the
+    /// core's blocks once and each delta's blocks, each block charged as in
+    /// [`ColumnarDatabase::exact_bytes`]. A one-world set charges exactly
+    /// what that world alone would.
+    pub fn exact_bytes(&self) -> usize {
+        32 * self.len()
+            + self.core.block_bytes()
+            + self
+                .deltas
+                .iter()
+                .map(ColumnarDatabase::block_bytes)
+                .sum::<usize>()
+    }
+
+    /// The plan's certain answers over the set (Definition 5): the id rows
+    /// that are answers in every world — none when there is no world —
+    /// and how many worlds were evaluated, `Q(core)` counting as one.
+    ///
+    /// `intersect(items, f)` must return the intersection of `f(i)` over
+    /// `items` (the empty set for none), in any order and on any threads,
+    /// as `pdes_exec::Executor::try_intersect` does.
+    ///
+    /// * One world: `Q(core)`, since the core is the world.
+    /// * A monotone plan (no negated sub-block; comparisons and `∨` are
+    ///   fine): `core ⊆ Wᵢ` gives `Q(core) ⊆ Q(Wᵢ)` for every world, so the
+    ///   answer is `Q(core)` plus the candidates `Q(W₀) \ Q(core)` of the
+    ///   smallest world that are answers in every other world. Each other
+    ///   world's answers are cut down to the candidates before
+    ///   `intersect` folds them.
+    /// * Any other plan: `intersect` over every world's answers.
+    pub fn certain<F>(&self, plan: &CqPlan, intersect: F) -> Result<(BTreeSet<Vec<u32>>, usize)>
+    where
+        F: FnOnce(
+            &[usize],
+            &(dyn Fn(&usize) -> Result<BTreeSet<Vec<u32>>> + Sync),
+        ) -> Result<BTreeSet<Vec<u32>>>,
+    {
+        let checked = AtomicUsize::new(0);
+        let answers = |delta: Option<&ColumnarDatabase>| {
+            checked.fetch_add(1, Ordering::Relaxed);
+            plan.answers_in(World {
+                base: &self.core,
+                delta,
+            })
+        };
+        let world = |i: usize| answers(Some(&self.deltas[i]));
+        let rows = match self.len() {
+            0 => BTreeSet::new(),
+            1 => answers(None)?,
+            n if plan.monotone() => {
+                let mut certain = answers(None)?;
+                let mut candidates = world(0)?;
+                candidates.retain(|row| !certain.contains(row));
+                if !candidates.is_empty() {
+                    let rest: Vec<usize> = (1..n).collect();
+                    certain.extend(intersect(&rest, &|&i| {
+                        let mut rows = world(i)?;
+                        rows.retain(|row| candidates.contains(row));
+                        Ok(rows)
+                    })?);
+                }
+                certain
+            }
+            n => intersect(&(0..n).collect::<Vec<_>>(), &|&i| world(i))?,
+        };
+        Ok((rows, checked.into_inner()))
+    }
+}
+
+/// Merge two sorted, deduplicated row lists: their intersection (`keep`)
+/// or the rows of `rows` not in `shared` (`!keep`), in order.
+fn merge<'r, R: AsRef<[u32]>>(shared: &[&[u32]], rows: &'r [R], keep: bool) -> Vec<&'r [u32]> {
+    let mut out = Vec::new();
+    let mut s = shared.iter().peekable();
+    for row in rows {
+        let row = row.as_ref();
+        while s.next_if(|other| **other < row).is_some() {}
+        let present = s.next_if(|other| **other == row).is_some();
+        if present == keep {
+            out.push(row);
+        }
+    }
+    out
+}
+
+/// One instance as a plan reads it: a base database and, for a member of
+/// a [`WorldSet`], the world's delta over the set's core.
+#[derive(Clone, Copy)]
+struct World<'a> {
+    base: &'a ColumnarDatabase,
+    delta: Option<&'a ColumnarDatabase>,
+}
+
+impl<'a> World<'a> {
+    /// A relation's rows in this world: the base block's, then the delta
+    /// block's. `None` when neither part declares the relation.
+    fn relation(&self, name: &str) -> Option<Rows<'a>> {
+        let head = self.base.relation(name);
+        let tail = self.delta.and_then(|delta| delta.relation(name));
+        let arity = head.or(tail)?.arity();
+        let columns = |rel: Option<&'a ColumnarRelation>| rel.map_or(&[][..], |r| &r.columns[..]);
+        let split = head.map_or(0, ColumnarRelation::rows);
+        Some(Rows {
+            head: columns(head),
+            tail: columns(tail),
+            split,
+            len: split + tail.map_or(0, ColumnarRelation::rows),
+            arity,
+        })
+    }
+
+    fn symbols(&self) -> &'a SymbolTable {
+        self.base.symbols()
+    }
+}
+
+/// One relation of a [`World`]: rows `0..split` are the base block's,
+/// the rest the delta block's.
+struct Rows<'a> {
+    head: &'a [Vec<u32>],
+    tail: &'a [Vec<u32>],
+    split: usize,
+    len: usize,
+    arity: usize,
+}
+
+impl Rows<'_> {
+    fn rows(&self) -> usize {
+        self.len
+    }
+
+    fn arity(&self) -> usize {
+        self.arity
+    }
+
+    fn id_at(&self, row: usize, col: usize) -> u32 {
+        if row < self.split {
+            self.head[col][row]
+        } else {
+            self.tail[col][row - self.split]
+        }
     }
 }
 
@@ -367,14 +658,14 @@ impl Conjunct {
     /// position it errors (like the evaluator).
     fn run(
         &self,
-        db: &ColumnarDatabase,
+        world: World<'_>,
         bound: &mut Vec<usize>,
         rows: &mut Vec<Vec<u32>>,
         negated: bool,
     ) -> Result<()> {
-        let symbols = db.symbols();
+        let symbols = world.symbols();
         for atom in &self.atoms {
-            let rel = match db.relation(&atom.relation) {
+            let rel = match world.relation(&atom.relation) {
                 Some(rel) if rel.arity() != atom.terms.len() && !negated => {
                     return Err(RelalgError::ArityMismatch {
                         relation: atom.relation.clone(),
@@ -395,7 +686,7 @@ impl Conjunct {
             if access.fresh.is_empty() {
                 // Semi-join kernel: the atom introduces no new variables, so
                 // it only filters the binding rows by key membership.
-                let present = access.key_set(rel);
+                let present = access.key_set(&rel);
                 rows.retain(|row| present.contains(&access.probe(row)));
             } else {
                 // Hash-join kernel: index matching relation rows by their
@@ -403,8 +694,8 @@ impl Conjunct {
                 // rows extended with the fresh columns.
                 let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
                 for r in 0..rel.rows() {
-                    if access.matches(rel, r) {
-                        index.entry(access.stored_key(rel, r)).or_default().push(r);
+                    if access.matches(&rel, r) {
+                        index.entry(access.stored_key(&rel, r)).or_default().push(r);
                     }
                 }
                 let mut next = Vec::new();
@@ -435,7 +726,7 @@ impl Conjunct {
             }
             let mut sub_bound = bound.clone();
             let mut extended = rows.clone();
-            sub.run(db, &mut sub_bound, &mut extended, true)?;
+            sub.run(world, &mut sub_bound, &mut extended, true)?;
             let width = bound.len();
             let matched: HashSet<&[u32]> = extended.iter().map(|row| &row[..width]).collect();
             rows.retain(|row| !matched.contains(row.as_slice()));
@@ -486,7 +777,7 @@ impl Access {
     }
 
     /// Does stored row `r` agree with the atom's constants and repeats?
-    fn matches(&self, rel: &ColumnarRelation, r: usize) -> bool {
+    fn matches(&self, rel: &Rows<'_>, r: usize) -> bool {
         self.consts
             .iter()
             .all(|(col, id)| rel.id_at(r, *col) == *id)
@@ -497,7 +788,7 @@ impl Access {
     }
 
     /// The join key of stored row `r`.
-    fn stored_key(&self, rel: &ColumnarRelation, r: usize) -> Vec<u32> {
+    fn stored_key(&self, rel: &Rows<'_>, r: usize) -> Vec<u32> {
         self.keys
             .iter()
             .map(|(col, _)| rel.id_at(r, *col))
@@ -512,7 +803,7 @@ impl Access {
     /// The key of every matching stored row: the semi-join kernel tests
     /// binding rows for membership in this set (an atom with no bound
     /// variables has the empty key, present iff any row matches).
-    fn key_set(&self, rel: &ColumnarRelation) -> HashSet<Vec<u32>> {
+    fn key_set(&self, rel: &Rows<'_>) -> HashSet<Vec<u32>> {
         (0..rel.rows())
             .filter(|r| self.matches(rel, *r))
             .map(|r| self.stored_key(rel, r))
@@ -739,11 +1030,19 @@ impl CqPlan {
     /// materialize them with [`CqPlan::materialize`] only at the answer
     /// boundary.
     pub fn answers(&self, db: &ColumnarDatabase) -> Result<BTreeSet<Vec<u32>>> {
+        self.answers_in(World {
+            base: db,
+            delta: None,
+        })
+    }
+
+    /// [`CqPlan::answers`] over one world, a base plus an optional delta.
+    fn answers_in(&self, world: World<'_>) -> Result<BTreeSet<Vec<u32>>> {
         let mut out = BTreeSet::new();
         for block in &self.disjuncts {
             let mut bound = Vec::new();
             let mut rows = vec![Vec::new()];
-            block.run(db, &mut bound, &mut rows, false)?;
+            block.run(world, &mut bound, &mut rows, false)?;
             if rows.is_empty() {
                 continue;
             }
@@ -763,6 +1062,13 @@ impl CqPlan {
             }
         }
         Ok(out)
+    }
+
+    /// True when no block negates a sub-block: the answers can then only
+    /// grow as rows are added to the instance. Comparisons, negated ones
+    /// included, and `∨` keep a plan monotone; they read bound values only.
+    fn monotone(&self) -> bool {
+        self.disjuncts.iter().all(|block| block.negated.is_empty())
     }
 
     /// Materialize id rows back into tuples — the single point where the
@@ -997,7 +1303,7 @@ mod tests {
         let id_rows = |name: &str| -> Vec<Vec<u32>> {
             let rel = columnar.relation(name).unwrap();
             (0..rel.rows())
-                .map(|r| (0..rel.arity()).map(|c| rel.id_at(r, c)).collect())
+                .map(|r| (0..rel.arity()).map(|c| rel.columns[c][r]).collect())
                 .collect()
         };
         let (r, s) = (id_rows("R"), id_rows("S"));
@@ -1021,6 +1327,140 @@ mod tests {
             ColumnarRelation::from_id_rows("R", 2, &[&[1, 2, 3]]),
             Err(RelalgError::ArityMismatch { found: 3, .. })
         ));
+    }
+
+    /// The intersection of `f(i)` over `items`, folded in order.
+    fn intersect(
+        items: &[usize],
+        f: &(dyn Fn(&usize) -> Result<BTreeSet<Vec<u32>>> + Sync),
+    ) -> Result<BTreeSet<Vec<u32>>> {
+        let mut acc: Option<BTreeSet<Vec<u32>>> = None;
+        for item in items {
+            let these = f(item)?;
+            acc = Some(match acc {
+                None => these,
+                Some(acc) => acc.intersection(&these).cloned().collect(),
+            });
+        }
+        Ok(acc.unwrap_or_default())
+    }
+
+    /// Worlds over `R` and `S` given as `(relation, x, y)` facts.
+    fn world_set(worlds: &[&[(&str, &str, &str)]]) -> (WorldSet, Arc<SymbolTable>) {
+        let symbols = Arc::new(SymbolTable::new());
+        let rows = worlds.iter().map(|facts| {
+            ["R", "S"]
+                .iter()
+                .map(|relation| {
+                    facts
+                        .iter()
+                        .filter(|(r, _, _)| r == relation)
+                        .map(|(_, x, y)| {
+                            vec![
+                                symbols.intern(&Value::str(*x)).id(),
+                                symbols.intern(&Value::str(*y)).id(),
+                            ]
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        });
+        let rows: Vec<_> = rows.collect();
+        let set = WorldSet::from_id_rows(&[("R", 2), ("S", 2)], rows, &symbols).unwrap();
+        (set, symbols)
+    }
+
+    #[test]
+    fn world_sets_split_into_a_core_and_ascending_deltas() {
+        let big: &[_] = &[
+            ("R", "a", "b"),
+            ("R", "b", "c"),
+            ("R", "c", "c"),
+            ("S", "b", "1"),
+        ];
+        let small: &[_] = &[
+            ("S", "b", "1"),
+            ("R", "a", "b"),
+            ("S", "c", "2"),
+            ("S", "c", "2"),
+        ];
+        let (set, symbols) = world_set(&[big, small, big]);
+        assert_eq!(set.len(), 2, "the repeated world is kept once");
+        let core = set.core().to_database();
+        assert_eq!(core.relation("R").unwrap().len(), 1);
+        assert_eq!(core.relation("S").unwrap().len(), 1);
+        // The smaller world comes first; each world is core ⊎ delta.
+        let facts = |world: &[(&str, &str, &str)]| {
+            world
+                .iter()
+                .map(|(r, x, y)| (r.to_string(), Tuple::strs([*x, *y])))
+                .collect::<BTreeSet<_>>()
+        };
+        for (i, want) in [small, big].into_iter().enumerate() {
+            let got: BTreeSet<_> = set
+                .world(i)
+                .ground_atoms()
+                .into_iter()
+                .map(|atom| (atom.relation.to_string(), atom.tuple))
+                .collect();
+            assert_eq!(got, facts(want), "world {i}");
+        }
+        // One 32-byte header per world; the shared rows are charged once.
+        let r = 16 + 1;
+        assert_eq!(
+            set.exact_bytes(),
+            2 * 32 + (r + 8) + (r + 8) + (r + 8) + (r + 16)
+        );
+        let (none, _) = world_set(&[]);
+        assert!(none.is_empty());
+        assert_eq!(none.exact_bytes(), 0);
+        assert_eq!(symbols.lookup(&Value::str("never-stored")), None);
+    }
+
+    #[test]
+    fn certain_answers_check_only_what_the_core_leaves() {
+        let one: &[_] = &[("R", "a", "b"), ("S", "b", "1")];
+        let two: &[_] = &[("R", "a", "b"), ("R", "b", "1"), ("R", "c", "d")];
+        let three: &[_] = &[("R", "a", "b"), ("R", "c", "d"), ("S", "b", "1")];
+        let (set, symbols) = world_set(&[one, two, three]);
+        let xy = ["X".to_string(), "Y".to_string()];
+        let certain = |q: &Formula| {
+            let plan = CqPlan::compile(q, &xy).unwrap();
+            let (rows, checked) = set.certain(&plan, intersect).unwrap();
+            let want = (0..set.len())
+                .map(|i| QueryEvaluator::new(&set.world(i)).answers(q, &xy).unwrap())
+                .reduce(|a, b| a.intersection(&b).cloned().collect())
+                .unwrap();
+            assert_eq!(CqPlan::materialize(&rows, &symbols), want, "{q}");
+            checked
+        };
+        // Q(core) = {(a, b)}; the smallest world leaves no candidate.
+        assert_eq!(certain(&Formula::atom("R", vec!["X", "Y"])), 2);
+        // (b, 1) is a candidate of the smallest world that the others
+        // confirm, through `S` in one and `R` in the other.
+        let either = Formula::Or(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::atom("S", vec!["X", "Y"]),
+        ]);
+        assert_eq!(certain(&either), 4);
+        // A negated plan runs on every world.
+        let negated = Formula::and(vec![
+            Formula::atom("R", vec!["X", "Y"]),
+            Formula::not(Formula::exists(
+                vec!["Z"],
+                Formula::atom("S", vec!["Y", "Z"]),
+            )),
+        ]);
+        assert_eq!(certain(&negated), 3);
+        // One world: the core is the world.
+        let (single, _) = world_set(&[two]);
+        let plan = CqPlan::compile(&negated, &xy).unwrap();
+        assert_eq!(single.certain(&plan, intersect).unwrap().1, 1);
+        let (none, _) = world_set(&[]);
+        assert_eq!(
+            none.certain(&plan, intersect).unwrap(),
+            (BTreeSet::new(), 0)
+        );
     }
 
     #[test]
@@ -1302,7 +1742,10 @@ mod tests {
         let col = columnar.relation("R").unwrap();
         for (row, tuple) in rel.iter().enumerate() {
             for (c, value) in tuple.iter().enumerate() {
-                assert_eq!(symbols.resolve(Symbol::from_id(col.id_at(row, c))), *value);
+                assert_eq!(
+                    symbols.resolve(Symbol::from_id(col.columns[c][row])),
+                    *value
+                );
             }
         }
     }

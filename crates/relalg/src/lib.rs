@@ -56,7 +56,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use columnar::{ColumnarDatabase, ColumnarRelation, CqPlan};
+pub use columnar::{ColumnarDatabase, ColumnarRelation, CqPlan, WorldSet};
 pub use database::Database;
 pub use delta::{Delta, DeltaOrdering};
 pub use error::RelalgError;

@@ -3,7 +3,8 @@
 //! the path the engine answers through) must give exactly the worlds of the
 //! string reference (`AnswerSets` plus `solution_databases`) over the same
 //! `SolveResult` — the same number of distinct worlds and the same set of
-//! {relation → tuple set} maps, empty relations included.
+//! {relation → tuple set} maps, empty relations included. The id-native
+//! worlds are the decoded `WorldSet` expanded to `core ⊎ deltaᵢ`.
 //!
 //! Covered: example 1, the Section 3.1 referential system, the Example 4
 //! transitive network and three small generated systems (star, chain and a
@@ -20,7 +21,7 @@ use p2p_data_exchange::core::asp::{
     annotated_program_with, transitive_program_with, AnnotatedSpec, TransitiveSpec,
 };
 use p2p_data_exchange::{P2PSystem, PeerId, TrustLevel, Tuple};
-use relalg::{ColumnarDatabase, Database, RelationSchema, SymbolTable, Value};
+use relalg::{Database, RelationSchema, SymbolTable, Value, WorldSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use workload::{generate, Topology, TrustMix, WorkloadSpec};
@@ -102,7 +103,7 @@ impl Spec {
     }
 
     /// The id-native decode the engine runs.
-    fn id_native(&self, result: &SolveResult, symbols: &Arc<SymbolTable>) -> Vec<ColumnarDatabase> {
+    fn id_native(&self, result: &SolveResult, symbols: &Arc<SymbolTable>) -> WorldSet {
         match self {
             Spec::Direct(spec) => spec.columnar_worlds(result, symbols),
             Spec::Transitive(spec, topology) => spec.columnar_worlds(topology, result, symbols),
@@ -111,7 +112,8 @@ impl Spec {
     }
 }
 
-/// Assert the two decodes of `result` agree; returns the id-native worlds.
+/// Assert the two decodes of `result` agree; returns the id-native worlds,
+/// in the reference's (model) order: the set keeps its worlds by size.
 fn assert_decodes_agree(
     spec: &Spec,
     result: &SolveResult,
@@ -123,11 +125,8 @@ fn assert_decodes_agree(
         .iter()
         .map(world_of)
         .collect();
-    let id_native: Vec<World> = spec
-        .id_native(result, symbols)
-        .iter()
-        .map(|db| world_of(&db.to_database()))
-        .collect();
+    let set = spec.id_native(result, symbols);
+    let id_native: Vec<World> = (0..set.len()).map(|i| world_of(&set.world(i))).collect();
     assert_eq!(
         id_native.len(),
         reference.len(),
@@ -138,6 +137,8 @@ fn assert_decodes_agree(
         reference.iter().collect::<BTreeSet<_>>(),
         "{context}: worlds differ"
     );
+    let mut id_native = id_native;
+    id_native.sort_by_key(|world| reference.iter().position(|r| r == world));
     id_native
 }
 

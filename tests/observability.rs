@@ -341,3 +341,46 @@ fn cache_metrics_equal_their_recorder_counters() {
         }
     }
 }
+
+/// `cq.worlds_checked` counts the world evaluations behind each answer,
+/// the core's included: the `wide` hub slice checks fewer worlds than it
+/// has, because its core leaves few candidates, and a one-world slice
+/// checks exactly its one world.
+#[test]
+fn certain_answers_check_fewer_worlds_than_the_slice_has() {
+    let system = generate(&WorkloadSpec {
+        peers: 3,
+        tuples_per_relation: 2,
+        violations_per_dec: 1,
+        topology: workload::Topology::Star,
+        trust_mix: TrustMix::AllSame,
+        key_constraint_percent: 50,
+        seed: 42,
+    })
+    .unwrap()
+    .system;
+    let recorder = Arc::new(TraceRecorder::new());
+    let engine = QueryEngine::builder(system)
+        .strategy(Strategy::Asp)
+        .recorder(recorder.clone())
+        .build();
+    let checked = |peer: &str, relation: &str| {
+        let before = recorder.registry().counter_value("cq.worlds_checked");
+        let answers = engine
+            .answer(
+                &PeerId::new(peer),
+                &Formula::atom(relation, vec!["X", "Y"]),
+                &vars(&["X", "Y"]),
+            )
+            .unwrap();
+        let after = recorder.registry().counter_value("cq.worlds_checked");
+        (after - before, answers.stats.worlds)
+    };
+    let (hub, worlds) = checked("P0", "T0");
+    assert!(worlds > 2, "the hub slice has {worlds} worlds");
+    assert!(hub < worlds as u64, "{hub} checks over {worlds} worlds");
+    // A warm repeat checks the same worlds again.
+    assert_eq!(checked("P0", "T0"), (hub, worlds));
+    let (leaf, one) = checked("P1", "T1");
+    assert_eq!((leaf, one), (1, 1));
+}
