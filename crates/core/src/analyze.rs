@@ -802,7 +802,11 @@ mod tests {
                 classify_rewritability(&system, peer).unwrap(),
                 RewriteVerdict::Rewritable
             );
-            assert_eq!(classified, rewriting::supports_peer(&system, peer));
+            assert_eq!(
+                classified,
+                rewriting::compile_rewrites(&system, peer).is_ok(),
+                "peer {peer}"
+            );
         }
     }
 

@@ -33,9 +33,9 @@
 //! peer's DECs fall in the rewritable class of Example 2 — full inclusion
 //! DECs towards more-trusted peers plus binary key-agreement DECs towards
 //! same-trusted peers, and no local ICs — via
-//! [`crate::rewriting::supports_peer`], and picks the first-order rewriting
-//! when they do (and the query is positive existential), falling back to the
-//! general ASP mechanism otherwise.
+//! [`crate::analyze::classify_rewritability`], and picks the first-order
+//! rewriting when they do (and the query is positive existential), falling
+//! back to the general ASP mechanism otherwise.
 //!
 //! ## Memoization and relevance-driven grounding
 //!
@@ -208,8 +208,6 @@ pub enum StrategyKind {
     Asp,
     /// Transitive (global) ASP specification.
     TransitiveAsp,
-    /// A user-supplied [`AnsweringStrategy`].
-    Custom,
 }
 
 impl StrategyKind {
@@ -220,7 +218,6 @@ impl StrategyKind {
             StrategyKind::Rewriting => "rewriting",
             StrategyKind::Asp => "asp",
             StrategyKind::TransitiveAsp => "asp-transitive",
-            StrategyKind::Custom => "custom",
         }
     }
 }
@@ -353,11 +350,6 @@ pub enum Provenance {
         /// Whether the HCF shift applied.
         used_shift: bool,
     },
-    /// A user-supplied strategy.
-    Custom {
-        /// The strategy's self-reported name.
-        strategy: String,
-    },
 }
 
 /// Cumulative cache behaviour of one engine, across every query and commit
@@ -467,36 +459,9 @@ impl Query {
     }
 }
 
-/// A pluggable answering mechanism. The four built-in strategies implement
-/// this trait; downstream code can supply its own via
-/// [`QueryEngineBuilder::custom_strategy`] (e.g. to try an approximation or
-/// an external solver) and still get the unified [`Answers`] surface.
-pub trait AnsweringStrategy: Send + Sync {
-    /// Short identifying name (appears in [`Provenance::Custom`]).
-    fn name(&self) -> &'static str;
-
-    /// Can this strategy answer the given query to the given peer? The
-    /// engine consults this before dispatching to a custom strategy
-    /// (returning [`CoreError::Unsupported`] when it says no), and
-    /// [`Strategy::Auto`] uses the rewriting strategy's answer to decide
-    /// between rewriting and ASP. `answer` may still return an error for
-    /// conditions only discoverable while answering.
-    fn supports(&self, engine: &QueryEngine, peer: &PeerId, query: &Formula) -> bool;
-
-    /// Compute the peer consistent answers.
-    fn answer(
-        &self,
-        engine: &QueryEngine,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[String],
-    ) -> Result<Answers>;
-}
-
 /// Builder for [`QueryEngine`].
 ///
-/// Every knob has a production-ready default; `build` cannot fail for the
-/// built-in strategies:
+/// Every knob has a production-ready default:
 ///
 /// ```
 /// use pdes_core::engine::{QueryEngine, Strategy};
@@ -517,7 +482,6 @@ pub trait AnsweringStrategy: Send + Sync {
 pub struct QueryEngineBuilder {
     store: Arc<dyn PeerStore>,
     strategy: Strategy,
-    custom: Option<Box<dyn AnsweringStrategy>>,
     solver_config: SolverConfig,
     solution_options: SolutionOptions,
     exec: ExecConfig,
@@ -553,13 +517,6 @@ impl QueryEngineBuilder {
     /// Options handed to the repair search (naive strategy).
     pub fn solution_options(mut self, options: SolutionOptions) -> Self {
         self.solution_options = options;
-        self
-    }
-
-    /// Install a user-supplied strategy; it takes precedence over the
-    /// configured [`Strategy`] for every query.
-    pub fn custom_strategy(mut self, strategy: Box<dyn AnsweringStrategy>) -> Self {
-        self.custom = Some(strategy);
         self
     }
 
@@ -639,7 +596,6 @@ impl QueryEngineBuilder {
             store: self.store,
             topology,
             strategy: self.strategy,
-            custom: self.custom,
             solver_config: self.solver_config,
             solution_options: self.solution_options,
             exec: Executor::new(self.exec).with_recorder(Arc::clone(&recorder)),
@@ -713,7 +669,6 @@ pub struct QueryEngine {
     /// checks and strategy resolution never pay a transport round-trip.
     topology: P2PSystem,
     strategy: Strategy,
-    custom: Option<Box<dyn AnsweringStrategy>>,
     solver_config: SolverConfig,
     solution_options: SolutionOptions,
     exec: Executor,
@@ -743,7 +698,6 @@ impl QueryEngine {
         QueryEngineBuilder {
             store: Arc::new(InProcessStore::new(system)),
             strategy: Strategy::default(),
-            custom: None,
             solver_config: SolverConfig::default(),
             solution_options: SolutionOptions::default(),
             exec: ExecConfig::sequential(),
@@ -928,18 +882,6 @@ impl QueryEngine {
     /// Answer `query` (with answer variables `free_vars`) posed to `peer`
     /// using the engine's configured strategy.
     pub fn answer(&self, peer: &PeerId, query: &Formula, free_vars: &[String]) -> Result<Answers> {
-        if let Some(custom) = &self.custom {
-            if !custom.supports(self, peer, query) {
-                return Err(CoreError::Unsupported(format!(
-                    "strategy `{}` does not support this query",
-                    custom.name()
-                )));
-            }
-            let span = Span::enter(self.recorder.as_ref(), "query");
-            let result = custom.answer(self, peer, query, free_vars);
-            span.finish();
-            return result;
-        }
         self.answer_with(self.strategy, peer, query, free_vars)
     }
 
@@ -954,13 +896,6 @@ impl QueryEngine {
         free_vars: &[String],
     ) -> Result<Answers> {
         let (kind, auto_reason) = self.resolve_explained(strategy, peer, query);
-        let built_in: &dyn AnsweringStrategy = match kind {
-            StrategyKind::Naive => &NaiveStrategy,
-            StrategyKind::Rewriting => &RewritingStrategy,
-            StrategyKind::Asp => &AspStrategy,
-            StrategyKind::TransitiveAsp => &TransitiveAspStrategy,
-            StrategyKind::Custom => unreachable!("resolve never yields Custom"),
-        };
         let span = Span::enter_with(
             self.recorder.as_ref(),
             "query",
@@ -969,11 +904,80 @@ impl QueryEngine {
                 pdes_obs::Field::text("strategy", kind.label()),
             ],
         );
-        let result = built_in.answer(self, peer, query, free_vars);
+        let result = self.answer_as(kind, peer, query, free_vars);
         span.finish();
         let mut answers = result?;
         answers.stats.auto_reason = auto_reason;
         Ok(answers)
+    }
+
+    /// Answer with one resolved mechanism. Every mechanism validates the
+    /// query the same way and in the same order, so an ill-formed query
+    /// fails with the same error whichever mechanism would answer it: the
+    /// query must be in the peer's language `L(P)`, then (except for the
+    /// naive mechanism) positive existential, then bind its answer
+    /// variables.
+    fn answer_as(
+        &self,
+        kind: StrategyKind,
+        peer: &PeerId,
+        query: &Formula,
+        free_vars: &[String],
+    ) -> Result<Answers> {
+        self.check_language(peer, query)?;
+        if kind != StrategyKind::Naive {
+            ensure_positive_existential(query)?;
+        }
+        check_free_vars_bound(query, free_vars)?;
+        let (worlds, cache_hit) = match kind {
+            StrategyKind::Naive => self.naive_worlds(peer)?,
+            StrategyKind::Rewriting => return self.answer_by_rewriting(peer, query, free_vars),
+            StrategyKind::Asp => self.asp_worlds(peer, Mechanism::Asp, query)?,
+            StrategyKind::TransitiveAsp => self.asp_worlds(peer, Mechanism::Transitive, query)?,
+        };
+        self.answers_from_worlds(kind, &worlds, cache_hit, query, free_vars)
+    }
+
+    /// First-order rewriting (Example 2): evaluate the rewritten query over
+    /// the materialized global instance. Preparation is the (cached) global
+    /// instance; the per-query rewrite is evaluation work, so
+    /// `prepare_time` stays 0 on a cache hit (the hit reports the original
+    /// cost via `cached_prepare_time` instead).
+    fn answer_by_rewriting(
+        &self,
+        peer: &PeerId,
+        query: &Formula,
+        free_vars: &[String],
+    ) -> Result<Answers> {
+        let (global, cache_hit, prepare_nanos, cached_prepare_nanos) = self.global_instance()?;
+        let span = Span::enter(self.recorder.as_ref(), "eval");
+        let rewritten = rewriting::rewrite_query(&self.topology, peer, query)?;
+        let tuples = match CqPlan::compile(&rewritten, free_vars) {
+            Some(plan) => CqPlan::materialize(&plan.answers(&global)?, &self.symbols),
+            None => {
+                self.recorder.count("cq.fallback", 1);
+                QueryEvaluator::new(&global.to_database()).answers(&rewritten, free_vars)?
+            }
+        };
+        let eval_nanos = duration_nanos(span.finish());
+        Ok(Answers {
+            tuples,
+            stats: EngineStats {
+                strategy: StrategyKind::Rewriting,
+                cache_hit,
+                prepare_nanos,
+                ground_nanos: 0,
+                solve_nanos: 0,
+                eval_nanos,
+                cached_prepare_nanos,
+                worlds: 1,
+                grounded_rules: 0,
+                grounded_atoms: 0,
+                regrounded_rules: 0,
+                auto_reason: None,
+            },
+            provenance: Provenance::Rewriting { rewritten },
+        })
     }
 
     /// Convenience wrapper: answer variables by name.
@@ -1079,18 +1083,11 @@ impl QueryEngine {
         let mut closures: BTreeMap<&PeerId, BTreeSet<PeerId>> = BTreeMap::new();
         for (i, query) in queries.iter().enumerate() {
             // The per-mechanism slice suffix: ASP artifacts are keyed by
-            // `(peer, slice)`, so only same-slice queries contend. A custom
-            // strategy is opaque — fall back to peer-level tokens.
-            let suffix = if self.custom.is_some() {
-                String::new()
-            } else {
-                match self.resolve(self.strategy, &query.peer, &query.query) {
-                    StrategyKind::Asp => format!("a\u{1}{}", self.slice_key(&query.query)),
-                    StrategyKind::TransitiveAsp => {
-                        format!("t\u{1}{}", self.slice_key(&query.query))
-                    }
-                    _ => String::new(),
-                }
+            // `(peer, slice)`, so only same-slice queries contend.
+            let suffix = match self.resolve(self.strategy, &query.peer, &query.query) {
+                StrategyKind::Asp => format!("a\u{1}{}", self.slice_key(&query.query)),
+                StrategyKind::TransitiveAsp => format!("t\u{1}{}", self.slice_key(&query.query)),
+                StrategyKind::Naive | StrategyKind::Rewriting => String::new(),
             };
             let closure = closures
                 .entry(&query.peer)
@@ -1131,15 +1128,14 @@ impl QueryEngine {
     /// recomputation), so warm rewriting queries stay warm across commits.
     /// Returns the peer's new version.
     ///
-    /// With incremental re-grounding enabled (the default), an affected ASP
-    /// artifact is not dropped: if the delta's relations lie outside its
-    /// grounded slice it stays *valid* (its stamp is refreshed in place —
-    /// the grounding provably cannot observe the change), and otherwise it
-    /// becomes *stale*, keeping its saturation state and queueing the delta;
-    /// the next query over the slice repairs the grounding by re-deriving
-    /// only the affected rules ([`datalog::incremental`]). Naive-strategy
-    /// artifacts are always dropped (solution enumeration has no patchable
-    /// intermediate state).
+    /// An affected ASP artifact is not dropped: if the delta's relations lie
+    /// outside its grounded slice it stays *valid* (its stamp is refreshed in
+    /// place — the grounding provably cannot observe the change), and
+    /// otherwise it becomes *stale*, keeping its saturation state and
+    /// queueing the delta; the next query over the slice repairs the
+    /// grounding by re-deriving only the affected rules
+    /// ([`datalog::incremental`]). Naive-strategy artifacts are always
+    /// dropped (solution enumeration has no patchable intermediate state).
     ///
     /// Validation of the delta against the peer's schema happens before any
     /// state changes ([`P2PSystem::apply_delta`]); local integrity
@@ -1849,23 +1845,23 @@ fn query_binding_patterns(
     out
 }
 
-/// Reject query features the logic-program translation does not support,
-/// mirroring the legacy ASP route.
+/// Reject queries outside the positive existential fragment, the only one
+/// the rewriting and both ASP mechanisms answer.
 fn ensure_positive_existential(query: &Formula) -> Result<()> {
     if rewriting::supports_query(query) {
         Ok(())
     } else {
         Err(CoreError::Unsupported(
-            "the ASP query translation supports positive existential queries only".to_string(),
+            "this strategy answers positive existential queries only".to_string(),
         ))
     }
 }
 
 /// Answer variables must be bound by a relational atom in every disjunct for
 /// the evaluation to be domain independent (same restriction as the legacy
-/// query-program translation). Enforced uniformly by every built-in
-/// strategy, so an ill-formed query fails the same way regardless of the
-/// mechanism that would answer it.
+/// query-program translation). Enforced uniformly by
+/// [`QueryEngine::answer_as`], so an ill-formed query fails the same way
+/// regardless of the mechanism that would answer it.
 fn check_free_vars_bound(query: &Formula, free_vars: &[String]) -> Result<()> {
     fn bound_everywhere(query: &Formula, var: &str) -> bool {
         match query {
@@ -1884,155 +1880,6 @@ fn check_free_vars_bound(query: &Formula, free_vars: &[String]) -> Result<()> {
         }
     }
     Ok(())
-}
-
-// ----------------------------------------------------------------------
-// The four built-in strategies.
-// ----------------------------------------------------------------------
-
-/// Naive solution enumeration (Definition 5), wrapped for the engine.
-pub struct NaiveStrategy;
-
-impl AnsweringStrategy for NaiveStrategy {
-    fn name(&self) -> &'static str {
-        StrategyKind::Naive.label()
-    }
-
-    fn supports(&self, engine: &QueryEngine, peer: &PeerId, query: &Formula) -> bool {
-        engine.check_language(peer, query).is_ok()
-    }
-
-    fn answer(
-        &self,
-        engine: &QueryEngine,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[String],
-    ) -> Result<Answers> {
-        engine.check_language(peer, query)?;
-        check_free_vars_bound(query, free_vars)?;
-        let (worlds, cache_hit) = engine.naive_worlds(peer)?;
-        engine.answers_from_worlds(StrategyKind::Naive, &worlds, cache_hit, query, free_vars)
-    }
-}
-
-/// First-order rewriting (Example 2), wrapped for the engine.
-pub struct RewritingStrategy;
-
-impl AnsweringStrategy for RewritingStrategy {
-    fn name(&self) -> &'static str {
-        StrategyKind::Rewriting.label()
-    }
-
-    fn supports(&self, engine: &QueryEngine, peer: &PeerId, query: &Formula) -> bool {
-        engine.check_language(peer, query).is_ok()
-            && rewriting::supports_peer(engine.topology(), peer)
-            && rewriting::supports_query(query)
-    }
-
-    fn answer(
-        &self,
-        engine: &QueryEngine,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[String],
-    ) -> Result<Answers> {
-        check_free_vars_bound(query, free_vars)?;
-        // Preparation is the (cached) global instance; the per-query rewrite
-        // is evaluation work, so `prepare_time` stays 0 on a cache hit (the
-        // hit reports the original cost via `cached_prepare_time` instead).
-        let (global, cache_hit, prepare_nanos, cached_prepare_nanos) = engine.global_instance()?;
-        let span = Span::enter(engine.recorder().as_ref(), "eval");
-        let rewritten = rewriting::rewrite_query(engine.topology(), peer, query)?;
-        let tuples = match CqPlan::compile(&rewritten, free_vars) {
-            Some(plan) => CqPlan::materialize(&plan.answers(&global)?, &engine.symbols),
-            None => {
-                engine.recorder.count("cq.fallback", 1);
-                QueryEvaluator::new(&global.to_database()).answers(&rewritten, free_vars)?
-            }
-        };
-        let eval_nanos = duration_nanos(span.finish());
-        Ok(Answers {
-            tuples,
-            stats: EngineStats {
-                strategy: StrategyKind::Rewriting,
-                cache_hit,
-                prepare_nanos,
-                ground_nanos: 0,
-                solve_nanos: 0,
-                eval_nanos,
-                cached_prepare_nanos,
-                worlds: 1,
-                grounded_rules: 0,
-                grounded_atoms: 0,
-                regrounded_rules: 0,
-                auto_reason: None,
-            },
-            provenance: Provenance::Rewriting { rewritten },
-        })
-    }
-}
-
-/// Cautious reasoning over the direct specification program, wrapped for the
-/// engine.
-pub struct AspStrategy;
-
-impl AnsweringStrategy for AspStrategy {
-    fn name(&self) -> &'static str {
-        StrategyKind::Asp.label()
-    }
-
-    fn supports(&self, engine: &QueryEngine, peer: &PeerId, query: &Formula) -> bool {
-        engine.check_language(peer, query).is_ok() && rewriting::supports_query(query)
-    }
-
-    fn answer(
-        &self,
-        engine: &QueryEngine,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[String],
-    ) -> Result<Answers> {
-        engine.check_language(peer, query)?;
-        ensure_positive_existential(query)?;
-        check_free_vars_bound(query, free_vars)?;
-        let (worlds, cache_hit) = engine.asp_worlds(peer, Mechanism::Asp, query)?;
-        engine.answers_from_worlds(StrategyKind::Asp, &worlds, cache_hit, query, free_vars)
-    }
-}
-
-/// Cautious reasoning over the combined transitive program, wrapped for the
-/// engine.
-pub struct TransitiveAspStrategy;
-
-impl AnsweringStrategy for TransitiveAspStrategy {
-    fn name(&self) -> &'static str {
-        StrategyKind::TransitiveAsp.label()
-    }
-
-    fn supports(&self, engine: &QueryEngine, peer: &PeerId, query: &Formula) -> bool {
-        engine.check_language(peer, query).is_ok() && rewriting::supports_query(query)
-    }
-
-    fn answer(
-        &self,
-        engine: &QueryEngine,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[String],
-    ) -> Result<Answers> {
-        engine.check_language(peer, query)?;
-        ensure_positive_existential(query)?;
-        check_free_vars_bound(query, free_vars)?;
-        let (worlds, cache_hit) = engine.asp_worlds(peer, Mechanism::Transitive, query)?;
-        engine.answers_from_worlds(
-            StrategyKind::TransitiveAsp,
-            &worlds,
-            cache_hit,
-            query,
-            free_vars,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -2345,84 +2192,6 @@ mod tests {
             assert_eq!(answers.stats.worlds, 0, "strategy {strategy:?}");
             assert!(answers.is_empty());
         }
-    }
-
-    #[test]
-    fn custom_strategies_plug_in() {
-        struct Constant;
-        impl AnsweringStrategy for Constant {
-            fn name(&self) -> &'static str {
-                "constant"
-            }
-            fn supports(&self, _: &QueryEngine, _: &PeerId, _: &Formula) -> bool {
-                true
-            }
-            fn answer(
-                &self,
-                _: &QueryEngine,
-                _: &PeerId,
-                _: &Formula,
-                _: &[String],
-            ) -> Result<Answers> {
-                Ok(Answers {
-                    tuples: BTreeSet::from([Tuple::strs(["fixed"])]),
-                    stats: EngineStats {
-                        strategy: StrategyKind::Custom,
-                        cache_hit: false,
-                        prepare_nanos: 0,
-                        ground_nanos: 0,
-                        solve_nanos: 0,
-                        eval_nanos: 0,
-                        cached_prepare_nanos: 0,
-                        worlds: 1,
-                        grounded_rules: 0,
-                        grounded_atoms: 0,
-                        regrounded_rules: 0,
-                        auto_reason: None,
-                    },
-                    provenance: Provenance::Custom {
-                        strategy: "constant".to_string(),
-                    },
-                })
-            }
-        }
-        let engine = QueryEngine::builder(example1_system())
-            .custom_strategy(Box::new(Constant))
-            .build();
-        let (query, fv) = r1_query();
-        let answers = engine.answer(&PeerId::new("P1"), &query, &fv).unwrap();
-        assert_eq!(answers.stats.strategy, StrategyKind::Custom);
-        assert!(answers.contains(&Tuple::strs(["fixed"])));
-    }
-
-    #[test]
-    fn unsupportive_custom_strategies_are_not_dispatched() {
-        struct Never;
-        impl AnsweringStrategy for Never {
-            fn name(&self) -> &'static str {
-                "never"
-            }
-            fn supports(&self, _: &QueryEngine, _: &PeerId, _: &Formula) -> bool {
-                false
-            }
-            fn answer(
-                &self,
-                _: &QueryEngine,
-                _: &PeerId,
-                _: &Formula,
-                _: &[String],
-            ) -> Result<Answers> {
-                panic!("answer must not be reached when supports() is false");
-            }
-        }
-        let engine = QueryEngine::builder(example1_system())
-            .custom_strategy(Box::new(Never))
-            .build();
-        let (query, fv) = r1_query();
-        assert!(matches!(
-            engine.answer(&PeerId::new("P1"), &query, &fv),
-            Err(CoreError::Unsupported(_))
-        ));
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub mod system;
 
 pub use analyze::{classify_rewritability, Diagnostic, Location, Report, RewriteVerdict, Severity};
 pub use engine::{
-    AnsweringStrategy, Answers, CacheMetrics, EngineStats, Provenance, Query, QueryEngine,
-    QueryEngineBuilder, Strategy, StrategyKind,
+    Answers, CacheMetrics, EngineStats, Provenance, Query, QueryEngine, QueryEngineBuilder,
+    Strategy, StrategyKind,
 };
 pub use error::CoreError;
 pub use rewriting::rewrite_query;

@@ -41,8 +41,7 @@ use crate::error::CoreError;
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
 use constraints::{Constraint, ConstraintClass, ConstraintHead};
-use relalg::query::{Binding, Formula, QueryEvaluator, Term};
-use relalg::Tuple;
+use relalg::query::{Formula, Term};
 
 /// A compiled rewriting for one peer: how each of the peer's relations is
 /// expanded with imports and guards.
@@ -64,7 +63,6 @@ pub fn rewrite_query(system: &P2PSystem, peer: &PeerId, query: &Formula) -> Resu
     let peer_data = system.peer(peer)?;
     // Only positive (∧ / ∨ / ∃) queries over the peer's own relations are
     // supported: rewriting under negation is not sound for this recipe.
-    ensure_positive(query)?;
     for relation in query.relations() {
         if !peer_data.schema.contains(&relation) {
             return Err(CoreError::UnknownRelation {
@@ -73,6 +71,7 @@ pub fn rewrite_query(system: &P2PSystem, peer: &PeerId, query: &Formula) -> Resu
             });
         }
     }
+    ensure_positive(query)?;
     let rewrites = compile_rewrites(system, peer)?;
     Ok(rewrite_formula(query, &rewrites))
 }
@@ -126,19 +125,8 @@ pub(crate) fn compile_rewrites(
     Ok(rewrites)
 }
 
-/// Static rewritability check: does the peer's DEC/trust/IC configuration
-/// fall in the fragment [`rewrite_query`] supports, independent of any
-/// particular query? [`crate::engine::Strategy::Auto`] uses this to decide
-/// between rewriting and the ASP mechanism before running anything.
-pub fn supports_peer(system: &P2PSystem, peer: &PeerId) -> bool {
-    matches!(
-        crate::analyze::classify_rewritability(system, peer),
-        Ok(crate::analyze::RewriteVerdict::Rewritable)
-    )
-}
-
-/// Query-side companion of [`supports_peer`]: is the query in the positive
-/// existential fragment the rewriting handles?
+/// Query-side companion of [`crate::analyze::classify_rewritability`]: is
+/// the query in the positive existential fragment the rewriting handles?
 pub fn supports_query(query: &Formula) -> bool {
     ensure_positive(query).is_ok()
 }
@@ -296,31 +284,14 @@ fn rewrite_atom(relation: &str, terms: &[Term], rw: &RelationRewrite) -> Formula
     Formula::or(disjuncts)
 }
 
-/// Evaluate whether a specific ground tuple is an answer of the rewritten
-/// query (used by tests and the harness for spot checks).
-pub fn is_answer_by_rewriting(
-    system: &P2PSystem,
-    peer: &PeerId,
-    query: &Formula,
-    free_vars: &[String],
-    tuple: &Tuple,
-) -> Result<bool> {
-    let rewritten = rewrite_query(system, peer, query)?;
-    let global = system.global_instance()?;
-    let evaluator = QueryEvaluator::new(&global);
-    let mut binding = Binding::new();
-    for (var, value) in free_vars.iter().zip(tuple.iter()) {
-        binding.insert(var.clone(), value.clone());
-    }
-    Ok(evaluator.holds(&rewritten, &binding)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{QueryEngine, Strategy};
     use crate::pca::vars;
     use crate::system::example1_system;
+    use relalg::query::QueryEvaluator;
+    use relalg::Tuple;
     use std::collections::BTreeSet;
 
     /// Evaluate the rewritten query over the global instance (what the
@@ -431,29 +402,6 @@ mod tests {
             rewrite_query(&sys, &p, &query),
             Err(CoreError::Unsupported(_))
         ));
-    }
-
-    #[test]
-    fn is_answer_spot_check() {
-        let sys = example1_system();
-        let p1 = PeerId::new("P1");
-        let q = Formula::atom("R1", vec!["X", "Y"]);
-        assert!(is_answer_by_rewriting(
-            &sys,
-            &p1,
-            &q,
-            &vars(&["X", "Y"]),
-            &Tuple::strs(["a", "b"])
-        )
-        .unwrap());
-        assert!(!is_answer_by_rewriting(
-            &sys,
-            &p1,
-            &q,
-            &vars(&["X", "Y"]),
-            &Tuple::strs(["s", "t"])
-        )
-        .unwrap());
     }
 
     #[test]

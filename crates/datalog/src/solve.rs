@@ -53,9 +53,7 @@
 //! a [`pdes_exec::Executor`] pool. Models are merged, sorted and deduplicated
 //! exactly like the sequential path, so the answer sets are identical for any
 //! worker count; the branch-node counter is shared (one atomic) so the
-//! search-limit guard spans the whole pool. Enumeration with a finite
-//! `max_answer_sets` falls back to the sequential path — "the first k models
-//! in search order" is only well-defined sequentially.
+//! search-limit guard spans the whole pool.
 
 use crate::error::DatalogError;
 use crate::graph::is_head_cycle_free;
@@ -70,8 +68,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Search limits and options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
-    /// Stop after this many answer sets (`usize::MAX` = all).
-    pub max_answer_sets: usize,
     /// Abort after this many branch nodes.
     pub max_branch_nodes: usize,
     /// Ground programs with fewer atoms than this solve sequentially even
@@ -84,7 +80,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            max_answer_sets: usize::MAX,
             max_branch_nodes: 5_000_000,
             parallel_min_atoms: 128,
         }
@@ -378,8 +373,7 @@ impl<'a> NormalSolver<'a> {
     /// unbalanced tree still load-balances); each seed's subtree is searched
     /// sequentially by one worker. Results are merged, sorted and
     /// deduplicated, which makes the output identical to [`Self::answer_sets`]
-    /// for every pool size. A finite `max_answer_sets` forces the sequential
-    /// path (see the module docs). Returns (models, branch node count).
+    /// for every pool size. Returns (models, branch node count).
     pub fn answer_sets_with(
         &self,
         exec: &Executor,
@@ -403,10 +397,7 @@ impl<'a> NormalSolver<'a> {
         let root: Assignment = vec![None; self.program.atom_count()];
         let workers = exec.config().workers;
         let mut models = Vec::new();
-        if workers <= 1
-            || self.config.max_answer_sets != usize::MAX
-            || self.program.atom_count() < self.config.parallel_min_atoms
-        {
+        if workers <= 1 || self.program.atom_count() < self.config.parallel_min_atoms {
             self.search(&mut SearchState::new(self, &root), &mut models, &budget)?;
         } else {
             let seeds = self.expand_seeds(root, workers * 4, &mut models, &budget)?;
@@ -479,9 +470,6 @@ impl<'a> NormalSolver<'a> {
         models: &mut Vec<BTreeSet<AtomId>>,
         budget: &NodeBudget<'_>,
     ) -> Result<(), DatalogError> {
-        if models.len() >= self.config.max_answer_sets {
-            return Ok(());
-        }
         budget.tick()?;
         if !state.propagate() {
             return Ok(());
@@ -498,9 +486,6 @@ impl<'a> NormalSolver<'a> {
                     let explored = self.search(state, models, budget);
                     state.undo(mark);
                     explored?;
-                    if models.len() >= self.config.max_answer_sets {
-                        break;
-                    }
                 }
                 Ok(())
             }
@@ -858,9 +843,6 @@ impl<'a> DisjunctiveSolver<'a> {
         models: &mut Vec<BTreeSet<AtomId>>,
         nodes: &mut usize,
     ) -> Result<(), DatalogError> {
-        if models.len() >= self.config.max_answer_sets {
-            return Ok(());
-        }
         *nodes += 1;
         if *nodes > self.config.max_branch_nodes {
             return Err(DatalogError::SearchLimitExceeded {
@@ -884,9 +866,6 @@ impl<'a> DisjunctiveSolver<'a> {
                     let mut next = assign.clone();
                     next[atom] = Some(value);
                     self.search(next, models, nodes)?;
-                    if models.len() >= self.config.max_answer_sets {
-                        break;
-                    }
                 }
                 Ok(())
             }
@@ -1291,34 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn max_answer_sets_limits_enumeration() {
-        let mut p = Program::new();
-        for v in ["a", "b", "c"] {
-            p.add_fact(atom("dom", &[v]));
-        }
-        p.add_rule(Rule::new(
-            vec![atom("in", &["X"])],
-            vec![
-                BodyItem::Pos(atom("dom", &["X"])),
-                BodyItem::Naf(atom("out", &["X"])),
-            ],
-        ));
-        p.add_rule(Rule::new(
-            vec![atom("out", &["X"])],
-            vec![
-                BodyItem::Pos(atom("dom", &["X"])),
-                BodyItem::Naf(atom("in", &["X"])),
-            ],
-        ));
-        let config = SolverConfig {
-            max_answer_sets: 3,
-            ..SolverConfig::default()
-        };
-        let result = solve(&p, config).unwrap();
-        assert_eq!(result.answer_sets.len(), 3);
-    }
-
-    #[test]
     fn branch_node_limit_is_enforced() {
         let mut p = Program::new();
         for v in ["a", "b", "c", "d", "e", "f"] {
@@ -1339,7 +1290,6 @@ mod tests {
             ],
         ));
         let config = SolverConfig {
-            max_answer_sets: usize::MAX,
             max_branch_nodes: 3,
             ..SolverConfig::default()
         };
@@ -1421,7 +1371,6 @@ mod tests {
             ],
         ));
         let config = SolverConfig {
-            max_answer_sets: usize::MAX,
             max_branch_nodes: 5,
             parallel_min_atoms: 0,
         };
@@ -1430,38 +1379,6 @@ mod tests {
             solve_with(&p, config, &exec),
             Err(DatalogError::SearchLimitExceeded { .. })
         ));
-    }
-
-    #[test]
-    fn bounded_enumeration_falls_back_to_the_sequential_path() {
-        use pdes_exec::ExecConfig;
-        let mut p = Program::new();
-        for v in ["a", "b", "c"] {
-            p.add_fact(atom("dom", &[v]));
-        }
-        p.add_rule(Rule::new(
-            vec![atom("in", &["X"])],
-            vec![
-                BodyItem::Pos(atom("dom", &["X"])),
-                BodyItem::Naf(atom("out", &["X"])),
-            ],
-        ));
-        p.add_rule(Rule::new(
-            vec![atom("out", &["X"])],
-            vec![
-                BodyItem::Pos(atom("dom", &["X"])),
-                BodyItem::Naf(atom("in", &["X"])),
-            ],
-        ));
-        let config = SolverConfig {
-            max_answer_sets: 3,
-            ..SolverConfig::default()
-        };
-        let sequential = solve(&p, config).unwrap();
-        let exec = Executor::new(ExecConfig::with_workers(8));
-        let parallel = solve_with(&p, config, &exec).unwrap();
-        assert_eq!(parallel.answer_sets, sequential.answer_sets);
-        assert_eq!(parallel.answer_sets.len(), 3);
     }
 
     #[test]

@@ -43,8 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of a parallel execution context: how many workers to use
-/// and whether scheduling must stay fully deterministic.
+/// Configuration of a parallel execution context: how many workers to use.
 ///
 /// The default is a single worker (purely sequential), so parallelism is
 /// always an explicit opt-in at the call site that owns the configuration
@@ -55,36 +54,19 @@ pub struct ExecConfig {
     /// calling thread (nothing is spawned); `0` is normalized to the
     /// machine's available parallelism at construction time.
     pub workers: usize,
-    /// When set, parallel call sites must produce results that are
-    /// *bit-identical* to the sequential path, even where a cheaper
-    /// nondeterministic merge would be sound (e.g. first-error selection
-    /// across workers). All built-in call sites honour this; it exists so
-    /// custom strategies can query the intent.
-    pub deterministic: bool,
 }
 
 impl ExecConfig {
-    /// Sequential execution (one worker, deterministic).
+    /// Sequential execution (one worker).
     pub fn sequential() -> Self {
-        ExecConfig {
-            workers: 1,
-            deterministic: true,
-        }
+        ExecConfig { workers: 1 }
     }
 
-    /// A deterministic pool with `workers` threads (`0` = one thread per
-    /// available core).
+    /// A pool with `workers` threads (`0` = one thread per available core).
     pub fn with_workers(workers: usize) -> Self {
         ExecConfig {
             workers: normalize_workers(workers),
-            deterministic: true,
         }
-    }
-
-    /// Override the deterministic-mode flag.
-    pub fn deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
-        self
     }
 
     /// True when this configuration never spawns worker threads.
@@ -382,7 +364,6 @@ mod tests {
     fn sequential_config_is_the_default() {
         let config = ExecConfig::default();
         assert_eq!(config.workers, 1);
-        assert!(config.deterministic);
         assert!(config.is_sequential());
     }
 

@@ -10,8 +10,6 @@
 //! * [`delta::Delta`] — the symmetric difference `Δ(r1, r2)` of Definition 1
 //!   together with the `≤_r` comparison used to define repairs and solutions;
 //! * [`query`] — first-order queries and their active-domain evaluation;
-//! * [`algebra`] — a small relational-algebra evaluator used as a fast path
-//!   for conjunctive queries;
 //! * [`intern`], [`columnar`] — the interned, columnar data plane: a
 //!   [`SymbolTable`] mapping distinct values and names to dense `u32`
 //!   [`Symbol`]s, column-block relation storage, and hash-join / semi-join
@@ -44,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod algebra;
 pub mod columnar;
 pub mod database;
 pub mod delta;

@@ -58,8 +58,8 @@ pub use workload;
 pub use datalog::SolverConfig;
 pub use pdes_analyze::{Diagnostic, Report, Severity};
 pub use pdes_core::engine::{
-    AnsweringStrategy, Answers, EngineStats, Provenance, Query, QueryEngine, QueryEngineBuilder,
-    Strategy, StrategyKind,
+    Answers, EngineStats, Provenance, Query, QueryEngine, QueryEngineBuilder, Strategy,
+    StrategyKind,
 };
 pub use pdes_core::pca::vars;
 pub use pdes_core::{

@@ -4,9 +4,14 @@
 //! specification — must return identical answer sets.
 
 use p2p_data_exchange::analysis::{classify_rewritability, RewriteVerdict};
+use p2p_data_exchange::constraints::builders::{full_inclusion, key_agreement};
+use p2p_data_exchange::core::CoreError;
+use p2p_data_exchange::relalg::RelationSchema;
 use p2p_data_exchange::{
-    example1_system, vars, Formula, PeerId, QueryEngine, Strategy, StrategyKind,
+    example1_system, vars, Formula, P2PSystem, PeerId, QueryEngine, Strategy, StrategyKind,
+    TrustLevel, Tuple,
 };
+use std::collections::BTreeSet;
 use workload::{generate, Topology, TrustMix, WorkloadSpec};
 
 /// Answer one workload's canonical query under every applicable strategy on
@@ -185,4 +190,126 @@ fn transitive_answers_are_a_superset_of_direct_answers_on_import_chains() {
         )
         .unwrap();
     assert!(direct.tuples.is_subset(&transitive.tuples));
+}
+
+#[test]
+fn every_strategy_reports_the_same_error_for_an_ill_formed_query() {
+    let engine = QueryEngine::new(example1_system());
+    let p1 = PeerId::new("P1");
+    let r1 = Formula::atom("R1", vec!["X", "Y"]);
+    let r2 = Formula::atom("R2", vec!["X", "Y"]);
+    // (fault, peer, query, answer variables, expected error variant)
+    let faults = [
+        (
+            "foreign relation",
+            &p1,
+            r2.clone(),
+            vars(&["X", "Y"]),
+            "UnknownRelation",
+        ),
+        (
+            "unbound answer variable",
+            &p1,
+            r1.clone(),
+            vars(&["Z"]),
+            "Unsupported",
+        ),
+        (
+            "foreign relation and unbound variable",
+            &p1,
+            r2.clone(),
+            vars(&["Z"]),
+            "UnknownRelation",
+        ),
+        (
+            "negated foreign relation",
+            &p1,
+            Formula::not(r2),
+            vars(&["X", "Y"]),
+            "UnknownRelation",
+        ),
+        (
+            "unknown peer",
+            &PeerId::new("PX"),
+            r1,
+            vars(&["X", "Y"]),
+            "UnknownPeer",
+        ),
+    ];
+    let variant = |error: CoreError| match error {
+        CoreError::UnknownRelation { .. } => "UnknownRelation",
+        CoreError::Unsupported(_) => "Unsupported",
+        CoreError::UnknownPeer(_) => "UnknownPeer",
+        other => panic!("unexpected error {other}"),
+    };
+    let mut mismatches = Vec::new();
+    for (fault, peer, query, fv, expected) in &faults {
+        for strategy in [
+            Strategy::Naive,
+            Strategy::Rewriting,
+            Strategy::Asp,
+            Strategy::TransitiveAsp,
+            Strategy::Auto,
+        ] {
+            let error = engine
+                .answer_with(strategy, peer, query, fv)
+                .expect_err("an ill-formed query has no answers");
+            let got = variant(error);
+            if got != *expected {
+                mismatches.push(format!("{fault} under {strategy:?}: {got}, not {expected}"));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// P1 imports R2 from the more-trusted P2, and P2 shares a key with the
+/// same-trusted P3. Only the transitive program of Section 4.3 sees P2's
+/// conflict with P3: it makes the imported (s,t) uncertain for P1.
+fn chain_system() -> P2PSystem {
+    let (p1, p2, p3) = (PeerId::new("P1"), PeerId::new("P2"), PeerId::new("P3"));
+    let mut sys = P2PSystem::new();
+    for (peer, relation, a, b) in [
+        (&p1, "R1", "a", "b"),
+        (&p2, "R2", "s", "t"),
+        (&p3, "R3", "s", "u"),
+    ] {
+        sys.add_peer(peer.clone()).unwrap();
+        sys.add_relation(peer, RelationSchema::new(relation, &["x", "y"]))
+            .unwrap();
+        sys.insert(peer, relation, Tuple::strs([a, b])).unwrap();
+    }
+    sys.add_dec(&p1, &p2, full_inclusion("inc", "R2", "R1", 2).unwrap())
+        .unwrap();
+    sys.set_trust(&p1, TrustLevel::Less, &p2).unwrap();
+    sys.add_dec(&p2, &p3, key_agreement("ka", "R2", "R3").unwrap())
+        .unwrap();
+    sys.set_trust(&p2, TrustLevel::Same, &p3).unwrap();
+    sys
+}
+
+#[test]
+fn transitive_answers_see_a_conflict_one_peer_further_along_the_chain() {
+    let p1 = PeerId::new("P1");
+    let query = Formula::atom("R1", vec!["X", "Y"]);
+    let fv = vars(&["X", "Y"]);
+    let direct = BTreeSet::from([Tuple::strs(["a", "b"]), Tuple::strs(["s", "t"])]);
+    for workers in [1, 2] {
+        let engine = QueryEngine::builder(chain_system())
+            .workers(workers)
+            .build();
+        for strategy in [Strategy::Naive, Strategy::Asp] {
+            let answers = engine.answer_with(strategy, &p1, &query, &fv).unwrap();
+            assert_eq!(answers.tuples, direct, "{strategy:?} on {workers} workers");
+        }
+        let transitive = engine
+            .answer_with(Strategy::TransitiveAsp, &p1, &query, &fv)
+            .unwrap();
+        assert_eq!(
+            transitive.tuples,
+            BTreeSet::from([Tuple::strs(["a", "b"])]),
+            "{workers} workers"
+        );
+        assert_eq!(transitive.stats.worlds, 2, "{workers} workers");
+    }
 }

@@ -27,7 +27,6 @@ const MAX_ATOMS: usize = 10;
 /// Solver settings that send even the smallest program down the parallel
 /// path when the pool has more than one worker.
 const CONFIG: SolverConfig = SolverConfig {
-    max_answer_sets: usize::MAX,
     max_branch_nodes: 1_000_000,
     parallel_min_atoms: 0,
 };
