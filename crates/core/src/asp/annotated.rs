@@ -33,7 +33,7 @@
 
 use crate::asp::decode::decode_worlds;
 use crate::asp::encode::{
-    ann, annotated_predicate, copy_rule, encode_value, facts_for_system, positional_vars,
+    ann, annotated_predicate, copy_rule, encode_value, facts_for_system_with, positional_vars,
     ValueDecoder,
 };
 use crate::error::CoreError;
@@ -142,6 +142,24 @@ pub fn annotated_program_with(
     peer: &PeerId,
     symbols: Option<&relalg::SymbolTable>,
 ) -> Result<AnnotatedSpec> {
+    // Facts for every peer instance (only relevant relations are ever read,
+    // extra facts are harmless and keep the generator simple).
+    let mut facts = Program::new();
+    facts_for_system_with(system, &mut facts, symbols);
+    annotated_spec(system, peer, facts, ValueDecoder::for_system(system))
+}
+
+/// The annotated specification of `peer`: its rules appended to `program`,
+/// which holds whatever facts the caller encoded, and `decoder` as the
+/// spec's decoder. [`annotated_program_with`] passes the whole system's
+/// facts; the transitive composition passes no facts and one shared
+/// decoder for every combined peer.
+pub(crate) fn annotated_spec(
+    system: &P2PSystem,
+    peer: &PeerId,
+    program: Program,
+    decoder: ValueDecoder,
+) -> Result<AnnotatedSpec> {
     let peer_data = system.peer(peer)?;
     let namespace = peer.name().to_string();
     let (less_decs, same_decs) = system.trusted_decs_of(peer);
@@ -185,18 +203,9 @@ pub fn annotated_program_with(
     let mut gen = Generator {
         namespace: namespace.clone(),
         flexible: flexible.clone(),
-        program: Program::new(),
+        program,
         aux_counter: 0,
     };
-
-    // Facts for every peer instance (only relevant relations are ever read,
-    // extra facts are harmless and keep the generator simple).
-    match symbols {
-        Some(symbols) => {
-            crate::asp::encode::facts_for_system_shared(system, &mut gen.program, symbols)
-        }
-        None => facts_for_system(system, &mut gen.program),
-    }
 
     // Annotation scaffolding for flexible relations.
     for rel in &flexible {
@@ -218,7 +227,7 @@ pub fn annotated_program_with(
         flexible,
         relevant,
         arities,
-        decoder: ValueDecoder::for_system(system),
+        decoder,
     })
 }
 

@@ -6,11 +6,15 @@
 //! models — sets of atom ids of the solved [`GroundProgram`] — straight into
 //! a [`WorldSet`] over the store's [`SymbolTable`]:
 //!
-//! * one table maps each atom id to its relation slot and its row of store
-//!   symbol ids. An atom is decoded the first time some model holds it;
-//!   atoms of other predicates and strongly negated atoms map to nothing;
-//! * every distinct constant text is decoded to its typed [`Value`] by the
-//!   spec's [`ValueDecoder`] and interned once;
+//! * the solved program is id-native: each atom is a predicate id plus
+//!   constant ids over the grounding's symbol table. Each predicate id is
+//!   mapped to its relation slot once — predicates of other relations and
+//!   strongly negated ones map to nothing — and each constant id to a store
+//!   symbol once, the first time a row needs it, by decoding its text to
+//!   the typed [`Value`] with the spec's [`ValueDecoder`] and interning
+//!   that;
+//! * an atom's row of store symbol ids is built the first time some model
+//!   holds it, into one flat buffer;
 //! * a model becomes a world by table lookups: rows are collected per
 //!   relation, and [`WorldSet::from_id_rows`] sorts them by id,
 //!   deduplicates them, keeps worlds with equal rows once, in model order,
@@ -21,6 +25,7 @@
 //! stays as the reference this module is checked against; both give the
 //! same worlds.
 //!
+//! [`GroundProgram`]: datalog::GroundProgram
 //! [`Value`]: relalg::Value
 
 use crate::asp::encode::ValueDecoder;
@@ -30,16 +35,10 @@ use relalg::{SymbolTable, WorldSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// What one atom id contributes to a world.
-#[derive(Clone)]
-enum Decoded {
-    /// Not yet held by any model.
-    Unseen,
-    /// No row: another predicate, or a strongly negated atom.
-    Skip,
-    /// A row of the `slot`-th relevant relation, as store symbol ids.
-    Row(usize, Box<[u32]>),
-}
+/// "Not decoded yet" in the per-atom and per-constant tables.
+const UNSEEN: u32 = u32::MAX;
+/// "No row": an atom of another predicate, or a strongly negated one.
+const SKIP: u32 = u32::MAX - 1;
 
 /// Decode the models of `result` into the set of distinct worlds over the
 /// `relevant` relations, interning constants into `symbols`. A relation's
@@ -56,38 +55,48 @@ pub(crate) fn decode_worlds(
     symbols: &Arc<SymbolTable>,
 ) -> Result<WorldSet> {
     let (ground, models) = (&result.ground, &result.answer_sets);
-    let slots: HashMap<String, usize> = relevant
+    let slots: HashMap<String, u32> = relevant
         .iter()
         .enumerate()
-        .map(|(slot, relation)| (solution_predicate(relation), slot))
+        .map(|(slot, relation)| (solution_predicate(relation), slot as u32))
         .collect();
-    let mut constants: HashMap<&str, u32> = HashMap::new();
-    let mut table = vec![Decoded::Unseen; ground.atom_count()];
+    // Per predicate id: the relation slot its positive atoms fill.
+    let slot_of: Vec<u32> = (0..ground.predicate_count() as u32)
+        .map(|pred| match ground.predicate(pred) {
+            (name, false) => slots.get(name).copied().unwrap_or(SKIP),
+            (_, true) => SKIP,
+        })
+        .collect();
+    // Per constant id: its store symbol, decoded the first time a row
+    // holds it.
+    let mut symbol_of = vec![UNSEEN; ground.constant_count()];
+    // Per atom id: its slot and the end of its row in `rows`, filled the
+    // first time a model holds it.
+    let mut row_of = vec![(UNSEEN, 0u32); ground.atom_count()];
+    let mut ids: Vec<u32> = Vec::new();
     for &id in models.iter().flatten() {
-        if !matches!(table[id], Decoded::Unseen) {
+        if row_of[id].0 != UNSEEN {
             continue;
         }
-        let atom = ground.atom(id);
-        table[id] = match slots.get(atom.predicate.as_str()) {
-            Some(&slot) if !atom.strong_neg => Decoded::Row(
-                slot,
-                atom.args
-                    .iter()
-                    .map(|arg| {
-                        *constants
-                            .entry(&**arg)
-                            .or_insert_with(|| symbols.intern(&decoder.decode(arg)).id())
-                    })
-                    .collect(),
-            ),
-            _ => Decoded::Skip,
-        };
+        let slot = slot_of[ground.atom_predicate(id) as usize];
+        if slot != SKIP {
+            for &c in ground.atom_args(id) {
+                let symbol = &mut symbol_of[c as usize];
+                if *symbol == UNSEEN {
+                    *symbol = symbols.intern(&decoder.decode(ground.constant(c))).id();
+                }
+                ids.push(*symbol);
+            }
+        }
+        row_of[id] = (slot, ids.len() as u32);
     }
     let worlds = models.iter().map(|model| {
         let mut rows: Vec<Vec<&[u32]>> = vec![Vec::new(); relevant.len()];
         for &id in model {
-            if let Decoded::Row(slot, row) = &table[id] {
-                rows[*slot].push(&**row);
+            let (slot, end) = row_of[id];
+            if slot != SKIP {
+                let start = end as usize - ground.atom_args(id).len();
+                rows[slot as usize].push(&ids[start..end as usize]);
             }
         }
         rows

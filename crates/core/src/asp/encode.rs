@@ -50,9 +50,10 @@ pub fn encode_tuple_shared(tuple: &Tuple, symbols: &SymbolTable) -> Vec<Term> {
 }
 
 /// Decodes constant symbols back into the values of a system's domain.
+/// Clones share one map until one of them learns a new constant.
 #[derive(Debug, Clone, Default)]
 pub struct ValueDecoder {
-    map: BTreeMap<String, Value>,
+    map: Arc<BTreeMap<String, Value>>,
 }
 
 impl ValueDecoder {
@@ -64,7 +65,7 @@ impl ValueDecoder {
                 map.entry(encode_value(&value)).or_insert(value);
             }
         }
-        ValueDecoder { map }
+        ValueDecoder { map: Arc::new(map) }
     }
 
     /// Build a decoder from a single database.
@@ -73,18 +74,20 @@ impl ValueDecoder {
         for value in db.active_domain() {
             map.entry(encode_value(&value)).or_insert(value);
         }
-        ValueDecoder { map }
+        ValueDecoder { map: Arc::new(map) }
     }
 
     /// Add the constants of `values` the decoder does not know yet, so a
     /// value first seen after the decoder was built (one a commit
     /// inserted) decodes to itself rather than to a string. A constant
-    /// already known keeps its value.
+    /// already known keeps its value, and a decoder that learns nothing
+    /// new keeps sharing its map.
     pub(crate) fn learn<'v>(&mut self, values: impl IntoIterator<Item = &'v Value>) {
         for value in values {
-            self.map
-                .entry(encode_value(value))
-                .or_insert_with(|| value.clone());
+            let symbol = encode_value(value);
+            if !self.map.contains_key(&symbol) {
+                Arc::make_mut(&mut self.map).insert(symbol, value.clone());
+            }
         }
     }
 
@@ -168,6 +171,19 @@ pub fn facts_for_system(system: &P2PSystem, program: &mut Program) {
 pub fn facts_for_system_shared(system: &P2PSystem, program: &mut Program, symbols: &SymbolTable) {
     for peer in system.peers() {
         facts_for_database_shared(&peer.instance, program, symbols);
+    }
+}
+
+/// [`facts_for_system`], or [`facts_for_system_shared`] when the store's
+/// symbol table is given.
+pub(crate) fn facts_for_system_with(
+    system: &P2PSystem,
+    program: &mut Program,
+    symbols: Option<&SymbolTable>,
+) {
+    match symbols {
+        Some(symbols) => facts_for_system_shared(system, program, symbols),
+        None => facts_for_system(system, program),
     }
 }
 

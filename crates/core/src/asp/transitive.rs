@@ -15,10 +15,17 @@
 //! reachable from the queried peer through trusted DECs and rewires each
 //! program to read a neighbour's flexible relations through that neighbour's
 //! `tss` predicates.
+//!
+//! Every combined peer reads the same facts — the whole system's — so the
+//! composition encodes them once, ahead of the rules, and builds one
+//! [`ValueDecoder`] that every per-peer spec shares; the per-peer specs
+//! hold their rules only. The result equals, rule for rule, the
+//! composition of each peer's whole [`crate::asp::annotated_program_with`]
+//! program with the facts kept once.
 
-use crate::asp::annotated::AnnotatedSpec;
+use crate::asp::annotated::{annotated_spec, AnnotatedSpec};
 use crate::asp::decode::decode_worlds;
-use crate::asp::encode::ValueDecoder;
+use crate::asp::encode::{facts_for_system_with, ValueDecoder};
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
 use datalog::{Atom, BodyItem, Program, Rule, SolveResult};
@@ -33,8 +40,13 @@ pub struct TransitiveSpec {
     pub peer: PeerId,
     /// The combined program.
     pub program: Program,
-    /// The per-peer specifications that were combined, keyed by peer.
-    pub specs: BTreeMap<PeerId, AnnotatedSpec>,
+    /// The per-peer specifications that were combined, keyed by peer. Each
+    /// holds its peer's rules only, before rewiring: no facts (`program`
+    /// holds the system's facts, once), and the decoder it shares with
+    /// this spec as built. Crate-private, so no public value carries a
+    /// fact-less program that looks complete; only the peers' flexible
+    /// and relevant relations are read from them.
+    pub(crate) specs: BTreeMap<PeerId, AnnotatedSpec>,
     /// Every relation relevant to some combined peer.
     pub relevant: BTreeSet<String>,
     /// Arities of the relevant relations.
@@ -148,49 +160,22 @@ pub fn transitive_program_with(
         }
     }
 
-    // Per-peer specifications.
+    // One decoder and one copy of the system's facts for the whole
+    // composition; the per-peer specifications carry rules only.
+    let decoder = ValueDecoder::for_system(system);
     let mut specs: BTreeMap<PeerId, AnnotatedSpec> = BTreeMap::new();
     for p in &reachable {
-        specs.insert(
-            p.clone(),
-            crate::asp::annotated::annotated_program_with(system, p, symbols)?,
-        );
+        let spec = annotated_spec(system, p, Program::new(), decoder.clone())?;
+        specs.insert(p.clone(), spec);
     }
-
-    // For every peer X, relations that are fixed in X's spec but flexible in
-    // their owner's spec are read through the owner's `tss` predicate.
     let mut combined = Program::new();
-    let mut emitted_facts = false;
+    facts_for_system_with(system, &mut combined, symbols);
+
     for (owner_of_program, spec) in &specs {
-        // Build the substitution for this peer's program.
-        let mut substitution: BTreeMap<String, String> = BTreeMap::new();
-        for relation in &spec.relevant {
-            if spec.flexible.contains(relation) {
-                continue;
-            }
-            if let Some(owner) = system.owner_of(relation) {
-                if &owner == owner_of_program {
-                    continue;
-                }
-                if let Some(owner_spec) = specs.get(&owner) {
-                    if owner_spec.flexible.contains(relation) {
-                        substitution
-                            .insert(relation.clone(), owner_spec.solution_predicate(relation));
-                    }
-                }
-            }
-        }
+        let substitution = substitution(system, &specs, owner_of_program, spec);
         for rule in spec.program.rules() {
-            if rule.is_fact() {
-                // Material facts are shared; emit them only once.
-                if !emitted_facts {
-                    combined.add_rule(rule.clone());
-                }
-                continue;
-            }
             combined.add_rule(rewire_rule(rule, &substitution));
         }
-        emitted_facts = true;
     }
 
     // Relevant relations and arities across all specs.
@@ -209,8 +194,34 @@ pub fn transitive_program_with(
         specs,
         relevant,
         arities,
-        decoder: ValueDecoder::for_system(system),
+        decoder,
     })
+}
+
+/// The relations `peer`'s program reads through another peer's `tss`
+/// predicate: those fixed in `spec` (the peer's own) but flexible in their
+/// owner's spec, mapped to the owner's solution predicate.
+fn substitution(
+    system: &P2PSystem,
+    specs: &BTreeMap<PeerId, AnnotatedSpec>,
+    peer: &PeerId,
+    spec: &AnnotatedSpec,
+) -> BTreeMap<String, String> {
+    let mut substitution = BTreeMap::new();
+    for relation in &spec.relevant {
+        if spec.flexible.contains(relation) {
+            continue;
+        }
+        let Some(owner) = system.owner_of(relation).filter(|owner| owner != peer) else {
+            continue;
+        };
+        if let Some(owner_spec) = specs.get(&owner) {
+            if owner_spec.flexible.contains(relation) {
+                substitution.insert(relation.clone(), owner_spec.solution_predicate(relation));
+            }
+        }
+    }
+    substitution
 }
 
 /// Replace material relation atoms in a rule's body according to the
@@ -301,6 +312,13 @@ mod tests {
         let p = PeerId::new("P");
         let spec = transitive_program(&sys, &p).unwrap();
         assert_eq!(spec.specs.len(), 3);
+        // The combined program holds the facts once; the per-peer specs
+        // hold rules only.
+        assert!(spec.specs.values().all(|member| member
+            .program
+            .rules()
+            .iter()
+            .all(|r| !r.is_fact())));
         let sets = AnswerSets::compute(&spec.program, SolverConfig::default()).unwrap();
         let solutions = spec.solution_databases(&sys, &sets).unwrap();
         // The paper lists exactly three solutions.

@@ -30,17 +30,26 @@
 //!   candidate sets — and atoms are numbered in first-use order (heads, then
 //!   body literals in source order), so the output does not depend on how
 //!   the joins ran.
+//! * **Ids out.** The emitted [`GroundProgram`] keeps the grounding's ids:
+//!   each atom is a predicate id plus constant ids, over the grounding's
+//!   symbol table, which the program shares rather than copies.
+//!   [`GroundAtom`] is an owned view of one atom, built on demand
+//!   ([`GroundProgram::atom`], [`GroundProgram::decode`], `Display`).
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
 use crate::relevance::{QuerySeed, RelevanceAnalysis};
-use crate::seminaive::{self, Emitter};
+use crate::seminaive::{self, Emitter, Symbols};
 use crate::syntax::Program;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A ground atom: signed predicate plus constant arguments.
+/// A ground atom: signed predicate plus constant arguments. A ground
+/// program stores its atoms as ids; this is the owned, textual view of one
+/// ([`GroundProgram::atom`]), and the form atoms take on the way in
+/// ([`GroundProgram::intern`], [`crate::IncrementalGround::apply_delta`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroundAtom {
     /// Predicate name.
@@ -119,18 +128,68 @@ impl GroundRule {
     }
 }
 
-/// A propositional (ground) program with interned atoms.
+/// A propositional (ground) program over interned atoms.
+///
+/// Each atom is a signed predicate id plus constant ids, resolved through
+/// the symbol table of the grounding that produced the program; the table
+/// is shared with that grounding (an `Arc`), never copied. Atoms are
+/// numbered in first-use order. [`GroundProgram::atom`] and
+/// [`GroundProgram::atoms`] build [`GroundAtom`] views on demand;
+/// [`GroundProgram::atom_predicate`], [`GroundProgram::atom_args`],
+/// [`GroundProgram::predicate`] and [`GroundProgram::constant`] read the
+/// ids and their symbols without materializing anything. Grounding and the
+/// shift keep no index from atoms to ids; [`GroundProgram::atom_id`] and
+/// [`GroundProgram::intern`] build a hash index on first use.
 #[derive(Debug, Clone, Default)]
 pub struct GroundProgram {
-    atoms: Vec<GroundAtom>,
-    index: BTreeMap<GroundAtom, AtomId>,
+    symbols: Arc<Symbols>,
+    /// Per atom: its signed predicate id.
+    preds: Vec<u32>,
+    /// Per atom: the end of its constant ids in `args` (each atom's ids
+    /// start where the previous atom's end).
+    ends: Vec<u32>,
+    args: Vec<u32>,
     rules: Vec<GroundRule>,
+    /// Atom ids keyed by the predicate id followed by the constant ids;
+    /// built by the first lookup and kept current by every later append.
+    index: OnceLock<HashMap<Box<[u32]>, AtomId>>,
 }
 
 impl GroundProgram {
+    /// An empty program over a grounding's symbol table.
+    pub(crate) fn over(symbols: Arc<Symbols>) -> Self {
+        GroundProgram {
+            symbols,
+            ..GroundProgram::default()
+        }
+    }
+
+    /// Append an atom given by ids, returning its id. The caller ensures
+    /// the atom is not interned yet.
+    pub(crate) fn push_atom(&mut self, pred: u32, args: &[u32]) -> AtomId {
+        let id = self.preds.len();
+        self.preds.push(pred);
+        self.args.extend_from_slice(args);
+        self.ends.push(self.args.len() as u32);
+        if let Some(index) = self.index.get_mut() {
+            index.insert(
+                std::iter::once(pred).chain(args.iter().copied()).collect(),
+                id,
+            );
+        }
+        id
+    }
+
+    /// An atom's index key: its predicate id, then its constant ids.
+    fn key(&self, id: AtomId) -> Box<[u32]> {
+        std::iter::once(self.preds[id])
+            .chain(self.atom_args(id).iter().copied())
+            .collect()
+    }
+
     /// Number of distinct ground atoms.
     pub fn atom_count(&self) -> usize {
-        self.atoms.len()
+        self.preds.len()
     }
 
     /// Number of ground rules.
@@ -143,33 +202,93 @@ impl GroundProgram {
         &self.rules
     }
 
-    /// Resolve an atom id.
-    pub fn atom(&self, id: AtomId) -> &GroundAtom {
-        &self.atoms[id]
+    /// The signed predicate id of an atom (see [`GroundProgram::predicate`]).
+    pub fn atom_predicate(&self, id: AtomId) -> u32 {
+        self.preds[id]
     }
 
-    /// Look up an atom's id, if it was interned.
+    /// The constant ids of an atom's arguments (see
+    /// [`GroundProgram::constant`]).
+    pub fn atom_args(&self, id: AtomId) -> &[u32] {
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.args[start as usize..self.ends[id] as usize]
+    }
+
+    /// Number of predicate ids in the symbol table. Every atom's predicate
+    /// id is below it; the table may name predicates no atom uses.
+    pub fn predicate_count(&self) -> usize {
+        self.symbols.pred_count()
+    }
+
+    /// The name and classical-negation flag of a predicate id.
+    pub fn predicate(&self, pred: u32) -> (&str, bool) {
+        let (name, strong_neg) = self.symbols.pred(pred);
+        (name, *strong_neg)
+    }
+
+    /// Number of constant ids in the symbol table. Every argument id is
+    /// below it; the table may hold constants no atom uses.
+    pub fn constant_count(&self) -> usize {
+        self.symbols.const_count()
+    }
+
+    /// The text of a constant id.
+    pub fn constant(&self, constant: u32) -> &Arc<str> {
+        self.symbols.const_text(constant)
+    }
+
+    /// The id of the predicate with the same name and the other sign
+    /// (`p` ↔ `-p`), when the symbol table has it.
+    pub(crate) fn complement_predicate(&self, pred: u32) -> Option<u32> {
+        let (name, strong_neg) = self.symbols.pred(pred);
+        self.symbols.find_predicate(name, !strong_neg)
+    }
+
+    /// An atom as an owned [`GroundAtom`].
+    pub fn atom(&self, id: AtomId) -> GroundAtom {
+        let (name, strong_neg) = self.predicate(self.preds[id]);
+        GroundAtom {
+            predicate: name.to_string(),
+            strong_neg,
+            args: self
+                .atom_args(id)
+                .iter()
+                .map(|&c| Arc::clone(self.constant(c)))
+                .collect(),
+        }
+    }
+
+    /// Look up an atom's id, if it was interned. The first lookup builds
+    /// the program's atom index.
     pub fn atom_id(&self, atom: &GroundAtom) -> Option<AtomId> {
-        self.index.get(atom).copied()
+        let mut key = Vec::with_capacity(1 + atom.args.len());
+        key.push(
+            self.symbols
+                .find_predicate(&atom.predicate, atom.strong_neg)?,
+        );
+        for arg in &atom.args {
+            key.push(self.symbols.find_constant(arg)?);
+        }
+        let index = self.index.get_or_init(|| {
+            (0..self.atom_count())
+                .map(|id| (self.key(id), id))
+                .collect()
+        });
+        index.get(key.as_slice()).copied()
     }
 
-    /// Intern an atom, returning its id.
+    /// Intern an atom, returning its id. Adds its predicate and constants
+    /// to the symbol table when new; a table still shared with the
+    /// grounding (or another program) is copied first, so their ids never
+    /// change.
     pub fn intern(&mut self, atom: GroundAtom) -> AtomId {
-        if let Some(&id) = self.index.get(&atom) {
+        if let Some(id) = self.atom_id(&atom) {
             return id;
         }
-        let id = self.atoms.len();
-        self.atoms.push(atom.clone());
-        self.index.insert(atom, id);
-        id
-    }
-
-    /// Append an atom known not to be interned yet, returning its id.
-    pub(crate) fn push_new(&mut self, atom: GroundAtom) -> AtomId {
-        let id = self.atoms.len();
-        self.atoms.push(atom.clone());
-        self.index.insert(atom, id);
-        id
+        let symbols = Arc::make_mut(&mut self.symbols);
+        let pred = symbols.predicate(&atom.predicate, atom.strong_neg);
+        let args: Vec<u32> = atom.args.iter().map(|a| symbols.constant(a)).collect();
+        self.push_atom(pred, &args)
     }
 
     /// Add a ground rule.
@@ -177,61 +296,35 @@ impl GroundProgram {
         self.rules.push(rule);
     }
 
+    /// The same atoms under other rules (the atom ids keep their meaning).
+    pub(crate) fn with_rules(self, rules: Vec<GroundRule>) -> GroundProgram {
+        GroundProgram { rules, ..self }
+    }
+
     /// True when some ground rule has a disjunctive head.
     pub fn is_disjunctive(&self) -> bool {
         self.rules.iter().any(|r| r.heads.len() > 1)
     }
 
-    /// Iterate over all interned atoms with their ids.
-    pub fn atoms(&self) -> impl Iterator<Item = (AtomId, &GroundAtom)> {
-        self.atoms.iter().enumerate()
+    /// Iterate over all atoms with their ids, as [`GroundAtom`] views.
+    pub fn atoms(&self) -> impl Iterator<Item = (AtomId, GroundAtom)> + '_ {
+        (0..self.atom_count()).map(|id| (id, self.atom(id)))
     }
 
     /// Render a set of atom ids as ground atoms (sorted, for stable output).
     pub fn decode(&self, ids: &BTreeSet<AtomId>) -> BTreeSet<GroundAtom> {
-        ids.iter().map(|&id| self.atoms[id].clone()).collect()
-    }
-
-    /// Exact size accounting for interned ground programs: rules are 24
-    /// bytes plus 8 per atom id; each distinct atom charges its predicate
-    /// text, 8 bytes per constant-argument reference, and each `Arc<str>`
-    /// payload *once per distinct allocation* (shared interned text
-    /// deduplicates by pointer identity — the atom `index` shares its
-    /// argument allocations with `atoms`, so it adds only fixed per-entry
-    /// overhead). Deterministic for a given grounding.
-    pub fn exact_bytes(&self) -> usize {
-        let mut seen: std::collections::HashSet<*const u8> = std::collections::HashSet::new();
-        let atoms: usize = self
-            .atoms
-            .iter()
-            .map(|a| {
-                let mut bytes = 24 + a.predicate.len() + 8 * a.args.len();
-                for arg in &a.args {
-                    if seen.insert(arg.as_ptr()) {
-                        bytes += arg.len();
-                    }
-                }
-                bytes
-            })
-            .sum();
-        let index = self.index.len() * 48;
-        let rules: usize = self
-            .rules
-            .iter()
-            .map(|r| 24 + 8 * (r.heads.len() + r.pos.len() + r.neg.len()))
-            .sum();
-        atoms + index + rules
+        ids.iter().map(|&id| self.atom(id)).collect()
     }
 }
 
 impl fmt::Display for GroundProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for r in &self.rules {
-            for (i, h) in r.heads.iter().enumerate() {
+            for (i, &h) in r.heads.iter().enumerate() {
                 if i > 0 {
                     write!(f, " v ")?;
                 }
-                write!(f, "{}", self.atoms[*h])?;
+                write!(f, "{}", self.atom(h))?;
             }
             if !r.pos.is_empty() || !r.neg.is_empty() {
                 if !r.heads.is_empty() {
@@ -239,18 +332,18 @@ impl fmt::Display for GroundProgram {
                 }
                 write!(f, ":- ")?;
                 let mut first = true;
-                for p in &r.pos {
+                for &p in &r.pos {
                     if !first {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{}", self.atoms[*p])?;
+                    write!(f, "{}", self.atom(p))?;
                     first = false;
                 }
-                for n in &r.neg {
+                for &n in &r.neg {
                     if !first {
                         write!(f, ", ")?;
                     }
-                    write!(f, "not {}", self.atoms[*n])?;
+                    write!(f, "not {}", self.atom(n))?;
                     first = false;
                 }
             }
@@ -270,19 +363,20 @@ pub fn ground_relevant(
     Grounder::new(program).ground_relevant(seeds)
 }
 
-/// The grounder.
-pub struct Grounder {
-    program: Program,
+/// The grounder. It borrows a program without choice atoms and owns only
+/// a choice-unfolded copy.
+pub struct Grounder<'a> {
+    program: Cow<'a, Program>,
 }
 
-impl Grounder {
+impl<'a> Grounder<'a> {
     /// Create a grounder for a program. Choice atoms are automatically
     /// unfolded into their stable version.
-    pub fn new(program: &Program) -> Self {
+    pub fn new(program: &'a Program) -> Self {
         let program = if program.has_choice() {
-            unfold_choices(program)
+            Cow::Owned(unfold_choices(program))
         } else {
-            program.clone()
+            Cow::Borrowed(program)
         };
         Grounder { program }
     }
@@ -335,7 +429,7 @@ impl Grounder {
         let analysis = RelevanceAnalysis::analyze(&self.program, seeds);
         let restricted = analysis.restrict(&self.program);
         Grounder {
-            program: restricted,
+            program: Cow::Owned(restricted),
         }
         .ground()
     }
@@ -555,32 +649,5 @@ mod tests {
         let text = g.to_string();
         assert!(text.contains("p(a)."));
         assert!(text.contains("q(a) :- p(a)."));
-    }
-
-    #[test]
-    fn exact_bytes_deduplicates_shared_argument_text() {
-        let mut g = GroundProgram::default();
-        let shared: std::sync::Arc<str> = std::sync::Arc::from("shared-constant");
-        let a = GroundAtom {
-            predicate: "p".to_string(),
-            strong_neg: false,
-            args: vec![std::sync::Arc::clone(&shared)],
-        };
-        let b = GroundAtom {
-            predicate: "q".to_string(),
-            strong_neg: false,
-            args: vec![std::sync::Arc::clone(&shared)],
-        };
-        let ha = g.intern(a);
-        let hb = g.intern(b);
-        g.add_rule(GroundRule {
-            heads: vec![hb],
-            pos: vec![ha],
-            neg: vec![],
-        });
-        // Two atoms (24 + 1 + 8 each), one shared 15-byte payload charged
-        // once, two index entries, one rule with two atom ids.
-        let expected = 2 * (24 + 1 + 8) + 15 + 2 * 48 + (24 + 8 * 2);
-        assert_eq!(g.exact_bytes(), expected);
     }
 }

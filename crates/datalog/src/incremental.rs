@@ -31,9 +31,12 @@
 //!     (head, positive *or default-negated* body — a possibility flip under
 //!     `not` changes which literals instantiation drops) are re-instantiated;
 //!     every other rule keeps its existing ground instances untouched.
-//! * [`IncrementalGround::to_ground`] materializes the interned
-//!   [`GroundProgram`] from the facts and instance groups — no joins, each
-//!   atom built once. **Emission order:** facts in [`GroundAtom`] order,
+//! * [`IncrementalGround::to_ground`] emits the [`GroundProgram`] from the
+//!   facts and instance groups — no joins and no text: each atom's
+//!   predicate id and constant ids are copied once, and the program shares
+//!   the state's symbol table (the state writes to it copy-on-write, so a
+//!   program still alive keeps its ids across later patches). **Emission
+//!   order:** facts in [`GroundAtom`] order,
 //!   then the groups in source-rule order, each sorted by its tuple of
 //!   positive-body atoms in [`GroundAtom`] order (the order of a nested-loop
 //!   join over sorted candidate sets); atoms are numbered in first-use order
@@ -276,9 +279,9 @@ impl IncrementalGround {
         }
     }
 
-    /// Materialize the interned [`GroundProgram`] from the current facts and
-    /// instance groups (no joins — each atom is built once, in first-use
-    /// order).
+    /// Emit the [`GroundProgram`] of the current facts and instance groups:
+    /// no joins, each atom's ids copied once, in first-use order, over the
+    /// state's shared symbol table.
     pub fn to_ground(&self) -> GroundProgram {
         let mut emitter = Emitter::new(&self.core);
         for &fact in &self.facts {

@@ -52,7 +52,7 @@
 //! which is all a query with those bindings can observe.
 
 use crate::syntax::{Atom, BodyItem, Builtin, Program, Rule, Term};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// One query seed: a (signed) predicate the query observes, with optional
@@ -123,7 +123,34 @@ impl RelevanceAnalysis {
     /// this automatically).
     pub fn analyze(program: &Program, seeds: &[QuerySeed]) -> Self {
         let rules = program.rules();
-        let shapes: Vec<RuleShape> = rules.iter().map(RuleShape::of).collect();
+        // One shape per non-fact rule, and one per distinct fact predicate:
+        // a fact adds only its head, so facts of one predicate behave
+        // alike. `shape_of[i]` is rule `i`'s shape.
+        let mut shapes: Vec<RuleShape> = Vec::new();
+        let mut fact_shapes: HashMap<(&str, bool), usize> = HashMap::new();
+        // Facts come in runs of one predicate: the previous fact's shape.
+        let mut last: Option<((&str, bool), usize)> = None;
+        let shape_of: Vec<usize> = rules
+            .iter()
+            .map(|rule| {
+                if !rule.is_fact() {
+                    shapes.push(RuleShape::of(rule));
+                    return shapes.len() - 1;
+                }
+                let head = &rule.head[0];
+                let key = (head.predicate.as_str(), head.strong_neg);
+                let shape = match last {
+                    Some((previous, shape)) if previous == key => shape,
+                    _ => *fact_shapes.entry(key).or_insert_with(|| {
+                        shapes.push(RuleShape::of(rule));
+                        shapes.len() - 1
+                    }),
+                };
+                last = Some((key, shape));
+                shapes[shape].fact_arities.insert(head.terms.len());
+                shape
+            })
+            .collect();
 
         // Heads derivable anywhere in the program, for complement coupling.
         let mut derivable: BTreeSet<&str> = BTreeSet::new();
@@ -162,7 +189,11 @@ impl RelevanceAnalysis {
                 changed = true;
             }
             for shape in &shapes {
-                if shape.is_constraint || !shape.heads.iter().any(|h| relevant.contains(h)) {
+                // A fact shape adds only its head, which is relevant already.
+                if shape.is_constraint
+                    || !shape.fact_arities.is_empty()
+                    || !shape.heads.iter().any(|h| relevant.contains(h))
+                {
                     continue;
                 }
                 for pred in shape.predicates() {
@@ -176,10 +207,18 @@ impl RelevanceAnalysis {
             }
         }
 
-        let kept: Vec<bool> = shapes
+        let kept_shape: Vec<bool> = shapes
             .iter()
             .map(|s| s.is_constraint || s.heads.iter().any(|h| relevant.contains(h)))
             .collect();
+        let kept: Vec<bool> = shape_of.iter().map(|&shape| kept_shape[shape]).collect();
+        // A representative rule per shape (the first rule that has it).
+        let mut shape_rules: Vec<&Rule> = Vec::with_capacity(shapes.len());
+        for (rule, &shape) in rules.iter().zip(&shape_of) {
+            if shape == shape_rules.len() {
+                shape_rules.push(rule);
+            }
+        }
 
         // A seed is binding-restrictable when nothing in the kept slice can
         // observe more of it than the query asks for: outside its own
@@ -197,7 +236,7 @@ impl RelevanceAnalysis {
                 continue;
             }
             let comp = complement_key(&seed.predicate);
-            for ((shape, rule), keep) in shapes.iter().zip(rules).zip(&kept) {
+            for ((shape, rule), keep) in shapes.iter().zip(&shape_rules).zip(&kept_shape) {
                 if !keep {
                     continue;
                 }
@@ -207,7 +246,17 @@ impl RelevanceAnalysis {
                 let defines = shape.heads.contains(&seed.predicate);
                 let reads = shape.body.iter().any(|(pred, _)| *pred == seed.predicate);
                 if defines {
-                    if shape.heads.len() > 1 || !recursion_preserves_bindings(rule, seed) {
+                    // A fact has no body to recurse through; only its arity
+                    // can leave the seed's bindings unusable.
+                    let preserves = if shape.fact_arities.is_empty() {
+                        recursion_preserves_bindings(rule, seed)
+                    } else {
+                        shape
+                            .fact_arities
+                            .iter()
+                            .all(|&arity| arity == seed.bindings.len())
+                    };
+                    if shape.heads.len() > 1 || !preserves {
                         continue 'seed;
                     }
                 } else if reads {
@@ -335,7 +384,7 @@ impl RelevanceAnalysis {
             let seed = rule
                 .head
                 .first()
-                .filter(|_| rule.head.len() == 1)
+                .filter(|_| rule.head.len() == 1 && !bindings.is_empty())
                 .and_then(|h| bindings.get(h.signed_predicate().as_str()));
             match seed {
                 Some(seed) => {
@@ -352,12 +401,16 @@ impl RelevanceAnalysis {
     }
 }
 
-/// Pre-extracted signed-predicate sets of one rule.
+/// Pre-extracted signed-predicate sets of one rule, or of every fact of
+/// one signed predicate.
 struct RuleShape {
     heads: Vec<String>,
     /// Body predicates with their negation parity (`true` = default-negated).
     body: Vec<(String, bool)>,
     is_constraint: bool,
+    /// For a fact shape, the argument counts its facts have; empty for a
+    /// rule shape.
+    fact_arities: BTreeSet<usize>,
 }
 
 impl RuleShape {
@@ -376,6 +429,7 @@ impl RuleShape {
             is_constraint: heads.is_empty(),
             heads,
             body,
+            fact_arities: BTreeSet::new(),
         }
     }
 
@@ -649,7 +703,7 @@ mod tests {
         assert_eq!(result.answer_sets.len(), 1);
         let pruned_reach: BTreeSet<GroundAtom> = result.answer_sets[0]
             .iter()
-            .map(|&id| result.ground.atom(id).clone())
+            .map(|&id| result.ground.atom(id))
             .filter(|a| a.predicate == "reach")
             .collect();
         let full_reach: BTreeSet<GroundAtom> = full
@@ -740,7 +794,7 @@ mod tests {
                 .iter()
                 .map(|set| {
                     set.iter()
-                        .map(|&id| result.ground.atom(id).clone())
+                        .map(|&id| result.ground.atom(id))
                         .filter(|a| a.predicate == "reach")
                         .collect()
                 })

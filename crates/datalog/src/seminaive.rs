@@ -33,7 +33,10 @@
 //!   order (predicate text, negation flag, argument texts) using integer
 //!   comparisons only; [`Matches::sort_by_rank`] sorts a rule's matches by
 //!   the ranks of their positive-body atoms, which is exactly the order of a
-//!   nested-loop join over sorted candidate sets.
+//!   nested-loop join over sorted candidate sets. [`Emitter`] then numbers
+//!   the atoms the emitted rules use in first-use order and copies each
+//!   one's ids into the [`GroundProgram`], which shares the core's symbol
+//!   table instead of rendering atoms as text.
 
 use crate::ground::{AtomId, GroundAtom, GroundProgram, GroundRule};
 use crate::syntax::{Atom, BodyItem, BuiltinOp, Rule, Term};
@@ -76,8 +79,17 @@ impl Symbols {
         id
     }
 
-    fn find_constant(&self, text: &str) -> Option<u32> {
+    pub(crate) fn find_constant(&self, text: &str) -> Option<u32> {
         self.const_ids.get(text).copied()
+    }
+
+    pub(crate) fn const_count(&self) -> usize {
+        self.consts.len()
+    }
+
+    /// The text of a constant id.
+    pub(crate) fn const_text(&self, id: u32) -> &Arc<str> {
+        &self.consts[id as usize]
     }
 
     /// The id of a signed predicate, interning it if new.
@@ -801,10 +813,13 @@ impl Matches {
 }
 
 /// The retained grounding state: the symbol table, the atoms with their
-/// saturation state, and the compiled rules.
+/// saturation state, and the compiled rules. The symbol table is shared
+/// with every [`GroundProgram`] emitted from the core; the core writes to
+/// it copy-on-write ([`Arc::make_mut`]), so a program still alive keeps
+/// the ids it was emitted with.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Core {
-    pub(crate) symbols: Symbols,
+    pub(crate) symbols: Arc<Symbols>,
     pub(crate) atoms: AtomStore,
     pub(crate) rules: Vec<CompiledRule>,
 }
@@ -827,17 +842,23 @@ pub(crate) struct Built {
 /// every derivation, match headless constraints once against the final
 /// possible set, and sort each rule's matches into emission order.
 pub(crate) fn build(rules: &[Rule]) -> Built {
-    let mut core = Core::default();
-    core.rules = rules
+    let mut symbols = Symbols::default();
+    let compiled = rules
         .iter()
         .filter(|r| !r.is_fact())
-        .map(|r| CompiledRule::compile(r, &mut core.symbols))
+        .map(|r| CompiledRule::compile(r, &mut symbols))
         .collect();
+    let mut atoms = AtomStore::default();
     let fact_atoms: Vec<u32> = rules
         .iter()
         .filter(|r| r.is_fact())
-        .map(|r| core.intern_atom(&r.head[0]))
+        .map(|r| intern_fact(&mut symbols, &mut atoms, &r.head[0]))
         .collect();
+    let mut core = Core {
+        symbols: Arc::new(symbols),
+        atoms,
+        rules: compiled,
+    };
     let mut distinct = Vec::with_capacity(fact_atoms.len());
     for &atom in &fact_atoms {
         if !core.atoms.is_fact(atom) {
@@ -865,25 +886,26 @@ pub(crate) fn build(rules: &[Rule]) -> Built {
     }
 }
 
-impl Core {
-    /// Intern a ground syntax atom (a fact of the program).
-    fn intern_atom(&mut self, atom: &Atom) -> u32 {
-        let pred = self.symbols.predicate(&atom.predicate, atom.strong_neg);
-        let args: Vec<u32> = atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => self.symbols.constant(c),
-                Term::Var(v) => unreachable!("fact with variable {v} passed the safety check"),
-            })
-            .collect();
-        self.atoms.intern(pred, &args)
-    }
+/// Intern a ground syntax atom (a fact of the program).
+fn intern_fact(symbols: &mut Symbols, atoms: &mut AtomStore, atom: &Atom) -> u32 {
+    let pred = symbols.predicate(&atom.predicate, atom.strong_neg);
+    let args: Vec<u32> = atom
+        .terms
+        .iter()
+        .map(|t| match t {
+            Term::Const(c) => symbols.constant(c),
+            Term::Var(v) => unreachable!("fact with variable {v} passed the safety check"),
+        })
+        .collect();
+    atoms.intern(pred, &args)
+}
 
+impl Core {
     /// Intern a [`GroundAtom`], sharing its argument text.
     pub(crate) fn intern_ground(&mut self, atom: &GroundAtom) -> u32 {
-        let pred = self.symbols.predicate(&atom.predicate, atom.strong_neg);
-        let args: Vec<u32> = atom.args.iter().map(|a| self.symbols.constant(a)).collect();
+        let symbols = Arc::make_mut(&mut self.symbols);
+        let pred = symbols.predicate(&atom.predicate, atom.strong_neg);
+        let args: Vec<u32> = atom.args.iter().map(|a| symbols.constant(a)).collect();
         self.atoms.intern(pred, &args)
     }
 
@@ -898,21 +920,6 @@ impl Core {
             .map(|a| self.symbols.find_constant(a))
             .collect::<Option<Vec<u32>>>()?;
         self.atoms.find(pred, &args)
-    }
-
-    /// Materialize an atom as a [`GroundAtom`].
-    pub(crate) fn ground_atom(&self, atom: u32) -> GroundAtom {
-        let (name, strong_neg) = self.symbols.pred(self.atoms.pred(atom));
-        GroundAtom {
-            predicate: name.clone(),
-            strong_neg: *strong_neg,
-            args: self
-                .atoms
-                .args(atom)
-                .iter()
-                .map(|&c| Arc::clone(&self.symbols.consts[c as usize]))
-                .collect(),
-        }
     }
 
     /// Apply a template to a substitution.
@@ -1227,7 +1234,7 @@ impl Core {
                 used[c as usize] = true;
             }
         }
-        let consts = self.symbols.retain_constants(&used);
+        let consts = Arc::make_mut(&mut self.symbols).retain_constants(&used);
         for arg in self.rules.iter_mut().flat_map(CompiledRule::args_mut) {
             if let Arg::Const(c) = arg {
                 *c = consts[*c as usize];
@@ -1386,8 +1393,9 @@ fn pred_runs(list: &[u32], atoms: &AtomStore) -> Vec<std::ops::Range<usize>> {
     runs
 }
 
-/// Assembles a [`GroundProgram`], materializing each core atom once, in
-/// first-use order.
+/// Assembles a [`GroundProgram`] over the core's symbol table (shared, not
+/// copied): each core atom used by an emitted rule is numbered in first-use
+/// order and copied over as its predicate id and constant ids.
 pub(crate) struct Emitter<'a> {
     core: &'a Core,
     map: Vec<u32>,
@@ -1399,15 +1407,16 @@ impl<'a> Emitter<'a> {
         Emitter {
             core,
             map: vec![NONE; core.atoms.len()],
-            ground: GroundProgram::default(),
+            ground: GroundProgram::over(Arc::clone(&core.symbols)),
         }
     }
 
-    /// The ground-program id of a core atom, interning it on first use.
+    /// The ground-program id of a core atom, numbering it on first use.
     pub(crate) fn id(&mut self, atom: u32) -> AtomId {
         let slot = &mut self.map[atom as usize];
         if *slot == NONE {
-            *slot = self.ground.push_new(self.core.ground_atom(atom)) as u32;
+            let atoms = &self.core.atoms;
+            *slot = self.ground.push_atom(atoms.pred(atom), atoms.args(atom)) as u32;
         }
         *slot as AtomId
     }

@@ -16,6 +16,10 @@
 //!
 //! For HCF programs the answer sets are preserved exactly; Example 3 shows
 //! the transformation applied to rule (9) of the Section 3.1 program.
+//!
+//! The ground shift only rewrites rules: the shifted program keeps the
+//! original's atom table — the atom ids and the symbol table they resolve
+//! through — so the solver's models read against either program alike.
 
 use crate::ground::{GroundProgram, GroundRule};
 use crate::syntax::{BodyItem, Program, Rule};
@@ -26,10 +30,17 @@ use crate::syntax::{BodyItem, Program, Rule};
 /// [`crate::graph::is_head_cycle_free`]); applying the shift to a non-HCF
 /// program may lose answer sets.
 pub fn shift_ground(program: &GroundProgram) -> GroundProgram {
-    let mut out = program.clone_atoms();
+    shift_owned(program.clone())
+}
+
+/// [`shift_ground`] on a program the caller gives up: its atom table (the
+/// ids and the shared symbol table) is reused as it is, so atom ids keep
+/// their meaning and only the rules are rebuilt.
+pub(crate) fn shift_owned(program: GroundProgram) -> GroundProgram {
+    let mut rules = Vec::with_capacity(program.rule_count());
     for rule in program.rules() {
         if rule.heads.len() <= 1 {
-            out.add_rule(rule.clone());
+            rules.push(rule.clone());
             continue;
         }
         for (i, &head) in rule.heads.iter().enumerate() {
@@ -39,14 +50,14 @@ pub fn shift_ground(program: &GroundProgram) -> GroundProgram {
                     neg.push(other);
                 }
             }
-            out.add_rule(GroundRule {
+            rules.push(GroundRule {
                 heads: vec![head],
                 pos: rule.pos.clone(),
                 neg,
             });
         }
     }
-    out
+    program.with_rules(rules)
 }
 
 /// Shift a non-ground disjunctive program into a normal program
@@ -69,18 +80,6 @@ pub fn shift_program(program: &Program) -> Program {
         }
     }
     out
-}
-
-impl GroundProgram {
-    /// A copy of this program's atom table with no rules — used by the
-    /// shifting transformation so atom ids remain stable.
-    pub(crate) fn clone_atoms(&self) -> GroundProgram {
-        let mut out = GroundProgram::default();
-        for (_, atom) in self.atoms() {
-            out.intern(atom.clone());
-        }
-        out
-    }
 }
 
 #[cfg(test)]

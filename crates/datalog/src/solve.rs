@@ -58,11 +58,11 @@
 use crate::error::DatalogError;
 use crate::graph::is_head_cycle_free;
 use crate::ground::{AtomId, GroundProgram, GroundRule, Grounder};
-use crate::shift::shift_ground;
+use crate::shift::shift_owned;
 use crate::syntax::Program;
 use pdes_exec::Executor;
 use pdes_obs::{Recorder, Span};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Search limits and options.
@@ -177,7 +177,7 @@ pub fn solve_ground_recorded(
         });
     }
     if is_head_cycle_free(&ground) {
-        let shifted = shift_ground(&ground);
+        let shifted = shift_owned(ground);
         let solver = NormalSolver::new(&shifted, config);
         let (answer_sets, branch_nodes) = solver.answer_sets_recorded(exec, recorder)?;
         return Ok(SolveResult {
@@ -225,15 +225,33 @@ type Assignment = Vec<Option<bool>>;
 /// The complement-id table of a ground program: for every atom whose
 /// complement (`p` ↔ `-p`) is interned too, the complement's id. Computed
 /// once per ground program, so the coherence check compares ids only.
+/// Atoms pair by id: a predicate id with its other-signed twin, then equal
+/// constant ids.
 fn complement_ids(program: &GroundProgram) -> Vec<Option<AtomId>> {
-    let mut complements = vec![None; program.atom_count()];
-    for (id, atom) in program.atoms() {
-        if !atom.strong_neg {
-            continue;
+    let n = program.atom_count();
+    let mut complements = vec![None; n];
+    let twin: Vec<Option<u32>> = (0..program.predicate_count() as u32)
+        .map(|pred| program.complement_predicate(pred))
+        .collect();
+    let negated = |pred: u32| program.predicate(pred).1;
+    let mut positive: HashMap<(u32, &[u32]), AtomId> = HashMap::new();
+    for id in 0..n {
+        let pred = program.atom_predicate(id);
+        if !negated(pred) && twin[pred as usize].is_some() {
+            positive.insert((pred, program.atom_args(id)), id);
         }
-        if let Some(positive) = program.atom_id(&atom.complement()) {
-            complements[id] = Some(positive);
-            complements[positive] = Some(id);
+    }
+    if positive.is_empty() {
+        return complements;
+    }
+    for id in 0..n {
+        let pred = program.atom_predicate(id);
+        let Some(twin) = twin[pred as usize].filter(|_| negated(pred)) else {
+            continue;
+        };
+        if let Some(&other) = positive.get(&(twin, program.atom_args(id))) {
+            complements[id] = Some(other);
+            complements[other] = Some(id);
         }
     }
     complements
