@@ -33,7 +33,7 @@
 
 use crate::asp::decode::decode_worlds;
 use crate::asp::encode::{
-    ann, annotated_predicate, copy_rule, encode_value, facts_for_system_with, positional_vars,
+    ann, annotated_predicate, copy_rule, encode_value, facts_for_system, positional_vars,
     ValueDecoder,
 };
 use crate::error::CoreError;
@@ -62,7 +62,8 @@ pub struct AnnotatedSpec {
     pub relevant: BTreeSet<String>,
     /// Arity of every relevant relation.
     pub arities: BTreeMap<String, usize>,
-    /// Decoder from constant symbols back to domain values.
+    /// Decoder from constant symbols back to domain values, for the string
+    /// decode ([`AnnotatedSpec::solution_databases`]).
     pub decoder: ValueDecoder,
 }
 
@@ -79,10 +80,11 @@ impl AnnotatedSpec {
 
     /// Decode the models of a solved program (this spec or a slice of it)
     /// straight into the [`WorldSet`] of distinct solution worlds over the
-    /// relevant relations — a shared core plus per-world deltas —
-    /// interning constants into `symbols` (the id-native decode of the
-    /// `asp::decode` module). The same worlds as
-    /// [`AnnotatedSpec::solution_databases`] over the same models.
+    /// relevant relations — a shared core plus per-world deltas — mapping
+    /// constants through the store's `symbols` (the id-native decode of
+    /// the `asp::decode` module; the spec's decoder is not read). The same
+    /// worlds as [`AnnotatedSpec::solution_databases`] over the same
+    /// models.
     pub fn columnar_worlds(
         &self,
         result: &SolveResult,
@@ -93,7 +95,6 @@ impl AnnotatedSpec {
             &self.relevant,
             &self.arities,
             |relation| self.solution_predicate(relation),
-            &self.decoder,
             symbols,
         )
     }
@@ -145,20 +146,22 @@ pub fn annotated_program_with(
     // Facts for every peer instance (only relevant relations are ever read,
     // extra facts are harmless and keep the generator simple).
     let mut facts = Program::new();
-    facts_for_system_with(system, &mut facts, symbols);
-    annotated_spec(system, peer, facts, ValueDecoder::for_system(system))
+    facts_for_system(system, &mut facts, symbols);
+    Ok(AnnotatedSpec {
+        decoder: ValueDecoder::for_system(system),
+        ..annotated_spec(system, peer, facts)?
+    })
 }
 
 /// The annotated specification of `peer`: its rules appended to `program`,
-/// which holds whatever facts the caller encoded, and `decoder` as the
-/// spec's decoder. [`annotated_program_with`] passes the whole system's
-/// facts; the transitive composition passes no facts and one shared
-/// decoder for every combined peer.
+/// which holds whatever facts the caller encoded, with an empty decoder.
+/// [`annotated_program_with`] passes the whole system's facts and sets the
+/// system's decoder; the transitive composition and the engine pass no
+/// facts.
 pub(crate) fn annotated_spec(
     system: &P2PSystem,
     peer: &PeerId,
     program: Program,
-    decoder: ValueDecoder,
 ) -> Result<AnnotatedSpec> {
     let peer_data = system.peer(peer)?;
     let namespace = peer.name().to_string();
@@ -227,7 +230,7 @@ pub(crate) fn annotated_spec(
         flexible,
         relevant,
         arities,
-        decoder,
+        decoder: ValueDecoder::default(),
     })
 }
 

@@ -10,9 +10,11 @@
 //!   constant ids over the grounding's symbol table. Each predicate id is
 //!   mapped to its relation slot once — predicates of other relations and
 //!   strongly negated ones map to nothing — and each constant id to a store
-//!   symbol once, the first time a row needs it, by decoding its text to
-//!   the typed [`Value`] with the spec's [`ValueDecoder`] and interning
-//!   that;
+//!   symbol once, the first time a row needs it, by looking its text up in
+//!   the store's text index ([`SymbolTable::lookup_text`]). The store
+//!   interns every value it holds, commits included, so a typed value
+//!   decodes to itself; a text the store never interned (a constant the
+//!   program introduced) becomes a string value and is interned;
 //! * an atom's row of store symbol ids is built the first time some model
 //!   holds it, into one flat buffer;
 //! * a model becomes a world by table lookups: rows are collected per
@@ -21,17 +23,16 @@
 //!   and splits the sorted rows into the core every world shares and each
 //!   world's delta by merging — no full world is ever built as blocks.
 //!
-//! The string decode (`AnswerSets` plus the specs' `solution_databases`)
-//! stays as the reference this module is checked against; both give the
-//! same worlds.
+//! The string decode (`AnswerSets` plus the public specs'
+//! `solution_databases` and their [`ValueDecoder`]) stays as the reference
+//! this module is checked against; both give the same worlds.
 //!
 //! [`GroundProgram`]: datalog::GroundProgram
-//! [`Value`]: relalg::Value
+//! [`ValueDecoder`]: crate::asp::encode::ValueDecoder
 
-use crate::asp::encode::ValueDecoder;
 use crate::Result;
 use datalog::SolveResult;
-use relalg::{SymbolTable, WorldSet};
+use relalg::{SymbolTable, Value, WorldSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -51,7 +52,6 @@ pub(crate) fn decode_worlds(
     relevant: &BTreeSet<String>,
     arities: &BTreeMap<String, usize>,
     solution_predicate: impl Fn(&str) -> String,
-    decoder: &ValueDecoder,
     symbols: &Arc<SymbolTable>,
 ) -> Result<WorldSet> {
     let (ground, models) = (&result.ground, &result.answer_sets);
@@ -83,7 +83,11 @@ pub(crate) fn decode_worlds(
             for &c in ground.atom_args(id) {
                 let symbol = &mut symbol_of[c as usize];
                 if *symbol == UNSEEN {
-                    *symbol = symbols.intern(&decoder.decode(ground.constant(c))).id();
+                    let text = ground.constant(c);
+                    *symbol = symbols
+                        .lookup_text(text)
+                        .unwrap_or_else(|| symbols.intern(&Value::Str(Arc::clone(text))))
+                        .id();
                 }
                 ids.push(*symbol);
             }

@@ -1,20 +1,29 @@
 //! Encoding of relational data as logic-program facts and back.
 //!
-//! Values are encoded as constant symbols via their textual rendering and
-//! decoded back through a [`ValueDecoder`] built from the system's active
-//! domain, so that the original typed values (integers vs. strings) are
-//! recovered.
+//! The engine's path is id-native. [`fact_tables`] encodes instance rows as
+//! [`FactTable`]s of the store's symbol ids, which the grounder reads
+//! beside the rule program with [`symbol_text`] as the id → text function;
+//! the decode maps each model constant back to a store symbol through
+//! [`SymbolTable::lookup_text`]. No text fact and no decoder is built.
+//!
+//! The public builders ([`crate::asp::annotated_program_with`],
+//! [`crate::asp::transitive_program_with`]) stay the string reference:
+//! their programs hold the instances as text facts ([`facts_for_system`],
+//! values encoded as constant symbols via their rendering), and their
+//! [`ValueDecoder`], built from the system's active domain, recovers the
+//! typed values (integers vs. strings) of an answer set's constants.
 //!
 //! Limitation: two distinct values that render identically (the integer
-//! `1` and the string `"1"`) encode to the same constant, and the decoder
-//! maps that constant back to whichever of the two it met first. Answers
-//! over a system that holds both forms can therefore confuse them. The
-//! workloads and examples in this repository never mix the two forms
-//! within one system.
+//! `1` and the string `"1"`) encode to the same constant. Both decodes map
+//! that constant back to the smaller of the two values (the integer),
+//! whatever order the values were met or interned in, so every store and
+//! every reference agree; answers over a system that holds both forms can
+//! still confuse them. The workloads and examples in this repository never
+//! mix the two forms within one system.
 
 use crate::system::P2PSystem;
-use datalog::{Atom, Program, Rule, Term};
-use relalg::{Database, SymbolTable, Tuple, Value};
+use datalog::{Atom, FactTable, Program, Rule, Term};
+use relalg::{Database, Symbol, SymbolTable, Tuple, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -40,55 +49,31 @@ pub fn encode_value_shared(value: &Value, symbols: &SymbolTable) -> Arc<str> {
     }
 }
 
-/// [`encode_tuple`] through the shared interned text of
-/// [`encode_value_shared`].
-pub fn encode_tuple_shared(tuple: &Tuple, symbols: &SymbolTable) -> Vec<Term> {
-    tuple
-        .iter()
-        .map(|v| Term::Const(encode_value_shared(v, symbols)))
-        .collect()
-}
-
-/// Decodes constant symbols back into the values of a system's domain.
-/// Clones share one map until one of them learns a new constant.
+/// Decodes constant symbols back into the values of a system's domain:
+/// the string reference's decoder (the engine decodes through the store's
+/// [`SymbolTable::lookup_text`]). Clones share one map.
 #[derive(Debug, Clone, Default)]
 pub struct ValueDecoder {
     map: Arc<BTreeMap<String, Value>>,
 }
 
 impl ValueDecoder {
-    /// Build a decoder from every value appearing in the system.
+    /// Build a decoder from every value appearing in the system. A symbol
+    /// two values render to decodes to the smaller one.
     pub fn for_system(system: &P2PSystem) -> Self {
-        let mut map = BTreeMap::new();
+        let mut map: BTreeMap<String, Value> = BTreeMap::new();
         for peer in system.peers() {
             for value in peer.instance.active_domain() {
-                map.entry(encode_value(&value)).or_insert(value);
+                map.entry(encode_value(&value))
+                    .and_modify(|kept| {
+                        if value < *kept {
+                            *kept = value.clone();
+                        }
+                    })
+                    .or_insert(value);
             }
         }
         ValueDecoder { map: Arc::new(map) }
-    }
-
-    /// Build a decoder from a single database.
-    pub fn for_database(db: &Database) -> Self {
-        let mut map = BTreeMap::new();
-        for value in db.active_domain() {
-            map.entry(encode_value(&value)).or_insert(value);
-        }
-        ValueDecoder { map: Arc::new(map) }
-    }
-
-    /// Add the constants of `values` the decoder does not know yet, so a
-    /// value first seen after the decoder was built (one a commit
-    /// inserted) decodes to itself rather than to a string. A constant
-    /// already known keeps its value, and a decoder that learns nothing
-    /// new keeps sharing its map.
-    pub(crate) fn learn<'v>(&mut self, values: impl IntoIterator<Item = &'v Value>) {
-        for value in values {
-            let symbol = encode_value(value);
-            if !self.map.contains_key(&symbol) {
-                Arc::make_mut(&mut self.map).insert(symbol, value.clone());
-            }
-        }
     }
 
     /// Decode a symbol; unknown symbols become string values (they can only
@@ -104,6 +89,51 @@ impl ValueDecoder {
     pub fn decode_tuple<S: AsRef<str>>(&self, args: &[S]) -> Tuple {
         Tuple::new(args.iter().map(|a| self.decode(a.as_ref())).collect())
     }
+}
+
+/// The rows of `instances` as fact tables of store symbol ids: one table
+/// per non-empty relation whose name `keep` accepts, named after the
+/// relation (the fact predicates of the specification programs), rows in
+/// the relation's order. Every value is interned into `symbols`.
+pub fn fact_tables<'d>(
+    instances: impl IntoIterator<Item = &'d Database>,
+    symbols: &SymbolTable,
+    keep: impl Fn(&str) -> bool,
+) -> Vec<FactTable> {
+    let mut tables = Vec::new();
+    let mut row = Vec::new();
+    for relation in instances.into_iter().flat_map(Database::relations) {
+        if relation.is_empty() || !keep(relation.name()) {
+            continue;
+        }
+        let mut table = FactTable::new(relation.name(), relation.arity());
+        for tuple in relation.iter() {
+            row.clear();
+            row.extend(tuple.iter().map(|v| symbols.intern(v).id()));
+            table.push(&row);
+        }
+        tables.push(table);
+    }
+    tables
+}
+
+/// The `(predicate, arity)` shape of every table [`fact_tables`] encodes
+/// for `instances` with every relation kept, without encoding a row: what
+/// [`datalog::RelevanceAnalysis::analyze_with_facts`] reads.
+pub fn fact_shapes<'d>(
+    instances: impl IntoIterator<Item = &'d Database>,
+) -> impl Iterator<Item = (&'d str, usize)> {
+    instances
+        .into_iter()
+        .flat_map(Database::relations)
+        .filter(|relation| !relation.is_empty())
+        .map(|relation| (relation.name(), relation.arity()))
+}
+
+/// The id → text function of [`fact_tables`]' tables: a store symbol's
+/// shared rendered text ([`SymbolTable::resolve_text`]).
+pub fn symbol_text(symbols: &SymbolTable) -> impl Fn(u32) -> Arc<str> + '_ {
+    move |id| symbols.resolve_text(Symbol::from_id(id))
 }
 
 /// Positional variable terms `X0 … X{n-1}`.
@@ -137,53 +167,23 @@ pub fn annotated_predicate(peer: &str, relation: &str, ann: &str) -> String {
 /// program.
 pub const ANSWER_PREDICATE: &str = "query_answer";
 
-/// Emit every tuple of a database as facts over the original relation names.
-pub fn facts_for_database(db: &Database, program: &mut Program) {
-    for relation in db.relations() {
-        for tuple in relation.iter() {
-            program.add_fact(Atom::from_terms(relation.name(), encode_tuple(tuple)));
-        }
-    }
-}
-
-/// [`facts_for_database`] with constant terms aliased through the store's
-/// symbol table (the interned data plane's fact encoding).
-pub fn facts_for_database_shared(db: &Database, program: &mut Program, symbols: &SymbolTable) {
-    for relation in db.relations() {
-        for tuple in relation.iter() {
-            program.add_fact(Atom::from_terms(
-                relation.name(),
-                encode_tuple_shared(tuple, symbols),
-            ));
-        }
-    }
-}
-
-/// Emit the facts of every peer of the system.
-pub fn facts_for_system(system: &P2PSystem, program: &mut Program) {
+/// Emit the facts of every peer of the system over the original relation
+/// names: the string reference's text encoding. With the store's symbol
+/// table, constants alias its shared text ([`encode_value_shared`]).
+pub fn facts_for_system(system: &P2PSystem, program: &mut Program, symbols: Option<&SymbolTable>) {
     for peer in system.peers() {
-        facts_for_database(&peer.instance, program);
-    }
-}
-
-/// [`facts_for_system`] with constant terms aliased through the store's
-/// symbol table; see [`encode_value_shared`].
-pub fn facts_for_system_shared(system: &P2PSystem, program: &mut Program, symbols: &SymbolTable) {
-    for peer in system.peers() {
-        facts_for_database_shared(&peer.instance, program, symbols);
-    }
-}
-
-/// [`facts_for_system`], or [`facts_for_system_shared`] when the store's
-/// symbol table is given.
-pub(crate) fn facts_for_system_with(
-    system: &P2PSystem,
-    program: &mut Program,
-    symbols: Option<&SymbolTable>,
-) {
-    match symbols {
-        Some(symbols) => facts_for_system_shared(system, program, symbols),
-        None => facts_for_system(system, program),
+        for relation in peer.instance.relations() {
+            for tuple in relation.iter() {
+                let terms = tuple
+                    .iter()
+                    .map(|v| match symbols {
+                        Some(symbols) => Term::Const(encode_value_shared(v, symbols)),
+                        None => Term::cnst(encode_value(v)),
+                    })
+                    .collect();
+                program.add_fact(Atom::from_terms(relation.name(), terms));
+            }
+        }
     }
 }
 
@@ -200,7 +200,8 @@ pub fn copy_rule(head_predicate: &str, relation: &str, arity: usize) -> Rule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::example1_system;
+    use crate::system::{example1_system, PeerId};
+    use relalg::RelationSchema;
 
     #[test]
     fn encode_and_decode_round_trip() {
@@ -215,36 +216,88 @@ mod tests {
         assert_eq!(decoded, t);
     }
 
-    #[test]
-    fn integer_values_round_trip() {
-        let mut db = Database::new();
-        db.add_relation(relalg::Relation::new(relalg::RelationSchema::new(
-            "N",
-            &["x"],
-        )));
-        db.insert("N", Tuple::ints([42])).unwrap();
-        let decoder = ValueDecoder::for_database(&db);
-        assert_eq!(decoder.decode("42"), Value::int(42));
+    /// Every peer's instance.
+    fn instances(sys: &P2PSystem) -> impl Iterator<Item = &Database> {
+        sys.peers().map(|peer| &peer.instance)
+    }
+
+    /// A one-peer system whose `N` holds the integer 42.
+    fn integer_system() -> P2PSystem {
+        let mut sys = P2PSystem::new();
+        let p = PeerId::new("P");
+        sys.add_peer(p.clone()).unwrap();
+        sys.add_relation(&p, RelationSchema::new("N", &["x"]))
+            .unwrap();
+        sys.insert(&p, "N", Tuple::ints([42])).unwrap();
+        sys
     }
 
     #[test]
-    fn learned_values_decode_typed_and_keep_known_constants() {
-        let mut decoder = ValueDecoder::for_system(&example1_system());
-        assert_eq!(decoder.decode("7"), Value::str("7"));
-        decoder.learn(&[Value::int(7), Value::str("a"), Value::int(7)]);
-        assert_eq!(decoder.decode("7"), Value::int(7));
-        assert_eq!(decoder.decode("a"), Value::str("a"));
+    fn integer_values_round_trip() {
+        let sys = integer_system();
+        // The string reference: text facts and the system's decoder.
+        let decoder = ValueDecoder::for_system(&sys);
+        assert_eq!(decoder.decode("42"), Value::int(42));
+        // The id path: a fact table of store ids, read back as text and
+        // decoded through the store's text index.
+        let symbols = SymbolTable::new();
+        let tables = fact_tables(instances(&sys), &symbols, |_| true);
+        let text = symbol_text(&symbols);
+        assert_eq!(&*text(tables[0].row(0)[0]), "42");
+        let symbol = symbols.lookup_text("42").unwrap();
+        assert_eq!(symbols.resolve(symbol), Value::int(42));
+    }
+
+    #[test]
+    fn both_decodes_keep_the_smaller_of_two_values_with_one_text() {
+        let mut sys = integer_system();
+        let p = PeerId::new("P");
+        sys.add_relation(&p, RelationSchema::new("S", &["x"]))
+            .unwrap();
+        sys.insert(&p, "S", Tuple::strs(["42"])).unwrap();
+        assert_eq!(ValueDecoder::for_system(&sys).decode("42"), Value::int(42));
+        let symbols = SymbolTable::new();
+        symbols.intern(&Value::str("42"));
+        fact_tables(instances(&sys), &symbols, |_| true);
+        let symbol = symbols.lookup_text("42").unwrap();
+        assert_eq!(symbols.resolve(symbol), Value::int(42));
     }
 
     #[test]
     fn facts_cover_every_tuple() {
         let sys = example1_system();
-        let mut program = Program::new();
-        facts_for_system(&sys, &mut program);
-        assert_eq!(program.len(), 6);
-        let text = program.to_string();
-        assert!(text.contains("R1(a, b)."));
-        assert!(text.contains("R3(s, u)."));
+        let symbols = SymbolTable::new();
+        for shared in [None, Some(&symbols)] {
+            let mut program = Program::new();
+            facts_for_system(&sys, &mut program, shared);
+            assert_eq!(program.len(), 6);
+            let text = program.to_string();
+            assert!(text.contains("R1(a, b)."));
+            assert!(text.contains("R3(s, u)."));
+        }
+        // The id tables hold the same rows, one table per relation, and
+        // the shapes name them without encoding a row.
+        let tables = fact_tables(instances(&sys), &symbols, |_| true);
+        assert_eq!(tables.iter().map(FactTable::len).sum::<usize>(), 6);
+        let shapes: Vec<(&str, usize)> = fact_shapes(instances(&sys)).collect();
+        assert_eq!(
+            shapes,
+            tables
+                .iter()
+                .map(|t| (t.predicate(), t.arity()))
+                .collect::<Vec<_>>()
+        );
+        let text = symbol_text(&symbols);
+        let r3 = tables.iter().find(|t| t.predicate() == "R3").unwrap();
+        let rows: Vec<Vec<Arc<str>>> = r3
+            .rows()
+            .map(|row| row.iter().map(|&id| text(id)).collect())
+            .collect();
+        assert!(rows.contains(&vec![Arc::from("s"), Arc::from("u")]));
+        // Only the kept relations are encoded.
+        let kept = fact_tables(instances(&sys), &symbols, |relation| relation == "R1");
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].predicate(), "R1");
     }
 
     #[test]

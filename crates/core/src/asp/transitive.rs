@@ -18,14 +18,15 @@
 //!
 //! Every combined peer reads the same facts — the whole system's — so the
 //! composition encodes them once, ahead of the rules, and builds one
-//! [`ValueDecoder`] that every per-peer spec shares; the per-peer specs
-//! hold their rules only. The result equals, rule for rule, the
-//! composition of each peer's whole [`crate::asp::annotated_program_with`]
-//! program with the facts kept once.
+//! [`ValueDecoder`] for the combined spec; the per-peer specs hold their
+//! rules only. The result equals, rule for rule, the composition of each
+//! peer's whole [`crate::asp::annotated_program_with`] program with the
+//! facts kept once. The engine composes the rules only and feeds the facts
+//! as tables of store ids.
 
 use crate::asp::annotated::{annotated_spec, AnnotatedSpec};
 use crate::asp::decode::decode_worlds;
-use crate::asp::encode::{facts_for_system_with, ValueDecoder};
+use crate::asp::encode::{facts_for_system, ValueDecoder};
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
 use datalog::{Atom, BodyItem, Program, Rule, SolveResult};
@@ -42,16 +43,16 @@ pub struct TransitiveSpec {
     pub program: Program,
     /// The per-peer specifications that were combined, keyed by peer. Each
     /// holds its peer's rules only, before rewiring: no facts (`program`
-    /// holds the system's facts, once), and the decoder it shares with
-    /// this spec as built. Crate-private, so no public value carries a
-    /// fact-less program that looks complete; only the peers' flexible
-    /// and relevant relations are read from them.
+    /// holds the system's facts, once) and an empty decoder. Crate-private,
+    /// so no public value carries a fact-less program that looks complete;
+    /// only the peers' flexible and relevant relations are read from them.
     pub(crate) specs: BTreeMap<PeerId, AnnotatedSpec>,
     /// Every relation relevant to some combined peer.
     pub relevant: BTreeSet<String>,
     /// Arities of the relevant relations.
     pub arities: BTreeMap<String, usize>,
-    /// Decoder from constant symbols back to values.
+    /// Decoder from constant symbols back to values, for the string decode
+    /// ([`TransitiveSpec::solution_databases`]).
     pub decoder: ValueDecoder,
 }
 
@@ -78,8 +79,9 @@ impl TransitiveSpec {
 
     /// Decode the models of a solved program (this spec or a slice of it)
     /// straight into the [`WorldSet`] of distinct global-solution worlds —
-    /// a shared core plus per-world deltas — interning constants into
-    /// `symbols` (the id-native decode of the `asp::decode` module).
+    /// a shared core plus per-world deltas — mapping constants through the
+    /// store's `symbols` (the id-native decode of the `asp::decode` module;
+    /// the spec's decoder is not read).
     /// `system` only resolves relation ownership, so the topology suffices.
     /// The same worlds as [`TransitiveSpec::solution_databases`] over the
     /// same models.
@@ -94,7 +96,6 @@ impl TransitiveSpec {
             &self.relevant,
             &self.arities,
             |relation| self.solution_predicate(system, relation),
-            &self.decoder,
             symbols,
         )
     }
@@ -145,6 +146,24 @@ pub fn transitive_program_with(
     peer: &PeerId,
     symbols: Option<&relalg::SymbolTable>,
 ) -> Result<TransitiveSpec> {
+    // One copy of the system's facts and one decoder for the whole
+    // composition; the per-peer specifications carry rules only.
+    let mut facts = Program::new();
+    facts_for_system(system, &mut facts, symbols);
+    Ok(TransitiveSpec {
+        decoder: ValueDecoder::for_system(system),
+        ..transitive_spec(system, peer, facts)?
+    })
+}
+
+/// The combined specification of `peer`: every reachable peer's rules,
+/// rewired, appended to `combined`, which holds whatever facts the caller
+/// encoded, with an empty decoder.
+pub(crate) fn transitive_spec(
+    system: &P2PSystem,
+    peer: &PeerId,
+    mut combined: Program,
+) -> Result<TransitiveSpec> {
     // Reachable peers through trusted DECs (BFS).
     let mut reachable: BTreeSet<PeerId> = BTreeSet::new();
     let mut queue = vec![peer.clone()];
@@ -160,17 +179,10 @@ pub fn transitive_program_with(
         }
     }
 
-    // One decoder and one copy of the system's facts for the whole
-    // composition; the per-peer specifications carry rules only.
-    let decoder = ValueDecoder::for_system(system);
     let mut specs: BTreeMap<PeerId, AnnotatedSpec> = BTreeMap::new();
     for p in &reachable {
-        let spec = annotated_spec(system, p, Program::new(), decoder.clone())?;
-        specs.insert(p.clone(), spec);
+        specs.insert(p.clone(), annotated_spec(system, p, Program::new())?);
     }
-    let mut combined = Program::new();
-    facts_for_system_with(system, &mut combined, symbols);
-
     for (owner_of_program, spec) in &specs {
         let substitution = substitution(system, &specs, owner_of_program, spec);
         for rule in spec.program.rules() {
@@ -194,7 +206,7 @@ pub fn transitive_program_with(
         specs,
         relevant,
         arities,
-        decoder,
+        decoder: ValueDecoder::default(),
     })
 }
 

@@ -141,6 +141,7 @@
 //!   set intersection), so answers are identical to the sequential path for
 //!   every pool size.
 
+use crate::asp::encode;
 use crate::cache::{CacheEvent, Cached, Key, Mechanism, MemoCache, Pending};
 use crate::error::CoreError;
 use crate::pca::vars;
@@ -150,7 +151,7 @@ use crate::store::{InProcessStore, MvccStats, PeerStore, Snapshot};
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
 use datalog::solve::solve_ground_recorded;
-use datalog::{Grounder, SolveResult, SolverConfig};
+use datalog::{SolveResult, SolverConfig};
 use pdes_exec::{ExecConfig, Executor};
 use relalg::query::{Formula, QueryEvaluator};
 use relalg::{ColumnarDatabase, CqPlan, Tuple, WorldSet};
@@ -754,17 +755,11 @@ impl QueryEngine {
         self.store.mvcc_stats()
     }
 
-    /// The topology replica hydrated with the instances of `peers`, fetched
-    /// from one pinned epoch (every other peer's instance stays empty). The
-    /// pin makes the multi-peer read consistent: a commit landing mid-fetch
+    /// The instances of `peers`, fetched from one pinned epoch. The pin
+    /// makes the multi-peer read consistent: a commit landing mid-fetch
     /// cannot tear it.
-    fn hydrated(&self, peers: &BTreeSet<PeerId>) -> Result<P2PSystem> {
-        let snapshot = self.pin()?;
-        let mut system = self.topology.clone();
-        for (peer, instance) in snapshot.instances(peers)? {
-            system.set_instance(&peer, instance)?;
-        }
-        Ok(system)
+    fn instances(&self, peers: &BTreeSet<PeerId>) -> Result<BTreeMap<PeerId, relalg::Database>> {
+        self.pin()?.instances(peers)
     }
 
     /// The configured default strategy.
@@ -1197,19 +1192,9 @@ impl QueryEngine {
     /// re-preparing. On any failure the entry is dropped and the next query
     /// re-grounds from scratch.
     fn repair_stale(&self, key: &Key) {
-        let Some(((mut spec, mut state), pending)) = self.cache.take_for_repair(key) else {
+        let Some(((spec, mut state), pending)) = self.cache.take_for_repair(key) else {
             return;
         };
-        // The retained spec's decoder predates these commits: teach it the
-        // values they carry, so a value first inserted by one decodes to
-        // its typed self, in this repair and every later one.
-        Arc::make_mut(&mut spec).learn_values(pending.values().flat_map(|delta| {
-            delta
-                .insertions
-                .iter()
-                .chain(&delta.deletions)
-                .flat_map(|atom| atom.tuple.iter())
-        }));
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
         let patch_span = Span::enter(recorder, "patch");
@@ -1231,11 +1216,13 @@ impl QueryEngine {
     /// reader's stale path and the commit-side repair.
     ///
     /// Relation names are the fact predicates of the specification programs
-    /// ([`crate::asp::encode::facts_for_system`]) and values encode through
-    /// [`crate::asp::encode::encode_value`], so a relational delta is also a
-    /// logic-program delta verbatim. Constant arguments alias the store's
+    /// (the tables of [`crate::asp::encode::fact_tables`]) and a constant's
+    /// text is its store symbol's rendering, so a relational delta is also
+    /// a logic-program delta verbatim. Constant arguments alias the store's
     /// shared text ([`crate::asp::encode::encode_value_shared`]) instead of
-    /// allocating per atom.
+    /// allocating per atom. Commits intern every value they carry, so the
+    /// repaired worlds decode typed values through the store's symbol table
+    /// like a fresh preparation does.
     fn patch_grounding(
         &self,
         state: &mut datalog::IncrementalGround,
@@ -1494,36 +1481,29 @@ impl QueryEngine {
             Cached::Hit(prepared) => return Ok((prepared, true)),
             Cached::Miss(stamp) => stamp,
         };
-        // Build the specification program, the restricted slice and the
-        // canonical fingerprint outside any lock (program construction is
-        // cheap next to grounding and solving, which only run when the
-        // canonical artifact is cold or stale). The program embeds peer
-        // instances as facts; only the peer's relevant-peer closure (the
-        // stamp's peers) can influence its answers, so the slow path hydrates
-        // exactly that closure through the store — one batched fetch, never
-        // the whole system.
+        // Build the specification rules, the relevance analysis and the
+        // canonical fingerprint outside any lock (this is cheap next to
+        // grounding and solving, which only run when the canonical artifact
+        // is cold or stale). The rules depend on the topology alone. The
+        // instances enter as facts; only the peer's relevant-peer closure
+        // (the stamp's peers) can influence its answers, so the slow path
+        // fetches exactly that closure's instances through the store — one
+        // batched fetch, never the whole system.
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
-        let hydrated = self.hydrated(&stamp.keys().cloned().collect())?;
-        // Fact constants alias the store's interned text (one shared
-        // `Arc<str>` per distinct constant) instead of re-rendering per
-        // tuple occurrence.
-        let symbols = Some(&*self.symbols);
-        let spec = Arc::new(if mechanism == Mechanism::Transitive {
-            SpecProgram::Transitive(crate::asp::transitive_program_with(
-                &hydrated, peer, symbols,
-            )?)
-        } else {
-            SpecProgram::Direct(crate::asp::annotated_program_with(
-                &hydrated, peer, symbols,
-            )?)
-        });
+        let instances = self.instances(&stamp.keys().cloned().collect())?;
+        let spec = Arc::new(SpecProgram::rules(&self.topology, peer, mechanism)?);
         let seeds = self.query_seeds(query, &|relation| {
-            spec.solution_predicate(&hydrated, relation)
+            spec.solution_predicate(&self.topology, relation)
         });
-        let grounder = Grounder::new(spec.program());
+        // The facts' shapes are the non-empty relations: the analysis reads
+        // no row.
         let relevance_span = Span::enter(recorder, "relevance");
-        let analysis = grounder.relevance(&seeds);
+        let analysis = datalog::RelevanceAnalysis::analyze_with_facts(
+            spec.program(),
+            encode::fact_shapes(instances.values()),
+            &seeds,
+        );
         relevance_span.finish();
         let fingerprint = analysis.fingerprint();
         // Slow path: record the alias, re-check the canonical artifact
@@ -1536,8 +1516,6 @@ impl QueryEngine {
         // Ground (or patch) and solve outside the lock: these are the
         // expensive phases and must not serialize unrelated queries.
         let ground_span = Span::enter(recorder, if stale.is_some() { "patch" } else { "ground" });
-        // The stale-patch hot path repairs its retained state; only a cold
-        // slice pays for the (slice-sized) restricted program.
         let (ground, state, regrounded_rules) = match stale {
             Some((mut state, pending)) => {
                 let (ground, regrounded_rules) = self.patch_grounding(&mut state, &pending);
@@ -1545,8 +1523,19 @@ impl QueryEngine {
                 (ground, state, regrounded_rules)
             }
             None => {
-                let state = datalog::IncrementalGround::new(&analysis.restrict(grounder.program()))
-                    .map_err(CoreError::from)?;
+                // Only the rows of the relations the slice keeps are
+                // encoded, as tables of store symbol ids.
+                let tables = encode::fact_tables(instances.values(), &self.symbols, |relation| {
+                    analysis.is_relevant(relation)
+                });
+                let text = encode::symbol_text(&self.symbols);
+                let kept = analysis.restrict_facts(&tables, &text);
+                let state = datalog::IncrementalGround::from_tables(
+                    &analysis.restrict(spec.program()),
+                    kept.iter().map(|table| &**table),
+                    &text,
+                )
+                .map_err(CoreError::from)?;
                 let ground = state.to_ground();
                 let all = ground.rule_count();
                 (ground, state, all)
@@ -1715,6 +1704,37 @@ pub(crate) enum SpecProgram {
 }
 
 impl SpecProgram {
+    /// The engine's specification of `peer`: the rules only, with choice
+    /// atoms unfolded once, and an empty decoder. The rules depend on the
+    /// topology alone; the instances reach the grounder as fact tables of
+    /// store ids ([`encode::fact_tables`]) and the decode maps constants
+    /// through the store's symbol table, so the spec needs neither text
+    /// facts nor a decoder. Crate-private: such a spec is incomplete as a
+    /// public value.
+    fn rules(topology: &P2PSystem, peer: &PeerId, mechanism: Mechanism) -> Result<Self> {
+        let mut spec = if mechanism == Mechanism::Transitive {
+            SpecProgram::Transitive(crate::asp::transitive::transitive_spec(
+                topology,
+                peer,
+                datalog::Program::new(),
+            )?)
+        } else {
+            SpecProgram::Direct(crate::asp::annotated::annotated_spec(
+                topology,
+                peer,
+                datalog::Program::new(),
+            )?)
+        };
+        let program = match &mut spec {
+            SpecProgram::Direct(spec) => &mut spec.program,
+            SpecProgram::Transitive(spec) => &mut spec.program,
+        };
+        if program.has_choice() {
+            *program = datalog::choice::unfold_choices(program);
+        }
+        Ok(spec)
+    }
+
     fn program(&self) -> &datalog::Program {
         match self {
             SpecProgram::Direct(spec) => &spec.program,
@@ -1740,15 +1760,6 @@ impl SpecProgram {
         match self {
             SpecProgram::Direct(spec) => spec.columnar_worlds(result, symbols),
             SpecProgram::Transitive(spec) => spec.columnar_worlds(system, result, symbols),
-        }
-    }
-
-    /// Teach the spec's value decoder the constants of `values`
-    /// ([`crate::asp::encode::ValueDecoder::learn`]).
-    fn learn_values<'v>(&mut self, values: impl IntoIterator<Item = &'v relalg::Value>) {
-        match self {
-            SpecProgram::Direct(spec) => spec.decoder.learn(values),
-            SpecProgram::Transitive(spec) => spec.decoder.learn(values),
         }
     }
 
@@ -2653,7 +2664,7 @@ mod tests {
         // The reference: the whole specification program, every peer's
         // facts included, grounded without any relevance analysis.
         let spec = crate::asp::annotated_program_with(&system, &p1, None).unwrap();
-        let full = Grounder::new(&spec.program).ground().unwrap();
+        let full = datalog::Grounder::new(&spec.program).ground().unwrap();
         assert_eq!(pruned.tuples, expected_example1());
         assert!(full.rule_count() > 0);
         assert!(

@@ -38,6 +38,7 @@
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
+use crate::facts::no_tables;
 use crate::relevance::{QuerySeed, RelevanceAnalysis};
 use crate::seminaive::{self, Emitter, Symbols};
 use crate::syntax::Program;
@@ -394,7 +395,7 @@ impl<'a> Grounder<'a> {
         if let Some(rule) = self.program.unsafe_rules().first() {
             return Err(DatalogError::UnsafeRule(rule.to_string()));
         }
-        let built = seminaive::build(self.program.rules());
+        let built = seminaive::build(self.program.rules(), [], &no_tables);
         let mut emitter = Emitter::new(&built.core);
         let mut facts = built.fact_atoms.iter();
         let mut compiled = 0;

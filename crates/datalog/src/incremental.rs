@@ -5,12 +5,16 @@
 //! throws away almost everything it just computed. [`IncrementalGround`]
 //! keeps the grounding core's state alive and patches it:
 //!
-//! * [`IncrementalGround::new`] grounds a program once — the same one-pass
-//!   semi-naive build as [`crate::ground::Grounder`], over a per-grounding
-//!   symbol table of dense `u32` ids — and retains the interned atoms, the
-//!   possible set with a *support count* per atom (how many distinct
-//!   derivations — base fact or rule instantiation — produce it), the
-//!   compiled rules, and the rule instances grouped by source rule.
+//! * [`IncrementalGround::from_tables`] grounds rules plus fact tables of
+//!   caller ids ([`crate::FactTable`]) once — the same one-pass semi-naive
+//!   build as [`crate::ground::Grounder`], over a per-grounding symbol
+//!   table of dense `u32` ids, hashing each distinct fact constant's text
+//!   once — and retains the interned atoms, the possible set with a
+//!   *support count* per atom (how many distinct derivations — base fact
+//!   or rule instantiation — produce it), the compiled rules, and the rule
+//!   instances grouped by source rule. [`IncrementalGround::new`] is the
+//!   same build over a text program, whose facts are grouped into tables
+//!   first.
 //! * [`IncrementalGround::apply_delta`] takes base-fact insertions and
 //!   deletions and repairs the state:
 //!   * **Insertions** propagate by *semi-naive evaluation*: each round joins
@@ -54,10 +58,12 @@
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
+use crate::facts::{no_tables, FactTable};
 use crate::ground::{GroundAtom, GroundProgram};
 use crate::seminaive::{self, Core, Emitter, Group, Scratch};
 use crate::syntax::Program;
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// What one [`IncrementalGround::apply_delta`] call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,19 +104,35 @@ pub struct IncrementalGround {
 
 impl IncrementalGround {
     /// Ground `program`, retaining the incremental state. Choice atoms are
-    /// unfolded first, exactly like [`crate::ground::Grounder::new`].
+    /// unfolded first, exactly like [`crate::ground::Grounder::new`]. The
+    /// program's facts are grouped into fact tables and take the same build
+    /// as [`IncrementalGround::from_tables`].
     pub fn new(program: &Program) -> Result<Self, DatalogError> {
+        Self::from_tables(program, [], &no_tables)
+    }
+
+    /// Ground `rules` (and any facts among them) plus the facts of
+    /// `tables`, retaining the incremental state; `text` gives the constant
+    /// text of a table id. Each distinct id's text is hashed once, and a
+    /// table, being ground, needs no safety check. The state equals
+    /// [`IncrementalGround::new`]'s over the program that holds the same
+    /// facts as text.
+    pub fn from_tables<'t>(
+        rules: &Program,
+        tables: impl IntoIterator<Item = &'t FactTable>,
+        text: &dyn Fn(u32) -> Arc<str>,
+    ) -> Result<Self, DatalogError> {
         let unfolded;
-        let program = if program.has_choice() {
-            unfolded = unfold_choices(program);
+        let rules = if rules.has_choice() {
+            unfolded = unfold_choices(rules);
             &unfolded
         } else {
-            program
+            rules
         };
-        if let Some(rule) = program.unsafe_rules().first() {
+        if let Some(rule) = rules.unsafe_rules().first() {
             return Err(DatalogError::UnsafeRule(rule.to_string()));
         }
-        let built = seminaive::build(program.rules());
+        let built = seminaive::build(rules.rules(), tables, text);
         let core = built.core;
         let mut facts: Vec<u32> = (0..core.atoms.len() as u32)
             .filter(|&a| core.atoms.is_fact(a))

@@ -12,6 +12,8 @@
 //! * [`choice`] — unfolding of `choice((x̄),(w̄))` into its *stable version*
 //!   (`chosen`/`diffchoice` rules), as done in the paper's appendix;
 //! * [`ground`] — safety checking and intelligent grounding;
+//! * [`facts`] — ground facts as tables of caller ids, the grounder's
+//!   fact input beside a program's rules;
 //! * [`relevance`] — magic-sets-style relevance analysis: prune a program to
 //!   the slice that can influence a query before grounding it
 //!   ([`ground::ground_relevant`]);
@@ -57,6 +59,7 @@
 
 pub mod choice;
 pub mod error;
+pub mod facts;
 pub mod graph;
 pub mod ground;
 pub mod incremental;
@@ -68,6 +71,7 @@ pub mod solve;
 pub mod syntax;
 
 pub use error::DatalogError;
+pub use facts::FactTable;
 pub use graph::{NegationLoop, PredicateGraph};
 pub use ground::{ground_relevant, GroundAtom, GroundProgram, Grounder};
 pub use incremental::{IncrementalGround, PatchStats};

@@ -50,8 +50,21 @@
 //! other atoms of every answer set are unaffected, and the seed's extension
 //! is exactly the binding-compatible subset of its unrestricted extension —
 //! which is all a query with those bindings can observe.
+//!
+//! ## Facts by shape
+//!
+//! A fact adds only its head, so the analysis needs one shape per fact
+//! predicate, never the facts themselves. Facts fed to the grounder as
+//! [`FactTable`]s enter as `(signed predicate, arity)` pairs
+//! ([`RelevanceAnalysis::analyze_with_facts`]), and the fingerprint is the
+//! one the same facts give as text. [`RelevanceAnalysis::restrict_facts`]
+//! keeps the tables of relevant predicates by reference; a bound
+//! restrictable seed on a fact predicate keeps only the agreeing rows, as
+//! [`RelevanceAnalysis::restrict`] keeps only the agreeing text facts.
 
+use crate::facts::FactTable;
 use crate::syntax::{Atom, BodyItem, Builtin, Program, Rule, Term};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -122,12 +135,28 @@ impl RelevanceAnalysis {
     /// [`crate::choice::unfold_choices`]; [`crate::ground::Grounder`] does
     /// this automatically).
     pub fn analyze(program: &Program, seeds: &[QuerySeed]) -> Self {
+        Self::analyze_with_facts(program, [], seeds)
+    }
+
+    /// Analyze `program` (rules, and any facts it holds) together with
+    /// facts given by their shape only: one `(signed predicate, arity)`
+    /// per non-empty fact table ([`crate::FactTable::signed_predicate`],
+    /// [`crate::FactTable::arity`]). A fact adds only its head, so the
+    /// analysis never needs the rows; the fingerprint equals the one of
+    /// the program holding the same facts as text. The rule counts count
+    /// `program`'s rules only. Kept tables come from
+    /// [`RelevanceAnalysis::restrict_facts`].
+    pub fn analyze_with_facts<'s>(
+        program: &Program,
+        fact_shapes: impl IntoIterator<Item = (&'s str, usize)>,
+        seeds: &[QuerySeed],
+    ) -> Self {
         let rules = program.rules();
         // One shape per non-fact rule, and one per distinct fact predicate:
         // a fact adds only its head, so facts of one predicate behave
         // alike. `shape_of[i]` is rule `i`'s shape.
         let mut shapes: Vec<RuleShape> = Vec::new();
-        let mut fact_shapes: HashMap<(&str, bool), usize> = HashMap::new();
+        let mut fact_shapes_of: HashMap<(&str, bool), usize> = HashMap::new();
         // Facts come in runs of one predicate: the previous fact's shape.
         let mut last: Option<((&str, bool), usize)> = None;
         let shape_of: Vec<usize> = rules
@@ -141,7 +170,7 @@ impl RelevanceAnalysis {
                 let key = (head.predicate.as_str(), head.strong_neg);
                 let shape = match last {
                     Some((previous, shape)) if previous == key => shape,
-                    _ => *fact_shapes.entry(key).or_insert_with(|| {
+                    _ => *fact_shapes_of.entry(key).or_insert_with(|| {
                         shapes.push(RuleShape::of(rule));
                         shapes.len() - 1
                     }),
@@ -151,6 +180,18 @@ impl RelevanceAnalysis {
                 shape
             })
             .collect();
+        // Shapes of the facts given by table, after the program's own.
+        for (signed, arity) in fact_shapes {
+            let key = match signed.strip_prefix('-') {
+                Some(name) => (name, true),
+                None => (signed, false),
+            };
+            let shape = *fact_shapes_of.entry(key).or_insert_with(|| {
+                shapes.push(RuleShape::fact(signed));
+                shapes.len() - 1
+            });
+            shapes[shape].fact_arities.insert(arity);
+        }
 
         // Heads derivable anywhere in the program, for complement coupling.
         let mut derivable: BTreeSet<&str> = BTreeSet::new();
@@ -177,16 +218,18 @@ impl RelevanceAnalysis {
         // Backward closure: a rule whose head intersects the relevant set
         // contributes all of its predicates; a relevant predicate with a
         // derivable complement contributes the complement (coherence).
+        // `(complement, predicate)` for every derivable predicate.
+        let coupled: Vec<(String, &str)> = derivable
+            .iter()
+            .map(|&pred| (complement_key(pred), pred))
+            .collect();
         loop {
             let mut changed = false;
-            let complements: Vec<String> = relevant
-                .iter()
-                .map(|p| complement_key(p))
-                .filter(|c| derivable.contains(c.as_str()) && !relevant.contains(c))
-                .collect();
-            for comp in complements {
-                relevant.insert(comp);
-                changed = true;
+            for (complement, pred) in &coupled {
+                if relevant.contains(complement) && !relevant.contains(*pred) {
+                    relevant.insert((*pred).to_string());
+                    changed = true;
+                }
             }
             for shape in &shapes {
                 // A fact shape adds only its head, which is relevant already.
@@ -197,7 +240,8 @@ impl RelevanceAnalysis {
                     continue;
                 }
                 for pred in shape.predicates() {
-                    if relevant.insert(pred.clone()) {
+                    if !relevant.contains(pred) {
+                        relevant.insert(pred.clone());
                         changed = true;
                     }
                 }
@@ -212,13 +256,15 @@ impl RelevanceAnalysis {
             .map(|s| s.is_constraint || s.heads.iter().any(|h| relevant.contains(h)))
             .collect();
         let kept: Vec<bool> = shape_of.iter().map(|&shape| kept_shape[shape]).collect();
-        // A representative rule per shape (the first rule that has it).
-        let mut shape_rules: Vec<&Rule> = Vec::with_capacity(shapes.len());
+        // A representative rule per shape (the first rule that has it);
+        // none for the shapes of fact tables.
+        let mut shape_rules: Vec<Option<&Rule>> = Vec::with_capacity(shapes.len());
         for (rule, &shape) in rules.iter().zip(&shape_of) {
             if shape == shape_rules.len() {
-                shape_rules.push(rule);
+                shape_rules.push(Some(rule));
             }
         }
+        shape_rules.resize(shapes.len(), None);
 
         // A seed is binding-restrictable when nothing in the kept slice can
         // observe more of it than the query asks for: outside its own
@@ -248,13 +294,14 @@ impl RelevanceAnalysis {
                 if defines {
                     // A fact has no body to recurse through; only its arity
                     // can leave the seed's bindings unusable.
-                    let preserves = if shape.fact_arities.is_empty() {
-                        recursion_preserves_bindings(rule, seed)
-                    } else {
-                        shape
+                    let preserves = match rule {
+                        Some(rule) if shape.fact_arities.is_empty() => {
+                            recursion_preserves_bindings(rule, seed)
+                        }
+                        _ => shape
                             .fact_arities
                             .iter()
-                            .all(|&arity| arity == seed.bindings.len())
+                            .all(|&arity| arity == seed.bindings.len()),
                     };
                     if shape.heads.len() > 1 || !preserves {
                         continue 'seed;
@@ -367,15 +414,20 @@ impl RelevanceAnalysis {
         )
     }
 
-    /// The pruned program: kept rules only, with the defining rules of
-    /// restrictable seeds pre-instantiated to the query bindings.
-    pub fn restrict(&self, program: &Program) -> Program {
-        let bindings: BTreeMap<&str, &QuerySeed> = self
-            .seeds
+    /// The seeds whose defining rules are pre-instantiated to their
+    /// bindings, by predicate.
+    fn bound_seeds(&self) -> BTreeMap<&str, &QuerySeed> {
+        self.seeds
             .iter()
             .filter(|s| self.restrictable.contains(&s.predicate) && !s.is_unbound())
             .map(|s| (s.predicate.as_str(), s))
-            .collect();
+            .collect()
+    }
+
+    /// The pruned program: kept rules only, with the defining rules of
+    /// restrictable seeds pre-instantiated to the query bindings.
+    pub fn restrict(&self, program: &Program) -> Program {
+        let bindings = self.bound_seeds();
         let mut out = Program::new();
         for (rule, &keep) in program.rules().iter().zip(&self.kept) {
             if !keep {
@@ -398,6 +450,46 @@ impl RelevanceAnalysis {
             }
         }
         out
+    }
+
+    /// The kept fact tables: those of relevant predicates, borrowed. A
+    /// table whose predicate is a bound restrictable seed keeps only the
+    /// rows that agree with the bindings (an owned copy), as
+    /// [`RelevanceAnalysis::restrict`] keeps only the agreeing facts;
+    /// `text` gives the constant text of a table id for that comparison.
+    pub fn restrict_facts<'t>(
+        &self,
+        tables: impl IntoIterator<Item = &'t FactTable>,
+        text: &dyn Fn(u32) -> Arc<str>,
+    ) -> Vec<Cow<'t, FactTable>> {
+        let bindings = self.bound_seeds();
+        tables
+            .into_iter()
+            .filter_map(|table| {
+                let signed = table.signed_predicate();
+                if !self.relevant.contains(&*signed) {
+                    return None;
+                }
+                let bound = match bindings.get(&*signed) {
+                    Some(seed) if seed.bindings.len() == table.arity() => &seed.bindings,
+                    _ => return Some(Cow::Borrowed(table)),
+                };
+                let mut kept = FactTable::new(table.predicate(), table.arity());
+                if table.strong_neg() {
+                    kept = kept.strongly_negated();
+                }
+                for row in table.rows() {
+                    let agrees = row
+                        .iter()
+                        .zip(bound)
+                        .all(|(&id, binding)| binding.as_ref().map_or(true, |c| *text(id) == **c));
+                    if agrees {
+                        kept.push(row);
+                    }
+                }
+                Some(Cow::Owned(kept))
+            })
+            .collect()
     }
 }
 
@@ -429,6 +521,16 @@ impl RuleShape {
             is_constraint: heads.is_empty(),
             heads,
             body,
+            fact_arities: BTreeSet::new(),
+        }
+    }
+
+    /// The shape of the facts of one signed predicate.
+    fn fact(signed: &str) -> Self {
+        RuleShape {
+            heads: vec![signed.to_string()],
+            body: Vec::new(),
+            is_constraint: false,
             fact_arities: BTreeSet::new(),
         }
     }

@@ -8,6 +8,12 @@
 //!   constants is equality of ids; only the ordering built-ins (`<`, `<=`,
 //!   `>`, `>=`) resolve ids back to text, so they keep their lexicographic
 //!   semantics.
+//! * **Facts as tables.** [`build`] takes the rules plus [`FactTable`]s of
+//!   caller ids and a caller function from id to text; a program's own
+//!   facts are grouped into tables first ([`TextFacts`]). An id-keyed map,
+//!   dropped with the build, takes each distinct caller id to its constant
+//!   id, so a constant's text is hashed once however often it occurs, and
+//!   no per-fact `Atom`, `Rule` or safety check is made.
 //! * **Compiled rules.** Each non-fact rule is compiled once into templates
 //!   whose variables are numbered *slots*. A substitution is a `Vec<u32>`
 //!   indexed by slot ([`NONE`] = unbound). Join plans — one in body order,
@@ -38,9 +44,11 @@
 //!   one's ids into the [`GroundProgram`], which shares the core's symbol
 //!   table instead of rendering atoms as text.
 
+use crate::facts::{FactTable, TextFacts};
 use crate::ground::{AtomId, GroundAtom, GroundProgram, GroundRule};
 use crate::syntax::{Atom, BodyItem, BuiltinOp, Rule, Term};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -70,12 +78,11 @@ pub(crate) struct Symbols {
 impl Symbols {
     /// The id of a constant, interning it (and sharing its text) if new.
     pub(crate) fn constant(&mut self, text: &Arc<str>) -> u32 {
-        if let Some(&id) = self.const_ids.get(&**text) {
-            return id;
+        let next = self.consts.len() as u32;
+        let id = *self.const_ids.entry(Arc::clone(text)).or_insert(next);
+        if id == next {
+            self.consts.push(Arc::clone(text));
         }
-        let id = self.consts.len() as u32;
-        self.consts.push(Arc::clone(text));
-        self.const_ids.insert(Arc::clone(text), id);
         id
     }
 
@@ -828,7 +835,8 @@ pub(crate) struct Core {
 /// emission order.
 pub(crate) struct Built {
     pub(crate) core: Core,
-    /// The atom of each fact rule, in program order (duplicates kept).
+    /// The atom of each fact rule of the program, in program order, then
+    /// of each fact table row, in table order (duplicates kept).
     pub(crate) fact_atoms: Vec<u32>,
     /// Per compiled rule (non-fact rules in program order), its matches
     /// over the final possible set, sorted by [`Matches::sort_by_rank`].
@@ -837,11 +845,18 @@ pub(crate) struct Built {
     pub(crate) rank: Vec<u32>,
 }
 
-/// Ground a (choice-free, safe) program in one semi-naive pass: compile its
-/// non-fact rules, insert its facts into an empty state while recording
-/// every derivation, match headless constraints once against the final
-/// possible set, and sort each rule's matches into emission order.
-pub(crate) fn build(rules: &[Rule]) -> Built {
+/// Ground a (choice-free, safe) program plus fact tables in one semi-naive
+/// pass: compile its non-fact rules, intern its own facts (grouped into
+/// tables, [`TextFacts`]) and the tables' rows, insert the facts into an
+/// empty state while recording every derivation, match headless
+/// constraints once against the final possible set, and sort each rule's
+/// matches into emission order. `text` gives the constant text of a
+/// table id.
+pub(crate) fn build<'t>(
+    rules: &[Rule],
+    tables: impl IntoIterator<Item = &'t FactTable>,
+    text: &dyn Fn(u32) -> Arc<str>,
+) -> Built {
     let mut symbols = Symbols::default();
     let compiled = rules
         .iter()
@@ -849,11 +864,18 @@ pub(crate) fn build(rules: &[Rule]) -> Built {
         .map(|r| CompiledRule::compile(r, &mut symbols))
         .collect();
     let mut atoms = AtomStore::default();
-    let fact_atoms: Vec<u32> = rules
-        .iter()
-        .filter(|r| r.is_fact())
-        .map(|r| intern_fact(&mut symbols, &mut atoms, &r.head[0]))
-        .collect();
+    let own = TextFacts::of(rules);
+    let mut own_atoms = Vec::with_capacity(own.order.len());
+    let own_text = |id| own.text(id);
+    intern_tables(
+        &mut symbols,
+        &mut atoms,
+        &own.tables,
+        &own_text,
+        &mut own_atoms,
+    );
+    let mut fact_atoms: Vec<u32> = own.order.iter().map(|&row| own_atoms[row]).collect();
+    intern_tables(&mut symbols, &mut atoms, tables, text, &mut fact_atoms);
     let mut core = Core {
         symbols: Arc::new(symbols),
         atoms,
@@ -886,18 +908,58 @@ pub(crate) fn build(rules: &[Rule]) -> Built {
     }
 }
 
-/// Intern a ground syntax atom (a fact of the program).
-fn intern_fact(symbols: &mut Symbols, atoms: &mut AtomStore, atom: &Atom) -> u32 {
-    let pred = symbols.predicate(&atom.predicate, atom.strong_neg);
-    let args: Vec<u32> = atom
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => symbols.constant(c),
-            Term::Var(v) => unreachable!("fact with variable {v} passed the safety check"),
-        })
-        .collect();
-    atoms.intern(pred, &args)
+/// Intern every row of `tables` as an atom, appending the atom ids to
+/// `out` in table and row order. Each distinct caller id's text is
+/// fetched and hashed once, through an id-keyed map; every further
+/// occurrence costs one integer lookup.
+fn intern_tables<'t>(
+    symbols: &mut Symbols,
+    atoms: &mut AtomStore,
+    tables: impl IntoIterator<Item = &'t FactTable>,
+    text: &dyn Fn(u32) -> Arc<str>,
+    out: &mut Vec<u32>,
+) {
+    let mut constant: HashMap<u32, u32, BuildHasherDefault<IdHasher>> = HashMap::default();
+    let mut args: Vec<u32> = Vec::new();
+    for table in tables {
+        let pred = symbols.predicate(table.predicate(), table.strong_neg());
+        for row in table.rows() {
+            args.clear();
+            for &id in row {
+                let c = *constant
+                    .entry(id)
+                    .or_insert_with(|| symbols.constant(&text(id)));
+                args.push(c);
+            }
+            out.push(atoms.intern(pred, &args));
+        }
+    }
+}
+
+/// The `FxHash` step for integer keys: the caller-id → constant map of
+/// [`intern_tables`] hashes one `u32` per lookup, which SipHash would
+/// dominate.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Core {
@@ -1172,15 +1234,14 @@ impl Core {
         let const_rank = rank_by(consts.len(), |a, b| consts[a].cmp(&consts[b]));
         let pred_rank = rank_by(preds.len(), |a, b| preds[a].cmp(&preds[b]));
         let atoms = &self.atoms;
+        // Every argument replaced by its constant's rank once, so that
+        // comparing two atoms' arguments compares two `u32` slices.
+        let ranked: Vec<u32> = atoms.args.iter().map(|&c| const_rank[c as usize]).collect();
+        let args = |a: usize| &ranked[atoms.start[a] as usize..atoms.start[a + 1] as usize];
         rank_by(atoms.len(), |a, b| {
-            let (a, b) = (a as u32, b as u32);
-            pred_rank[atoms.pred(a) as usize]
-                .cmp(&pred_rank[atoms.pred(b) as usize])
-                .then_with(|| {
-                    let ra = atoms.args(a).iter().map(|&c| const_rank[c as usize]);
-                    let rb = atoms.args(b).iter().map(|&c| const_rank[c as usize]);
-                    ra.cmp(rb)
-                })
+            pred_rank[atoms.pred[a] as usize]
+                .cmp(&pred_rank[atoms.pred[b] as usize])
+                .then_with(|| args(a).cmp(args(b)))
         })
     }
 

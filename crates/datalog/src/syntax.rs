@@ -224,14 +224,6 @@ impl Builtin {
     pub fn new(op: BuiltinOp, left: Term, right: Term) -> Builtin {
         Builtin { op, left, right }
     }
-
-    /// Variables used by the builtin.
-    pub fn variables(&self) -> BTreeSet<String> {
-        [&self.left, &self.right]
-            .into_iter()
-            .filter_map(|t| t.as_var().map(str::to_string))
-            .collect()
-    }
 }
 
 impl fmt::Display for Builtin {
@@ -255,15 +247,6 @@ impl ChoiceAtom {
     /// Construct a choice atom.
     pub fn new(group: Vec<Term>, chosen: Vec<Term>) -> ChoiceAtom {
         ChoiceAtom { group, chosen }
-    }
-
-    /// Variables of the choice atom.
-    pub fn variables(&self) -> BTreeSet<String> {
-        self.group
-            .iter()
-            .chain(self.chosen.iter())
-            .filter_map(|t| t.as_var().map(str::to_string))
-            .collect()
     }
 }
 
@@ -289,13 +272,17 @@ pub enum BodyItem {
 }
 
 impl BodyItem {
-    /// Variables of the body item.
-    pub fn variables(&self) -> BTreeSet<String> {
-        match self {
-            BodyItem::Pos(a) | BodyItem::Naf(a) => a.variables(),
-            BodyItem::Builtin(b) => b.variables(),
-            BodyItem::Choice(c) => c.variables(),
-        }
+    /// The terms of the body item, in order.
+    pub fn terms(&self) -> impl Iterator<Item = &Term> {
+        let (first, second): (&[Term], &[Term]) = match self {
+            BodyItem::Pos(a) | BodyItem::Naf(a) => (&a.terms, &[]),
+            BodyItem::Builtin(b) => (
+                std::slice::from_ref(&b.left),
+                std::slice::from_ref(&b.right),
+            ),
+            BodyItem::Choice(c) => (&c.group, &c.chosen),
+        };
+        first.iter().chain(second)
     }
 }
 
@@ -359,34 +346,22 @@ impl Rule {
         self.body.iter().any(|b| matches!(b, BodyItem::Choice(_)))
     }
 
-    /// All variables of the rule.
-    pub fn variables(&self) -> BTreeSet<String> {
-        let mut out: BTreeSet<String> = self.head.iter().flat_map(|a| a.variables()).collect();
-        for b in &self.body {
-            out.extend(b.variables());
-        }
-        out
-    }
-
-    /// Variables appearing in positive body atoms (the variables a safe rule
-    /// must bind).
-    pub fn positively_bound_variables(&self) -> BTreeSet<String> {
-        self.body
-            .iter()
-            .filter_map(|b| match b {
-                BodyItem::Pos(a) => Some(a.variables()),
-                _ => None,
-            })
-            .flatten()
-            .collect()
-    }
-
     /// A rule is *safe* when every variable it uses occurs in some positive
     /// body atom (choice-atom variables are checked against the rest of the
     /// body as well).
     pub fn is_safe(&self) -> bool {
-        let bound = self.positively_bound_variables();
-        self.variables().iter().all(|v| bound.contains(v))
+        let bound = |v: &str| {
+            self.body.iter().any(|b| match b {
+                BodyItem::Pos(a) => a.terms.iter().any(|t| t.as_var() == Some(v)),
+                _ => false,
+            })
+        };
+        self.head
+            .iter()
+            .flat_map(|a| &a.terms)
+            .chain(self.body.iter().flat_map(BodyItem::terms))
+            .filter_map(Term::as_var)
+            .all(bound)
     }
 }
 

@@ -21,7 +21,12 @@
 //! The table also memoizes the rendered text of each symbol
 //! ([`SymbolTable::resolve_text`]) so the ASP fact encoder can emit one
 //! shared `Arc<str>` per distinct constant instead of re-allocating the
-//! rendering for every occurrence of every tuple.
+//! rendering for every occurrence of every tuple, and indexes that text
+//! ([`SymbolTable::lookup_text`]) so the ASP decode maps a model constant
+//! back to its symbol without a decoder of its own. Two values may render
+//! alike (the integer `1` and the string `"1"`); the text then names the
+//! smaller [`Value`] whatever the interning order, so every table over the
+//! same values agrees.
 
 use crate::value::Value;
 use std::collections::HashMap;
@@ -66,6 +71,46 @@ struct Inner {
     texts: Vec<Option<Arc<str>>>,
     /// Value → symbol id (the intern direction).
     ids: HashMap<Value, u32>,
+    /// Rendered text → symbol id of the smallest value with that text,
+    /// over the first `indexed` symbols; extended lazily by
+    /// [`SymbolTable::lookup_text`].
+    by_text: HashMap<Arc<str>, u32>,
+    indexed: usize,
+}
+
+impl Inner {
+    /// The memoized rendered text of a symbol, rendering it on first use.
+    fn text(&mut self, id: usize) -> Arc<str> {
+        if let Some(text) = &self.texts[id] {
+            return Arc::clone(text);
+        }
+        let text: Arc<str> = match &self.values[id] {
+            // Strings share the value's own payload; no new allocation.
+            Value::Str(s) => Arc::clone(s),
+            other => Arc::from(other.render().as_ref()),
+        };
+        self.texts[id] = Some(Arc::clone(&text));
+        text
+    }
+
+    /// Bring the text index up to every minted symbol. On a text shared
+    /// by two values the smaller value keeps it.
+    fn index_texts(&mut self) {
+        while self.indexed < self.values.len() {
+            let id = self.indexed;
+            let text = self.text(id);
+            let values = &self.values;
+            self.by_text
+                .entry(text)
+                .and_modify(|kept| {
+                    if values[id] < values[*kept as usize] {
+                        *kept = id as u32;
+                    }
+                })
+                .or_insert(id as u32);
+            self.indexed += 1;
+        }
+    }
 }
 
 /// A thread-safe, append-only intern table mapping distinct [`Value`]s
@@ -100,6 +145,8 @@ impl SymbolTable {
                 values: Vec::new(),
                 texts: Vec::new(),
                 ids: HashMap::new(),
+                by_text: HashMap::new(),
+                indexed: 0,
             }),
         }
     }
@@ -163,17 +210,25 @@ impl SymbolTable {
         if let Some(text) = &self.read().texts[symbol.0 as usize] {
             return Arc::clone(text);
         }
-        let mut inner = self.write();
-        if let Some(text) = &inner.texts[symbol.0 as usize] {
-            return Arc::clone(text);
+        self.write().text(symbol.0 as usize)
+    }
+
+    /// The symbol whose value renders as `text` ([`Value::render`]), or
+    /// `None` when no interned value does. When several do (the integer
+    /// `1` and the string `"1"`), the smallest value's symbol, whatever
+    /// the interning order. The index behind it is built on first use and
+    /// extended to newly minted symbols on later calls, under the table's
+    /// lock.
+    pub fn lookup_text(&self, text: &str) -> Option<Symbol> {
+        {
+            let inner = self.read();
+            if inner.indexed == inner.values.len() {
+                return inner.by_text.get(text).map(|&id| Symbol(id));
+            }
         }
-        let text: Arc<str> = match &inner.values[symbol.0 as usize] {
-            // Strings share the value's own payload; no new allocation.
-            Value::Str(s) => Arc::clone(s),
-            other => Arc::from(other.render().as_ref()),
-        };
-        inner.texts[symbol.0 as usize] = Some(Arc::clone(&text));
-        text
+        let mut inner = self.write();
+        inner.index_texts();
+        inner.by_text.get(text).map(|&id| Symbol(id))
     }
 
     /// Intern a value and return its shared rendered text in one step.
@@ -197,9 +252,12 @@ impl SymbolTable {
     /// each forward slot), a one-byte value tag, and the value payload
     /// (string bytes, 8 for integers, 1 for booleans, 0 for null). Memoized
     /// renderings that alias the string payload are not double counted.
+    /// The text index ([`SymbolTable::lookup_text`]) adds 4 bytes (its id)
+    /// per distinct text it holds; its keys are the memoized renderings,
+    /// counted above.
     pub fn resident_bytes(&self) -> usize {
         let inner = self.read();
-        let mut bytes = 0usize;
+        let mut bytes = 4 * inner.by_text.len();
         for (value, text) in inner.values.iter().zip(inner.texts.iter()) {
             bytes += 8 + 1 + value_payload_bytes(value);
             if let Some(text) = text {
@@ -330,6 +388,51 @@ mod tests {
         let abc = table.lookup(&Value::str("abc")).unwrap();
         table.resolve_text(abc);
         assert_eq!(table.resident_bytes(), 12 + 17 + 1);
+        // The text index charges 4 bytes per distinct text; its keys are
+        // the renderings already counted.
+        assert_eq!(table.lookup_text("5"), Some(five));
+        assert_eq!(table.resident_bytes(), 12 + 17 + 1 + 2 * 4);
+        // A second value with a known text adds no index entry.
+        table.intern(&Value::str("5"));
+        assert_eq!(table.lookup_text("5"), Some(five));
+        assert_eq!(table.resident_bytes(), 12 + 17 + 1 + 2 * 4 + 10);
+    }
+
+    #[test]
+    fn lookup_text_keeps_the_smallest_value_in_either_interning_order() {
+        let int_first = SymbolTable::new();
+        int_first.intern(&Value::int(1));
+        int_first.intern(&Value::str("1"));
+        let str_first = SymbolTable::new();
+        str_first.intern(&Value::str("1"));
+        str_first.intern(&Value::int(1));
+        for table in [&int_first, &str_first] {
+            let symbol = table.lookup_text("1").expect("an interned text");
+            assert_eq!(table.resolve(symbol), Value::int(1));
+        }
+        // Symbols minted after the index was built join it, and the
+        // collision rule holds for them too.
+        str_first.intern(&Value::str("2"));
+        assert_eq!(
+            str_first.resolve(str_first.lookup_text("2").unwrap()),
+            Value::str("2")
+        );
+        str_first.intern(&Value::int(2));
+        assert_eq!(
+            str_first.resolve(str_first.lookup_text("2").unwrap()),
+            Value::int(2)
+        );
+    }
+
+    #[test]
+    fn lookup_text_of_unknown_text_is_none() {
+        let table = SymbolTable::new();
+        assert_eq!(table.lookup_text("ghost"), None);
+        let a = table.intern(&Value::str("a"));
+        assert_eq!(table.lookup_text("a"), Some(a));
+        assert_eq!(table.lookup_text("ghost"), None);
+        assert_eq!(table.lookup_text(""), None);
+        assert_eq!(table.len(), 1, "looking text up mints nothing");
     }
 
     #[test]
@@ -349,7 +452,14 @@ mod tests {
                 let table = Arc::clone(&table);
                 std::thread::spawn(move || {
                     (0..100)
-                        .map(|i| table.intern(&Value::int(i)).id())
+                        .map(|i| {
+                            let id = table.intern(&Value::int(i)).id();
+                            // Every value interned so far is findable by
+                            // its text while other threads keep minting.
+                            let found = table.lookup_text(&i.to_string());
+                            assert_eq!(found.map(Symbol::id), Some(id));
+                            id
+                        })
                         .collect::<Vec<_>>()
                 })
             })

@@ -5,20 +5,26 @@
 //! emit exactly what the naive grounder emits — the same rules in the same
 //! order (compared on `GroundProgram`'s `Display`) over the same atom
 //! numbering — on random programs and on every relevance slice of the
-//! workload generator's systems. Random insert/delete sequences applied
-//! with `apply_delta` must leave `to_ground` equal to a fresh grounding of
-//! the updated program.
+//! workload generator's systems. On those slices,
+//! `IncrementalGround::from_tables` over the rules plus the instances as
+//! fact tables of store ids must emit the same, with the text program's
+//! relevance fingerprint. Random insert/delete sequences applied with
+//! `apply_delta` must leave `to_ground` equal to a fresh grounding of the
+//! updated program.
 
 #[path = "support/naive_grounder.rs"]
 mod naive_grounder;
 
 use datalog::ground::{GroundAtom, GroundProgram, Grounder};
 use datalog::syntax::{Atom, BodyItem, Builtin, BuiltinOp, ChoiceAtom, Program, Rule, Term};
-use datalog::{IncrementalGround, QuerySeed};
+use datalog::{FactTable, IncrementalGround, QuerySeed, RelevanceAnalysis};
+use pdes_core::asp::encode::{fact_tables, symbol_text};
 use pdes_core::asp::{annotated_program_with, transitive_program_with};
 use pdes_core::P2PSystem;
 use proptest::TestRng;
+use relalg::SymbolTable;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use workload::{generate, Topology, TrustMix, WorkloadSpec};
 
 /// The atoms of a ground program in id order.
@@ -425,7 +431,21 @@ fn recursive_deletion_with_a_new_constant_patches_to_a_fresh_grounding() {
 /// Every relevance slice of a system: for each peer, both specification
 /// programs, and for each of the peer's relations an unbound seed and a
 /// seed binding the first argument to a constant of the peer's instance.
+/// Each slice is also grounded from the rules plus the instances as fact
+/// tables of store ids ([`assert_table_slice_matches`]), with one more
+/// seed binding a material relation (a fact predicate).
 fn assert_slices_match(system: &P2PSystem, name: &str) {
+    let symbols = SymbolTable::new();
+    for peer in system.peers() {
+        symbols.intern_database(&peer.instance);
+    }
+    let tables = fact_tables(system.peers().map(|p| &p.instance), &symbols, |_| true);
+    let text = symbol_text(&symbols);
+    let facts = TableFacts {
+        tables: &tables,
+        text: &text,
+    };
+    let mut restricted_fact_seeds = 0;
     for peer in system.peer_ids() {
         let data = system.peer(peer).unwrap();
         let relations: Vec<String> = data.schema.relation_names().map(str::to_string).collect();
@@ -473,10 +493,103 @@ fn assert_slices_match(system: &P2PSystem, name: &str) {
                         &slice,
                         &format!("{name} {peer} {flavour} {predicate} {seed:?}"),
                     );
+                    assert_table_slice_matches(
+                        &grounder,
+                        &facts,
+                        &seed,
+                        &format!("{name} {peer} {flavour} {predicate} {seed:?} from tables"),
+                    );
+                }
+            }
+            // A bound seed on a material relation: a fact predicate no rule
+            // of the spec reads, when there is one (the seed is then
+            // restrictable and filters the relation's rows), else the
+            // peer's first relation.
+            let fact_seed = tables
+                .iter()
+                .rev()
+                .find(|t| {
+                    let rules = program.rules().iter().filter(|r| !r.is_fact());
+                    !rules.into_iter().any(|r| mentions(r, t.predicate()))
+                })
+                .or_else(|| tables.iter().find(|t| t.predicate() == relations[0]))
+                .map(|table| {
+                    let bound = text(table.row(0)[0]);
+                    let mut bindings = vec![None; table.arity()];
+                    bindings[0] = Some(bound);
+                    QuerySeed::with_bindings(table.predicate(), bindings)
+                });
+            if let Some(seed) = fact_seed {
+                let context = format!("{name} {peer} {flavour} fact seed {seed:?}");
+                if assert_table_slice_matches(&grounder, &facts, &seed, &context) {
+                    restricted_fact_seeds += 1;
                 }
             }
         }
     }
+    assert!(
+        restricted_fact_seeds > 0,
+        "{name}: no bound fact seed filtered rows"
+    );
+}
+
+/// A system's instances as the public encoder's fact tables of store ids,
+/// with the store's id → text function.
+struct TableFacts<'a> {
+    tables: &'a [FactTable],
+    text: &'a dyn Fn(u32) -> Arc<str>,
+}
+
+/// Does `rule` mention `predicate` anywhere?
+fn mentions(rule: &Rule, predicate: &str) -> bool {
+    rule.head.iter().any(|a| a.predicate == predicate)
+        || rule.body.iter().any(|item| match item {
+            BodyItem::Pos(a) | BodyItem::Naf(a) => a.predicate == predicate,
+            _ => false,
+        })
+}
+
+/// Ground `grounder`'s slice for `seed` from its rules plus `facts`
+/// through `IncrementalGround::from_tables`, and assert it equals the
+/// oracle's grounding of the text slice (rules byte for byte, atoms in
+/// the same id order) and that the relevance fingerprint equals the text
+/// program's. Returns whether the seed was binding-restrictable.
+fn assert_table_slice_matches(
+    grounder: &Grounder<'_>,
+    facts: &TableFacts<'_>,
+    seed: &QuerySeed,
+    context: &str,
+) -> bool {
+    let seeds = std::slice::from_ref(seed);
+    let text_analysis = grounder.relevance(seeds);
+    let mut rules = Program::new();
+    for rule in grounder.program().rules().iter().filter(|r| !r.is_fact()) {
+        rules.add_rule(rule.clone());
+    }
+    let shapes = facts.tables.iter().map(|t| (t.predicate(), t.arity()));
+    let analysis = RelevanceAnalysis::analyze_with_facts(&rules, shapes, seeds);
+    assert_eq!(
+        analysis.fingerprint(),
+        text_analysis.fingerprint(),
+        "fingerprint, {context}"
+    );
+    let kept = analysis.restrict_facts(facts.tables, facts.text);
+    let kept = kept.iter().map(|t| &**t);
+    let got = IncrementalGround::from_tables(&analysis.restrict(&rules), kept, facts.text)
+        .unwrap()
+        .to_ground();
+    let expected = naive_grounder::ground_incremental(&text_analysis.restrict(grounder.program()));
+    assert_eq!(
+        got.to_string(),
+        expected.to_string(),
+        "IncrementalGround::from_tables differs from the oracle on {context}"
+    );
+    assert_eq!(
+        atom_order(&got),
+        atom_order(&expected),
+        "atom order, {context}"
+    );
+    analysis.is_restrictable(&seed.predicate)
 }
 
 #[test]
