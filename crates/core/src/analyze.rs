@@ -704,6 +704,12 @@ impl P2PSystem {
     /// The report is deterministic: same system, same diagnostics, same
     /// order — which is what the CI smoke gate counts exactly.
     pub fn analyze(&self) -> Report {
+        self.analyze_with_verdicts().0
+    }
+
+    /// [`P2PSystem::analyze`], plus pass 4's verdict for every peer it could
+    /// classify: the engine's [`crate::engine::Strategy::Auto`] reads these.
+    pub(crate) fn analyze_with_verdicts(&self) -> (Report, BTreeMap<PeerId, RewriteVerdict>) {
         let mut report = Report::default();
         let arities = relation_arities(self);
 
@@ -756,14 +762,12 @@ impl P2PSystem {
 
         // Pass 4: rewritability classification, one info per non-rewritable
         // peer that actually exchanges data.
+        let mut verdicts = BTreeMap::new();
         for peer in self.peers() {
-            let (less, same) = self.trusted_decs_of(&peer.id);
-            if less.is_empty() && same.is_empty() && peer.local_ics.is_empty() {
+            let Ok(verdict) = classify_rewritability(self, &peer.id) else {
                 continue;
-            }
-            if let Ok(RewriteVerdict::NotRewritable { code, reason }) =
-                classify_rewritability(self, &peer.id)
-            {
+            };
+            if let RewriteVerdict::NotRewritable { code, reason } = &verdict {
                 report.push(Diagnostic {
                     code,
                     severity: Severity::Info,
@@ -772,9 +776,10 @@ impl P2PSystem {
                     payload: Vec::new(),
                 });
             }
+            verdicts.insert(peer.id.clone(), verdict);
         }
 
-        report
+        (report, verdicts)
     }
 }
 

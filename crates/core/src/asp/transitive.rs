@@ -21,8 +21,9 @@
 //! [`ValueDecoder`] for the combined spec; the per-peer specs hold their
 //! rules only. The result equals, rule for rule, the composition of each
 //! peer's whole [`crate::asp::annotated_program_with`] program with the
-//! facts kept once. The engine composes the rules only and feeds the facts
-//! as tables of store ids.
+//! facts kept once. Cut at the queried peer alone, nothing is rewired and
+//! the composition is the direct [`AnnotatedSpec`], which is how the engine
+//! builds both ASP mechanisms' rules from one type.
 
 use crate::asp::annotated::{annotated_spec, AnnotatedSpec};
 use crate::asp::decode::decode_worlds;
@@ -152,35 +153,37 @@ pub fn transitive_program_with(
     facts_for_system(system, &mut facts, symbols);
     Ok(TransitiveSpec {
         decoder: ValueDecoder::for_system(system),
-        ..transitive_spec(system, peer, facts)?
+        ..transitive_spec(system, peer, &trusted_closure(system, peer), facts)?
     })
 }
 
-/// The combined specification of `peer`: every reachable peer's rules,
-/// rewired, appended to `combined`, which holds whatever facts the caller
-/// encoded, with an empty decoder.
-pub(crate) fn transitive_spec(
-    system: &P2PSystem,
-    peer: &PeerId,
-    mut combined: Program,
-) -> Result<TransitiveSpec> {
-    // Reachable peers through trusted DECs (BFS).
-    let mut reachable: BTreeSet<PeerId> = BTreeSet::new();
+/// `peer` and every peer reachable from it through trusted DECs.
+pub(crate) fn trusted_closure(system: &P2PSystem, peer: &PeerId) -> BTreeSet<PeerId> {
+    let mut reachable = BTreeSet::from([peer.clone()]);
     let mut queue = vec![peer.clone()];
     while let Some(current) = queue.pop() {
-        if !reachable.insert(current.clone()) {
-            continue;
-        }
         let (less, same) = system.trusted_decs_of(&current);
         for dec in less.into_iter().chain(same) {
-            if !reachable.contains(&dec.other) {
+            if reachable.insert(dec.other.clone()) {
                 queue.push(dec.other.clone());
             }
         }
     }
+    reachable
+}
 
+/// The combined specification of `peer` over `members` (which hold `peer`;
+/// `peer` alone gives its direct spec): each member's rules, rewired,
+/// appended to `combined`, which holds whatever facts the caller encoded,
+/// with an empty decoder.
+pub(crate) fn transitive_spec(
+    system: &P2PSystem,
+    peer: &PeerId,
+    members: &BTreeSet<PeerId>,
+    mut combined: Program,
+) -> Result<TransitiveSpec> {
     let mut specs: BTreeMap<PeerId, AnnotatedSpec> = BTreeMap::new();
-    for p in &reachable {
+    for p in members {
         specs.insert(p.clone(), annotated_spec(system, p, Program::new())?);
     }
     for (owner_of_program, spec) in &specs {
@@ -268,7 +271,7 @@ fn rewire_rule(rule: &Rule, substitution: &BTreeMap<String, String>) -> Rule {
 mod tests {
     use super::*;
     use crate::system::TrustLevel;
-    use constraints::builders::{full_inclusion, mixed_referential};
+    use constraints::builders::{full_inclusion, key_agreement, mixed_referential};
     use datalog::{AnswerSets, SolverConfig};
     use relalg::Tuple;
 
@@ -303,6 +306,91 @@ mod tests {
         sys.set_trust(&p, TrustLevel::Less, &q).unwrap();
         sys.set_trust(&q, TrustLevel::Less, &c).unwrap();
         sys
+    }
+
+    /// A system shaped like the workload generator's: peer `P{i}` owns
+    /// `T{i}(key, val)` with a few tuples, and each `(owner, other)` edge
+    /// carries one DEC, a full inclusion of `T{other}` into `T{owner}`
+    /// towards a `less`-trusted peer and a key agreement towards a
+    /// `same`-trusted one. (The generator's crate depends on this one, so
+    /// its systems cannot be built here.)
+    fn generated_shape(peers: usize, edges: &[(usize, usize, TrustLevel)]) -> P2PSystem {
+        let mut sys = P2PSystem::new();
+        for i in 0..peers {
+            let id = PeerId::new(format!("P{i}"));
+            sys.add_peer(id.clone()).unwrap();
+            let relation = format!("T{i}");
+            sys.add_relation(&id, RelationSchema::new(relation.as_str(), &["key", "val"]))
+                .unwrap();
+            for j in 0..3 {
+                let (key, val) = (format!("k_{i}_{j}"), format!("v_{i}_{j}"));
+                sys.insert(&id, &relation, Tuple::strs([key.as_str(), val.as_str()]))
+                    .unwrap();
+            }
+        }
+        for (edge, &(owner, other, level)) in edges.iter().enumerate() {
+            let (owner_id, other_id) = (
+                PeerId::new(format!("P{owner}")),
+                PeerId::new(format!("P{other}")),
+            );
+            let (owner_rel, other_rel) = (format!("T{owner}"), format!("T{other}"));
+            let name = format!("dec_{edge}");
+            let dec = if level == TrustLevel::Same {
+                key_agreement(name, &owner_rel, &other_rel)
+            } else {
+                full_inclusion(name, &other_rel, &owner_rel, 2)
+            };
+            sys.add_dec(&owner_id, &other_id, dec.unwrap()).unwrap();
+            sys.set_trust(&owner_id, level, &other_id).unwrap();
+        }
+        sys
+    }
+
+    #[test]
+    fn depth_zero_composition_is_the_direct_spec() {
+        use crate::asp::annotated_program;
+        use crate::system::example1_system;
+        use TrustLevel::{Less, Same};
+        let systems = [
+            example1_system(),
+            example4_system(),
+            // A Tiny star, an `AllLess` chain and a `Mixed` chain.
+            generated_shape(3, &[(0, 1, Less), (0, 2, Less)]),
+            generated_shape(4, &[(0, 1, Less), (1, 2, Less), (2, 3, Less)]),
+            generated_shape(4, &[(0, 1, Less), (1, 2, Same), (2, 3, Less)]),
+        ];
+        let rules = |program: &Program| -> Vec<String> {
+            program
+                .rules()
+                .iter()
+                .filter(|rule| !rule.is_fact())
+                .map(ToString::to_string)
+                .collect()
+        };
+        for sys in &systems {
+            for peer in sys.peer_ids() {
+                let direct = annotated_program(sys, peer).unwrap();
+                let members = BTreeSet::from([peer.clone()]);
+                let cut = transitive_spec(sys, peer, &members, Program::new()).unwrap();
+                assert_eq!(
+                    rules(&cut.program),
+                    rules(&direct.program),
+                    "rules of {peer}"
+                );
+                assert_eq!(
+                    cut.relevant, direct.relevant,
+                    "relevant relations of {peer}"
+                );
+                assert_eq!(cut.arities, direct.arities, "arities at {peer}");
+                for relation in &direct.relevant {
+                    assert_eq!(
+                        cut.solution_predicate(sys, relation),
+                        direct.solution_predicate(relation),
+                        "solution predicate of {relation} at {peer}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

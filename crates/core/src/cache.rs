@@ -24,9 +24,12 @@
 //! * **One writer per counter.** [`MemoCache::note`] is the only place a
 //!   cache counter changes; [`CacheMetrics`] is a read-only view of it.
 //!
+//! An ASP entry keeps no specification: a repair reads the engine's one spec
+//! per `(mechanism, peer)` by the entry's key.
+//!
 //! [`QueryEngine`]: crate::engine::QueryEngine
 
-use crate::engine::{CacheMetrics, PreparedWorlds, SpecProgram};
+use crate::engine::{CacheMetrics, PreparedWorlds};
 use crate::system::PeerId;
 use crate::Result;
 use datalog::IncrementalGround;
@@ -64,10 +67,6 @@ pub(crate) type VersionStamp = BTreeMap<PeerId, u64>;
 /// Composed, not merged: an insert-then-delete cancels.
 pub(crate) type Pending = BTreeMap<PeerId, Delta>;
 
-/// The specification program an ASP artifact was built from plus its
-/// grounding's saturation state: what a repair patches.
-pub(crate) type Grounding = (Arc<SpecProgram>, IncrementalGround);
-
 /// The interned global instance (rewriting) and the nanoseconds its
 /// materialization cost.
 pub(crate) type Global = (Arc<ColumnarDatabase>, u64);
@@ -93,11 +92,10 @@ pub(crate) enum CacheEvent {
 }
 
 /// One memoized artifact: the solved worlds and — for ASP artifacts — the
-/// grounding's saturation state, the
-/// specification program it was built from, and the deltas committed since
-/// the worlds were solved. An entry with pending deltas is *stale*: its
-/// worlds are not served, but its state lets a repair patch only the
-/// affected rules instead of re-grounding the slice.
+/// grounding's saturation state and the deltas committed since the worlds
+/// were solved. An entry with pending deltas is *stale*: its worlds are not
+/// served, but its state lets a repair patch only the affected rules
+/// instead of re-grounding the slice.
 struct Entry {
     /// The versions the worlds describe. Commits that cannot touch the
     /// slice refresh it in place; commits that can refresh it too and queue
@@ -106,7 +104,7 @@ struct Entry {
     prepared: Arc<PreparedWorlds>,
     /// Retained for ASP artifacts, so the committing thread can repair the
     /// entry without the query that prepared it.
-    grounding: Option<Grounding>,
+    grounding: Option<IncrementalGround>,
     pending: Pending,
     /// Exact bytes charged against the budget: interned worlds plus the
     /// saturation state.
@@ -336,7 +334,7 @@ impl MemoCache {
             match entry.grounding.filter(|_| patchable) {
                 // Staling it was already counted as an invalidation at
                 // commit time.
-                Some((_, state)) => stale = Some((state, entry.pending)),
+                Some(state) => stale = Some((state, entry.pending)),
                 None => invalidated = 1,
             }
         }
@@ -355,9 +353,9 @@ impl MemoCache {
         key: Key,
         stamp: VersionStamp,
         prepared: Arc<PreparedWorlds>,
-        grounding: Option<Grounding>,
+        grounding: Option<IncrementalGround>,
     ) {
-        let bytes = prepared.bytes() + grounding.as_ref().map_or(0, |(_, s)| s.exact_bytes());
+        let bytes = prepared.bytes() + grounding.as_ref().map_or(0, IncrementalGround::exact_bytes);
         let mut inner = self.write();
         if !inner.stamp_current(&stamp) {
             return;
@@ -430,7 +428,7 @@ impl MemoCache {
             if !entry.stamp.contains_key(peer) {
                 return true; // outside the closure: untouched
             }
-            let Some((_, state)) = &entry.grounding else {
+            let Some(state) = &entry.grounding else {
                 // Naive worlds: nothing to patch.
                 invalidated += 1;
                 return false;
@@ -461,7 +459,7 @@ impl MemoCache {
     /// deltas in place so concurrent lookups still see it stale. `None` when
     /// the entry is gone or valid again. (Only entries with a grounding are
     /// ever staled, and each is repaired once per commit.)
-    pub(crate) fn take_for_repair(&self, key: &Key) -> Option<(Grounding, Pending)> {
+    pub(crate) fn take_for_repair(&self, key: &Key) -> Option<(IncrementalGround, Pending)> {
         let mut inner = self.write();
         let entry = inner.entries.get_mut(key).filter(|e| !e.is_valid())?;
         Some((entry.grounding.take()?, entry.pending.clone()))
@@ -473,7 +471,7 @@ impl MemoCache {
     pub(crate) fn finish_repair(
         &self,
         key: &Key,
-        repaired: Result<(Arc<PreparedWorlds>, Grounding)>,
+        repaired: Result<(Arc<PreparedWorlds>, IncrementalGround)>,
     ) {
         let Ok((prepared, grounding)) = repaired else {
             self.note(CacheEvent::RepairFailed);
@@ -484,7 +482,7 @@ impl MemoCache {
         self.note(CacheEvent::Patched);
         let mut inner = self.write();
         if let Some(entry) = inner.entries.get_mut(key) {
-            entry.bytes = prepared.bytes() + grounding.1.exact_bytes();
+            entry.bytes = prepared.bytes() + grounding.exact_bytes();
             entry.prepared = prepared;
             entry.grounding = Some(grounding);
             entry.pending.clear();

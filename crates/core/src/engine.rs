@@ -35,7 +35,8 @@
 //! same-trusted peers, and no local ICs — via
 //! [`crate::analyze::classify_rewritability`], and picks the first-order
 //! rewriting when they do (and the query is positive existential), falling
-//! back to the general ASP mechanism otherwise.
+//! back to the general ASP mechanism otherwise; the build's analysis
+//! classifies every peer once.
 //!
 //! ## Memoization and relevance-driven grounding
 //!
@@ -43,12 +44,13 @@
 //! strategy's enumerated solutions and the rewriting strategy's materialized
 //! global instance are computed once per `(engine, peer)`, and the ASP
 //! strategies' *grounded and solved* specification programs once per
-//! `(engine, peer, query slice)`. The solver's models (sets of atom ids) are
+//! `(engine, peer, query slice)`, from one specification per `(mechanism,
+//! peer)` built once per engine. The solver's models (sets of atom ids) are
 //! decoded straight into a [`WorldSet`] over the store's symbol table
-//! ([`crate::asp::AnnotatedSpec::columnar_worlds`]), with no string world in
-//! between: one columnar core holding the rows every world shares plus one
-//! delta per world; the naive strategy's solutions are split the same way.
-//! The ASP strategies ground only the
+//! ([`crate::asp::TransitiveSpec::columnar_worlds`]), with no string world
+//! in between: one columnar core holding the rows every world shares plus
+//! one delta per world; the naive strategy's solutions are split the same
+//! way. The ASP strategies ground only the
 //! query-relevant slice of the specification ([`datalog::relevance`],
 //! magic-sets-style pruning seeded by the query's relations and bound
 //! constants), so the cache key carries the slice:
@@ -141,7 +143,9 @@
 //!   set intersection), so answers are identical to the sequential path for
 //!   every pool size.
 
+use crate::analyze::RewriteVerdict;
 use crate::asp::encode;
+use crate::asp::transitive::{transitive_spec, trusted_closure, TransitiveSpec};
 use crate::cache::{CacheEvent, Cached, Key, Mechanism, MemoCache, Pending};
 use crate::error::CoreError;
 use crate::pca::vars;
@@ -157,7 +161,7 @@ use relalg::query::{Formula, QueryEvaluator};
 use relalg::{ColumnarDatabase, CqPlan, Tuple, WorldSet};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use pdes_obs::{duration_nanos, NullRecorder, Recorder, Span};
@@ -582,7 +586,7 @@ impl QueryEngineBuilder {
         // instance data), so the store's local replica serves it without a
         // transport round-trip.
         let topology = self.store.topology().clone();
-        let report = topology.analyze();
+        let (report, verdicts) = topology.analyze_with_verdicts();
         if self.strict_analysis && !report.is_clean() {
             return Err(CoreError::AnalysisRejected {
                 errors: report.error_count(),
@@ -602,6 +606,8 @@ impl QueryEngineBuilder {
             exec: Executor::new(self.exec).with_recorder(Arc::clone(&recorder)),
             symbols,
             analysis: report,
+            verdicts,
+            specs: SpecTable::default(),
             cache: MemoCache::new(self.cache_capacity, Arc::clone(&recorder)),
             recorder,
             commit_lock: Mutex::new(()),
@@ -680,6 +686,11 @@ pub struct QueryEngine {
     symbols: Arc<relalg::SymbolTable>,
     /// The construction-time static-analysis report over the system.
     analysis: crate::analyze::Report,
+    /// The same analysis' verdict for every peer it could classify: what
+    /// [`Strategy::Auto`] reads.
+    verdicts: BTreeMap<PeerId, RewriteVerdict>,
+    /// The ASP specification of every `(mechanism, peer)` prepared so far.
+    specs: SpecTable,
     /// Every memoized artifact, its stamps and the cache counters.
     cache: MemoCache,
     /// Serializes engine-level commits (store publish + cache bookkeeping +
@@ -834,9 +845,9 @@ impl QueryEngine {
     /// [`QueryEngine::resolve`], plus — when [`Strategy::Auto`] fell back to
     /// ASP — the diagnostic code of the disqualifying reason (the codes of
     /// [`crate::analyze`]'s rewritability pass, surfaced per answer on
-    /// [`EngineStats::auto_reason`]). The decision delegates to
-    /// [`crate::analyze::classify_rewritability`], the single source of
-    /// truth the static analyzer reports from.
+    /// [`EngineStats::auto_reason`]). The peer's half of the decision is the
+    /// [`crate::analyze::classify_rewritability`] verdict the build's
+    /// analysis recorded, the single source of truth it reports from.
     pub fn resolve_explained(
         &self,
         strategy: Strategy,
@@ -854,8 +865,8 @@ impl QueryEngine {
                     // strategy's own answer will surface the error.
                     return (StrategyKind::Asp, None);
                 }
-                match crate::analyze::classify_rewritability(&self.topology, peer) {
-                    Ok(crate::analyze::RewriteVerdict::Rewritable) => {
+                match self.verdicts.get(peer) {
+                    Some(RewriteVerdict::Rewritable) => {
                         if rewriting::supports_query(query) {
                             (StrategyKind::Rewriting, None)
                         } else {
@@ -865,10 +876,10 @@ impl QueryEngine {
                             )
                         }
                     }
-                    Ok(crate::analyze::RewriteVerdict::NotRewritable { code, .. }) => {
-                        (StrategyKind::Asp, Some(code))
+                    Some(RewriteVerdict::NotRewritable { code, .. }) => {
+                        (StrategyKind::Asp, Some(*code))
                     }
-                    Err(_) => (StrategyKind::Asp, None),
+                    None => (StrategyKind::Asp, None),
                 }
             }
         }
@@ -1192,7 +1203,7 @@ impl QueryEngine {
     /// re-preparing. On any failure the entry is dropped and the next query
     /// re-grounds from scratch.
     fn repair_stale(&self, key: &Key) {
-        let Some(((spec, mut state), pending)) = self.cache.take_for_repair(key) else {
+        let Some((mut state, pending)) = self.cache.take_for_repair(key) else {
             return;
         };
         let recorder = self.recorder.as_ref();
@@ -1201,13 +1212,13 @@ impl QueryEngine {
         let (ground, regrounded_rules) = self.patch_grounding(&mut state, &pending);
         let ground_nanos = duration_nanos(patch_span.finish());
         let repaired = self.solve_worlds(
-            &spec,
+            (key.0, &key.1),
             ground,
             prepare_span,
             (ground_nanos, regrounded_rules),
         );
         self.cache
-            .finish_repair(key, repaired.map(|prepared| (prepared, (spec, state))));
+            .finish_repair(key, repaired.map(|prepared| (prepared, state)));
     }
 
     /// Patch a stale grounding with the deltas committed since it was
@@ -1432,15 +1443,12 @@ impl QueryEngine {
     /// The query seeds handed to [`datalog::ground_relevant`]: the query's
     /// relations mapped to their solution predicates, carrying the
     /// generalized constant bindings.
-    fn query_seeds(
-        &self,
-        query: &Formula,
-        solution_predicate: &dyn Fn(&str) -> String,
-    ) -> Vec<datalog::QuerySeed> {
+    fn query_seeds(&self, query: &Formula, spec: &TransitiveSpec) -> Vec<datalog::QuerySeed> {
         query_binding_patterns(query, &self.symbols)
             .into_iter()
             .map(|(relation, bindings)| {
-                datalog::QuerySeed::with_bindings(solution_predicate(&relation), bindings)
+                let predicate = spec.solution_predicate(&self.topology, &relation);
+                datalog::QuerySeed::with_bindings(predicate, bindings)
             })
             .collect()
     }
@@ -1481,26 +1489,24 @@ impl QueryEngine {
             Cached::Hit(prepared) => return Ok((prepared, true)),
             Cached::Miss(stamp) => stamp,
         };
-        // Build the specification rules, the relevance analysis and the
-        // canonical fingerprint outside any lock (this is cheap next to
-        // grounding and solving, which only run when the canonical artifact
-        // is cold or stale). The rules depend on the topology alone. The
-        // instances enter as facts; only the peer's relevant-peer closure
-        // (the stamp's peers) can influence its answers, so the slow path
-        // fetches exactly that closure's instances through the store — one
-        // batched fetch, never the whole system.
+        // Run the relevance analysis and derive the canonical fingerprint
+        // outside any lock (this is cheap next to grounding and solving,
+        // which only run when the canonical artifact is cold or stale). The
+        // rules depend on the topology alone and come from the engine's spec
+        // table. The instances enter as facts; only the peer's relevant-peer
+        // closure (the stamp's peers) can influence its answers, so the slow
+        // path fetches exactly that closure's instances through the store —
+        // one batched fetch, never the whole system.
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
         let instances = self.instances(&stamp.keys().cloned().collect())?;
-        let spec = Arc::new(SpecProgram::rules(&self.topology, peer, mechanism)?);
-        let seeds = self.query_seeds(query, &|relation| {
-            spec.solution_predicate(&self.topology, relation)
-        });
+        let spec = self.specs.get(&self.topology, mechanism, peer)?;
+        let seeds = self.query_seeds(query, &spec);
         // The facts' shapes are the non-empty relations: the analysis reads
         // no row.
         let relevance_span = Span::enter(recorder, "relevance");
         let analysis = datalog::RelevanceAnalysis::analyze_with_facts(
-            spec.program(),
+            &spec.program,
             encode::fact_shapes(instances.values()),
             &seeds,
         );
@@ -1531,7 +1537,7 @@ impl QueryEngine {
                 let text = encode::symbol_text(&self.symbols);
                 let kept = analysis.restrict_facts(&tables, &text);
                 let state = datalog::IncrementalGround::from_tables(
-                    &analysis.restrict(spec.program()),
+                    &analysis.restrict(&spec.program),
                     kept.iter().map(|table| &**table),
                     &text,
                 )
@@ -1543,13 +1549,13 @@ impl QueryEngine {
         };
         let ground_nanos = duration_nanos(ground_span.finish());
         let prepared = self.solve_worlds(
-            &spec,
+            (mechanism, peer),
             ground,
             prepare_span,
             (ground_nanos, regrounded_rules),
         )?;
         self.cache
-            .insert(key, stamp, Arc::clone(&prepared), Some((spec, state)));
+            .insert(key, stamp, Arc::clone(&prepared), Some(state));
         Ok((prepared, false))
     }
 
@@ -1558,10 +1564,11 @@ impl QueryEngine {
     /// preparation's `prepare` span. `ground_nanos` and `regrounded_rules`
     /// report the grounding (or patch) that built `ground`. Stable-model
     /// search fans out across the query executor's workers. Shared by the
-    /// reader's preparation and the commit-side repair.
+    /// reader's preparation and the commit-side repair, which reads the
+    /// spec `(mechanism, peer)` from the spec table.
     fn solve_worlds(
         &self,
-        spec: &SpecProgram,
+        (mechanism, peer): (Mechanism, &PeerId),
         ground: datalog::GroundProgram,
         prepare_span: Span<'_>,
         (ground_nanos, regrounded_rules): (u64, usize),
@@ -1579,6 +1586,7 @@ impl QueryEngine {
         // Decoding consults the topology (relation ownership), never
         // instance data: the worlds come from the solved program.
         let decode_span = Span::enter(recorder, "decode");
+        let spec = self.specs.get(&self.topology, mechanism, peer)?;
         let set = spec.columnar_worlds(&self.topology, &result, &self.symbols)?;
         decode_span.finish();
         Ok(Arc::new(PreparedWorlds {
@@ -1590,7 +1598,7 @@ impl QueryEngine {
             grounded_rules,
             grounded_atoms,
             regrounded_rules,
-            provenance: spec.provenance(&result),
+            provenance: asp_provenance(mechanism, &result),
         }))
     }
 
@@ -1695,93 +1703,63 @@ impl QueryEngine {
     }
 }
 
-/// The two ASP specification flavours behind one preparation pipeline
-/// (build → fingerprint → ground → solve → decode).
-#[derive(Clone)]
-pub(crate) enum SpecProgram {
-    Direct(crate::asp::AnnotatedSpec),
-    Transitive(crate::asp::TransitiveSpec),
-}
+/// The engine's ASP specifications, one per `(mechanism, peer)`, built on
+/// the first cold preparation that needs one. The rules depend on the
+/// topology alone, which never changes after build, so the table is never
+/// evicted or invalidated (flushing the memo cache keeps it) and is not
+/// charged to the cache's byte budget.
+#[derive(Default)]
+struct SpecTable(Mutex<BTreeMap<(Mechanism, PeerId), Arc<TransitiveSpec>>>);
 
-impl SpecProgram {
-    /// The engine's specification of `peer`: the rules only, with choice
-    /// atoms unfolded once, and an empty decoder. The rules depend on the
-    /// topology alone; the instances reach the grounder as fact tables of
-    /// store ids ([`encode::fact_tables`]) and the decode maps constants
-    /// through the store's symbol table, so the spec needs neither text
-    /// facts nor a decoder. Crate-private: such a spec is incomplete as a
-    /// public value.
-    fn rules(topology: &P2PSystem, peer: &PeerId, mechanism: Mechanism) -> Result<Self> {
-        let mut spec = if mechanism == Mechanism::Transitive {
-            SpecProgram::Transitive(crate::asp::transitive::transitive_spec(
-                topology,
-                peer,
-                datalog::Program::new(),
-            )?)
-        } else {
-            SpecProgram::Direct(crate::asp::annotated::annotated_spec(
-                topology,
-                peer,
-                datalog::Program::new(),
-            )?)
-        };
-        let program = match &mut spec {
-            SpecProgram::Direct(spec) => &mut spec.program,
-            SpecProgram::Transitive(spec) => &mut spec.program,
-        };
-        if program.has_choice() {
-            *program = datalog::choice::unfold_choices(program);
+impl SpecTable {
+    /// The specification of `peer` under `mechanism`: the composition over
+    /// the peer alone for direct ASP and over its trusted-DEC closure for
+    /// transitive ASP, rules only (the facts reach the grounder as tables of
+    /// store ids, [`encode::fact_tables`]), choice atoms unfolded. Built
+    /// under the lock, so racing cold preparations build it once; the only
+    /// write inserts a finished spec, so a poisoned lock is recovered.
+    fn get(
+        &self,
+        topology: &P2PSystem,
+        mechanism: Mechanism,
+        peer: &PeerId,
+    ) -> Result<Arc<TransitiveSpec>> {
+        let key = (mechanism, peer.clone());
+        let mut specs = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(spec) = specs.get(&key) {
+            return Ok(Arc::clone(spec));
         }
+        let members = if mechanism == Mechanism::Transitive {
+            trusted_closure(topology, peer)
+        } else {
+            BTreeSet::from([peer.clone()])
+        };
+        let mut spec = transitive_spec(topology, peer, &members, datalog::Program::new())?;
+        if spec.program.has_choice() {
+            spec.program = datalog::choice::unfold_choices(&spec.program);
+        }
+        let spec = Arc::new(spec);
+        specs.insert(key, Arc::clone(&spec));
         Ok(spec)
     }
+}
 
-    fn program(&self) -> &datalog::Program {
-        match self {
-            SpecProgram::Direct(spec) => &spec.program,
-            SpecProgram::Transitive(spec) => &spec.program,
+/// The evidence of a solved ASP slice, named after its mechanism;
+/// `answer_set_count` counts models before world deduplication.
+fn asp_provenance(mechanism: Mechanism, result: &SolveResult) -> Provenance {
+    let answer_set_count = result.answer_sets.len();
+    let (branch_nodes, used_shift) = (result.branch_nodes, result.used_shift);
+    if mechanism == Mechanism::Transitive {
+        Provenance::TransitiveAsp {
+            answer_set_count,
+            branch_nodes,
+            used_shift,
         }
-    }
-
-    fn solution_predicate(&self, system: &P2PSystem, relation: &str) -> String {
-        match self {
-            SpecProgram::Direct(spec) => spec.solution_predicate(relation),
-            SpecProgram::Transitive(spec) => spec.solution_predicate(system, relation),
-        }
-    }
-
-    /// The id-native decode of a solved slice (the specs'
-    /// `columnar_worlds`).
-    fn columnar_worlds(
-        &self,
-        system: &P2PSystem,
-        result: &SolveResult,
-        symbols: &Arc<relalg::SymbolTable>,
-    ) -> Result<WorldSet> {
-        match self {
-            SpecProgram::Direct(spec) => spec.columnar_worlds(result, symbols),
-            SpecProgram::Transitive(spec) => spec.columnar_worlds(system, result, symbols),
-        }
-    }
-
-    /// Provenance from the solver's counts; `answer_set_count` counts
-    /// models before world deduplication.
-    fn provenance(&self, result: &SolveResult) -> Provenance {
-        let (answer_set_count, branch_nodes, used_shift) = (
-            result.answer_sets.len(),
-            result.branch_nodes,
-            result.used_shift,
-        );
-        match self {
-            SpecProgram::Direct(_) => Provenance::Asp {
-                answer_set_count,
-                branch_nodes,
-                used_shift,
-            },
-            SpecProgram::Transitive(_) => Provenance::TransitiveAsp {
-                answer_set_count,
-                branch_nodes,
-                used_shift,
-            },
+    } else {
+        Provenance::Asp {
+            answer_set_count,
+            branch_nodes,
+            used_shift,
         }
     }
 }
@@ -2836,5 +2814,87 @@ mod tests {
         assert!(!engine
             .cache
             .wait_for_patch(&(Mechanism::Asp, p1, String::new())));
+    }
+
+    /// The spec table's entry for `(mechanism, peer)`, if one was built.
+    fn table_spec(
+        engine: &QueryEngine,
+        mechanism: Mechanism,
+        peer: &PeerId,
+    ) -> Option<Arc<TransitiveSpec>> {
+        let specs = engine.specs.0.lock().unwrap();
+        specs.get(&(mechanism, peer.clone())).cloned()
+    }
+
+    #[test]
+    fn one_spec_per_mechanism_and_peer_outlives_flushes_and_repairs() {
+        use relalg::database::GroundAtom;
+        use relalg::Delta;
+        let engine = example1_engine(Strategy::Asp);
+        let (p1, p2) = (PeerId::new("P1"), PeerId::new("P2"));
+        let (query, fv) = r1_query();
+        let _ = engine.answer(&p1, &query, &fv).unwrap();
+        let spec =
+            table_spec(&engine, Mechanism::Asp, &p1).expect("a cold prepare builds the spec");
+        // A flush drops the prepared worlds, not the spec: the next cold
+        // prepare reads the same one.
+        assert_eq!(engine.flush_cache(), 1);
+        let cold = engine.answer(&p1, &query, &fv).unwrap();
+        assert!(!cold.stats.cache_hit);
+        assert!(Arc::ptr_eq(
+            &spec,
+            &table_spec(&engine, Mechanism::Asp, &p1).unwrap()
+        ));
+        // A commit that stales the slice is repaired from the same spec.
+        let delta = Delta::from_changes([GroundAtom::new("R2", Tuple::strs(["x", "y"]))], []);
+        engine.commit_delta(&p2, &delta).unwrap();
+        assert_eq!(engine.metrics().patched, 1);
+        assert!(engine.answer(&p1, &query, &fv).unwrap().stats.cache_hit);
+        assert!(Arc::ptr_eq(
+            &spec,
+            &table_spec(&engine, Mechanism::Asp, &p1).unwrap()
+        ));
+        // The other flavour on the same peer gets its own entry.
+        let transitive = engine
+            .answer_with(Strategy::TransitiveAsp, &p1, &query, &fv)
+            .unwrap();
+        assert!(matches!(
+            transitive.provenance,
+            Provenance::TransitiveAsp { .. }
+        ));
+        let composed = table_spec(&engine, Mechanism::Transitive, &p1).unwrap();
+        assert!(!Arc::ptr_eq(&spec, &composed));
+        assert_eq!(
+            spec.specs.len(),
+            1,
+            "the direct spec is cut at the queried peer"
+        );
+        assert!(composed.specs.len() > 1, "P1 trusts P2 and P3");
+        assert_eq!(engine.specs.0.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn racing_cold_prepares_build_one_spec() {
+        let engine = example1_engine(Strategy::Asp);
+        let p1 = PeerId::new("P1");
+        let (query, fv) = r1_query();
+        let start = std::sync::Barrier::new(4);
+        let specs: Vec<Arc<TransitiveSpec>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let _ = engine.answer(&p1, &query, &fv).unwrap();
+                        table_spec(&engine, Mechanism::Asp, &p1).unwrap()
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|racer| racer.join().unwrap())
+                .collect()
+        });
+        assert_eq!(engine.specs.0.lock().unwrap().len(), 1);
+        assert!(specs.iter().all(|spec| Arc::ptr_eq(spec, &specs[0])));
     }
 }
