@@ -27,7 +27,7 @@
 //! themselves live in `pdes-core` so the engine can consume the same
 //! classification without a dependency cycle.
 
-use crate::asp::annotated_program;
+use crate::asp::annotated::annotated_spec;
 use crate::error::CoreError;
 use crate::rewriting;
 use crate::system::{P2PSystem, PeerId, TrustLevel};
@@ -739,12 +739,14 @@ impl P2PSystem {
         }
         let schema_errors = report.error_count();
 
-        // Pass 2: per-peer specification programs. Generation failures are
+        // Pass 2: per-peer specification rules. Instance facts are left
+        // out: they are positive ground atoms, so they add no edge to the
+        // predicate graph and no classical clash. Generation failures are
         // only reported when pass 1 was clean — otherwise they are a
         // consequence of the schema errors already on record.
         for peer in self.peers() {
             let location = Location::Peer(peer.id.clone());
-            match annotated_program(self, &peer.id) {
+            match annotated_spec(self, &peer.id, datalog::Program::new()) {
                 Ok(spec) => report.extend(check_program(&location, &spec.program)),
                 Err(e) if schema_errors == 0 => report.push(Diagnostic {
                     code: codes::SPEC_GENERATION,

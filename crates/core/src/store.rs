@@ -1,28 +1,24 @@
 //! Peer-state access behind a transport-shaped API: the [`PeerStore`] trait.
 //!
-//! The paper's model is a network of *autonomous* peers, but historically the
-//! whole reproduction poked at one in-process [`P2PSystem`] through direct
-//! struct access. `PeerStore` is the redesigned boundary: the engine, the
-//! session layer and the tooling reach peer state only through this trait, so
-//! an in-process system and a sharded multi-worker runtime (the `pdes-store`
-//! crate's `ShardedStore`) are interchangeable behind one API.
-//!
-//! The trait splits peer state along the replication boundary of a
-//! distributed deployment:
+//! The paper's model is a network of *autonomous* peers. `PeerStore` is the
+//! boundary through which the engine, the session layer and the tooling
+//! reach peer state, so an in-process system and a sharded multi-worker
+//! runtime (the `pdes-store` crate's `ShardedStore`) are interchangeable
+//! behind one API. It has one read path and one write path:
 //!
 //! * **Topology** — peers, schemas, DECs, the trust relation and local ICs —
-//!   is cheap, slow-changing metadata that every node replicates. It is
-//!   served locally by [`PeerStore::topology`] (a topology-only
-//!   [`P2PSystem`], instances empty), and every closure/ownership/trust
-//!   question is answered from that replica without a round-trip.
-//! * **Instances** — the per-peer data — live with their owning store (or
-//!   shard) and are fetched explicitly: [`PeerStore::instance_of`] /
-//!   [`PeerStore::instances`] for reads, [`PeerStore::snapshot`] for a full
-//!   materialization, [`PeerStore::apply_delta`] (and the
-//!   [`PeerStore::insert`] / [`PeerStore::delete`] conveniences) for writes.
+//!   is cheap, slow-changing metadata served locally by
+//!   [`PeerStore::topology`] (a topology-only [`P2PSystem`], instances
+//!   empty). Every closure/ownership/trust question is answered from it.
+//! * **Reads** pin an epoch with [`PeerStore::pin`] and go through the
+//!   returned [`Snapshot`]'s methods ([`Snapshot::instance_of`],
+//!   [`Snapshot::instances`], [`Snapshot::system`],
+//!   [`Snapshot::versions`]).
+//! * **Writes** commit one peer's [`Delta`] with
+//!   [`PeerStore::apply_delta`]; a single-tuple write is a one-atom delta.
 //!
 //! Writes return *version stamps*: every peer carries a monotonically
-//! increasing `u64` bumped by each effective mutation, and the store is the
+//! increasing `u64` bumped by each committed delta, and the store is the
 //! single authority for it. Cache layers (the engine's memo cache) key their
 //! artifacts by these stamps instead of maintaining private counters.
 //!
@@ -41,12 +37,12 @@
 use crate::error::CoreError;
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
-use relalg::{Database, Delta, SymbolTable, Tuple};
+use relalg::{Database, Delta, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-/// Per-peer version stamps, as returned by [`PeerStore::versions`].
+/// Per-peer version stamps, as returned by [`Snapshot::versions`].
 pub type VersionMap = BTreeMap<PeerId, u64>;
 
 /// MVCC observability counters of a store: how many snapshots were pinned,
@@ -152,6 +148,15 @@ impl Snapshot {
             .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))
     }
 
+    /// The instances of `peers` as of this epoch (page-shared copies, like
+    /// [`Snapshot::instance_of`]). Unknown peers error.
+    pub fn instances(&self, peers: &BTreeSet<PeerId>) -> Result<BTreeMap<PeerId, Database>> {
+        peers
+            .iter()
+            .map(|p| Ok((p.clone(), self.instance_of(p)?)))
+            .collect()
+    }
+
     /// The symbol table shared with the originating store (see
     /// [`PeerStore::symbols`]).
     pub fn symbols(&self) -> Arc<SymbolTable> {
@@ -174,14 +179,6 @@ impl PeerStore for Snapshot {
         Snapshot::topology(self)
     }
 
-    fn instance_of(&self, peer: &PeerId) -> Result<Database> {
-        Snapshot::instance_of(self, peer)
-    }
-
-    fn snapshot(&self) -> Result<P2PSystem> {
-        self.system()
-    }
-
     fn pin(&self) -> Result<Snapshot> {
         Ok(self.clone())
     }
@@ -190,26 +187,6 @@ impl PeerStore for Snapshot {
         Err(CoreError::Unsupported(
             "a pinned snapshot is immutable; commit through the live store".into(),
         ))
-    }
-
-    fn insert(&self, _peer: &PeerId, _relation: &str, _tuple: Tuple) -> Result<u64> {
-        Err(CoreError::Unsupported(
-            "a pinned snapshot is immutable; commit through the live store".into(),
-        ))
-    }
-
-    fn delete(&self, _peer: &PeerId, _relation: &str, _tuple: &Tuple) -> Result<bool> {
-        Err(CoreError::Unsupported(
-            "a pinned snapshot is immutable; commit through the live store".into(),
-        ))
-    }
-
-    fn version_of(&self, peer: &PeerId) -> Result<u64> {
-        Snapshot::version_of(self, peer)
-    }
-
-    fn versions(&self) -> Result<VersionMap> {
-        Ok(self.state.versions.clone())
     }
 
     fn symbols(&self) -> Arc<SymbolTable> {
@@ -248,14 +225,14 @@ fn intern_delta(symbols: &SymbolTable, delta: &Delta) {
     }
 }
 
-/// The single way engine, session and tooling reach peer state.
+/// The single way engine, session and tooling reach peer state: reads
+/// through [`PeerStore::pin`], writes through [`PeerStore::apply_delta`].
 ///
 /// [`InProcessStore`] is the canonical single-process implementation;
 /// `pdes-store`'s `ShardedStore` serves the same API over an in-process
 /// loopback transport with peers partitioned across worker shards. Apart
 /// from latency and the transport-failure error surface
-/// ([`CoreError::Transport`]),
-/// implementations must be observationally
+/// ([`CoreError::Transport`]), implementations must be observationally
 /// equivalent: same answers, same version stamps for the same mutation
 /// sequence.
 pub trait PeerStore: Send + Sync {
@@ -266,54 +243,6 @@ pub trait PeerStore: Send + Sync {
     /// and analysis.
     fn topology(&self) -> &P2PSystem;
 
-    /// Fetch one peer's current instance.
-    fn instance_of(&self, peer: &PeerId) -> Result<Database>;
-
-    /// Fetch the instances of a set of peers. The default implementation
-    /// loops over [`PeerStore::instance_of`]; transports override it to
-    /// batch per destination.
-    fn instances(&self, peers: &BTreeSet<PeerId>) -> Result<BTreeMap<PeerId, Database>> {
-        peers
-            .iter()
-            .map(|p| Ok((p.clone(), self.instance_of(p)?)))
-            .collect()
-    }
-
-    /// Materialize the full system: the topology replica with every peer's
-    /// current instance installed. This is the expensive "fetch everything"
-    /// read — cold naive preparations and oracle comparisons use it; the
-    /// engine's warm paths never do.
-    fn snapshot(&self) -> Result<P2PSystem> {
-        let mut system = self.topology().clone();
-        let all: BTreeSet<PeerId> = system.peer_ids().cloned().collect();
-        for (peer, instance) in self.instances(&all)? {
-            system.set_instance(&peer, instance)?;
-        }
-        Ok(system)
-    }
-
-    /// Apply a validated update delta to one peer's instance and bump its
-    /// version. Validation happens before any change
-    /// ([`P2PSystem::apply_delta`]); a failed call leaves the store
-    /// untouched. Returns the peer's new version stamp.
-    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64>;
-
-    /// Insert one tuple into a peer's relation, bumping the peer's version.
-    /// Returns the new version stamp.
-    fn insert(&self, peer: &PeerId, relation: &str, tuple: Tuple) -> Result<u64>;
-
-    /// Remove one tuple from a peer's relation. Returns whether the tuple
-    /// was present; the peer's version is bumped only when it was (a no-op
-    /// delete leaves every cache stamp valid). Takes the tuple by reference
-    /// — the unified mutation signature shared with [`P2PSystem::delete`].
-    fn delete(&self, peer: &PeerId, relation: &str, tuple: &Tuple) -> Result<bool>;
-
-    /// The current version stamp of one peer (0 until its first mutation).
-    fn version_of(&self, peer: &PeerId) -> Result<u64>;
-
-    /// The current version stamps of every peer.
-    fn versions(&self) -> Result<VersionMap>;
-
     /// Pin the current epoch: an immutable [`Snapshot`] whose reads are
     /// lock-free, stable under concurrent commits, and consistent across
     /// peers (no torn multi-peer reads). Pinning must be cheap — a handle on
@@ -323,7 +252,8 @@ pub trait PeerStore: Send + Sync {
     /// ```
     /// use pdes_core::store::{InProcessStore, PeerStore};
     /// use pdes_core::system::{example1_system, PeerId};
-    /// use relalg::Tuple;
+    /// use relalg::database::GroundAtom;
+    /// use relalg::{Delta, Tuple};
     ///
     /// let store = InProcessStore::new(example1_system());
     /// let p1 = PeerId::new("P1");
@@ -331,14 +261,21 @@ pub trait PeerStore: Send + Sync {
     /// let before = snapshot.instance_of(&p1).unwrap();
     ///
     /// // Commits after the pin do not disturb the snapshot's reads.
-    /// store.insert(&p1, "R1", Tuple::strs(["new", "row"])).unwrap();
+    /// let insert = Delta::from_changes([GroundAtom::new("R1", Tuple::strs(["new", "row"]))], []);
+    /// store.apply_delta(&p1, &insert).unwrap();
     /// assert_eq!(snapshot.instance_of(&p1).unwrap(), before);
     /// assert_ne!(store.pin().unwrap().instance_of(&p1).unwrap(), before);
     /// ```
     fn pin(&self) -> Result<Snapshot>;
 
-    /// MVCC observability counters. The default reports zeros for stores
-    /// that predate epoch publication.
+    /// Apply a validated update delta to one peer's instance and bump its
+    /// version. Validation happens before any change
+    /// ([`P2PSystem::validate_delta`]); a failed call leaves the store
+    /// untouched. Returns the peer's new version stamp.
+    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64>;
+
+    /// MVCC observability counters. Defaults to zeros, which is what a
+    /// store that counts nothing (a [`Snapshot`]) reports.
     fn mvcc_stats(&self) -> MvccStats {
         MvccStats::default()
     }
@@ -348,9 +285,6 @@ pub trait PeerStore: Send + Sync {
     /// (append-only) by every committed insertion. Snapshots pinned from the
     /// store share the same table, so symbol ids are stable across epochs
     /// and cached columnar artifacts never need re-interning.
-    ///
-    /// *Added in the interned data plane redesign (0.x breaking change for
-    /// `PeerStore` implementors — see the README migration guide).*
     fn symbols(&self) -> Arc<SymbolTable>;
 }
 
@@ -454,17 +388,6 @@ impl InProcessStore {
         drop(slot);
         self.counters.count_publish(cow_pages);
     }
-
-    /// Begin the successor of the current epoch: shallow-clone the instance
-    /// map (per-peer `Arc` bumps) and the version map.
-    fn successor(&self) -> (Arc<EpochState>, BTreeMap<PeerId, Arc<Database>>, VersionMap) {
-        let base = self.current();
-        (
-            Arc::clone(&base),
-            base.instances.clone(),
-            base.versions.clone(),
-        )
-    }
 }
 
 impl From<P2PSystem> for InProcessStore {
@@ -473,153 +396,9 @@ impl From<P2PSystem> for InProcessStore {
     }
 }
 
-/// Bump and return a peer's version counter.
-fn bump(versions: &mut VersionMap, peer: &PeerId) -> u64 {
-    let v = versions.entry(peer.clone()).or_insert(0);
-    *v += 1;
-    *v
-}
-
 impl PeerStore for InProcessStore {
     fn topology(&self) -> &P2PSystem {
         &self.topology
-    }
-
-    fn instance_of(&self, peer: &PeerId) -> Result<Database> {
-        let state = self.current();
-        state
-            .instances
-            .get(peer)
-            .map(|db| db.as_ref().clone())
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))
-    }
-
-    fn instances(&self, peers: &BTreeSet<PeerId>) -> Result<BTreeMap<PeerId, Database>> {
-        let state = self.current();
-        peers
-            .iter()
-            .map(|p| {
-                state
-                    .instances
-                    .get(p)
-                    .map(|db| (p.clone(), db.as_ref().clone()))
-                    .ok_or_else(|| CoreError::UnknownPeer(p.to_string()))
-            })
-            .collect()
-    }
-
-    fn snapshot(&self) -> Result<P2PSystem> {
-        Snapshot {
-            topology: Arc::clone(&self.topology),
-            state: self.current(),
-            symbols: Arc::clone(&self.symbols),
-        }
-        .system()
-    }
-
-    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64> {
-        let _writer = self.writer();
-        self.topology.validate_delta(peer, delta)?;
-        let (base, mut instances, mut versions) = self.successor();
-        let slot = instances
-            .get_mut(peer)
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))?;
-        let mut instance = slot.as_ref().clone();
-        let cow = instance.apply_changes_cow(delta.insertions.iter(), delta.deletions.iter())?;
-        *slot = Arc::new(instance);
-        intern_delta(&self.symbols, delta);
-        let version = bump(&mut versions, peer);
-        self.publish(
-            EpochState {
-                epoch: base.epoch + 1,
-                instances,
-                versions,
-            },
-            cow as u64,
-        );
-        Ok(version)
-    }
-
-    fn insert(&self, peer: &PeerId, relation: &str, tuple: Tuple) -> Result<u64> {
-        let _writer = self.writer();
-        // Same validation as `P2PSystem::insert`: the peer must declare the
-        // relation (relation-level arity errors surface from the page).
-        let p = self.topology.peer(peer)?;
-        if !p.schema.contains(relation) {
-            return Err(CoreError::UnknownRelation {
-                peer: peer.to_string(),
-                relation: relation.to_string(),
-            });
-        }
-        let (base, mut instances, mut versions) = self.successor();
-        let slot = instances
-            .get_mut(peer)
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))?;
-        let mut instance = slot.as_ref().clone();
-        let before = instance.shared_page_count();
-        let interned = tuple.clone();
-        instance.insert(relation, tuple)?;
-        // Intern only after a successful insert, so failed mutations leave
-        // the table exactly as they found it.
-        for value in interned.iter() {
-            self.symbols.intern(value);
-        }
-        let cow = before.saturating_sub(instance.shared_page_count());
-        *slot = Arc::new(instance);
-        let version = bump(&mut versions, peer);
-        self.publish(
-            EpochState {
-                epoch: base.epoch + 1,
-                instances,
-                versions,
-            },
-            cow as u64,
-        );
-        Ok(version)
-    }
-
-    fn delete(&self, peer: &PeerId, relation: &str, tuple: &Tuple) -> Result<bool> {
-        let _writer = self.writer();
-        let p = self.topology.peer(peer)?;
-        if !p.schema.contains(relation) {
-            return Err(CoreError::UnknownRelation {
-                peer: peer.to_string(),
-                relation: relation.to_string(),
-            });
-        }
-        let (base, mut instances, mut versions) = self.successor();
-        let slot = instances
-            .get_mut(peer)
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))?;
-        let mut instance = slot.as_ref().clone();
-        let before = instance.shared_page_count();
-        let present = instance.remove(relation, tuple)?;
-        if !present {
-            // No effective change: no version bump, no epoch.
-            return Ok(false);
-        }
-        let cow = before.saturating_sub(instance.shared_page_count());
-        *slot = Arc::new(instance);
-        bump(&mut versions, peer);
-        self.publish(
-            EpochState {
-                epoch: base.epoch + 1,
-                instances,
-                versions,
-            },
-            cow as u64,
-        );
-        Ok(true)
-    }
-
-    fn version_of(&self, peer: &PeerId) -> Result<u64> {
-        // An unknown peer is an error, not version 0.
-        let _ = self.topology.peer(peer)?;
-        Ok(self.current().versions.get(peer).copied().unwrap_or(0))
-    }
-
-    fn versions(&self) -> Result<VersionMap> {
-        Ok(self.current().versions.clone())
     }
 
     fn pin(&self) -> Result<Snapshot> {
@@ -629,6 +408,35 @@ impl PeerStore for InProcessStore {
             state: self.current(),
             symbols: Arc::clone(&self.symbols),
         })
+    }
+
+    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64> {
+        let _writer = self.writer();
+        self.topology.validate_delta(peer, delta)?;
+        // The successor epoch starts as a shallow clone of the current one
+        // (per-peer `Arc` bumps); only the touched pages are copied.
+        let base = self.current();
+        let mut instances = base.instances.clone();
+        let slot = instances
+            .get_mut(peer)
+            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))?;
+        let mut instance = slot.as_ref().clone();
+        let cow = instance.apply_changes_cow(delta.insertions.iter(), delta.deletions.iter())?;
+        *slot = Arc::new(instance);
+        intern_delta(&self.symbols, delta);
+        let mut versions = base.versions.clone();
+        let version = versions.entry(peer.clone()).or_insert(0);
+        *version += 1;
+        let version = *version;
+        self.publish(
+            EpochState {
+                epoch: base.epoch + 1,
+                instances,
+                versions,
+            },
+            cow as u64,
+        );
+        Ok(version)
     }
 
     fn mvcc_stats(&self) -> MvccStats {
@@ -645,6 +453,15 @@ mod tests {
     use super::*;
     use crate::system::example1_system;
     use relalg::database::GroundAtom;
+    use relalg::Tuple;
+
+    fn insert(relation: &str, tuple: [&str; 2]) -> Delta {
+        Delta::from_changes([GroundAtom::new(relation, Tuple::strs(tuple))], [])
+    }
+
+    fn delete(relation: &str, tuple: [&str; 2]) -> Delta {
+        Delta::from_changes([], [GroundAtom::new(relation, Tuple::strs(tuple))])
+    }
 
     #[test]
     fn topology_is_instance_free_but_schema_complete() {
@@ -660,53 +477,58 @@ mod tests {
                 assert!(peer.instance.contains_relation(name));
             }
         }
-        // The authoritative data is still served through the store.
+        // The authoritative data is still served through a pin.
         let p1 = PeerId::new("P1");
-        assert_eq!(store.instance_of(&p1).unwrap().tuple_count(), 2);
+        let pinned = store.pin().unwrap();
+        assert_eq!(pinned.instance_of(&p1).unwrap().tuple_count(), 2);
     }
 
     #[test]
-    fn snapshot_round_trips_the_system() {
+    fn pinned_system_round_trips() {
         let system = example1_system();
         let store = InProcessStore::new(system.clone());
-        assert_eq!(store.snapshot().unwrap(), system);
-        // The default (trait-level) snapshot agrees with the override.
+        let pinned = store.pin().unwrap();
+        assert_eq!(pinned.system().unwrap(), system);
+        // Assembling the topology with the pinned instances agrees.
         let mut assembled = store.topology().clone();
         let all: BTreeSet<PeerId> = assembled.peer_ids().cloned().collect();
-        for (peer, instance) in store.instances(&all).unwrap() {
+        for (peer, instance) in pinned.instances(&all).unwrap() {
             assembled.set_instance(&peer, instance).unwrap();
         }
         assert_eq!(assembled, system);
     }
 
     #[test]
-    fn mutations_stamp_versions() {
+    fn commits_stamp_versions() {
         let store = InProcessStore::new(example1_system());
         let p1 = PeerId::new("P1");
         let p2 = PeerId::new("P2");
-        assert_eq!(store.version_of(&p1).unwrap(), 0);
-        let v = store
-            .insert(&p1, "R1", Tuple::strs(["fresh", "row"]))
-            .unwrap();
-        assert_eq!(v, 1);
-        let delta = Delta::from_changes([GroundAtom::new("R1", Tuple::strs(["x", "y"]))], []);
-        assert_eq!(store.apply_delta(&p1, &delta).unwrap(), 2);
-        // Effective deletes bump; no-op deletes do not.
-        assert!(store.delete(&p1, "R1", &Tuple::strs(["x", "y"])).unwrap());
-        assert_eq!(store.version_of(&p1).unwrap(), 3);
-        assert!(!store.delete(&p1, "R1", &Tuple::strs(["x", "y"])).unwrap());
-        assert_eq!(store.version_of(&p1).unwrap(), 3);
+        assert_eq!(store.pin().unwrap().version_of(&p1).unwrap(), 0);
+        assert_eq!(
+            store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap(),
+            1
+        );
+        assert_eq!(
+            store.apply_delta(&p1, &delete("R1", ["x", "y"])).unwrap(),
+            2
+        );
+        let pinned = store.pin().unwrap();
+        assert!(!pinned
+            .instance_of(&p1)
+            .unwrap()
+            .holds("R1", &Tuple::strs(["x", "y"])));
+        assert_eq!(pinned.version_of(&p1).unwrap(), 2);
         // Other peers are untouched.
-        assert_eq!(store.version_of(&p2).unwrap(), 0);
-        let versions = store.versions().unwrap();
-        assert_eq!(versions[&p1], 3);
-        assert_eq!(versions[&p2], 0);
+        assert_eq!(pinned.version_of(&p2).unwrap(), 0);
+        assert_eq!(pinned.versions()[&p1], 2);
+        assert_eq!(pinned.versions()[&p2], 0);
     }
 
     #[test]
     fn pinned_snapshots_are_stable_under_commits() {
         let store = InProcessStore::new(example1_system());
         let p1 = PeerId::new("P1");
+        let fresh = Tuple::strs(["fresh", "row"]);
         let snap = store.pin().unwrap();
         assert_eq!(snap.epoch(), 0);
         assert_eq!(snap.version_of(&p1).unwrap(), 0);
@@ -714,23 +536,17 @@ mod tests {
 
         // Mutate the live store: the pinned epoch must not move.
         store
-            .insert(&p1, "R1", Tuple::strs(["fresh", "row"]))
+            .apply_delta(&p1, &insert("R1", ["fresh", "row"]))
             .unwrap();
         assert_eq!(snap.version_of(&p1).unwrap(), 0);
         assert_eq!(snap.instance_of(&p1).unwrap(), before);
-        assert!(!snap
-            .instance_of(&p1)
-            .unwrap()
-            .holds("R1", &Tuple::strs(["fresh", "row"])));
+        assert!(!snap.instance_of(&p1).unwrap().holds("R1", &fresh));
 
         // A fresh pin observes the commit, on a later epoch.
         let after = store.pin().unwrap();
         assert_eq!(after.epoch(), 1);
         assert_eq!(after.version_of(&p1).unwrap(), 1);
-        assert!(after
-            .instance_of(&p1)
-            .unwrap()
-            .holds("R1", &Tuple::strs(["fresh", "row"])));
+        assert!(after.instance_of(&p1).unwrap().holds("R1", &fresh));
 
         // The pinned epoch materializes the pre-commit system exactly.
         assert_eq!(snap.system().unwrap(), example1_system());
@@ -741,15 +557,16 @@ mod tests {
         let store = InProcessStore::new(example1_system());
         let snap = store.pin().unwrap();
         let p1 = PeerId::new("P1");
-        // Reads work through the PeerStore surface…
-        assert_eq!(PeerStore::version_of(&snap, &p1).unwrap(), 0);
-        assert_eq!(PeerStore::snapshot(&snap).unwrap(), example1_system());
-        assert_eq!(snap.pin().unwrap().epoch(), snap.epoch());
-        // …and every mutation is refused.
-        assert!(snap.insert(&p1, "R1", Tuple::strs(["x", "y"])).is_err());
-        assert!(snap.delete(&p1, "R1", &Tuple::strs(["a", "b"])).is_err());
-        let delta = Delta::from_changes([GroundAtom::new("R1", Tuple::strs(["x", "y"]))], []);
-        assert!(PeerStore::apply_delta(&snap, &p1, &delta).is_err());
+        // Pinning a snapshot pins its own epoch…
+        let repinned = PeerStore::pin(&snap).unwrap();
+        assert_eq!(repinned.epoch(), snap.epoch());
+        assert_eq!(repinned.system().unwrap(), example1_system());
+        // …and every commit is refused.
+        let delta = insert("R1", ["x", "y"]);
+        assert!(matches!(
+            PeerStore::apply_delta(&snap, &p1, &delta),
+            Err(CoreError::Unsupported(_))
+        ));
     }
 
     #[test]
@@ -758,15 +575,14 @@ mod tests {
         let p1 = PeerId::new("P1");
         assert_eq!(store.mvcc_stats(), MvccStats::default());
         let _pin = store.pin().unwrap();
-        let delta = Delta::from_changes([GroundAtom::new("R1", Tuple::strs(["x", "y"]))], []);
-        store.apply_delta(&p1, &delta).unwrap();
+        store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap();
         let stats = store.mvcc_stats();
         assert_eq!(stats.pins, 1);
         assert_eq!(stats.publishes, 1);
         // R1's page was shared with epoch 0 (held by `_pin`): one copy.
         assert_eq!(stats.cow_pages, 1);
-        // A no-op delete publishes nothing.
-        assert!(!store.delete(&p1, "R1", &Tuple::strs(["zz", "zz"])).unwrap());
+        // A refused delta publishes nothing.
+        assert!(store.apply_delta(&p1, &insert("Nope", ["x", "y"])).is_err());
         assert_eq!(store.mvcc_stats().publishes, 1);
         assert_eq!(store.pin().unwrap().epoch(), 1);
     }
@@ -775,14 +591,25 @@ mod tests {
     fn failed_mutations_leave_state_and_versions_alone() {
         let store = InProcessStore::new(example1_system());
         let p1 = PeerId::new("P1");
-        // Foreign relation: validated before any change.
-        let bad = Delta::from_changes([GroundAtom::new("R2", Tuple::strs(["a", "b"]))], []);
-        assert!(store.apply_delta(&p1, &bad).is_err());
-        assert_eq!(store.version_of(&p1).unwrap(), 0);
-        assert!(store.insert(&p1, "Nope", Tuple::strs(["v"])).is_err());
-        assert!(store.delete(&p1, "Nope", &Tuple::strs(["v"])).is_err());
-        assert_eq!(store.version_of(&p1).unwrap(), 0);
-        assert!(store.version_of(&PeerId::new("ZZ")).is_err());
-        assert!(store.instance_of(&PeerId::new("ZZ")).is_err());
+        let ghost = PeerId::new("ZZ");
+        // Foreign relation, unknown relation, wrong arity: all validated
+        // before any change.
+        let wrong_arity = Delta::from_changes([GroundAtom::new("R1", Tuple::strs(["v"]))], []);
+        for bad in [
+            insert("R2", ["a", "b"]),
+            delete("Nope", ["a", "b"]),
+            wrong_arity,
+        ] {
+            assert!(store.apply_delta(&p1, &bad).is_err());
+        }
+        assert!(matches!(
+            store.apply_delta(&ghost, &insert("R1", ["a", "b"])),
+            Err(CoreError::UnknownPeer(_))
+        ));
+        let pinned = store.pin().unwrap();
+        assert_eq!(pinned.epoch(), 0);
+        assert_eq!(pinned.system().unwrap(), example1_system());
+        assert!(pinned.version_of(&ghost).is_err());
+        assert!(pinned.instance_of(&ghost).is_err());
     }
 }

@@ -546,8 +546,7 @@ impl Tx<'_> {
     ///
     /// Takes the tuple by reference — deletion identifies an existing tuple
     /// rather than contributing a new one, the same signature as
-    /// [`pdes_core::PeerStore::delete`] and `P2PSystem::delete` (the three
-    /// historically disagreed).
+    /// `P2PSystem::delete`.
     pub fn delete(&mut self, peer: &PeerId, relation: &str, tuple: &Tuple) -> Result<&mut Self> {
         let atom = self.checked_atom(peer, relation, tuple.clone())?;
         let delta = self.staged.entry(peer.clone()).or_default();

@@ -6,40 +6,32 @@
 //! engine, the session layer and the tooling reach peer state.
 //!
 //! * [`InProcessStore`] (re-exported) — the canonical single-process
-//!   implementation: one authoritative `P2PSystem` behind a lock.
+//!   implementation: one epoch-publishing MVCC store.
 //! * [`ShardedStore`] — peers partitioned across N worker shards by
-//!   *closure-connected components*, served over an in-process loopback
-//!   transport ([`transport`]). Peers that never share a relevant-peer
-//!   closure never share a shard queue, so closure-disjoint reads and
-//!   commits execute on their owning shards concurrently; a query whose
-//!   closure spans shards fans out and reassembles deterministically.
+//!   *closure-connected components*, each worker owning its peers'
+//!   instances behind an in-process loopback transport ([`transport`]).
+//!   Commits serialize on one coordinator lock: the owning shard applies
+//!   the delta, then the coordinator replays it on an [`InProcessStore`]
+//!   epoch mirror. Every read pins an epoch of that mirror, so no read
+//!   crosses the transport.
 //!
 //! ## Partitioning
 //!
 //! Two peers belong to the same *closure-connected component* when a chain
 //! of DECs links them (direction ignored — the same union-find construction
 //! the engine's `answer_batch` uses to split independent queries). A
-//! component is the unit of placement: splitting one across shards would
-//! turn every query over it into a fan-out. Components are assigned
-//! round-robin, in order of their lexicographically smallest peer, so the
-//! assignment is deterministic and reproducible.
-//!
-//! ## Determinism
-//!
-//! Shard worker threads process their queues in order; the coordinator
-//! collects fan-out replies in shard-index order through
-//! [`pdes_exec::Executor::try_map_indexed`], so answers and version stamps
-//! are byte-identical across [`pdes_exec::ExecConfig`] pool sizes — the
-//! same contract the engine makes for parallel query answering.
+//! component is the unit of placement, so a commit only ever reaches the
+//! one shard owning its peer. Components are assigned round-robin, in order
+//! of their lexicographically smallest peer, so the assignment is
+//! deterministic and reproducible.
 //!
 //! ## Observability
 //!
 //! With a recorder installed ([`ShardedStoreBuilder::recorder`]), every
 //! transport round-trip emits a `transport.roundtrip` span tagged with its
-//! shard, multi-shard fan-outs emit a `shard.dispatch` span, and the
-//! `shard.local` / `shard.remote` counters classify every store operation
-//! (single-shard vs. cross-shard). The same tallies are always available
-//! pull-style via [`ShardedStore::metrics`].
+//! shard, and the `shard.local` counter counts every store operation (each
+//! pin and each commit touches at most one shard). The same tally is always
+//! available pull-style via [`ShardedStore::metrics`].
 
 #![warn(missing_docs)]
 
@@ -47,10 +39,9 @@ pub use pdes_core::store::{InProcessStore, MvccStats, PeerStore, Snapshot, Versi
 
 use pdes_core::system::{P2PSystem, PeerId};
 use pdes_core::{CoreError, Result};
-use pdes_exec::{ExecConfig, Executor};
 use pdes_obs::{Field, NullRecorder, Recorder, Span};
-use relalg::{Database, Delta, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use relalg::Delta;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -58,7 +49,7 @@ use std::thread::JoinHandle;
 
 pub mod transport;
 
-use transport::{Envelope, ShardRequest, ShardResponse};
+use transport::{Envelope, ShardRequest};
 
 /// A snapshot of a [`ShardedStore`]'s operation counters.
 ///
@@ -67,19 +58,10 @@ use transport::{Envelope, ShardRequest, ShardResponse};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreMetrics {
-    /// Store operations served by a single shard (the operation's peers all
-    /// lived on one shard — no cross-shard fan-out).
+    /// Store operations served (pins and commits, including failed
+    /// commits that passed the coordinator's peer lookup). Each touches at
+    /// most one shard.
     pub local: u64,
-    /// Store operations that fanned out across two or more shards.
-    pub remote: u64,
-}
-
-/// Live counters behind [`StoreMetrics`] (atomics: operations may be issued
-/// from concurrent batch workers).
-#[derive(Debug, Default)]
-struct Counters {
-    local: AtomicU64,
-    remote: AtomicU64,
 }
 
 /// One worker shard, as seen from the coordinator: its request queue and
@@ -104,9 +86,9 @@ pub struct ShardedStore {
     /// Peer → shard index (total over the system's peers).
     assignment: BTreeMap<PeerId, usize>,
     shards: Vec<ShardHandle>,
-    exec: Executor,
     recorder: Arc<dyn Recorder>,
-    counters: Counters,
+    /// Store operations served; see [`StoreMetrics::local`].
+    local: AtomicU64,
     /// Coordinator-side epoch mirror: an [`InProcessStore`] over the same
     /// system, replaying every worker-confirmed mutation. [`PeerStore::pin`]
     /// serves snapshots from it without a transport round-trip, and because
@@ -114,8 +96,8 @@ pub struct ShardedStore {
     /// version stamps are bit-identical to a single-store oracle (checked by
     /// `tests/sharding.rs`).
     mirror: InProcessStore,
-    /// Serializes mutations across shards so the mirror replays them in the
-    /// exact order the workers applied them. Reads and pins never take it.
+    /// Serializes commits across shards so the mirror replays them in the
+    /// exact order the workers applied them. Pins never take it.
     commit: Mutex<()>,
 }
 
@@ -124,7 +106,6 @@ pub struct ShardedStore {
 pub struct ShardedStoreBuilder {
     system: P2PSystem,
     shards: usize,
-    exec: ExecConfig,
     recorder: Option<Arc<dyn Recorder>>,
 }
 
@@ -137,18 +118,8 @@ impl ShardedStoreBuilder {
         self
     }
 
-    /// The execution configuration for cross-shard fan-outs: round-trips to
-    /// distinct shards are collected through
-    /// [`pdes_exec::Executor::try_map_indexed`] under this configuration.
-    /// Defaults to [`ExecConfig::sequential`]; answers are identical for
-    /// every pool size.
-    pub fn exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Install an observability recorder for `transport.roundtrip` /
-    /// `shard.dispatch` spans and the `shard.{local,remote}` counters.
+    /// Install an observability recorder for `transport.roundtrip` spans
+    /// and the `shard.local` counter.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -192,9 +163,8 @@ impl ShardedStoreBuilder {
             topology,
             assignment,
             shards,
-            exec: Executor::new(self.exec),
             recorder,
-            counters: Counters::default(),
+            local: AtomicU64::new(0),
             mirror: InProcessStore::new(self.system),
             commit: Mutex::new(()),
         }
@@ -202,13 +172,12 @@ impl ShardedStoreBuilder {
 }
 
 impl ShardedStore {
-    /// Start building a sharded store over `system` (1 shard, sequential
-    /// fan-out, no recorder by default).
+    /// Start building a sharded store over `system` (1 shard, no recorder
+    /// by default).
     pub fn builder(system: P2PSystem) -> ShardedStoreBuilder {
         ShardedStoreBuilder {
             system,
             shards: 1,
-            exec: ExecConfig::sequential(),
             recorder: None,
         }
     }
@@ -232,29 +201,23 @@ impl ShardedStore {
         &self.assignment
     }
 
-    /// Snapshot of the local/remote operation counters.
+    /// Snapshot of the operation counters.
     pub fn metrics(&self) -> StoreMetrics {
         StoreMetrics {
-            local: self.counters.local.load(Ordering::Relaxed),
-            remote: self.counters.remote.load(Ordering::Relaxed),
+            local: self.local.load(Ordering::Relaxed),
         }
     }
 
-    /// Count an operation that touched `shards_touched` distinct shards.
-    fn count_op(&self, shards_touched: usize) {
-        if shards_touched > 1 {
-            self.counters.remote.fetch_add(1, Ordering::Relaxed);
-            self.recorder.count("shard.remote", 1);
-        } else {
-            self.counters.local.fetch_add(1, Ordering::Relaxed);
-            self.recorder.count("shard.local", 1);
-        }
+    /// Count one store operation.
+    fn count_op(&self) {
+        self.local.fetch_add(1, Ordering::Relaxed);
+        self.recorder.count("shard.local", 1);
     }
 
     /// One send + receive against a shard, wrapped in a
     /// `transport.roundtrip` span. Channel failures (a dead worker) surface
-    /// as [`CoreError::Transport`].
-    fn roundtrip(&self, shard: usize, request: ShardRequest) -> Result<ShardResponse> {
+    /// as [`CoreError::Transport`]; the worker's own error is returned as is.
+    fn roundtrip(&self, shard: usize, request: ShardRequest) -> Result<u64> {
         let span = Span::enter_with(
             self.recorder.as_ref(),
             "transport.roundtrip",
@@ -265,7 +228,7 @@ impl ShardedStore {
         result
     }
 
-    fn roundtrip_inner(&self, shard: usize, request: ShardRequest) -> Result<ShardResponse> {
+    fn roundtrip_inner(&self, shard: usize, request: ShardRequest) -> Result<u64> {
         let handle = &self.shards[shard];
         let (reply, response) = std::sync::mpsc::channel();
         handle
@@ -278,53 +241,7 @@ impl ShardedStore {
         response.recv().map_err(|_| CoreError::Transport {
             shard,
             source: "reply channel disconnected before a response arrived".to_string(),
-        })
-    }
-
-    /// Group a peer set by owning shard (shard-index order — `BTreeMap`).
-    /// Unknown peers fail here, at the coordinator, before any transport.
-    fn group_by_shard(
-        &self,
-        peers: &BTreeSet<PeerId>,
-    ) -> Result<BTreeMap<usize, BTreeSet<PeerId>>> {
-        let mut groups: BTreeMap<usize, BTreeSet<PeerId>> = BTreeMap::new();
-        for peer in peers {
-            groups
-                .entry(self.shard_of(peer)?)
-                .or_default()
-                .insert(peer.clone());
-        }
-        Ok(groups)
-    }
-
-    /// Fan an instance fetch out to every owning shard and reassemble the
-    /// replies in shard-index order. The executor bounds the concurrency;
-    /// the output order never depends on it.
-    fn fetch_instances(&self, peers: &BTreeSet<PeerId>) -> Result<BTreeMap<PeerId, Database>> {
-        let groups: Vec<(usize, BTreeSet<PeerId>)> =
-            self.group_by_shard(peers)?.into_iter().collect();
-        self.count_op(groups.len());
-        let dispatch = (groups.len() > 1).then(|| {
-            Span::enter_with(
-                self.recorder.as_ref(),
-                "shard.dispatch",
-                &[Field::u64("shards", groups.len() as u64)],
-            )
-        });
-        let replies = self.exec.try_map_indexed(&groups, |_, (shard, group)| {
-            match self.roundtrip(*shard, ShardRequest::Instances(group.clone()))? {
-                ShardResponse::Instances(result) => result,
-                other => Err(unexpected_reply(*shard, &other)),
-            }
-        });
-        if let Some(span) = dispatch {
-            span.finish();
-        }
-        let mut out = BTreeMap::new();
-        for group in replies? {
-            out.extend(group);
-        }
-        Ok(out)
+        })?
     }
 }
 
@@ -333,107 +250,24 @@ impl PeerStore for ShardedStore {
         &self.topology
     }
 
-    fn instance_of(&self, peer: &PeerId) -> Result<Database> {
-        let shard = self.shard_of(peer)?;
-        self.count_op(1);
-        match self.roundtrip(shard, ShardRequest::InstanceOf(peer.clone()))? {
-            ShardResponse::Instance(result) => result,
-            other => Err(unexpected_reply(shard, &other)),
-        }
-    }
-
-    fn instances(&self, peers: &BTreeSet<PeerId>) -> Result<BTreeMap<PeerId, Database>> {
-        self.fetch_instances(peers)
-    }
-
-    fn snapshot(&self) -> Result<P2PSystem> {
-        let all: BTreeSet<PeerId> = self.topology.peer_ids().cloned().collect();
-        let mut system = self.topology.clone();
-        for (peer, instance) in self.fetch_instances(&all)? {
-            system.set_instance(&peer, instance)?;
-        }
-        Ok(system)
+    fn pin(&self) -> Result<Snapshot> {
+        // Served from the coordinator's epoch mirror: no transport
+        // round-trip, no waiting on an in-flight commit.
+        self.count_op();
+        self.mirror.pin()
     }
 
     fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64> {
         let shard = self.shard_of(peer)?;
         let _commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
-        self.count_op(1);
+        self.count_op();
         let version =
-            match self.roundtrip(shard, ShardRequest::ApplyDelta(peer.clone(), delta.clone()))? {
-                ShardResponse::Version(result) => result?,
-                other => return Err(unexpected_reply(shard, &other)),
-            };
+            self.roundtrip(shard, ShardRequest::ApplyDelta(peer.clone(), delta.clone()))?;
         // Replay the worker-confirmed mutation on the epoch mirror; identical
         // validation means the stamps cannot diverge.
         let mirrored = self.mirror.apply_delta(peer, delta)?;
         debug_assert_eq!(mirrored, version, "mirror diverged from shard {shard}");
         Ok(version)
-    }
-
-    fn insert(&self, peer: &PeerId, relation: &str, tuple: Tuple) -> Result<u64> {
-        let shard = self.shard_of(peer)?;
-        let _commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
-        self.count_op(1);
-        let version = match self.roundtrip(
-            shard,
-            ShardRequest::Insert(peer.clone(), relation.to_string(), tuple.clone()),
-        )? {
-            ShardResponse::Version(result) => result?,
-            other => return Err(unexpected_reply(shard, &other)),
-        };
-        let mirrored = self.mirror.insert(peer, relation, tuple)?;
-        debug_assert_eq!(mirrored, version, "mirror diverged from shard {shard}");
-        Ok(version)
-    }
-
-    fn delete(&self, peer: &PeerId, relation: &str, tuple: &Tuple) -> Result<bool> {
-        let shard = self.shard_of(peer)?;
-        let _commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
-        self.count_op(1);
-        let present = match self.roundtrip(
-            shard,
-            ShardRequest::Delete(peer.clone(), relation.to_string(), tuple.clone()),
-        )? {
-            ShardResponse::Deleted(result) => result?,
-            other => return Err(unexpected_reply(shard, &other)),
-        };
-        let mirrored = self.mirror.delete(peer, relation, tuple)?;
-        debug_assert_eq!(mirrored, present, "mirror diverged from shard {shard}");
-        Ok(present)
-    }
-
-    fn version_of(&self, peer: &PeerId) -> Result<u64> {
-        let shard = self.shard_of(peer)?;
-        self.count_op(1);
-        match self.roundtrip(shard, ShardRequest::VersionOf(peer.clone()))? {
-            ShardResponse::Version(result) => result,
-            other => Err(unexpected_reply(shard, &other)),
-        }
-    }
-
-    fn versions(&self) -> Result<VersionMap> {
-        let shards: Vec<usize> = (0..self.shards.len()).collect();
-        self.count_op(shards.len());
-        let replies = self.exec.try_map_indexed(&shards, |_, &shard| {
-            match self.roundtrip(shard, ShardRequest::Versions)? {
-                ShardResponse::Versions(result) => result,
-                other => Err(unexpected_reply(shard, &other)),
-            }
-        })?;
-        let mut out = VersionMap::new();
-        for versions in replies {
-            out.extend(versions);
-        }
-        Ok(out)
-    }
-
-    fn pin(&self) -> Result<Snapshot> {
-        // Served from the coordinator's epoch mirror: no transport
-        // round-trip, no waiting on an in-flight commit. Still a store
-        // operation — counted local, since it never fans out to a shard.
-        self.count_op(1);
-        self.mirror.pin()
     }
 
     fn mvcc_stats(&self) -> MvccStats {
@@ -458,15 +292,6 @@ impl Drop for ShardedStore {
                 let _ = thread.join();
             }
         }
-    }
-}
-
-/// A mismatched reply variant: a transport-level protocol violation, not a
-/// domain error.
-fn unexpected_reply(shard: usize, got: &ShardResponse) -> CoreError {
-    CoreError::Transport {
-        shard,
-        source: format!("unexpected reply variant {got:?}"),
     }
 }
 
@@ -519,42 +344,11 @@ fn assign_components(system: &P2PSystem, shards: usize) -> BTreeMap<PeerId, usiz
 fn shard_worker(mut state: P2PSystem, mut versions: VersionMap, receiver: Receiver<Envelope>) {
     while let Ok(Envelope { request, reply }) = receiver.recv() {
         let response = match request {
-            ShardRequest::InstanceOf(peer) => {
-                ShardResponse::Instance(state.peer(&peer).map(|p| p.instance.clone()))
-            }
-            ShardRequest::Instances(peers) => ShardResponse::Instances(
-                peers
-                    .iter()
-                    .map(|p| Ok((p.clone(), state.peer(p)?.instance.clone())))
-                    .collect(),
-            ),
-            ShardRequest::ApplyDelta(peer, delta) => {
-                ShardResponse::Version(state.apply_delta(&peer, &delta).map(|()| {
-                    let v = versions.entry(peer.clone()).or_insert(0);
-                    *v += 1;
-                    *v
-                }))
-            }
-            ShardRequest::Insert(peer, relation, tuple) => {
-                ShardResponse::Version(state.insert(&peer, &relation, tuple).map(|()| {
-                    let v = versions.entry(peer.clone()).or_insert(0);
-                    *v += 1;
-                    *v
-                }))
-            }
-            ShardRequest::Delete(peer, relation, tuple) => {
-                ShardResponse::Deleted(state.delete(&peer, &relation, &tuple).inspect(|&present| {
-                    if present {
-                        *versions.entry(peer.clone()).or_insert(0) += 1;
-                    }
-                }))
-            }
-            ShardRequest::VersionOf(peer) => ShardResponse::Version(
-                state
-                    .peer(&peer)
-                    .map(|_| versions.get(&peer).copied().unwrap_or(0)),
-            ),
-            ShardRequest::Versions => ShardResponse::Versions(Ok(versions.clone())),
+            ShardRequest::ApplyDelta(peer, delta) => state.apply_delta(&peer, &delta).map(|()| {
+                let v = versions.entry(peer).or_insert(0);
+                *v += 1;
+                *v
+            }),
             ShardRequest::Shutdown => break,
         };
         // A dropped reply receiver means the coordinator gave up on this
@@ -568,7 +362,8 @@ mod tests {
     use super::*;
     use pdes_core::example1_system;
     use relalg::database::GroundAtom;
-    use relalg::{Delta, RelationSchema, Tuple};
+    use relalg::{RelationSchema, Tuple};
+    use std::collections::BTreeSet;
 
     /// `n` peers, no DECs: every peer is its own closure-connected
     /// component, so sharding has maximal freedom to spread them out.
@@ -591,6 +386,14 @@ mod tests {
 
     fn peer(name: &str) -> PeerId {
         PeerId::new(name)
+    }
+
+    fn insert(relation: &str, tuple: [&str; 2]) -> Delta {
+        Delta::from_changes([GroundAtom::new(relation, Tuple::strs(tuple))], [])
+    }
+
+    fn delete(relation: &str, tuple: [&str; 2]) -> Delta {
+        Delta::from_changes([], [GroundAtom::new(relation, Tuple::strs(tuple))])
     }
 
     #[test]
@@ -620,21 +423,15 @@ mod tests {
                 .shards(shards)
                 .build();
             assert_eq!(sharded.topology(), oracle.topology());
-            for p in ["P1", "P2", "P3"].map(peer) {
-                assert_eq!(
-                    sharded.instance_of(&p).unwrap(),
-                    oracle.instance_of(&p).unwrap(),
-                    "instance_of({p}) diverged at {shards} shards"
-                );
-                assert_eq!(sharded.version_of(&p).unwrap(), 0);
-            }
-            assert_eq!(sharded.snapshot().unwrap(), oracle.snapshot().unwrap());
-            assert_eq!(sharded.versions().unwrap(), oracle.versions().unwrap());
+            let (a, b) = (sharded.pin().unwrap(), oracle.pin().unwrap());
+            assert_eq!(a.epoch(), b.epoch());
+            assert_eq!(a.versions(), b.versions());
+            assert_eq!(a.system().unwrap(), b.system().unwrap());
         }
     }
 
     #[test]
-    fn mutations_stamp_versions_like_the_in_process_store() {
+    fn commits_stamp_versions_like_the_in_process_store() {
         for shards in [1, 3] {
             let oracle = InProcessStore::new(disjoint_system(3));
             let sharded = ShardedStore::builder(disjoint_system(3))
@@ -642,25 +439,29 @@ mod tests {
                 .build();
             let p1 = peer("P1");
             for store in [&sharded as &dyn PeerStore, &oracle] {
-                assert_eq!(store.insert(&p1, "R1", Tuple::strs(["x", "y"])).unwrap(), 1);
-                assert!(store.delete(&p1, "R1", &Tuple::strs(["x", "y"])).unwrap());
-                // Deleting an absent tuple reports absence without a bump.
-                assert!(!store.delete(&p1, "R1", &Tuple::strs(["x", "y"])).unwrap());
-                let delta = Delta::from_changes(
-                    vec![GroundAtom::new("R1", Tuple::strs(["c", "d"]))],
-                    vec![],
+                assert_eq!(
+                    store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap(),
+                    1
                 );
-                assert_eq!(store.apply_delta(&p1, &delta).unwrap(), 3);
-                assert_eq!(store.version_of(&p1).unwrap(), 3);
-                // A failing delta leaves the stamp alone.
-                let bad = Delta::from_changes(
-                    vec![GroundAtom::new("NoSuch", Tuple::strs(["c", "d"]))],
-                    vec![],
+                assert_eq!(
+                    store.apply_delta(&p1, &delete("R1", ["x", "y"])).unwrap(),
+                    2
                 );
-                assert!(store.apply_delta(&p1, &bad).is_err());
-                assert_eq!(store.version_of(&p1).unwrap(), 3);
+                assert_eq!(
+                    store.apply_delta(&p1, &insert("R1", ["c", "d"])).unwrap(),
+                    3
+                );
+                // A failing delta leaves the stamp and the state alone.
+                assert!(store
+                    .apply_delta(&p1, &insert("NoSuch", ["c", "d"]))
+                    .is_err());
+                let pinned = store.pin().unwrap();
+                assert_eq!(pinned.version_of(&p1).unwrap(), 3);
+                assert_eq!(pinned.epoch(), 3);
             }
-            assert_eq!(sharded.snapshot().unwrap(), oracle.snapshot().unwrap());
+            let (a, b) = (sharded.pin().unwrap(), oracle.pin().unwrap());
+            assert_eq!(a.versions(), b.versions());
+            assert_eq!(a.system().unwrap(), b.system().unwrap());
         }
     }
 
@@ -674,10 +475,8 @@ mod tests {
             let p1 = peer("P1");
             let pinned = sharded.pin().unwrap();
             for store in [&sharded as &dyn PeerStore, &oracle] {
-                store.insert(&p1, "R1", Tuple::strs(["x", "y"])).unwrap();
-                assert!(store.delete(&p1, "R1", &Tuple::strs(["x", "y"])).unwrap());
-                // No-op delete: no epoch published on either side.
-                assert!(!store.delete(&p1, "R1", &Tuple::strs(["x", "y"])).unwrap());
+                store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap();
+                store.apply_delta(&p1, &delete("R1", ["x", "y"])).unwrap();
             }
             // The pre-commit pin is stable; fresh pins agree bit-identically
             // with the oracle's epoch, stamps and materialized instances.
@@ -695,36 +494,17 @@ mod tests {
     }
 
     #[test]
-    fn answers_are_deterministic_across_fanout_pools() {
-        let baseline = ShardedStore::builder(disjoint_system(6))
-            .shards(3)
-            .exec(ExecConfig::sequential())
-            .build();
-        let pooled = ShardedStore::builder(disjoint_system(6))
-            .shards(3)
-            .exec(ExecConfig::with_workers(4))
-            .build();
-        assert_eq!(baseline.snapshot().unwrap(), pooled.snapshot().unwrap());
-        assert_eq!(baseline.versions().unwrap(), pooled.versions().unwrap());
-        let all: BTreeSet<PeerId> = (1..=6).map(|i| peer(&format!("P{i}"))).collect();
-        assert_eq!(
-            baseline.instances(&all).unwrap(),
-            pooled.instances(&all).unwrap()
-        );
-    }
-
-    #[test]
     fn unknown_peers_fail_at_the_coordinator() {
         let store = ShardedStore::builder(example1_system()).shards(2).build();
         let ghost = peer("P9");
+        let before = store.metrics();
         assert!(matches!(
-            store.instance_of(&ghost),
+            store.apply_delta(&ghost, &insert("R1", ["x", "y"])),
             Err(CoreError::UnknownPeer(_))
         ));
-        let before = store.metrics();
-        assert!(store.version_of(&ghost).is_err());
         // Validation failures never reach the transport or the counters.
         assert_eq!(store.metrics(), before);
+        assert!(store.pin().unwrap().version_of(&ghost).is_err());
     }
 
     #[test]
@@ -735,7 +515,7 @@ mod tests {
         // The worker drains the shutdown and exits; whether our request is
         // enqueued before or after that, the round-trip must fail cleanly.
         let err = loop {
-            match store.instance_of(&peer("P1")) {
+            match store.apply_delta(&peer("P1"), &insert("R1", ["x", "y"])) {
                 Ok(_) => continue,
                 Err(err) => break err,
             }
@@ -750,27 +530,16 @@ mod tests {
     }
 
     #[test]
-    fn metrics_classify_local_and_remote_operations() {
+    fn metrics_count_every_pin_and_commit() {
         let store = ShardedStore::builder(disjoint_system(4)).shards(2).build();
         assert_eq!(store.metrics(), StoreMetrics::default());
-        // Single-peer read: one shard touched.
-        store.instance_of(&peer("P1")).unwrap();
-        assert_eq!(store.metrics().local, 1);
-        assert_eq!(store.metrics().remote, 0);
-        // A fan-out whose peers all live on shard 0 stays local.
-        let same_shard: BTreeSet<PeerId> = [peer("P1"), peer("P3")].into();
-        store.instances(&same_shard).unwrap();
+        store.pin().unwrap();
+        store
+            .apply_delta(&peer("P2"), &insert("R2", ["x", "y"]))
+            .unwrap();
         assert_eq!(store.metrics().local, 2);
-        assert_eq!(store.metrics().remote, 0);
-        // Snapshot spans both shards: remote.
-        store.snapshot().unwrap();
-        assert_eq!(store.metrics().local, 2);
-        assert_eq!(store.metrics().remote, 1);
-        // With one shard, nothing is ever remote.
-        let single = ShardedStore::builder(disjoint_system(4)).shards(1).build();
-        single.snapshot().unwrap();
-        single.versions().unwrap();
-        assert_eq!(single.metrics().remote, 0);
+        let stats = store.mvcc_stats();
+        assert_eq!(store.metrics().local, stats.pins + stats.publishes);
     }
 
     #[test]
@@ -780,10 +549,12 @@ mod tests {
             .shards(2)
             .recorder(recorder.clone())
             .build();
-        store.snapshot().unwrap();
+        store.pin().unwrap();
+        store
+            .apply_delta(&peer("P2"), &insert("R2", ["x", "y"]))
+            .unwrap();
         let trace = recorder.trace();
-        assert_eq!(trace.spans_labelled("shard.dispatch").len(), 1);
-        assert!(trace.spans_labelled("transport.roundtrip").len() >= 2);
-        assert_eq!(recorder.registry().counter_value("shard.remote"), 1);
+        assert_eq!(trace.spans_labelled("transport.roundtrip").len(), 1);
+        assert_eq!(recorder.registry().counter_value("shard.local"), 2);
     }
 }

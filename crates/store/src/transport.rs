@@ -2,21 +2,18 @@
 //! coordinator and its shard workers.
 //!
 //! The wire vocabulary is deliberately small and value-oriented: a
-//! [`ShardRequest`] carries owned data down to a worker, a
-//! [`ShardResponse`] carries an owned result (or the shard-local
-//! [`CoreError`](pdes_core::CoreError)) back up through the per-request reply channel in the
-//! [`Envelope`]. Nothing here assumes the in-process channel pair — a
-//! networked transport would serialize exactly these frames — but the
-//! reproduction ships only the deterministic in-process loopback.
+//! [`ShardRequest`] carries owned data down to a worker, and the worker
+//! answers with the peer's new version stamp (or the shard-local
+//! [`CoreError`](pdes_core::CoreError)) through the per-request reply
+//! channel in the [`Envelope`]. Nothing here assumes the in-process channel
+//! pair — a networked transport would serialize exactly these frames — but
+//! the reproduction ships only the deterministic in-process loopback.
 //!
-//! Both enums are `#[non_exhaustive]`: the protocol can grow verbs (bulk
-//! closure reads, shard rebalancing) without a breaking release, so match
-//! them with a wildcard arm.
+//! [`ShardRequest`] is `#[non_exhaustive]`: the protocol can grow verbs
+//! without a breaking release, so match it with a wildcard arm.
 
-use pdes_core::store::VersionMap;
 use pdes_core::system::PeerId;
-use relalg::{Database, Delta, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use relalg::Delta;
 use std::sync::mpsc::Sender;
 
 /// A request from the coordinator to one shard worker.
@@ -27,55 +24,26 @@ use std::sync::mpsc::Sender;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum ShardRequest {
-    /// Read one peer's local instance.
-    InstanceOf(PeerId),
-    /// Read several owned peers' instances in one round-trip (the per-shard
-    /// slice of a closure fan-out).
-    Instances(BTreeSet<PeerId>),
-    /// Validate-then-apply a delta against a peer's instance.
+    /// Validate-then-apply a delta against a peer's instance; the reply is
+    /// the peer's new version stamp.
     ApplyDelta(PeerId, Delta),
-    /// Insert one tuple into a peer's relation.
-    Insert(PeerId, String, Tuple),
-    /// Delete one tuple from a peer's relation.
-    Delete(PeerId, String, Tuple),
-    /// Read one peer's version stamp.
-    VersionOf(PeerId),
-    /// Read the version stamps of every peer this shard owns.
-    Versions,
     /// Drain-and-exit: the worker stops after this frame (sent by the
     /// coordinator's `Drop`).
     Shutdown,
 }
 
-/// A reply from a shard worker.
-///
-/// Domain failures travel *inside* the variant as the shard-local
-/// [`CoreError`](pdes_core::CoreError); only a dead channel is a transport
-/// failure.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ShardResponse {
-    /// Reply to [`ShardRequest::InstanceOf`].
-    Instance(pdes_core::Result<Database>),
-    /// Reply to [`ShardRequest::Instances`].
-    Instances(pdes_core::Result<BTreeMap<PeerId, Database>>),
-    /// Reply to the mutating and version-reading requests: the peer's
-    /// version stamp after (or at) the operation.
-    Version(pdes_core::Result<u64>),
-    /// Reply to [`ShardRequest::Delete`]: whether the tuple was present.
-    Deleted(pdes_core::Result<bool>),
-    /// Reply to [`ShardRequest::Versions`].
-    Versions(pdes_core::Result<VersionMap>),
-}
-
 /// One frame on a shard's request queue: the request plus the channel the
 /// worker answers on. Each round-trip gets a fresh reply channel, so
 /// replies can never cross between interleaved coordinator threads.
+///
+/// Domain failures travel *inside* the reply as the shard-local
+/// [`CoreError`](pdes_core::CoreError); only a dead channel is a transport
+/// failure.
 pub struct Envelope {
     /// The request to serve.
     pub request: ShardRequest,
     /// Where the worker sends the (single) response.
-    pub reply: Sender<ShardResponse>,
+    pub reply: Sender<pdes_core::Result<u64>>,
 }
 
 impl Envelope {

@@ -3,17 +3,16 @@
 //! reference (`pdes_bench::reference`, which builds every world as
 //! a string `Database` and intersects `QueryEvaluator` answers) — for all
 //! four strategies, over the in-process store and the sharded store at
-//! shard counts 1/2, pool sizes 1/4, and across live commits, on a plain
+//! shard counts 1/2, and across live commits, on a plain
 //! scan and on a negated query. The store's symbol table must be a
 //! bijection on everything it has interned (`intern(resolve(id)) == id`),
 //! and columnar worlds must decode back to the databases they came from.
 //!
-//! Like the sharding suite, the grids narrow through `PDES_SHARDS` /
-//! `PDES_POOLS` so a CI matrix leg can exercise one cell.
+//! Like the sharding suite, the shard grid narrows through `PDES_SHARDS`
+//! so a CI matrix leg can exercise one cell.
 
 use p2p_data_exchange::{
-    vars, ExecConfig, Formula, P2PSystem, PeerId, PeerStore, QueryEngine, ShardedStore, Strategy,
-    Tuple,
+    vars, Formula, P2PSystem, PeerId, PeerStore, QueryEngine, ShardedStore, Strategy, Tuple,
 };
 use pdes_bench::reference::reference_answers;
 use relalg::database::GroundAtom;
@@ -31,20 +30,12 @@ const ALL_STRATEGIES: [Strategy; 4] = [
 ];
 
 fn shard_counts() -> Vec<usize> {
-    matrix_from_env("PDES_SHARDS", &[1, 2])
-}
-
-fn pool_sizes() -> Vec<usize> {
-    matrix_from_env("PDES_POOLS", &[1, 4])
-}
-
-fn matrix_from_env(var: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(var) {
+    match std::env::var("PDES_SHARDS") {
         Ok(list) => list
             .split(',')
             .map(|n| n.trim().parse().expect("matrix entries are integers"))
             .collect(),
-        Err(_) => default.to_vec(),
+        Err(_) => vec![1, 2],
     }
 }
 
@@ -208,24 +199,21 @@ fn interned_answers_match_legacy_over_the_sharded_store() {
         for strategy in ALL_STRATEGIES {
             let want = reference(&w.system, strategy, &queries);
             for shards in shard_counts() {
-                for pool in pool_sizes() {
-                    let store = Arc::new(
-                        ShardedStore::builder(w.system.clone())
-                            .shards(shards)
-                            .exec(ExecConfig::with_workers(pool))
-                            .build(),
-                    );
-                    let engine = QueryEngine::builder(w.system.clone())
-                        .store(store as Arc<dyn PeerStore>)
-                        .strategy(strategy)
-                        .build();
-                    assert_eq!(
-                        all_answers(&engine, strategy, &queries),
-                        want,
-                        "{strategy:?} sharded answers diverged from the string \
-                         reference at shards={shards} pool={pool}"
-                    );
-                }
+                let store = Arc::new(
+                    ShardedStore::builder(w.system.clone())
+                        .shards(shards)
+                        .build(),
+                );
+                let engine = QueryEngine::builder(w.system.clone())
+                    .store(store as Arc<dyn PeerStore>)
+                    .strategy(strategy)
+                    .build();
+                assert_eq!(
+                    all_answers(&engine, strategy, &queries),
+                    want,
+                    "{strategy:?} sharded answers diverged from the string \
+                     reference at shards={shards}"
+                );
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! * property: under a sustained writer, an engine pointed at any reader's
 //!   pinned epoch answers exactly like a fresh engine built on that epoch's
-//!   hydrated system — for all four strategies, shards 1/2, pools 1/4;
+//!   hydrated system — for all four strategies, shards 1/2;
 //! * `Writer::commit` completes while a [`Snapshot`] is held, and the held
 //!   snapshot stays frozen at its pre-commit epoch;
 //! * timing — readers pinned to an epoch never block on a concurrent
@@ -19,13 +19,13 @@
 
 use p2p_data_exchange::obs::Recorder;
 use p2p_data_exchange::{
-    example1_system, vars, ExecConfig, Formula, InProcessStore, P2PSystem, PeerId, PeerStore,
-    Query, QueryEngine, Session, ShardedStore, Strategy, Tuple, Update, Version,
+    example1_system, vars, Formula, InProcessStore, P2PSystem, PeerId, PeerStore, Query,
+    QueryEngine, Session, ShardedStore, Strategy, Tuple, Update, Version,
 };
 use proptest::prelude::*;
-use relalg::database::{Database, GroundAtom};
+use relalg::database::GroundAtom;
 use relalg::Delta;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -45,8 +45,8 @@ proptest! {
     /// the reader pins the just-published epoch. Each pinned epoch — served
     /// through the store's MVCC path by an engine whose store *is* the
     /// snapshot — answers exactly like a fresh engine built on the epoch's
-    /// hydrated system, for every strategy, shard count and pool size, even
-    /// though the live system has long since moved past the pin.
+    /// hydrated system, for every strategy and shard count, even though the
+    /// live system has long since moved past the pin.
     #[test]
     fn pinned_epochs_answer_like_fresh_engines(seed in 0u64..10, batches in 1usize..3) {
         let w = generate(&WorkloadSpec {
@@ -68,49 +68,46 @@ proptest! {
         let live_q = Query::new(w.queried_peer.clone(), w.query.clone(), w.free_vars.clone());
 
         for shards in [1usize, 2] {
-            for pool in [1usize, 4] {
-                let store = Arc::new(
-                    ShardedStore::builder(w.system.clone())
-                        .shards(shards)
-                        .exec(ExecConfig::with_workers(pool))
-                        .build(),
-                );
-                let session = Session::with_engine(
-                    QueryEngine::builder(w.system.clone())
-                        .store(store as Arc<dyn PeerStore>)
-                        .strategy(Strategy::Asp)
-                        .build(),
-                );
-                let mut writer = session.writer().unwrap();
-                let mut pins = vec![session.pin().unwrap()];
-                for batch in &stream {
-                    let _ = writer
-                        .apply(&[Update::new(batch.peer.clone(), batch.delta.clone())])
-                        .unwrap();
-                    pins.push(session.pin().unwrap());
-                }
-                for (i, pin) in pins.iter().enumerate() {
-                    let hydrated = pin.system().unwrap();
-                    // An engine whose store is the pinned snapshot itself…
-                    let frozen = QueryEngine::builder(pin.topology().clone())
-                        .store(Arc::new(pin.clone()) as Arc<dyn PeerStore>)
-                        .build();
-                    // …versus a fresh engine over the hydrated system.
-                    let fresh = QueryEngine::builder(hydrated).build();
-                    for strategy in ALL_STRATEGIES {
-                        for q in [&live_q, &hot_q] {
-                            let got = frozen
-                                .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
-                                .unwrap();
-                            let want = fresh
-                                .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
-                                .unwrap();
-                            prop_assert_eq!(
-                                &got.tuples, &want.tuples,
-                                "pin {} diverged: {:?} shards={} pool={}",
-                                i, strategy, shards, pool
-                            );
-                        }
+            let store = Arc::new(
+                ShardedStore::builder(w.system.clone())
+                    .shards(shards)
+                    .build(),
+            );
+            let session = Session::with_engine(
+                QueryEngine::builder(w.system.clone())
+                    .store(store as Arc<dyn PeerStore>)
+                    .strategy(Strategy::Asp)
+                    .build(),
+            );
+            let mut writer = session.writer().unwrap();
+            let mut pins = vec![session.pin().unwrap()];
+            for batch in &stream {
+                let _ = writer
+                    .apply(&[Update::new(batch.peer.clone(), batch.delta.clone())])
+                    .unwrap();
+                pins.push(session.pin().unwrap());
+            }
+            for (i, pin) in pins.iter().enumerate() {
+                let hydrated = pin.system().unwrap();
+                // An engine whose store is the pinned snapshot itself…
+                let frozen = QueryEngine::builder(pin.topology().clone())
+                    .store(Arc::new(pin.clone()) as Arc<dyn PeerStore>)
+                    .build();
+                // …versus a fresh engine over the hydrated system.
+                let fresh = QueryEngine::builder(hydrated).build();
+                for strategy in ALL_STRATEGIES {
+                    for q in [&live_q, &hot_q] {
+                        let got = frozen
+                            .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
+                            .unwrap();
+                        let want = fresh
+                            .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
+                            .unwrap();
+                        prop_assert_eq!(
+                            &got.tuples, &want.tuples,
+                            "pin {} diverged: {:?} shards={}",
+                            i, strategy, shards
+                        );
                     }
                 }
             }
@@ -167,19 +164,8 @@ impl PeerStore for SlowCommitStore {
         self.inner.topology()
     }
 
-    fn instance_of(&self, peer: &PeerId) -> p2p_data_exchange::core::Result<Database> {
-        self.inner.instance_of(peer)
-    }
-
-    fn instances(
-        &self,
-        peers: &BTreeSet<PeerId>,
-    ) -> p2p_data_exchange::core::Result<BTreeMap<PeerId, Database>> {
-        self.inner.instances(peers)
-    }
-
-    fn snapshot(&self) -> p2p_data_exchange::core::Result<P2PSystem> {
-        self.inner.snapshot()
+    fn pin(&self) -> p2p_data_exchange::core::Result<p2p_data_exchange::Snapshot> {
+        self.inner.pin()
     }
 
     fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> p2p_data_exchange::core::Result<u64> {
@@ -188,36 +174,6 @@ impl PeerStore for SlowCommitStore {
         let result = self.inner.apply_delta(peer, delta);
         self.committing.store(false, Ordering::SeqCst);
         result
-    }
-
-    fn insert(
-        &self,
-        peer: &PeerId,
-        relation: &str,
-        tuple: Tuple,
-    ) -> p2p_data_exchange::core::Result<u64> {
-        self.inner.insert(peer, relation, tuple)
-    }
-
-    fn delete(
-        &self,
-        peer: &PeerId,
-        relation: &str,
-        tuple: &Tuple,
-    ) -> p2p_data_exchange::core::Result<bool> {
-        self.inner.delete(peer, relation, tuple)
-    }
-
-    fn version_of(&self, peer: &PeerId) -> p2p_data_exchange::core::Result<u64> {
-        self.inner.version_of(peer)
-    }
-
-    fn versions(&self) -> p2p_data_exchange::core::Result<p2p_data_exchange::VersionMap> {
-        self.inner.versions()
-    }
-
-    fn pin(&self) -> p2p_data_exchange::core::Result<p2p_data_exchange::Snapshot> {
-        self.inner.pin()
     }
 
     fn mvcc_stats(&self) -> p2p_data_exchange::MvccStats {

@@ -1,16 +1,16 @@
 //! Sharded-serving equivalence: an engine answering through a
 //! [`ShardedStore`] must be byte-identical to an engine over the in-process
 //! single-store oracle — for all four strategies, at shard counts 1/2/4,
-//! across live commits — and the store's local/remote counters must
-//! classify single-shard vs. cross-shard traffic as documented.
+//! across live commits — and the store's operation counter must count
+//! exactly one operation per pin and per commit.
 //!
-//! The CI shard matrix narrows the grids through `PDES_SHARDS` /
-//! `PDES_POOLS` (comma-separated lists), so one matrix leg exercises one
-//! cell without rebuilding the suite.
+//! The CI shard matrix narrows the shard grid through `PDES_SHARDS` (a
+//! comma-separated list), so one matrix leg exercises one cell without
+//! rebuilding the suite.
 
 use p2p_data_exchange::{
-    vars, ExecConfig, Formula, InProcessStore, P2PSystem, PeerId, PeerStore, QueryEngine,
-    ShardedStore, Strategy, Tuple,
+    vars, Formula, InProcessStore, P2PSystem, PeerId, PeerStore, QueryEngine, ShardedStore,
+    Strategy, Tuple,
 };
 use relalg::database::GroundAtom;
 use relalg::{Delta, RelationSchema};
@@ -28,21 +28,12 @@ const ALL_STRATEGIES: [Strategy; 4] = [
 
 /// Shard counts exercised by default; `PDES_SHARDS=2` narrows to one.
 fn shard_counts() -> Vec<usize> {
-    matrix_from_env("PDES_SHARDS", &[1, 2, 4])
-}
-
-/// Fan-out pool sizes exercised by default; `PDES_POOLS=8` narrows to one.
-fn pool_sizes() -> Vec<usize> {
-    matrix_from_env("PDES_POOLS", &[1, 4])
-}
-
-fn matrix_from_env(var: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(var) {
+    match std::env::var("PDES_SHARDS") {
         Ok(list) => list
             .split(',')
             .map(|n| n.trim().parse().expect("matrix entries are integers"))
             .collect(),
-        Err(_) => default.to_vec(),
+        Err(_) => vec![1, 2, 4],
     }
 }
 
@@ -115,14 +106,8 @@ fn sharded_engine(
     system: &P2PSystem,
     strategy: Strategy,
     shards: usize,
-    pool: usize,
 ) -> (QueryEngine, Arc<ShardedStore>) {
-    let store = Arc::new(
-        ShardedStore::builder(system.clone())
-            .shards(shards)
-            .exec(ExecConfig::with_workers(pool))
-            .build(),
-    );
+    let store = Arc::new(ShardedStore::builder(system.clone()).shards(shards).build());
     let engine = QueryEngine::builder(system.clone())
         .store(store.clone() as Arc<dyn PeerStore>)
         .strategy(strategy)
@@ -155,18 +140,16 @@ fn sharded_answers_match_the_single_store_oracle() {
     let w = sharded_workload();
     let queries = peer_queries(&w.system);
     for shards in shard_counts() {
-        for pool in pool_sizes() {
-            for strategy in ALL_STRATEGIES {
-                let oracle = QueryEngine::builder(w.system.clone())
-                    .strategy(strategy)
-                    .build();
-                let (sharded, _store) = sharded_engine(&w.system, strategy, shards, pool);
-                assert_eq!(
-                    all_answers(&sharded, strategy, &queries),
-                    all_answers(&oracle, strategy, &queries),
-                    "{strategy:?} diverged from the oracle at shards={shards} pool={pool}"
-                );
-            }
+        for strategy in ALL_STRATEGIES {
+            let oracle = QueryEngine::builder(w.system.clone())
+                .strategy(strategy)
+                .build();
+            let (sharded, _store) = sharded_engine(&w.system, strategy, shards);
+            assert_eq!(
+                all_answers(&sharded, strategy, &queries),
+                all_answers(&oracle, strategy, &queries),
+                "{strategy:?} diverged from the oracle at shards={shards}"
+            );
         }
     }
 }
@@ -176,64 +159,61 @@ fn sharded_answers_match_the_oracle_across_live_commits() {
     let w = sharded_workload();
     let queries = peer_queries(&w.system);
     for shards in shard_counts() {
-        for pool in pool_sizes() {
-            for strategy in ALL_STRATEGIES {
-                let oracle = QueryEngine::builder(w.system.clone())
-                    .strategy(strategy)
-                    .build();
-                let (sharded, _store) = sharded_engine(&w.system, strategy, shards, pool);
-                // Warm both engines, then interleave commits and reads.
-                let _ = all_answers(&sharded, strategy, &queries);
-                let _ = all_answers(&oracle, strategy, &queries);
-                for round in 0..5 {
-                    let (peer, delta) = round_update(&w.system, round);
-                    let sharded_stamp = sharded.commit_delta(&peer, &delta).expect("commit");
-                    let oracle_stamp = oracle.commit_delta(&peer, &delta).expect("commit");
-                    assert_eq!(
-                        sharded_stamp, oracle_stamp,
-                        "version stamps diverged at round {round}"
-                    );
-                    assert_eq!(
-                        all_answers(&sharded, strategy, &queries),
-                        all_answers(&oracle, strategy, &queries),
-                        "{strategy:?} diverged after commit {round} \
-                         at shards={shards} pool={pool}"
-                    );
-                }
+        for strategy in ALL_STRATEGIES {
+            let oracle = QueryEngine::builder(w.system.clone())
+                .strategy(strategy)
+                .build();
+            let (sharded, _store) = sharded_engine(&w.system, strategy, shards);
+            // Warm both engines, then interleave commits and reads.
+            let _ = all_answers(&sharded, strategy, &queries);
+            let _ = all_answers(&oracle, strategy, &queries);
+            for round in 0..5 {
+                let (peer, delta) = round_update(&w.system, round);
+                let sharded_stamp = sharded.commit_delta(&peer, &delta).expect("commit");
+                let oracle_stamp = oracle.commit_delta(&peer, &delta).expect("commit");
+                assert_eq!(
+                    sharded_stamp, oracle_stamp,
+                    "version stamps diverged at round {round}"
+                );
+                assert_eq!(
+                    all_answers(&sharded, strategy, &queries),
+                    all_answers(&oracle, strategy, &queries),
+                    "{strategy:?} diverged after commit {round} at shards={shards}"
+                );
             }
         }
     }
+}
+
+/// Every store operation is a pin or a commit, each served by at most one
+/// shard, so the operation counter equals pins plus published epochs on a
+/// run with no failed commit.
+fn assert_one_count_per_pin_and_commit(store: &ShardedStore) {
+    let stats = store.mvcc_stats();
+    assert_eq!(store.metrics().local, stats.pins + stats.publishes);
 }
 
 #[test]
 fn single_shard_serving_is_never_remote() {
     let w = sharded_workload();
     let queries = peer_queries(&w.system);
-    let (engine, store) = sharded_engine(&w.system, Strategy::Asp, 1, 1);
+    let (engine, store) = sharded_engine(&w.system, Strategy::Asp, 1);
     let _ = all_answers(&engine, Strategy::Asp, &queries);
-    let metrics = store.metrics();
-    assert!(metrics.local > 0, "serving must reach the store");
-    assert_eq!(metrics.remote, 0, "one shard can never fan out");
+    assert!(store.metrics().local > 0, "serving must reach the store");
+    assert_one_count_per_pin_and_commit(&store);
 }
 
 #[test]
 fn closure_local_queries_stay_on_their_shard() {
-    // Engine reads pin an epoch from the coordinator's mirror — a store
-    // operation that never fans out to a shard, so serving stays local at
-    // any shard count, while a full store snapshot (which hydrates every
-    // shard's instances) must go remote at 2+ shards.
+    // Engine reads pin an epoch from the coordinator's mirror and never
+    // reach a worker shard, so serving at two shards counts exactly one
+    // store operation per pin.
     let w = sharded_workload();
     let queries = peer_queries(&w.system);
-    let (engine, store) = sharded_engine(&w.system, Strategy::Asp, 2, 1);
+    let (engine, store) = sharded_engine(&w.system, Strategy::Asp, 2);
     let _ = all_answers(&engine, Strategy::Asp, &queries);
-    let after_asp = store.metrics();
-    assert!(after_asp.local > 0);
-    assert_eq!(
-        after_asp.remote, 0,
-        "closure hydration crossed shards on closure-local queries"
-    );
-    store.snapshot().expect("snapshot");
-    assert_eq!(store.metrics().remote, after_asp.remote + 1);
+    assert!(store.metrics().local > 0);
+    assert_one_count_per_pin_and_commit(&store);
 }
 
 #[test]
@@ -296,22 +276,42 @@ fn sharded_epoch_publication_matches_the_single_store_oracle() {
 
 #[test]
 fn oracle_and_sharded_store_agree_directly() {
-    // Below the engine: raw store reads agree between the oracle and every
-    // shard count (the engine-level tests could in principle mask a store
-    // bug the cache papers over).
+    // Below the engine: one-atom insert-then-delete commits agree between
+    // the oracle and every shard count — stamps, epochs and pinned systems
+    // (the engine-level tests could in principle mask a store bug the cache
+    // papers over). The deletions exercise the workers' deletion path.
     let w = sharded_workload();
-    let oracle = InProcessStore::new(w.system.clone());
     for shards in shard_counts() {
+        let oracle = InProcessStore::new(w.system.clone());
         let store = ShardedStore::builder(w.system.clone())
             .shards(shards)
             .build();
+        for round in 0..4 {
+            let (peer, insert) = round_update(&w.system, round);
+            let delete = Delta::from_changes([], insert.insertions.iter().cloned());
+            for delta in [insert, delete] {
+                assert_eq!(
+                    store.apply_delta(&peer, &delta).expect("sharded commit"),
+                    oracle.apply_delta(&peer, &delta).expect("oracle commit"),
+                    "version stamps diverged at round {round} (shards={shards})"
+                );
+                let (sharded_pin, oracle_pin) = (
+                    store.pin().expect("sharded pin"),
+                    oracle.pin().expect("oracle pin"),
+                );
+                assert_eq!(sharded_pin.epoch(), oracle_pin.epoch());
+                assert_eq!(sharded_pin.versions(), oracle_pin.versions());
+                assert_eq!(
+                    sharded_pin.system().expect("hydrate sharded"),
+                    oracle_pin.system().expect("hydrate oracle"),
+                    "pinned systems diverged at round {round} (shards={shards})"
+                );
+            }
+        }
+        // Every insertion was deleted again.
         assert_eq!(
-            store.snapshot().expect("snapshot"),
-            oracle.snapshot().expect("snapshot")
-        );
-        assert_eq!(
-            store.versions().expect("versions"),
-            oracle.versions().expect("versions")
+            store.pin().expect("pin").system().expect("hydrate"),
+            w.system
         );
     }
 }
