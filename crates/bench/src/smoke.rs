@@ -606,14 +606,15 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
     if naive.tuples != naive_oracle.tuples {
         return Err("sharded naive answers diverged from the single-store oracle".to_string());
     }
-    let shard_metrics = store.metrics();
-    if shard_metrics.local == 0 {
+    // Every store operation is a pin or a commit, each on at most one shard.
+    let store_ops = {
+        let stats = pdes_core::store::PeerStore::mvcc_stats(store.as_ref());
+        stats.pins + stats.publishes
+    };
+    if store_ops == 0 {
         return Err("serving never reached the sharded store".to_string());
     }
-    metrics.push((
-        "shard_local_queries".to_string(),
-        shard_metrics.local as f64,
-    ));
+    metrics.push(("shard_local_queries".to_string(), store_ops as f64));
 
     // Closed-loop readers under a sustained writer at a fixed small
     // configuration: the throughput is gated *downward* in CI — a read path

@@ -13,19 +13,20 @@
 //!   returned to its caller but not memoized. Every memoized stamp is thus
 //!   current when it enters the cache, and each commit moves every stamp
 //!   it mentions, so an entry is never served — nor repaired by a later
-//!   commit — on a base from before a commit it missed. The global instance
-//!   follows the same rule under a stamp over every peer.
+//!   commit — on a base from before a commit it missed.
 //! * **Repair on commit.** [`MemoCache::commit`] refreshes the stamp of an
-//!   entry the commit cannot affect, stales (queues the delta on) an entry
-//!   whose grounded slice can observe it, and drops the rest. Staled entries
+//!   entry the commit cannot affect, patches a rewriting entry's one world
+//!   in place, stales (queues the delta on) an entry whose grounded slice
+//!   can observe it, and drops the rest. Staled entries
 //!   are registered under a [`PatchGuard`] inside the same write section, so
 //!   a reader that sees a stale entry waits for the committing thread's
 //!   repair ([`MemoCache::wait_for_patch`]) instead of re-preparing it.
 //! * **One writer per counter.** [`MemoCache::note`] is the only place a
 //!   cache counter changes; [`CacheMetrics`] is a read-only view of it.
 //!
-//! An ASP entry keeps no specification: a repair reads the engine's one spec
-//! per `(mechanism, peer)` by the entry's key.
+//! Every mechanism's artifact is an entry of one map, charged to one byte
+//! budget. An ASP entry keeps no specification: a repair reads the
+//! engine's one spec per `(mechanism, peer)` by the entry's key.
 //!
 //! [`QueryEngine`]: crate::engine::QueryEngine
 
@@ -34,7 +35,7 @@ use crate::system::PeerId;
 use crate::Result;
 use datalog::IncrementalGround;
 use pdes_obs::Recorder;
-use relalg::{ColumnarDatabase, Delta, SymbolTable};
+use relalg::Delta;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
@@ -45,14 +46,15 @@ use std::sync::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Mechanism {
     Naive,
+    Rewriting,
     Asp,
     Transitive,
 }
 
 /// The identity of one memoized artifact: its mechanism, the queried peer
 /// and the canonical slice fingerprint
-/// ([`datalog::RelevanceAnalysis::fingerprint`]; empty for naive artifacts,
-/// which cover the whole peer).
+/// ([`datalog::RelevanceAnalysis::fingerprint`]; empty for naive and
+/// rewriting artifacts, which cover the whole peer).
 pub(crate) type Key = (Mechanism, PeerId, String);
 
 /// A query shape posed to one peer: the mechanism plus the cheap shape key
@@ -66,10 +68,6 @@ pub(crate) type VersionStamp = BTreeMap<PeerId, u64>;
 /// Net per-peer deltas committed since an artifact's worlds were solved.
 /// Composed, not merged: an insert-then-delete cancels.
 pub(crate) type Pending = BTreeMap<PeerId, Delta>;
-
-/// The interned global instance (rewriting) and the nanoseconds its
-/// materialization cost.
-pub(crate) type Global = (Arc<ColumnarDatabase>, u64);
 
 /// What a lookup or a claim found: a servable artifact, or a miss carrying
 /// what the caller needs to prepare one.
@@ -124,9 +122,6 @@ impl Entry {
 struct Inner {
     /// Per-peer versions (absent = 0, the construction-time instance).
     versions: BTreeMap<PeerId, u64>,
-    /// Outside the byte budget, and maintained in place across commits
-    /// rather than invalidated.
-    global: Option<Global>,
     entries: BTreeMap<Key, Entry>,
     /// Per peer, query shape → canonical key. Keyed by peer first so a warm
     /// lookup borrows the peer instead of cloning it. Never invalidated: a
@@ -373,60 +368,32 @@ impl MemoCache {
         self.note(CacheEvent::Evicted(evicted));
     }
 
-    /// The memoized global instance and its original materialization
-    /// nanoseconds — or, on a miss, the stamp over every one of `peers`
-    /// (read before the caller reads the store) that a new one must be
-    /// inserted under. A hit never walks `peers`. Counts the hit or the
-    /// miss.
-    pub(crate) fn global(
-        &self,
-        peers: impl IntoIterator<Item = PeerId>,
-    ) -> std::result::Result<Global, VersionStamp> {
-        let inner = self.read();
-        if let Some((db, nanos)) = &inner.global {
-            self.note(CacheEvent::Hit);
-            return Ok((Arc::clone(db), *nanos));
-        }
-        self.note(CacheEvent::Miss);
-        Err(inner.stamp_for(peers))
-    }
-
-    /// Memoize a materialized global instance under the stamp
-    /// [`MemoCache::global`] handed out, unless a commit moved it since: the
-    /// instance may then predate the commit.
-    pub(crate) fn insert_global(&self, stamp: &VersionStamp, global: Global) {
-        let mut inner = self.write();
-        if inner.stamp_current(stamp) {
-            inner.global.get_or_insert(global);
-        }
-    }
-
     /// Bookkeeping for `delta`, just committed at `peer` (now at
-    /// `version`): maintain the global instance in place, then refresh,
-    /// stale or drop every entry stamped with `peer`. Returns a guard per
+    /// `version`): refresh, patch, stale or drop every entry stamped with
+    /// `peer`, then evict down to the byte budget. Returns a guard per
     /// staled entry; the caller repairs each ([`MemoCache::take_for_repair`])
     /// and drops its guard to wake the readers waiting on it.
-    pub(crate) fn commit(
-        &self,
-        peer: &PeerId,
-        version: u64,
-        delta: &Delta,
-        symbols: &Arc<SymbolTable>,
-    ) -> Result<Vec<PatchGuard<'_>>> {
+    pub(crate) fn commit(&self, peer: &PeerId, version: u64, delta: &Delta) -> Vec<PatchGuard<'_>> {
         let mut inner = self.write();
         inner.versions.insert(peer.clone(), version);
-        // Relation names are globally unique (Definition 2(b)), so a
-        // peer-local delta applies verbatim to the union of all instances.
-        // The blocks are decoded, patched and re-interned: O(|global|).
-        if let Some((global, nanos)) = inner.global.take() {
-            let patched = delta.apply(&global.to_database())?;
-            let db = Arc::new(ColumnarDatabase::from_database(&patched, symbols));
-            inner.global = Some((db, nanos));
-        }
         let (mut guards, mut invalidated) = (Vec::new(), 0);
         inner.entries.retain(|key, entry| {
             if !entry.stamp.contains_key(peer) {
                 return true; // outside the closure: untouched
+            }
+            if key.0 == Mechanism::Rewriting {
+                // The one world is the union of the closure's instances and
+                // relation names are globally unique (Definition 2(b)), so
+                // the peer-local delta applies to it verbatim. The blocks
+                // are decoded, patched and re-interned: O(|closure|).
+                let Ok(patched) = entry.prepared.patched(delta) else {
+                    invalidated += 1;
+                    return false;
+                };
+                entry.bytes = patched.bytes();
+                entry.prepared = Arc::new(patched);
+                entry.stamp.insert(peer.clone(), version);
+                return true;
             }
             let Some(state) = &entry.grounding else {
                 // Naive worlds: nothing to patch.
@@ -452,7 +419,9 @@ impl MemoCache {
             true
         });
         self.note(CacheEvent::Invalidated(invalidated));
-        Ok(guards)
+        let evicted = self.evict(&mut inner);
+        self.note(CacheEvent::Evicted(evicted));
+        guards
     }
 
     /// Take a staled entry's grounding out for repair, leaving its pending
@@ -491,21 +460,21 @@ impl MemoCache {
         self.note(CacheEvent::Evicted(evicted));
     }
 
-    /// Drop every entry whose stamp `doomed` selects, plus the global
-    /// instance. Returns how many artifacts were dropped.
+    /// Drop every entry whose stamp `doomed` selects. Returns how many
+    /// artifacts were dropped.
     pub(crate) fn drop_where(&self, doomed: impl Fn(&VersionStamp) -> bool) -> u64 {
         let mut inner = self.write();
         let before = inner.entries.len();
         inner.entries.retain(|_, entry| !doomed(&entry.stamp));
-        let global = u64::from(inner.global.take().is_some());
-        let dropped = (before - inner.entries.len()) as u64 + global;
+        let dropped = (before - inner.entries.len()) as u64;
         self.note(CacheEvent::Invalidated(dropped));
         dropped
     }
 
     /// Evict least-recently-used entries until the cache fits its budget;
     /// returns how many went. The entry just touched has the newest tick,
-    /// so it goes only when it alone exceeds the budget.
+    /// so it goes only when it alone exceeds the budget. A commit evicts
+    /// too, since patching a rewriting entry can grow it.
     fn evict(&self, inner: &mut Inner) -> u64 {
         let Some(capacity) = self.capacity else {
             return 0;
@@ -543,8 +512,7 @@ impl MemoCache {
         self.read().stamp_for(peers)
     }
 
-    /// Memoized artifacts, stale ones included (the global instance is not
-    /// one).
+    /// Memoized artifacts, stale ones included.
     pub(crate) fn len(&self) -> usize {
         self.read().entries.len()
     }

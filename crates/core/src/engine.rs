@@ -41,8 +41,9 @@
 //! ## Memoization and relevance-driven grounding
 //!
 //! The engine owns its system, which makes preparation cacheable: the naive
-//! strategy's enumerated solutions and the rewriting strategy's materialized
-//! global instance are computed once per `(engine, peer)`, and the ASP
+//! strategy's enumerated solutions and the rewriting strategy's one world
+//! (the instances of the peer's relevant-peer closure) are computed once
+//! per `(engine, peer)`, and the ASP
 //! strategies' *grounded and solved* specification programs once per
 //! `(engine, peer, query slice)`, from one specification per `(mechanism,
 //! peer)` built once per engine. The solver's models (sets of atom ids) are
@@ -71,17 +72,17 @@
 //! artifact records the `(peer, version)` stamp of the peers it was computed
 //! from — the queried peer's *relevant-peer closure*
 //! ([`crate::system::P2PSystem::dependencies_of`], the transitive closure of
-//! DEC ownership edges) for the ASP strategies, and every peer for the naive
-//! strategy (whose repair search draws existential witnesses from the global
-//! active domain). A commit touching peer `P` therefore recomputes only the
-//! artifacts of peers whose closure contains `P`; warm queries on peers
-//! outside the closure stay warm, which [`CacheMetrics`] and
-//! [`EngineStats::cache_hit`] make observable. The materialized global
-//! instance (columnar, interned against the store's symbol table) is not
-//! invalidated at all: the committed delta is applied to it and the result
-//! re-interned (relation names are globally unique, so a peer-local delta
-//! is also a global-instance delta). The `pdes-session` crate builds the
-//! transactional `Session`/`Tx` surface on top of these primitives.
+//! DEC edges) for the rewriting and ASP strategies, and every peer for the
+//! naive strategy (whose repair search draws existential witnesses from the
+//! global active domain). A commit touching peer `P` therefore recomputes
+//! only the artifacts of peers whose closure contains `P`; warm queries on
+//! peers outside the closure stay warm, which [`CacheMetrics`] and
+//! [`EngineStats::cache_hit`] make observable. A rewriting artifact is not
+//! invalidated at all: the committed delta is applied to its one world and
+//! the result re-interned (relation names are globally unique, so a
+//! peer-local delta is also a delta of the closure's union). The
+//! `pdes-session` crate builds the transactional `Session`/`Tx` surface on
+//! top of these primitives.
 //!
 //! ## Incremental re-grounding and cache budgeting
 //!
@@ -158,7 +159,7 @@ use datalog::solve::solve_ground_recorded;
 use datalog::{SolveResult, SolverConfig};
 use pdes_exec::{ExecConfig, Executor};
 use relalg::query::{Formula, QueryEvaluator};
-use relalg::{ColumnarDatabase, CqPlan, Tuple, WorldSet};
+use relalg::{CqPlan, Database, SymbolTable, Tuple, WorldSet};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -242,7 +243,7 @@ pub struct EngineStats {
     /// The mechanism that answered the query.
     pub strategy: StrategyKind,
     /// Whether the per-peer preparation (solution enumeration / grounding +
-    /// solving / global instance) was served from the engine cache.
+    /// solving / closure instances) was served from the engine cache.
     pub cache_hit: bool,
     /// Preparation nanoseconds spent *this run* (0 on a cache hit).
     pub(crate) prepare_nanos: u64,
@@ -281,7 +282,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Preparation time spent by *this* run (solution enumeration /
-    /// grounding + solving / global-instance materialization). Zero on a
+    /// grounding + solving / closure-instance materialization). Zero on a
     /// cache hit — see [`EngineStats::cached_prepare_time`] for what the hit
     /// saved.
     pub fn prepare_time(&self) -> Duration {
@@ -649,8 +650,9 @@ pub(crate) struct PreparedWorlds {
     /// Ground rules re-derived by the preparation: all of them on a full
     /// grounding, only the patched subset on an incremental repair.
     regrounded_rules: usize,
-    /// Evidence template cloned into every answer served from this entry.
-    provenance: Provenance,
+    /// Evidence template cloned into every answer served from this entry;
+    /// `None` for the rewriting, whose evidence is each query's rewriting.
+    provenance: Option<Provenance>,
 }
 
 impl PreparedWorlds {
@@ -661,6 +663,71 @@ impl PreparedWorlds {
     pub(crate) fn bytes(&self) -> usize {
         256 + self.set.exact_bytes()
     }
+
+    /// Worlds no grounding produced (naive and rewriting); the caller sets
+    /// the preparation time.
+    fn ungrounded(set: WorldSet, worlds: usize, provenance: Option<Provenance>) -> Self {
+        PreparedWorlds {
+            set,
+            worlds,
+            prepare_nanos: 0,
+            ground_nanos: 0,
+            solve_nanos: 0,
+            grounded_rules: 0,
+            grounded_atoms: 0,
+            regrounded_rules: 0,
+            provenance,
+        }
+    }
+
+    /// The rewriting's artifact: the union of `instances` (a relevant-peer
+    /// closure's) as the one world of a set over all their relations.
+    fn rewriting<'i>(
+        instances: impl IntoIterator<Item = &'i Database>,
+        symbols: &Arc<SymbolTable>,
+    ) -> Result<PreparedWorlds> {
+        let world = instances
+            .into_iter()
+            .try_fold(Database::new(), |world, instance| world.union(instance))?;
+        let relations: Vec<(&str, usize)> = world
+            .relations()
+            .map(|relation| (relation.name(), relation.arity()))
+            .collect();
+        let set = world_set(&relations, [&world], symbols)?;
+        Ok(PreparedWorlds::ungrounded(set, 1, None))
+    }
+
+    /// This rewriting artifact with `delta` applied to its world: what a
+    /// commit to a peer of the closure swaps in. Keeps the original
+    /// preparation time.
+    pub(crate) fn patched(&self, delta: &relalg::Delta) -> Result<PreparedWorlds> {
+        let world = delta.apply(&self.set.world(0))?;
+        let mut patched = PreparedWorlds::rewriting([&world], self.set.core().symbols())?;
+        patched.prepare_nanos = self.prepare_nanos;
+        Ok(patched)
+    }
+}
+
+/// `worlds` as one [`WorldSet`] over `relations` (names and arities; a
+/// relation a world lacks is empty in it), every value interned in
+/// `symbols`.
+fn world_set<'w>(
+    relations: &[(&str, usize)],
+    worlds: impl IntoIterator<Item = &'w Database>,
+    symbols: &Arc<SymbolTable>,
+) -> Result<WorldSet> {
+    let worlds = worlds.into_iter().map(|world| {
+        relations
+            .iter()
+            .map(|(name, _)| {
+                let tuples = world.relation(name).into_iter().flat_map(|r| r.iter());
+                tuples
+                    .map(|tuple| tuple.iter().map(|v| symbols.intern(v).id()).collect())
+                    .collect::<Vec<Vec<u32>>>()
+            })
+            .collect()
+    });
+    Ok(WorldSet::from_id_rows(relations, worlds, symbols)?)
 }
 
 /// The unified query-answering facade over a P2P data exchange system.
@@ -936,54 +1003,12 @@ impl QueryEngine {
         }
         check_free_vars_bound(query, free_vars)?;
         let (worlds, cache_hit) = match kind {
-            StrategyKind::Naive => self.naive_worlds(peer)?,
-            StrategyKind::Rewriting => return self.answer_by_rewriting(peer, query, free_vars),
+            StrategyKind::Naive => self.whole_peer_worlds(peer, Mechanism::Naive)?,
+            StrategyKind::Rewriting => self.whole_peer_worlds(peer, Mechanism::Rewriting)?,
             StrategyKind::Asp => self.asp_worlds(peer, Mechanism::Asp, query)?,
             StrategyKind::TransitiveAsp => self.asp_worlds(peer, Mechanism::Transitive, query)?,
         };
-        self.answers_from_worlds(kind, &worlds, cache_hit, query, free_vars)
-    }
-
-    /// First-order rewriting (Example 2): evaluate the rewritten query over
-    /// the materialized global instance. Preparation is the (cached) global
-    /// instance; the per-query rewrite is evaluation work, so
-    /// `prepare_time` stays 0 on a cache hit (the hit reports the original
-    /// cost via `cached_prepare_time` instead).
-    fn answer_by_rewriting(
-        &self,
-        peer: &PeerId,
-        query: &Formula,
-        free_vars: &[String],
-    ) -> Result<Answers> {
-        let (global, cache_hit, prepare_nanos, cached_prepare_nanos) = self.global_instance()?;
-        let span = Span::enter(self.recorder.as_ref(), "eval");
-        let rewritten = rewriting::rewrite_query(&self.topology, peer, query)?;
-        let tuples = match CqPlan::compile(&rewritten, free_vars) {
-            Some(plan) => CqPlan::materialize(&plan.answers(&global)?, &self.symbols),
-            None => {
-                self.recorder.count("cq.fallback", 1);
-                QueryEvaluator::new(&global.to_database()).answers(&rewritten, free_vars)?
-            }
-        };
-        let eval_nanos = duration_nanos(span.finish());
-        Ok(Answers {
-            tuples,
-            stats: EngineStats {
-                strategy: StrategyKind::Rewriting,
-                cache_hit,
-                prepare_nanos,
-                ground_nanos: 0,
-                solve_nanos: 0,
-                eval_nanos,
-                cached_prepare_nanos,
-                worlds: 1,
-                grounded_rules: 0,
-                grounded_atoms: 0,
-                regrounded_rules: 0,
-                auto_reason: None,
-            },
-            provenance: Provenance::Rewriting { rewritten },
-        })
+        self.answers_from_worlds(kind, peer, &worlds, cache_hit, query, free_vars)
     }
 
     /// Convenience wrapper: answer variables by name.
@@ -1012,8 +1037,9 @@ impl QueryEngine {
     /// peers and run on separate workers. Results come back in submission
     /// order, one per query, and the certain answers are identical to a
     /// sequential loop of [`QueryEngine::answer`] calls for every pool size
-    /// (per-run timing and `cache_hit` stats may differ, e.g. two partitions
-    /// can both miss the shared global instance where a loop would hit).
+    /// (per-run timing and `cache_hit` stats may differ, e.g. two queries
+    /// of different shapes whose slices converge on one artifact can land
+    /// in two partitions and both miss it where a loop would hit).
     ///
     /// With a sequential [`ExecConfig`] (the default) this *is* the plain
     /// loop.
@@ -1064,8 +1090,8 @@ impl QueryEngine {
     /// share a token only when they touch the same closure peer with the
     /// same grounded slice (`(peer, slice key)` — so two disjoint-slice
     /// queries on one peer run concurrently), while naive/rewriting queries
-    /// — whose preparations are per-peer or global — token on the closure
-    /// peers alone, as before. Partitions are ordered by their first query
+    /// — whose preparations are per peer — token on the closure peers
+    /// alone. Partitions are ordered by their first query
     /// index and each partition's indices are ascending, so evaluation order
     /// within a partition matches submission order.
     fn partition_batch(&self, queries: &[Query]) -> Vec<Vec<usize>> {
@@ -1129,10 +1155,12 @@ impl QueryEngine {
 
     /// Apply an update delta to `peer`'s instance, bump the peer's version
     /// and invalidate exactly the memoized artifacts whose relevant-peer
-    /// closure contains `peer`. The cached global instance is maintained
-    /// *incrementally* (the delta is applied to it in place of a full
-    /// recomputation), so warm rewriting queries stay warm across commits.
-    /// Returns the peer's new version.
+    /// closure contains `peer`. Returns the peer's new version.
+    ///
+    /// A rewriting artifact whose closure contains `peer` is maintained
+    /// *incrementally*: the delta is applied to its one world in place of a
+    /// full recomputation, so warm rewriting queries stay warm across
+    /// commits.
     ///
     /// An affected ASP artifact is not dropped: if the delta's relations lie
     /// outside its grounded slice it stays *valid* (its stamp is refreshed in
@@ -1182,7 +1210,7 @@ impl QueryEngine {
         // Cache bookkeeping mirrors the store's stamp so memo artifacts key
         // off store truth; it registers the slices this commit staled so
         // *this* thread can repair them below.
-        let staled = self.cache.commit(peer, version, delta, &self.symbols)?;
+        let staled = self.cache.commit(peer, version, delta);
         // Repair off the reader hot path: the committing thread patches,
         // re-solves and swaps each staled artifact (outside every lock), so
         // the next reader *hits* instead of paying the patch itself. Each
@@ -1259,9 +1287,9 @@ impl QueryEngine {
     }
 
     /// Drop every memoized artifact whose relevant-peer closure intersects
-    /// `touched`, plus the materialized global instance (no delta is
-    /// available here to maintain it incrementally). Returns the number of
-    /// artifacts dropped. Use this when the system was mutated through a
+    /// `touched`, rewriting artifacts included (no delta is available here
+    /// to maintain them incrementally). Returns the number of artifacts
+    /// dropped. Use this when the system was mutated through a
     /// side channel; [`QueryEngine::commit_delta`] invalidates on its own.
     pub fn invalidate_peers<I: IntoIterator<Item = PeerId>>(&self, touched: I) -> u64 {
         let touched: BTreeSet<PeerId> = touched.into_iter().collect();
@@ -1299,8 +1327,8 @@ impl QueryEngine {
         self.cache.metrics()
     }
 
-    /// How many per-peer artifacts (naive / ASP / transitive entries) are
-    /// currently memoized, excluding the global instance. Includes stale
+    /// How many per-peer artifacts (naive / rewriting / ASP / transitive
+    /// entries) are currently memoized. Includes stale
     /// entries awaiting an incremental repair (see
     /// [`QueryEngine::stale_artifact_count`]).
     pub fn cached_artifact_count(&self) -> usize {
@@ -1324,37 +1352,22 @@ impl QueryEngine {
     // Shared preparation (the memoized hot path).
     // ------------------------------------------------------------------
 
-    /// The materialized global instance, interned against the store's
-    /// symbol table and computed once per engine. Returns
-    /// `(instance, cache_hit, nanos_this_run, nanos_originally)` — on a hit
-    /// the run cost is 0 and the original materialization cost is reported
-    /// instead ([`EngineStats::cached_prepare_time`]).
-    fn global_instance(&self) -> Result<(Arc<ColumnarDatabase>, bool, u64, u64)> {
-        let stamp = match self.cache.global(self.topology.peer_ids().cloned()) {
-            Ok((db, nanos)) => return Ok((db, true, 0, nanos)),
-            Err(stamp) => stamp,
-        };
-        // Materialize outside the lock, from one pinned epoch; concurrent
-        // misses may duplicate the work but never block each other on it.
-        let span = Span::enter(self.recorder.as_ref(), "prepare");
-        let global = self.pin()?.system()?.global_instance()?;
-        let db = Arc::new(ColumnarDatabase::from_database(&global, &self.symbols));
-        let nanos = duration_nanos(span.finish());
-        self.cache.insert_global(&stamp, (Arc::clone(&db), nanos));
-        Ok((db, false, nanos, 0))
-    }
-
-    /// Enumerated solutions of `peer`, restricted to the peer's relations.
-    ///
-    /// The entry's stamp covers *every* peer: the repair search operates on
-    /// the global instance and draws existential witnesses from its active
-    /// domain, so in principle any peer's data can influence it.
-    fn naive_worlds(&self, peer: &PeerId) -> Result<(Arc<PreparedWorlds>, bool)> {
-        let shape = (Mechanism::Naive, String::new());
-        let stamp = match self
-            .cache
-            .lookup(peer, &shape, || self.topology.peer_ids().cloned().collect())
-        {
+    /// The artifact of a mechanism that prepares the whole peer, with no
+    /// slice: naive solution enumeration, whose stamp covers *every* peer
+    /// (the repair search operates on the global instance and draws
+    /// existential witnesses from its active domain, so in principle any
+    /// peer's data can influence it), or the rewriting's one world, whose
+    /// stamp is the peer's relevant-peer closure like an ASP entry's.
+    fn whole_peer_worlds(
+        &self,
+        peer: &PeerId,
+        mechanism: Mechanism,
+    ) -> Result<(Arc<PreparedWorlds>, bool)> {
+        let shape = (mechanism, String::new());
+        let stamp = match self.cache.lookup(peer, &shape, || match mechanism {
+            Mechanism::Naive => self.topology.peer_ids().cloned().collect(),
+            _ => self.topology.dependencies_of(peer),
+        }) {
             Cached::Hit(prepared) => return Ok((prepared, true)),
             Cached::Miss(stamp) => stamp,
         };
@@ -1362,12 +1375,27 @@ impl QueryEngine {
             Cached::Hit(prepared) => return Ok((prepared, true)),
             Cached::Miss((key, _)) => key,
         };
-        // Enumerate outside the lock (solution search can be expensive).
-        // The repair search needs every instance (it operates on the global
-        // instance), so a cold naive preparation is the one full-epoch
-        // materialization in the engine — pinned, so a concurrent commit
-        // cannot tear it.
+        // Prepare outside the lock (solution search can be expensive), from
+        // one pin, so a concurrent commit cannot tear the read.
         let span = Span::enter(self.recorder.as_ref(), "prepare");
+        let mut prepared = match mechanism {
+            Mechanism::Naive => self.naive_worlds(peer)?,
+            _ => {
+                let instances = self.instances(&stamp.keys().cloned().collect())?;
+                PreparedWorlds::rewriting(instances.values(), &self.symbols)?
+            }
+        };
+        prepared.prepare_nanos = duration_nanos(span.finish());
+        let prepared = Arc::new(prepared);
+        self.cache.insert(key, stamp, Arc::clone(&prepared), None);
+        Ok((prepared, false))
+    }
+
+    /// Enumerated solutions of `peer`, restricted to the peer's relations.
+    /// The repair search needs every instance (it operates on the global
+    /// instance), so a cold naive preparation is the one full-epoch
+    /// materialization in the engine.
+    fn naive_worlds(&self, peer: &PeerId) -> Result<PreparedWorlds> {
         let snapshot = self.pin()?.system()?;
         let (solutions, search) = crate::solution::solutions_with_stats_recorded(
             &snapshot,
@@ -1375,44 +1403,24 @@ impl QueryEngine {
             self.solution_options,
             self.recorder.as_ref(),
         )?;
-        // Each solution restricted to the peer's relations, as id rows;
-        // the set keeps distinct worlds once, like the ASP decode.
+        // The set keeps distinct worlds once, like the ASP decode.
         let schema = &self.topology.peer(peer)?.schema;
         let relations: Vec<(&str, usize)> = schema
             .relation_names()
             .filter_map(|name| Some((name, schema.relation(name)?.arity())))
             .collect();
-        let worlds = solutions.iter().map(|solution| {
-            relations
-                .iter()
-                .map(|(name, _)| {
-                    let tuples = solution
-                        .database
-                        .relation(name)
-                        .into_iter()
-                        .flat_map(|r| r.iter());
-                    tuples
-                        .map(|tuple| tuple.iter().map(|v| self.symbols.intern(v).id()).collect())
-                        .collect::<Vec<Vec<u32>>>()
-                })
-                .collect()
-        });
-        let prepared = Arc::new(PreparedWorlds {
-            set: WorldSet::from_id_rows(&relations, worlds, &self.symbols)?,
-            worlds: solutions.len(),
-            prepare_nanos: duration_nanos(span.finish()),
-            ground_nanos: 0,
-            solve_nanos: 0,
-            grounded_rules: 0,
-            grounded_atoms: 0,
-            regrounded_rules: 0,
-            provenance: Provenance::Naive {
-                solution_count: solutions.len(),
-                search,
-            },
-        });
-        self.cache.insert(key, stamp, Arc::clone(&prepared), None);
-        Ok((prepared, false))
+        let databases = solutions.iter().map(|solution| &solution.database);
+        let set = world_set(&relations, databases, &self.symbols)?;
+        let solution_count = solutions.len();
+        let provenance = Provenance::Naive {
+            solution_count,
+            search,
+        };
+        Ok(PreparedWorlds::ungrounded(
+            set,
+            solution_count,
+            Some(provenance),
+        ))
     }
 
     /// The cheap *query-shape* key: an injective rendering of the query's
@@ -1598,21 +1606,35 @@ impl QueryEngine {
             grounded_rules,
             grounded_atoms,
             regrounded_rules,
-            provenance: asp_provenance(mechanism, &result),
+            provenance: Some(asp_provenance(mechanism, &result)),
         }))
     }
 
     /// Evaluate a query over prepared worlds and assemble the unified
-    /// [`Answers`] (shared by the three world-based strategies).
+    /// [`Answers`] (shared by every mechanism). Every entry carries its
+    /// evidence but the rewriting's: that is the rewritten query (Example
+    /// 2's `Q''`), which changes with each query and is what runs over the
+    /// entry's one world.
     fn answers_from_worlds(
         &self,
         kind: StrategyKind,
+        peer: &PeerId,
         worlds: &PreparedWorlds,
         cache_hit: bool,
         query: &Formula,
         free_vars: &[String],
     ) -> Result<Answers> {
         let span = Span::enter(self.recorder.as_ref(), "eval");
+        let provenance = match &worlds.provenance {
+            Some(provenance) => provenance.clone(),
+            None => Provenance::Rewriting {
+                rewritten: rewriting::rewrite_query(&self.topology, peer, query)?,
+            },
+        };
+        let query = match &provenance {
+            Provenance::Rewriting { rewritten } => rewritten,
+            _ => query,
+        };
         let tuples = self.certain_answers(worlds, query, free_vars)?;
         let eval_nanos = duration_nanos(span.finish());
         Ok(Answers {
@@ -1631,7 +1653,7 @@ impl QueryEngine {
                 regrounded_rules: worlds.regrounded_rules,
                 auto_reason: None,
             },
-            provenance: worlds.provenance.clone(),
+            provenance,
         })
     }
 
@@ -2372,6 +2394,29 @@ mod tests {
         let warm = engine.answer(&p1, &query, &fv).unwrap();
         assert!(warm.stats.cache_hit);
         assert!(warm.contains(&Tuple::strs(["x", "y"])));
+    }
+
+    #[test]
+    fn rewriting_entries_are_charged_to_the_byte_budget() {
+        let p1 = PeerId::new("P1");
+        let (query, fv) = r1_query();
+        let engine = example1_engine(Strategy::Rewriting);
+        let cold = engine.answer(&p1, &query, &fv).unwrap();
+        assert_eq!(engine.cached_artifact_count(), 1);
+        let bytes = engine.cached_bytes();
+        assert!(bytes > 0, "the rewriting entry is charged");
+        // A budget one byte short of the entry evicts it on insert.
+        let bounded = QueryEngine::builder(example1_system())
+            .strategy(Strategy::Rewriting)
+            .cache_capacity(bytes - 1)
+            .build();
+        let first = bounded.answer(&p1, &query, &fv).unwrap();
+        assert_eq!(bounded.cached_artifact_count(), 0);
+        assert_eq!(bounded.metrics().evictions, 1);
+        let second = bounded.answer(&p1, &query, &fv).unwrap();
+        assert!(!second.stats.cache_hit);
+        assert_eq!(first.tuples, cold.tuples);
+        assert_eq!(second.tuples, cold.tuples);
     }
 
     #[test]

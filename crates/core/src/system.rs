@@ -560,21 +560,27 @@ impl P2PSystem {
 
     /// The *relevant peers* of a peer: every peer whose data can influence
     /// `peer`'s peer consistent answers — `peer` itself plus every peer
-    /// reachable from it following DEC ownership edges (`owner → other`)
-    /// transitively. The transitive closure covers both the direct semantics
-    /// of Definition 4 (which only reads direct DEC targets) and the
-    /// transitive composition of Section 4.3, so it is a sound
-    /// over-approximation for every answering mechanism. Edges are followed
-    /// regardless of declared trust: an untrusted DEC is ignored by the
-    /// semantics today, but including it keeps the closure stable if trust
-    /// is declared later.
+    /// reachable from it following DEC edges transitively, from a DEC's
+    /// owner to its other peer and to the owner of every relation the DEC
+    /// mentions (a DEC may read a third peer's relation; the analyzer warns
+    /// about it but accepts the system). The transitive closure covers both
+    /// the direct semantics of Definition 4 (which only reads the relations
+    /// of direct DECs) and the transitive composition of Section 4.3, so it
+    /// is a sound over-approximation for every answering mechanism. Edges
+    /// are followed regardless of declared trust: an untrusted DEC is
+    /// ignored by the semantics today, but including it keeps the closure
+    /// stable if trust is declared later.
     pub fn dependencies_of(&self, peer: &PeerId) -> BTreeSet<PeerId> {
         let mut closure = BTreeSet::from([peer.clone()]);
         let mut frontier = vec![peer.clone()];
         while let Some(p) = frontier.pop() {
             for dec in self.decs.iter().filter(|d| d.owner == p) {
-                if closure.insert(dec.other.clone()) {
-                    frontier.push(dec.other.clone());
+                let owners = dec.constraint.relations().into_iter();
+                let owners = owners.filter_map(|relation| self.owner_of(&relation));
+                for next in std::iter::once(dec.other.clone()).chain(owners) {
+                    if closure.insert(next.clone()) {
+                        frontier.push(next);
+                    }
                 }
             }
         }

@@ -18,7 +18,11 @@
 //!   Readers never block on a committing writer.
 //! * Mutation goes through the session's single [`Writer`] handle
 //!   ([`Session::writer`]): updates are staged in a [`Tx`]
-//!   ([`Writer::begin`]) and applied atomically by [`Tx::commit`]. An
+//!   ([`Writer::begin`]) and applied by [`Tx::commit`]. Validation is
+//!   all-or-nothing, but publication is not: the store publishes one epoch
+//!   per touched peer, so a reader can pin a multi-peer transaction
+//!   half-applied, and the receipt's sequence number (one per transaction)
+//!   can fall behind the store's epoch (one per peer). An
 //!   update is expressed as a [`relalg::Delta`] — the currency of change
 //!   the paper itself introduces in **Definition 1**, where the distance
 //!   between two instances is the symmetric difference `Δ(r1, r2)` of their

@@ -1,5 +1,6 @@
 //! The [`Session`] / [`ReadHandle`] / [`Writer`] surface: versioned peers,
-//! atomic update commits validated against local ICs, an update log, and
+//! update commits validated all-or-nothing against local ICs, an update
+//! log, and
 //! snapshot replay over MVCC epochs.
 //!
 //! Reads take `&self` and answer against pinned store epochs, so any number
@@ -586,7 +587,8 @@ impl Tx<'_> {
     /// explicit at call sites).
     pub fn rollback(self) {}
 
-    /// Atomically validate and apply the staged changes.
+    /// Validate the staged changes all-or-nothing, then apply them peer by
+    /// peer.
     ///
     /// 1. The current epoch is pinned; normalization and validation read
     ///    that immutable snapshot, never the live store.
@@ -598,10 +600,15 @@ impl Tx<'_> {
     ///    the commit would produce; the first violation aborts the whole
     ///    commit with [`SessionError::IcViolation`] and nothing is applied.
     /// 4. The deltas are applied through
-    ///    [`QueryEngine::commit_delta`], which publishes a new store epoch,
-    ///    bumps each touched peer's version and invalidates exactly the
-    ///    memoized artifacts whose relevant-peer closure intersects the
-    ///    touched peers. Readers pinned to earlier epochs are unaffected.
+    ///    [`QueryEngine::commit_delta`], one peer at a time: each call
+    ///    publishes a new store epoch, bumps that peer's version and
+    ///    invalidates exactly the memoized artifacts whose relevant-peer
+    ///    closure contains it. Readers pinned to earlier epochs are
+    ///    unaffected, but a transaction touching several peers is
+    ///    published once per peer: a reader pinning between two
+    ///    publications sees it half-applied, and the store's epoch then
+    ///    runs ahead of the log's sequence number (which
+    ///    [`Session::snapshot_at`] uses as the epoch).
     ///
     /// A commit whose staged changes normalize to nothing is a no-op: the
     /// log and versions are untouched and the receipt reports no touched

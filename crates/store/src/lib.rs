@@ -29,9 +29,9 @@
 //!
 //! With a recorder installed ([`ShardedStoreBuilder::recorder`]), every
 //! transport round-trip emits a `transport.roundtrip` span tagged with its
-//! shard, and the `shard.local` counter counts every store operation (each
-//! pin and each commit touches at most one shard). The same tally is always
-//! available pull-style via [`ShardedStore::metrics`].
+//! shard. Every store operation is a pin or a commit and touches at most
+//! one shard; the epoch mirror counts both in [`PeerStore::mvcc_stats`]
+//! (`pins` and `publishes`).
 
 #![warn(missing_docs)]
 
@@ -42,7 +42,6 @@ use pdes_core::{CoreError, Result};
 use pdes_obs::{Field, NullRecorder, Recorder, Span};
 use relalg::Delta;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -50,19 +49,6 @@ use std::thread::JoinHandle;
 pub mod transport;
 
 use transport::{Envelope, ShardRequest};
-
-/// A snapshot of a [`ShardedStore`]'s operation counters.
-///
-/// Marked `#[non_exhaustive]`: obtain it via [`ShardedStore::metrics`]; new
-/// counters can be added without a breaking release.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct StoreMetrics {
-    /// Store operations served (pins and commits, including failed
-    /// commits that passed the coordinator's peer lookup). Each touches at
-    /// most one shard.
-    pub local: u64,
-}
 
 /// One worker shard, as seen from the coordinator: its request queue and
 /// its thread (joined on drop).
@@ -87,8 +73,6 @@ pub struct ShardedStore {
     assignment: BTreeMap<PeerId, usize>,
     shards: Vec<ShardHandle>,
     recorder: Arc<dyn Recorder>,
-    /// Store operations served; see [`StoreMetrics::local`].
-    local: AtomicU64,
     /// Coordinator-side epoch mirror: an [`InProcessStore`] over the same
     /// system, replaying every worker-confirmed mutation. [`PeerStore::pin`]
     /// serves snapshots from it without a transport round-trip, and because
@@ -118,8 +102,7 @@ impl ShardedStoreBuilder {
         self
     }
 
-    /// Install an observability recorder for `transport.roundtrip` spans
-    /// and the `shard.local` counter.
+    /// Install an observability recorder for `transport.roundtrip` spans.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -164,7 +147,6 @@ impl ShardedStoreBuilder {
             assignment,
             shards,
             recorder,
-            local: AtomicU64::new(0),
             mirror: InProcessStore::new(self.system),
             commit: Mutex::new(()),
         }
@@ -199,19 +181,6 @@ impl ShardedStore {
     /// and shard count).
     pub fn assignment(&self) -> &BTreeMap<PeerId, usize> {
         &self.assignment
-    }
-
-    /// Snapshot of the operation counters.
-    pub fn metrics(&self) -> StoreMetrics {
-        StoreMetrics {
-            local: self.local.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Count one store operation.
-    fn count_op(&self) {
-        self.local.fetch_add(1, Ordering::Relaxed);
-        self.recorder.count("shard.local", 1);
     }
 
     /// One send + receive against a shard, wrapped in a
@@ -253,14 +222,12 @@ impl PeerStore for ShardedStore {
     fn pin(&self) -> Result<Snapshot> {
         // Served from the coordinator's epoch mirror: no transport
         // round-trip, no waiting on an in-flight commit.
-        self.count_op();
         self.mirror.pin()
     }
 
     fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64> {
         let shard = self.shard_of(peer)?;
         let _commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
-        self.count_op();
         let version =
             self.roundtrip(shard, ShardRequest::ApplyDelta(peer.clone(), delta.clone()))?;
         // Replay the worker-confirmed mutation on the epoch mirror; identical
@@ -497,13 +464,13 @@ mod tests {
     fn unknown_peers_fail_at_the_coordinator() {
         let store = ShardedStore::builder(example1_system()).shards(2).build();
         let ghost = peer("P9");
-        let before = store.metrics();
+        let before = store.mvcc_stats();
         assert!(matches!(
             store.apply_delta(&ghost, &insert("R1", ["x", "y"])),
             Err(CoreError::UnknownPeer(_))
         ));
         // Validation failures never reach the transport or the counters.
-        assert_eq!(store.metrics(), before);
+        assert_eq!(store.mvcc_stats(), before);
         assert!(store.pin().unwrap().version_of(&ghost).is_err());
     }
 
@@ -530,20 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_every_pin_and_commit() {
-        let store = ShardedStore::builder(disjoint_system(4)).shards(2).build();
-        assert_eq!(store.metrics(), StoreMetrics::default());
-        store.pin().unwrap();
-        store
-            .apply_delta(&peer("P2"), &insert("R2", ["x", "y"]))
-            .unwrap();
-        assert_eq!(store.metrics().local, 2);
-        let stats = store.mvcc_stats();
-        assert_eq!(store.metrics().local, stats.pins + stats.publishes);
-    }
-
-    #[test]
-    fn spans_and_counters_reach_the_recorder() {
+    fn roundtrip_spans_reach_the_recorder() {
         let recorder = Arc::new(pdes_obs::TraceRecorder::new());
         let store = ShardedStore::builder(disjoint_system(4))
             .shards(2)
@@ -555,6 +509,5 @@ mod tests {
             .unwrap();
         let trace = recorder.trace();
         assert_eq!(trace.spans_labelled("transport.roundtrip").len(), 1);
-        assert_eq!(recorder.registry().counter_value("shard.local"), 2);
     }
 }

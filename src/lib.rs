@@ -71,7 +71,7 @@ pub use pdes_obs::{
     Histogram, HistogramSummary, MetricsRegistry, NullRecorder, Recorder, Span, TraceRecorder,
 };
 pub use pdes_session::{ReadHandle, Session, Tx, Update, Version, Writer};
-pub use pdes_store::{InProcessStore, PeerStore, ShardedStore, StoreMetrics};
+pub use pdes_store::{InProcessStore, PeerStore, ShardedStore};
 pub use relalg::query::Formula;
 pub use relalg::Tuple;
 

@@ -6,7 +6,8 @@
 use p2p_data_exchange::analysis::{classify_rewritability, RewriteVerdict};
 use p2p_data_exchange::constraints::builders::{full_inclusion, key_agreement};
 use p2p_data_exchange::core::CoreError;
-use p2p_data_exchange::relalg::RelationSchema;
+use p2p_data_exchange::relalg::database::GroundAtom;
+use p2p_data_exchange::relalg::{Delta, RelationSchema};
 use p2p_data_exchange::{
     example1_system, vars, Formula, P2PSystem, PeerId, QueryEngine, Strategy, StrategyKind,
     TrustLevel, Tuple,
@@ -311,5 +312,53 @@ fn transitive_answers_see_a_conflict_one_peer_further_along_the_chain() {
             "{workers} workers"
         );
         assert_eq!(transitive.stats.worlds, 2, "{workers} workers");
+    }
+}
+
+/// P1's DEC towards P2 imports a relation of a third peer, P3 (`R3 ⊆ R1`);
+/// the analyzer only warns about that (`PDES-A005`). P3 is therefore in
+/// P1's relevant-peer closure: every strategy reads R3's facts, and a
+/// commit to P3 reaches P1's memoized answers.
+#[test]
+fn a_dec_on_a_third_peers_relation_puts_that_peer_in_the_closure() {
+    let (p1, p2, p3) = (PeerId::new("P1"), PeerId::new("P2"), PeerId::new("P3"));
+    let mut sys = P2PSystem::new();
+    for (peer, relation, a, b) in [
+        (&p1, "R1", "a", "b"),
+        (&p2, "R2", "s", "t"),
+        (&p3, "R3", "u", "v"),
+    ] {
+        sys.add_peer(peer.clone()).unwrap();
+        sys.add_relation(peer, RelationSchema::new(relation, &["x", "y"]))
+            .unwrap();
+        sys.insert(peer, relation, Tuple::strs([a, b])).unwrap();
+    }
+    sys.add_dec(&p1, &p2, full_inclusion("inc", "R3", "R1", 2).unwrap())
+        .unwrap();
+    sys.set_trust(&p1, TrustLevel::Less, &p2).unwrap();
+    let engine = QueryEngine::new(sys);
+    assert_eq!(
+        engine.relevant_peers(&p1),
+        BTreeSet::from([p1.clone(), p2, p3.clone()])
+    );
+    let query = Formula::atom("R1", vec!["X", "Y"]);
+    let fv = vars(&["X", "Y"]);
+    let mut expected = BTreeSet::from([Tuple::strs(["a", "b"]), Tuple::strs(["u", "v"])]);
+    let strategies = [
+        Strategy::Auto,
+        Strategy::Naive,
+        Strategy::Asp,
+        Strategy::TransitiveAsp,
+    ];
+    for strategy in strategies {
+        let answers = engine.answer_with(strategy, &p1, &query, &fv).unwrap();
+        assert_eq!(answers.tuples, expected, "{strategy:?}");
+    }
+    let delta = Delta::from_changes([GroundAtom::new("R3", Tuple::strs(["w", "x"]))], []);
+    engine.commit_delta(&p3, &delta).unwrap();
+    expected.insert(Tuple::strs(["w", "x"]));
+    for strategy in strategies {
+        let answers = engine.answer_with(strategy, &p1, &query, &fv).unwrap();
+        assert_eq!(answers.tuples, expected, "{strategy:?} after the commit");
     }
 }

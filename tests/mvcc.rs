@@ -243,21 +243,28 @@ fn pinned_readers_never_block_on_a_slow_commit() {
 /// artifact the committing thread keeps repairing. Every read must count
 /// exactly once — a reader landing on a stale entry mid-patch waits for the
 /// committing thread and books a single hit (hit-after-patch), never a miss
-/// plus a patch.
+/// plus a patch. Run for the rewriting too, whose entry every commit
+/// patches in place inside the commit's write section.
 #[test]
 fn racing_readers_count_once_per_query_during_patches() {
+    for strategy in [Strategy::Asp, Strategy::Rewriting] {
+        readers_race_commits_to_the_closure(strategy);
+    }
+}
+
+fn readers_race_commits_to_the_closure(strategy: Strategy) {
     const READERS: usize = 8;
     const QUERIES_PER_READER: usize = 30;
     const COMMITS: usize = 6;
 
     let session = Session::with_engine(
         QueryEngine::builder(example1_system())
-            .strategy(Strategy::Asp)
+            .strategy(strategy)
             .build(),
     );
     let p2 = PeerId::new("P2");
-    // P1's closure contains P2, so every commit invalidates + repairs the
-    // artifact all readers are hammering.
+    // P1's closure contains P2, so every commit invalidates + repairs (ASP)
+    // or patches (rewriting) the artifact all readers are hammering.
     let q1 = Query::named("P1", Formula::atom("R1", vec!["X", "Y"]), &["X", "Y"]);
     let cold = session.query(&q1).unwrap();
     assert!(!cold.stats.cache_hit);
@@ -299,14 +306,21 @@ fn racing_readers_count_once_per_query_during_patches() {
     assert_eq!(
         metrics.hits + metrics.misses,
         (1 + READERS * QUERIES_PER_READER) as u64,
-        "a read racing a patch was double-counted: {metrics:?}"
+        "{strategy:?}: a read racing a patch was double-counted: {metrics:?}"
     );
     assert_eq!(metrics.commits, COMMITS as u64);
-    assert!(
-        metrics.invalidated >= 1,
-        "commits must invalidate P1's artifact"
-    );
-    assert!(metrics.patched >= 1, "commit-thread repair must be counted");
+    // The last commit's tuple is served warm.
+    let last = session.query(&q1).unwrap();
+    assert!(last.stats.cache_hit, "{strategy:?}");
+    let imported = Tuple::strs([format!("patch{}", COMMITS - 1), "v".to_string()]);
+    assert!(last.contains(&imported), "{strategy:?}");
+    if strategy == Strategy::Asp {
+        assert!(
+            metrics.invalidated >= 1,
+            "commits must invalidate P1's artifact"
+        );
+        assert!(metrics.patched >= 1, "commit-thread repair must be counted");
+    }
 }
 
 /// Parks the first thread that closes a `relevance` or `prepare` span until
