@@ -609,6 +609,7 @@ impl QueryEngineBuilder {
             analysis: report,
             verdicts,
             specs: SpecTable::default(),
+            texts: Arc::default(),
             cache: MemoCache::new(self.cache_capacity, Arc::clone(&recorder)),
             recorder,
             commit_lock: Mutex::new(()),
@@ -758,6 +759,11 @@ pub struct QueryEngine {
     verdicts: BTreeMap<PeerId, RewriteVerdict>,
     /// The ASP specification of every `(mechanism, peer)` prepared so far.
     specs: SpecTable,
+    /// The byte order of every constant and predicate text a grounding of
+    /// this engine has ranked: ranking a cold grounding's atoms looks its
+    /// texts up here instead of sorting them. Like the spec table, it
+    /// outlives cache flushes and is not charged to the byte budget.
+    texts: Arc<datalog::TextOrder>,
     /// Every memoized artifact, its stamps and the cache counters.
     cache: MemoCache,
     /// Serializes engine-level commits (store publish + cache bookkeeping +
@@ -1508,16 +1514,12 @@ impl QueryEngine {
         let recorder = self.recorder.as_ref();
         let prepare_span = Span::enter(recorder, "prepare");
         let instances = self.instances(&stamp.keys().cloned().collect())?;
-        let spec = self.specs.get(&self.topology, mechanism, peer)?;
+        let SpecEntry { spec, rules } = self.specs.get(&self.topology, mechanism, peer)?;
         let seeds = self.query_seeds(query, &spec);
         // The facts' shapes are the non-empty relations: the analysis reads
-        // no row.
+        // no row, and the rule side of the graph was built with the spec.
         let relevance_span = Span::enter(recorder, "relevance");
-        let analysis = datalog::RelevanceAnalysis::analyze_with_facts(
-            &spec.program,
-            encode::fact_shapes(instances.values()),
-            &seeds,
-        );
+        let analysis = rules.analyze(encode::fact_shapes(instances.values()), &seeds);
         relevance_span.finish();
         let fingerprint = analysis.fingerprint();
         // Slow path: record the alias, re-check the canonical artifact
@@ -1538,18 +1540,13 @@ impl QueryEngine {
             }
             None => {
                 // Only the rows of the relations the slice keeps are
-                // encoded, as tables of store symbol ids.
+                // encoded, as tables of store symbol ids; the kept rules
+                // are the spec's compiled templates, taken by index.
                 let tables = encode::fact_tables(instances.values(), &self.symbols, |relation| {
                     analysis.is_relevant(relation)
                 });
                 let text = encode::symbol_text(&self.symbols);
-                let kept = analysis.restrict_facts(&tables, &text);
-                let state = datalog::IncrementalGround::from_tables(
-                    &analysis.restrict(&spec.program),
-                    kept.iter().map(|table| &**table),
-                    &text,
-                )
-                .map_err(CoreError::from)?;
+                let state = rules.ground(&analysis, &tables, &text, &self.texts);
                 let ground = state.to_ground();
                 let all = ground.rule_count();
                 (ground, state, all)
@@ -1594,7 +1591,7 @@ impl QueryEngine {
         // Decoding consults the topology (relation ownership), never
         // instance data: the worlds come from the solved program.
         let decode_span = Span::enter(recorder, "decode");
-        let spec = self.specs.get(&self.topology, mechanism, peer)?;
+        let spec = self.specs.get(&self.topology, mechanism, peer)?.spec;
         let set = spec.columnar_worlds(&self.topology, &result, &self.symbols)?;
         decode_span.finish();
         Ok(Arc::new(PreparedWorlds {
@@ -1729,27 +1726,40 @@ impl QueryEngine {
 /// the first cold preparation that needs one. The rules depend on the
 /// topology alone, which never changes after build, so the table is never
 /// evicted or invalidated (flushing the memo cache keeps it) and is not
-/// charged to the cache's byte budget.
+/// charged to the cache's byte budget. Each key has its own lock, so
+/// building one peer's spec never blocks preparations of another.
 #[derive(Default)]
-struct SpecTable(Mutex<BTreeMap<(Mechanism, PeerId), Arc<TransitiveSpec>>>);
+struct SpecTable(Mutex<BTreeMap<(Mechanism, PeerId), SpecCell>>);
+
+/// One key's slot in the [`SpecTable`], empty until its spec is built.
+type SpecCell = Arc<Mutex<Option<SpecEntry>>>;
+
+/// One spec of the [`SpecTable`]: the specification (its solution
+/// predicates and decode; its `program` is moved out) and its rule part,
+/// compiled once — the rule templates and the rule side of the relevance
+/// graph every preparation of the spec reads ([`datalog::CompiledProgram`]).
+#[derive(Clone)]
+struct SpecEntry {
+    spec: Arc<TransitiveSpec>,
+    rules: Arc<datalog::CompiledProgram>,
+}
 
 impl SpecTable {
     /// The specification of `peer` under `mechanism`: the composition over
     /// the peer alone for direct ASP and over its trusted-DEC closure for
     /// transitive ASP, rules only (the facts reach the grounder as tables of
-    /// store ids, [`encode::fact_tables`]), choice atoms unfolded. Built
-    /// under the lock, so racing cold preparations build it once; the only
-    /// write inserts a finished spec, so a poisoned lock is recovered.
-    fn get(
-        &self,
-        topology: &P2PSystem,
-        mechanism: Mechanism,
-        peer: &PeerId,
-    ) -> Result<Arc<TransitiveSpec>> {
-        let key = (mechanism, peer.clone());
-        let mut specs = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(spec) = specs.get(&key) {
-            return Ok(Arc::clone(spec));
+    /// store ids, [`encode::fact_tables`]), compiled with choice atoms
+    /// unfolded. Built under the key's lock, so racing cold preparations
+    /// build it once; the only writes add a key and store a finished entry,
+    /// so a poisoned lock is recovered.
+    fn get(&self, topology: &P2PSystem, mechanism: Mechanism, peer: &PeerId) -> Result<SpecEntry> {
+        let cell = {
+            let mut specs = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(specs.entry((mechanism, peer.clone())).or_default())
+        };
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(entry) = &*slot {
+            return Ok(entry.clone());
         }
         let members = if mechanism == Mechanism::Transitive {
             trusted_closure(topology, peer)
@@ -1757,12 +1767,16 @@ impl SpecTable {
             BTreeSet::from([peer.clone()])
         };
         let mut spec = transitive_spec(topology, peer, &members, datalog::Program::new())?;
-        if spec.program.has_choice() {
-            spec.program = datalog::choice::unfold_choices(&spec.program);
-        }
-        let spec = Arc::new(spec);
-        specs.insert(key, Arc::clone(&spec));
-        Ok(spec)
+        // The compiled program is all a preparation reads of the rules, so
+        // the table does not keep them twice.
+        let program = std::mem::take(&mut spec.program);
+        let rules = datalog::CompiledProgram::new(&program).map_err(CoreError::from)?;
+        let entry = SpecEntry {
+            spec: Arc::new(spec),
+            rules: Arc::new(rules),
+        };
+        *slot = Some(entry.clone());
+        Ok(entry)
     }
 }
 
@@ -2862,13 +2876,16 @@ mod tests {
     }
 
     /// The spec table's entry for `(mechanism, peer)`, if one was built.
-    fn table_spec(
-        engine: &QueryEngine,
-        mechanism: Mechanism,
-        peer: &PeerId,
-    ) -> Option<Arc<TransitiveSpec>> {
+    fn table_spec(engine: &QueryEngine, mechanism: Mechanism, peer: &PeerId) -> Option<SpecEntry> {
         let specs = engine.specs.0.lock().unwrap();
-        specs.get(&(mechanism, peer.clone())).cloned()
+        let cell = specs.get(&(mechanism, peer.clone()))?;
+        let entry = cell.lock().unwrap().clone();
+        entry
+    }
+
+    /// Do two entries share one spec and one compiled rule part?
+    fn same_entry(a: &SpecEntry, b: &SpecEntry) -> bool {
+        Arc::ptr_eq(&a.spec, &b.spec) && Arc::ptr_eq(&a.rules, &b.rules)
     }
 
     #[test]
@@ -2879,15 +2896,15 @@ mod tests {
         let (p1, p2) = (PeerId::new("P1"), PeerId::new("P2"));
         let (query, fv) = r1_query();
         let _ = engine.answer(&p1, &query, &fv).unwrap();
-        let spec =
+        let entry =
             table_spec(&engine, Mechanism::Asp, &p1).expect("a cold prepare builds the spec");
-        // A flush drops the prepared worlds, not the spec: the next cold
-        // prepare reads the same one.
+        // A flush drops the prepared worlds, not the spec or its compiled
+        // rules: the next cold prepare reads the same ones.
         assert_eq!(engine.flush_cache(), 1);
         let cold = engine.answer(&p1, &query, &fv).unwrap();
         assert!(!cold.stats.cache_hit);
-        assert!(Arc::ptr_eq(
-            &spec,
+        assert!(same_entry(
+            &entry,
             &table_spec(&engine, Mechanism::Asp, &p1).unwrap()
         ));
         // A commit that stales the slice is repaired from the same spec.
@@ -2895,10 +2912,11 @@ mod tests {
         engine.commit_delta(&p2, &delta).unwrap();
         assert_eq!(engine.metrics().patched, 1);
         assert!(engine.answer(&p1, &query, &fv).unwrap().stats.cache_hit);
-        assert!(Arc::ptr_eq(
-            &spec,
+        assert!(same_entry(
+            &entry,
             &table_spec(&engine, Mechanism::Asp, &p1).unwrap()
         ));
+        let spec = &entry.spec;
         // The other flavour on the same peer gets its own entry.
         let transitive = engine
             .answer_with(Strategy::TransitiveAsp, &p1, &query, &fv)
@@ -2908,7 +2926,9 @@ mod tests {
             Provenance::TransitiveAsp { .. }
         ));
         let composed = table_spec(&engine, Mechanism::Transitive, &p1).unwrap();
-        assert!(!Arc::ptr_eq(&spec, &composed));
+        assert!(!Arc::ptr_eq(&entry.rules, &composed.rules));
+        let composed = &composed.spec;
+        assert!(!Arc::ptr_eq(spec, composed));
         assert_eq!(
             spec.specs.len(),
             1,
@@ -2924,7 +2944,7 @@ mod tests {
         let p1 = PeerId::new("P1");
         let (query, fv) = r1_query();
         let start = std::sync::Barrier::new(4);
-        let specs: Vec<Arc<TransitiveSpec>> = std::thread::scope(|scope| {
+        let entries: Vec<SpecEntry> = std::thread::scope(|scope| {
             let racers: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
@@ -2940,6 +2960,6 @@ mod tests {
                 .collect()
         });
         assert_eq!(engine.specs.0.lock().unwrap().len(), 1);
-        assert!(specs.iter().all(|spec| Arc::ptr_eq(spec, &specs[0])));
+        assert!(entries.iter().all(|entry| same_entry(entry, &entries[0])));
     }
 }

@@ -1,0 +1,215 @@
+//! A program's rule part, compiled once.
+//!
+//! A peer's specification program is fixed rules plus the peers' instances
+//! as facts (Section 4.2): the rules depend only on the DECs and the trust
+//! topology, and only the facts change between preparations. A
+//! [`CompiledProgram`] does the rule-only work once — choice unfolding, the
+//! safety check, the rule templates over numbered slots and the rule side
+//! of the relevance graph — so that each preparation adds only its fact
+//! shapes and seeds ([`CompiledProgram::analyze`]) and instantiates the
+//! kept templates by index ([`CompiledProgram::ground`]). No rule is
+//! restricted into a new program, re-checked or recompiled.
+//!
+//! [`crate::IncrementalGround::from_tables`] and
+//! [`crate::RelevanceAnalysis::analyze_with_facts`] compile on every call
+//! and then take the same path.
+
+use crate::choice::unfold_choices;
+use crate::error::DatalogError;
+use crate::facts::{FactTable, TextFacts};
+use crate::incremental::IncrementalGround;
+use crate::relevance::{QuerySeed, RelevanceAnalysis, RuleGraph};
+use crate::seminaive::{self, Kept, Templates, TextOrder};
+use crate::syntax::Program;
+use std::borrow::Cow;
+use std::sync::Arc;
+
+/// `program` with its choice atoms unfolded, or an error naming its first
+/// unsafe rule: what every grounding entry point checks once.
+pub(crate) fn unfolded_and_safe(program: &Program) -> Result<Cow<'_, Program>, DatalogError> {
+    let program = if program.has_choice() {
+        Cow::Owned(unfold_choices(program))
+    } else {
+        Cow::Borrowed(program)
+    };
+    if let Some(rule) = program.unsafe_rules().first() {
+        return Err(DatalogError::UnsafeRule(rule.to_string()));
+    }
+    Ok(program)
+}
+
+/// A program compiled once for many relevance analyses and groundings:
+/// its non-fact rules as templates, its own facts as tables, and the rule
+/// side of its relevance graph. Immutable, so one value serves any number
+/// of concurrent preparations.
+#[derive(Debug, Clone)]
+pub struct CompiledProgram {
+    templates: Templates,
+    graph: RuleGraph,
+    own: TextFacts,
+}
+
+impl CompiledProgram {
+    /// Compile `program`: choice atoms are unfolded first, like
+    /// [`crate::ground::Grounder::new`]. Fails on an unsafe rule.
+    pub fn new(program: &Program) -> Result<Self, DatalogError> {
+        let program = unfolded_and_safe(program)?;
+        let rules = program.rules();
+        let templates = Templates::compile(rules);
+        Ok(CompiledProgram {
+            graph: RuleGraph::new(rules, &templates),
+            own: TextFacts::of(rules),
+            templates,
+        })
+    }
+
+    /// The relevance analysis of the program plus facts given by shape
+    /// (see [`RelevanceAnalysis::analyze_with_facts`], whose result it
+    /// equals) for `seeds`.
+    pub fn analyze<'s>(
+        &self,
+        fact_shapes: impl IntoIterator<Item = (&'s str, usize)>,
+        seeds: &[QuerySeed],
+    ) -> RelevanceAnalysis {
+        self.graph.analyze(&self.templates, fact_shapes, seeds)
+    }
+
+    /// Ground the slice `analysis` keeps — an analysis of this program —
+    /// over the program's own facts and `tables` of caller ids, retaining
+    /// the incremental state. Only the kept tables and rows are read
+    /// ([`RelevanceAnalysis::restrict_facts`]); the kept templates are
+    /// instantiated by index, with the bindings of restrictable seeds
+    /// substituted. The result equals
+    /// [`IncrementalGround::from_tables`] over the restricted program
+    /// ([`RelevanceAnalysis::restrict`]) and the kept tables. Atoms are
+    /// ranked through `order`, which the state keeps for its patches.
+    pub fn ground<'t>(
+        &self,
+        analysis: &RelevanceAnalysis,
+        tables: impl IntoIterator<Item = &'t FactTable>,
+        text: &dyn Fn(u32) -> Arc<str>,
+        order: &Arc<TextOrder>,
+    ) -> IncrementalGround {
+        let own_text = |id| self.own.text(id);
+        let own = analysis.restrict_facts(&self.own.tables, &own_text);
+        let tables = analysis.restrict_facts(tables, text);
+        let kept: Vec<Kept<'_>> = analysis
+            .kept_rules
+            .iter()
+            .map(|&(r, seed)| {
+                let bindings = seed.map(|s| &analysis.seeds[s as usize].bindings[..]);
+                (r as usize, bindings)
+            })
+            .collect();
+        // `restrict` drops the facts a binding rules out, so an own table
+        // left with no row is dropped too.
+        let own = own.iter().map(|t| &**t).filter(|t| !t.is_empty()).collect();
+        let sources = [
+            (own, &own_text as &dyn Fn(u32) -> Arc<str>),
+            (tables.iter().map(|t| &**t).collect(), text),
+        ];
+        let built = seminaive::build(&self.templates, &kept, &sources, order);
+        IncrementalGround::from_built(built)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::facts::no_tables;
+    use crate::syntax::{Atom, BodyItem, Rule};
+
+    fn atom(p: &str, args: &[&str]) -> Atom {
+        Atom::new(p, args)
+    }
+
+    /// Facts of `edge` and `color` (some as tables), a recursive `reach`,
+    /// a `reach` rule whose head constant contradicts a binding, a
+    /// repeated head variable, and an island the seeds never reach.
+    fn program() -> Program {
+        let mut p = Program::new();
+        p.add_fact(atom("edge", &["a", "b"]));
+        p.add_fact(atom("edge", &["b", "c"]));
+        p.add_fact(atom("edge", &["c", "a"]));
+        p.add_rule(Rule::new(
+            vec![atom("reach", &["X", "Y"])],
+            vec![BodyItem::Pos(atom("edge", &["X", "Y"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("reach", &["X", "Z"])],
+            vec![
+                BodyItem::Pos(atom("reach", &["X", "Y"])),
+                BodyItem::Pos(atom("edge", &["Y", "Z"])),
+            ],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("reach", &["b", "Y"])],
+            vec![BodyItem::Pos(atom("color", &["Y", "C"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("loop", &["X", "X"])],
+            vec![BodyItem::Pos(atom("edge", &["X", "Y"]))],
+        ));
+        p.add_fact(atom("loop", &["c", "d"]));
+        p.add_rule(Rule::new(
+            vec![atom("colored", &["X"])],
+            vec![BodyItem::Pos(atom("color", &["X", "C"]))],
+        ));
+        p
+    }
+
+    #[test]
+    fn compiled_grounding_equals_the_restricted_programs() {
+        let program = program();
+        let compiled = CompiledProgram::new(&program).unwrap();
+        let texts: Vec<Arc<str>> = ["a", "b", "red", "d"].map(Arc::from).to_vec();
+        let text = |id: u32| Arc::clone(&texts[id as usize]);
+        let mut color = FactTable::new("color", 2);
+        color.push(&[0, 2]);
+        color.push(&[1, 2]);
+        let mut edge = FactTable::new("edge", 2);
+        edge.push(&[1, 3]);
+        let tables = [color, edge];
+        let bound = |p: &str, b: [Option<&str>; 2]| {
+            QuerySeed::with_bindings(p, b.map(|c| c.map(Arc::from)).to_vec())
+        };
+        let order = Arc::new(TextOrder::new());
+        for seeds in [
+            vec![QuerySeed::new("reach")],
+            vec![bound("reach", [Some("a"), None])],
+            vec![bound("reach", [Some("c"), None])],
+            vec![bound("loop", [Some("a"), Some("b")])],
+            vec![bound("loop", [Some("c"), None])],
+            vec![bound("colored", [Some("a"), None])],
+            vec![QuerySeed::new("edge"), QuerySeed::new("nothing")],
+        ] {
+            let shapes = tables.iter().map(|t| (t.predicate(), t.arity()));
+            let analysis = compiled.analyze(shapes.clone(), &seeds);
+            let expected = RelevanceAnalysis::analyze_with_facts(&program, shapes, &seeds);
+            assert_eq!(analysis.fingerprint(), expected.fingerprint(), "{seeds:?}");
+            let got = compiled.ground(&analysis, &tables, &text, &order);
+            let kept = analysis.restrict_facts(&tables, &text);
+            let want = IncrementalGround::from_tables(
+                &analysis.restrict(&program),
+                kept.iter().map(|t| &**t),
+                &text,
+            )
+            .unwrap();
+            assert_eq!(
+                got.to_ground().to_string(),
+                want.to_ground().to_string(),
+                "{seeds:?}"
+            );
+            assert_eq!(got.exact_bytes(), want.exact_bytes(), "{seeds:?}");
+            for predicate in ["reach", "edge", "color", "loop", "colored", "nothing"] {
+                assert_eq!(got.touches(predicate), want.touches(predicate), "{seeds:?}");
+            }
+        }
+        // Without tables, the program's own facts alone.
+        let analysis = compiled.analyze([], &[bound("loop", [Some("c"), None])]);
+        let got = compiled.ground(&analysis, [], &no_tables, &order);
+        let want = IncrementalGround::new(&analysis.restrict(&program)).unwrap();
+        assert_eq!(got.to_ground().to_string(), want.to_ground().to_string());
+        assert_eq!(got.exact_bytes(), want.exact_bytes());
+    }
+}

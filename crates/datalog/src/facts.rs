@@ -114,6 +114,7 @@ pub(crate) fn no_tables(id: u32) -> Arc<str> {
 
 /// The facts of a text program as [`FactTable`]s whose ids index a local
 /// list of the constants' texts.
+#[derive(Debug, Clone)]
 pub(crate) struct TextFacts {
     pub(crate) tables: Vec<FactTable>,
     texts: Vec<Arc<str>>,

@@ -395,13 +395,13 @@ impl<'a> Grounder<'a> {
         if let Some(rule) = self.program.unsafe_rules().first() {
             return Err(DatalogError::UnsafeRule(rule.to_string()));
         }
-        let built = seminaive::build(self.program.rules(), [], &no_tables);
+        let (built, order) = seminaive::build_program(self.program.rules(), [], &no_tables);
         let mut emitter = Emitter::new(&built.core);
-        let mut facts = built.fact_atoms.iter();
+        let mut facts = order.iter().map(|&row| built.fact_atoms[row]);
         let mut compiled = 0;
         for rule in self.program.rules() {
             if rule.is_fact() {
-                emitter.fact(*facts.next().expect("one atom per fact rule"));
+                emitter.fact(facts.next().expect("one atom per fact rule"));
             } else {
                 let matches = &built.matches[compiled];
                 for i in 0..matches.len() {
@@ -450,6 +450,33 @@ mod tests {
 
     fn atom(p: &str, args: &[&str]) -> Atom {
         Atom::new(p, args)
+    }
+
+    #[test]
+    fn instances_sort_past_the_packed_key() {
+        // Twelve body atoms over one fact fill the packed sort key and tie
+        // every match; the two atoms after them decide the order.
+        let mut p = Program::new();
+        p.add_fact(atom("one", &["a"]));
+        for c in ["c", "a", "b"] {
+            p.add_fact(atom("x", &[c]));
+            p.add_fact(atom("y", &[c]));
+        }
+        let mut body: Vec<BodyItem> = (0..12)
+            .map(|_| BodyItem::Pos(atom("one", &["Z"])))
+            .collect();
+        body.push(BodyItem::Pos(atom("x", &["X"])));
+        body.push(BodyItem::Pos(atom("y", &["Y"])));
+        p.add_rule(Rule::new(vec![atom("h", &["X", "Y"])], body));
+        let g = Grounder::new(&p).ground().unwrap();
+        let tails: Vec<(GroundAtom, GroundAtom)> = g
+            .rules()
+            .iter()
+            .filter(|r| r.pos.len() == 14)
+            .map(|r| (g.atom(r.pos[12]), g.atom(r.pos[13])))
+            .collect();
+        assert_eq!(tails.len(), 9);
+        assert!(tails.windows(2).all(|w| w[0] < w[1]), "{tails:?}");
     }
 
     #[test]

@@ -5,16 +5,19 @@
 //! throws away almost everything it just computed. [`IncrementalGround`]
 //! keeps the grounding core's state alive and patches it:
 //!
-//! * [`IncrementalGround::from_tables`] grounds rules plus fact tables of
-//!   caller ids ([`crate::FactTable`]) once — the same one-pass semi-naive
-//!   build as [`crate::ground::Grounder`], over a per-grounding symbol
-//!   table of dense `u32` ids, hashing each distinct fact constant's text
-//!   once — and retains the interned atoms, the possible set with a
-//!   *support count* per atom (how many distinct derivations — base fact
-//!   or rule instantiation — produce it), the compiled rules, and the rule
-//!   instances grouped by source rule. [`IncrementalGround::new`] is the
-//!   same build over a text program, whose facts are grouped into tables
-//!   first.
+//! * [`crate::CompiledProgram::ground`] grounds the slice a relevance
+//!   analysis keeps, over rule templates compiled once per program, plus
+//!   fact tables of caller ids ([`crate::FactTable`]) — the same one-pass
+//!   semi-naive build as [`crate::ground::Grounder`], over a per-grounding
+//!   symbol table of dense `u32` ids holding only what the slice uses,
+//!   hashing each distinct fact constant's text once — and retains the
+//!   interned atoms, the possible set with a *support count* per atom (how
+//!   many distinct derivations — base fact or rule instantiation — produce
+//!   it), the kept rules' templates, and the rule instances grouped by
+//!   source rule. [`IncrementalGround::from_tables`] compiles a program
+//!   and takes the same build over all of its rules;
+//!   [`IncrementalGround::new`] is that build over a text program, whose
+//!   facts are grouped into tables first.
 //! * [`IncrementalGround::apply_delta`] takes base-fact insertions and
 //!   deletions and repairs the state:
 //!   * **Insertions** propagate by *semi-naive evaluation*: each round joins
@@ -39,7 +42,10 @@
 //!   facts and instance groups — no joins and no text: each atom's
 //!   predicate id and constant ids are copied once, and the program shares
 //!   the state's symbol table (the state writes to it copy-on-write, so a
-//!   program still alive keeps its ids across later patches). **Emission
+//!   program still alive keeps its ids across later patches). Atoms are
+//!   ranked through a shared [`crate::TextOrder`], which the state keeps
+//!   for its patches, so a build or patch compares only texts the order
+//!   has not seen before. **Emission
 //!   order:** facts in [`GroundAtom`] order,
 //!   then the groups in source-rule order, each sorted by its tuple of
 //!   positive-body atoms in [`GroundAtom`] order (the order of a nested-loop
@@ -56,11 +62,11 @@
 //! constants only they used, renumbering the rest), so the state stays
 //! within about twice the size of a fresh build under any update stream.
 
-use crate::choice::unfold_choices;
+use crate::compiled::unfolded_and_safe;
 use crate::error::DatalogError;
 use crate::facts::{no_tables, FactTable};
 use crate::ground::{GroundAtom, GroundProgram};
-use crate::seminaive::{self, Core, Emitter, Group, Scratch};
+use crate::seminaive::{self, Built, Core, Emitter, Group, Scratch};
 use crate::syntax::Program;
 use std::mem::size_of;
 use std::sync::Arc;
@@ -116,23 +122,23 @@ impl IncrementalGround {
     /// text of a table id. Each distinct id's text is hashed once, and a
     /// table, being ground, needs no safety check. The state equals
     /// [`IncrementalGround::new`]'s over the program that holds the same
-    /// facts as text.
+    /// facts as text. Compiles the rules on every call and takes the build
+    /// [`crate::CompiledProgram::ground`] takes, with every rule kept and
+    /// an order of its own.
     pub fn from_tables<'t>(
         rules: &Program,
         tables: impl IntoIterator<Item = &'t FactTable>,
         text: &dyn Fn(u32) -> Arc<str>,
     ) -> Result<Self, DatalogError> {
-        let unfolded;
-        let rules = if rules.has_choice() {
-            unfolded = unfold_choices(rules);
-            &unfolded
-        } else {
-            rules
-        };
-        if let Some(rule) = rules.unsafe_rules().first() {
-            return Err(DatalogError::UnsafeRule(rule.to_string()));
-        }
-        let built = seminaive::build(rules.rules(), tables, text);
+        let rules = unfolded_and_safe(rules)?;
+        Ok(Self::from_built(
+            seminaive::build_program(rules.rules(), tables, text).0,
+        ))
+    }
+
+    /// The retained state of a build: its facts in [`GroundAtom`] order
+    /// and each rule's instances.
+    pub(crate) fn from_built(built: Built) -> Self {
         let core = built.core;
         let mut facts: Vec<u32> = (0..core.atoms.len() as u32)
             .filter(|&a| core.atoms.is_fact(a))
@@ -145,12 +151,12 @@ impl IncrementalGround {
             .map(|(r, m)| core.instances(r, m))
             .collect();
         let feeds_recursion = feeds_recursion(&core);
-        Ok(IncrementalGround {
+        IncrementalGround {
             core,
             facts,
             groups,
             feeds_recursion,
-        })
+        }
     }
 
     /// Signed predicates occurring anywhere in the slice (rule heads,
@@ -363,6 +369,7 @@ mod tests {
     use super::*;
     use crate::ground::Grounder;
     use crate::syntax::{Atom, BodyItem, Builtin, BuiltinOp, Rule, Term};
+    use crate::{CompiledProgram, QuerySeed};
     use std::collections::BTreeSet;
 
     fn atom(p: &str, args: &[&str]) -> Atom {
@@ -755,6 +762,80 @@ mod tests {
             "compaction ran {returned} times in 40 rounds"
         );
         assert_matches_fresh(&state, &p);
+    }
+
+    /// Each atom's rank in [`GroundAtom`] order, by sorting the atoms as
+    /// text: the reference [`Core::ranks`] must equal.
+    fn text_sort_ranks(core: &Core) -> Vec<u32> {
+        let atom = |a: u32| {
+            let (name, strong_neg) = core.symbols.pred(core.atoms.pred(a));
+            let args = core.atoms.args(a).iter();
+            GroundAtom {
+                predicate: name.clone(),
+                strong_neg: *strong_neg,
+                args: args
+                    .map(|&c| Arc::clone(core.symbols.const_text(c)))
+                    .collect(),
+            }
+        };
+        let mut sorted: Vec<u32> = (0..core.atoms.len() as u32).collect();
+        sorted.sort_by_key(|&a| atom(a));
+        let mut rank = vec![0; sorted.len()];
+        for (r, a) in sorted.into_iter().enumerate() {
+            rank[a as usize] = r as u32;
+        }
+        rank
+    }
+
+    #[test]
+    fn ranks_match_the_text_sort() {
+        // Texts that sort byte-wise: a number next to its quoted form,
+        // shared prefixes, non-ASCII text and the empty string; one
+        // predicate at two arities and a strongly negated one; and atoms
+        // too wide to pack into one key, which tie on the packed prefix.
+        let texts = [
+            "1", "\"1\"", "k_P1_1", "k_P1_10", "k_P1_2", "", "é", "e", "日本", "z",
+        ];
+        let mut p = Program::new();
+        for (i, &c) in texts.iter().enumerate() {
+            p.add_fact(atom("r", &[c, texts[(i + 3) % texts.len()]]));
+            p.add_fact(atom("r", &[c]));
+            let mut wide = vec!["k_P1_1"; 20];
+            wide[19] = c;
+            p.add_fact(atom("wide", &wide));
+        }
+        p.add_rule(Rule::new(
+            vec![atom("r", &["Y", "X"]).strongly_negated()],
+            vec![
+                BodyItem::Pos(atom("r", &["X", "Y"])),
+                BodyItem::Pos(atom("r", &["Y"])),
+            ],
+        ));
+        let mut state = IncrementalGround::new(&p).unwrap();
+        assert_eq!(state.core.ranks(), text_sort_ranks(&state.core));
+
+        // A second grounding extends the same order with texts of its own;
+        // the first grounding's ranks still read the order correctly.
+        let mut q = Program::new();
+        for c in ["k_P1_100", "ü", "1 ", "0", "k_P1_10"] {
+            q.add_fact(atom("s", &[c, "e"]));
+        }
+        let compiled = CompiledProgram::new(&q).unwrap();
+        let analysis = compiled.analyze([], &[QuerySeed::new("s")]);
+        let other = compiled.ground(&analysis, [], &no_tables, &state.core.order);
+        assert_eq!(other.core.ranks(), text_sort_ranks(&other.core));
+        assert_eq!(state.core.ranks(), text_sort_ranks(&state.core));
+
+        // Constants first minted by a patch, after the order was built.
+        let ins = [
+            ga("r", &["k_P1_11", "é"]),
+            ga("r", &["k_P1_11"]),
+            ga("r", &["ä", ""]),
+            ga("wide", &[&["k_P1_1"; 19][..], &["aa"]].concat()),
+        ];
+        state.apply_delta(&ins, &[ga("r", &["z"])]);
+        assert_eq!(state.core.ranks(), text_sort_ranks(&state.core));
+        assert_matches_fresh(&state, &program_with(&p, &ins, &[ga("r", &["z"])]));
     }
 
     #[test]

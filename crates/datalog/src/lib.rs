@@ -14,6 +14,9 @@
 //! * [`ground`] — safety checking and intelligent grounding;
 //! * [`facts`] — ground facts as tables of caller ids, the grounder's
 //!   fact input beside a program's rules;
+//! * [`compiled`] — a program's rule part compiled once: rule templates
+//!   and the rule side of the relevance graph, which each preparation
+//!   reads by index ([`CompiledProgram`]);
 //! * [`relevance`] — magic-sets-style relevance analysis: prune a program to
 //!   the slice that can influence a query before grounding it
 //!   ([`ground::ground_relevant`]);
@@ -58,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod choice;
+pub mod compiled;
 pub mod error;
 pub mod facts;
 pub mod graph;
@@ -70,6 +74,7 @@ pub mod shift;
 pub mod solve;
 pub mod syntax;
 
+pub use compiled::CompiledProgram;
 pub use error::DatalogError;
 pub use facts::FactTable;
 pub use graph::{NegationLoop, PredicateGraph};
@@ -77,6 +82,7 @@ pub use ground::{ground_relevant, GroundAtom, GroundProgram, Grounder};
 pub use incremental::{IncrementalGround, PatchStats};
 pub use reason::AnswerSets;
 pub use relevance::{QuerySeed, RelevanceAnalysis};
+pub use seminaive::TextOrder;
 pub use solve::{
     solve, solve_ground_recorded, solve_relevant_with, solve_with, SolveResult, SolverConfig,
 };

@@ -57,12 +57,24 @@
 //! predicate, never the facts themselves. Facts fed to the grounder as
 //! [`FactTable`]s enter as `(signed predicate, arity)` pairs
 //! ([`RelevanceAnalysis::analyze_with_facts`]), and the fingerprint is the
-//! one the same facts give as text. [`RelevanceAnalysis::restrict_facts`]
+//! one the same facts give as text.
+//!
+//! ## Rules once, facts and seeds per analysis
+//!
+//! Everything the rules alone decide is built once per program, over
+//! predicate ids: the defining rules of each predicate, the derivable
+//! predicates, each predicate's complement, the relevant set the rules
+//! force (constraint bodies, odd negative loops, complementary derivable
+//! pairs) and each rule's text for the fingerprint
+//! ([`crate::CompiledProgram`] keeps it). An analysis adds the fact
+//! tables' shapes and the seeds and closes the relevant set with a
+//! worklist. [`RelevanceAnalysis::restrict_facts`]
 //! keeps the tables of relevant predicates by reference; a bound
 //! restrictable seed on a fact predicate keeps only the agreeing rows, as
 //! [`RelevanceAnalysis::restrict`] keeps only the agreeing text facts.
 
 use crate::facts::FactTable;
+use crate::seminaive::{Arg, CompiledRule, Template, Templates};
 use crate::syntax::{Atom, BodyItem, Builtin, Program, Rule, Term};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -109,7 +121,7 @@ impl QuerySeed {
 /// restriction.
 #[derive(Debug, Clone)]
 pub struct RelevanceAnalysis {
-    seeds: Vec<QuerySeed>,
+    pub(crate) seeds: Vec<QuerySeed>,
     /// Per rule of the analyzed program: survives pruning?
     kept: Vec<bool>,
     /// Signed predicate keys that can influence the seeds.
@@ -126,6 +138,11 @@ pub struct RelevanceAnalysis {
     /// in the fingerprint).
     kept_structural: usize,
     total_structural: usize,
+    /// The kept non-fact rules by compiled index, in program order, each
+    /// with the index of the bound restrictable seed its single head
+    /// defines: what a build instantiates
+    /// ([`crate::CompiledProgram::ground`]).
+    pub(crate) kept_rules: Vec<(u32, Option<u32>)>,
 }
 
 impl RelevanceAnalysis {
@@ -145,214 +162,16 @@ impl RelevanceAnalysis {
     /// analysis never needs the rows; the fingerprint equals the one of
     /// the program holding the same facts as text. The rule counts count
     /// `program`'s rules only. Kept tables come from
-    /// [`RelevanceAnalysis::restrict_facts`].
+    /// [`RelevanceAnalysis::restrict_facts`]. Compiles the program's rule
+    /// graph and analyzes over it, as [`crate::CompiledProgram::analyze`]
+    /// does over one compiled once.
     pub fn analyze_with_facts<'s>(
         program: &Program,
         fact_shapes: impl IntoIterator<Item = (&'s str, usize)>,
         seeds: &[QuerySeed],
     ) -> Self {
-        let rules = program.rules();
-        // One shape per non-fact rule, and one per distinct fact predicate:
-        // a fact adds only its head, so facts of one predicate behave
-        // alike. `shape_of[i]` is rule `i`'s shape.
-        let mut shapes: Vec<RuleShape> = Vec::new();
-        let mut fact_shapes_of: HashMap<(&str, bool), usize> = HashMap::new();
-        // Facts come in runs of one predicate: the previous fact's shape.
-        let mut last: Option<((&str, bool), usize)> = None;
-        let shape_of: Vec<usize> = rules
-            .iter()
-            .map(|rule| {
-                if !rule.is_fact() {
-                    shapes.push(RuleShape::of(rule));
-                    return shapes.len() - 1;
-                }
-                let head = &rule.head[0];
-                let key = (head.predicate.as_str(), head.strong_neg);
-                let shape = match last {
-                    Some((previous, shape)) if previous == key => shape,
-                    _ => *fact_shapes_of.entry(key).or_insert_with(|| {
-                        shapes.push(RuleShape::of(rule));
-                        shapes.len() - 1
-                    }),
-                };
-                last = Some((key, shape));
-                shapes[shape].fact_arities.insert(head.terms.len());
-                shape
-            })
-            .collect();
-        // Shapes of the facts given by table, after the program's own.
-        for (signed, arity) in fact_shapes {
-            let key = match signed.strip_prefix('-') {
-                Some(name) => (name, true),
-                None => (signed, false),
-            };
-            let shape = *fact_shapes_of.entry(key).or_insert_with(|| {
-                shapes.push(RuleShape::fact(signed));
-                shapes.len() - 1
-            });
-            shapes[shape].fact_arities.insert(arity);
-        }
-
-        // Heads derivable anywhere in the program, for complement coupling.
-        let mut derivable: BTreeSet<&str> = BTreeSet::new();
-        for shape in &shapes {
-            derivable.extend(shape.heads.iter().map(String::as_str));
-        }
-
-        // The initial relevant set: the query seeds, every constraint body,
-        // every predicate on an odd negative loop, and every predicate whose
-        // two signs are both derivable.
-        let mut relevant: BTreeSet<String> = seeds.iter().map(|s| s.predicate.clone()).collect();
-        for shape in shapes.iter().filter(|s| s.is_constraint) {
-            relevant.extend(shape.body.iter().map(|(pred, _)| pred.clone()));
-        }
-        relevant.extend(odd_loop_predicates(&shapes));
-        for pred in &derivable {
-            let comp = complement_key(pred);
-            if derivable.contains(comp.as_str()) {
-                relevant.insert((*pred).to_string());
-                relevant.insert(comp);
-            }
-        }
-
-        // Backward closure: a rule whose head intersects the relevant set
-        // contributes all of its predicates; a relevant predicate with a
-        // derivable complement contributes the complement (coherence).
-        // `(complement, predicate)` for every derivable predicate.
-        let coupled: Vec<(String, &str)> = derivable
-            .iter()
-            .map(|&pred| (complement_key(pred), pred))
-            .collect();
-        loop {
-            let mut changed = false;
-            for (complement, pred) in &coupled {
-                if relevant.contains(complement) && !relevant.contains(*pred) {
-                    relevant.insert((*pred).to_string());
-                    changed = true;
-                }
-            }
-            for shape in &shapes {
-                // A fact shape adds only its head, which is relevant already.
-                if shape.is_constraint
-                    || !shape.fact_arities.is_empty()
-                    || !shape.heads.iter().any(|h| relevant.contains(h))
-                {
-                    continue;
-                }
-                for pred in shape.predicates() {
-                    if !relevant.contains(pred) {
-                        relevant.insert(pred.clone());
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let kept_shape: Vec<bool> = shapes
-            .iter()
-            .map(|s| s.is_constraint || s.heads.iter().any(|h| relevant.contains(h)))
-            .collect();
-        let kept: Vec<bool> = shape_of.iter().map(|&shape| kept_shape[shape]).collect();
-        // A representative rule per shape (the first rule that has it);
-        // none for the shapes of fact tables.
-        let mut shape_rules: Vec<Option<&Rule>> = Vec::with_capacity(shapes.len());
-        for (rule, &shape) in rules.iter().zip(&shape_of) {
-            if shape == shape_rules.len() {
-                shape_rules.push(Some(rule));
-            }
-        }
-        shape_rules.resize(shapes.len(), None);
-
-        // A seed is binding-restrictable when nothing in the kept slice can
-        // observe more of it than the query asks for: outside its own
-        // defining rules it is read by no kept rule or constraint body, it
-        // has no derivable or referenced complement, every kept rule
-        // defining it has a single-atom head, and recursion — the seed in
-        // the body of its own defining rule — passes every bound position
-        // through unchanged (the textbook magic-sets condition: the head
-        // variable at a bound position reappears verbatim in each recursive
-        // body occurrence, so binding-matching derivations only ever consume
-        // binding-matching atoms).
-        let mut restrictable = BTreeSet::new();
-        'seed: for seed in seeds {
-            if seed.is_unbound() {
-                continue;
-            }
-            let comp = complement_key(&seed.predicate);
-            for ((shape, rule), keep) in shapes.iter().zip(&shape_rules).zip(&kept_shape) {
-                if !keep {
-                    continue;
-                }
-                if shape.heads.contains(&comp) || shape.body.iter().any(|(pred, _)| *pred == comp) {
-                    continue 'seed;
-                }
-                let defines = shape.heads.contains(&seed.predicate);
-                let reads = shape.body.iter().any(|(pred, _)| *pred == seed.predicate);
-                if defines {
-                    // A fact has no body to recurse through; only its arity
-                    // can leave the seed's bindings unusable.
-                    let preserves = match rule {
-                        Some(rule) if shape.fact_arities.is_empty() => {
-                            recursion_preserves_bindings(rule, seed)
-                        }
-                        _ => shape
-                            .fact_arities
-                            .iter()
-                            .all(|&arity| arity == seed.bindings.len()),
-                    };
-                    if shape.heads.len() > 1 || !preserves {
-                        continue 'seed;
-                    }
-                } else if reads {
-                    // Read by a rule (or constraint) that does not define
-                    // the seed: restricting it would change what that reader
-                    // observes.
-                    continue 'seed;
-                }
-            }
-            restrictable.insert(seed.predicate.clone());
-        }
-
-        // Fact-insensitive slice identity: kept non-fact rule content plus
-        // the relevant predicate set (which determines the kept facts).
-        let mut slice_hash: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                slice_hash ^= u64::from(b);
-                slice_hash = slice_hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        let mut kept_structural = 0;
-        let mut total_structural = 0;
-        for (rule, keep) in rules.iter().zip(&kept) {
-            if rule.is_fact() {
-                continue;
-            }
-            total_structural += 1;
-            if *keep {
-                kept_structural += 1;
-                eat(rule.to_string().as_bytes());
-                eat(b"\x00;");
-            }
-        }
-        for pred in &relevant {
-            eat(pred.as_bytes());
-            eat(b"\x00,");
-        }
-
-        RelevanceAnalysis {
-            seeds: seeds.to_vec(),
-            kept,
-            relevant,
-            restrictable,
-            total_rules: rules.len(),
-            slice_hash,
-            kept_structural,
-            total_structural,
-        }
+        let templates = Templates::compile(program.rules());
+        RuleGraph::new(program.rules(), &templates).analyze(&templates, fact_shapes, seeds)
     }
 
     /// Number of rules surviving the pruning.
@@ -493,96 +312,373 @@ impl RelevanceAnalysis {
     }
 }
 
-/// Pre-extracted signed-predicate sets of one rule, or of every fact of
-/// one signed predicate.
-struct RuleShape {
-    heads: Vec<String>,
-    /// Body predicates with their negation parity (`true` = default-negated).
-    body: Vec<(String, bool)>,
-    is_constraint: bool,
-    /// For a fact shape, the argument counts its facts have; empty for a
-    /// rule shape.
-    fact_arities: BTreeSet<usize>,
+/// One rule of a program, as the relevance graph sees it.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// A non-fact rule: its index among the compiled rules.
+    Rule(u32),
+    /// A fact: its predicate id.
+    Fact(u32),
 }
 
-impl RuleShape {
-    fn of(rule: &Rule) -> Self {
-        let heads: Vec<String> = rule.head.iter().map(Atom::signed_predicate).collect();
-        let body: Vec<(String, bool)> = rule
-            .body
-            .iter()
-            .filter_map(|item| match item {
-                BodyItem::Pos(a) => Some((a.signed_predicate(), false)),
-                BodyItem::Naf(a) => Some((a.signed_predicate(), true)),
-                _ => None,
+/// The rule side of the relevance analysis, built once per program; an
+/// analysis adds only the facts given by table and the seeds. Predicates
+/// are ids: the compiled rules' ids, then the predicates only the
+/// program's facts have. Per predicate the graph keeps its signed key,
+/// its complement, whether a rule head or a fact of the program derives
+/// it, and the non-constraint rules whose head holds it; it also keeps
+/// the relevant set the rules alone force (every constraint body, every
+/// predicate on an odd negative loop, both signs of a predicate whose two
+/// signs are derivable) and each compiled rule's text, which the slice
+/// fingerprint hashes.
+#[derive(Debug, Clone)]
+pub(crate) struct RuleGraph {
+    /// Signed key (`p`, or `-p` for `¬p`) per predicate id.
+    names: Vec<String>,
+    ids: HashMap<String, u32>,
+    complement: Vec<Option<u32>>,
+    derivable: Vec<bool>,
+    defines: Vec<Vec<u32>>,
+    forced: Vec<u32>,
+    /// Per rule of the program.
+    entries: Vec<Entry>,
+    /// Per predicate with facts in the program: their argument counts.
+    fact_arities: BTreeMap<u32, BTreeSet<usize>>,
+    /// Per compiled rule: its text.
+    texts: Vec<String>,
+}
+
+impl RuleGraph {
+    /// The graph of `rules`, whose non-fact rules `templates` compiled.
+    pub(crate) fn new(rules: &[Rule], templates: &Templates) -> Self {
+        let symbols = &templates.symbols;
+        let mut names: Vec<String> = (0..symbols.pred_count() as u32)
+            .map(|p| match symbols.pred(p) {
+                (name, true) => format!("-{name}"),
+                (name, false) => name.clone(),
             })
             .collect();
-        RuleShape {
-            is_constraint: heads.is_empty(),
-            heads,
-            body,
-            fact_arities: BTreeSet::new(),
+        let mut ids: HashMap<String, u32> = names
+            .iter()
+            .enumerate()
+            .map(|(id, name)| (name.clone(), id as u32))
+            .collect();
+        let mut fact_arities: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
+        let mut texts = Vec::with_capacity(templates.rules.len());
+        let entries: Vec<Entry> = rules
+            .iter()
+            .map(|rule| {
+                if !rule.is_fact() {
+                    texts.push(rule.to_string());
+                    return Entry::Rule(texts.len() as u32 - 1);
+                }
+                let head = &rule.head[0];
+                let name = head.signed_predicate();
+                let id = *ids.entry(name).or_insert_with_key(|name| {
+                    names.push(name.clone());
+                    names.len() as u32 - 1
+                });
+                fact_arities.entry(id).or_default().insert(head.terms.len());
+                Entry::Fact(id)
+            })
+            .collect();
+        let n = names.len();
+        let complement: Vec<Option<u32>> = names
+            .iter()
+            .map(|name| ids.get(&complement_key(name)).copied())
+            .collect();
+        let mut derivable = vec![false; n];
+        let mut defines = vec![Vec::new(); n];
+        let mut forced = Vec::new();
+        for &pred in fact_arities.keys() {
+            derivable[pred as usize] = true;
+        }
+        for (r, rule) in templates.rules.iter().enumerate() {
+            if rule.heads.is_empty() {
+                forced.extend(body_predicates(rule).map(|(pred, _)| pred));
+            }
+            for head in &rule.heads {
+                derivable[head.pred as usize] = true;
+                let defining = &mut defines[head.pred as usize];
+                if defining.last() != Some(&(r as u32)) {
+                    defining.push(r as u32);
+                }
+            }
+        }
+        forced.extend(odd_loop_predicates(n, &templates.rules));
+        for pred in (0..n as u32).filter(|&p| derivable[p as usize]) {
+            if let Some(comp) = derivable_complement(&complement, &derivable, pred) {
+                forced.extend([pred, comp]);
+            }
+        }
+        RuleGraph {
+            names,
+            ids,
+            complement,
+            derivable,
+            defines,
+            forced,
+            entries,
+            fact_arities,
+            texts,
         }
     }
 
-    /// The shape of the facts of one signed predicate.
-    fn fact(signed: &str) -> Self {
-        RuleShape {
-            heads: vec![signed.to_string()],
-            body: Vec::new(),
-            is_constraint: false,
-            fact_arities: BTreeSet::new(),
+    /// Analyze the program for `seeds`, with further facts given by shape
+    /// (see [`RelevanceAnalysis::analyze_with_facts`]). `templates` are the
+    /// ones the graph was built from. The relevant set grows from the
+    /// seeds, the forced predicates and the complementary pairs the tables
+    /// add, along the defining rules of each relevant predicate and the
+    /// derivable complement of each; nothing is re-derived from the rules.
+    pub(crate) fn analyze<'s>(
+        &self,
+        templates: &Templates,
+        fact_shapes: impl IntoIterator<Item = (&'s str, usize)>,
+        seeds: &[QuerySeed],
+    ) -> RelevanceAnalysis {
+        // Predicates beyond the graph's: named by a table or a seed only.
+        let mut extra: Vec<String> = Vec::new();
+        let id_of = |name: &str, extra: &mut Vec<String>| -> u32 {
+            if let Some(&id) = self.ids.get(name) {
+                return id;
+            }
+            let at = extra.iter().position(|e| e == name).unwrap_or_else(|| {
+                extra.push(name.to_string());
+                extra.len() - 1
+            });
+            (self.names.len() + at) as u32
+        };
+        let mut fact_arities = self.fact_arities.clone();
+        let mut tables: Vec<u32> = Vec::new();
+        for (signed, arity) in fact_shapes {
+            let id = id_of(signed, &mut extra);
+            tables.push(id);
+            fact_arities.entry(id).or_default().insert(arity);
+        }
+        let seed_ids: Vec<u32> = seeds
+            .iter()
+            .map(|seed| id_of(&seed.predicate, &mut extra))
+            .collect();
+        let n = self.names.len() + extra.len();
+        let name = |id: u32| match id as usize {
+            i if i < self.names.len() => self.names[i].as_str(),
+            i => extra[i - self.names.len()].as_str(),
+        };
+        let mut complement = self.complement.clone();
+        complement.resize(n, None);
+        for e in self.names.len()..n {
+            let comp = complement_key(name(e as u32));
+            let found = self.ids.get(&comp).copied().or_else(|| {
+                (self.names.len()..n)
+                    .find(|&i| name(i as u32) == comp)
+                    .map(|i| i as u32)
+            });
+            complement[e] = found;
+            if let Some(c) = found {
+                complement[c as usize] = Some(e as u32);
+            }
+        }
+        let mut derivable = self.derivable.clone();
+        derivable.resize(n, false);
+        for &t in &tables {
+            derivable[t as usize] = true;
+        }
+
+        // Backward closure from the initial relevant set: a relevant
+        // predicate makes every rule defining it kept, and all of that
+        // rule's predicates relevant, and makes its derivable complement
+        // relevant (coherence).
+        let mut relevant = vec![false; n];
+        let mut queue: Vec<u32> = Vec::new();
+        let mark = |pred: u32, relevant: &mut Vec<bool>, queue: &mut Vec<u32>| {
+            if !relevant[pred as usize] {
+                relevant[pred as usize] = true;
+                queue.push(pred);
+            }
+        };
+        for &pred in seed_ids.iter().chain(&self.forced) {
+            mark(pred, &mut relevant, &mut queue);
+        }
+        for &t in &tables {
+            if let Some(comp) = derivable_complement(&complement, &derivable, t) {
+                mark(t, &mut relevant, &mut queue);
+                mark(comp, &mut relevant, &mut queue);
+            }
+        }
+        let rules = &templates.rules;
+        let mut kept: Vec<bool> = rules.iter().map(|r| r.heads.is_empty()).collect();
+        while let Some(pred) = queue.pop() {
+            if let Some(comp) = derivable_complement(&complement, &derivable, pred) {
+                mark(comp, &mut relevant, &mut queue);
+            }
+            for &r in self
+                .defines
+                .get(pred as usize)
+                .map_or(&[][..], Vec::as_slice)
+            {
+                if !kept[r as usize] {
+                    kept[r as usize] = true;
+                    for (p, _) in rule_predicates(&rules[r as usize]) {
+                        mark(p, &mut relevant, &mut queue);
+                    }
+                }
+            }
+        }
+
+        // A seed is binding-restrictable when nothing in the kept slice can
+        // observe more of it than the query asks for: outside its own
+        // defining rules it is read by no kept rule or constraint body, it
+        // has no derivable or referenced complement, every kept rule
+        // defining it has a single-atom head, and recursion — the seed in
+        // the body of its own defining rule — passes every bound position
+        // through unchanged (the textbook magic-sets condition: the head
+        // variable at a bound position reappears verbatim in each recursive
+        // body occurrence, so binding-matching derivations only ever consume
+        // binding-matching atoms). A kept fact predicate restricts only when
+        // every fact of it has the seed's arity.
+        let mut restrictable = BTreeSet::new();
+        'seed: for (seed, &s) in seeds.iter().zip(&seed_ids) {
+            if seed.is_unbound() {
+                continue;
+            }
+            let comp = complement[s as usize];
+            for (rule, _) in rules.iter().zip(&kept).filter(|(_, &k)| k) {
+                let heads = || rule.heads.iter().map(|h| h.pred);
+                if comp.is_some_and(|c| rule_predicates(rule).any(|(p, _)| p == c)) {
+                    continue 'seed;
+                }
+                if heads().any(|h| h == s) {
+                    if rule.heads.len() > 1 || !preserves_bindings(rule, s, &seed.bindings) {
+                        continue 'seed;
+                    }
+                } else if body_predicates(rule).any(|(p, _)| p == s) {
+                    // Read by a rule (or constraint) that does not define
+                    // the seed: restricting it would change what that reader
+                    // observes.
+                    continue 'seed;
+                }
+            }
+            for (&pred, arities) in &fact_arities {
+                if !relevant[pred as usize] {
+                    continue;
+                }
+                let mismatch = pred == s && arities.iter().any(|&a| a != seed.bindings.len());
+                if Some(pred) == comp || mismatch {
+                    continue 'seed;
+                }
+            }
+            restrictable.insert(seed.predicate.clone());
+        }
+
+        // The kept rules a build instantiates, each with the bindings of
+        // the bound restrictable seed its single head defines.
+        let mut bound: HashMap<u32, u32> = HashMap::new();
+        for (i, (seed, &s)) in seeds.iter().zip(&seed_ids).enumerate() {
+            if restrictable.contains(&seed.predicate) && !seed.is_unbound() {
+                bound.insert(s, i as u32);
+            }
+        }
+        let kept_rules: Vec<(u32, Option<u32>)> = (0..rules.len())
+            .filter(|&r| kept[r])
+            .map(|r| {
+                let seed = match &rules[r].heads[..] {
+                    [head] => bound.get(&head.pred).copied(),
+                    _ => None,
+                };
+                (r as u32, seed)
+            })
+            .collect();
+        let relevant_names: BTreeSet<String> = (0..n as u32)
+            .filter(|&p| relevant[p as usize])
+            .map(|p| name(p).to_string())
+            .collect();
+
+        // Fact-insensitive slice identity: kept non-fact rule content plus
+        // the relevant predicate set (which determines the kept facts).
+        let mut slice_hash: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                slice_hash ^= u64::from(b);
+                slice_hash = slice_hash.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for &(r, _) in &kept_rules {
+            eat(self.texts[r as usize].as_bytes());
+            eat(b"\x00;");
+        }
+        for pred in &relevant_names {
+            eat(pred.as_bytes());
+            eat(b"\x00,");
+        }
+
+        RelevanceAnalysis {
+            seeds: seeds.to_vec(),
+            kept: self
+                .entries
+                .iter()
+                .map(|&entry| match entry {
+                    Entry::Rule(r) => kept[r as usize],
+                    Entry::Fact(pred) => relevant[pred as usize],
+                })
+                .collect(),
+            relevant: relevant_names,
+            restrictable,
+            total_rules: self.entries.len(),
+            slice_hash,
+            kept_structural: kept_rules.len(),
+            total_structural: rules.len(),
+            kept_rules,
         }
     }
+}
 
-    /// Every predicate of the rule (heads then body).
-    fn predicates(&self) -> impl Iterator<Item = &String> {
-        self.heads.iter().chain(self.body.iter().map(|(p, _)| p))
-    }
+/// The complement of `pred`, when it is derivable.
+fn derivable_complement(complement: &[Option<u32>], derivable: &[bool], pred: u32) -> Option<u32> {
+    complement[pred as usize].filter(|&comp| derivable[comp as usize])
+}
+
+/// A rule's body predicates with their negation parity (`true` =
+/// default-negated).
+fn body_predicates(rule: &CompiledRule) -> impl Iterator<Item = (u32, bool)> + '_ {
+    let pos = rule.pos.iter().map(|t| (t.pred, false));
+    pos.chain(rule.naf.iter().map(|t| (t.pred, true)))
+}
+
+/// Every predicate of a rule (heads, then body).
+fn rule_predicates(rule: &CompiledRule) -> impl Iterator<Item = (u32, bool)> + '_ {
+    let heads = rule.heads.iter().map(|t| (t.pred, false));
+    heads.chain(body_predicates(rule))
 }
 
 /// Does a seed-defining rule pass every bound position through its
 /// recursive body occurrences unchanged? True when the rule is
 /// non-recursive in the seed. Default-negated self-occurrences reject the
 /// restriction outright (bindings do not propagate through negation).
-fn recursion_preserves_bindings(rule: &Rule, seed: &QuerySeed) -> bool {
-    let Some(head) = rule.head.first() else {
+fn preserves_bindings(rule: &CompiledRule, seed: u32, bindings: &[Option<Arc<str>>]) -> bool {
+    let Some(head) = rule.heads.first() else {
         return false;
     };
-    if head.terms.len() != seed.bindings.len() {
-        // Unknown binding arity: bind_head will leave the rule unrestricted,
+    if head.args.len() != bindings.len() {
+        // Unknown binding arity: the build leaves the rule unrestricted,
         // so recursion through it would observe the full extension.
-        return seed.bindings.is_empty();
+        return bindings.is_empty();
     }
-    let occurrences: Vec<&Atom> = rule
-        .body
-        .iter()
-        .filter_map(|item| match item {
-            BodyItem::Pos(a) if a.signed_predicate() == seed.predicate => Some(a),
-            _ => None,
-        })
-        .collect();
-    let negated_self = rule
-        .body
-        .iter()
-        .any(|item| matches!(item, BodyItem::Naf(a) if a.signed_predicate() == seed.predicate));
-    if negated_self {
+    if rule.naf.iter().any(|t| t.pred == seed) {
         return false;
     }
-    if occurrences.is_empty() {
-        return true;
-    }
-    for (position, binding) in seed.bindings.iter().enumerate() {
-        if binding.is_none() {
+    let occurrences: Vec<&Template> = rule.pos.iter().filter(|t| t.pred == seed).collect();
+    for (position, binding) in bindings.iter().enumerate() {
+        if binding.is_none() || occurrences.is_empty() {
             continue;
         }
-        let Some(Term::Var(head_var)) = head.terms.get(position) else {
+        let Arg::Slot(var) = head.args[position] else {
             return false;
         };
-        for occurrence in &occurrences {
-            if occurrence.terms.get(position) != Some(&Term::Var(head_var.clone())) {
-                return false;
-            }
+        if occurrences
+            .iter()
+            .any(|o| o.args.get(position) != Some(&Arg::Slot(var)))
+        {
+            return false;
         }
     }
     true
@@ -599,30 +695,16 @@ fn complement_key(signed: &str) -> String {
 /// Every predicate lying on a dependency cycle with an odd number of
 /// default-negated edges (the incoherence hazard of item 2 in the module
 /// docs). Detection: strongly connected components of the body→head
-/// dependency graph, then parity 2-coloring of each component over its
-/// internal edges — a coloring conflict means some cycle in the component
-/// has odd negative parity.
-fn odd_loop_predicates(shapes: &[RuleShape]) -> BTreeSet<String> {
-    // Intern the signed predicates.
-    let mut index: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut names: Vec<&str> = Vec::new();
-    for shape in shapes {
-        for pred in shape.predicates() {
-            index.entry(pred).or_insert_with(|| {
-                names.push(pred);
-                names.len() - 1
-            });
-        }
-    }
-    let n = names.len();
+/// dependency graph over the `n` predicate ids, then parity 2-coloring of
+/// each component over its internal edges — a coloring conflict means some
+/// cycle in the component has odd negative parity.
+fn odd_loop_predicates(n: usize, rules: &[CompiledRule]) -> Vec<u32> {
     // Edges body → head, labelled with the negation parity.
     let mut edges: Vec<BTreeSet<(usize, bool)>> = vec![BTreeSet::new(); n];
-    for shape in shapes {
-        let heads: Vec<usize> = shape.heads.iter().map(|h| index[h.as_str()]).collect();
-        for (pred, negated) in &shape.body {
-            let from = index[pred.as_str()];
-            for &to in &heads {
-                edges[from].insert((to, *negated));
+    for rule in rules {
+        for (pred, negated) in body_predicates(rule) {
+            for head in &rule.heads {
+                edges[pred as usize].insert((head.pred as usize, negated));
             }
         }
     }
@@ -639,7 +721,7 @@ fn odd_loop_predicates(shapes: &[RuleShape]) -> BTreeSet<String> {
     for (node, &comp) in component.iter().enumerate() {
         members.entry(comp).or_default().push(node);
     }
-    let mut odd: BTreeSet<String> = BTreeSet::new();
+    let mut odd = Vec::new();
     let mut color: Vec<Option<bool>> = vec![None; n];
     for nodes in members.values() {
         let comp = component[nodes[0]];
@@ -664,7 +746,7 @@ fn odd_loop_predicates(shapes: &[RuleShape]) -> BTreeSet<String> {
             }
         }
         if conflict {
-            odd.extend(nodes.iter().map(|&m| names[m].to_string()));
+            odd.extend(nodes.iter().map(|&m| m as u32));
         }
     }
     odd

@@ -9,16 +9,21 @@
 //!   `>`, `>=`) resolve ids back to text, so they keep their lexicographic
 //!   semantics.
 //! * **Facts as tables.** [`build`] takes the rules plus [`FactTable`]s of
-//!   caller ids and a caller function from id to text; a program's own
-//!   facts are grouped into tables first ([`TextFacts`]). An id-keyed map,
-//!   dropped with the build, takes each distinct caller id to its constant
-//!   id, so a constant's text is hashed once however often it occurs, and
-//!   no per-fact `Atom`, `Rule` or safety check is made.
-//! * **Compiled rules.** Each non-fact rule is compiled once into templates
-//!   whose variables are numbered *slots*. A substitution is a `Vec<u32>`
-//!   indexed by slot ([`NONE`] = unbound). Join plans — one in body order,
-//!   plus one per positive occurrence `k` that matches `k` first — run each
-//!   built-in as soon as its slots are bound.
+//!   caller ids, each source with a caller function from id to text; a
+//!   program's own facts are grouped into tables first ([`TextFacts`],
+//!   [`build_program`]). An id-keyed map, dropped with the build, takes
+//!   each distinct caller id to its constant id, so a constant's text is
+//!   hashed once however often it occurs, and no per-fact `Atom`, `Rule`
+//!   or safety check is made.
+//! * **Compiled rules.** Each non-fact rule is compiled once per program
+//!   into templates whose variables are numbered *slots* ([`Templates`],
+//!   which [`crate::CompiledProgram`] keeps). A build copies the templates
+//!   it keeps, by index, into its own symbol table — interning their
+//!   predicates and constants on first use — and substitutes the query
+//!   bindings of restrictable seeds; nothing is recompiled. A substitution
+//!   is a `Vec<u32>` indexed by slot ([`NONE`] = unbound). Join plans —
+//!   one in body order, plus one per positive occurrence `k` that matches
+//!   `k` first — run each built-in as soon as its slots are bound.
 //! * **Indexes.** A plan step whose arguments are partly bound before it
 //!   runs (constants, or slots bound by earlier steps) looks its candidates
 //!   up in a hash index keyed on those positions. Plans, indexes and the
@@ -36,13 +41,16 @@
 //!   [`Core::delete`] runs the same pinned joins in reverse, decrementing
 //!   support counts.
 //! * **Emission order.** [`Core::ranks`] ranks atoms in [`GroundAtom`]
-//!   order (predicate text, negation flag, argument texts) using integer
-//!   comparisons only; [`Matches::sort_by_rank`] sorts a rule's matches by
-//!   the ranks of their positive-body atoms, which is exactly the order of a
-//!   nested-loop join over sorted candidate sets. [`Emitter`] then numbers
-//!   the atoms the emitted rules use in first-use order and copies each
-//!   one's ids into the [`GroundProgram`], which shares the core's symbol
-//!   table instead of rendering atoms as text.
+//!   order (predicate text, negation flag, argument texts): the texts'
+//!   ranks come from a [`TextOrder`] kept across groundings, which sorts a
+//!   text only when it first sees it; each atom packs its ranks into one
+//!   `u64` key, and the keys are radix-sorted. [`Matches::sort_by_rank`]
+//!   sorts a rule's matches by the ranks of their positive-body atoms,
+//!   which is exactly the order of a nested-loop join over sorted candidate
+//!   sets. [`Emitter`] then numbers the atoms the emitted rules use in
+//!   first-use order and copies each one's ids into the [`GroundProgram`],
+//!   which shares the core's symbol table instead of rendering atoms as
+//!   text.
 
 use crate::facts::{FactTable, TextFacts};
 use crate::ground::{AtomId, GroundAtom, GroundProgram, GroundRule};
@@ -50,7 +58,7 @@ use crate::syntax::{Atom, BodyItem, BuiltinOp, Rule, Term};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// "No id": an unbound slot, an empty hash-table slot, an unmapped atom.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -154,15 +162,81 @@ impl Symbols {
     }
 }
 
-/// Rank of each id when the ids are sorted by `cmp`.
-fn rank_by(n: usize, mut cmp: impl FnMut(usize, usize) -> std::cmp::Ordering) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by(|&a, &b| cmp(a, b));
-    let mut rank = vec![0u32; n];
-    for (r, id) in order.into_iter().enumerate() {
-        rank[id] = r as u32;
+/// A byte-order ranking of texts (constants and predicate names) kept
+/// across groundings, so that ranking a grounding's atoms looks its texts
+/// up instead of sorting them. Equal texts share one rank; ranks are dense
+/// over the texts seen so far and shift as new texts arrive, so a grounding
+/// reads all the ranks it compares in one call. One order serves every
+/// grounding of an engine ([`crate::CompiledProgram::ground`]): after the
+/// first groundings over a data set, a cold grounding finds every text
+/// already ranked. A standalone grounding gets an order of its own.
+#[derive(Debug, Default)]
+pub struct TextOrder(RwLock<OrderState>);
+
+/// Adding texts updates several fields in turn, so a panic inside it
+/// would leave them out of step; nothing recovers from that.
+const POISONED: &str = "a panic while ranking texts poisoned the text order";
+
+#[derive(Debug, Default)]
+struct OrderState {
+    /// Text → its slot.
+    slots: HashMap<Arc<str>, u32, BuildHasherDefault<IdHasher>>,
+    /// Slot → text.
+    texts: Vec<Arc<str>>,
+    /// The slots in text order.
+    sorted: Vec<u32>,
+    /// Slot → its position in `sorted`.
+    rank: Vec<u32>,
+}
+
+impl TextOrder {
+    /// An empty order.
+    pub fn new() -> Self {
+        TextOrder::default()
     }
-    rank
+
+    /// The rank of each of `texts`, in order, adding the texts the order
+    /// has not seen: those are sorted among themselves and merged in, so
+    /// a text is compared with others only on the call that adds it.
+    pub(crate) fn ranks<'a>(&self, texts: impl Iterator<Item = &'a str> + Clone) -> Vec<u32> {
+        {
+            let state = self.0.read().expect(POISONED);
+            let ranks: Option<Vec<u32>> = texts
+                .clone()
+                .map(|t| state.slots.get(t).map(|&s| state.rank[s as usize]))
+                .collect();
+            if let Some(ranks) = ranks {
+                return ranks;
+            }
+        }
+        let mut state = self.0.write().expect(POISONED);
+        state.add(texts.clone());
+        texts.map(|t| state.rank[state.slots[t] as usize]).collect()
+    }
+}
+
+impl OrderState {
+    fn add<'a>(&mut self, texts: impl Iterator<Item = &'a str>) {
+        let first = self.texts.len();
+        for text in texts {
+            if !self.slots.contains_key(text) {
+                let text: Arc<str> = Arc::from(text);
+                self.slots
+                    .insert(Arc::clone(&text), self.texts.len() as u32);
+                self.texts.push(text);
+            }
+        }
+        // The old slots are one sorted run, which the stable sort finds and
+        // merges with the sorted new slots.
+        let texts = &self.texts;
+        self.sorted.extend(first as u32..texts.len() as u32);
+        self.sorted
+            .sort_by(|&a, &b| texts[a as usize].cmp(&texts[b as usize]));
+        self.rank.resize(texts.len(), 0);
+        for (r, &slot) in self.sorted.iter().enumerate() {
+            self.rank[slot as usize] = r as u32;
+        }
+    }
 }
 
 /// The ground atoms of one grounding, interned as `(predicate, argument
@@ -292,7 +366,7 @@ impl AtomStore {
 
 /// A template argument: a constant id or a substitution slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arg {
+pub(crate) enum Arg {
     Const(u32),
     Slot(u32),
 }
@@ -309,9 +383,9 @@ impl Arg {
 
 /// A rule atom with its variables numbered.
 #[derive(Debug, Clone)]
-struct Template {
-    pred: u32,
-    args: Vec<Arg>,
+pub(crate) struct Template {
+    pub(crate) pred: u32,
+    pub(crate) args: Vec<Arg>,
 }
 
 impl Template {
@@ -371,9 +445,9 @@ struct IndexSpec {
 /// ([`Scratch`]), so only the templates are retained.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledRule {
-    heads: Vec<Template>,
-    pos: Vec<Template>,
-    naf: Vec<Template>,
+    pub(crate) heads: Vec<Template>,
+    pub(crate) pos: Vec<Template>,
+    pub(crate) naf: Vec<Template>,
     body: Vec<Lit>,
     builtins: Vec<(BuiltinOp, Arg, Arg)>,
     slots: usize,
@@ -502,6 +576,117 @@ impl Arg {
                 }
             }),
         }
+    }
+}
+
+/// A program's non-fact rules compiled once, in program order, against a
+/// symbol table of their own: the templates every build instantiates by
+/// index ([`build`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Templates {
+    pub(crate) symbols: Symbols,
+    pub(crate) rules: Vec<CompiledRule>,
+}
+
+impl Templates {
+    pub(crate) fn compile(rules: &[Rule]) -> Templates {
+        let mut symbols = Symbols::default();
+        let rules = rules
+            .iter()
+            .filter(|r| !r.is_fact())
+            .map(|r| CompiledRule::compile(r, &mut symbols))
+            .collect();
+        Templates { symbols, rules }
+    }
+}
+
+/// A compiled rule a build keeps, by index, with the query bindings of the
+/// restrictable seed it defines, if any ([`CompiledRule::instantiate`]).
+pub(crate) type Kept<'a> = (usize, Option<&'a [Option<Arc<str>>]>);
+
+/// Copies templates into a grounding's symbol table: the grounding id of
+/// each template predicate and constant, interned on first use ([`NONE`] =
+/// not yet).
+struct Instantiator<'a> {
+    from: &'a Symbols,
+    to: Symbols,
+    preds: Vec<u32>,
+    consts: Vec<u32>,
+}
+
+impl Instantiator<'_> {
+    fn arg(&mut self, arg: Arg, bound: &[Option<&Arc<str>>]) -> Arg {
+        match arg {
+            Arg::Const(c) => {
+                if self.consts[c as usize] == NONE {
+                    self.consts[c as usize] = self.to.constant(self.from.const_text(c));
+                }
+                Arg::Const(self.consts[c as usize])
+            }
+            Arg::Slot(s) => match bound.get(s as usize).copied().flatten() {
+                Some(text) => Arg::Const(self.to.constant(text)),
+                None => arg,
+            },
+        }
+    }
+
+    fn template(&mut self, template: &Template, bound: &[Option<&Arc<str>>]) -> Template {
+        let pred = template.pred as usize;
+        if self.preds[pred] == NONE {
+            let (name, strong_neg) = self.from.pred(template.pred);
+            self.preds[pred] = self.to.predicate(name, *strong_neg);
+        }
+        Template {
+            pred: self.preds[pred],
+            args: template.args.iter().map(|&a| self.arg(a, bound)).collect(),
+        }
+    }
+}
+
+impl CompiledRule {
+    /// This rule over the instantiator's grounding table. With `bindings`
+    /// (the query bindings of the restrictable seed its single head
+    /// defines), a head variable at a bound position becomes the bound
+    /// constant throughout the rule; `None` when a binding contradicts a
+    /// head constant or another binding of the same variable. An arity
+    /// mismatch leaves the rule unbound.
+    fn instantiate(
+        &self,
+        to: &mut Instantiator<'_>,
+        bindings: Option<&[Option<Arc<str>>]>,
+    ) -> Option<CompiledRule> {
+        let mut bound: Vec<Option<&Arc<str>>> = Vec::new();
+        let head = self.heads.first().map_or(&[][..], |h| &h.args[..]);
+        if let Some(bindings) = bindings.filter(|b| b.len() == head.len()) {
+            bound.resize(self.slots, None);
+            for (&arg, binding) in head.iter().zip(bindings) {
+                let Some(text) = binding else { continue };
+                match arg {
+                    Arg::Const(c) if to.from.const_text(c) != text => return None,
+                    Arg::Const(_) => {}
+                    Arg::Slot(s) => match bound[s as usize] {
+                        Some(other) if other != text => return None,
+                        _ => bound[s as usize] = Some(text),
+                    },
+                }
+            }
+        }
+        let pos = self.pos.iter().map(|t| to.template(t, &bound)).collect();
+        let heads = self.heads.iter().map(|t| to.template(t, &bound)).collect();
+        let naf = self.naf.iter().map(|t| to.template(t, &bound)).collect();
+        let builtins = self
+            .builtins
+            .iter()
+            .map(|&(op, l, r)| (op, to.arg(l, &bound), to.arg(r, &bound)))
+            .collect();
+        Some(CompiledRule {
+            heads,
+            pos,
+            naf,
+            body: self.body.clone(),
+            builtins,
+            slots: self.slots,
+        })
     }
 }
 
@@ -801,18 +986,27 @@ impl Matches {
     }
 
     /// Sort the matches by the ranks of their positive-body atoms.
+    /// As many leading ranks as fit are packed into one `u64` key per
+    /// match and radix-sorted; the remaining ranks break ties.
     pub(crate) fn sort_by_rank(&mut self, rank: &[u32]) {
         if self.count < 2 || self.width == 0 {
             return;
         }
-        let mut order: Vec<usize> = (0..self.count).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let ra = self.chosen(a).iter().map(|&x| rank[x as usize]);
-            let rb = self.chosen(b).iter().map(|&x| rank[x as usize]);
-            ra.cmp(rb)
+        let bits = u64::BITS - (rank.len() as u64).leading_zeros();
+        let packed = self.pos.min((u64::BITS / bits) as usize);
+        let ranks = |i: u32, from: usize| {
+            let chosen = &self.chosen(i as usize)[from..];
+            chosen.iter().map(|&atom| u64::from(rank[atom as usize]))
+        };
+        let mut keyed: Vec<(u64, u32)> = (0..self.count as u32)
+            .map(|i| (ranks(i, 0).take(packed).fold(0, |k, r| (k << bits) | r), i))
+            .collect();
+        sort_packed(&mut keyed, packed as u32 * bits, |a, b| {
+            ranks(a, packed).cmp(ranks(b, packed))
         });
         let mut data = Vec::with_capacity(self.data.len());
-        for i in order {
+        for (_, i) in keyed {
+            let i = i as usize;
             data.extend_from_slice(&self.data[i * self.width..(i + 1) * self.width]);
         }
         self.data = data;
@@ -829,57 +1023,67 @@ pub(crate) struct Core {
     pub(crate) symbols: Arc<Symbols>,
     pub(crate) atoms: AtomStore,
     pub(crate) rules: Vec<CompiledRule>,
+    /// The text order [`Core::ranks`] reads (shared, not charged).
+    pub(crate) order: Arc<TextOrder>,
 }
 
 /// The product of [`build`]: a saturated core plus every rule's matches in
 /// emission order.
 pub(crate) struct Built {
     pub(crate) core: Core,
-    /// The atom of each fact rule of the program, in program order, then
-    /// of each fact table row, in table order (duplicates kept).
+    /// The atom of each fact table row, in source, table and row order
+    /// (duplicates kept).
     pub(crate) fact_atoms: Vec<u32>,
-    /// Per compiled rule (non-fact rules in program order), its matches
-    /// over the final possible set, sorted by [`Matches::sort_by_rank`].
+    /// Per instantiated rule (the kept rules in program order, less those a
+    /// binding dropped), its matches over the final possible set, sorted
+    /// by [`Matches::sort_by_rank`].
     pub(crate) matches: Vec<Matches>,
     /// [`Core::ranks`] of the final state.
     pub(crate) rank: Vec<u32>,
 }
 
-/// Ground a (choice-free, safe) program plus fact tables in one semi-naive
-/// pass: compile its non-fact rules, intern its own facts (grouped into
-/// tables, [`TextFacts`]) and the tables' rows, insert the facts into an
-/// empty state while recording every derivation, match headless
-/// constraints once against the final possible set, and sort each rule's
-/// matches into emission order. `text` gives the constant text of a
-/// table id.
-pub(crate) fn build<'t>(
-    rules: &[Rule],
-    tables: impl IntoIterator<Item = &'t FactTable>,
-    text: &dyn Fn(u32) -> Arc<str>,
+/// Fact tables of caller ids with the caller's function from id to text.
+pub(crate) type Source<'t> = (Vec<&'t FactTable>, &'t dyn Fn(u32) -> Arc<str>);
+
+/// Ground the `kept` templates plus fact tables in one semi-naive pass:
+/// instantiate the kept rules over a fresh symbol table (no rule is
+/// recompiled), intern the sources' rows, insert the facts into an empty
+/// state while recording every derivation, match headless constraints
+/// once against the final possible set, and sort each rule's matches into
+/// emission order, ranking atoms through `order`.
+pub(crate) fn build(
+    templates: &Templates,
+    kept: &[Kept<'_>],
+    sources: &[Source<'_>],
+    order: &Arc<TextOrder>,
 ) -> Built {
-    let mut symbols = Symbols::default();
-    let compiled = rules
+    let mut to = Instantiator {
+        from: &templates.symbols,
+        to: Symbols::default(),
+        preds: vec![NONE; templates.symbols.pred_count()],
+        consts: vec![NONE; templates.symbols.const_count()],
+    };
+    let rules = kept
         .iter()
-        .filter(|r| !r.is_fact())
-        .map(|r| CompiledRule::compile(r, &mut symbols))
+        .filter_map(|&(r, bindings)| templates.rules[r].instantiate(&mut to, bindings))
         .collect();
+    let mut symbols = to.to;
     let mut atoms = AtomStore::default();
-    let own = TextFacts::of(rules);
-    let mut own_atoms = Vec::with_capacity(own.order.len());
-    let own_text = |id| own.text(id);
-    intern_tables(
-        &mut symbols,
-        &mut atoms,
-        &own.tables,
-        &own_text,
-        &mut own_atoms,
-    );
-    let mut fact_atoms: Vec<u32> = own.order.iter().map(|&row| own_atoms[row]).collect();
-    intern_tables(&mut symbols, &mut atoms, tables, text, &mut fact_atoms);
+    let mut fact_atoms = Vec::new();
+    for (tables, text) in sources {
+        intern_tables(
+            &mut symbols,
+            &mut atoms,
+            tables.iter().copied(),
+            *text,
+            &mut fact_atoms,
+        );
+    }
     let mut core = Core {
         symbols: Arc::new(symbols),
         atoms,
-        rules: compiled,
+        rules,
+        order: Arc::clone(order),
     };
     let mut distinct = Vec::with_capacity(fact_atoms.len());
     for &atom in &fact_atoms {
@@ -906,6 +1110,30 @@ pub(crate) fn build<'t>(
         matches,
         rank,
     }
+}
+
+/// [`build`] over every rule of a (choice-free, safe) program: its
+/// non-fact rules compiled here, its own facts grouped into tables
+/// ([`TextFacts`]) and read before `tables`. Also returns, per fact rule in
+/// program order, the index of its atom in [`Built::fact_atoms`].
+pub(crate) fn build_program<'t>(
+    rules: &[Rule],
+    tables: impl IntoIterator<Item = &'t FactTable>,
+    text: &dyn Fn(u32) -> Arc<str>,
+) -> (Built, Vec<usize>) {
+    let templates = Templates::compile(rules);
+    let kept: Vec<Kept<'_>> = (0..templates.rules.len()).map(|r| (r, None)).collect();
+    let own = TextFacts::of(rules);
+    let own_text = |id| own.text(id);
+    let sources = [
+        (
+            own.tables.iter().collect(),
+            &own_text as &dyn Fn(u32) -> Arc<str>,
+        ),
+        (tables.into_iter().collect(), text),
+    ];
+    let built = build(&templates, &kept, &sources, &Arc::default());
+    (built, own.order)
 }
 
 /// Intern every row of `tables` as an atom, appending the atom ids to
@@ -936,15 +1164,19 @@ fn intern_tables<'t>(
     }
 }
 
-/// The `FxHash` step for integer keys: the caller-id → constant map of
-/// [`intern_tables`] hashes one `u32` per lookup, which SipHash would
-/// dominate.
+/// The `FxHash` step: the caller-id → constant map of [`intern_tables`]
+/// hashes one `u32` per lookup, and [`TextOrder`] a short text eight bytes
+/// at a time, which SipHash would dominate.
 #[derive(Default)]
 struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        for &b in words.remainder() {
             self.write_u64(u64::from(b));
         }
     }
@@ -1226,23 +1458,59 @@ impl Core {
     }
 
     /// Ranks of all atoms in [`GroundAtom`] order (predicate text, negation
-    /// flag, argument texts lexicographically), computed from the ranks of
-    /// the predicate and constant texts so atoms compare as integers.
+    /// flag, argument texts lexicographically). The predicate and constant
+    /// texts are ranked by the shared [`TextOrder`], not sorted; each atom
+    /// becomes one `u64` key — its predicate's rank, then its arguments'
+    /// ranks plus one, as many as fit, zero-padded — and the keys are
+    /// sorted as integers. Arguments past the packed ones are compared only
+    /// between atoms whose keys tie.
     pub(crate) fn ranks(&self) -> Vec<u32> {
-        let consts = &self.symbols.consts;
-        let preds = &self.symbols.preds;
-        let const_rank = rank_by(consts.len(), |a, b| consts[a].cmp(&consts[b]));
-        let pred_rank = rank_by(preds.len(), |a, b| preds[a].cmp(&preds[b]));
+        let (consts, preds) = (&self.symbols.consts, &self.symbols.preds);
+        let texts = consts.iter().map(|c| &**c);
+        let text_rank = self
+            .order
+            .ranks(texts.chain(preds.iter().map(|(name, _)| name.as_str())));
+        let (const_rank, name_rank) = text_rank.split_at(consts.len());
+        let pred_rank: Vec<u64> = preds
+            .iter()
+            .zip(name_rank)
+            .map(|(&(_, strong_neg), &r)| 2 * u64::from(r) + u64::from(strong_neg))
+            .collect();
+        let bits = |max: u64| u64::BITS - max.leading_zeros();
+        let pred_bits = bits(pred_rank.iter().copied().max().unwrap_or(0));
+        let const_bits = bits(
+            const_rank
+                .iter()
+                .map(|&r| u64::from(r) + 1)
+                .max()
+                .unwrap_or(1),
+        );
         let atoms = &self.atoms;
-        // Every argument replaced by its constant's rank once, so that
-        // comparing two atoms' arguments compares two `u32` slices.
-        let ranked: Vec<u32> = atoms.args.iter().map(|&c| const_rank[c as usize]).collect();
-        let args = |a: usize| &ranked[atoms.start[a] as usize..atoms.start[a + 1] as usize];
-        rank_by(atoms.len(), |a, b| {
-            pred_rank[atoms.pred[a] as usize]
-                .cmp(&pred_rank[atoms.pred[b] as usize])
-                .then_with(|| args(a).cmp(args(b)))
-        })
+        let arity = (0..atoms.len() as u32).map(|a| atoms.args(a).len()).max();
+        let packed = arity
+            .unwrap_or(0)
+            .min(((u64::BITS - pred_bits) / const_bits) as usize);
+        let arg = |c: &u32| u64::from(const_rank[*c as usize]) + 1;
+        let mut keyed: Vec<(u64, u32)> = (0..atoms.len() as u32)
+            .map(|a| {
+                let args = atoms.args(a);
+                let key = (0..packed).fold(pred_rank[atoms.pred(a) as usize], |key, i| {
+                    (key << const_bits) | args.get(i).map_or(0, arg)
+                });
+                (key, a)
+            })
+            .collect();
+        let rest = |a: u32| atoms.args(a).get(packed..).unwrap_or(&[]).iter().map(arg);
+        sort_packed(
+            &mut keyed,
+            pred_bits + packed as u32 * const_bits,
+            |x, y| rest(x).cmp(rest(y)),
+        );
+        let mut rank = vec![0u32; atoms.len()];
+        for (r, &(_, atom)) in keyed.iter().enumerate() {
+            rank[atom as usize] = r as u32;
+        }
+        rank
     }
 
     /// Instances of rule `r` built from `matches`, in match order: heads,
@@ -1439,6 +1707,39 @@ impl Join<'_> {
             }
         }
     }
+}
+
+/// Sort `(key, id)` pairs by the low `bits` bits of their keys (the rest
+/// are zero) — a least-significant-digit radix sort, one counting pass per
+/// byte — and then the ids of each run of equal keys by `tie`.
+fn sort_packed(
+    items: &mut Vec<(u64, u32)>,
+    bits: u32,
+    mut tie: impl FnMut(u32, u32) -> std::cmp::Ordering,
+) {
+    let mut from = std::mem::take(items);
+    let mut to = vec![(0, 0); from.len()];
+    for shift in (0..bits).step_by(8) {
+        let digit = |key: u64| ((key >> shift) & 0xff) as usize;
+        let mut start = [0usize; 256];
+        for &(key, _) in &from {
+            start[digit(key)] += 1;
+        }
+        let mut next = 0;
+        for slot in &mut start {
+            (*slot, next) = (next, next + *slot);
+        }
+        for &item in &from {
+            let slot = &mut start[digit(item.0)];
+            to[*slot] = item;
+            *slot += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    for run in from.chunk_by_mut(|x, y| x.0 == y.0).filter(|r| r.len() > 1) {
+        run.sort_unstable_by(|x, y| tie(x.1, y.1));
+    }
+    *items = from;
 }
 
 /// Ranges of equal predicate in a predicate-sorted atom list.

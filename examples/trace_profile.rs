@@ -2,11 +2,14 @@
 //! flat phase profile and per-phase percentile summary, and write a Chrome
 //! trace-event file (open it in `chrome://tracing` or Perfetto).
 //!
-//! Run with `cargo run --example trace_profile [-- out.json]`.
+//! Run with `cargo run --example trace_profile [-- out.json]`. Without an
+//! argument the trace goes to `trace_profile.json` in the system's
+//! temporary directory, so a run leaves the working tree as it found it.
 
 use p2p_data_exchange::{
     example1_system, vars, Formula, PeerId, QueryEngine, Strategy, TraceRecorder,
 };
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn main() {
@@ -60,10 +63,12 @@ fn main() {
 
     let out = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "trace_profile.json".to_string());
+        .map(PathBuf::from)
+        .unwrap_or_else(|| std::env::temp_dir().join("trace_profile.json"));
     std::fs::write(&out, trace.chrome_json()).expect("write trace file");
     println!(
-        "\nwrote {} spans to {out} — load it in chrome://tracing or Perfetto",
-        trace.span_count()
+        "\nwrote {} spans to {} — load it in chrome://tracing or Perfetto",
+        trace.span_count(),
+        out.display()
     );
 }
