@@ -19,6 +19,7 @@
 //! | `PDES-A101` | warning | odd negative loop in a specification program |
 //! | `PDES-A102` | info | program not stratified (even loops only) |
 //! | `PDES-A103` | warning | complementary classically-negated facts |
+//! | `PDES-A104` | info | not head-cycle-free at the predicate level |
 //! | `PDES-A201` | warning | cycle in the DEC network |
 //! | `PDES-A202` | info | peer participates in no DEC |
 //! | `PDES-A203` | warning | peer declares no relations |

@@ -136,6 +136,26 @@ fn complementary_facts_fire_a103() {
     assert!(diags.iter().any(|d| d.code == codes::CLASSICAL_CLASH));
 }
 
+#[test]
+fn head_cycle_fires_a104() {
+    // a ∨ b.  a :- b.  b :- a.  — the heads share a positive cycle.
+    let (a, b) = (
+        Atom::new("a", &[] as &[&str]),
+        Atom::new("b", &[] as &[&str]),
+    );
+    let mut program = Program::new();
+    program.add_rule(Rule::new(vec![a.clone(), b.clone()], vec![]));
+    program.add_rule(Rule::new(vec![a.clone()], vec![BodyItem::Pos(b.clone())]));
+    program.add_rule(Rule::new(vec![b], vec![BodyItem::Pos(a)]));
+    let diags = check_program(&Location::System, &program);
+    let infos: Vec<_> = diags
+        .iter()
+        .filter(|d| d.code == codes::NOT_HEAD_CYCLE_FREE)
+        .collect();
+    assert_eq!(infos.len(), 1, "{diags:?}");
+    assert_eq!(infos[0].severity, Severity::Info);
+}
+
 // ---------------------------------------------------------------------
 // Topology defects (PDES-A20x).
 // ---------------------------------------------------------------------

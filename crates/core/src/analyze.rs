@@ -66,6 +66,9 @@ pub mod codes {
     pub const UNSTRATIFIED: &str = "PDES-A102";
     /// Complementary classically-negated facts `p(ā)` and `-p(ā)`.
     pub const CLASSICAL_CLASH: &str = "PDES-A103";
+    /// A specification program is not head-cycle-free at the predicate
+    /// level, so no grounding of it is shifted unchecked (Section 4.1).
+    pub const NOT_HEAD_CYCLE_FREE: &str = "PDES-A104";
     /// The DEC network has a cycle among peers.
     pub const DEC_CYCLE: &str = "PDES-A201";
     /// A peer participates in no DEC at all (isolated from the exchange).
@@ -425,8 +428,10 @@ pub fn check_constraint(
 /// program. Emits [`codes::UNSAFE_RULE`] per unsafe rule,
 /// [`codes::ODD_NEGATIVE_LOOP`] per odd recursion-through-negation
 /// component (with the cycle witness in the payload), one
-/// [`codes::UNSTRATIFIED`] info when only even loops remain, and
-/// [`codes::CLASSICAL_CLASH`] for complementary ground facts.
+/// [`codes::UNSTRATIFIED`] info when only even loops remain, one
+/// [`codes::NOT_HEAD_CYCLE_FREE`] info when the predicate-level
+/// certificate fails, and [`codes::CLASSICAL_CLASH`] for complementary
+/// ground facts.
 pub fn check_program(location: &Location, program: &datalog::Program) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for rule in program.unsafe_rules() {
@@ -471,6 +476,17 @@ pub fn check_program(location: &Location, program: &datalog::Program) -> Vec<Dia
                  resolved by stable-model search"
             ),
             payload: vec![("even_loops".into(), even_loops.to_string())],
+        });
+    }
+    if !graph.is_head_cycle_free() {
+        out.push(Diagnostic {
+            code: codes::NOT_HEAD_CYCLE_FREE,
+            severity: Severity::Info,
+            location: location.clone(),
+            message: "not head-cycle-free at the predicate level; \
+                      each preparation checks the ground program"
+                .into(),
+            payload: Vec::new(),
         });
     }
 

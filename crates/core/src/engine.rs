@@ -1249,7 +1249,7 @@ impl QueryEngine {
             (key.0, &key.1),
             ground,
             prepare_span,
-            (ground_nanos, regrounded_rules),
+            (ground_nanos, state.rule_count(), regrounded_rules),
         );
         self.cache
             .finish_repair(key, repaired.map(|prepared| (prepared, state)));
@@ -1257,8 +1257,9 @@ impl QueryEngine {
 
     /// Patch a stale grounding with the deltas committed since it was
     /// solved and re-derive only the affected rules. Returns the patched
-    /// ground program and the number of rules re-derived. Shared by the
-    /// reader's stale path and the commit-side repair.
+    /// program for the solver ([`datalog::IncrementalGround::to_solver`])
+    /// and the number of rules re-derived. Shared by the reader's stale
+    /// path and the commit-side repair.
     ///
     /// Relation names are the fact predicates of the specification programs
     /// (the tables of [`crate::asp::encode::fact_tables`]) and a constant's
@@ -1289,7 +1290,7 @@ impl QueryEngine {
             deletions.extend(delta.deletions.iter().map(encode));
         }
         let patch = state.apply_delta(&insertions, &deletions);
-        (state.to_ground(), patch.reinstantiated_rules)
+        (state.to_solver(), patch.reinstantiated_rules)
     }
 
     /// Drop every memoized artifact whose relevant-peer closure intersects
@@ -1547,9 +1548,8 @@ impl QueryEngine {
                 });
                 let text = encode::symbol_text(&self.symbols);
                 let state = rules.ground(&analysis, &tables, &text, &self.texts);
-                let ground = state.to_ground();
-                let all = ground.rule_count();
-                (ground, state, all)
+                let all = state.rule_count();
+                (state.to_solver(), state, all)
             }
         };
         let ground_nanos = duration_nanos(ground_span.finish());
@@ -1557,7 +1557,7 @@ impl QueryEngine {
             (mechanism, peer),
             ground,
             prepare_span,
-            (ground_nanos, regrounded_rules),
+            (ground_nanos, state.rule_count(), regrounded_rules),
         )?;
         self.cache
             .insert(key, stamp, Arc::clone(&prepared), Some(state));
@@ -1566,8 +1566,10 @@ impl QueryEngine {
 
     /// Solve a grounded (or patched) slice and decode its models straight
     /// into columnar worlds (under one `decode` span), closing the
-    /// preparation's `prepare` span. `ground_nanos` and `regrounded_rules`
-    /// report the grounding (or patch) that built `ground`. Stable-model
+    /// preparation's `prepare` span. `ground` is the slice's program for
+    /// the solver ([`datalog::IncrementalGround::to_solver`]); `ground_nanos`,
+    /// `grounded_rules` and `regrounded_rules` report the grounding (or
+    /// patch) that built it. Stable-model
     /// search fans out across the query executor's workers. Shared by the
     /// reader's preparation and the commit-side repair, which reads the
     /// spec `(mechanism, peer)` from the spec table.
@@ -1576,17 +1578,18 @@ impl QueryEngine {
         (mechanism, peer): (Mechanism, &PeerId),
         ground: datalog::GroundProgram,
         prepare_span: Span<'_>,
-        (ground_nanos, regrounded_rules): (u64, usize),
+        (ground_nanos, grounded_rules, regrounded_rules): (u64, usize, usize),
     ) -> Result<Arc<PreparedWorlds>> {
-        // Counters before solving: the HCF shift rewrites the ground program,
-        // so `result.ground` would not reflect what the grounder instantiated.
-        let grounded_rules = ground.rule_count();
+        // `grounded_rules` counts the grounder's rules; a grounding emits a
+        // certified spec's disjunctive rules as their shift, one per head.
+        let shifted = ground.rule_count() > grounded_rules;
         let grounded_atoms = ground.atom_count();
         let recorder = self.recorder.as_ref();
         let span = Span::enter(recorder, "solve");
-        let result =
+        let mut result =
             solve_ground_recorded(ground, self.solver_config, &self.query_exec(), recorder)
                 .map_err(CoreError::from)?;
+        result.used_shift |= shifted;
         let solve_nanos = duration_nanos(span.finish());
         // Decoding consults the topology (relation ownership), never
         // instance data: the worlds come from the solved program.
@@ -2089,6 +2092,23 @@ mod tests {
             }
             other => panic!("unexpected provenance {other:?}"),
         }
+    }
+
+    #[test]
+    fn grounded_rules_count_the_grounding_before_the_shift() {
+        let engine = example1_engine(Strategy::Asp);
+        let (query, fv) = r1_query();
+        let answers = engine.answer(&PeerId::new("P1"), &query, &fv).unwrap();
+        // The slice's disjunctive rules reach the solver shifted, as more
+        // rules; a cold prepare re-derives every rule the grounder made.
+        assert!(matches!(
+            answers.provenance,
+            Provenance::Asp {
+                used_shift: true,
+                ..
+            }
+        ));
+        assert_eq!(answers.stats.grounded_rules, answers.stats.regrounded_rules);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
 use crate::facts::{FactTable, TextFacts};
+use crate::graph::PredicateGraph;
 use crate::incremental::IncrementalGround;
 use crate::relevance::{QuerySeed, RelevanceAnalysis, RuleGraph};
 use crate::seminaive::{self, Kept, Templates, TextOrder};
@@ -39,14 +40,16 @@ pub(crate) fn unfolded_and_safe(program: &Program) -> Result<Cow<'_, Program>, D
 }
 
 /// A program compiled once for many relevance analyses and groundings:
-/// its non-fact rules as templates, its own facts as tables, and the rule
-/// side of its relevance graph. Immutable, so one value serves any number
-/// of concurrent preparations.
+/// its non-fact rules as templates, its own facts as tables, the rule side
+/// of its relevance graph and whether it is head-cycle-free. Immutable, so
+/// one value serves any number of concurrent preparations.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     templates: Templates,
     graph: RuleGraph,
     own: TextFacts,
+    /// [`PredicateGraph::is_head_cycle_free`] of the unfolded rules.
+    hcf: bool,
 }
 
 impl CompiledProgram {
@@ -60,6 +63,7 @@ impl CompiledProgram {
             graph: RuleGraph::new(rules, &templates),
             own: TextFacts::of(rules),
             templates,
+            hcf: PredicateGraph::new(&program).is_head_cycle_free(),
         })
     }
 
@@ -109,7 +113,7 @@ impl CompiledProgram {
             (tables.iter().map(|t| &**t).collect(), text),
         ];
         let built = seminaive::build(&self.templates, &kept, &sources, order);
-        IncrementalGround::from_built(built)
+        IncrementalGround::from_built(built, self.hcf)
     }
 }
 
@@ -156,6 +160,79 @@ mod tests {
             vec![BodyItem::Pos(atom("color", &["X", "C"]))],
         ));
         p
+    }
+
+    /// The solver's program equals the shift of the disjunctive one, rule
+    /// for rule and atom for atom.
+    fn assert_emits_its_shift(state: &IncrementalGround) {
+        let program = state.to_solver();
+        let want = crate::shift::shift_ground(&state.to_ground());
+        assert!(state.to_ground().is_disjunctive() && !program.is_disjunctive());
+        assert_eq!(program.rules(), want.rules());
+        assert_eq!(program.atom_count(), want.atom_count());
+        for id in 0..want.atom_count() {
+            assert_eq!(program.atom(id), want.atom(id));
+        }
+    }
+
+    #[test]
+    fn certified_groundings_emit_the_shifted_program() {
+        // `in ∨ out` over a recursive `reach`, and a three-way disjunction
+        // that the patches below add instances of.
+        let mut program = program();
+        program.add_rule(Rule::new(
+            vec![atom("in", &["Y"]), atom("out", &["Y"])],
+            vec![
+                BodyItem::Pos(atom("reach", &["X", "Y"])),
+                BodyItem::Naf(atom("loop", &["X", "Y"])),
+            ],
+        ));
+        program.add_rule(Rule::new(
+            vec![atom("x", &["X"]), atom("y", &["X"]), atom("z", &["X"])],
+            vec![BodyItem::Pos(atom("edge", &["X", "d"]))],
+        ));
+        let compiled = CompiledProgram::new(&program).unwrap();
+        let order = Arc::new(TextOrder::new());
+        let ga = |p: &str, args: &[&str]| crate::GroundAtom::new(p, args);
+        for seeds in [
+            vec![QuerySeed::new("in"), QuerySeed::new("x")],
+            vec![QuerySeed::with_bindings("out", vec![Some(Arc::from("b"))])],
+        ] {
+            let analysis = compiled.analyze([], &seeds);
+            let mut state = compiled.ground(&analysis, [], &no_tables, &order);
+            assert_emits_its_shift(&state);
+            state.apply_delta(&[ga("edge", &["c", "d"]), ga("edge", &["b", "e"])], &[]);
+            assert_emits_its_shift(&state);
+            // A recursive deletion re-saturates the whole state.
+            state.apply_delta(&[ga("edge", &["a", "d"])], &[ga("edge", &["a", "b"])]);
+            assert_emits_its_shift(&state);
+        }
+    }
+
+    #[test]
+    fn head_cycles_stay_disjunctive_for_the_solver() {
+        use crate::solve::{solve, solve_ground, SolverConfig};
+        // a ∨ b.  a :- b.  b :- a.  — its shift has no answer set.
+        let (a, b) = (atom("a", &[]), atom("b", &[]));
+        let mut program = Program::new();
+        program.add_rule(Rule::new(vec![a.clone(), b.clone()], vec![]));
+        program.add_rule(Rule::new(vec![a.clone()], vec![BodyItem::Pos(b.clone())]));
+        program.add_rule(Rule::new(vec![b], vec![BodyItem::Pos(a)]));
+        let compiled = CompiledProgram::new(&program).unwrap();
+        let analysis = compiled.analyze([], &[QuerySeed::new("a"), QuerySeed::new("b")]);
+        let state = compiled.ground(&analysis, [], &no_tables, &Arc::new(TextOrder::new()));
+        let ground = state.to_solver();
+        assert!(ground.is_disjunctive());
+        assert_eq!(ground.to_string(), state.to_ground().to_string());
+        let got = solve_ground(ground, SolverConfig::default()).unwrap();
+        let want = solve(&program, SolverConfig::default()).unwrap();
+        assert!(!got.used_shift);
+        let decode = |r: &crate::solve::SolveResult| {
+            let sets = r.answer_sets.iter().map(|s| r.ground.decode(s));
+            sets.collect::<Vec<_>>()
+        };
+        assert_eq!(decode(&got), decode(&want));
+        assert_eq!(decode(&got).len(), 1);
     }
 
     #[test]

@@ -75,18 +75,20 @@ pub fn strongly_connected_components(n: usize, edges: &[Vec<usize>]) -> Vec<usiz
     component
 }
 
-/// The positive atom-dependency graph of a ground program: an edge from every
-/// positive body atom to every head atom of the same rule.
+/// The positive atom-dependency graph of a ground program: per atom, the
+/// sorted, distinct heads of the rules it occurs in positively.
 pub fn positive_dependency_graph(program: &GroundProgram) -> Vec<Vec<AtomId>> {
-    let mut edges: Vec<BTreeSet<AtomId>> = vec![BTreeSet::new(); program.atom_count()];
+    let mut edges = vec![Vec::new(); program.atom_count()];
     for rule in program.rules() {
         for &b in &rule.pos {
-            for &h in &rule.heads {
-                edges[b].insert(h);
-            }
+            edges[b].extend_from_slice(&rule.heads);
         }
     }
-    edges.into_iter().map(|s| s.into_iter().collect()).collect()
+    for outs in &mut edges {
+        outs.sort_unstable();
+        outs.dedup();
+    }
+    edges
 }
 
 /// Is the ground program head-cycle-free?
@@ -132,6 +134,8 @@ pub struct PredicateGraph {
     positive: Vec<BTreeSet<usize>>,
     /// Negative (default-negation) edges body → head.
     negative: Vec<BTreeSet<usize>>,
+    /// The head predicates of each pair of heads of one rule.
+    head_pairs: Vec<(usize, usize)>,
 }
 
 impl PredicateGraph {
@@ -152,6 +156,7 @@ impl PredicateGraph {
         }
         let mut positive = vec![BTreeSet::new(); predicates.len()];
         let mut negative = vec![BTreeSet::new(); predicates.len()];
+        let mut head_pairs = Vec::new();
         for rule in program.rules() {
             let heads: Vec<usize> = rule
                 .head
@@ -175,12 +180,16 @@ impl PredicateGraph {
                     _ => {}
                 }
             }
+            for (i, &a) in heads.iter().enumerate() {
+                head_pairs.extend(heads[i + 1..].iter().map(|&b| (a, b)));
+            }
         }
         PredicateGraph {
             predicates,
             index,
             positive,
             negative,
+            head_pairs,
         }
     }
 
@@ -213,6 +222,23 @@ impl PredicateGraph {
             }
         }
         true
+    }
+
+    /// Is every grounding head-cycle-free? True when no rule has two heads
+    /// whose predicates share a positive cycle (or one predicate twice, on
+    /// one). Ground positive paths project onto predicate paths, so this
+    /// certifies [`is_head_cycle_free`] for every grounding and its slices.
+    pub fn is_head_cycle_free(&self) -> bool {
+        let edges: Vec<Vec<usize>> = self
+            .positive
+            .iter()
+            .map(|outs| outs.iter().copied().collect())
+            .collect();
+        let component = strongly_connected_components(self.len(), &edges);
+        let on_cycle = |p: usize| edges[p].iter().any(|&q| component[q] == component[p]);
+        self.head_pairs
+            .iter()
+            .all(|&(a, b)| component[a] != component[b] || (a == b && !on_cycle(a)))
     }
 
     /// The (signed) predicate names, in interning order.
@@ -412,6 +438,71 @@ mod tests {
         ));
         let g = Grounder::new(&p).ground().unwrap();
         assert!(!is_head_cycle_free(&g));
+    }
+
+    #[test]
+    fn positive_edges_are_sorted_and_distinct() {
+        // b :- a.  c v b :- a.  — edges a → b, a → c, a → b, in that order.
+        let (a, b, c) = (atom("a", &[]), atom("b", &[]), atom("c", &[]));
+        let mut p = Program::new();
+        p.add_fact(a.clone());
+        p.add_rule(Rule::new(vec![b.clone()], vec![BodyItem::Pos(a.clone())]));
+        p.add_rule(Rule::new(vec![c, b], vec![BodyItem::Pos(a)]));
+        let g = Grounder::new(&p).ground().unwrap();
+        let edges = positive_dependency_graph(&g);
+        let a = g
+            .atom_id(&crate::GroundAtom::new("a", &[] as &[&str]))
+            .unwrap();
+        assert_eq!(edges[a].len(), 2);
+        assert!(edges
+            .iter()
+            .all(|outs| outs.windows(2).all(|w| w[0] < w[1])));
+    }
+
+    #[test]
+    fn predicate_certificate_decides_every_grounding() {
+        let rule = |heads: &[&Atom], body: &[&Atom]| {
+            let body = body.iter().map(|&a| BodyItem::Pos(a.clone())).collect();
+            Rule::new(heads.iter().map(|&a| a.clone()).collect(), body)
+        };
+        let (p_x, p_y, e_xy) = (atom("p", &["X"]), atom("p", &["Y"]), atom("e", &["X", "Y"]));
+        let (q_x, r_x) = (atom("q", &["X"]), atom("r", &["X"]));
+        let choice = rule(&[&p_x, &q_x], &[&r_x]);
+        let pair = rule(&[&p_x, &p_y], &[&e_xy]);
+        // (rules, certified): disjunctions over acyclic, one-way, repeated
+        // non-recursive, mutually recursive and recursive head predicates.
+        let cases = [
+            (vec![choice.clone()], true),
+            (vec![choice.clone(), rule(&[&q_x], &[&p_x])], true),
+            (vec![pair.clone()], true),
+            (
+                vec![choice, rule(&[&q_x], &[&p_x]), rule(&[&p_x], &[&q_x])],
+                false,
+            ),
+            (vec![pair, rule(&[&p_y], &[&p_x, &e_xy])], false),
+        ];
+        for (rules, certified) in cases {
+            let mut p = Program::new();
+            for fact in [
+                atom("r", &["a"]),
+                atom("e", &["a", "b"]),
+                atom("e", &["b", "a"]),
+            ] {
+                p.add_fact(fact);
+            }
+            for r in rules {
+                p.add_rule(r);
+            }
+            assert_eq!(
+                PredicateGraph::new(&p).is_head_cycle_free(),
+                certified,
+                "{p}"
+            );
+            let g = Grounder::new(&p).ground().unwrap();
+            // Sound: a certified program grounds head-cycle-free. Every
+            // uncertified case here has a ground head cycle too.
+            assert_eq!(is_head_cycle_free(&g), certified, "{p}");
+        }
     }
 
     #[test]

@@ -297,9 +297,9 @@ impl GroundProgram {
         self.rules.push(rule);
     }
 
-    /// The same atoms under other rules (the atom ids keep their meaning).
-    pub(crate) fn with_rules(self, rules: Vec<GroundRule>) -> GroundProgram {
-        GroundProgram { rules, ..self }
+    /// Move the rules out; the atoms keep their ids.
+    pub(crate) fn take_rules(&mut self) -> Vec<GroundRule> {
+        std::mem::take(&mut self.rules)
     }
 
     /// True when some ground rule has a disjunctive head.

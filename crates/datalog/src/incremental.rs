@@ -106,6 +106,8 @@ pub struct IncrementalGround {
     /// recursive component? Deletions touching one force a full
     /// re-saturation.
     feeds_recursion: Vec<bool>,
+    /// The rules are certified head-cycle-free (see `to_solver`).
+    hcf: bool,
 }
 
 impl IncrementalGround {
@@ -133,12 +135,13 @@ impl IncrementalGround {
         let rules = unfolded_and_safe(rules)?;
         Ok(Self::from_built(
             seminaive::build_program(rules.rules(), tables, text).0,
+            false,
         ))
     }
 
     /// The retained state of a build: its facts in [`GroundAtom`] order
-    /// and each rule's instances.
-    pub(crate) fn from_built(built: Built) -> Self {
+    /// and each rule's instances; `hcf` certifies its rules head-cycle-free.
+    pub(crate) fn from_built(built: Built, hcf: bool) -> Self {
         let core = built.core;
         let mut facts: Vec<u32> = (0..core.atoms.len() as u32)
             .filter(|&a| core.atoms.is_fact(a))
@@ -156,6 +159,7 @@ impl IncrementalGround {
             facts,
             groups,
             feeds_recursion,
+            hcf,
         }
     }
 
@@ -311,16 +315,28 @@ impl IncrementalGround {
     /// no joins, each atom's ids copied once, in first-use order, over the
     /// state's shared symbol table.
     pub fn to_ground(&self) -> GroundProgram {
+        self.emit(false)
+    }
+
+    /// The program the solver runs: for a [`crate::CompiledProgram`]
+    /// certified head-cycle-free, the shift of [`IncrementalGround::to_ground`]
+    /// (rule for rule and id for id), unchecked; otherwise `to_ground` itself.
+    pub fn to_solver(&self) -> GroundProgram {
+        debug_assert!(!self.hcf || crate::graph::is_head_cycle_free(&self.to_ground()));
+        self.emit(self.hcf)
+    }
+
+    fn emit(&self, shift: bool) -> GroundProgram {
         let mut emitter = Emitter::new(&self.core);
         for &fact in &self.facts {
             emitter.fact(fact);
         }
         for (r, group) in self.groups.iter().enumerate() {
             let rule = &self.core.rules[r];
-            let (heads, pos) = (rule.head_count(), rule.pos_count());
+            let (heads, body) = (rule.head_count(), rule.head_count() + rule.pos_count());
             for i in 0..group.len() {
                 let ids = group.instance(i);
-                emitter.rule(&ids[..heads], &ids[heads..heads + pos], &ids[heads + pos..]);
+                emitter.rule(&ids[..heads], &ids[heads..body], &ids[body..], shift);
             }
         }
         emitter.finish()

@@ -54,6 +54,7 @@
 
 use crate::facts::{FactTable, TextFacts};
 use crate::ground::{AtomId, GroundAtom, GroundProgram, GroundRule};
+use crate::shift::push_shifted;
 use crate::syntax::{Atom, BodyItem, BuiltinOp, Rule, Term};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1783,11 +1784,17 @@ impl<'a> Emitter<'a> {
         *slot as AtomId
     }
 
-    pub(crate) fn rule(&mut self, heads: &[u32], pos: &[u32], neg: &[u32]) {
+    /// Emit a rule over core atoms, as its shift when `shift` is set.
+    pub(crate) fn rule(&mut self, heads: &[u32], pos: &[u32], neg: &[u32], shift: bool) {
         let heads = heads.iter().map(|&a| self.id(a)).collect();
         let pos = pos.iter().map(|&a| self.id(a)).collect();
         let neg = neg.iter().map(|&a| self.id(a)).collect();
-        self.ground.add_rule(GroundRule { heads, pos, neg });
+        let rule = GroundRule { heads, pos, neg };
+        if shift {
+            push_shifted(&mut self.ground, rule);
+        } else {
+            self.ground.add_rule(rule);
+        }
     }
 
     /// Emit instance `i` of compiled rule `r` the way the grounder always

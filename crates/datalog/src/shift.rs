@@ -35,29 +35,31 @@ pub fn shift_ground(program: &GroundProgram) -> GroundProgram {
 
 /// [`shift_ground`] on a program the caller gives up: its atom table (the
 /// ids and the shared symbol table) is reused as it is, so atom ids keep
-/// their meaning and only the rules are rebuilt.
-pub(crate) fn shift_owned(program: GroundProgram) -> GroundProgram {
-    let mut rules = Vec::with_capacity(program.rule_count());
-    for rule in program.rules() {
-        if rule.heads.len() <= 1 {
-            rules.push(rule.clone());
-            continue;
-        }
-        for (i, &head) in rule.heads.iter().enumerate() {
-            let mut neg = rule.neg.clone();
-            for (j, &other) in rule.heads.iter().enumerate() {
-                if i != j {
-                    neg.push(other);
-                }
-            }
-            rules.push(GroundRule {
-                heads: vec![head],
-                pos: rule.pos.clone(),
-                neg,
-            });
-        }
+/// their meaning, and only its disjunctive rules are rebuilt.
+pub(crate) fn shift_owned(mut program: GroundProgram) -> GroundProgram {
+    for rule in program.take_rules() {
+        push_shifted(&mut program, rule);
     }
-    program.with_rules(rules)
+    program
+}
+
+/// Add `rule` to `program` shifted: one rule per head, in head order, each
+/// with the other heads appended to its default-negated atoms. A rule with
+/// at most one head is added as it is.
+pub(crate) fn push_shifted(program: &mut GroundProgram, rule: GroundRule) {
+    if rule.heads.len() <= 1 {
+        program.add_rule(rule);
+        return;
+    }
+    for (i, &head) in rule.heads.iter().enumerate() {
+        let mut neg = rule.neg.clone();
+        neg.extend(rule.heads[..i].iter().chain(&rule.heads[i + 1..]));
+        program.add_rule(GroundRule {
+            heads: vec![head],
+            pos: rule.pos.clone(),
+            neg,
+        });
+    }
 }
 
 /// Shift a non-ground disjunctive program into a normal program

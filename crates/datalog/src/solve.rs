@@ -10,7 +10,9 @@
 //!   programs by candidate-model enumeration plus a reduct-minimality check.
 //!   This is only used for programs that are *not* head-cycle-free; the
 //!   paper's specification programs are HCF (Section 4.1), so the common path
-//!   is shifting + [`NormalSolver`].
+//!   is [`NormalSolver`] over their shift, which the engine gets straight
+//!   from the grounding ([`crate::IncrementalGround::to_solver`]);
+//!   [`solve_ground_recorded`] checks and shifts any other HCF program.
 //! * [`solve`] — the front door: unfolds choices, grounds, picks the
 //!   appropriate solver (normal / shifted-HCF / generic disjunctive) and
 //!   enforces coherence of classical negation.

@@ -168,12 +168,21 @@ fn stress_shared_engine_during_session_commits() {
                     // and the non-conflicting tuples are always certain.
                     assert_eq!(answers.stats.worlds, 4);
                     assert!(answers.len() >= 4);
-                    answered.fetch_add(1, Ordering::Relaxed);
+                    answered.fetch_add(1, Ordering::Release);
                 }
             });
         }
         let mut writer = session.writer().unwrap();
+        let answered = &answered;
         scope.spawn(move || {
+            // Commit only once a reader has answered, so some commit lands
+            // on a cached entry: the Acquire load pairs with the readers'
+            // Release increment, which follows their entry's insert. The
+            // deadline only keeps a run whose readers all failed from hanging.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while answered.load(Ordering::Acquire) == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             for round in 0..COMMITS {
                 let i = round % CLUSTERS;
                 let peer = PeerId::new(format!("B{i}"));
