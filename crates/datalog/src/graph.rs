@@ -80,8 +80,8 @@ pub fn strongly_connected_components(n: usize, edges: &[Vec<usize>]) -> Vec<usiz
 pub fn positive_dependency_graph(program: &GroundProgram) -> Vec<Vec<AtomId>> {
     let mut edges = vec![Vec::new(); program.atom_count()];
     for rule in program.rules() {
-        for &b in &rule.pos {
-            edges[b].extend_from_slice(&rule.heads);
+        for &b in rule.pos {
+            edges[b].extend_from_slice(rule.heads);
         }
     }
     for outs in &mut edges {

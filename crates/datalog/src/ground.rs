@@ -35,6 +35,10 @@
 //!   symbol table, which the program shares rather than copies.
 //!   [`GroundAtom`] is an owned view of one atom, built on demand
 //!   ([`GroundProgram::atom`], [`GroundProgram::decode`], `Display`).
+//! * **One flat rule table.** The rules' atom ids sit in one literal buffer,
+//!   rule after rule: each rule's heads, positive body, negated body, and
+//!   per rule the three offsets where those parts end. Emission, the shift
+//!   and drop allocate nothing per rule.
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
@@ -106,7 +110,8 @@ impl fmt::Display for GroundAtom {
 /// Identifier of a ground atom inside a [`GroundProgram`].
 pub type AtomId = usize;
 
-/// A ground rule over atom identifiers.
+/// A ground rule over atom identifiers, owned: the form rules take on the
+/// way in ([`GroundProgram::add_rule`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroundRule {
     /// Head atom ids (disjunction; empty = constraint).
@@ -117,15 +122,88 @@ pub struct GroundRule {
     pub neg: Vec<AtomId>,
 }
 
-impl GroundRule {
+/// One rule of a [`GroundProgram`], borrowed from its rule table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RuleRef<'a> {
+    /// Head atom ids (disjunction; empty = constraint).
+    pub heads: &'a [AtomId],
+    /// Positive body atom ids.
+    pub pos: &'a [AtomId],
+    /// Default-negated body atom ids.
+    pub neg: &'a [AtomId],
+}
+
+impl RuleRef<'_> {
     /// True when the rule has no body.
-    pub fn is_fact(&self) -> bool {
+    pub fn is_fact(self) -> bool {
         self.pos.is_empty() && self.neg.is_empty() && self.heads.len() == 1
     }
 
     /// True when the rule has an empty head.
-    pub fn is_constraint(&self) -> bool {
+    pub fn is_constraint(self) -> bool {
         self.heads.is_empty()
+    }
+}
+
+/// The rules of a [`GroundProgram`], in order: a view of its rule table.
+/// The table's layout is canonical, so two views are equal exactly when
+/// their rules are, atom id for atom id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rules<'a> {
+    pub(crate) lits: &'a [AtomId],
+    pub(crate) ends: &'a [[u32; 3]],
+}
+
+impl<'a> Rules<'a> {
+    /// Number of rules.
+    pub fn len(self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there is no rule.
+    pub fn is_empty(self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The rules in order, one pass over the end offsets.
+    pub fn iter(self) -> RuleIter<'a> {
+        RuleIter {
+            rest: self.lits,
+            start: 0,
+            ends: self.ends.iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Rules<'a> {
+    type Item = RuleRef<'a>;
+    type IntoIter = RuleIter<'a>;
+
+    fn into_iter(self) -> RuleIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`Rules`] view: splits the literals not yet visited at
+/// each rule's end offsets.
+#[derive(Clone)]
+pub struct RuleIter<'a> {
+    rest: &'a [AtomId],
+    /// The literal offset at which `rest` starts.
+    start: u32,
+    ends: std::slice::Iter<'a, [u32; 3]>,
+}
+
+impl<'a> Iterator for RuleIter<'a> {
+    type Item = RuleRef<'a>;
+
+    fn next(&mut self) -> Option<RuleRef<'a>> {
+        let &[heads_end, pos_end, end] = self.ends.next()?;
+        let (rule, rest) = self.rest.split_at((end - self.start) as usize);
+        let (heads, body) = rule.split_at((heads_end - self.start) as usize);
+        let (pos, neg) = body.split_at((pos_end - heads_end) as usize);
+        (self.rest, self.start) = (rest, end);
+        Some(RuleRef { heads, pos, neg })
     }
 }
 
@@ -140,7 +218,8 @@ impl GroundRule {
 /// [`GroundProgram::predicate`] and [`GroundProgram::constant`] read the
 /// ids and their symbols without materializing anything. Grounding and the
 /// shift keep no index from atoms to ids; [`GroundProgram::atom_id`] and
-/// [`GroundProgram::intern`] build a hash index on first use.
+/// [`GroundProgram::intern`] build a hash index on first use. The rules are
+/// one flat table (see the module docs), lent as [`RuleRef`] slices.
 #[derive(Debug, Clone, Default)]
 pub struct GroundProgram {
     symbols: Arc<Symbols>,
@@ -150,7 +229,13 @@ pub struct GroundProgram {
     /// start where the previous atom's end).
     ends: Vec<u32>,
     args: Vec<u32>,
-    rules: Vec<GroundRule>,
+    /// Every rule's literals: its heads, positive body, negated body.
+    lits: Vec<AtomId>,
+    /// Per rule: the ends of its heads, positive body and negated body in
+    /// `lits`.
+    rule_ends: Vec<[u32; 3]>,
+    /// Whether some rule has two or more heads.
+    disjunctive: bool,
     /// Atom ids keyed by the predicate id followed by the constant ids;
     /// built by the first lookup and kept current by every later append.
     index: OnceLock<HashMap<Box<[u32]>, AtomId>>,
@@ -195,12 +280,15 @@ impl GroundProgram {
 
     /// Number of ground rules.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.rule_ends.len()
     }
 
     /// The ground rules.
-    pub fn rules(&self) -> &[GroundRule] {
-        &self.rules
+    pub fn rules(&self) -> Rules<'_> {
+        Rules {
+            lits: &self.lits,
+            ends: &self.rule_ends,
+        }
     }
 
     /// The signed predicate id of an atom (see [`GroundProgram::predicate`]).
@@ -294,17 +382,38 @@ impl GroundProgram {
 
     /// Add a ground rule.
     pub fn add_rule(&mut self, rule: GroundRule) {
-        self.rules.push(rule);
+        self.push_rule(&rule.heads, &rule.pos, &[&rule.neg]);
     }
 
-    /// Move the rules out; the atoms keep their ids.
-    pub(crate) fn take_rules(&mut self) -> Vec<GroundRule> {
-        std::mem::take(&mut self.rules)
+    /// Append the rule `heads :- pos, not neg` to the rule table, its
+    /// negated body given as parts to concatenate.
+    pub(crate) fn push_rule(&mut self, heads: &[AtomId], pos: &[AtomId], neg: &[&[AtomId]]) {
+        self.disjunctive |= heads.len() > 1;
+        self.lits.extend_from_slice(heads);
+        let heads_end = self.lits.len() as u32;
+        self.lits.extend_from_slice(pos);
+        let pos_end = self.lits.len() as u32;
+        for part in neg {
+            self.lits.extend_from_slice(part);
+        }
+        self.rule_ends
+            .push([heads_end, pos_end, self.lits.len() as u32]);
+    }
+
+    /// Move the rule table out, as a program without atoms; the atoms keep
+    /// their ids.
+    pub(crate) fn take_rules(&mut self) -> GroundProgram {
+        GroundProgram {
+            lits: std::mem::take(&mut self.lits),
+            rule_ends: std::mem::take(&mut self.rule_ends),
+            disjunctive: std::mem::take(&mut self.disjunctive),
+            ..GroundProgram::default()
+        }
     }
 
     /// True when some ground rule has a disjunctive head.
     pub fn is_disjunctive(&self) -> bool {
-        self.rules.iter().any(|r| r.heads.len() > 1)
+        self.disjunctive
     }
 
     /// Iterate over all atoms with their ids, as [`GroundAtom`] views.
@@ -320,7 +429,7 @@ impl GroundProgram {
 
 impl fmt::Display for GroundProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in &self.rules {
+        for r in self.rules() {
             for (i, &h) in r.heads.iter().enumerate() {
                 if i > 0 {
                     write!(f, " v ")?;
@@ -333,14 +442,14 @@ impl fmt::Display for GroundProgram {
                 }
                 write!(f, ":- ")?;
                 let mut first = true;
-                for &p in &r.pos {
+                for &p in r.pos {
                     if !first {
                         write!(f, ", ")?;
                     }
                     write!(f, "{}", self.atom(p))?;
                     first = false;
                 }
-                for &n in &r.neg {
+                for &n in r.neg {
                     if !first {
                         write!(f, ", ")?;
                     }
@@ -487,7 +596,7 @@ mod tests {
         let g = Grounder::new(&p).ground().unwrap();
         assert_eq!(g.rule_count(), 2);
         assert_eq!(g.atom_count(), 2);
-        assert!(g.rules().iter().all(GroundRule::is_fact));
+        assert!(g.rules().iter().all(RuleRef::is_fact));
     }
 
     #[test]
@@ -568,7 +677,7 @@ mod tests {
             ],
         ));
         let g = Grounder::new(&p).ground().unwrap();
-        let non_facts: Vec<&GroundRule> = g.rules().iter().filter(|r| !r.is_fact()).collect();
+        let non_facts: Vec<RuleRef> = g.rules().iter().filter(|r| !r.is_fact()).collect();
         assert_eq!(non_facts.len(), 2);
         assert!(non_facts.iter().all(|r| r.neg.len() == 1));
     }
@@ -614,7 +723,7 @@ mod tests {
             BodyItem::Pos(atom("q", &["X"])),
         ]);
         let g = Grounder::new(&p).ground().unwrap();
-        assert!(g.rules().iter().any(GroundRule::is_constraint));
+        assert!(g.rules().iter().any(RuleRef::is_constraint));
     }
 
     #[test]
@@ -677,5 +786,72 @@ mod tests {
         let text = g.to_string();
         assert!(text.contains("p(a)."));
         assert!(text.contains("q(a) :- p(a)."));
+    }
+
+    /// A program built through `add_rule`: a fact, a disjunctive rule, a
+    /// plain rule, a constraint, a headless rule with only a negated body
+    /// and a three-way disjunctive fact.
+    fn table_program() -> (GroundProgram, Vec<GroundRule>) {
+        let mut g = GroundProgram::default();
+        let [a, b, c, d] = [("p", "a"), ("q", "b"), ("r", "c"), ("s", "d")]
+            .map(|(p, x)| g.intern(GroundAtom::new(p, &[x])));
+        let e = g.intern(GroundAtom::new("q", &["b"]).strongly_negated());
+        let rule = |heads: &[AtomId], pos: &[AtomId], neg: &[AtomId]| GroundRule {
+            heads: heads.to_vec(),
+            pos: pos.to_vec(),
+            neg: neg.to_vec(),
+        };
+        let rules = vec![
+            rule(&[a], &[], &[]),
+            rule(&[b, c], &[a], &[d]),
+            rule(&[e], &[a, a], &[b, c]),
+            rule(&[], &[b, c], &[]),
+            rule(&[], &[], &[d]),
+            rule(&[b, c, d], &[], &[]),
+        ];
+        for r in &rules {
+            g.add_rule(r.clone());
+        }
+        (g, rules)
+    }
+
+    #[test]
+    fn add_rule_round_trips_through_the_rule_table() {
+        let (g, rules) = table_program();
+        assert_eq!(g.rule_count(), rules.len());
+        assert_eq!(g.rules().len(), rules.len());
+        assert!(g.is_disjunctive());
+        let back: Vec<GroundRule> = g
+            .rules()
+            .iter()
+            .map(|r| GroundRule {
+                heads: r.heads.to_vec(),
+                pos: r.pos.to_vec(),
+                neg: r.neg.to_vec(),
+            })
+            .collect();
+        assert_eq!(back, rules);
+        let kinds = |r: RuleRef| (r.is_fact(), r.is_constraint());
+        let kinds: Vec<(bool, bool)> = g.rules().iter().map(kinds).collect();
+        assert_eq!(kinds[..2], [(true, false), (false, false)]);
+        assert_eq!(kinds[3..5], [(false, true), (false, true)]);
+        assert_eq!(g.rules(), g.clone().rules());
+        assert!(!GroundProgram::default().is_disjunctive());
+    }
+
+    #[test]
+    fn display_of_the_rule_table_is_unchanged() {
+        // The text the program printed when each rule was its own
+        // `GroundRule` of three vectors.
+        let (g, _) = table_program();
+        assert_eq!(
+            g.to_string(),
+            "p(a).\n\
+             q(b) v r(c) :- p(a), not s(d).\n\
+             -q(b) :- p(a), p(a), not q(b), not r(c).\n\
+             :- q(b), r(c).\n\
+             :- not s(d).\n\
+             q(b) v r(c) v s(d).\n"
+        );
     }
 }

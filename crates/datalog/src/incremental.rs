@@ -409,7 +409,7 @@ mod tests {
                     v.sort();
                     v
                 };
-                vec![name(&r.heads), name(&r.pos), name(&r.neg)]
+                vec![name(r.heads), name(r.pos), name(r.neg)]
             })
             .collect()
     }

@@ -48,12 +48,13 @@
 //!   sorts a rule's matches by the ranks of their positive-body atoms,
 //!   which is exactly the order of a nested-loop join over sorted candidate
 //!   sets. [`Emitter`] then numbers the atoms the emitted rules use in
-//!   first-use order and copies each one's ids into the [`GroundProgram`],
+//!   first-use order, copies each one's ids into the [`GroundProgram`],
 //!   which shares the core's symbol table instead of rendering atoms as
-//!   text.
+//!   text, and appends each rule's atom ids to the program's flat rule
+//!   table through scratch buffers reused from rule to rule.
 
 use crate::facts::{FactTable, TextFacts};
-use crate::ground::{AtomId, GroundAtom, GroundProgram, GroundRule};
+use crate::ground::{AtomId, GroundAtom, GroundProgram, RuleRef};
 use crate::shift::push_shifted;
 use crate::syntax::{Atom, BodyItem, BuiltinOp, Rule, Term};
 use std::collections::HashMap;
@@ -1758,11 +1759,20 @@ fn pred_runs(list: &[u32], atoms: &AtomStore) -> Vec<std::ops::Range<usize>> {
 
 /// Assembles a [`GroundProgram`] over the core's symbol table (shared, not
 /// copied): each core atom used by an emitted rule is numbered in first-use
-/// order and copied over as its predicate id and constant ids.
+/// order and copied over as its predicate id and constant ids, and each
+/// rule's ids go into the program's flat rule table; nothing is allocated
+/// per rule.
 pub(crate) struct Emitter<'a> {
     core: &'a Core,
     map: Vec<u32>,
     ground: GroundProgram,
+    /// One rule's ids in table order (heads, positive body, negated body),
+    /// reused from rule to rule.
+    ids: Vec<AtomId>,
+    /// One source instance's negated-body ids, reused likewise.
+    neg: Vec<AtomId>,
+    /// Argument buffer for filling templates.
+    fill: Vec<u32>,
 }
 
 impl<'a> Emitter<'a> {
@@ -1771,6 +1781,9 @@ impl<'a> Emitter<'a> {
             core,
             map: vec![NONE; core.atoms.len()],
             ground: GroundProgram::over(Arc::clone(&core.symbols)),
+            ids: Vec::new(),
+            neg: Vec::new(),
+            fill: Vec::new(),
         }
     }
 
@@ -1786,15 +1799,17 @@ impl<'a> Emitter<'a> {
 
     /// Emit a rule over core atoms, as its shift when `shift` is set.
     pub(crate) fn rule(&mut self, heads: &[u32], pos: &[u32], neg: &[u32], shift: bool) {
-        let heads = heads.iter().map(|&a| self.id(a)).collect();
-        let pos = pos.iter().map(|&a| self.id(a)).collect();
-        let neg = neg.iter().map(|&a| self.id(a)).collect();
-        let rule = GroundRule { heads, pos, neg };
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        ids.extend(heads.iter().chain(pos).chain(neg).map(|&a| self.id(a)));
+        let (heads, body) = ids.split_at(heads.len());
+        let (pos, neg) = body.split_at(pos.len());
         if shift {
-            push_shifted(&mut self.ground, rule);
+            push_shifted(&mut self.ground, RuleRef { heads, pos, neg });
         } else {
-            self.ground.add_rule(rule);
+            self.ground.push_rule(heads, pos, &[neg]);
         }
+        self.ids = ids;
     }
 
     /// Emit instance `i` of compiled rule `r` the way the grounder always
@@ -1806,22 +1821,18 @@ impl<'a> Emitter<'a> {
         let rule = &core.rules[r];
         let slots = matches.slots(i);
         let chosen = matches.chosen(i);
-        let mut buf = Vec::new();
-        let heads: Vec<AtomId> = rule
-            .heads
-            .iter()
-            .map(|h| {
-                let atom = core.find_filled(h, slots, &mut buf);
-                self.id(atom.expect("a match's heads were derived"))
-            })
-            .collect();
-        let mut pos = Vec::with_capacity(rule.pos.len());
-        let mut neg = Vec::new();
+        let (mut ids, mut neg) = (std::mem::take(&mut self.ids), std::mem::take(&mut self.neg));
+        ids.clear();
+        neg.clear();
+        for h in &rule.heads {
+            let atom = core.find_filled(h, slots, &mut self.fill);
+            ids.push(self.id(atom.expect("a match's heads were derived")));
+        }
         for lit in &rule.body {
             match *lit {
-                Lit::Pos(k) => pos.push(self.id(chosen[k])),
+                Lit::Pos(k) => ids.push(self.id(chosen[k])),
                 Lit::Naf(n) => {
-                    if let Some(atom) = core.find_filled(&rule.naf[n], slots, &mut buf) {
+                    if let Some(atom) = core.find_filled(&rule.naf[n], slots, &mut self.fill) {
                         if core.atoms.is_possible(atom) {
                             neg.push(self.id(atom));
                         }
@@ -1829,19 +1840,16 @@ impl<'a> Emitter<'a> {
                 }
             }
         }
-        if heads.iter().any(|h| pos.contains(h)) {
-            return;
+        let (heads, pos) = ids.split_at(rule.heads.len());
+        if !heads.iter().any(|h| pos.contains(h)) {
+            self.ground.push_rule(heads, pos, &[&neg]);
         }
-        self.ground.add_rule(GroundRule { heads, pos, neg });
+        (self.ids, self.neg) = (ids, neg);
     }
 
     pub(crate) fn fact(&mut self, atom: u32) {
         let id = self.id(atom);
-        self.ground.add_rule(GroundRule {
-            heads: vec![id],
-            pos: Vec::new(),
-            neg: Vec::new(),
-        });
+        self.ground.push_rule(&[id], &[], &[]);
     }
 
     pub(crate) fn finish(self) -> GroundProgram {

@@ -21,7 +21,7 @@
 //! original's atom table — the atom ids and the symbol table they resolve
 //! through — so the solver's models read against either program alike.
 
-use crate::ground::{GroundProgram, GroundRule};
+use crate::ground::{GroundProgram, RuleRef};
 use crate::syntax::{BodyItem, Program, Rule};
 
 /// Shift a ground disjunctive program into a ground normal program.
@@ -35,9 +35,10 @@ pub fn shift_ground(program: &GroundProgram) -> GroundProgram {
 
 /// [`shift_ground`] on a program the caller gives up: its atom table (the
 /// ids and the shared symbol table) is reused as it is, so atom ids keep
-/// their meaning, and only its disjunctive rules are rebuilt.
+/// their meaning, and its rule table is re-emitted shifted from the taken
+/// buffers.
 pub(crate) fn shift_owned(mut program: GroundProgram) -> GroundProgram {
-    for rule in program.take_rules() {
+    for rule in program.take_rules().rules() {
         push_shifted(&mut program, rule);
     }
     program
@@ -46,19 +47,18 @@ pub(crate) fn shift_owned(mut program: GroundProgram) -> GroundProgram {
 /// Add `rule` to `program` shifted: one rule per head, in head order, each
 /// with the other heads appended to its default-negated atoms. A rule with
 /// at most one head is added as it is.
-pub(crate) fn push_shifted(program: &mut GroundProgram, rule: GroundRule) {
-    if rule.heads.len() <= 1 {
-        program.add_rule(rule);
+pub(crate) fn push_shifted(program: &mut GroundProgram, rule: RuleRef<'_>) {
+    let RuleRef { heads, pos, neg } = rule;
+    if heads.len() <= 1 {
+        program.push_rule(heads, pos, &[neg]);
         return;
     }
-    for (i, &head) in rule.heads.iter().enumerate() {
-        let mut neg = rule.neg.clone();
-        neg.extend(rule.heads[..i].iter().chain(&rule.heads[i + 1..]));
-        program.add_rule(GroundRule {
-            heads: vec![head],
-            pos: rule.pos.clone(),
-            neg,
-        });
+    for (i, head) in heads.iter().enumerate() {
+        program.push_rule(
+            std::slice::from_ref(head),
+            pos,
+            &[neg, &heads[..i], &heads[i + 1..]],
+        );
     }
 }
 
@@ -169,5 +169,52 @@ mod tests {
         for rule in shifted.rules() {
             assert!(rule.heads.len() <= 1);
         }
+    }
+
+    #[test]
+    fn ground_shift_matches_the_rule_by_rule_construction() {
+        use crate::ground::{AtomId, GroundAtom, GroundRule};
+        let atoms = ["a", "b", "c", "d", "e"].map(|x| GroundAtom::new("p", &[x]));
+        let rule = |heads: &[AtomId], pos: &[AtomId], neg: &[AtomId]| GroundRule {
+            heads: heads.to_vec(),
+            pos: pos.to_vec(),
+            neg: neg.to_vec(),
+        };
+        let rules = vec![
+            rule(&[0], &[], &[]),
+            rule(&[1, 2, 3], &[0], &[4]),
+            rule(&[4], &[0], &[1]),
+            rule(&[], &[1, 2], &[]),
+            rule(&[2, 3], &[], &[]),
+        ];
+        let program = |rules: &[GroundRule]| {
+            let mut g = GroundProgram::default();
+            for atom in &atoms {
+                g.intern(atom.clone());
+            }
+            for r in rules {
+                g.add_rule(r.clone());
+            }
+            g
+        };
+        // One rule per head, the other heads appended to the negated body.
+        let mut want = Vec::new();
+        for r in &rules {
+            if r.heads.len() <= 1 {
+                want.push(r.clone());
+                continue;
+            }
+            for (i, &head) in r.heads.iter().enumerate() {
+                let mut neg = r.neg.clone();
+                neg.extend(r.heads[..i].iter().chain(&r.heads[i + 1..]));
+                want.push(rule(&[head], &r.pos, &neg));
+            }
+        }
+        let shifted = shift_ground(&program(&rules));
+        let want = program(&want);
+        assert_eq!(shifted.rules(), want.rules());
+        assert_eq!(shifted.to_string(), want.to_string());
+        assert!(!shifted.is_disjunctive());
+        assert_eq!(shifted.atom_count(), atoms.len());
     }
 }

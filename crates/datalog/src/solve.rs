@@ -4,8 +4,11 @@
 //!
 //! * [`NormalSolver`] — stable models of ground *normal* programs (single-atom
 //!   heads) by DPLL-style search: forward propagation, unsupported-atom and
-//!   unfounded-set pruning, branching on undetermined atoms, and a final
-//!   Gelfond–Lifschitz reduct check on every complete candidate.
+//!   unfounded-set pruning, and branching on undetermined atoms. A complete
+//!   assignment at the propagation fixpoint is an answer set already (the
+//!   type's docs give the argument), so only its coherence is checked;
+//!   debug builds also re-run the Gelfond–Lifschitz reduct check on it as
+//!   an assertion.
 //! * [`DisjunctiveSolver`] — answer sets of arbitrary ground disjunctive
 //!   programs by candidate-model enumeration plus a reduct-minimality check.
 //!   This is only used for programs that are *not* head-cycle-free; the
@@ -23,9 +26,10 @@
 //! node, in the style of clasp (Gebser et al., "Conflict-driven answer set
 //! solving", IJCAI 2007):
 //!
-//! * **Occurrence lists.** Built once per program: per atom, the rules it
-//!   occurs in positively and under default negation, and the number of
-//!   rules it heads; per rule, its head and body lengths.
+//! * **Occurrence lists.** Built once per program, read straight off the
+//!   ground program's flat rule table: per atom, the rules it occurs in
+//!   positively and under default negation, and the number of rules it
+//!   heads; per rule, its head and body lengths.
 //! * **Counters.** Each assignment updates per-rule counts of true and false
 //!   body literals and per-atom counts of live supporting rules, touching
 //!   only the rules the atom occurs in. A rule whose body turns true queues
@@ -35,8 +39,11 @@
 //!   computes the atoms still derivable when unassigned negated literals
 //!   are read optimistically — a Horn least model by missing-positive
 //!   counters (Dowling & Gallier, 1984) — and every other atom becomes
-//!   false. The candidate check computes the reduct's least model the same
-//!   way, and coherence compares ids through a complement-id table.
+//!   false. Coherence compares ids through a complement-id table.
+//! * **Branching.** The branch atom is read off the counters: the first
+//!   rule whose body is neither dead nor true gives an unassigned
+//!   default-negated atom, else the first such rule an unassigned positive
+//!   body atom or head.
 //! * **Trail.** Assignments are recorded on a trail; backtracking undoes
 //!   them and their counter updates instead of cloning the assignment.
 //!
@@ -59,12 +66,13 @@
 
 use crate::error::DatalogError;
 use crate::graph::is_head_cycle_free;
-use crate::ground::{AtomId, GroundProgram, GroundRule, Grounder};
+use crate::ground::{AtomId, GroundProgram, Grounder, Rules};
 use crate::shift::shift_owned;
 use crate::syntax::Program;
 use pdes_exec::Executor;
 use pdes_obs::{Recorder, Span};
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Search limits and options.
@@ -296,11 +304,16 @@ struct Occurrences {
 }
 
 impl Occurrences {
-    /// The occurrence lists of the body atoms `body` selects from each rule.
-    fn build(atoms: usize, rules: &[GroundRule], body: impl Fn(&GroundRule) -> &[AtomId]) -> Self {
+    /// The occurrence lists of one body part: `part` maps a rule's end
+    /// offsets in the rule table to the part's range of literals.
+    fn build(atoms: usize, rules: Rules<'_>, part: impl Fn([u32; 3]) -> Range<u32>) -> Self {
+        let body = |&ends: &[u32; 3]| {
+            let range = part(ends);
+            &rules.lits[range.start as usize..range.end as usize]
+        };
         let mut offsets = vec![0; atoms + 1];
-        for rule in rules {
-            for &atom in body(rule) {
+        for ends in rules.ends {
+            for &atom in body(ends) {
                 offsets[atom + 1] += 1;
             }
         }
@@ -309,8 +322,8 @@ impl Occurrences {
         }
         let mut cursor = offsets.clone();
         let mut flat = vec![0; offsets[atoms]];
-        for (idx, rule) in rules.iter().enumerate() {
-            for &atom in body(rule) {
+        for (idx, ends) in rules.ends.iter().enumerate() {
+            for &atom in body(ends) {
                 flat[cursor[atom]] = idx;
                 cursor[atom] += 1;
             }
@@ -330,9 +343,23 @@ impl Occurrences {
 ///
 /// [`NormalSolver::new`] builds the occurrence lists once; each subtree walk
 /// then owns the counters, queues and trail of the assignment it explores
-/// (see the module docs' *Propagation*). A complete assignment is kept when
-/// it is the least model of its reduct, satisfies every constraint and is
-/// coherent.
+/// (see the module docs' *Propagation*).
+///
+/// A complete assignment M is reached only at a propagation fixpoint, and
+/// there it is stable, as in clasp:
+///
+/// * every rule whose body is true in M has fired, so M is a model of the
+///   program P and no constraint body holds;
+/// * M is then a model of the reduct P^M too (a reduct rule whose positive
+///   body holds in M comes from a rule whose whole body is true in M), so
+///   LM(P^M) ⊆ M;
+/// * every true atom lies in the optimistic derivable set, a Horn closure
+///   over rules whose bodies are true in M; those rules are rules of P^M,
+///   so M ⊆ LM(P^M).
+///
+/// So a complete assignment is kept when it is coherent. The
+/// Gelfond–Lifschitz check is a `debug_assert!`: every debug-build solve
+/// re-checks the argument on every model it finds.
 pub struct NormalSolver<'a> {
     program: &'a GroundProgram,
     config: SolverConfig,
@@ -360,24 +387,26 @@ impl<'a> NormalSolver<'a> {
         let rules = program.rules();
         let mut head_rules = vec![0; atoms];
         let mut shapes = Vec::with_capacity(rules.len());
-        for rule in rules {
-            let head = rule.heads.first().copied();
+        let mut start = 0;
+        for &[heads_end, pos_end, end] in rules.ends {
+            let head = (start < heads_end).then(|| rules.lits[start as usize]);
             if let Some(h) = head {
                 head_rules[h] += 1;
             }
             shapes.push(RuleShape {
                 head,
-                body_len: rule.pos.len() + rule.neg.len(),
-                pos_len: rule.pos.len(),
+                body_len: (end - heads_end) as usize,
+                pos_len: (pos_end - heads_end) as usize,
             });
+            start = end;
         }
         NormalSolver {
             program,
             config,
             shapes,
             head_rules,
-            pos_occ: Occurrences::build(atoms, rules, |rule| &rule.pos),
-            neg_occ: Occurrences::build(atoms, rules, |rule| &rule.neg),
+            pos_occ: Occurrences::build(atoms, rules, |[heads_end, pos_end, _]| heads_end..pos_end),
+            neg_occ: Occurrences::build(atoms, rules, |[_, pos_end, end]| pos_end..end),
             complements: complement_ids(program),
         }
     }
@@ -461,8 +490,8 @@ impl<'a> NormalSolver<'a> {
             if !state.propagate() {
                 continue;
             }
-            match self.pick_branch_atom(&state.assign) {
-                None => self.collect_if_stable(&state.assign, models),
+            match self.pick_branch_atom(&state) {
+                None => self.collect_model(&state.assign, models),
                 Some(atom) => {
                     for value in [true, false] {
                         let mut next = state.assign.clone();
@@ -475,9 +504,15 @@ impl<'a> NormalSolver<'a> {
         Ok(frontier.into_iter().collect())
     }
 
-    /// Model-check a complete assignment and keep it when stable+coherent.
-    fn collect_if_stable(&self, assign: &Assignment, models: &mut Vec<BTreeSet<AtomId>>) {
-        if self.is_stable(assign) && is_coherent(&self.complements, assign) {
+    /// Keep a complete assignment at a propagation fixpoint when it is
+    /// coherent. It is stable already (see [`NormalSolver`]); debug builds
+    /// check that again with the reduct's least model.
+    fn collect_model(&self, assign: &Assignment, models: &mut Vec<BTreeSet<AtomId>>) {
+        debug_assert!(
+            self.is_stable(assign),
+            "a total propagation fixpoint is stable"
+        );
+        if is_coherent(&self.complements, assign) {
             models.push(true_atoms(assign));
         }
     }
@@ -494,9 +529,9 @@ impl<'a> NormalSolver<'a> {
         if !state.propagate() {
             return Ok(());
         }
-        match self.pick_branch_atom(&state.assign) {
+        match self.pick_branch_atom(state) {
             None => {
-                self.collect_if_stable(&state.assign, models);
+                self.collect_model(&state.assign, models);
                 Ok(())
             }
             Some(atom) => {
@@ -562,61 +597,37 @@ impl<'a> NormalSolver<'a> {
     }
 
     /// Pick the next atom to branch on: prefer atoms occurring under default
-    /// negation in rules that are still open.
-    fn pick_branch_atom(&self, assign: &Assignment) -> Option<AtomId> {
+    /// negation in rules that are still open (body neither dead nor true,
+    /// read off the state's counters), then an open rule's first unassigned
+    /// positive body atom or head, then the first unassigned atom.
+    fn pick_branch_atom(&self, state: &SearchState<'_, 'a>) -> Option<AtomId> {
+        let assign = &state.assign;
+        let Rules { lits, ends } = self.program.rules();
         let mut fallback = None;
-        for rule in self.program.rules() {
-            if self.body_status(rule, assign) != BodyStatus::Open {
+        let mut end = 0;
+        for (rule, &[heads_end, pos_end, next]) in ends.iter().enumerate() {
+            let start = std::mem::replace(&mut end, next as usize);
+            if state.false_lits[rule] > 0 || state.true_lits[rule] == self.shapes[rule].body_len {
                 continue;
             }
-            for &n in &rule.neg {
-                if assign[n].is_none() {
-                    return Some(n);
-                }
+            let (heads_end, pos_end) = (heads_end as usize, pos_end as usize);
+            if let Some(&n) = lits[pos_end..end].iter().find(|&&n| assign[n].is_none()) {
+                return Some(n);
             }
-            for &p in &rule.pos {
-                if assign[p].is_none() && fallback.is_none() {
-                    fallback = Some(p);
-                }
-            }
-            for &h in &rule.heads {
-                if assign[h].is_none() && fallback.is_none() {
-                    fallback = Some(h);
-                }
+            if fallback.is_none() {
+                fallback = lits[heads_end..pos_end]
+                    .iter()
+                    .chain(&lits[start..heads_end])
+                    .copied()
+                    .find(|&a| assign[a].is_none());
             }
         }
-        if fallback.is_some() {
-            return fallback;
-        }
-        assign.iter().position(|v| v.is_none())
-    }
-
-    fn body_status(&self, rule: &GroundRule, assign: &Assignment) -> BodyStatus {
-        let mut open = false;
-        for &p in &rule.pos {
-            match assign[p] {
-                Some(false) => return BodyStatus::Dead,
-                Some(true) => {}
-                None => open = true,
-            }
-        }
-        for &n in &rule.neg {
-            match assign[n] {
-                Some(true) => return BodyStatus::Dead,
-                Some(false) => {}
-                None => open = true,
-            }
-        }
-        if open {
-            BodyStatus::Open
-        } else {
-            BodyStatus::Satisfied
-        }
+        fallback.or_else(|| assign.iter().position(Option::is_none))
     }
 
     /// Gelfond–Lifschitz check on a complete assignment: is its set of true
     /// atoms the least model of its own reduct, and does it satisfy every
-    /// constraint?
+    /// constraint? Only debug builds run it (see [`NormalSolver`]).
     fn is_stable(&self, assign: &Assignment) -> bool {
         let holds = |a: &AtomId| assign[*a] == Some(true);
         let rules = self.program.rules();
@@ -629,13 +640,13 @@ impl<'a> NormalSolver<'a> {
         }
         // Least model of the reduct: rules with a true negated atom are
         // removed, the rest lose their negative body.
+        let removed: Vec<bool> = rules
+            .iter()
+            .map(|rule| rule.neg.iter().any(holds))
+            .collect();
         let mut least = vec![false; assign.len()];
         let mut missing = vec![0; rules.len()];
-        self.horn_closure(
-            |rule, _| !rules[rule].neg.iter().any(holds),
-            &mut least,
-            &mut missing,
-        );
+        self.horn_closure(|rule, _| !removed[rule], &mut least, &mut missing);
         least
             .iter()
             .zip(assign)
@@ -816,16 +827,6 @@ impl<'s, 'a> SearchState<'s, 'a> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BodyStatus {
-    /// Some body literal is definitely false.
-    Dead,
-    /// All body literals are definitely true.
-    Satisfied,
-    /// Neither dead nor satisfied yet.
-    Open,
-}
-
 /// Generic answer-set enumeration for (possibly non-HCF) disjunctive ground
 /// programs: enumerate classical models of the rules, then keep those that
 /// are minimal models of their Gelfond–Lifschitz reduct.
@@ -899,14 +900,14 @@ impl<'a> DisjunctiveSolver<'a> {
             for rule in self.program.rules() {
                 let mut body_open = false;
                 let mut body_dead = false;
-                for &p in &rule.pos {
+                for &p in rule.pos {
                     match assign[p] {
                         Some(false) => body_dead = true,
                         Some(true) => {}
                         None => body_open = true,
                     }
                 }
-                for &n in &rule.neg {
+                for &n in rule.neg {
                     match assign[n] {
                         Some(true) => body_dead = true,
                         Some(false) => {}
@@ -917,22 +918,22 @@ impl<'a> DisjunctiveSolver<'a> {
                     continue;
                 }
                 // Body is satisfied: at least one head atom must be true.
-                let mut undecided = Vec::new();
+                let (mut undecided, mut last) = (0, 0);
                 let mut any_true = false;
-                for &h in &rule.heads {
+                for &h in rule.heads {
                     match assign[h] {
                         Some(true) => any_true = true,
                         Some(false) => {}
-                        None => undecided.push(h),
+                        None => (undecided, last) = (undecided + 1, h),
                     }
                 }
                 if any_true {
                     continue;
                 }
-                match undecided.len() {
+                match undecided {
                     0 => return false,
                     1 => {
-                        assign[undecided[0]] = Some(true);
+                        assign[last] = Some(true);
                         changed = true;
                     }
                     _ => {}
@@ -962,7 +963,7 @@ impl<'a> DisjunctiveSolver<'a> {
     /// Gelfond–Lifschitz reduct. Atoms outside `model` stay false.
     fn has_smaller_reduct_model(&self, model: &BTreeSet<AtomId>) -> bool {
         // Reduct rules restricted to the atoms of the candidate.
-        let mut reduct: Vec<(Vec<AtomId>, Vec<AtomId>)> = Vec::new(); // (pos, heads)
+        let mut reduct: Vec<(&[AtomId], Vec<AtomId>)> = Vec::new(); // (pos, heads)
         for rule in self.program.rules() {
             if rule.heads.is_empty() {
                 continue;
@@ -983,7 +984,7 @@ impl<'a> DisjunctiveSolver<'a> {
                 .collect();
             // If no head atom is in the model the rule is violated by the
             // candidate itself; `is_answer_set` already rejected that case.
-            reduct.push((rule.pos.clone(), heads));
+            reduct.push((rule.pos, heads));
         }
         let atoms: Vec<AtomId> = model.iter().copied().collect();
         let mut truth: std::collections::BTreeMap<AtomId, Option<bool>> =
@@ -995,7 +996,7 @@ impl<'a> DisjunctiveSolver<'a> {
     /// candidate.
     fn subset_search(
         &self,
-        reduct: &[(Vec<AtomId>, Vec<AtomId>)],
+        reduct: &[(&[AtomId], Vec<AtomId>)],
         atoms: &[AtomId],
         truth: &mut std::collections::BTreeMap<AtomId, Option<bool>>,
         idx: usize,
@@ -1026,7 +1027,7 @@ impl<'a> DisjunctiveSolver<'a> {
                 let body_status: Option<bool> = {
                     let mut all_true = true;
                     let mut unknown = false;
-                    for p in pos {
+                    for p in *pos {
                         match truth.get(p).copied().flatten() {
                             Some(true) => {}
                             Some(false) => {
