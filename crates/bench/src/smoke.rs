@@ -36,6 +36,7 @@ use crate::reference::{full_grounding, reference_answers};
 use pdes_core::engine::Strategy;
 use pdes_obs::{NullRecorder, TraceRecorder};
 use relalg::query::Formula;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use workload::{generate, generate_updates, Topology, TrustMix, UpdateSpec, WorkloadSpec};
@@ -457,7 +458,7 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
         [],
     );
     engine
-        .commit_delta(&leaf, &delta)
+        .commit(&BTreeMap::from([(leaf.clone(), delta.clone())]))
         .map_err(|e| e.to_string())?;
     let repaired = engine
         .answer(&live_w.queried_peer, &live_w.query, &live_w.free_vars)

@@ -14,13 +14,14 @@
 //!   current when it enters the cache, and each commit moves every stamp
 //!   it mentions, so an entry is never served — nor repaired by a later
 //!   commit — on a base from before a commit it missed.
-//! * **Repair on commit.** [`MemoCache::commit`] refreshes the stamp of an
-//!   entry the commit cannot affect, patches a rewriting entry's one world
-//!   in place, stales (queues the delta on) an entry whose grounded slice
-//!   can observe it, and drops the rest. Staled entries
-//!   are registered under a [`PatchGuard`] inside the same write section, so
-//!   a reader that sees a stale entry waits for the committing thread's
-//!   repair ([`MemoCache::wait_for_patch`]) instead of re-preparing it.
+//! * **Repair on commit.** [`MemoCache::commit`] takes a transaction in one
+//!   pass: it refreshes the stamp of an entry the transaction cannot
+//!   affect, patches a rewriting entry's one world in place, stales (queues
+//!   the deltas on) an entry whose grounded slice can observe them, and
+//!   drops the rest. Staled entries are registered under a [`PatchGuard`]
+//!   inside the same write section, so a reader that sees a stale entry
+//!   waits for the committing thread's repair
+//!   ([`MemoCache::wait_for_patch`]) instead of re-preparing it.
 //! * **One writer per counter.** [`MemoCache::note`] is the only place a
 //!   cache counter changes; [`CacheMetrics`] is a read-only view of it.
 //!
@@ -368,31 +369,46 @@ impl MemoCache {
         self.note(CacheEvent::Evicted(evicted));
     }
 
-    /// Bookkeeping for `delta`, just committed at `peer` (now at
-    /// `version`): refresh, patch, stale or drop every entry stamped with
-    /// `peer`, then evict down to the byte budget. Returns a guard per
-    /// staled entry; the caller repairs each ([`MemoCache::take_for_repair`])
-    /// and drops its guard to wake the readers waiting on it.
-    pub(crate) fn commit(&self, peer: &PeerId, version: u64, delta: &Delta) -> Vec<PatchGuard<'_>> {
+    /// Bookkeeping for one transaction, just committed (`changes` per
+    /// touched peer, `versions` their new stamps), in one pass: refresh,
+    /// patch, stale or drop every entry stamped with a touched peer — each
+    /// once — then evict down to the byte budget. Returns a guard per staled
+    /// entry, which the caller repairs ([`MemoCache::take_for_repair`]) and
+    /// drops to wake its waiting readers, and the pass's invalidation count.
+    pub(crate) fn commit(
+        &self,
+        changes: &BTreeMap<PeerId, Delta>,
+        versions: &VersionStamp,
+    ) -> (Vec<PatchGuard<'_>>, u64) {
         let mut inner = self.write();
-        inner.versions.insert(peer.clone(), version);
+        inner.versions.extend(versions.clone());
         let (mut guards, mut invalidated) = (Vec::new(), 0);
         inner.entries.retain(|key, entry| {
-            if !entry.stamp.contains_key(peer) {
+            let mut seen = Vec::new();
+            for (peer, delta) in changes {
+                if let Some(stamp) = entry.stamp.get_mut(peer) {
+                    *stamp = versions[peer];
+                    seen.push((peer, delta));
+                }
+            }
+            if seen.is_empty() {
                 return true; // outside the closure: untouched
             }
             if key.0 == Mechanism::Rewriting {
                 // The one world is the union of the closure's instances and
                 // relation names are globally unique (Definition 2(b)), so
-                // the peer-local delta applies to it verbatim. The blocks
-                // are decoded, patched and re-interned: O(|closure|).
-                let Ok(patched) = entry.prepared.patched(delta) else {
+                // the peer-local deltas merge into one delta of it. The
+                // blocks are decoded, patched and re-interned once:
+                // O(|closure|).
+                let delta = seen
+                    .iter()
+                    .fold(Delta::default(), |all, (_, d)| all.merge(d));
+                let Ok(patched) = entry.prepared.patched(&delta) else {
                     invalidated += 1;
                     return false;
                 };
                 entry.bytes = patched.bytes();
                 entry.prepared = Arc::new(patched);
-                entry.stamp.insert(peer.clone(), version);
                 return true;
             }
             let Some(state) = &entry.grounding else {
@@ -400,28 +416,26 @@ impl MemoCache {
                 invalidated += 1;
                 return false;
             };
-            entry.stamp.insert(peer.clone(), version);
-            if delta.relations().iter().any(|r| state.touches(r)) {
-                if entry.is_valid() {
-                    invalidated += 1;
-                }
+            // A delta the slice provably cannot observe is not queued: the
+            // refreshed stamp keeps the entry warm.
+            seen.retain(|(_, delta)| delta.relations().iter().any(|r| state.touches(r)));
+            if seen.is_empty() {
+                return true;
+            }
+            invalidated += u64::from(entry.is_valid());
+            for (peer, delta) in seen {
                 let queued = entry.pending.entry(peer.clone()).or_default();
                 *queued = queued.compose(delta);
-                if queued.is_empty() {
-                    entry.pending.remove(peer);
-                } else {
-                    // Registered inside the write section: a reader that
-                    // observes the stale entry is guaranteed to find its key.
-                    guards.push(PatchGuard::register(self, key.clone()));
-                }
-            } // else: the slice provably cannot observe the delta, and the
-              // refreshed stamp keeps the entry warm.
+            }
+            // Registered inside the write section: a reader that observes
+            // the stale entry is guaranteed to find its key.
+            guards.push(PatchGuard::register(self, key.clone()));
             true
         });
         self.note(CacheEvent::Invalidated(invalidated));
         let evicted = self.evict(&mut inner);
         self.note(CacheEvent::Evicted(evicted));
-        guards
+        (guards, invalidated)
     }
 
     /// Take a staled entry's grounding out for repair, leaving its pending

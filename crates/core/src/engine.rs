@@ -65,10 +65,11 @@
 //!
 //! ## Live updates and incremental invalidation
 //!
-//! The system behind an engine is no longer frozen: [`QueryEngine::commit_delta`]
-//! applies a [`relalg::Delta`] of ground atoms to one peer's instance, bumps
-//! that peer's monotonically increasing *version*, and invalidates exactly
-//! the memoized artifacts that could observe the change. Every cached
+//! The system behind an engine is no longer frozen: [`QueryEngine::commit`]
+//! applies a transaction — a [`relalg::Delta`] of ground atoms per touched
+//! peer — as one store epoch, bumps each touched peer's monotonically
+//! increasing *version*, and invalidates exactly the memoized artifacts
+//! that could observe the change. Every cached
 //! artifact records the `(peer, version)` stamp of the peers it was computed
 //! from — the queried peer's *relevant-peer closure*
 //! ([`crate::system::P2PSystem::dependencies_of`], the transitive closure of
@@ -78,9 +79,9 @@
 //! only the artifacts of peers whose closure contains `P`; warm queries on
 //! peers outside the closure stay warm, which [`CacheMetrics`] and
 //! [`EngineStats::cache_hit`] make observable. A rewriting artifact is not
-//! invalidated at all: the committed delta is applied to its one world and
-//! the result re-interned (relation names are globally unique, so a
-//! peer-local delta is also a delta of the closure's union). The
+//! invalidated at all: the committed deltas are applied to its one world and
+//! the result re-interned (relation names are globally unique, so
+//! peer-local deltas are also a delta of the closure's union). The
 //! `pdes-session` crate builds the transactional `Session`/`Tx` surface on
 //! top of these primitives.
 //!
@@ -91,9 +92,9 @@
 //! version stamp in place (the slice provably cannot observe them), and
 //! commits inside the slice turn it into a *stale* entry that keeps the
 //! grounding's saturation state ([`datalog::incremental`]) plus the net
-//! composition of the queued deltas. The next query over the slice repairs
-//! the grounding — semi-naive insertion propagation, support-counted
-//! deletion — re-deriving only the rules the deltas touched
+//! composition of the queued deltas. The committing thread then repairs
+//! the grounding once per transaction — semi-naive insertion propagation,
+//! support-counted deletion — re-deriving only the rules the deltas touched
 //! ([`EngineStats::regrounded_rules`] vs. the full slice's
 //! [`EngineStats::grounded_rules`]; [`CacheMetrics::patched`] counts the
 //! repairs), then re-solves. [`QueryEngine::invalidate_peers`] drops the
@@ -152,7 +153,7 @@ use crate::error::CoreError;
 use crate::pca::vars;
 use crate::rewriting;
 use crate::solution::{SolutionOptions, SolutionStats};
-use crate::store::{InProcessStore, MvccStats, PeerStore, Snapshot};
+use crate::store::{InProcessStore, MvccStats, PeerStore, Snapshot, VersionMap};
 use crate::system::{P2PSystem, PeerId};
 use crate::Result;
 use datalog::solve::solve_ground_recorded;
@@ -1159,41 +1160,35 @@ impl QueryEngine {
     // Live updates: versions, commits, invalidation.
     // ------------------------------------------------------------------
 
-    /// Apply an update delta to `peer`'s instance, bump the peer's version
-    /// and invalidate exactly the memoized artifacts whose relevant-peer
-    /// closure contains `peer`. Returns the peer's new version.
+    /// Commit one transaction — a delta per touched peer — as one store
+    /// epoch, and bring the memo cache up to date in one pass over it.
+    /// Returns the touched peers' new versions and the number of artifacts
+    /// the pass invalidated.
     ///
-    /// A rewriting artifact whose closure contains `peer` is maintained
-    /// *incrementally*: the delta is applied to its one world in place of a
-    /// full recomputation, so warm rewriting queries stay warm across
-    /// commits.
+    /// Only artifacts whose relevant-peer closure contains a touched peer
+    /// are affected, each once however many of its peers the transaction
+    /// touches. A rewriting artifact has the deltas applied to its one world
+    /// in place. An ASP artifact whose grounded slice cannot observe the
+    /// deltas keeps serving under a refreshed stamp; otherwise the
+    /// committing thread repairs it, re-deriving only the affected rules
+    /// ([`datalog::incremental`]). Naive artifacts are dropped.
     ///
-    /// An affected ASP artifact is not dropped: if the delta's relations lie
-    /// outside its grounded slice it stays *valid* (its stamp is refreshed in
-    /// place — the grounding provably cannot observe the change), and
-    /// otherwise it becomes *stale*, keeping its saturation state and
-    /// queueing the delta; the next query over the slice repairs the
-    /// grounding by re-deriving only the affected rules
-    /// ([`datalog::incremental`]). Naive-strategy artifacts are always
-    /// dropped (solution enumeration has no patchable intermediate state).
-    ///
-    /// Validation of the delta against the peer's schema happens before any
-    /// state changes ([`P2PSystem::apply_delta`]); local integrity
-    /// constraints are the responsibility of the transactional layer
-    /// (`pdes-session`), which checks them before calling this.
-    pub fn commit_delta(&self, peer: &PeerId, delta: &relalg::Delta) -> Result<u64> {
-        let recorder = Arc::clone(&self.recorder);
+    /// The store validates every delta against its peer's schema before any
+    /// state changes ([`P2PSystem::validate_delta`]); local integrity
+    /// constraints are for the transactional layer (`pdes-session`) to
+    /// check first.
+    pub fn commit(&self, changes: &BTreeMap<PeerId, relalg::Delta>) -> Result<(VersionMap, u64)> {
         let span = Span::enter_with(
-            recorder.as_ref(),
+            self.recorder.as_ref(),
             "commit",
-            &[pdes_obs::Field::text("peer", peer.to_string())],
+            &[pdes_obs::Field::u64("peers", changes.len() as u64)],
         );
-        let out = self.commit_delta_inner(peer, delta);
+        let out = self.commit_inner(changes);
         span.finish();
         out
     }
 
-    fn commit_delta_inner(&self, peer: &PeerId, delta: &relalg::Delta) -> Result<u64> {
+    fn commit_inner(&self, changes: &BTreeMap<PeerId, relalg::Delta>) -> Result<(VersionMap, u64)> {
         // Commits serialize on the engine's commit lock; readers never take
         // it, and the cache write lock below is held only for map updates —
         // never across the store publish or the artifact repair.
@@ -1202,21 +1197,20 @@ impl QueryEngine {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         // The store is the version authority: it validates, applies and
-        // stamps; the engine mirrors the returned stamp into its cache
-        // versions so memo artifacts key off store truth.
+        // stamps; the cache mirrors the returned stamps so memo artifacts
+        // key off store truth.
         let cow_before = self.store.mvcc_stats().cow_pages;
         let publish_span = Span::enter(self.recorder.as_ref(), "epoch.publish");
-        let version = self.store.apply_delta(peer, delta)?;
+        let versions = self.store.apply_delta(changes)?;
         publish_span.finish();
         self.recorder.count("mvcc.publishes", 1);
         let cow = self.store.mvcc_stats().cow_pages.saturating_sub(cow_before);
         if cow > 0 {
             self.recorder.count("mvcc.cow_pages", cow);
         }
-        // Cache bookkeeping mirrors the store's stamp so memo artifacts key
-        // off store truth; it registers the slices this commit staled so
-        // *this* thread can repair them below.
-        let staled = self.cache.commit(peer, version, delta);
+        // The cache registers the slices this commit staled so *this* thread
+        // can repair them below.
+        let (staled, invalidated) = self.cache.commit(changes, &versions);
         // Repair off the reader hot path: the committing thread patches,
         // re-solves and swaps each staled artifact (outside every lock), so
         // the next reader *hits* instead of paying the patch itself. Each
@@ -1226,7 +1220,7 @@ impl QueryEngine {
             self.repair_stale(&guard.key);
         }
         self.cache.note(CacheEvent::Commit);
-        Ok(version)
+        Ok((versions, invalidated))
     }
 
     /// Repair one staled ASP artifact on the committing thread: patch its
@@ -1297,7 +1291,7 @@ impl QueryEngine {
     /// `touched`, rewriting artifacts included (no delta is available here
     /// to maintain them incrementally). Returns the number of artifacts
     /// dropped. Use this when the system was mutated through a
-    /// side channel; [`QueryEngine::commit_delta`] invalidates on its own.
+    /// side channel; [`QueryEngine::commit`] invalidates on its own.
     pub fn invalidate_peers<I: IntoIterator<Item = PeerId>>(&self, touched: I) -> u64 {
         let touched: BTreeSet<PeerId> = touched.into_iter().collect();
         if touched.is_empty() {
@@ -1916,6 +1910,11 @@ mod tests {
     use crate::system::{example1_system, TrustLevel};
     use relalg::RelationSchema;
 
+    /// A one-peer transaction.
+    fn one(peer: &PeerId, delta: relalg::Delta) -> BTreeMap<PeerId, relalg::Delta> {
+        BTreeMap::from([(peer.clone(), delta)])
+    }
+
     fn example1_engine(strategy: Strategy) -> QueryEngine {
         QueryEngine::builder(example1_system())
             .strategy(strategy)
@@ -2270,7 +2269,7 @@ mod tests {
 
         // Commit an insertion into P2: R2(x, y).
         let delta = Delta::from_changes([GroundAtom::new("R2", Tuple::strs(["x", "y"]))], []);
-        let version = engine.commit_delta(&p2, &delta).unwrap();
+        let version = engine.commit(&one(&p2, delta)).unwrap().0[&p2];
         assert_eq!(version, 1);
         assert_eq!(engine.version_of(&p2), 1);
         assert_eq!(engine.versions()[&p1], 0);
@@ -2326,7 +2325,7 @@ mod tests {
         let fv = vars(&["X", "Y"]);
         let cold = engine.answer(&p, &qa, &fv).unwrap();
         let delta = Delta::from_changes([GroundAtom::new("B", Tuple::strs(["b", "2"]))], []);
-        engine.commit_delta(&p, &delta).unwrap();
+        engine.commit(&one(&p, delta)).unwrap();
         assert_eq!(engine.stale_artifact_count(), 0);
         let warm = engine.answer(&p, &qa, &fv).unwrap();
         assert!(warm.stats.cache_hit, "B-delta cannot touch the A-slice");
@@ -2334,7 +2333,7 @@ mod tests {
         // A commit into A stales the artifact, and the committing thread
         // repairs it before returning: the next read is a plain hit.
         let delta = Delta::from_changes([GroundAtom::new("A", Tuple::strs(["a", "2"]))], []);
-        engine.commit_delta(&p, &delta).unwrap();
+        engine.commit(&one(&p, delta)).unwrap();
         assert_eq!(engine.stale_artifact_count(), 0);
         assert_eq!(engine.metrics().patched, 1);
         let repaired = engine.answer(&p, &qa, &fv).unwrap();
@@ -2356,12 +2355,12 @@ mod tests {
         let delete = Delta::from_changes([], [atom]);
         // Each commit stales and immediately repairs the artifact, so the
         // reader-facing cache never shows a stale entry.
-        engine.commit_delta(&p2, &insert).unwrap();
+        engine.commit(&one(&p2, insert)).unwrap();
         assert_eq!(engine.stale_artifact_count(), 0);
         let imported = engine.answer(&p1, &query, &fv).unwrap();
         assert!(imported.stats.cache_hit);
         assert!(imported.contains(&Tuple::strs(["x", "y"])));
-        engine.commit_delta(&p2, &delete).unwrap();
+        engine.commit(&one(&p2, delete)).unwrap();
         // The delete nets the instance back to the original: warm answers
         // return to the cold baseline.
         assert_eq!(engine.stale_artifact_count(), 0);
@@ -2423,7 +2422,7 @@ mod tests {
         let (query, fv) = r1_query();
         let _ = engine.answer(&p1, &query, &fv).unwrap();
         let delta = Delta::from_changes([GroundAtom::new("R2", Tuple::strs(["x", "y"]))], []);
-        engine.commit_delta(&p2, &delta).unwrap();
+        engine.commit(&one(&p2, delta)).unwrap();
         // The rewriting query stays warm and still sees the committed tuple.
         let warm = engine.answer(&p1, &query, &fv).unwrap();
         assert!(warm.stats.cache_hit);
@@ -2881,7 +2880,7 @@ mod tests {
         assert_eq!(engine.cached_artifact_count(), 1);
         // R3(c, z) conflicts with the R1(c, d) that P1 imports from P2.
         let delta = Delta::from_changes([GroundAtom::new("R3", Tuple::strs(["c", "z"]))], []);
-        engine.commit_delta(&p3, &delta).unwrap();
+        engine.commit(&one(&p3, delta)).unwrap();
         let registry = recorder.registry();
         assert_eq!(registry.counter_value("cache.stale_patch"), 1);
         assert_eq!(registry.counter_value("cache.repair_failed"), 1);
@@ -2929,7 +2928,7 @@ mod tests {
         ));
         // A commit that stales the slice is repaired from the same spec.
         let delta = Delta::from_changes([GroundAtom::new("R2", Tuple::strs(["x", "y"]))], []);
-        engine.commit_delta(&p2, &delta).unwrap();
+        engine.commit(&one(&p2, delta)).unwrap();
         assert_eq!(engine.metrics().patched, 1);
         assert!(engine.answer(&p1, &query, &fv).unwrap().stats.cache_hit);
         assert!(same_entry(

@@ -14,13 +14,15 @@
 //!   returned [`Snapshot`]'s methods ([`Snapshot::instance_of`],
 //!   [`Snapshot::instances`], [`Snapshot::system`],
 //!   [`Snapshot::versions`]).
-//! * **Writes** commit one peer's [`Delta`] with
-//!   [`PeerStore::apply_delta`]; a single-tuple write is a one-atom delta.
+//! * **Writes** commit one transaction — a [`Delta`] per touched peer — with
+//!   [`PeerStore::apply_delta`], as one epoch; a single-tuple write is a
+//!   one-peer, one-atom transaction.
 //!
 //! Writes return *version stamps*: every peer carries a monotonically
-//! increasing `u64` bumped by each committed delta, and the store is the
-//! single authority for it. Cache layers (the engine's memo cache) key their
-//! artifacts by these stamps instead of maintaining private counters.
+//! increasing `u64` bumped by each transaction that touches it, and the
+//! store is the single authority for it. Cache layers (the engine's memo
+//! cache) key their artifacts by these stamps instead of maintaining private
+//! counters.
 //!
 //! # Epochs and snapshot isolation
 //!
@@ -28,11 +30,11 @@
 //! reader calls [`PeerStore::pin`] and receives a [`Snapshot`] — a cheap,
 //! cloneable handle on one epoch whose relation pages are `Arc`-shared with
 //! the store. Writers build the successor epoch *outside* any lock (copying
-//! only the relation pages the delta touches — see
+//! only the relation pages the transaction touches — see
 //! [`Database::apply_changes_cow`]) and publish it with a single pointer
 //! swap, so a pinned reader never blocks on a concurrent commit and never
-//! observes a torn write. [`MvccStats`] counts pins, epoch publications and
-//! copied pages.
+//! observes a torn write, not even of a transaction spanning several peers.
+//! [`MvccStats`] counts pins, epoch publications and copied pages.
 
 use crate::error::CoreError;
 use crate::system::{P2PSystem, PeerId};
@@ -183,7 +185,7 @@ impl PeerStore for Snapshot {
         Ok(self.clone())
     }
 
-    fn apply_delta(&self, _peer: &PeerId, _delta: &Delta) -> Result<u64> {
+    fn apply_delta(&self, _changes: &BTreeMap<PeerId, Delta>) -> Result<VersionMap> {
         Err(CoreError::Unsupported(
             "a pinned snapshot is immutable; commit through the live store".into(),
         ))
@@ -254,6 +256,7 @@ pub trait PeerStore: Send + Sync {
     /// use pdes_core::system::{example1_system, PeerId};
     /// use relalg::database::GroundAtom;
     /// use relalg::{Delta, Tuple};
+    /// use std::collections::BTreeMap;
     ///
     /// let store = InProcessStore::new(example1_system());
     /// let p1 = PeerId::new("P1");
@@ -262,17 +265,18 @@ pub trait PeerStore: Send + Sync {
     ///
     /// // Commits after the pin do not disturb the snapshot's reads.
     /// let insert = Delta::from_changes([GroundAtom::new("R1", Tuple::strs(["new", "row"]))], []);
-    /// store.apply_delta(&p1, &insert).unwrap();
+    /// store.apply_delta(&BTreeMap::from([(p1.clone(), insert)])).unwrap();
     /// assert_eq!(snapshot.instance_of(&p1).unwrap(), before);
     /// assert_ne!(store.pin().unwrap().instance_of(&p1).unwrap(), before);
     /// ```
     fn pin(&self) -> Result<Snapshot>;
 
-    /// Apply a validated update delta to one peer's instance and bump its
-    /// version. Validation happens before any change
-    /// ([`P2PSystem::validate_delta`]); a failed call leaves the store
-    /// untouched. Returns the peer's new version stamp.
-    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64>;
+    /// Commit one transaction: apply each peer's delta, bump each touched
+    /// peer's version and publish the result as one epoch. Every delta is
+    /// validated before any change ([`P2PSystem::validate_delta`]); a failed
+    /// call leaves the store untouched. Returns the touched peers' new
+    /// version stamps.
+    fn apply_delta(&self, changes: &BTreeMap<PeerId, Delta>) -> Result<VersionMap>;
 
     /// MVCC observability counters. Defaults to zeros, which is what a
     /// store that counts nothing (a [`Snapshot`]) reports.
@@ -410,24 +414,29 @@ impl PeerStore for InProcessStore {
         })
     }
 
-    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64> {
+    fn apply_delta(&self, changes: &BTreeMap<PeerId, Delta>) -> Result<VersionMap> {
         let _writer = self.writer();
-        self.topology.validate_delta(peer, delta)?;
         // The successor epoch starts as a shallow clone of the current one
-        // (per-peer `Arc` bumps); only the touched pages are copied.
+        // (per-peer `Arc` bumps); only the touched pages are copied. A delta
+        // that fails validation drops it unpublished.
         let base = self.current();
-        let mut instances = base.instances.clone();
-        let slot = instances
-            .get_mut(peer)
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))?;
-        let mut instance = slot.as_ref().clone();
-        let cow = instance.apply_changes_cow(delta.insertions.iter(), delta.deletions.iter())?;
-        *slot = Arc::new(instance);
-        intern_delta(&self.symbols, delta);
-        let mut versions = base.versions.clone();
-        let version = versions.entry(peer.clone()).or_insert(0);
-        *version += 1;
-        let version = *version;
+        let (mut instances, mut versions) = (base.instances.clone(), base.versions.clone());
+        let (mut stamps, mut cow) = (VersionMap::new(), 0);
+        for (peer, delta) in changes {
+            self.topology.validate_delta(peer, delta)?;
+            let slot = instances
+                .get_mut(peer)
+                .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))?;
+            let mut instance = slot.as_ref().clone();
+            cow += instance.apply_changes_cow(delta.insertions.iter(), delta.deletions.iter())?;
+            *slot = Arc::new(instance);
+            let version = versions.entry(peer.clone()).or_insert(0);
+            *version += 1;
+            stamps.insert(peer.clone(), *version);
+        }
+        changes
+            .values()
+            .for_each(|delta| intern_delta(&self.symbols, delta));
         self.publish(
             EpochState {
                 epoch: base.epoch + 1,
@@ -436,7 +445,7 @@ impl PeerStore for InProcessStore {
             },
             cow as u64,
         );
-        Ok(version)
+        Ok(stamps)
     }
 
     fn mvcc_stats(&self) -> MvccStats {
@@ -461,6 +470,11 @@ mod tests {
 
     fn delete(relation: &str, tuple: [&str; 2]) -> Delta {
         Delta::from_changes([], [GroundAtom::new(relation, Tuple::strs(tuple))])
+    }
+
+    /// A one-peer transaction.
+    fn one(peer: &PeerId, delta: Delta) -> BTreeMap<PeerId, Delta> {
+        BTreeMap::from([(peer.clone(), delta)])
     }
 
     #[test]
@@ -505,11 +519,15 @@ mod tests {
         let p2 = PeerId::new("P2");
         assert_eq!(store.pin().unwrap().version_of(&p1).unwrap(), 0);
         assert_eq!(
-            store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap(),
+            store
+                .apply_delta(&one(&p1, insert("R1", ["x", "y"])))
+                .unwrap()[&p1],
             1
         );
         assert_eq!(
-            store.apply_delta(&p1, &delete("R1", ["x", "y"])).unwrap(),
+            store
+                .apply_delta(&one(&p1, delete("R1", ["x", "y"])))
+                .unwrap()[&p1],
             2
         );
         let pinned = store.pin().unwrap();
@@ -536,7 +554,7 @@ mod tests {
 
         // Mutate the live store: the pinned epoch must not move.
         store
-            .apply_delta(&p1, &insert("R1", ["fresh", "row"]))
+            .apply_delta(&one(&p1, insert("R1", ["fresh", "row"])))
             .unwrap();
         assert_eq!(snap.version_of(&p1).unwrap(), 0);
         assert_eq!(snap.instance_of(&p1).unwrap(), before);
@@ -564,7 +582,7 @@ mod tests {
         // …and every commit is refused.
         let delta = insert("R1", ["x", "y"]);
         assert!(matches!(
-            PeerStore::apply_delta(&snap, &p1, &delta),
+            PeerStore::apply_delta(&snap, &one(&p1, delta)),
             Err(CoreError::Unsupported(_))
         ));
     }
@@ -575,14 +593,18 @@ mod tests {
         let p1 = PeerId::new("P1");
         assert_eq!(store.mvcc_stats(), MvccStats::default());
         let _pin = store.pin().unwrap();
-        store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap();
+        store
+            .apply_delta(&one(&p1, insert("R1", ["x", "y"])))
+            .unwrap();
         let stats = store.mvcc_stats();
         assert_eq!(stats.pins, 1);
         assert_eq!(stats.publishes, 1);
         // R1's page was shared with epoch 0 (held by `_pin`): one copy.
         assert_eq!(stats.cow_pages, 1);
         // A refused delta publishes nothing.
-        assert!(store.apply_delta(&p1, &insert("Nope", ["x", "y"])).is_err());
+        assert!(store
+            .apply_delta(&one(&p1, insert("Nope", ["x", "y"])))
+            .is_err());
         assert_eq!(store.mvcc_stats().publishes, 1);
         assert_eq!(store.pin().unwrap().epoch(), 1);
     }
@@ -600,10 +622,10 @@ mod tests {
             delete("Nope", ["a", "b"]),
             wrong_arity,
         ] {
-            assert!(store.apply_delta(&p1, &bad).is_err());
+            assert!(store.apply_delta(&one(&p1, bad)).is_err());
         }
         assert!(matches!(
-            store.apply_delta(&ghost, &insert("R1", ["a", "b"])),
+            store.apply_delta(&one(&ghost, insert("R1", ["a", "b"]))),
             Err(CoreError::UnknownPeer(_))
         ));
         let pinned = store.pin().unwrap();

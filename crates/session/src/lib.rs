@@ -13,16 +13,16 @@
 //!   increasing [`Version`], starting at 0 for the construction-time
 //!   instance.
 //! * Reads take `&self` and answer against pinned MVCC epochs
-//!   ([`pdes_core::Snapshot`]); clone cheap [`ReadHandle`]s with
-//!   [`Session::reader`] to query concurrently from any number of threads.
-//!   Readers never block on a committing writer.
+//!   ([`pdes_core::Snapshot`]); they are the [`ReadHandle`] methods, which
+//!   a [`Session`] reaches through `Deref`. Clone cheap [`ReadHandle`]s
+//!   with [`Session::reader`] to query concurrently from any number of
+//!   threads. Readers never block on a committing writer.
 //! * Mutation goes through the session's single [`Writer`] handle
 //!   ([`Session::writer`]): updates are staged in a [`Tx`]
-//!   ([`Writer::begin`]) and applied by [`Tx::commit`]. Validation is
-//!   all-or-nothing, but publication is not: the store publishes one epoch
-//!   per touched peer, so a reader can pin a multi-peer transaction
-//!   half-applied, and the receipt's sequence number (one per transaction)
-//!   can fall behind the store's epoch (one per peer). An
+//!   ([`Writer::begin`]) and committed by [`Tx::commit`], all or nothing:
+//!   the store publishes one epoch per transaction, so a reader pins a
+//!   multi-peer transaction whole or not at all, and the receipt's sequence
+//!   number is that epoch. An
 //!   update is expressed as a [`relalg::Delta`] — the currency of change
 //!   the paper itself introduces in **Definition 1**, where the distance
 //!   between two instances is the symmetric difference `Δ(r1, r2)` of their
@@ -36,21 +36,22 @@
 //!   enforced at commit time — inter-peer inconsistency is the paper's
 //!   subject matter, resolved virtually at query time, not an error state.
 //! * Every effective commit is appended to an update log of
-//!   [`CommittedTx`]s; [`Session::snapshot_at`] replays the log to
+//!   [`CommittedTx`]s; [`ReadHandle::snapshot_at`] replays the log to
 //!   reconstruct the system as of any commit sequence number as an
 //!   immutable [`pdes_core::Snapshot`], which is also how a fresh reference
 //!   engine is built in the equivalence tests.
 //!
-//! On commit, the session hands each effective per-peer delta to
-//! [`pdes_core::QueryEngine::commit_delta`], which publishes a new store
-//! epoch and drives the engine's incremental invalidation: only memoized
-//! artifacts whose *relevant-peer closure* (the transitive closure of DEC
-//! ownership edges) intersects the touched peers are affected at all;
-//! queries against peers outside the closure keep their warm cache entries.
-//! Affected ASP artifacts are repaired *on the committing thread* — the
-//! grounding is patched by re-deriving only the rules the delta touched
-//! (`datalog::incremental`; [`pdes_core::CacheMetrics`] counts the repairs
-//! in its `patched` field), so post-commit reads are served warm.
+//! On commit, the session hands the transaction's effective per-peer deltas
+//! to [`pdes_core::QueryEngine::commit`] in one call, which publishes one
+//! store epoch and drives the engine's incremental invalidation in one
+//! pass: only memoized artifacts whose *relevant-peer closure* (the
+//! transitive closure of DEC ownership edges) intersects the touched peers
+//! are affected at all; queries against peers outside the closure keep
+//! their warm cache entries. Affected ASP artifacts are repaired once per
+//! transaction *on the committing thread* — the grounding is patched by
+//! re-deriving only the rules the deltas touched (`datalog::incremental`;
+//! [`pdes_core::CacheMetrics`] counts the repairs in its `patched` field),
+//! so post-commit reads are served warm.
 //!
 //! ## Quickstart
 //!

@@ -20,8 +20,9 @@ use relalg::database::GroundAtom;
 use relalg::{Delta, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A peer's version: the number of committed updates that touched it.
 /// Version 0 is the construction-time instance; each commit containing an
@@ -99,7 +100,7 @@ pub struct CommitReceipt {
 /// writer-claim flag.
 struct SessionCore {
     engine: QueryEngine,
-    /// The construction-time system, kept for [`Session::snapshot_at`]
+    /// The construction-time system, kept for [`ReadHandle::snapshot_at`]
     /// replay and for topology-level staging checks (schemas never change).
     base: P2PSystem,
     log: Mutex<Vec<CommittedTx>>,
@@ -107,81 +108,8 @@ struct SessionCore {
 }
 
 impl SessionCore {
-    fn query(&self, query: &Query) -> Result<Answers> {
-        Ok(self
-            .engine
-            .answer(&query.peer, &query.query, &query.free_vars)?)
-    }
-
-    fn query_with(&self, strategy: Strategy, query: &Query) -> Result<Answers> {
-        Ok(self
-            .engine
-            .answer_with(strategy, &query.peer, &query.query, &query.free_vars)?)
-    }
-
-    fn pin(&self) -> Result<Snapshot> {
-        Ok(self.engine.pin()?)
-    }
-
-    fn current_system(&self) -> Result<P2PSystem> {
-        Ok(self.engine.snapshot_system()?)
-    }
-
-    fn version_of(&self, peer: &PeerId) -> Version {
-        Version(self.engine.version_of(peer))
-    }
-
-    fn versions(&self) -> BTreeMap<PeerId, Version> {
-        self.engine
-            .versions()
-            .into_iter()
-            .map(|(p, v)| (p, Version(v)))
-            .collect()
-    }
-
-    fn current_seq(&self) -> u64 {
-        self.lock_log().len() as u64
-    }
-
-    fn log(&self) -> Vec<CommittedTx> {
-        self.lock_log().clone()
-    }
-
-    fn lock_log(&self) -> std::sync::MutexGuard<'_, Vec<CommittedTx>> {
+    fn lock_log(&self) -> MutexGuard<'_, Vec<CommittedTx>> {
         self.log.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn metrics(&self) -> CacheMetrics {
-        self.engine.metrics()
-    }
-
-    fn mvcc_stats(&self) -> MvccStats {
-        self.engine.mvcc_stats()
-    }
-
-    /// Replay the log prefix `..seq` over the version-0 snapshot and wrap
-    /// the result in a [`Snapshot`] whose epoch is the commit sequence
-    /// number.
-    fn snapshot_at(&self, seq: u64) -> Result<Snapshot> {
-        let prefix: Vec<CommittedTx> = {
-            let log = self.lock_log();
-            let latest = log.len() as u64;
-            if seq > latest {
-                return Err(SessionError::UnknownSeq { seq, latest });
-            }
-            log[..seq as usize].to_vec()
-        };
-        let mut system = self.base.clone();
-        let mut versions: VersionMap = BTreeMap::new();
-        for tx in &prefix {
-            for (peer, delta) in &tx.changes {
-                system.apply_delta(peer, delta)?;
-            }
-            for (peer, version) in &tx.versions {
-                versions.insert(peer.clone(), version.get());
-            }
-        }
-        Ok(Snapshot::from_system(&system, versions, seq))
     }
 }
 
@@ -229,10 +157,11 @@ fn validate_local_ics(snapshot: &Snapshot, peer: &PeerId, delta: &Delta) -> Resu
 /// system accepts update transactions, with per-peer versions, an update
 /// log, and incremental invalidation of the engine's memoized artifacts.
 ///
-/// All reads take `&self` and answer against pinned MVCC epochs; mutation
-/// goes through the single [`Writer`] handle claimed with
-/// [`Session::writer`]. Clone cheap [`ReadHandle`]s with
-/// [`Session::reader`] to query from other threads.
+/// All reads take `&self` and answer against pinned MVCC epochs: they are
+/// the [`ReadHandle`] methods, reached through `Deref`. Mutation goes
+/// through the single [`Writer`] handle claimed with [`Session::writer`].
+/// Clone cheap [`ReadHandle`]s with [`Session::reader`] to query from other
+/// threads.
 ///
 /// ```
 /// use pdes_core::system::example1_system;
@@ -246,7 +175,7 @@ fn validate_local_ics(snapshot: &Snapshot, peer: &PeerId, delta: &Delta) -> Resu
 /// assert_eq!(session.current_seq(), 0); // no commits yet
 /// ```
 pub struct Session {
-    core: Arc<SessionCore>,
+    reads: ReadHandle,
 }
 
 impl Session {
@@ -279,30 +208,29 @@ impl Session {
     /// of panicking.
     pub fn try_with_engine(engine: QueryEngine) -> Result<Self> {
         let base = engine.snapshot_system()?;
+        let core = Arc::new(SessionCore {
+            engine,
+            base,
+            log: Mutex::new(Vec::new()),
+            writer_claimed: AtomicBool::new(false),
+        });
         Ok(Session {
-            core: Arc::new(SessionCore {
-                engine,
-                base,
-                log: Mutex::new(Vec::new()),
-                writer_claimed: AtomicBool::new(false),
-            }),
+            reads: ReadHandle { core },
         })
     }
 
     /// A cheap, cloneable handle sharing this session's engine, cache and
     /// log. Hand clones to reader threads; they never block on the writer.
     pub fn reader(&self) -> ReadHandle {
-        ReadHandle {
-            core: Arc::clone(&self.core),
-        }
+        self.reads.clone()
     }
 
     /// Claim the session's single [`Writer`]. At most one writer is alive
     /// at a time; a second claim fails with [`SessionError::WriterClaimed`]
     /// until the first is dropped.
     pub fn writer(&self) -> Result<Writer> {
-        if self
-            .core
+        let core = &self.reads.core;
+        if core
             .writer_claimed
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_err()
@@ -310,82 +238,33 @@ impl Session {
             return Err(SessionError::WriterClaimed);
         }
         Ok(Writer {
-            core: Arc::clone(&self.core),
+            core: Arc::clone(core),
         })
     }
 
     /// The engine answering over the current snapshot.
     pub fn engine(&self) -> &QueryEngine {
-        &self.core.engine
-    }
-
-    /// Answer a [`Query`] against the current snapshot (engine's
-    /// strategy).
-    pub fn query(&self, query: &Query) -> Result<Answers> {
-        self.core.query(query)
-    }
-
-    /// Answer with an explicit strategy, sharing the engine's cache.
-    pub fn query_with(&self, strategy: Strategy, query: &Query) -> Result<Answers> {
-        self.core.query_with(strategy, query)
-    }
-
-    /// Pin the store's current epoch: an immutable [`Snapshot`] that stays
-    /// readable (and bit-stable) while the writer publishes new epochs.
-    pub fn pin(&self) -> Result<Snapshot> {
-        self.core.pin()
-    }
-
-    /// The current snapshot as an owned system, hydrated from the pinned
-    /// epoch. Replaces the pre-MVCC `Session::system` mirror.
-    pub fn current_system(&self) -> Result<P2PSystem> {
-        self.core.current_system()
-    }
-
-    /// A peer's current version.
-    pub fn version_of(&self, peer: &PeerId) -> Version {
-        self.core.version_of(peer)
-    }
-
-    /// Every peer's current version.
-    pub fn versions(&self) -> BTreeMap<PeerId, Version> {
-        self.core.versions()
-    }
-
-    /// The latest commit sequence number (0 before any commit).
-    pub fn current_seq(&self) -> u64 {
-        self.core.current_seq()
+        &self.reads.core.engine
     }
 
     /// The update log, oldest first.
     pub fn log(&self) -> Vec<CommittedTx> {
-        self.core.log()
+        self.reads.core.lock_log().clone()
     }
+}
 
-    /// Lifetime cache counters of the underlying engine.
-    pub fn metrics(&self) -> CacheMetrics {
-        self.core.metrics()
-    }
+impl Deref for Session {
+    type Target = ReadHandle;
 
-    /// Lifetime MVCC counters of the underlying store (pins, epoch
-    /// publications, copied pages).
-    pub fn mvcc_stats(&self) -> MvccStats {
-        self.core.mvcc_stats()
-    }
-
-    /// Reconstruct the system as of commit `seq` by replaying the update
-    /// log over the version-0 snapshot, returned as an immutable
-    /// [`Snapshot`] whose epoch is `seq` (`seq` 0 is the snapshot itself;
-    /// `seq` equal to [`Session::current_seq`] reproduces the live system).
-    pub fn snapshot_at(&self, seq: u64) -> Result<Snapshot> {
-        self.core.snapshot_at(seq)
+    fn deref(&self) -> &ReadHandle {
+        &self.reads
     }
 }
 
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("peers", &self.core.base.peer_count())
+            .field("peers", &self.reads.core.base.peer_count())
             .field("seq", &self.current_seq())
             .field("versions", &self.versions())
             .finish()
@@ -393,8 +272,9 @@ impl fmt::Debug for Session {
 }
 
 /// A cloneable read-only handle onto a [`Session`]: queries, pins,
-/// versions, log access and metrics, all `&self`. Clones share the engine
-/// cache and never block on the writer's commits.
+/// versions, log replay and metrics, all `&self`. Clones share the engine
+/// cache and never block on the writer's commits. A [`Session`] reaches
+/// these methods through `Deref`.
 #[derive(Clone)]
 pub struct ReadHandle {
     core: Arc<SessionCore>,
@@ -404,53 +284,83 @@ impl ReadHandle {
     /// Answer a [`Query`] against the current snapshot (engine's
     /// strategy).
     pub fn query(&self, query: &Query) -> Result<Answers> {
-        self.core.query(query)
+        let engine = &self.core.engine;
+        Ok(engine.answer(&query.peer, &query.query, &query.free_vars)?)
     }
 
     /// Answer with an explicit strategy, sharing the engine's cache.
     pub fn query_with(&self, strategy: Strategy, query: &Query) -> Result<Answers> {
-        self.core.query_with(strategy, query)
+        let engine = &self.core.engine;
+        Ok(engine.answer_with(strategy, &query.peer, &query.query, &query.free_vars)?)
     }
 
-    /// Pin the store's current epoch (see [`Session::pin`]).
+    /// Pin the store's current epoch: an immutable [`Snapshot`] that stays
+    /// readable (and bit-stable) while the writer publishes new epochs.
+    /// Each committed transaction publishes one epoch, so over a store
+    /// that starts at epoch 0 and takes commits only from this session, the
+    /// pinned epoch is the sequence number of the last commit it holds.
     pub fn pin(&self) -> Result<Snapshot> {
-        self.core.pin()
+        Ok(self.core.engine.pin()?)
     }
 
-    /// The current snapshot as an owned system (see
-    /// [`Session::current_system`]).
+    /// The current snapshot as an owned system, hydrated from the pinned
+    /// epoch.
     pub fn current_system(&self) -> Result<P2PSystem> {
-        self.core.current_system()
+        Ok(self.core.engine.snapshot_system()?)
     }
 
     /// A peer's current version.
     pub fn version_of(&self, peer: &PeerId) -> Version {
-        self.core.version_of(peer)
+        Version(self.core.engine.version_of(peer))
     }
 
     /// Every peer's current version.
     pub fn versions(&self) -> BTreeMap<PeerId, Version> {
-        self.core.versions()
+        let versions = self.core.engine.versions().into_iter();
+        versions.map(|(p, v)| (p, Version(v))).collect()
     }
 
     /// The latest commit sequence number (0 before any commit).
     pub fn current_seq(&self) -> u64 {
-        self.core.current_seq()
+        self.core.lock_log().len() as u64
     }
 
     /// Lifetime cache counters of the underlying engine.
     pub fn metrics(&self) -> CacheMetrics {
-        self.core.metrics()
+        self.core.engine.metrics()
     }
 
-    /// Lifetime MVCC counters of the underlying store.
+    /// Lifetime MVCC counters of the underlying store (pins, epoch
+    /// publications, copied pages).
     pub fn mvcc_stats(&self) -> MvccStats {
-        self.core.mvcc_stats()
+        self.core.engine.mvcc_stats()
     }
 
-    /// Replay the log to the given commit (see [`Session::snapshot_at`]).
+    /// Reconstruct the system as of commit `seq` by replaying the update
+    /// log over the version-0 snapshot, returned as an immutable
+    /// [`Snapshot`] whose epoch is `seq` (`seq` 0 is the snapshot itself;
+    /// `seq` equal to [`ReadHandle::current_seq`] reproduces the live
+    /// system).
     pub fn snapshot_at(&self, seq: u64) -> Result<Snapshot> {
-        self.core.snapshot_at(seq)
+        let prefix: Vec<CommittedTx> = {
+            let log = self.core.lock_log();
+            let latest = log.len() as u64;
+            if seq > latest {
+                return Err(SessionError::UnknownSeq { seq, latest });
+            }
+            log[..seq as usize].to_vec()
+        };
+        let mut system = self.core.base.clone();
+        let mut versions: VersionMap = BTreeMap::new();
+        for tx in &prefix {
+            for (peer, delta) in &tx.changes {
+                system.apply_delta(peer, delta)?;
+            }
+            for (peer, version) in &tx.versions {
+                versions.insert(peer.clone(), version.get());
+            }
+        }
+        Ok(Snapshot::from_system(&system, versions, seq))
     }
 }
 
@@ -517,7 +427,7 @@ impl Drop for Writer {
 impl fmt::Debug for Writer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Writer")
-            .field("seq", &self.core.current_seq())
+            .field("seq", &self.core.lock_log().len())
             .finish()
     }
 }
@@ -587,8 +497,8 @@ impl Tx<'_> {
     /// explicit at call sites).
     pub fn rollback(self) {}
 
-    /// Validate the staged changes all-or-nothing, then apply them peer by
-    /// peer.
+    /// Validate the staged changes all-or-nothing, then commit them as one
+    /// store epoch.
     ///
     /// 1. The current epoch is pinned; normalization and validation read
     ///    that immutable snapshot, never the live store.
@@ -599,23 +509,22 @@ impl Tx<'_> {
     /// 3. Every touched peer's local ICs are checked against the instance
     ///    the commit would produce; the first violation aborts the whole
     ///    commit with [`SessionError::IcViolation`] and nothing is applied.
-    /// 4. The deltas are applied through
-    ///    [`QueryEngine::commit_delta`], one peer at a time: each call
-    ///    publishes a new store epoch, bumps that peer's version and
-    ///    invalidates exactly the memoized artifacts whose relevant-peer
-    ///    closure contains it. Readers pinned to earlier epochs are
-    ///    unaffected, but a transaction touching several peers is
-    ///    published once per peer: a reader pinning between two
-    ///    publications sees it half-applied, and the store's epoch then
-    ///    runs ahead of the log's sequence number (which
-    ///    [`Session::snapshot_at`] uses as the epoch).
+    /// 4. The deltas are committed through [`QueryEngine::commit`] in one
+    ///    call: the store publishes one epoch, which bumps every touched
+    ///    peer's version, and the engine invalidates exactly the memoized
+    ///    artifacts whose relevant-peer closure contains a touched peer,
+    ///    repairing each once. A reader pins the transaction whole or not
+    ///    at all, and the receipt's sequence number matches the published
+    ///    epoch ([`ReadHandle::pin`]) and [`ReadHandle::snapshot_at`]'s. A
+    ///    failed commit (a dead shard, say) leaves the store, the versions
+    ///    and the log untouched.
     ///
     /// A commit whose staged changes normalize to nothing is a no-op: the
     /// log and versions are untouched and the receipt reports no touched
     /// peers.
     pub fn commit(self) -> Result<CommitReceipt> {
         let core = self.core;
-        let snapshot = core.pin()?;
+        let snapshot = core.engine.pin()?;
         // 1 + 2. Normalize against the pinned epoch.
         let mut effective: BTreeMap<PeerId, Delta> = BTreeMap::new();
         for (peer, staged) in &self.staged {
@@ -644,7 +553,7 @@ impl Tx<'_> {
         }
         if effective.is_empty() {
             return Ok(CommitReceipt {
-                seq: core.current_seq(),
+                seq: core.lock_log().len() as u64,
                 touched: BTreeSet::new(),
                 affected: BTreeSet::new(),
                 versions: BTreeMap::new(),
@@ -663,16 +572,12 @@ impl Tx<'_> {
             validate_local_ics(&snapshot, peer, delta)
         })?;
         validate_span.finish();
-        // 4. Apply.
+        // 4. Commit.
         let touched: BTreeSet<PeerId> = effective.keys().cloned().collect();
         let affected = snapshot.topology().affected_by(&touched);
-        let before = core.engine.metrics();
-        let mut versions = BTreeMap::new();
-        for (peer, delta) in &effective {
-            let version = core.engine.commit_delta(peer, delta)?;
-            versions.insert(peer.clone(), Version(version));
-        }
-        let invalidated = core.engine.metrics().invalidated - before.invalidated;
+        let (versions, invalidated) = core.engine.commit(&effective)?;
+        let versions: BTreeMap<PeerId, Version> =
+            versions.into_iter().map(|(p, v)| (p, Version(v))).collect();
         let mut log = core.lock_log();
         let seq = log.len() as u64 + 1;
         log.push(CommittedTx {

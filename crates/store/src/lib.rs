@@ -8,30 +8,30 @@
 //! * [`InProcessStore`] (re-exported) — the canonical single-process
 //!   implementation: one epoch-publishing MVCC store.
 //! * [`ShardedStore`] — peers partitioned across N worker shards by
-//!   *closure-connected components*, each worker owning its peers'
-//!   instances behind an in-process loopback transport ([`transport`]).
-//!   Commits serialize on one coordinator lock: the owning shard applies
-//!   the delta, then the coordinator replays it on an [`InProcessStore`]
-//!   epoch mirror. Every read pins an epoch of that mirror, so no read
-//!   crosses the transport.
+//!   *closure-connected components*, each worker holding a write-only copy
+//!   of its peers' instances behind an in-process loopback transport
+//!   ([`transport`]). The coordinator validates a transaction, sends each
+//!   touched shard its part and, once all acknowledge, publishes it as one
+//!   epoch of its [`InProcessStore`] mirror, which every read pins.
 //!
 //! ## Partitioning
 //!
 //! Two peers belong to the same *closure-connected component* when a chain
 //! of DECs links them (direction ignored — the same union-find construction
 //! the engine's `answer_batch` uses to split independent queries). A
-//! component is the unit of placement, so a commit only ever reaches the
-//! one shard owning its peer. Components are assigned round-robin, in order
-//! of their lexicographically smallest peer, so the assignment is
-//! deterministic and reproducible.
+//! component is the unit of placement, so a query's relevant-peer closure
+//! lives on one shard, while a transaction reaches every shard owning one
+//! of its peers. Components are assigned round-robin, in order of their
+//! lexicographically smallest peer, so the assignment is deterministic and
+//! reproducible.
 //!
 //! ## Observability
 //!
 //! With a recorder installed ([`ShardedStoreBuilder::recorder`]), every
 //! transport round-trip emits a `transport.roundtrip` span tagged with its
-//! shard. Every store operation is a pin or a commit and touches at most
-//! one shard; the epoch mirror counts both in [`PeerStore::mvcc_stats`]
-//! (`pins` and `publishes`).
+//! shard. A pin reaches no shard; a commit makes one round-trip per shard
+//! it touches and publishes one epoch. The epoch mirror counts both in
+//! [`PeerStore::mvcc_stats`] (`pins` and `publishes`).
 
 #![warn(missing_docs)]
 
@@ -73,15 +73,15 @@ pub struct ShardedStore {
     assignment: BTreeMap<PeerId, usize>,
     shards: Vec<ShardHandle>,
     recorder: Arc<dyn Recorder>,
-    /// Coordinator-side epoch mirror: an [`InProcessStore`] over the same
-    /// system, replaying every worker-confirmed mutation. [`PeerStore::pin`]
-    /// serves snapshots from it without a transport round-trip, and because
-    /// the mirror sees the identical mutation sequence, its epochs and
-    /// version stamps are bit-identical to a single-store oracle (checked by
-    /// `tests/sharding.rs`).
+    /// Coordinator-side epoch mirror and the store's only version
+    /// authority: an [`InProcessStore`] over the same system, publishing
+    /// each transaction once every shard it touches has acknowledged.
+    /// [`PeerStore::pin`] serves snapshots from it without a round-trip, and
+    /// its epochs and stamps are bit-identical to a single-store oracle's
+    /// (checked by `tests/sharding.rs`).
     mirror: InProcessStore,
-    /// Serializes commits across shards so the mirror replays them in the
-    /// exact order the workers applied them. Pins never take it.
+    /// Serializes commits across shards so the workers apply them in the
+    /// mirror's order. Pins never take it.
     commit: Mutex<()>,
 }
 
@@ -120,7 +120,6 @@ impl ShardedStoreBuilder {
             // Each worker owns the topology replica plus the *real*
             // instances of exactly its peers.
             let mut state = topology.clone();
-            let mut versions = VersionMap::new();
             for (peer, &owner) in &assignment {
                 if owner == shard {
                     let instance = self
@@ -132,11 +131,10 @@ impl ShardedStoreBuilder {
                     state
                         .set_instance(peer, instance)
                         .expect("replica shares the system's peers");
-                    versions.insert(peer.clone(), 0);
                 }
             }
             let (sender, receiver) = std::sync::mpsc::channel::<Envelope>();
-            let thread = std::thread::spawn(move || shard_worker(state, versions, receiver));
+            let thread = std::thread::spawn(move || shard_worker(state, receiver));
             shards.push(ShardHandle {
                 sender,
                 thread: Some(thread),
@@ -183,10 +181,18 @@ impl ShardedStore {
         &self.assignment
     }
 
+    /// Stop one worker, as a crash would: every later commit that reaches
+    /// its shard fails with [`CoreError::Transport`]. Pins keep working,
+    /// since they never reach a worker.
+    pub fn shut_down_shard(&self, shard: usize) {
+        // A worker that already died just leaves a closed channel.
+        let _ = self.shards[shard].sender.send(Envelope::shutdown());
+    }
+
     /// One send + receive against a shard, wrapped in a
     /// `transport.roundtrip` span. Channel failures (a dead worker) surface
     /// as [`CoreError::Transport`]; the worker's own error is returned as is.
-    fn roundtrip(&self, shard: usize, request: ShardRequest) -> Result<u64> {
+    fn roundtrip(&self, shard: usize, request: ShardRequest) -> Result<()> {
         let span = Span::enter_with(
             self.recorder.as_ref(),
             "transport.roundtrip",
@@ -197,7 +203,7 @@ impl ShardedStore {
         result
     }
 
-    fn roundtrip_inner(&self, shard: usize, request: ShardRequest) -> Result<u64> {
+    fn roundtrip_inner(&self, shard: usize, request: ShardRequest) -> Result<()> {
         let handle = &self.shards[shard];
         let (reply, response) = std::sync::mpsc::channel();
         handle
@@ -225,16 +231,20 @@ impl PeerStore for ShardedStore {
         self.mirror.pin()
     }
 
-    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> Result<u64> {
-        let shard = self.shard_of(peer)?;
+    fn apply_delta(&self, changes: &BTreeMap<PeerId, Delta>) -> Result<VersionMap> {
         let _commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
-        let version =
-            self.roundtrip(shard, ShardRequest::ApplyDelta(peer.clone(), delta.clone()))?;
-        // Replay the worker-confirmed mutation on the epoch mirror; identical
-        // validation means the stamps cannot diverge.
-        let mirrored = self.mirror.apply_delta(peer, delta)?;
-        debug_assert_eq!(mirrored, version, "mirror diverged from shard {shard}");
-        Ok(version)
+        // Validate the whole transaction before any shard sees a part of it.
+        let mut parts: BTreeMap<usize, BTreeMap<PeerId, Delta>> = BTreeMap::new();
+        for (peer, delta) in changes {
+            self.topology.validate_delta(peer, delta)?;
+            let part = parts.entry(self.shard_of(peer)?).or_default();
+            part.insert(peer.clone(), delta.clone());
+        }
+        for (shard, part) in parts {
+            self.roundtrip(shard, ShardRequest::ApplyDelta(part))?;
+        }
+        // Every touched shard acknowledged: publish the one epoch.
+        self.mirror.apply_delta(changes)
     }
 
     fn mvcc_stats(&self) -> MvccStats {
@@ -242,17 +252,14 @@ impl PeerStore for ShardedStore {
     }
 
     fn symbols(&self) -> Arc<relalg::SymbolTable> {
-        // The coordinator's epoch mirror replays every worker-confirmed
-        // mutation, so its table covers exactly what the shards store.
         self.mirror.symbols()
     }
 }
 
 impl Drop for ShardedStore {
     fn drop(&mut self) {
-        for handle in &self.shards {
-            // A worker that already died just leaves a closed channel.
-            let _ = handle.sender.send(Envelope::shutdown());
+        for shard in 0..self.shards.len() {
+            self.shut_down_shard(shard);
         }
         for handle in &mut self.shards {
             if let Some(thread) = handle.thread.take() {
@@ -305,17 +312,15 @@ fn assign_components(system: &P2PSystem, shards: usize) -> BTreeMap<PeerId, usiz
     assignment
 }
 
-/// The shard worker loop: owns the shard's slice of the system (topology
-/// replica + its peers' real instances + their version stamps, seeded at 0)
-/// and serves requests in queue order.
-fn shard_worker(mut state: P2PSystem, mut versions: VersionMap, receiver: Receiver<Envelope>) {
+/// The shard worker loop: owns the shard's write-only copy of the system
+/// (topology replica + its peers' real instances), applies the transaction
+/// parts it is sent in queue order, and acknowledges each.
+fn shard_worker(mut state: P2PSystem, receiver: Receiver<Envelope>) {
     while let Ok(Envelope { request, reply }) = receiver.recv() {
         let response = match request {
-            ShardRequest::ApplyDelta(peer, delta) => state.apply_delta(&peer, &delta).map(|()| {
-                let v = versions.entry(peer).or_insert(0);
-                *v += 1;
-                *v
-            }),
+            ShardRequest::ApplyDelta(part) => part
+                .iter()
+                .try_for_each(|(peer, delta)| state.apply_delta(peer, delta)),
             ShardRequest::Shutdown => break,
         };
         // A dropped reply receiver means the coordinator gave up on this
@@ -363,6 +368,11 @@ mod tests {
         Delta::from_changes([], [GroundAtom::new(relation, Tuple::strs(tuple))])
     }
 
+    /// A one-peer transaction.
+    fn one(peer: &PeerId, delta: Delta) -> BTreeMap<PeerId, Delta> {
+        BTreeMap::from([(peer.clone(), delta)])
+    }
+
     #[test]
     fn closure_connected_components_share_a_shard() {
         // Example 1 is one connected component (P1—P2—P3 via DECs), so no
@@ -407,20 +417,26 @@ mod tests {
             let p1 = peer("P1");
             for store in [&sharded as &dyn PeerStore, &oracle] {
                 assert_eq!(
-                    store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap(),
+                    store
+                        .apply_delta(&one(&p1, insert("R1", ["x", "y"])))
+                        .unwrap()[&p1],
                     1
                 );
                 assert_eq!(
-                    store.apply_delta(&p1, &delete("R1", ["x", "y"])).unwrap(),
+                    store
+                        .apply_delta(&one(&p1, delete("R1", ["x", "y"])))
+                        .unwrap()[&p1],
                     2
                 );
                 assert_eq!(
-                    store.apply_delta(&p1, &insert("R1", ["c", "d"])).unwrap(),
+                    store
+                        .apply_delta(&one(&p1, insert("R1", ["c", "d"])))
+                        .unwrap()[&p1],
                     3
                 );
                 // A failing delta leaves the stamp and the state alone.
                 assert!(store
-                    .apply_delta(&p1, &insert("NoSuch", ["c", "d"]))
+                    .apply_delta(&one(&p1, insert("NoSuch", ["c", "d"])))
                     .is_err());
                 let pinned = store.pin().unwrap();
                 assert_eq!(pinned.version_of(&p1).unwrap(), 3);
@@ -442,8 +458,12 @@ mod tests {
             let p1 = peer("P1");
             let pinned = sharded.pin().unwrap();
             for store in [&sharded as &dyn PeerStore, &oracle] {
-                store.apply_delta(&p1, &insert("R1", ["x", "y"])).unwrap();
-                store.apply_delta(&p1, &delete("R1", ["x", "y"])).unwrap();
+                store
+                    .apply_delta(&one(&p1, insert("R1", ["x", "y"])))
+                    .unwrap();
+                store
+                    .apply_delta(&one(&p1, delete("R1", ["x", "y"])))
+                    .unwrap();
             }
             // The pre-commit pin is stable; fresh pins agree bit-identically
             // with the oracle's epoch, stamps and materialized instances.
@@ -466,7 +486,7 @@ mod tests {
         let ghost = peer("P9");
         let before = store.mvcc_stats();
         assert!(matches!(
-            store.apply_delta(&ghost, &insert("R1", ["x", "y"])),
+            store.apply_delta(&one(&ghost, insert("R1", ["x", "y"]))),
             Err(CoreError::UnknownPeer(_))
         ));
         // Validation failures never reach the transport or the counters.
@@ -478,11 +498,11 @@ mod tests {
     fn dead_worker_surfaces_as_transport_error() {
         let store = ShardedStore::builder(example1_system()).shards(1).build();
         // Kill the worker out from under the coordinator.
-        store.shards[0].sender.send(Envelope::shutdown()).unwrap();
+        store.shut_down_shard(0);
         // The worker drains the shutdown and exits; whether our request is
         // enqueued before or after that, the round-trip must fail cleanly.
         let err = loop {
-            match store.apply_delta(&peer("P1"), &insert("R1", ["x", "y"])) {
+            match store.apply_delta(&one(&peer("P1"), insert("R1", ["x", "y"]))) {
                 Ok(_) => continue,
                 Err(err) => break err,
             }
@@ -505,7 +525,7 @@ mod tests {
             .build();
         store.pin().unwrap();
         store
-            .apply_delta(&peer("P2"), &insert("R2", ["x", "y"]))
+            .apply_delta(&one(&peer("P2"), insert("R2", ["x", "y"])))
             .unwrap();
         let trace = recorder.trace();
         assert_eq!(trace.spans_labelled("transport.roundtrip").len(), 1);

@@ -3,17 +3,19 @@
 //!
 //! The wire vocabulary is deliberately small and value-oriented: a
 //! [`ShardRequest`] carries owned data down to a worker, and the worker
-//! answers with the peer's new version stamp (or the shard-local
+//! acknowledges it (or answers with the shard-local
 //! [`CoreError`](pdes_core::CoreError)) through the per-request reply
-//! channel in the [`Envelope`]. Nothing here assumes the in-process channel
-//! pair — a networked transport would serialize exactly these frames — but
-//! the reproduction ships only the deterministic in-process loopback.
+//! channel in the [`Envelope`]; version stamps are the coordinator's alone.
+//! Nothing here assumes the in-process channel pair — a networked transport
+//! would serialize exactly these frames — but the reproduction ships only
+//! the deterministic in-process loopback.
 //!
 //! [`ShardRequest`] is `#[non_exhaustive]`: the protocol can grow verbs
 //! without a breaking release, so match it with a wildcard arm.
 
 use pdes_core::system::PeerId;
 use relalg::Delta;
+use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
 
 /// A request from the coordinator to one shard worker.
@@ -24,9 +26,9 @@ use std::sync::mpsc::Sender;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum ShardRequest {
-    /// Validate-then-apply a delta against a peer's instance; the reply is
-    /// the peer's new version stamp.
-    ApplyDelta(PeerId, Delta),
+    /// Apply a transaction's part for this shard: a delta per peer it owns,
+    /// already validated by the coordinator.
+    ApplyDelta(BTreeMap<PeerId, Delta>),
     /// Drain-and-exit: the worker stops after this frame (sent by the
     /// coordinator's `Drop`).
     Shutdown,
@@ -43,7 +45,7 @@ pub struct Envelope {
     /// The request to serve.
     pub request: ShardRequest,
     /// Where the worker sends the (single) response.
-    pub reply: Sender<pdes_core::Result<u64>>,
+    pub reply: Sender<pdes_core::Result<()>>,
 }
 
 impl Envelope {

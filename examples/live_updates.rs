@@ -3,12 +3,15 @@
 //! transaction, and watch the engine invalidate exactly the memoized
 //! artifacts whose relevant-peer closure contains the touched peer —
 //! queries against unrelated peers stay warm, and artifacts inside the
-//! closure are repaired on the committing thread.
+//! closure are repaired on the committing thread. A second transaction
+//! spans two peers and is still one commit: the store publishes it as one
+//! epoch, whose number is the receipt's sequence number.
 //!
 //! Run with `cargo run --release --example live_updates`.
 
 use p2p_data_exchange::{Formula, PeerId, Query, QueryEngine, Session, Strategy, Tuple};
 use pdes_core::system::example1_system;
+use std::collections::BTreeSet;
 
 fn main() {
     // Example 1: P1 imports from P2 (inclusion DEC, trusted more) and
@@ -70,6 +73,24 @@ fn main() {
     assert!(warm.stats.cache_hit);
     assert!(after.stats.cache_hit, "repaired on commit, served warm");
     assert!(after.contains(&Tuple::strs(["x", "y"])));
+
+    // A transaction into P2 and P3 is one commit: one store epoch, so a
+    // reader pins it whole or not at all.
+    let mut tx = writer.begin();
+    tx.insert(&p2, "R2", Tuple::strs(["u", "v"]))
+        .expect("stage P2 insert");
+    tx.insert(&p3, "R3", Tuple::strs(["u", "w"]))
+        .expect("stage P3 insert");
+    let receipt = tx.commit().expect("two-peer commit");
+    let epoch = session.pin().expect("pin").epoch();
+    println!(
+        "\ncommitted seq {} touching {:?}: published epoch {epoch}",
+        receipt.seq, receipt.touched
+    );
+    if epoch != receipt.seq || receipt.touched != BTreeSet::from([p2.clone(), p3.clone()]) {
+        eprintln!("a two-peer transaction must publish exactly one epoch");
+        std::process::exit(1);
+    }
 
     // The update log replays to any point in time as a pinned snapshot.
     let v0 = session.snapshot_at(0).expect("base snapshot");

@@ -12,7 +12,7 @@ use p2p_data_exchange::{
     example1_system, vars, Formula, P2PSystem, PeerId, QueryEngine, Strategy, StrategyKind,
     TrustLevel, Tuple,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use workload::{generate, Topology, TrustMix, WorkloadSpec};
 
 /// Answer one workload's canonical query under every applicable strategy on
@@ -355,7 +355,9 @@ fn a_dec_on_a_third_peers_relation_puts_that_peer_in_the_closure() {
         assert_eq!(answers.tuples, expected, "{strategy:?}");
     }
     let delta = Delta::from_changes([GroundAtom::new("R3", Tuple::strs(["w", "x"]))], []);
-    engine.commit_delta(&p3, &delta).unwrap();
+    engine
+        .commit(&BTreeMap::from([(p3.clone(), delta.clone())]))
+        .unwrap();
     expected.insert(Tuple::strs(["w", "x"]));
     for strategy in strategies {
         let answers = engine.answer_with(strategy, &p1, &query, &fv).unwrap();

@@ -9,7 +9,7 @@
 use p2p_data_exchange::{vars, Formula, PeerId, QueryEngine, Session, Strategy, Tuple, Update};
 use relalg::database::GroundAtom;
 use relalg::Delta;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use workload::generator::GeneratedWorkload;
 use workload::{generate, Topology, TrustMix, WorkloadSpec};
 
@@ -251,8 +251,18 @@ fn eviction_pressure_keeps_answers_correct() {
     }
     // Mutate through both engines and keep comparing.
     let update = &round_updates(&w, DeltaKind::InsertOnly, 0)[0];
-    bounded.commit_delta(&update.peer, &update.delta).unwrap();
-    unbounded.commit_delta(&update.peer, &update.delta).unwrap();
+    bounded
+        .commit(&BTreeMap::from([(
+            update.peer.clone(),
+            update.delta.clone(),
+        )]))
+        .unwrap();
+    unbounded
+        .commit(&BTreeMap::from([(
+            update.peer.clone(),
+            update.delta.clone(),
+        )]))
+        .unwrap();
     for _ in 0..2 {
         assert_eq!(
             all_answers(&bounded, Strategy::Asp, &queries),
@@ -285,7 +295,10 @@ fn typed_values_inserted_by_a_commit_stay_typed_on_the_repair_path() {
         for (round, (x, y)) in [(7, 8), (9, 10)].into_iter().enumerate() {
             let inserted = GroundAtom::new("R2", Tuple::ints([x, y]));
             engine
-                .commit_delta(&p2, &Delta::from_changes([inserted], []))
+                .commit(&BTreeMap::from([(
+                    p2.clone(),
+                    Delta::from_changes([inserted], []),
+                )]))
                 .expect("commit applies");
             let live = engine.answer(&p1, &query, &fv).expect("live answer");
             assert!(live.stats.cache_hit, "the commit must repair the slice");

@@ -17,7 +17,7 @@ use p2p_data_exchange::{
 use pdes_bench::reference::reference_answers;
 use relalg::database::GroundAtom;
 use relalg::{ColumnarDatabase, Delta, Symbol, SymbolTable};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use workload::generator::GeneratedWorkload;
 use workload::{generate, generate_updates, Topology, TrustMix, UpdateSpec, WorkloadSpec};
@@ -180,7 +180,9 @@ fn interned_answers_match_legacy_across_live_commits() {
                     )],
                     [],
                 );
-                engine.commit_delta(&peer, &delta).expect("commit");
+                engine
+                    .commit(&BTreeMap::from([(peer.clone(), delta.clone())]))
+                    .expect("commit");
                 system.apply_delta(&peer, &delta).expect("apply");
                 assert_eq!(
                     all_answers(&engine, strategy, &queries),
@@ -261,7 +263,9 @@ fn symbol_tables_round_trip_over_generated_workloads() {
             )],
             [],
         );
-        engine.commit_delta(&peer, &delta).expect("commit");
+        engine
+            .commit(&BTreeMap::from([(peer.clone(), delta.clone())]))
+            .expect("commit");
         assert!(symbols.len() > before, "the commit interned new constants");
         for id in 0..symbols.len() as u32 {
             let symbol = Symbol::from_id(id);
@@ -428,7 +432,9 @@ fn rewriting_matches_the_string_reference_across_commits() {
     let queries = rewriting_queries("T0", "k_0_1");
     assert_rewriting_matches(&engine, &system, &p0, &queries, "before commits");
     for (round, (peer, delta)) in batches.iter().enumerate() {
-        engine.commit_delta(peer, delta).expect("commit");
+        engine
+            .commit(&BTreeMap::from([(peer.clone(), delta.clone())]))
+            .expect("commit");
         system.apply_delta(peer, delta).expect("apply");
         assert_rewriting_matches(
             &engine,

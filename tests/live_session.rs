@@ -7,7 +7,9 @@
 //!   and agrees with a fresh engine built on the mutated snapshot;
 //! * equivalence under mutation — after N random committed update batches,
 //!   every strategy's answers equal those of a fresh engine built on the
-//!   final snapshot (live invalidation never changes semantics, only work).
+//!   final snapshot (live invalidation never changes semantics, only work);
+//! * one transaction, one commit — a transaction into two peers publishes
+//!   one epoch and repairs each warm artifact once.
 
 use p2p_data_exchange::{
     example1_system, Formula, PeerId, Query, QueryEngine, Session, Strategy, Tuple, Update, Version,
@@ -62,6 +64,40 @@ fn commits_invalidate_the_closure_and_nothing_else() {
     let metrics = session.metrics();
     assert!(metrics.commits == 1 && metrics.invalidated >= 1);
     assert!(metrics.patched >= 1, "commit-thread repair must be counted");
+}
+
+/// One transaction into two peers of Example 1 is one commit at every
+/// layer: the store publishes one epoch, whose number is the receipt's
+/// sequence number and the epoch `snapshot_at` replays to, and the warm
+/// ASP entry of P1 — whose closure holds both peers — is staled once and
+/// repaired once.
+#[test]
+fn a_two_peer_transaction_publishes_one_epoch_and_repairs_once() {
+    let session = Session::with_strategy(example1_system(), Strategy::Asp);
+    let (p2, p3) = (PeerId::new("P2"), PeerId::new("P3"));
+    let q1 = Query::named("P1", Formula::atom("R1", vec!["X", "Y"]), &["X", "Y"]);
+    let _ = session.query(&q1).unwrap();
+    let (mvcc, metrics) = (session.mvcc_stats(), session.metrics());
+
+    let mut writer = session.writer().unwrap();
+    let mut tx = writer.begin();
+    tx.insert(&p2, "R2", Tuple::strs(["x", "y"])).unwrap();
+    tx.insert(&p3, "R3", Tuple::strs(["c", "z"])).unwrap();
+    let receipt = tx.commit().unwrap();
+
+    assert_eq!(session.mvcc_stats().publishes, mvcc.publishes + 1);
+    let pinned = session.pin().unwrap();
+    let replayed = session.snapshot_at(receipt.seq).unwrap();
+    assert_eq!(pinned.epoch(), receipt.seq);
+    assert_eq!(replayed.epoch(), receipt.seq);
+    assert_eq!(replayed.system().unwrap(), pinned.system().unwrap());
+    let after = session.metrics();
+    assert_eq!(after.commits, metrics.commits + 1);
+    assert_eq!(after.patched, metrics.patched + 1);
+    assert_eq!(receipt.invalidated, 1);
+    assert_eq!(session.version_of(&p2), Version(1));
+    assert_eq!(session.version_of(&p3), Version(1));
+    assert!(session.query(&q1).unwrap().stats.cache_hit);
 }
 
 #[test]

@@ -15,7 +15,9 @@
 //! * stale-artifact races: a cold preparation that read the store before a
 //!   commit never memoizes what it read as current, for every strategy;
 //! * fault injection: a panic inside the commit-side repair leaves no
-//!   reader blocked and no wrong answer behind.
+//!   reader blocked and no wrong answer behind;
+//! * torn reads: readers racing two-peer transactions pin each one whole
+//!   or not at all.
 
 use p2p_data_exchange::obs::Recorder;
 use p2p_data_exchange::{
@@ -25,7 +27,7 @@ use p2p_data_exchange::{
 use proptest::prelude::*;
 use relalg::database::GroundAtom;
 use relalg::Delta;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -168,10 +170,13 @@ impl PeerStore for SlowCommitStore {
         self.inner.pin()
     }
 
-    fn apply_delta(&self, peer: &PeerId, delta: &Delta) -> p2p_data_exchange::core::Result<u64> {
+    fn apply_delta(
+        &self,
+        changes: &BTreeMap<PeerId, Delta>,
+    ) -> p2p_data_exchange::core::Result<p2p_data_exchange::VersionMap> {
         self.committing.store(true, Ordering::SeqCst);
         std::thread::sleep(self.delay);
-        let result = self.inner.apply_delta(peer, delta);
+        let result = self.inner.apply_delta(changes);
         self.committing.store(false, Ordering::SeqCst);
         result
     }
@@ -237,6 +242,60 @@ fn pinned_readers_never_block_on_a_slow_commit() {
 
     // After the writer thread joins, the epoch advanced.
     assert!(session.pin().unwrap().epoch() > pinned.epoch());
+}
+
+/// Raises a flag when dropped, so reader loops stop also when the writer
+/// panics.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Readers racing two-peer transactions never pin half of one: each
+/// transaction inserts one tagged tuple into P2 and the same tuple into P3,
+/// and every epoch a reader pins holds both halves of every tag or neither.
+#[test]
+fn readers_never_pin_half_a_two_peer_transaction() {
+    const READERS: usize = 4;
+    const COMMITS: usize = 40;
+    let session = Session::new(example1_system());
+    let (p2, p3) = (PeerId::new("P2"), PeerId::new("P3"));
+    let tagged = |tag: usize| Tuple::strs([format!("tag{tag}"), "v".to_string()]);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..READERS {
+            let (reader, done, p2, p3) = (session.reader(), &done, &p2, &p3);
+            scope.spawn(move || {
+                while !done.load(Ordering::Acquire) {
+                    let pin = reader.pin().unwrap();
+                    let r2 = pin.instance_of(p2).unwrap();
+                    let r3 = pin.instance_of(p3).unwrap();
+                    for tag in 0..COMMITS {
+                        let tuple = tagged(tag);
+                        assert_eq!(
+                            r2.holds("R2", &tuple),
+                            r3.holds("R3", &tuple),
+                            "epoch {} holds half of tag {tag}",
+                            pin.epoch()
+                        );
+                    }
+                }
+            });
+        }
+        let _stop = RaiseOnDrop(&done);
+        let mut writer = session.writer().unwrap();
+        for tag in 0..COMMITS {
+            let mut tx = writer.begin();
+            tx.insert(&p2, "R2", tagged(tag)).unwrap();
+            tx.insert(&p3, "R3", tagged(tag)).unwrap();
+            let receipt = tx.commit().unwrap();
+            assert_eq!(receipt.seq, tag as u64 + 1);
+        }
+    });
+    assert_eq!(session.pin().unwrap().epoch(), COMMITS as u64);
 }
 
 /// The `CacheMetrics` conflation regression: 8 readers hammer the one
@@ -390,12 +449,16 @@ fn cold_preparations_racing_a_commit_never_serve_pre_commit_data() {
             std::thread::scope(|scope| {
                 let reader = scope.spawn(|| engine.answer(&p1, &query, &fv));
                 reached.recv().expect("the reader reaches its preparation");
-                engine.commit_delta(&p2, &r2_insert("k", "m")).unwrap();
+                engine
+                    .commit(&BTreeMap::from([(p2.clone(), r2_insert("k", "m"))]))
+                    .unwrap();
                 release.send(()).unwrap();
                 let _ = reader.join().unwrap().expect("the racing read answers");
             });
             if let Some(delta) = second {
-                engine.commit_delta(&p2, delta).unwrap();
+                engine
+                    .commit(&BTreeMap::from([(p2.clone(), delta.clone())]))
+                    .unwrap();
             }
             let after = engine.answer(&p1, &query, &fv).unwrap();
             let case = format!("{strategy:?}, second commit {second:?}");
@@ -441,7 +504,7 @@ fn a_panicking_repair_blocks_no_reader_and_serves_no_stale_answer() {
     // slice, and its repair hits the injected fault.
     let delta = Delta::from_changes([GroundAtom::new("R3", Tuple::strs(["c", "z"]))], []);
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.commit_delta(&PeerId::new("P3"), &delta)
+        engine.commit(&BTreeMap::from([(PeerId::new("P3"), delta.clone())]))
     }));
     assert!(unwound.is_err(), "the injected fault unwinds the commit");
 
@@ -458,7 +521,7 @@ fn a_panicking_repair_blocks_no_reader_and_serves_no_stale_answer() {
     assert_eq!(read, fresh_answers(&engine, Strategy::Asp, &p1));
 
     engine
-        .commit_delta(&PeerId::new("P2"), &r2_insert("k", "m"))
+        .commit(&BTreeMap::from([(PeerId::new("P2"), r2_insert("k", "m"))]))
         .unwrap();
     let read = engine.answer(&p1, &query, &fv).unwrap().tuples;
     assert_eq!(read, fresh_answers(&engine, Strategy::Asp, &p1));

@@ -13,6 +13,7 @@ use p2p_data_exchange::{
 use proptest::prelude::*;
 use relalg::database::GroundAtom;
 use relalg::{Delta, RelationSchema};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use workload::{generate, TrustMix, WorkloadSpec};
 
@@ -146,7 +147,10 @@ fn repair_path_decodes_under_one_span_nested_in_prepare() {
     let _ = engine.answer(&p1, &query, &fv).unwrap();
     let insert = GroundAtom::new("R2", Tuple::strs(["k", "m"]));
     engine
-        .commit_delta(&p2, &Delta::from_changes([insert], []))
+        .commit(&BTreeMap::from([(
+            p2.clone(),
+            Delta::from_changes([insert], []),
+        )]))
         .unwrap();
     let repaired = engine.answer(&p1, &query, &fv).unwrap();
     assert!(repaired.stats.cache_hit);
@@ -312,10 +316,14 @@ fn cache_metrics_equal_their_recorder_counters() {
             };
             warm(&engine);
             // Refreshes P1's and P3's slices, drops the naive entry.
-            engine.commit_delta(&p3, &insert("S3", "s", "t")).unwrap();
+            engine
+                .commit(&BTreeMap::from([(p3.clone(), insert("S3", "s", "t"))]))
+                .unwrap();
             warm(&engine);
             // Stales P1's slices; the committing thread patches them.
-            engine.commit_delta(&p2, &insert("R2", "k", "m")).unwrap();
+            engine
+                .commit(&BTreeMap::from([(p2.clone(), insert("R2", "k", "m"))]))
+                .unwrap();
             warm(&engine);
             engine.invalidate_peers([p2.clone()]);
             warm(&engine);

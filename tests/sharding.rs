@@ -2,19 +2,23 @@
 //! [`ShardedStore`] must be byte-identical to an engine over the in-process
 //! single-store oracle — for all four strategies, at shard counts 1/2/4,
 //! across live commits — and engine reads must pin the coordinator's epoch
-//! mirror without crossing the transport.
+//! mirror without crossing the transport. A transaction spanning two
+//! shards publishes one epoch like the oracle, and a dead shard fails it
+//! without publishing anything.
 //!
 //! The CI shard matrix narrows the shard grid through `PDES_SHARDS` (a
 //! comma-separated list), so one matrix leg exercises one cell without
 //! rebuilding the suite.
 
+use p2p_data_exchange::core::CoreError;
+use p2p_data_exchange::session::SessionError;
 use p2p_data_exchange::{
-    vars, Formula, InProcessStore, P2PSystem, PeerId, PeerStore, QueryEngine, ShardedStore,
-    Strategy, TraceRecorder, Tuple,
+    vars, Formula, InProcessStore, P2PSystem, PeerId, PeerStore, QueryEngine, Session,
+    ShardedStore, Strategy, TraceRecorder, Tuple, Update,
 };
 use relalg::database::GroundAtom;
 use relalg::{Delta, RelationSchema};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use workload::generator::GeneratedWorkload;
 use workload::{generate, Topology, TrustMix, WorkloadSpec};
@@ -120,8 +124,14 @@ fn sharded_engine(
 fn round_update(system: &P2PSystem, round: usize) -> (PeerId, Delta) {
     let peers: Vec<PeerId> = system.peer_ids().cloned().collect();
     let peer = peers[round % peers.len()].clone();
+    let delta = tagged_insert(system, &peer, round);
+    (peer, delta)
+}
+
+/// An insert of a `round`-tagged tuple into `peer`'s first relation.
+fn tagged_insert(system: &P2PSystem, peer: &PeerId, round: usize) -> Delta {
     let relation = system
-        .peer(&peer)
+        .peer(peer)
         .expect("peer exists")
         .schema
         .relation_names()
@@ -132,7 +142,23 @@ fn round_update(system: &P2PSystem, round: usize) -> (PeerId, Delta) {
         relation,
         Tuple::strs([format!("shard_k_{round}").as_str(), "shard_v"]),
     );
-    (peer, Delta::from_changes([atom], []))
+    Delta::from_changes([atom], [])
+}
+
+/// A transaction into a star peer and the isolated peer `Q1`, which live
+/// on different shards whenever there are two or more.
+fn spanning_tx(store: &ShardedStore, system: &P2PSystem, round: usize) -> BTreeMap<PeerId, Delta> {
+    let (star, q1) = (PeerId::new("P0"), PeerId::new("Q1"));
+    if store.shard_count() > 1 {
+        assert_ne!(store.shard_of(&star).unwrap(), store.shard_of(&q1).unwrap());
+    }
+    [star, q1]
+        .into_iter()
+        .map(|peer| {
+            let delta = tagged_insert(system, &peer, round);
+            (peer, delta)
+        })
+        .collect()
 }
 
 #[test]
@@ -169,8 +195,14 @@ fn sharded_answers_match_the_oracle_across_live_commits() {
             let _ = all_answers(&oracle, strategy, &queries);
             for round in 0..5 {
                 let (peer, delta) = round_update(&w.system, round);
-                let sharded_stamp = sharded.commit_delta(&peer, &delta).expect("commit");
-                let oracle_stamp = oracle.commit_delta(&peer, &delta).expect("commit");
+                let sharded_stamp = sharded
+                    .commit(&BTreeMap::from([(peer.clone(), delta.clone())]))
+                    .expect("commit")
+                    .0;
+                let oracle_stamp = oracle
+                    .commit(&BTreeMap::from([(peer.clone(), delta.clone())]))
+                    .expect("commit")
+                    .0;
                 assert_eq!(
                     sharded_stamp, oracle_stamp,
                     "version stamps diverged at round {round}"
@@ -239,8 +271,12 @@ fn sharded_epoch_publication_matches_the_single_store_oracle() {
         assert_eq!(pinned_sharded.epoch(), pinned_oracle.epoch());
         for round in 0..6 {
             let (peer, delta) = round_update(&w.system, round);
-            let sharded_stamp = store.apply_delta(&peer, &delta).expect("sharded commit");
-            let oracle_stamp = oracle.apply_delta(&peer, &delta).expect("oracle commit");
+            let sharded_stamp = store
+                .apply_delta(&BTreeMap::from([(peer.clone(), delta.clone())]))
+                .expect("sharded commit");
+            let oracle_stamp = oracle
+                .apply_delta(&BTreeMap::from([(peer.clone(), delta.clone())]))
+                .expect("oracle commit");
             assert_eq!(
                 sharded_stamp, oracle_stamp,
                 "version stamps diverged at round {round} (shards={shards})"
@@ -295,8 +331,12 @@ fn oracle_and_sharded_store_agree_directly() {
             let delete = Delta::from_changes([], insert.insertions.iter().cloned());
             for delta in [insert, delete] {
                 assert_eq!(
-                    store.apply_delta(&peer, &delta).expect("sharded commit"),
-                    oracle.apply_delta(&peer, &delta).expect("oracle commit"),
+                    store
+                        .apply_delta(&BTreeMap::from([(peer.clone(), delta.clone())]))
+                        .expect("sharded commit"),
+                    oracle
+                        .apply_delta(&BTreeMap::from([(peer.clone(), delta.clone())]))
+                        .expect("oracle commit"),
                     "version stamps diverged at round {round} (shards={shards})"
                 );
                 let (sharded_pin, oracle_pin) = (
@@ -318,4 +358,92 @@ fn oracle_and_sharded_store_agree_directly() {
             w.system
         );
     }
+}
+
+#[test]
+fn a_transaction_spanning_two_shards_matches_the_oracle_epoch_for_epoch() {
+    // Each transaction touches two shards and still publishes one epoch,
+    // with the stamps, epochs and instances of an `InProcessStore` oracle.
+    let w = sharded_workload();
+    for shards in shard_counts() {
+        let oracle = InProcessStore::new(w.system.clone());
+        let store = ShardedStore::builder(w.system.clone())
+            .shards(shards)
+            .build();
+        for round in 0..4 {
+            let tx = spanning_tx(&store, &w.system, round);
+            assert_eq!(
+                store.apply_delta(&tx).expect("sharded commit"),
+                oracle.apply_delta(&tx).expect("oracle commit"),
+                "version stamps diverged at round {round} (shards={shards})"
+            );
+            let (sharded_pin, oracle_pin) = (
+                store.pin().expect("sharded pin"),
+                oracle.pin().expect("oracle pin"),
+            );
+            assert_eq!(sharded_pin.epoch(), round as u64 + 1);
+            assert_eq!(sharded_pin.epoch(), oracle_pin.epoch());
+            assert_eq!(sharded_pin.versions(), oracle_pin.versions());
+            assert_eq!(
+                sharded_pin.system().expect("hydrate sharded"),
+                oracle_pin.system().expect("hydrate oracle"),
+                "pinned systems diverged at round {round} (shards={shards})"
+            );
+        }
+        assert_eq!(store.mvcc_stats().publishes, oracle.mvcc_stats().publishes);
+    }
+}
+
+#[test]
+fn a_dead_shard_fails_a_spanning_transaction_and_changes_nothing() {
+    // With the worker owning `Q1` shut down, a session transaction into a
+    // star peer and `Q1` fails with a transport error, also after the
+    // star peer's shard has acknowledged its part: no epoch is published,
+    // no stamp moves and the session logs nothing.
+    let w = sharded_workload();
+    for shards in shard_counts() {
+        let store = Arc::new(
+            ShardedStore::builder(w.system.clone())
+                .shards(shards)
+                .build(),
+        );
+        let session = Session::with_engine(
+            QueryEngine::builder(w.system.clone())
+                .store(store.clone() as Arc<dyn PeerStore>)
+                .strategy(Strategy::Asp)
+                .build(),
+        );
+        let mut writer = session.writer().expect("writer");
+        let _ = writer
+            .apply(&updates(spanning_tx(&store, &w.system, 0)))
+            .expect("live commit");
+        let before = (
+            session.pin().expect("pin"),
+            session.versions(),
+            session.log(),
+        );
+        store.shut_down_shard(store.shard_of(&PeerId::new("Q1")).unwrap());
+
+        let err = writer
+            .apply(&updates(spanning_tx(&store, &w.system, 1)))
+            .expect_err("a dead shard fails the commit");
+        assert!(
+            matches!(err, SessionError::Core(CoreError::Transport { .. })),
+            "expected a transport error, got {err:?} (shards={shards})"
+        );
+        let pinned = session.pin().expect("pin");
+        assert_eq!(pinned.epoch(), before.0.epoch(), "shards={shards}");
+        assert_eq!(pinned.versions(), before.0.versions(), "shards={shards}");
+        assert_eq!(pinned.system().unwrap(), before.0.system().unwrap());
+        assert_eq!(session.versions(), before.1, "shards={shards}");
+        assert_eq!(session.log(), before.2, "shards={shards}");
+        assert_eq!(store.mvcc_stats().publishes, 1, "shards={shards}");
+    }
+}
+
+/// A transaction as the session's update batch.
+fn updates(tx: BTreeMap<PeerId, Delta>) -> Vec<Update> {
+    tx.into_iter()
+        .map(|(peer, delta)| Update::new(peer, delta))
+        .collect()
 }
