@@ -95,6 +95,7 @@ impl AnnotatedSpec {
             &self.relevant,
             &self.arities,
             |relation| self.solution_predicate(relation),
+            &[],
             symbols,
         )
     }

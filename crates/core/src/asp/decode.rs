@@ -10,8 +10,9 @@
 //!   constant ids over the grounding's symbol table. Each predicate id is
 //!   mapped to its relation slot once — predicates of other relations and
 //!   strongly negated ones map to nothing — and each constant id to a store
-//!   symbol once, the first time a row needs it, by looking its text up in
-//!   the store's text index ([`SymbolTable::lookup_text`]). The store
+//!   symbol once: through the store id a fresh grounding reports it came
+//!   from ([`SymbolTable::smallest_alike`]), or else, the first time a row
+//!   needs it, through its text ([`SymbolTable::lookup_text`]). The store
 //!   interns every value it holds, commits included, so a typed value
 //!   decodes to itself; a text the store never interned (a constant the
 //!   program introduced) becomes a string value and is interned;
@@ -42,16 +43,18 @@ const UNSEEN: u32 = u32::MAX;
 const SKIP: u32 = u32::MAX - 1;
 
 /// Decode the models of `result` into the set of distinct worlds over the
-/// `relevant` relations, interning constants into `symbols`. A relation's
-/// tuples are the positive atoms of its `solution_predicate`; solution
-/// predicates are distinct across relations. The set's core, and with it
-/// every world, declares every relevant relation, empty or not. Fails when
-/// an atom's argument count differs from its relation's arity.
+/// `relevant` relations, interning constants into `symbols`; `origin` maps
+/// a constant to the store id it came from (empty when unknown). A
+/// relation's tuples are the positive atoms of its `solution_predicate`;
+/// solution predicates are distinct across relations. The set's core, and
+/// with it every world, declares every relevant relation, empty or not.
+/// Fails when an atom's argument count differs from its relation's arity.
 pub(crate) fn decode_worlds(
     result: &SolveResult,
     relevant: &BTreeSet<String>,
     arities: &BTreeMap<String, usize>,
     solution_predicate: impl Fn(&str) -> String,
+    origin: &[Option<u32>],
     symbols: &Arc<SymbolTable>,
 ) -> Result<WorldSet> {
     let (ground, models) = (&result.ground, &result.answer_sets);
@@ -67,9 +70,12 @@ pub(crate) fn decode_worlds(
             (_, true) => SKIP,
         })
         .collect();
-    // Per constant id: its store symbol, decoded the first time a row
-    // holds it.
-    let mut symbol_of = vec![UNSEEN; ground.constant_count()];
+    // Per constant id: its store symbol, known from its origin or decoded
+    // the first time a row holds it.
+    let mut symbol_of: Vec<u32> = (0..ground.constant_count())
+        .map(|c| origin.get(c).copied().flatten().unwrap_or(UNSEEN))
+        .collect();
+    symbols.smallest_alike(symbol_of.iter_mut().filter(|s| **s != UNSEEN));
     // Per atom id: its slot and the end of its row in `rows`, filled the
     // first time a model holds it.
     let mut row_of = vec![(UNSEEN, 0u32); ground.atom_count()];

@@ -1,10 +1,17 @@
 //! Encoding of relational data as logic-program facts and back.
 //!
-//! The engine's path is id-native. [`fact_tables`] encodes instance rows as
-//! [`FactTable`]s of the store's symbol ids, which the grounder reads
-//! beside the rule program with [`symbol_text`] as the id → text function;
-//! the decode maps each model constant back to a store symbol through
-//! [`SymbolTable::lookup_text`]. No text fact and no decoder is built.
+//! The engine's path is id-native from the snapshot to the decode. Every
+//! page of a pinned epoch carries its tuples as store symbol ids, interned
+//! once when the store built the page ([`crate::store`]). [`fact_tables`]
+//! copies those rows into [`FactTable`]s and is where canonicalisation
+//! happens: a program sees a constant only as text, so each id becomes its
+//! text class's ([`SymbolTable::canonicalize`]) and values that render
+//! alike are one constant. The grounder reads the tables through
+//! [`StoreConstants`], keying constants by id; the decode maps each
+//! constant back through the store id it came from
+//! ([`SymbolTable::smallest_alike`]). Text is looked up
+//! ([`SymbolTable::lookup_text`]) only for constants the program itself
+//! introduces.
 //!
 //! The public builders ([`crate::asp::annotated_program_with`],
 //! [`crate::asp::transitive_program_with`]) stay the string reference:
@@ -13,16 +20,13 @@
 //! [`ValueDecoder`], built from the system's active domain, recovers the
 //! typed values (integers vs. strings) of an answer set's constants.
 //!
-//! Limitation: two distinct values that render identically (the integer
-//! `1` and the string `"1"`) encode to the same constant. Both decodes map
-//! that constant back to the smaller of the two values (the integer),
-//! whatever order the values were met or interned in, so every store and
-//! every reference agree; answers over a system that holds both forms can
-//! still confuse them. The workloads and examples in this repository never
-//! mix the two forms within one system.
+//! Limitation: values that render alike encode to one constant, which
+//! every decode maps to the smaller value (the integer `1` over the string
+//! `"1"`) whatever the interning order; answers over a system that holds
+//! both forms can still confuse them.
 
 use crate::system::P2PSystem;
-use datalog::{Atom, FactTable, Program, Rule, Term};
+use datalog::{Atom, ConstantIds, FactTable, Program, Rule, Term};
 use relalg::{Database, Symbol, SymbolTable, Tuple, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -91,30 +95,45 @@ impl ValueDecoder {
     }
 }
 
-/// The rows of `instances` as fact tables of store symbol ids: one table
-/// per non-empty relation whose name `keep` accepts, named after the
-/// relation (the fact predicates of the specification programs), rows in
-/// the relation's order. Every value is interned into `symbols`.
+/// The rows of `instances` as fact tables of text-canonical store symbol
+/// ids: one table per non-empty relation whose name `keep` accepts, named
+/// after the relation (the fact predicates of the specification programs),
+/// rows in the relation's order. A pinned page hands over its id rows; any
+/// other page's values are interned ([`relalg::Relation::symbol_ids`]).
 pub fn fact_tables<'d>(
     instances: impl IntoIterator<Item = &'d Database>,
     symbols: &SymbolTable,
     keep: impl Fn(&str) -> bool,
 ) -> Vec<FactTable> {
     let mut tables = Vec::new();
-    let mut row = Vec::new();
+    let mut rows = Vec::new();
     for relation in instances.into_iter().flat_map(Database::relations) {
         if relation.is_empty() || !keep(relation.name()) {
             continue;
         }
+        rows.clear();
+        rows.extend_from_slice(&relation.symbol_ids(symbols));
+        symbols.canonicalize(&mut rows);
         let mut table = FactTable::new(relation.name(), relation.arity());
-        for tuple in relation.iter() {
-            row.clear();
-            row.extend(tuple.iter().map(|v| symbols.intern(v).id()));
-            table.push(&row);
-        }
+        table.push_rows(&rows, relation.len());
         tables.push(table);
     }
     tables
+}
+
+/// The store's symbol table as the grounder's view of [`fact_tables`]' ids.
+pub struct StoreConstants<'a>(pub &'a SymbolTable);
+
+impl ConstantIds for StoreConstants<'_> {
+    fn texts(&self, ids: &[u32], out: &mut Vec<Arc<str>>) {
+        self.0.resolve_texts(ids, out);
+    }
+
+    fn find(&self, text: &str) -> Option<u32> {
+        let mut id = [self.0.lookup_text(text)?.id()];
+        self.0.canonicalize(&mut id);
+        Some(id[0])
+    }
 }
 
 /// The `(predicate, arity)` shape of every table [`fact_tables`] encodes

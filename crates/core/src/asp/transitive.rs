@@ -97,6 +97,7 @@ impl TransitiveSpec {
             &self.relevant,
             &self.arities,
             |relation| self.solution_predicate(system, relation),
+            &[],
             symbols,
         )
     }

@@ -161,6 +161,7 @@ use datalog::{SolveResult, SolverConfig};
 use pdes_exec::{ExecConfig, Executor};
 use relalg::query::{Formula, QueryEvaluator};
 use relalg::{CqPlan, Database, SymbolTable, Tuple, WorldSet};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -711,25 +712,36 @@ impl PreparedWorlds {
 }
 
 /// `worlds` as one [`WorldSet`] over `relations` (names and arities; a
-/// relation a world lacks is empty in it), every value interned in
-/// `symbols`.
+/// relation a world lacks is empty in it) of `symbols`' ids: the id rows
+/// of a pinned epoch's pages, or the values of any other page interned
+/// ([`relalg::Relation::symbol_ids`]).
 fn world_set<'w>(
     relations: &[(&str, usize)],
     worlds: impl IntoIterator<Item = &'w Database>,
     symbols: &Arc<SymbolTable>,
 ) -> Result<WorldSet> {
-    let worlds = worlds.into_iter().map(|world| {
-        relations
-            .iter()
-            .map(|(name, _)| {
-                let tuples = world.relation(name).into_iter().flat_map(|r| r.iter());
-                tuples
-                    .map(|tuple| tuple.iter().map(|v| symbols.intern(v).id()).collect())
-                    .collect::<Vec<Vec<u32>>>()
-            })
-            .collect()
+    let pages: Vec<Vec<(Cow<'w, [u32]>, usize)>> = worlds
+        .into_iter()
+        .map(|world| {
+            let page = |&(name, _): &(&str, usize)| match world.relation(name) {
+                Some(relation) => (relation.symbol_ids(symbols), relation.len()),
+                None => (Cow::Borrowed(&[][..]), 0),
+            };
+            relations.iter().map(page).collect()
+        })
+        .collect();
+    let worlds = pages.iter().map(|world| {
+        let rows = world.iter().zip(relations);
+        rows.map(|((ids, len), &(_, arity))| {
+            (0..*len)
+                .map(|i| &ids[i * arity..(i + 1) * arity])
+                .collect()
+        })
+        .collect()
     });
-    Ok(WorldSet::from_id_rows(relations, worlds, symbols)?)
+    Ok(WorldSet::from_id_rows::<&[u32]>(
+        relations, worlds, symbols,
+    )?)
 }
 
 /// The unified query-answering facade over a P2P data exchange system.
@@ -1241,7 +1253,7 @@ impl QueryEngine {
         let ground_nanos = duration_nanos(patch_span.finish());
         let repaired = self.solve_worlds(
             (key.0, &key.1),
-            ground,
+            (ground, &[]),
             prepare_span,
             (ground_nanos, state.rule_count(), regrounded_rules),
         );
@@ -1527,11 +1539,11 @@ impl QueryEngine {
         // Ground (or patch) and solve outside the lock: these are the
         // expensive phases and must not serialize unrelated queries.
         let ground_span = Span::enter(recorder, if stale.is_some() { "patch" } else { "ground" });
-        let (ground, state, regrounded_rules) = match stale {
+        let (ground, state, regrounded_rules, origin) = match stale {
             Some((mut state, pending)) => {
                 let (ground, regrounded_rules) = self.patch_grounding(&mut state, &pending);
                 self.cache.note(CacheEvent::Patched);
-                (ground, state, regrounded_rules)
+                (ground, state, regrounded_rules, Vec::new())
             }
             None => {
                 // Only the rows of the relations the slice keeps are
@@ -1540,16 +1552,16 @@ impl QueryEngine {
                 let tables = encode::fact_tables(instances.values(), &self.symbols, |relation| {
                     analysis.is_relevant(relation)
                 });
-                let text = encode::symbol_text(&self.symbols);
-                let state = rules.ground(&analysis, &tables, &text, &self.texts);
+                let constants = encode::StoreConstants(&self.symbols);
+                let (state, origin) = rules.ground(&analysis, &tables, &constants, &self.texts);
                 let all = state.rule_count();
-                (state.to_solver(), state, all)
+                (state.to_solver(), state, all, origin)
             }
         };
         let ground_nanos = duration_nanos(ground_span.finish());
         let prepared = self.solve_worlds(
             (mechanism, peer),
-            ground,
+            (ground, &origin),
             prepare_span,
             (ground_nanos, state.rule_count(), regrounded_rules),
         )?;
@@ -1561,7 +1573,9 @@ impl QueryEngine {
     /// Solve a grounded (or patched) slice and decode its models straight
     /// into columnar worlds (under one `decode` span), closing the
     /// preparation's `prepare` span. `ground` is the slice's program for
-    /// the solver ([`datalog::IncrementalGround::to_solver`]); `ground_nanos`,
+    /// the solver ([`datalog::IncrementalGround::to_solver`]) with, for a
+    /// fresh grounding, the store id each constant came from (`origin`,
+    /// empty for a patched one); `ground_nanos`,
     /// `grounded_rules` and `regrounded_rules` report the grounding (or
     /// patch) that built it. Stable-model
     /// search fans out across the query executor's workers. Shared by the
@@ -1570,7 +1584,7 @@ impl QueryEngine {
     fn solve_worlds(
         &self,
         (mechanism, peer): (Mechanism, &PeerId),
-        ground: datalog::GroundProgram,
+        (ground, origin): (datalog::GroundProgram, &[Option<u32>]),
         prepare_span: Span<'_>,
         (ground_nanos, grounded_rules, regrounded_rules): (u64, usize, usize),
     ) -> Result<Arc<PreparedWorlds>> {
@@ -1589,7 +1603,14 @@ impl QueryEngine {
         // instance data: the worlds come from the solved program.
         let decode_span = Span::enter(recorder, "decode");
         let spec = self.specs.get(&self.topology, mechanism, peer)?.spec;
-        let set = spec.columnar_worlds(&self.topology, &result, &self.symbols)?;
+        let set = crate::asp::decode::decode_worlds(
+            &result,
+            &spec.relevant,
+            &spec.arities,
+            |relation| spec.solution_predicate(&self.topology, relation),
+            origin,
+            &self.symbols,
+        )?;
         decode_span.finish();
         Ok(Arc::new(PreparedWorlds {
             set,

@@ -35,6 +35,17 @@
 //! swap, so a pinned reader never blocks on a concurrent commit and never
 //! observes a torn write, not even of a transaction spanning several peers.
 //! [`MvccStats`] counts pins, epoch publications and copied pages.
+//!
+//! # Id rows
+//!
+//! Every relation page of a published epoch also carries its tuples as the
+//! store's symbol ids ([`relalg::Relation::symbol_ids`]): the store interns
+//! each value once, when it builds the page — at construction
+//! ([`InProcessStore::new`], [`Snapshot::from_system`]) or when a commit
+//! copies the page — and readers that work on ids (the ASP fact tables,
+//! the engine's world sets) read the rows instead of interning the values
+//! again. Untouched pages share their id rows with the previous epoch, as
+//! they share their tuples.
 
 use crate::error::CoreError;
 use crate::system::{P2PSystem, PeerId};
@@ -78,7 +89,9 @@ struct EpochState {
 /// A `Snapshot` is what [`PeerStore::pin`] returns: all reads against it are
 /// lock-free and stable — no concurrent commit can change what a pinned
 /// snapshot observes, because commits publish *new* epochs instead of
-/// mutating the pinned one. Cloning a snapshot is two `Arc` bumps.
+/// mutating the pinned one. Cloning a snapshot is two `Arc` bumps. Every
+/// page it serves carries its tuples as ids of [`Snapshot::symbols`] (see
+/// the module docs on id rows).
 ///
 /// `Snapshot` itself implements [`PeerStore`] (mutations fail with
 /// [`CoreError::Unsupported`]), so anything that answers queries through a
@@ -103,10 +116,7 @@ impl Snapshot {
         for peer in system.peer_ids() {
             versions.entry(peer.clone()).or_insert(0);
         }
-        let instances = system
-            .peers()
-            .map(|p| (p.id.clone(), Arc::new(p.instance.clone())))
-            .collect();
+        let (symbols, instances) = intern_system(system);
         Snapshot {
             topology: Arc::new(system.topology_only()),
             state: Arc::new(EpochState {
@@ -114,7 +124,7 @@ impl Snapshot {
                 instances,
                 versions,
             }),
-            symbols: Arc::new(intern_system(system)),
+            symbols: Arc::new(symbols),
         }
     }
 
@@ -196,35 +206,30 @@ impl PeerStore for Snapshot {
     }
 }
 
-/// Build a symbol table covering everything a system mentions: every
-/// relation and attribute name of every peer's schema, and every constant of
-/// every instance. Called once at store construction ([`InProcessStore::new`]
-/// and [`Snapshot::from_system`]); mutations extend the table incrementally.
-fn intern_system(system: &P2PSystem) -> SymbolTable {
+/// Build a symbol table covering everything a system mentions — every
+/// peer name, every relation and attribute name of every peer's schema, and
+/// every constant of every instance — and the instances as epoch pages
+/// carrying their id rows. Called once at store construction
+/// ([`InProcessStore::new`] and [`Snapshot::from_system`]); commits extend
+/// the table as they attach the id rows of the pages they copy.
+fn intern_system(system: &P2PSystem) -> (SymbolTable, BTreeMap<PeerId, Arc<Database>>) {
     let table = SymbolTable::new();
-    for peer in system.peers() {
-        table.intern_name(&peer.id.0);
-        for schema in peer.schema.relations() {
-            table.intern_name(schema.name());
-            for attr in schema.attributes() {
-                table.intern_name(attr);
+    let instances = system
+        .peers()
+        .map(|peer| {
+            table.intern_name(&peer.id.0);
+            for schema in peer.schema.relations() {
+                table.intern_name(schema.name());
+                for attr in schema.attributes() {
+                    table.intern_name(attr);
+                }
             }
-        }
-        table.intern_database(&peer.instance);
-    }
-    table
-}
-
-/// Intern the constants a delta introduces (insertions only: deletions
-/// cannot mention values the table has not already seen, and interning is
-/// idempotent anyway).
-fn intern_delta(symbols: &SymbolTable, delta: &Delta) {
-    for atom in &delta.insertions {
-        symbols.intern_name(&atom.relation);
-        for value in atom.tuple.iter() {
-            symbols.intern(value);
-        }
-    }
+            let mut instance = peer.instance.clone();
+            instance.attach_symbols(&table);
+            (peer.id.clone(), Arc::new(instance))
+        })
+        .collect();
+    (table, instances)
 }
 
 /// The single way engine, session and tooling reach peer state: reads
@@ -288,7 +293,8 @@ pub trait PeerStore: Send + Sync {
     /// interned to dense `u32` ids at store construction and extended
     /// (append-only) by every committed insertion. Snapshots pinned from the
     /// store share the same table, so symbol ids are stable across epochs
-    /// and cached columnar artifacts never need re-interning.
+    /// and cached columnar artifacts never need re-interning; every page a
+    /// pin serves carries its tuples as this table's ids.
     fn symbols(&self) -> Arc<SymbolTable>;
 }
 
@@ -336,7 +342,8 @@ pub struct InProcessStore {
     commit: Mutex<()>,
     counters: MvccCounters,
     /// Append-only intern table fronting the data plane; built at
-    /// construction, extended under the writer lock by effective insertions.
+    /// construction, extended under the writer lock as commits attach the
+    /// id rows of the pages they copy.
     symbols: Arc<SymbolTable>,
 }
 
@@ -345,11 +352,8 @@ impl InProcessStore {
     /// publishing it as epoch 0.
     pub fn new(system: P2PSystem) -> Self {
         let versions: VersionMap = system.peer_ids().map(|p| (p.clone(), 0)).collect();
-        let instances = system
-            .peers()
-            .map(|p| (p.id.clone(), Arc::new(p.instance.clone())))
-            .collect();
-        let symbols = Arc::new(intern_system(&system));
+        let (symbols, instances) = intern_system(&system);
+        let symbols = Arc::new(symbols);
         InProcessStore {
             topology: Arc::new(system.topology_only()),
             current: RwLock::new(Arc::new(EpochState {
@@ -416,27 +420,29 @@ impl PeerStore for InProcessStore {
 
     fn apply_delta(&self, changes: &BTreeMap<PeerId, Delta>) -> Result<VersionMap> {
         let _writer = self.writer();
+        // Every delta is validated before anything changes, the symbol table
+        // included.
+        for (peer, delta) in changes {
+            self.topology.validate_delta(peer, delta)?;
+        }
         // The successor epoch starts as a shallow clone of the current one
-        // (per-peer `Arc` bumps); only the touched pages are copied. A delta
-        // that fails validation drops it unpublished.
+        // (per-peer `Arc` bumps); only the touched pages are copied, and
+        // only they get new id rows.
         let base = self.current();
         let (mut instances, mut versions) = (base.instances.clone(), base.versions.clone());
         let (mut stamps, mut cow) = (VersionMap::new(), 0);
         for (peer, delta) in changes {
-            self.topology.validate_delta(peer, delta)?;
             let slot = instances
                 .get_mut(peer)
                 .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))?;
             let mut instance = slot.as_ref().clone();
             cow += instance.apply_changes_cow(delta.insertions.iter(), delta.deletions.iter())?;
+            instance.attach_symbols(&self.symbols);
             *slot = Arc::new(instance);
             let version = versions.entry(peer.clone()).or_insert(0);
             *version += 1;
             stamps.insert(peer.clone(), *version);
         }
-        changes
-            .values()
-            .for_each(|delta| intern_delta(&self.symbols, delta));
         self.publish(
             EpochState {
                 epoch: base.epoch + 1,

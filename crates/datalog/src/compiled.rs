@@ -16,7 +16,7 @@
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
-use crate::facts::{FactTable, TextFacts};
+use crate::facts::{ConstantIds, FactTable, TextFacts};
 use crate::graph::PredicateGraph;
 use crate::incremental::IncrementalGround;
 use crate::relevance::{QuerySeed, RelevanceAnalysis, RuleGraph};
@@ -79,24 +79,30 @@ impl CompiledProgram {
     }
 
     /// Ground the slice `analysis` keeps — an analysis of this program —
-    /// over the program's own facts and `tables` of caller ids, retaining
-    /// the incremental state. Only the kept tables and rows are read
-    /// ([`RelevanceAnalysis::restrict_facts`]); the kept templates are
-    /// instantiated by index, with the bindings of restrictable seeds
-    /// substituted. The result equals
-    /// [`IncrementalGround::from_tables`] over the restricted program
-    /// ([`RelevanceAnalysis::restrict`]) and the kept tables. Atoms are
-    /// ranked through `order`, which the state keeps for its patches.
+    /// over the program's own facts and `tables` of a caller's
+    /// text-canonical ids, which `constants` describes, retaining the
+    /// incremental state. Only the kept tables and rows are read (those
+    /// [`RelevanceAnalysis::restrict_facts`] keeps, compared by id); the
+    /// kept templates are instantiated by index, with the bindings of
+    /// restrictable seeds substituted. The state equals [`IncrementalGround::from_tables`]'s
+    /// over the restricted program ([`RelevanceAnalysis::restrict`]) and
+    /// the kept tables with their texts. Atoms are ranked through `order`,
+    /// which the state keeps for its patches.
+    ///
+    /// Also returns, per constant of the grounding (the ids of
+    /// [`crate::GroundProgram::constant`] in the state's programs), the
+    /// caller id it came from, or `None` for a constant only the program
+    /// mentions: how the caller maps a model back to its own ids without
+    /// reading a constant's text. The state does not keep it.
     pub fn ground<'t>(
         &self,
         analysis: &RelevanceAnalysis,
         tables: impl IntoIterator<Item = &'t FactTable>,
-        text: &dyn Fn(u32) -> Arc<str>,
+        constants: &dyn ConstantIds,
         order: &Arc<TextOrder>,
-    ) -> IncrementalGround {
-        let own_text = |id| self.own.text(id);
-        let own = analysis.restrict_facts(&self.own.tables, &own_text);
-        let tables = analysis.restrict_facts(tables, text);
+    ) -> (IncrementalGround, Vec<Option<u32>>) {
+        let own = analysis.restrict_fact_ids(&self.own.tables, &self.own);
+        let tables = analysis.restrict_fact_ids(tables, constants);
         let kept: Vec<Kept<'_>> = analysis
             .kept_rules
             .iter()
@@ -109,18 +115,18 @@ impl CompiledProgram {
         // left with no row is dropped too.
         let own = own.iter().map(|t| &**t).filter(|t| !t.is_empty()).collect();
         let sources = [
-            (own, &own_text as &dyn Fn(u32) -> Arc<str>),
-            (tables.iter().map(|t| &**t).collect(), text),
+            (own, &self.own as &dyn ConstantIds),
+            (tables.iter().map(|t| &**t).collect(), constants),
         ];
-        let built = seminaive::build(&self.templates, &kept, &sources, order);
-        IncrementalGround::from_built(built, self.hcf)
+        let mut built = seminaive::build(&self.templates, &kept, &sources, order);
+        let origin = std::mem::take(&mut built.origin);
+        (IncrementalGround::from_built(built, self.hcf), origin)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::facts::no_tables;
     use crate::syntax::{Atom, BodyItem, Rule};
 
     fn atom(p: &str, args: &[&str]) -> Atom {
@@ -199,7 +205,7 @@ mod tests {
             vec![QuerySeed::with_bindings("out", vec![Some(Arc::from("b"))])],
         ] {
             let analysis = compiled.analyze([], &seeds);
-            let mut state = compiled.ground(&analysis, [], &no_tables, &order);
+            let (mut state, _) = compiled.ground(&analysis, [], &Vec::new(), &order);
             assert_emits_its_shift(&state);
             state.apply_delta(&[ga("edge", &["c", "d"]), ga("edge", &["b", "e"])], &[]);
             assert_emits_its_shift(&state);
@@ -220,7 +226,8 @@ mod tests {
         program.add_rule(Rule::new(vec![b], vec![BodyItem::Pos(a)]));
         let compiled = CompiledProgram::new(&program).unwrap();
         let analysis = compiled.analyze([], &[QuerySeed::new("a"), QuerySeed::new("b")]);
-        let state = compiled.ground(&analysis, [], &no_tables, &Arc::new(TextOrder::new()));
+        let order = Arc::new(TextOrder::new());
+        let (state, _) = compiled.ground(&analysis, [], &Vec::new(), &order);
         let ground = state.to_solver();
         assert!(ground.is_disjunctive());
         assert_eq!(ground.to_string(), state.to_ground().to_string());
@@ -264,7 +271,7 @@ mod tests {
             let analysis = compiled.analyze(shapes.clone(), &seeds);
             let expected = RelevanceAnalysis::analyze_with_facts(&program, shapes, &seeds);
             assert_eq!(analysis.fingerprint(), expected.fingerprint(), "{seeds:?}");
-            let got = compiled.ground(&analysis, &tables, &text, &order);
+            let (got, origin) = compiled.ground(&analysis, &tables, &texts, &order);
             let kept = analysis.restrict_facts(&tables, &text);
             let want = IncrementalGround::from_tables(
                 &analysis.restrict(&program),
@@ -278,13 +285,21 @@ mod tests {
                 "{seeds:?}"
             );
             assert_eq!(got.exact_bytes(), want.exact_bytes(), "{seeds:?}");
+            // Every constant with a table text points at its id, the
+            // program's own `d` included.
+            let ground = got.to_ground();
+            assert_eq!(origin.len(), ground.constant_count(), "{seeds:?}");
+            for (c, id) in origin.iter().enumerate() {
+                let text = ground.constant(c as u32);
+                assert_eq!(*id, texts.find(text), "{seeds:?}");
+            }
             for predicate in ["reach", "edge", "color", "loop", "colored", "nothing"] {
                 assert_eq!(got.touches(predicate), want.touches(predicate), "{seeds:?}");
             }
         }
         // Without tables, the program's own facts alone.
         let analysis = compiled.analyze([], &[bound("loop", [Some("c"), None])]);
-        let got = compiled.ground(&analysis, [], &no_tables, &order);
+        let (got, _) = compiled.ground(&analysis, [], &Vec::new(), &order);
         let want = IncrementalGround::new(&analysis.restrict(&program)).unwrap();
         assert_eq!(got.to_ground().to_string(), want.to_ground().to_string());
         assert_eq!(got.exact_bytes(), want.exact_bytes());

@@ -4,11 +4,13 @@
 //! as facts (Section 4.2), and only the facts change from query to query.
 //! A caller that already holds its facts as ids — a store's symbol ids —
 //! hands them to the grounder as [`FactTable`]s: one signed predicate, an
-//! arity and flat rows of `u32` ids, read together with a caller function
-//! from id to constant text. The grounder hashes each distinct id's text
-//! once ([`crate::IncrementalGround::from_tables`]); the relevance analysis
-//! reads only each table's predicate and arity
-//! ([`crate::RelevanceAnalysis::analyze_with_facts`]).
+//! arity and flat rows of `u32` ids. The relevance analysis reads only each
+//! table's predicate and arity
+//! ([`crate::RelevanceAnalysis::analyze_with_facts`]). The id-native build
+//! ([`crate::CompiledProgram::ground`]) takes text-canonical ids and a
+//! [`ConstantIds`] and hashes no table constant's text; the string
+//! reference ([`crate::IncrementalGround::from_tables`]) takes a function
+//! from id to text and hashes each distinct id's text once.
 //!
 //! A text [`crate::Program`]'s own facts are grouped into the same tables
 //! (`TextFacts`), so text programs and id tables share one grounding
@@ -56,9 +58,18 @@ impl FactTable {
     ///
     /// Panics when the row's length is not the table's arity.
     pub fn push(&mut self, row: &[u32]) {
-        assert_eq!(row.len(), self.arity, "row arity of {}", self.predicate);
-        self.rows.extend_from_slice(row);
-        self.len += 1;
+        self.push_rows(row, 1);
+    }
+
+    /// Append `len` rows given end to end.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` does not hold `len` rows of the table's arity.
+    pub fn push_rows(&mut self, rows: &[u32], len: usize) {
+        assert_eq!(rows.len(), len * self.arity, "rows of {}", self.predicate);
+        self.rows.extend_from_slice(rows);
+        self.len += len;
     }
 
     /// The predicate name (without the `-` of a negated predicate).
@@ -107,17 +118,24 @@ impl FactTable {
     }
 }
 
-/// The text function of an empty table list: never called.
-pub(crate) fn no_tables(id: u32) -> Arc<str> {
-    unreachable!("no fact table holds id {id}")
+/// The constants behind a caller's text-canonical fact-table ids: two ids
+/// are equal exactly when their constants' texts are.
+pub trait ConstantIds {
+    /// The texts of `ids`, appended to `out` in order.
+    fn texts(&self, ids: &[u32], out: &mut Vec<Arc<str>>);
+
+    /// The id whose constant's text is `text`, if any: how a constant the
+    /// program mentions meets the same constant in the tables.
+    fn find(&self, text: &str) -> Option<u32>;
 }
 
 /// The facts of a text program as [`FactTable`]s whose ids index a local
-/// list of the constants' texts.
-#[derive(Debug, Clone)]
+/// list of the constants' distinct texts: the text path's id space.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TextFacts {
     pub(crate) tables: Vec<FactTable>,
     texts: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
     /// Per fact rule, in program order: its row's index in the tables'
     /// rows laid end to end.
     pub(crate) order: Vec<usize>,
@@ -128,10 +146,8 @@ impl TextFacts {
     /// and rows in program order. Facts must be ground (the callers check
     /// safety first).
     pub(crate) fn of(rules: &[Rule]) -> TextFacts {
-        let mut tables: Vec<FactTable> = Vec::new();
+        let mut facts = TextFacts::default();
         let mut table_of: HashMap<(&str, bool, usize), usize> = HashMap::new();
-        let mut ids: HashMap<&str, u32> = HashMap::new();
-        let mut texts: Vec<Arc<str>> = Vec::new();
         let mut at: Vec<(usize, usize)> = Vec::new();
         let mut row: Vec<u32> = Vec::new();
         for rule in rules.iter().filter(|r| r.is_fact()) {
@@ -141,12 +157,9 @@ impl TextFacts {
                 let Term::Const(c) = term else {
                     unreachable!("fact {rule} passed the safety check with a variable")
                 };
-                let id = *ids.entry(c).or_insert_with(|| {
-                    texts.push(Arc::clone(c));
-                    (texts.len() - 1) as u32
-                });
-                row.push(id);
+                row.push(facts.id(c));
             }
+            let tables = &mut facts.tables;
             let key = (head.predicate.as_str(), head.strong_neg, row.len());
             let table = *table_of.entry(key).or_insert_with(|| {
                 let table = FactTable::new(head.predicate.clone(), row.len());
@@ -160,22 +173,50 @@ impl TextFacts {
             at.push((table, tables[table].len()));
             tables[table].push(&row);
         }
-        let mut offsets = Vec::with_capacity(tables.len());
+        let mut offsets = Vec::with_capacity(facts.tables.len());
         let mut rows = 0;
-        for table in &tables {
+        for table in &facts.tables {
             offsets.push(rows);
             rows += table.len();
         }
-        TextFacts {
-            order: at.iter().map(|&(t, r)| offsets[t] + r).collect(),
-            tables,
-            texts,
-        }
+        facts.order = at.iter().map(|&(t, r)| offsets[t] + r).collect();
+        facts
     }
 
-    /// The text of a local id.
-    pub(crate) fn text(&self, id: u32) -> Arc<str> {
-        Arc::clone(&self.texts[id as usize])
+    /// The local id of a text, added if new.
+    fn id(&mut self, text: &Arc<str>) -> u32 {
+        let texts = &mut self.texts;
+        *self.ids.entry(Arc::clone(text)).or_insert_with(|| {
+            texts.push(Arc::clone(text));
+            (texts.len() - 1) as u32
+        })
+    }
+
+    /// Append `tables` of caller ids, read as local ids: `text` gives a
+    /// caller id's text, which is hashed once per distinct id.
+    pub(crate) fn absorb<'t>(
+        &mut self,
+        tables: impl IntoIterator<Item = &'t FactTable>,
+        text: &dyn Fn(u32) -> Arc<str>,
+    ) {
+        let mut local: HashMap<u32, u32> = HashMap::new();
+        for table in tables {
+            let mut table = table.clone();
+            for id in &mut table.rows {
+                *id = *local.entry(*id).or_insert_with(|| self.id(&text(*id)));
+            }
+            self.tables.push(table);
+        }
+    }
+}
+
+impl ConstantIds for TextFacts {
+    fn texts(&self, ids: &[u32], out: &mut Vec<Arc<str>>) {
+        out.extend(ids.iter().map(|&id| Arc::clone(&self.texts[id as usize])));
+    }
+
+    fn find(&self, text: &str) -> Option<u32> {
+        self.ids.get(text).copied()
     }
 }
 
@@ -183,6 +224,18 @@ impl TextFacts {
 mod tests {
     use super::*;
     use crate::syntax::{Atom, Program, Rule};
+
+    /// Ids that index a list of distinct texts.
+    impl ConstantIds for Vec<Arc<str>> {
+        fn texts(&self, ids: &[u32], out: &mut Vec<Arc<str>>) {
+            out.extend(ids.iter().map(|&id| Arc::clone(&self[id as usize])));
+        }
+
+        fn find(&self, text: &str) -> Option<u32> {
+            let at = self.iter().position(|t| **t == *text)?;
+            Some(at as u32)
+        }
+    }
 
     #[test]
     fn tables_hold_flat_rows() {
@@ -192,11 +245,16 @@ mod tests {
         table.push(&[5, 3]);
         assert_eq!(table.len(), 2);
         assert_eq!(table.rows().collect::<Vec<_>>(), [&[3, 4][..], &[5, 3]]);
+        table.push_rows(&[1, 2, 7, 8], 2);
+        assert_eq!(table.len(), 4);
+        assert_eq!(table.row(3), [7, 8]);
         assert_eq!(table.signed_predicate(), "r");
         assert_eq!(table.strongly_negated().signed_predicate(), "-r");
         let mut nullary = FactTable::new("p", 0);
         nullary.push(&[]);
         assert_eq!(nullary.rows().count(), 1);
+        nullary.push_rows(&[], 2);
+        assert_eq!(nullary.rows().count(), 3);
     }
 
     #[test]
@@ -228,7 +286,11 @@ mod tests {
         assert_eq!(facts.order, [0, 2, 3, 1]);
         let row = facts.tables[0].row(1);
         assert_eq!(
-            row.iter().map(|&id| facts.text(id)).collect::<Vec<_>>(),
+            {
+                let mut texts = Vec::new();
+                facts.texts(row, &mut texts);
+                texts
+            },
             [Arc::from("b"), Arc::from("b")]
         );
     }

@@ -42,7 +42,6 @@
 
 use crate::choice::unfold_choices;
 use crate::error::DatalogError;
-use crate::facts::no_tables;
 use crate::relevance::{QuerySeed, RelevanceAnalysis};
 use crate::seminaive::{self, Emitter, Symbols};
 use crate::syntax::Program;
@@ -504,7 +503,8 @@ impl<'a> Grounder<'a> {
         if let Some(rule) = self.program.unsafe_rules().first() {
             return Err(DatalogError::UnsafeRule(rule.to_string()));
         }
-        let (built, order) = seminaive::build_program(self.program.rules(), [], &no_tables);
+        let (built, order) =
+            seminaive::build_program(self.program.rules(), [], &|_| unreachable!());
         let mut emitter = Emitter::new(&built.core);
         let mut facts = order.iter().map(|&row| built.fact_atoms[row]);
         let mut compiled = 0;

@@ -64,7 +64,7 @@
 
 use crate::compiled::unfolded_and_safe;
 use crate::error::DatalogError;
-use crate::facts::{no_tables, FactTable};
+use crate::facts::FactTable;
 use crate::ground::{GroundAtom, GroundProgram};
 use crate::seminaive::{self, Built, Core, Emitter, Group, Scratch};
 use crate::syntax::Program;
@@ -116,7 +116,7 @@ impl IncrementalGround {
     /// program's facts are grouped into fact tables and take the same build
     /// as [`IncrementalGround::from_tables`].
     pub fn new(program: &Program) -> Result<Self, DatalogError> {
-        Self::from_tables(program, [], &no_tables)
+        Self::from_tables(program, [], &|_| unreachable!())
     }
 
     /// Ground `rules` (and any facts among them) plus the facts of
@@ -273,7 +273,7 @@ impl IncrementalGround {
                 .insert(&mut scratch, &inserted, &mut changed, None, false);
         }
 
-        let rank = self.core.ranks();
+        let rank = self.core.ranks(&[]);
         self.facts.sort_unstable_by_key(|&a| rank[a as usize]);
         // Re-instantiate exactly the rules that can observe a changed
         // predicate (head, positive or negated body occurrence).
@@ -828,7 +828,7 @@ mod tests {
             ],
         ));
         let mut state = IncrementalGround::new(&p).unwrap();
-        assert_eq!(state.core.ranks(), text_sort_ranks(&state.core));
+        assert_eq!(state.core.ranks(&[]), text_sort_ranks(&state.core));
 
         // A second grounding extends the same order with texts of its own;
         // the first grounding's ranks still read the order correctly.
@@ -838,9 +838,9 @@ mod tests {
         }
         let compiled = CompiledProgram::new(&q).unwrap();
         let analysis = compiled.analyze([], &[QuerySeed::new("s")]);
-        let other = compiled.ground(&analysis, [], &no_tables, &state.core.order);
-        assert_eq!(other.core.ranks(), text_sort_ranks(&other.core));
-        assert_eq!(state.core.ranks(), text_sort_ranks(&state.core));
+        let (other, _) = compiled.ground(&analysis, [], &Vec::new(), &state.core.order);
+        assert_eq!(other.core.ranks(&[]), text_sort_ranks(&other.core));
+        assert_eq!(state.core.ranks(&[]), text_sort_ranks(&state.core));
 
         // Constants first minted by a patch, after the order was built.
         let ins = [
@@ -850,7 +850,7 @@ mod tests {
             ga("wide", &[&["k_P1_1"; 19][..], &["aa"]].concat()),
         ];
         state.apply_delta(&ins, &[ga("r", &["z"])]);
-        assert_eq!(state.core.ranks(), text_sort_ranks(&state.core));
+        assert_eq!(state.core.ranks(&[]), text_sort_ranks(&state.core));
         assert_matches_fresh(&state, &program_with(&p, &ins, &[ga("r", &["z"])]));
     }
 

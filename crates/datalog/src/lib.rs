@@ -76,7 +76,7 @@ pub mod syntax;
 
 pub use compiled::CompiledProgram;
 pub use error::DatalogError;
-pub use facts::FactTable;
+pub use facts::{ConstantIds, FactTable};
 pub use graph::{NegationLoop, PredicateGraph};
 pub use ground::{ground_relevant, GroundAtom, GroundProgram, Grounder};
 pub use incremental::{IncrementalGround, PatchStats};

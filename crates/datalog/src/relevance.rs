@@ -73,7 +73,7 @@
 //! restrictable seed on a fact predicate keeps only the agreeing rows, as
 //! [`RelevanceAnalysis::restrict`] keeps only the agreeing text facts.
 
-use crate::facts::FactTable;
+use crate::facts::{ConstantIds, FactTable};
 use crate::seminaive::{Arg, CompiledRule, Template, Templates};
 use crate::syntax::{Atom, BodyItem, Builtin, Program, Rule, Term};
 use std::borrow::Cow;
@@ -281,6 +281,28 @@ impl RelevanceAnalysis {
         tables: impl IntoIterator<Item = &'t FactTable>,
         text: &dyn Fn(u32) -> Arc<str>,
     ) -> Vec<Cow<'t, FactTable>> {
+        self.restrict_rows(tables, Arc::clone, |id, c| *text(id) == **c)
+    }
+
+    /// [`RelevanceAnalysis::restrict_facts`] over tables of text-canonical
+    /// ids: a row agrees with a binding when it holds the id `constants`
+    /// finds for the binding's text, so no row's text is read.
+    pub(crate) fn restrict_fact_ids<'t>(
+        &self,
+        tables: impl IntoIterator<Item = &'t FactTable>,
+        constants: &dyn ConstantIds,
+    ) -> Vec<Cow<'t, FactTable>> {
+        self.restrict_rows(tables, |c| constants.find(c), |id, c| *c == Some(id))
+    }
+
+    /// The kept tables, a bound seed's rows filtered by `agrees` on each
+    /// binding's `key`.
+    fn restrict_rows<'t, K>(
+        &self,
+        tables: impl IntoIterator<Item = &'t FactTable>,
+        key: impl Fn(&Arc<str>) -> K,
+        agrees: impl Fn(u32, &K) -> bool,
+    ) -> Vec<Cow<'t, FactTable>> {
         let bindings = self.bound_seeds();
         tables
             .into_iter()
@@ -293,6 +315,7 @@ impl RelevanceAnalysis {
                     Some(seed) if seed.bindings.len() == table.arity() => &seed.bindings,
                     _ => return Some(Cow::Borrowed(table)),
                 };
+                let bound: Vec<Option<K>> = bound.iter().map(|b| b.as_ref().map(&key)).collect();
                 let mut kept = FactTable::new(table.predicate(), table.arity());
                 if table.strong_neg() {
                     kept = kept.strongly_negated();
@@ -300,8 +323,8 @@ impl RelevanceAnalysis {
                 for row in table.rows() {
                     let agrees = row
                         .iter()
-                        .zip(bound)
-                        .all(|(&id, binding)| binding.as_ref().map_or(true, |c| *text(id) == **c));
+                        .zip(&bound)
+                        .all(|(&id, binding)| binding.as_ref().map_or(true, |c| agrees(id, c)));
                     if agrees {
                         kept.push(row);
                     }

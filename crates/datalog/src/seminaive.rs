@@ -8,13 +8,15 @@
 //!   constants is equality of ids; only the ordering built-ins (`<`, `<=`,
 //!   `>`, `>=`) resolve ids back to text, so they keep their lexicographic
 //!   semantics.
-//! * **Facts as tables.** [`build`] takes the rules plus [`FactTable`]s of
-//!   caller ids, each source with a caller function from id to text; a
-//!   program's own facts are grouped into tables first ([`TextFacts`],
-//!   [`build_program`]). An id-keyed map, dropped with the build, takes
-//!   each distinct caller id to its constant id, so a constant's text is
-//!   hashed once however often it occurs, and no per-fact `Atom`, `Rule`
-//!   or safety check is made.
+//! * **Facts as tables.** [`build`] takes the rules plus sources of
+//!   [`FactTable`]s of text-canonical caller ids, each with its
+//!   [`ConstantIds`]. A text program's own facts, and the string
+//!   reference's tables with their text function, become one such source
+//!   first ([`TextFacts`], [`build_program`]), hashing each distinct text
+//!   once. An id-keyed map, dropped with the build, takes each distinct
+//!   caller id to its constant id ([`intern_tables`]), so the build hashes
+//!   no table constant's text, and no per-fact `Atom`, `Rule` or safety
+//!   check is made.
 //! * **Compiled rules.** Each non-fact rule is compiled once per program
 //!   into templates whose variables are numbered *slots* ([`Templates`],
 //!   which [`crate::CompiledProgram`] keeps). A build copies the templates
@@ -43,7 +45,8 @@
 //! * **Emission order.** [`Core::ranks`] ranks atoms in [`GroundAtom`]
 //!   order (predicate text, negation flag, argument texts): the texts'
 //!   ranks come from a [`TextOrder`] kept across groundings, which sorts a
-//!   text only when it first sees it; each atom packs its ranks into one
+//!   text only when it first sees it and finds an id source's constants
+//!   by caller id; each atom packs its ranks into one
 //!   `u64` key, and the keys are radix-sorted. [`Matches::sort_by_rank`]
 //!   sorts a rule's matches by the ranks of their positive-body atoms,
 //!   which is exactly the order of a nested-loop join over sorted candidate
@@ -53,14 +56,14 @@
 //!   text, and appends each rule's atom ids to the program's flat rule
 //!   table through scratch buffers reused from rule to rule.
 
-use crate::facts::{FactTable, TextFacts};
+use crate::facts::{ConstantIds, FactTable, TextFacts};
 use crate::ground::{AtomId, GroundAtom, GroundProgram, RuleRef};
 use crate::shift::push_shifted;
 use crate::syntax::{Atom, BodyItem, BuiltinOp, Rule, Term};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// "No id": an unbound slot, an empty hash-table slot, an unmapped atom.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -78,7 +81,10 @@ fn hash_ids(seed: u32, ids: impl Iterator<Item = u32>) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Symbols {
     consts: Vec<Arc<str>>,
-    const_ids: HashMap<Arc<str>, u32>,
+    /// Text → constant id, built on the first text-keyed call: the
+    /// constants of an id-native build are appended without hashing their
+    /// text ([`Symbols::append_constants`]), which drops it.
+    const_ids: OnceLock<HashMap<Arc<str>, u32>>,
     /// `(name, strong_neg)` per predicate id.
     preds: Vec<(String, bool)>,
     /// Name → id, one map per negation flag.
@@ -89,7 +95,12 @@ impl Symbols {
     /// The id of a constant, interning it (and sharing its text) if new.
     pub(crate) fn constant(&mut self, text: &Arc<str>) -> u32 {
         let next = self.consts.len() as u32;
-        let id = *self.const_ids.entry(Arc::clone(text)).or_insert(next);
+        self.text_index();
+        let ids = self
+            .const_ids
+            .get_mut()
+            .expect("the text index was just built");
+        let id = *ids.entry(Arc::clone(text)).or_insert(next);
         if id == next {
             self.consts.push(Arc::clone(text));
         }
@@ -97,7 +108,23 @@ impl Symbols {
     }
 
     pub(crate) fn find_constant(&self, text: &str) -> Option<u32> {
-        self.const_ids.get(text).copied()
+        self.text_index().get(text).copied()
+    }
+
+    /// The text → constant index, built over every constant if absent.
+    fn text_index(&self) -> &HashMap<Arc<str>, u32> {
+        self.const_ids.get_or_init(|| {
+            let ids = self.consts.iter().enumerate();
+            ids.map(|(c, text)| (Arc::clone(text), c as u32)).collect()
+        })
+    }
+
+    /// Append constants known to be new, by text, without hashing their
+    /// text: the index is dropped, to be rebuilt by the next text-keyed
+    /// call.
+    fn append_constants(&mut self, texts: Vec<Arc<str>>) {
+        self.consts.extend(texts);
+        self.const_ids = OnceLock::new();
     }
 
     pub(crate) fn const_count(&self) -> usize {
@@ -137,11 +164,10 @@ impl Symbols {
     /// order. Returns the new id of each old constant ([`NONE`] = dropped).
     fn retain_constants(&mut self, used: &[bool]) -> Vec<u32> {
         let mut map = vec![NONE; self.consts.len()];
-        self.const_ids.clear();
+        self.const_ids = OnceLock::new();
         for (c, text) in std::mem::take(&mut self.consts).into_iter().enumerate() {
             if used[c] {
                 map[c] = self.consts.len() as u32;
-                self.const_ids.insert(Arc::clone(&text), map[c]);
                 self.consts.push(text);
             }
         }
@@ -172,6 +198,11 @@ impl Symbols {
 /// grounding of an engine ([`crate::CompiledProgram::ground`]): after the
 /// first groundings over a data set, a cold grounding finds every text
 /// already ranked. A standalone grounding gets an order of its own.
+///
+/// A constant an id-native build took from a caller's table is ranked by
+/// its caller id, through a slot cache indexed by id, so its text is
+/// hashed only the first time the order meets the id. The ids must all
+/// come from one caller's id space ([`crate::ConstantIds`]).
 #[derive(Debug, Default)]
 pub struct TextOrder(RwLock<OrderState>);
 
@@ -189,6 +220,8 @@ struct OrderState {
     sorted: Vec<u32>,
     /// Slot → its position in `sorted`.
     rank: Vec<u32>,
+    /// Caller id → the slot of its text ([`NONE`] = not met yet).
+    by_id: Vec<u32>,
 }
 
 impl TextOrder {
@@ -199,33 +232,48 @@ impl TextOrder {
 
     /// The rank of each of `texts`, in order, adding the texts the order
     /// has not seen: those are sorted among themselves and merged in, so
-    /// a text is compared with others only on the call that adds it.
-    pub(crate) fn ranks<'a>(&self, texts: impl Iterator<Item = &'a str> + Clone) -> Vec<u32> {
-        {
-            let state = self.0.read().expect(POISONED);
-            let ranks: Option<Vec<u32>> = texts
-                .clone()
-                .map(|t| state.slots.get(t).map(|&s| state.rank[s as usize]))
-                .collect();
-            if let Some(ranks) = ranks {
-                return ranks;
-            }
+    /// a text is compared with others only on the call that adds it. Each
+    /// text comes with its caller id, or [`NONE`] to be looked up by text.
+    pub(crate) fn ranks<'a>(
+        &self,
+        texts: impl Iterator<Item = (u32, &'a str)> + Clone,
+    ) -> Vec<u32> {
+        if let Some(ranks) = self.0.read().expect(POISONED).ranks(texts.clone()) {
+            return ranks;
         }
         let mut state = self.0.write().expect(POISONED);
         state.add(texts.clone());
-        texts.map(|t| state.rank[state.slots[t] as usize]).collect()
+        state.ranks(texts).expect("every text was just added")
     }
 }
 
 impl OrderState {
-    fn add<'a>(&mut self, texts: impl Iterator<Item = &'a str>) {
+    /// The rank of each of `texts`, if the order holds them all.
+    fn ranks<'a>(&self, texts: impl Iterator<Item = (u32, &'a str)>) -> Option<Vec<u32>> {
+        let slot = |(id, text): (u32, &str)| match id {
+            NONE => self.slots.get(text).copied(),
+            _ => self.by_id.get(id as usize).copied().filter(|&s| s != NONE),
+        };
+        texts.map(|t| Some(self.rank[slot(t)? as usize])).collect()
+    }
+
+    fn add<'a>(&mut self, texts: impl Iterator<Item = (u32, &'a str)>) {
         let first = self.texts.len();
-        for text in texts {
-            if !self.slots.contains_key(text) {
-                let text: Arc<str> = Arc::from(text);
-                self.slots
-                    .insert(Arc::clone(&text), self.texts.len() as u32);
-                self.texts.push(text);
+        for (id, text) in texts {
+            let slot = match self.slots.get(text) {
+                Some(&slot) => slot,
+                None => {
+                    let text: Arc<str> = Arc::from(text);
+                    self.slots
+                        .insert(Arc::clone(&text), self.texts.len() as u32);
+                    self.texts.push(text);
+                    self.texts.len() as u32 - 1
+                }
+            };
+            if id != NONE {
+                let at = id as usize;
+                self.by_id.resize(self.by_id.len().max(at + 1), NONE);
+                self.by_id[at] = slot;
             }
         }
         // The old slots are one sorted run, which the stable sort finds and
@@ -1033,6 +1081,9 @@ pub(crate) struct Core {
 /// emission order.
 pub(crate) struct Built {
     pub(crate) core: Core,
+    /// Per constant of the core, its caller id in the last source's id
+    /// space ([`intern_tables`]).
+    pub(crate) origin: Vec<Option<u32>>,
     /// The atom of each fact table row, in source, table and row order
     /// (duplicates kept).
     pub(crate) fact_atoms: Vec<u32>,
@@ -1044,15 +1095,16 @@ pub(crate) struct Built {
     pub(crate) rank: Vec<u32>,
 }
 
-/// Fact tables of caller ids with the caller's function from id to text.
-pub(crate) type Source<'t> = (Vec<&'t FactTable>, &'t dyn Fn(u32) -> Arc<str>);
+/// Fact tables of a caller's text-canonical ids, with the caller's
+/// description of them.
+pub(crate) type Source<'t> = (Vec<&'t FactTable>, &'t dyn ConstantIds);
 
 /// Ground the `kept` templates plus fact tables in one semi-naive pass:
 /// instantiate the kept rules over a fresh symbol table (no rule is
-/// recompiled), intern the sources' rows, insert the facts into an empty
-/// state while recording every derivation, match headless constraints
-/// once against the final possible set, and sort each rule's matches into
-/// emission order, ranking atoms through `order`.
+/// recompiled), intern the sources' rows ([`intern_tables`]), insert the
+/// facts into an empty state while recording every derivation, match
+/// headless constraints once against the final possible set, and sort each
+/// rule's matches into emission order, ranking atoms through `order`.
 pub(crate) fn build(
     templates: &Templates,
     kept: &[Kept<'_>],
@@ -1071,13 +1123,14 @@ pub(crate) fn build(
         .collect();
     let mut symbols = to.to;
     let mut atoms = AtomStore::default();
-    let mut fact_atoms = Vec::new();
-    for (tables, text) in sources {
-        intern_tables(
+    let (mut fact_atoms, mut origin) = (Vec::new(), Vec::new());
+    for (tables, constants) in sources {
+        let tables = tables.iter().copied();
+        origin = intern_tables(
             &mut symbols,
             &mut atoms,
-            tables.iter().copied(),
-            *text,
+            tables,
+            *constants,
             &mut fact_atoms,
         );
     }
@@ -1102,12 +1155,13 @@ pub(crate) fn build(
             *m = core.full_matches(&mut scratch, r);
         }
     }
-    let rank = core.ranks();
+    let rank = core.ranks(&origin);
     for m in &mut matches {
         m.sort_by_rank(&rank);
     }
     Built {
         core,
+        origin,
         fact_atoms,
         matches,
         rank,
@@ -1115,9 +1169,10 @@ pub(crate) fn build(
 }
 
 /// [`build`] over every rule of a (choice-free, safe) program: its
-/// non-fact rules compiled here, its own facts grouped into tables
-/// ([`TextFacts`]) and read before `tables`. Also returns, per fact rule in
-/// program order, the index of its atom in [`Built::fact_atoms`].
+/// non-fact rules compiled here, its own facts and `tables` read as one
+/// source ([`TextFacts`], the program's facts first). Also returns, per
+/// fact rule in program order, the index of its atom in
+/// [`Built::fact_atoms`].
 pub(crate) fn build_program<'t>(
     rules: &[Rule],
     tables: impl IntoIterator<Item = &'t FactTable>,
@@ -1125,45 +1180,57 @@ pub(crate) fn build_program<'t>(
 ) -> (Built, Vec<usize>) {
     let templates = Templates::compile(rules);
     let kept: Vec<Kept<'_>> = (0..templates.rules.len()).map(|r| (r, None)).collect();
-    let own = TextFacts::of(rules);
-    let own_text = |id| own.text(id);
-    let sources = [
-        (
-            own.tables.iter().collect(),
-            &own_text as &dyn Fn(u32) -> Arc<str>,
-        ),
-        (tables.into_iter().collect(), text),
-    ];
+    let mut facts = TextFacts::of(rules);
+    facts.absorb(tables, text);
+    let sources = [(facts.tables.iter().collect(), &facts as &dyn ConstantIds)];
     let built = build(&templates, &kept, &sources, &Arc::default());
-    (built, own.order)
+    (built, facts.order)
 }
 
-/// Intern every row of `tables` as an atom, appending the atom ids to
-/// `out` in table and row order. Each distinct caller id's text is
-/// fetched and hashed once, through an id-keyed map; every further
-/// occurrence costs one integer lookup.
+/// Caller id → constant, hashing one `u32` per lookup.
+type IdMap = HashMap<u32, u32, BuildHasherDefault<IdHasher>>;
+
+/// Intern every row of `tables` — text-canonical ids that `constants`
+/// describes — as an atom, appending the atom ids to `out` in table and row
+/// order, and return each constant's caller id. A constant is keyed by its
+/// id alone: an id-keyed map takes each distinct id to its constant, so
+/// every occurrence costs one integer lookup and no text is hashed. A
+/// constant the table already holds (a rule's, or an earlier source's)
+/// meets its caller id through `constants.find`; the new constants' texts
+/// are fetched once, in one batch, for the retained state.
 fn intern_tables<'t>(
     symbols: &mut Symbols,
     atoms: &mut AtomStore,
     tables: impl IntoIterator<Item = &'t FactTable>,
-    text: &dyn Fn(u32) -> Arc<str>,
+    constants: &dyn ConstantIds,
     out: &mut Vec<u32>,
-) {
-    let mut constant: HashMap<u32, u32, BuildHasherDefault<IdHasher>> = HashMap::default();
+) -> Vec<Option<u32>> {
+    let consts = symbols.consts.iter();
+    let mut origin: Vec<Option<u32>> = consts.map(|text| constants.find(text)).collect();
+    let found = origin.iter().enumerate();
+    let mut constant: IdMap = found
+        .filter_map(|(c, id)| Some(((*id)?, c as u32)))
+        .collect();
+    let first = origin.len();
     let mut args: Vec<u32> = Vec::new();
     for table in tables {
         let pred = symbols.predicate(table.predicate(), table.strong_neg());
         for row in table.rows() {
             args.clear();
             for &id in row {
-                let c = *constant
-                    .entry(id)
-                    .or_insert_with(|| symbols.constant(&text(id)));
-                args.push(c);
+                args.push(*constant.entry(id).or_insert_with(|| {
+                    origin.push(Some(id));
+                    origin.len() as u32 - 1
+                }));
             }
             out.push(atoms.intern(pred, &args));
         }
     }
+    let fresh: Vec<u32> = origin[first..].iter().flatten().copied().collect();
+    let mut texts = Vec::with_capacity(fresh.len());
+    constants.texts(&fresh, &mut texts);
+    symbols.append_constants(texts);
+    origin
 }
 
 /// The `FxHash` step: the caller-id → constant map of [`intern_tables`]
@@ -1465,13 +1532,17 @@ impl Core {
     /// becomes one `u64` key — its predicate's rank, then its arguments'
     /// ranks plus one, as many as fit, zero-padded — and the keys are
     /// sorted as integers. Arguments past the packed ones are compared only
-    /// between atoms whose keys tie.
-    pub(crate) fn ranks(&self) -> Vec<u32> {
+    /// between atoms whose keys tie. A constant with a caller id in
+    /// `origin` (an id-native build's, indexed by constant) is ranked by
+    /// its id.
+    pub(crate) fn ranks(&self, origin: &[Option<u32>]) -> Vec<u32> {
         let (consts, preds) = (&self.symbols.consts, &self.symbols.preds);
-        let texts = consts.iter().map(|c| &**c);
-        let text_rank = self
-            .order
-            .ranks(texts.chain(preds.iter().map(|(name, _)| name.as_str())));
+        let texts = consts.iter().enumerate().map(|(c, text)| {
+            let id = origin.get(c).copied().flatten().unwrap_or(NONE);
+            (id, &**text)
+        });
+        let names = preds.iter().map(|(name, _)| (NONE, name.as_str()));
+        let text_rank = self.order.ranks(texts.chain(names));
         let (const_rank, name_rank) = text_rank.split_at(consts.len());
         let pred_rank: Vec<u64> = preds
             .iter()

@@ -71,6 +71,7 @@ use crate::shift::shift_owned;
 use crate::syntax::Program;
 use pdes_exec::Executor;
 use pdes_obs::{Recorder, Span};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -179,6 +180,7 @@ pub fn solve_ground_recorded(
     if !ground.is_disjunctive() {
         let solver = NormalSolver::new(&ground, config);
         let (answer_sets, branch_nodes) = solver.answer_sets_recorded(exec, recorder)?;
+        drop(solver);
         return Ok(SolveResult {
             ground,
             answer_sets,
@@ -190,6 +192,7 @@ pub fn solve_ground_recorded(
         let shifted = shift_owned(ground);
         let solver = NormalSolver::new(&shifted, config);
         let (answer_sets, branch_nodes) = solver.answer_sets_recorded(exec, recorder)?;
+        drop(solver);
         return Ok(SolveResult {
             ground: shifted,
             answer_sets,
@@ -296,6 +299,33 @@ struct RuleShape {
     pos_len: usize,
 }
 
+thread_local! {
+    /// The `usize` buffers of this thread's finished solvers and subtree
+    /// walks, for the next ones: a solve then reuses memory its thread has
+    /// touched before instead of faulting fresh heap pages in.
+    static BUFFERS: RefCell<Vec<Vec<usize>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `items` in one of this thread's reused buffers.
+fn buffer(items: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut buf = BUFFERS.with(|b| b.borrow_mut().pop()).unwrap_or_default();
+    buf.clear();
+    buf.extend(items);
+    buf
+}
+
+/// Buffers of this many elements or more are freed rather than kept, so an
+/// idle thread keeps under two megabytes for the next solve.
+const KEPT_CAPACITY: usize = 1 << 14;
+
+/// Hand buffers back to this thread for reuse (dropped instead while the
+/// thread tears its locals down).
+fn recycle<const N: usize>(buffers: [&mut Vec<usize>; N]) {
+    let buffers = buffers.map(std::mem::take);
+    let kept = buffers.into_iter().filter(|b| b.capacity() < KEPT_CAPACITY);
+    let _ = BUFFERS.try_with(|b| b.borrow_mut().extend(kept));
+}
+
 /// Per-atom rule lists in one flat buffer: the rules of atom `a` are
 /// `rules[offsets[a]..offsets[a + 1]]`, once per occurrence.
 struct Occurrences {
@@ -311,7 +341,7 @@ impl Occurrences {
             let range = part(ends);
             &rules.lits[range.start as usize..range.end as usize]
         };
-        let mut offsets = vec![0; atoms + 1];
+        let mut offsets = buffer((0..=atoms).map(|_| 0));
         for ends in rules.ends {
             for &atom in body(ends) {
                 offsets[atom + 1] += 1;
@@ -320,14 +350,15 @@ impl Occurrences {
         for atom in 0..atoms {
             offsets[atom + 1] += offsets[atom];
         }
-        let mut cursor = offsets.clone();
-        let mut flat = vec![0; offsets[atoms]];
+        let mut cursor = buffer(offsets.iter().copied());
+        let mut flat = buffer((0..offsets[atoms]).map(|_| 0));
         for (idx, ends) in rules.ends.iter().enumerate() {
             for &atom in body(ends) {
                 flat[cursor[atom]] = idx;
                 cursor[atom] += 1;
             }
         }
+        recycle([&mut cursor]);
         Occurrences {
             offsets,
             rules: flat,
@@ -375,6 +406,33 @@ pub struct NormalSolver<'a> {
     complements: Vec<Option<AtomId>>,
 }
 
+impl Drop for NormalSolver<'_> {
+    fn drop(&mut self) {
+        let (pos, neg) = (&mut self.pos_occ, &mut self.neg_occ);
+        recycle([
+            &mut self.head_rules,
+            &mut pos.offsets,
+            &mut pos.rules,
+            &mut neg.offsets,
+            &mut neg.rules,
+        ]);
+    }
+}
+
+impl Drop for SearchState<'_, '_> {
+    fn drop(&mut self) {
+        recycle([
+            &mut self.trail,
+            &mut self.true_lits,
+            &mut self.false_lits,
+            &mut self.live_rules,
+            &mut self.fired,
+            &mut self.unsupported,
+            &mut self.missing,
+        ]);
+    }
+}
+
 impl<'a> NormalSolver<'a> {
     /// Create a solver. Panics if the program is disjunctive (callers shift
     /// first).
@@ -385,7 +443,7 @@ impl<'a> NormalSolver<'a> {
         );
         let atoms = program.atom_count();
         let rules = program.rules();
-        let mut head_rules = vec![0; atoms];
+        let mut head_rules = buffer((0..atoms).map(|_| 0));
         let mut shapes = Vec::with_capacity(rules.len());
         let mut start = 0;
         for &[heads_end, pos_end, end] in rules.ends {
@@ -686,18 +744,16 @@ impl<'s, 'a> SearchState<'s, 'a> {
         let mut state = SearchState {
             solver,
             assign: vec![None; atoms],
-            trail: Vec::with_capacity(atoms),
-            true_lits: vec![0; rules],
-            false_lits: vec![0; rules],
-            live_rules: solver.head_rules.clone(),
+            trail: buffer([]),
+            true_lits: buffer((0..rules).map(|_| 0)),
+            false_lits: buffer((0..rules).map(|_| 0)),
+            live_rules: buffer(solver.head_rules.iter().copied()),
             // Bodiless rules fire, and atoms that head no rule are
             // unsupported, before anything is assigned.
-            fired: (0..rules)
-                .filter(|&r| solver.shapes[r].body_len == 0)
-                .collect(),
-            unsupported: (0..atoms).filter(|&a| solver.head_rules[a] == 0).collect(),
+            fired: buffer((0..rules).filter(|&r| solver.shapes[r].body_len == 0)),
+            unsupported: buffer((0..atoms).filter(|&a| solver.head_rules[a] == 0)),
             derivable: vec![false; atoms],
-            missing: vec![0; rules],
+            missing: buffer((0..rules).map(|_| 0)),
         };
         for (atom, value) in seed.iter().enumerate() {
             if let Some(value) = *value {

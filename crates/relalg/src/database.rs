@@ -288,6 +288,18 @@ impl Database {
         Ok(copied.len())
     }
 
+    /// Attach every page's tuples as `table`'s symbol ids, interning every
+    /// value ([`Relation::symbol_ids`] then hands them out). Pages that hold
+    /// them already are left alone, shared or not; the others are copied
+    /// first when shared.
+    pub fn attach_symbols(&mut self, table: &crate::SymbolTable) {
+        for page in self.relations.values_mut() {
+            if page.attached(table).is_none() {
+                Arc::make_mut(page).attach_symbols(table);
+            }
+        }
+    }
+
     /// How many relation pages are currently shared with another database
     /// (an `Arc` strong count above 1). Diagnostic hook for the COW tests.
     pub fn shared_page_count(&self) -> usize {

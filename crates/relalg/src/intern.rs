@@ -18,19 +18,22 @@
 //!   a `u32` id embedded in a cached columnar block stays valid for the
 //!   lifetime of the table.
 //!
-//! The table also memoizes the rendered text of each symbol
-//! ([`SymbolTable::resolve_text`]) so the ASP fact encoder can emit one
-//! shared `Arc<str>` per distinct constant instead of re-allocating the
-//! rendering for every occurrence of every tuple, and indexes that text
-//! ([`SymbolTable::lookup_text`]) so the ASP decode maps a model constant
-//! back to its symbol without a decoder of its own. Two values may render
-//! alike (the integer `1` and the string `"1"`); the text then names the
-//! smaller [`Value`] whatever the interning order, so every table over the
-//! same values agrees.
+//! The table also renders each symbol's text once, when the symbol is
+//! minted ([`SymbolTable::resolve_text`]), and sorts symbols into *text
+//! classes*: the symbols whose values render alike (the integer `1` and the
+//! string `"1"`). A logic program sees constants only as text, so the ASP
+//! path works on text-canonical ids: [`SymbolTable::canonicalize`] maps
+//! each symbol to its class's first-minted symbol, which never changes, and
+//! [`SymbolTable::smallest_alike`] maps it to the class's smallest
+//! [`Value`], which is what a constant decodes to whatever the interning
+//! order, so every table over the same values agrees.
+//! [`SymbolTable::lookup_text`] finds that smallest symbol by its text, for
+//! constants a program introduces.
 
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A dense interned id for one distinct [`Value`] (or name) of a
@@ -67,51 +70,21 @@ impl fmt::Display for Symbol {
 struct Inner {
     /// Symbol id → value (the resolve direction).
     values: Vec<Value>,
-    /// Symbol id → memoized rendered text (lazily filled).
-    texts: Vec<Option<Arc<str>>>,
+    /// Symbol id → rendered text.
+    texts: Vec<Arc<str>>,
     /// Value → symbol id (the intern direction).
     ids: HashMap<Value, u32>,
-    /// Rendered text → symbol id of the smallest value with that text,
-    /// over the first `indexed` symbols; extended lazily by
-    /// [`SymbolTable::lookup_text`].
+    /// Rendered text → the first symbol minted with that text.
     by_text: HashMap<Arc<str>, u32>,
-    indexed: usize,
+    /// Symbol id → the first symbol minted with the same text (its class).
+    canonical: Vec<u32>,
+    /// At a class's first symbol: the class member with the smallest value.
+    smallest: Vec<u32>,
 }
 
-impl Inner {
-    /// The memoized rendered text of a symbol, rendering it on first use.
-    fn text(&mut self, id: usize) -> Arc<str> {
-        if let Some(text) = &self.texts[id] {
-            return Arc::clone(text);
-        }
-        let text: Arc<str> = match &self.values[id] {
-            // Strings share the value's own payload; no new allocation.
-            Value::Str(s) => Arc::clone(s),
-            other => Arc::from(other.render().as_ref()),
-        };
-        self.texts[id] = Some(Arc::clone(&text));
-        text
-    }
-
-    /// Bring the text index up to every minted symbol. On a text shared
-    /// by two values the smaller value keeps it.
-    fn index_texts(&mut self) {
-        while self.indexed < self.values.len() {
-            let id = self.indexed;
-            let text = self.text(id);
-            let values = &self.values;
-            self.by_text
-                .entry(text)
-                .and_modify(|kept| {
-                    if values[id] < values[*kept as usize] {
-                        *kept = id as u32;
-                    }
-                })
-                .or_insert(id as u32);
-            self.indexed += 1;
-        }
-    }
-}
+/// Source of [`SymbolTable`] serial numbers. It publishes no other data,
+/// so `Relaxed` increments suffice to keep serials unique.
+static SERIALS: AtomicU64 = AtomicU64::new(0);
 
 /// A thread-safe, append-only intern table mapping distinct [`Value`]s
 /// (constants, relation names, attribute names) to dense [`Symbol`] ids.
@@ -135,6 +108,9 @@ impl Inner {
 /// ```
 pub struct SymbolTable {
     inner: RwLock<Inner>,
+    /// Tells this table's ids apart from every other table's (see
+    /// [`crate::Relation::symbol_ids`]).
+    serial: u64,
 }
 
 impl SymbolTable {
@@ -146,8 +122,10 @@ impl SymbolTable {
                 texts: Vec::new(),
                 ids: HashMap::new(),
                 by_text: HashMap::new(),
-                indexed: 0,
+                canonical: Vec::new(),
+                smallest: Vec::new(),
             }),
+            serial: SERIALS.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -163,6 +141,11 @@ impl SymbolTable {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// The serial number no other table in the process shares.
+    pub(crate) fn serial(&self) -> u64 {
+        self.serial
+    }
+
     /// Intern a value, minting a fresh symbol if it has not been seen.
     ///
     /// Idempotent: interning the same value always returns the same symbol.
@@ -170,15 +153,32 @@ impl SymbolTable {
         if let Some(id) = self.read().ids.get(value) {
             return Symbol(*id);
         }
-        let mut inner = self.write();
+        Symbol(Self::mint(&mut self.write(), value))
+    }
+
+    /// The id of `value`, minting it (its text and its text class too) if
+    /// it is new.
+    fn mint(inner: &mut Inner, value: &Value) -> u32 {
         if let Some(id) = inner.ids.get(value) {
-            return Symbol(*id);
+            return *id;
         }
         let id = u32::try_from(inner.values.len()).expect("symbol table overflow");
+        let text: Arc<str> = match value {
+            // Strings share the value's own payload; no new allocation.
+            Value::Str(s) => Arc::clone(s),
+            other => Arc::from(other.render().as_ref()),
+        };
+        let class = *inner.by_text.entry(Arc::clone(&text)).or_insert(id);
         inner.values.push(value.clone());
-        inner.texts.push(None);
+        inner.texts.push(text);
         inner.ids.insert(value.clone(), id);
-        Symbol(id)
+        inner.canonical.push(class);
+        inner.smallest.push(id);
+        let kept = inner.smallest[class as usize] as usize;
+        if *value < inner.values[kept] {
+            inner.smallest[class as usize] = id;
+        }
+        id
     }
 
     /// Intern a name (relation or attribute) as a string value.
@@ -202,39 +202,48 @@ impl SymbolTable {
         self.read().values[symbol.0 as usize].clone()
     }
 
-    /// The memoized rendered text of a symbol's value (see
-    /// [`Value::render`]). All callers share one `Arc<str>` per symbol,
-    /// which is what lets the ASP encoder stop re-allocating constant text
-    /// for every tuple occurrence.
+    /// The rendered text of a symbol's value (see [`Value::render`]). All
+    /// callers share one `Arc<str>` per symbol, which is what lets the ASP
+    /// encoder stop re-allocating constant text for every tuple occurrence.
     pub fn resolve_text(&self, symbol: Symbol) -> Arc<str> {
-        if let Some(text) = &self.read().texts[symbol.0 as usize] {
-            return Arc::clone(text);
-        }
-        self.write().text(symbol.0 as usize)
+        Arc::clone(&self.read().texts[symbol.0 as usize])
+    }
+
+    /// The rendered texts of `ids`, appended to `out` in order, under one
+    /// lock.
+    pub fn resolve_texts(&self, ids: &[u32], out: &mut Vec<Arc<str>>) {
+        let inner = self.read();
+        out.extend(ids.iter().map(|&id| Arc::clone(&inner.texts[id as usize])));
     }
 
     /// The symbol whose value renders as `text` ([`Value::render`]), or
     /// `None` when no interned value does. When several do (the integer
     /// `1` and the string `"1"`), the smallest value's symbol, whatever
-    /// the interning order. The index behind it is built on first use and
-    /// extended to newly minted symbols on later calls, under the table's
-    /// lock.
+    /// the interning order.
     pub fn lookup_text(&self, text: &str) -> Option<Symbol> {
-        {
-            let inner = self.read();
-            if inner.indexed == inner.values.len() {
-                return inner.by_text.get(text).map(|&id| Symbol(id));
-            }
-        }
-        let mut inner = self.write();
-        inner.index_texts();
-        inner.by_text.get(text).map(|&id| Symbol(id))
+        let inner = self.read();
+        let class = *inner.by_text.get(text)?;
+        Some(Symbol(inner.smallest[class as usize]))
     }
 
-    /// Intern a value and return its shared rendered text in one step.
-    pub fn render_shared(&self, value: &Value) -> Arc<str> {
-        let symbol = self.intern(value);
-        self.resolve_text(symbol)
+    /// Replace each of `ids` with its text class's canonical id: the first
+    /// symbol minted whose value renders alike. Ids whose values render
+    /// alike become equal, and a symbol's canonical id never changes.
+    pub fn canonicalize<'a>(&self, ids: impl IntoIterator<Item = &'a mut u32>) {
+        let inner = self.read();
+        for id in ids {
+            *id = inner.canonical[*id as usize];
+        }
+    }
+
+    /// Replace each of `ids` with the symbol of the smallest value that
+    /// renders like its own: what [`SymbolTable::lookup_text`] returns for
+    /// its text.
+    pub fn smallest_alike<'a>(&self, ids: impl IntoIterator<Item = &'a mut u32>) {
+        let inner = self.read();
+        for id in ids {
+            *id = inner.smallest[inner.canonical[*id as usize] as usize];
+        }
     }
 
     /// Number of distinct symbols minted so far.
@@ -249,21 +258,19 @@ impl SymbolTable {
 
     /// Exact resident bytes of the table's payload, deterministic across
     /// platforms: per symbol, the id (4 bytes in the reverse map plus 4 in
-    /// each forward slot), a one-byte value tag, and the value payload
-    /// (string bytes, 8 for integers, 1 for booleans, 0 for null). Memoized
-    /// renderings that alias the string payload are not double counted.
-    /// The text index ([`SymbolTable::lookup_text`]) adds 4 bytes (its id)
-    /// per distinct text it holds; its keys are the memoized renderings,
+    /// each of the three forward id slots: value, text class and smallest
+    /// member), a one-byte value tag, the value payload (string bytes, 8 for
+    /// integers, 1 for booleans, 0 for null) and the rendered text where it
+    /// does not alias the string payload; plus 4 bytes (its id) per
+    /// distinct text in the text index, whose keys are the renderings
     /// counted above.
     pub fn resident_bytes(&self) -> usize {
         let inner = self.read();
         let mut bytes = 4 * inner.by_text.len();
         for (value, text) in inner.values.iter().zip(inner.texts.iter()) {
-            bytes += 8 + 1 + value_payload_bytes(value);
-            if let Some(text) = text {
-                if !matches!(value, Value::Str(_)) {
-                    bytes += text.len();
-                }
+            bytes += 16 + 1 + value_payload_bytes(value);
+            if !matches!(value, Value::Str(_)) {
+                bytes += text.len();
             }
         }
         bytes
@@ -272,6 +279,32 @@ impl SymbolTable {
     /// Intern every value of the tuple, in order.
     pub fn intern_tuple(&self, tuple: &crate::Tuple) -> Vec<Symbol> {
         tuple.iter().map(|v| self.intern(v)).collect()
+    }
+
+    /// Intern every value of `tuples`, appending the ids to `out` row after
+    /// row. Values the table already holds are read under one shared lock;
+    /// the exclusive lock is taken only from the first new value on.
+    pub fn intern_rows<'t>(
+        &self,
+        tuples: impl IntoIterator<Item = &'t crate::Tuple>,
+        out: &mut Vec<u32>,
+    ) {
+        let mut values = tuples.into_iter().flat_map(|tuple| tuple.iter());
+        {
+            let inner = self.read();
+            for value in values.by_ref() {
+                match inner.ids.get(value) {
+                    Some(&id) => out.push(id),
+                    None => {
+                        drop(inner);
+                        let mut inner = self.write();
+                        out.push(Self::mint(&mut inner, value));
+                        out.extend(values.map(|value| Self::mint(&mut inner, value)));
+                        return;
+                    }
+                }
+            }
+        }
     }
 
     /// Intern everything a database instance mentions: relation names,
@@ -376,26 +409,58 @@ mod tests {
         let table = SymbolTable::new();
         assert_eq!(table.resident_bytes(), 0);
         table.intern(&Value::str("abc"));
-        // 8 (ids) + 1 (tag) + 3 (payload)
-        assert_eq!(table.resident_bytes(), 12);
-        table.intern(&Value::int(5));
-        assert_eq!(table.resident_bytes(), 12 + 17);
-        // Memoizing an integer rendering adds its text bytes once.
-        let five = table.lookup(&Value::int(5)).unwrap();
+        // 4 (text index) + 16 (ids) + 1 (tag) + 3 (payload); the text
+        // aliases the payload.
+        assert_eq!(table.resident_bytes(), 24);
+        // An integer's rendering is its own text.
+        let five = table.intern(&Value::int(5));
+        assert_eq!(table.resident_bytes(), 24 + 4 + 16 + 1 + 8 + 1);
+        // Reading texts back allocates nothing.
         table.resolve_text(five);
-        assert_eq!(table.resident_bytes(), 12 + 17 + 1);
-        // String renderings alias the payload: no growth.
-        let abc = table.lookup(&Value::str("abc")).unwrap();
-        table.resolve_text(abc);
-        assert_eq!(table.resident_bytes(), 12 + 17 + 1);
-        // The text index charges 4 bytes per distinct text; its keys are
-        // the renderings already counted.
         assert_eq!(table.lookup_text("5"), Some(five));
-        assert_eq!(table.resident_bytes(), 12 + 17 + 1 + 2 * 4);
+        assert_eq!(table.resident_bytes(), 54);
         // A second value with a known text adds no index entry.
         table.intern(&Value::str("5"));
         assert_eq!(table.lookup_text("5"), Some(five));
-        assert_eq!(table.resident_bytes(), 12 + 17 + 1 + 2 * 4 + 10);
+        assert_eq!(table.resident_bytes(), 54 + 16 + 1 + 1);
+    }
+
+    #[test]
+    fn text_classes_are_stable_and_decode_to_the_smallest_value() {
+        let table = SymbolTable::new();
+        let s = table.intern(&Value::str("1")).id();
+        let other = table.intern(&Value::str("2")).id();
+        let mut ids = [s, other];
+        table.canonicalize(&mut ids);
+        assert_eq!(ids, [s, other]);
+        // The integer joins the string's class: the canonical id stays the
+        // first-minted one, the smallest value moves to the integer.
+        let i = table.intern(&Value::int(1)).id();
+        let mut ids = [s, i, other];
+        table.canonicalize(&mut ids);
+        assert_eq!(ids, [s, s, other]);
+        let mut ids = [s, i, other];
+        table.smallest_alike(&mut ids);
+        assert_eq!(ids, [i, i, other]);
+        assert_eq!(table.lookup_text("1"), Some(Symbol(i)));
+        let mut texts = Vec::new();
+        table.resolve_texts(&[i, s, other], &mut texts);
+        assert_eq!(texts, [Arc::from("1"), Arc::from("1"), Arc::from("2")]);
+    }
+
+    #[test]
+    fn intern_rows_equals_interning_each_value() {
+        let rows = [Tuple::strs(["a", "b"]), Tuple::strs(["b", "c"])];
+        let table = SymbolTable::new();
+        table.intern(&Value::str("b"));
+        let mut ids = Vec::new();
+        table.intern_rows(&rows, &mut ids);
+        let each: Vec<u32> = rows
+            .iter()
+            .flat_map(|t| t.iter().map(|v| table.intern(v).id()))
+            .collect();
+        assert_eq!(ids, each);
+        assert_eq!(table.len(), 3);
     }
 
     #[test]

@@ -1,23 +1,60 @@
 //! A relation instance: a finite, ordered set of tuples over a schema.
 
 use crate::error::RelalgError;
+use crate::intern::SymbolTable;
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A finite relation instance.
 ///
 /// Tuples are kept in a `BTreeSet` so iteration order is deterministic and
 /// independent of insertion order; this keeps repairs, solutions and stable
 /// models reproducible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A page a store serves also carries its tuples as the store's symbol ids
+/// ([`Relation::symbol_ids`]), so readers that work on ids never intern
+/// the page's values again. Equality ignores them.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: RelationSchema,
     tuples: BTreeSet<Tuple>,
+    /// The tuples as one table's ids, attached by
+    /// [`Relation::attach_symbols`] and dropped by any change of the
+    /// tuples. Copies of the page share them.
+    symbols: Option<Arc<SymbolRows>>,
+}
+
+/// A page's tuples as one [`SymbolTable`]'s ids, row after row in tuple
+/// order.
+#[derive(Debug)]
+struct SymbolRows {
+    /// The serial of the table that minted the ids.
+    table: u64,
+    ids: Vec<u32>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.tuples == other.tuples
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("tuples", &self.tuples)
+            .finish()
+    }
 }
 
 impl Relation {
@@ -26,6 +63,7 @@ impl Relation {
         Relation {
             schema,
             tuples: BTreeSet::new(),
+            symbols: None,
         }
     }
 
@@ -75,12 +113,20 @@ impl Relation {
                 found: tuple.arity(),
             });
         }
-        Ok(self.tuples.insert(tuple))
+        let inserted = self.tuples.insert(tuple);
+        if inserted {
+            self.symbols = None;
+        }
+        Ok(inserted)
     }
 
     /// Remove a tuple. Returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        self.tuples.remove(tuple)
+        let removed = self.tuples.remove(tuple);
+        if removed {
+            self.symbols = None;
+        }
+        removed
     }
 
     /// Membership test.
@@ -107,6 +153,7 @@ impl Relation {
     /// Remove all tuples.
     pub fn clear(&mut self) {
         self.tuples.clear();
+        self.symbols = None;
     }
 
     /// Replace the contents of this relation with the given tuples,
@@ -124,7 +171,39 @@ impl Relation {
             next.insert(t);
         }
         self.tuples = next;
+        self.symbols = None;
         Ok(())
+    }
+
+    /// Attach the tuples as `table`'s symbol ids ([`Relation::symbol_ids`]),
+    /// interning every value.
+    pub(crate) fn attach_symbols(&mut self, table: &SymbolTable) {
+        let ids = self.symbol_ids(table).into_owned();
+        self.symbols = Some(Arc::new(SymbolRows {
+            table: table.serial(),
+            ids,
+        }));
+    }
+
+    /// The attached ids, if `table` minted them.
+    pub(crate) fn attached(&self, table: &SymbolTable) -> Option<&[u32]> {
+        let rows = self.symbols.as_ref()?;
+        (rows.table == table.serial()).then_some(&rows.ids[..])
+    }
+
+    /// The tuples as `table`'s symbol ids, row after row in tuple order:
+    /// the ids a store attached to the page
+    /// ([`crate::Database::attach_symbols`]), or, when the page holds none
+    /// of `table`'s, the values interned now.
+    pub fn symbol_ids(&self, table: &SymbolTable) -> Cow<'_, [u32]> {
+        match self.attached(table) {
+            Some(ids) => Cow::Borrowed(ids),
+            None => {
+                let mut ids = Vec::with_capacity(self.len() * self.arity());
+                table.intern_rows(&self.tuples, &mut ids);
+                Cow::Owned(ids)
+            }
+        }
     }
 }
 
@@ -208,6 +287,34 @@ mod tests {
         r.insert(Tuple::strs(["a", "a"])).unwrap();
         let tuples: Vec<&Tuple> = r.iter().collect();
         assert_eq!(tuples[0], &Tuple::strs(["a", "a"]));
+    }
+
+    #[test]
+    fn attached_symbol_ids_survive_copies_and_drop_on_change() {
+        let table = SymbolTable::new();
+        let mut r =
+            Relation::with_tuples(schema(), [Tuple::strs(["b", "a"]), Tuple::strs(["a", "c"])])
+                .unwrap();
+        r.attach_symbols(&table);
+        // Values are minted in tuple order: (a, c) before (b, a).
+        let (a, c, b) = (0, 1, 2);
+        assert_eq!(table.len(), 3);
+        assert_eq!(*r.symbol_ids(&table), [a, c, b, a]);
+        assert!(matches!(r.symbol_ids(&table), Cow::Borrowed(_)));
+        let copy = r.clone();
+        assert!(matches!(copy.symbol_ids(&table), Cow::Borrowed(_)));
+        // Another table's ids are interned on demand, never attached.
+        let other = SymbolTable::new();
+        assert!(matches!(r.symbol_ids(&other), Cow::Owned(_)));
+        // A no-op change keeps the ids; a real one drops them.
+        assert!(!r.insert(Tuple::strs(["a", "c"])).unwrap());
+        assert!(matches!(r.symbol_ids(&table), Cow::Borrowed(_)));
+        assert!(r.remove(&Tuple::strs(["a", "c"])));
+        assert!(matches!(r.symbol_ids(&table), Cow::Owned(_)));
+        assert_eq!(*r.symbol_ids(&table), [b, a]);
+        // Equality reads the tuples only.
+        let fresh = Relation::with_tuples(schema(), [Tuple::strs(["b", "a"])]).unwrap();
+        assert_eq!(r, fresh);
     }
 
     #[test]
