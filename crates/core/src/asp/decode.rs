@@ -18,11 +18,17 @@
 //!   program introduced) becomes a string value and is interned;
 //! * an atom's row of store symbol ids is built the first time some model
 //!   holds it, into one flat buffer;
-//! * a model becomes a world by table lookups: rows are collected per
-//!   relation, and [`WorldSet::from_id_rows`] sorts them by id,
-//!   deduplicates them, keeps worlds with equal rows once, in model order,
-//!   and splits the sorted rows into the core every world shares and each
-//!   world's delta by merging — no full world is ever built as blocks.
+//! * the solver's atom ids already name the rows: grounding constants are
+//!   unique by text and each text has one store symbol, so within a
+//!   relation atom → row is injective (checked by a `debug_assert!`).
+//!   Each model is therefore projected onto its row atoms — sorted ids,
+//!   since models are sorted — and models with equal projections are one
+//!   world, kept once, in model order;
+//! * the core is the atoms every distinct world holds and each world's
+//!   delta the rest of its atoms; a single world is all core. Only then do
+//!   the atoms become rows, and [`WorldSet::from_split`] sorts each part's
+//!   rows once. No world's rows are sorted on their own, no world is
+//!   hashed, and no full world is ever built as blocks.
 //!
 //! The string decode (`AnswerSets` plus the public specs'
 //! `solution_databases` and their [`ValueDecoder`]) stays as the reference
@@ -76,41 +82,81 @@ pub(crate) fn decode_worlds(
         .map(|c| origin.get(c).copied().flatten().unwrap_or(UNSEEN))
         .collect();
     symbols.smallest_alike(symbol_of.iter_mut().filter(|s| **s != UNSEEN));
-    // Per atom id: its slot and the end of its row in `rows`, filled the
-    // first time a model holds it.
+    let mut symbol = |c: u32| {
+        let symbol = &mut symbol_of[c as usize];
+        if *symbol == UNSEEN {
+            let text = ground.constant(c);
+            *symbol = symbols
+                .lookup_text(text)
+                .unwrap_or_else(|| symbols.intern(&Value::Str(Arc::clone(text))))
+                .id();
+        }
+        *symbol
+    };
+    // Per atom id: its slot and the end of its row in `ids`, filled the
+    // first time a model holds it; and each model projected onto its row
+    // atoms, sorted as the model is.
     let mut row_of = vec![(UNSEEN, 0u32); ground.atom_count()];
     let mut ids: Vec<u32> = Vec::new();
-    for &id in models.iter().flatten() {
-        if row_of[id].0 != UNSEEN {
-            continue;
-        }
-        let slot = slot_of[ground.atom_predicate(id) as usize];
-        if slot != SKIP {
-            for &c in ground.atom_args(id) {
-                let symbol = &mut symbol_of[c as usize];
-                if *symbol == UNSEEN {
-                    let text = ground.constant(c);
-                    *symbol = symbols
-                        .lookup_text(text)
-                        .unwrap_or_else(|| symbols.intern(&Value::Str(Arc::clone(text))))
-                        .id();
-                }
-                ids.push(*symbol);
-            }
-        }
-        row_of[id] = (slot, ids.len() as u32);
-    }
-    let worlds = models.iter().map(|model| {
-        let mut rows: Vec<Vec<&[u32]>> = vec![Vec::new(); relevant.len()];
+    let mut projections: Vec<Vec<u32>> = Vec::with_capacity(models.len());
+    for model in models {
+        let mut projection = Vec::new();
         for &id in model {
-            let (slot, end) = row_of[id];
-            if slot != SKIP {
-                let start = end as usize - ground.atom_args(id).len();
-                rows[slot as usize].push(&ids[start..end as usize]);
+            if row_of[id].0 == UNSEEN {
+                let slot = slot_of[ground.atom_predicate(id) as usize];
+                if slot != SKIP {
+                    ids.extend(ground.atom_args(id).iter().map(|&c| symbol(c)));
+                }
+                row_of[id] = (slot, ids.len() as u32);
+            }
+            if row_of[id].0 != SKIP {
+                projection.push(id as u32);
             }
         }
-        rows
-    });
+        projections.push(projection);
+    }
+    let row = |id: u32| {
+        let (slot, end) = row_of[id as usize];
+        let start = end as usize - ground.atom_args(id as usize).len();
+        (slot as usize, &ids[start..end as usize])
+    };
+    debug_assert!(
+        {
+            let atoms = (0..row_of.len() as u32).filter(|&id| row_of[id as usize].0 < SKIP);
+            let mut rows: Vec<_> = atoms.map(row).collect();
+            rows.sort_unstable();
+            rows.windows(2).all(|pair| pair[0] != pair[1])
+        },
+        "two atoms of one relation decode to the same row"
+    );
+    // Atom → row is injective, so equal projections are equal worlds: keep
+    // the first of each, in model order.
+    let mut kept: Vec<usize> = (0..projections.len()).collect();
+    kept.sort_by(|&a, &b| projections[a].cmp(&projections[b]));
+    kept.dedup_by(|later, first| projections[*later] == projections[*first]);
+    kept.sort_unstable();
+    let distinct: Vec<&[u32]> = kept.iter().map(|&m| &projections[m][..]).collect();
+    let (core, deltas) = match &distinct[..] {
+        [] => (Vec::new(), Vec::new()),
+        [only] => (only.iter().map(|&id| row(id)).collect(), vec![Vec::new()]),
+        worlds => {
+            // The core holds the atoms every world holds, each delta the
+            // rest of its world.
+            let mut held = vec![0u32; ground.atom_count()];
+            for &id in worlds.iter().copied().flatten() {
+                held[id as usize] += 1;
+            }
+            let every = worlds.len() as u32;
+            let part = |atoms: &[u32], core: bool| {
+                let atoms = atoms
+                    .iter()
+                    .filter(|&&id| (held[id as usize] == every) == core);
+                atoms.map(|&id| row(id)).collect()
+            };
+            let deltas = worlds.iter().map(|atoms| part(atoms, false)).collect();
+            (part(worlds[0], true), deltas)
+        }
+    };
     let relations: Vec<(&str, usize)> = relevant
         .iter()
         .map(|relation| {
@@ -118,5 +164,5 @@ pub(crate) fn decode_worlds(
             (relation.as_str(), arity)
         })
         .collect();
-    Ok(WorldSet::from_id_rows(&relations, worlds, symbols)?)
+    Ok(WorldSet::from_split(&relations, core, deltas, symbols)?)
 }

@@ -607,6 +607,62 @@ mod tests {
         );
     }
 
+    /// Every rule's matches over the state's possible set carry the head
+    /// atoms their templates denote, and the rule's instances start with
+    /// those heads, tautologies aside.
+    fn assert_heads_recorded(state: &IncrementalGround) {
+        let core = &state.core;
+        let mut scratch = Scratch::new(core);
+        let rank = core.ranks(&[]);
+        for (r, group) in state.groups.iter().enumerate() {
+            let mut matches = core.full_matches(&mut scratch, r);
+            core.assert_heads_found(r, &matches);
+            matches.sort_by_rank(&rank);
+            let tautology = |i| {
+                matches
+                    .heads(i)
+                    .iter()
+                    .any(|h| matches.chosen(i).contains(h))
+            };
+            let want: Vec<&[u32]> = (0..matches.len())
+                .filter(|&i| !tautology(i))
+                .map(|i| matches.heads(i))
+                .collect();
+            let heads = core.rules[r].head_count();
+            let got: Vec<&[u32]> = (0..group.len())
+                .map(|i| &group.instance(i)[..heads])
+                .collect();
+            assert_eq!(got, want, "rule {r}");
+        }
+    }
+
+    #[test]
+    fn patched_matches_carry_their_head_atoms() {
+        let mut p = base_program();
+        p.add_rule(Rule::new(
+            vec![atom("reach", &["X", "Y"])],
+            vec![BodyItem::Pos(atom("edge", &["X", "Y"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("reach", &["X", "Z"])],
+            vec![
+                BodyItem::Pos(atom("reach", &["X", "Y"])),
+                BodyItem::Pos(atom("edge", &["Y", "Z"])),
+            ],
+        ));
+        let mut state = IncrementalGround::new(&p).unwrap();
+        assert_heads_recorded(&state);
+        let ins = [ga("edge", &["c", "a"])];
+        assert!(!state.apply_delta(&ins, &[]).full_resaturation);
+        assert_heads_recorded(&state);
+        let del = [ga("mark", &["b"])];
+        assert!(!state.apply_delta(&[], &del).full_resaturation);
+        assert_heads_recorded(&state);
+        let del = [ga("edge", &["a", "b"])];
+        assert!(state.apply_delta(&[], &del).full_resaturation);
+        assert_heads_recorded(&state);
+    }
+
     #[test]
     fn resaturation_reinstantiates_rules_over_atoms_it_interns() {
         // Regression: the full-resaturation path diffed the possible flags

@@ -28,10 +28,17 @@
 //!   `k` first — run each built-in as soon as its slots are bound.
 //! * **Indexes.** A plan step whose arguments are partly bound before it
 //!   runs (constants, or slots bound by earlier steps) looks its candidates
-//!   up in a hash index keyed on those positions. Plans, indexes and the
-//!   per-predicate member lists live in a per-operation [`Scratch`] and are
-//!   never kept: built lazily, extended as atoms become possible, dropped
-//!   when the grounding or patch ends.
+//!   up in a hash index keyed on those positions. The key is the
+//!   grounder's own [`hash_ids`] of the bound ids, which the index map
+//!   takes as it is through [`IdHasher`] (no second SipHash); each key
+//!   holds its atoms as a chain through one link array per index, in the
+//!   order they were added, so no key owns a heap buffer. The plan map
+//!   hashes its `(rule, occurrence)` keys through [`IdHasher`] too. Plans,
+//!   indexes and the per-predicate member lists live in a per-operation
+//!   [`Scratch`] and are never kept: built lazily, extended as atoms become
+//!   possible, dropped when the grounding or patch ends. The atom table
+//!   hashes an atom once: a new atom takes the empty slot its lookup ended
+//!   at.
 //! * **Semi-naive saturation.** [`Core::insert`] runs rounds; each round's
 //!   delta becomes possible and joinable at the round start, and every rule
 //!   is joined once per occurrence pinned to the delta, with occurrences
@@ -39,6 +46,10 @@
 //!   over the full set. Every derivation over the final possible set is
 //!   therefore found exactly once, so the support counts — and, when the
 //!   caller records them, each rule's matches — fall out of the one pass.
+//!   A recorded match ([`Matches`]) carries its head atoms, which the pass
+//!   writes as it interns them, so [`Core::instances`] and the
+//!   [`Emitter`] copy the heads instead of looking them up again; on the
+//!   patch path, [`Core::full_matches`] looks each head up once.
 //!   Building from scratch is "empty state + insert the facts".
 //!   [`Core::delete`] runs the same pinned joins in reverse, decrementing
 //!   support counts.
@@ -60,6 +71,7 @@ use crate::facts::{ConstantIds, FactTable, TextFacts};
 use crate::ground::{AtomId, GroundAtom, GroundProgram, RuleRef};
 use crate::shift::push_shifted;
 use crate::syntax::{Atom, BodyItem, BuiltinOp, Rule, Term};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
@@ -363,15 +375,20 @@ impl AtomStore {
     }
 
     pub(crate) fn find(&self, pred: u32, args: &[u32]) -> Option<u32> {
+        self.probe(pred, args).ok()
+    }
+
+    /// The atom `(pred, args)`, or the empty table slot its probe ends at.
+    fn probe(&self, pred: u32, args: &[u32]) -> Result<u32, usize> {
         let mask = self.table.len() - 1;
         let mut slot = self.home(hash_ids(pred, args.iter().copied()));
         loop {
             let atom = self.table[slot];
             if atom == NONE {
-                return None;
+                return Err(slot);
             }
             if self.pred(atom) == pred && self.args(atom) == args {
-                return Some(atom);
+                return Ok(atom);
             }
             slot = (slot + 1) & mask;
         }
@@ -387,10 +404,14 @@ impl AtomStore {
         self.table[slot] = atom;
     }
 
+    /// The id of `(pred, args)`, interning it if new. The atom is hashed
+    /// once: a new atom takes the empty slot its probe ended at, unless
+    /// the table grows.
     pub(crate) fn intern(&mut self, pred: u32, args: &[u32]) -> u32 {
-        if let Some(atom) = self.find(pred, args) {
-            return atom;
-        }
+        let slot = match self.probe(pred, args) {
+            Ok(atom) => return atom,
+            Err(slot) => slot,
+        };
         let atom = self.pred.len() as u32;
         self.pred.push(pred);
         self.args.extend_from_slice(args);
@@ -400,11 +421,12 @@ impl AtomStore {
         self.fact.push(false);
         if 2 * self.pred.len() > self.table.len() {
             self.table = vec![NONE; 2 * self.table.len()];
-            for a in 0..atom {
+            for a in 0..=atom {
                 self.place(a);
             }
+        } else {
+            self.table[slot] = atom;
         }
-        self.place(atom);
         atom
     }
 
@@ -482,12 +504,30 @@ enum Lit {
     Naf(usize),
 }
 
-/// A hash index's shape: the positions of one predicate and arity it keys.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A hash index's shape: the positions of one predicate and arity it keys,
+/// as a bit set (bit `p` = position `p`; positions from 64 on are checked
+/// by the join step but not indexed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IndexSpec {
     pred: u32,
     arity: usize,
-    positions: Vec<usize>,
+    positions: u64,
+}
+
+impl IndexSpec {
+    /// The index key of an atom with arguments `args`: [`hash_ids`] of its
+    /// ids at the indexed positions, in position order.
+    fn key(&self, args: &[u32]) -> u64 {
+        let mut bits = self.positions;
+        hash_ids(
+            0,
+            std::iter::from_fn(|| {
+                let p = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(args[p])
+            }),
+        )
+    }
 }
 
 /// A non-fact rule compiled against the grounding's symbol table: its atoms
@@ -760,8 +800,70 @@ impl Stamps {
     }
 }
 
-/// One hash index: key hash of the indexed positions → atoms.
-type Index = HashMap<u64, Vec<u32>>;
+/// One hash index: the key of the indexed positions ([`IndexSpec::key`])
+/// → the atoms with that key, in the order they were added, as a chain of
+/// links. The key is already mixed, so the map hashes it with [`IdHasher`],
+/// and no key owns a heap buffer of its own.
+#[derive(Debug, Default)]
+struct Index {
+    /// Key → the first and the last link of its chain.
+    chains: HashMap<u64, (u32, u32), BuildHasherDefault<IdHasher>>,
+    /// Per link: its atom and the next link of its chain ([`NONE`] = end).
+    links: Vec<(u32, u32)>,
+}
+
+impl Index {
+    fn push(&mut self, key: u64, atom: u32) {
+        let Index { chains, links } = self;
+        let link = links.len() as u32;
+        links.push((atom, NONE));
+        match chains.entry(key) {
+            Entry::Occupied(mut chain) => {
+                let last = &mut chain.get_mut().1;
+                links[*last as usize].1 = link;
+                *last = link;
+            }
+            Entry::Vacant(chain) => {
+                chain.insert((link, link));
+            }
+        }
+    }
+
+    /// The atoms with `key`, in the order they were added.
+    fn get(&self, key: u64) -> Candidates<'_> {
+        let at = self.chains.get(&key).map_or(NONE, |&(first, _)| first);
+        Candidates::Chain {
+            links: &self.links,
+            at,
+        }
+    }
+}
+
+/// A join step's candidate atoms: a predicate's member list or one chain
+/// of an [`Index`].
+enum Candidates<'a> {
+    List(std::slice::Iter<'a, u32>),
+    Chain { links: &'a [(u32, u32)], at: u32 },
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Candidates::List(list) => list.next().copied(),
+            Candidates::Chain { links, at } => {
+                let &(atom, next) = links.get(*at as usize)?;
+                *at = next;
+                Some(atom)
+            }
+        }
+    }
+}
+
+/// Join plans by `(rule, pinned occurrence or UNPINNED)`.
+type Plans = HashMap<(usize, usize), Plan, BuildHasherDefault<IdHasher>>;
 
 /// Plan key of a rule's unpinned (body-order) join.
 const UNPINNED: usize = usize::MAX;
@@ -778,10 +880,8 @@ pub(crate) struct Scratch {
     /// Per predicate: the `(rule, occurrence)` pairs of rules with a head
     /// that read it positively — the pinned joins a delta atom drives.
     readers: Vec<Vec<(usize, usize)>>,
-    /// Join plans by `(rule, pinned occurrence or UNPINNED)`.
-    plans: HashMap<(usize, usize), Plan>,
+    plans: Plans,
     specs: Vec<IndexSpec>,
-    spec_ids: HashMap<IndexSpec, usize>,
     /// Index specs per predicate (which indexes a new possible atom joins).
     specs_of: Vec<Vec<usize>>,
     indexes: Vec<Option<Index>>,
@@ -813,9 +913,8 @@ impl Scratch {
         Scratch {
             members,
             readers,
-            plans: HashMap::new(),
+            plans: Plans::default(),
             specs: Vec::new(),
-            spec_ids: HashMap::new(),
             specs_of: vec![Vec::new(); preds],
             indexes: Vec::new(),
             delta: Stamps::default(),
@@ -847,12 +946,12 @@ impl Scratch {
 
     /// The id of an index shape, registering it if new.
     fn spec(&mut self, spec: IndexSpec) -> usize {
-        if let Some(&id) = self.spec_ids.get(&spec) {
+        let of = &mut self.specs_of[spec.pred as usize];
+        if let Some(&id) = of.iter().find(|&&id| self.specs[id] == spec) {
             return id;
         }
         let id = self.specs.len();
-        self.specs_of[spec.pred as usize].push(id);
-        self.spec_ids.insert(spec.clone(), id);
+        of.push(id);
         self.specs.push(spec);
         self.indexes.push(None);
         id
@@ -887,7 +986,7 @@ impl Scratch {
             let template = &rule.pos[occurrence];
             let before = bound.clone();
             let mut ops = Vec::with_capacity(template.args.len());
-            let mut positions = Vec::new();
+            let mut positions = 0u64;
             let mut key = Vec::new();
             for (i, &arg) in template.args.iter().enumerate() {
                 match arg {
@@ -903,12 +1002,14 @@ impl Scratch {
                     }
                     _ => {
                         ops.push(Op::Check(arg));
-                        positions.push(i);
-                        key.push(arg);
+                        if i < 64 {
+                            positions |= 1 << i;
+                            key.push(arg);
+                        }
                     }
                 }
             }
-            let index = (!positions.is_empty()).then(|| {
+            let index = (positions != 0).then(|| {
                 let spec = self.spec(IndexSpec {
                     pred: template.pred,
                     arity: template.args.len(),
@@ -960,8 +1061,7 @@ impl Scratch {
             for &atom in &members[spec.pred as usize] {
                 let args = core.atoms.args(atom);
                 if core.atoms.is_possible(atom) && args.len() == spec.arity {
-                    let key = hash_ids(0, spec.positions.iter().map(|&p| args[p]));
-                    index.entry(key).or_default().push(atom);
+                    index.push(spec.key(args), atom);
                 }
             }
             indexes[spec_id] = Some(index);
@@ -978,8 +1078,7 @@ impl Scratch {
             if let Some(index) = self.indexes[spec_id].as_mut() {
                 let spec = &self.specs[spec_id];
                 if spec.arity == args.len() {
-                    let key = hash_ids(0, spec.positions.iter().map(|&p| args[p]));
-                    index.entry(key).or_default().push(atom);
+                    index.push(spec.key(args), atom);
                 }
             }
         }
@@ -987,10 +1086,13 @@ impl Scratch {
 }
 
 /// A rule's matches: per match, the atom chosen for each positive
-/// occurrence followed by the slot values.
+/// occurrence, then the atom of each head, then the slot values. A join
+/// leaves the heads [`NONE`]; [`Core::insert`] writes them as it interns
+/// them, and [`Core::full_matches`] looks them up.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Matches {
     pos: usize,
+    heads: usize,
     width: usize,
     data: Vec<u32>,
     count: usize,
@@ -1009,6 +1111,7 @@ impl Matches {
 
     fn push(&mut self, chosen: &[u32], slots: &[u32]) {
         self.data.extend_from_slice(chosen);
+        self.data.extend((0..self.heads).map(|_| NONE));
         self.data.extend_from_slice(slots);
         self.count += 1;
     }
@@ -1021,18 +1124,30 @@ impl Matches {
     /// Empty the buffer for a join of `rule`, keeping its allocation.
     fn reset(&mut self, rule: &CompiledRule) {
         self.pos = rule.pos.len();
-        self.width = rule.pos.len() + rule.slots;
+        self.heads = rule.heads.len();
+        self.width = rule.pos.len() + rule.heads.len() + rule.slots;
         self.data.clear();
         self.count = 0;
     }
 
     /// The positive-body atoms of match `i`, in body order.
-    fn chosen(&self, i: usize) -> &[u32] {
+    pub(crate) fn chosen(&self, i: usize) -> &[u32] {
         &self.data[i * self.width..i * self.width + self.pos]
     }
 
+    /// The head atoms of match `i`, in head order.
+    pub(crate) fn heads(&self, i: usize) -> &[u32] {
+        let start = i * self.width + self.pos;
+        &self.data[start..start + self.heads]
+    }
+
+    fn heads_mut(&mut self, i: usize) -> &mut [u32] {
+        let start = i * self.width + self.pos;
+        &mut self.data[start..start + self.heads]
+    }
+
     fn slots(&self, i: usize) -> &[u32] {
-        &self.data[i * self.width + self.pos..(i + 1) * self.width]
+        &self.data[i * self.width + self.pos + self.heads..(i + 1) * self.width]
     }
 
     /// Sort the matches by the ranks of their positive-body atoms.
@@ -1234,8 +1349,9 @@ fn intern_tables<'t>(
 }
 
 /// The `FxHash` step: the caller-id → constant map of [`intern_tables`]
-/// hashes one `u32` per lookup, and [`TextOrder`] a short text eight bytes
-/// at a time, which SipHash would dominate.
+/// hashes one `u32` per lookup, [`TextOrder`] a short text eight bytes at a
+/// time, a join [`Index`] its already mixed key and [`Scratch`]'s plan map
+/// a `(rule, occurrence)` pair, all of which SipHash would dominate.
 #[derive(Default)]
 struct IdHasher(u64);
 
@@ -1352,7 +1468,7 @@ impl Core {
                 }
                 buf.reset(rule);
                 self.join(scratch, r, None, &mut buf);
-                self.derive(r, &buf, &mut args, scratch, queued, &mut round);
+                self.derive(r, &mut buf, &mut args, scratch, queued, &mut round);
                 if let Some(record) = record.as_deref_mut() {
                     record[r].extend(&buf);
                 }
@@ -1376,7 +1492,7 @@ impl Core {
                     let (r, k) = scratch.readers[pred][i];
                     buf.reset(&self.rules[r]);
                     self.join(scratch, r, Some((k, run, delta)), &mut buf);
-                    self.derive(r, &buf, &mut args, scratch, queued, &mut next);
+                    self.derive(r, &mut buf, &mut args, scratch, queued, &mut next);
                     if let Some(record) = record.as_deref_mut() {
                         record[r].extend(&buf);
                     }
@@ -1386,12 +1502,12 @@ impl Core {
         }
     }
 
-    /// Count the head derivations of `matches` and queue heads that are not
-    /// yet possible.
+    /// Intern the heads of `matches` into their head atoms, count the
+    /// derivations and queue heads that are not yet possible.
     fn derive(
         &mut self,
         r: usize,
-        matches: &Matches,
+        matches: &mut Matches,
         args: &mut Vec<u32>,
         scratch: &mut Scratch,
         queued: u32,
@@ -1403,6 +1519,7 @@ impl Core {
                 let pred = head.pred;
                 Self::fill(head, matches.slots(i), args);
                 let atom = self.atoms.intern(pred, args);
+                matches.heads_mut(i)[h] = atom;
                 self.atoms.support[atom as usize] += 1;
                 if !self.atoms.is_possible(atom) && !scratch.queued.is(atom, queued) {
                     scratch.queued.set(atom, queued);
@@ -1488,10 +1605,19 @@ impl Core {
         }
     }
 
-    /// Every match of rule `r` over the current possible set.
+    /// Every match of rule `r` over the current possible set, with its
+    /// head atoms, which the saturation interned.
     pub(crate) fn full_matches(&self, scratch: &mut Scratch, r: usize) -> Matches {
-        let mut out = Matches::new(&self.rules[r]);
+        let rule = &self.rules[r];
+        let mut out = Matches::new(rule);
         self.join(scratch, r, None, &mut out);
+        let mut buf = Vec::new();
+        for i in 0..out.len() {
+            for (h, head) in rule.heads.iter().enumerate() {
+                let atom = self.find_filled(head, out.slots(i), &mut buf);
+                out.heads_mut(i)[h] = atom.expect("a match's heads were derived");
+            }
+        }
         out
     }
 
@@ -1594,17 +1720,12 @@ impl Core {
         let mut group = Group::default();
         let mut buf = Vec::new();
         for i in 0..matches.len() {
-            let slots = matches.slots(i);
-            let chosen = matches.chosen(i);
-            let start = group.ids.len();
-            for h in &rule.heads {
-                let atom = self.find_filled(h, slots, &mut buf);
-                group.ids.push(atom.expect("a match's heads were derived"));
-            }
-            if group.ids[start..].iter().any(|h| chosen.contains(h)) {
-                group.ids.truncate(start);
+            let (heads, chosen) = (matches.heads(i), matches.chosen(i));
+            if heads.iter().any(|h| chosen.contains(h)) {
                 continue;
             }
+            let slots = matches.slots(i);
+            group.ids.extend_from_slice(heads);
             group.ids.extend_from_slice(chosen);
             for n in &rule.naf {
                 if let Some(atom) = self.find_filled(n, slots, &mut buf) {
@@ -1654,6 +1775,20 @@ impl Core {
             map[atom as usize] = id;
         }
         map
+    }
+
+    /// Assert that each match of rule `r` carries, as its heads, the atoms
+    /// its head templates denote under its slots ([`Core::find_filled`]).
+    #[cfg(test)]
+    pub(crate) fn assert_heads_found(&self, r: usize, matches: &Matches) {
+        let mut buf = Vec::new();
+        for i in 0..matches.len() {
+            let found: Vec<Option<u32>> = (self.rules[r].heads.iter())
+                .map(|head| self.find_filled(head, matches.slots(i), &mut buf))
+                .collect();
+            let heads: Vec<Option<u32>> = matches.heads(i).iter().map(|&h| Some(h)).collect();
+            assert_eq!(heads, found, "rule {r}, match {i}");
+        }
     }
 
     /// Bytes held by the core: symbols, atoms with their saturation state
@@ -1727,24 +1862,22 @@ impl Join<'_> {
             return;
         };
         let atoms = &self.core.atoms;
-        let (candidates, exclude_delta): (&[u32], Option<u32>) = match self.pin {
-            Some((_, delta_atoms, _)) if depth == 0 => (delta_atoms, None),
+        let (candidates, exclude_delta) = match self.pin {
+            Some((_, delta_atoms, _)) if depth == 0 => (Candidates::List(delta_atoms.iter()), None),
             pin => {
                 let exclude = pin.and_then(|(k, _, d)| (step.occurrence < k).then_some(d));
                 let candidates = match &step.index {
                     Some((spec, key)) => {
                         let hash = hash_ids(0, key.iter().map(|a| a.value(slots)));
-                        self.scratch.indexes[*spec]
-                            .as_ref()
-                            .and_then(|index| index.get(&hash))
-                            .map_or(&[][..], Vec::as_slice)
+                        let index = self.scratch.indexes[*spec].as_ref();
+                        index.expect("prepared before the join").get(hash)
                     }
-                    None => &self.scratch.members[step.pred as usize],
+                    None => Candidates::List(self.scratch.members[step.pred as usize].iter()),
                 };
                 (candidates, exclude)
             }
         };
-        for &cand in candidates {
+        for cand in candidates {
             if !atoms.is_possible(cand) {
                 continue;
             }
@@ -1895,9 +2028,8 @@ impl<'a> Emitter<'a> {
         let (mut ids, mut neg) = (std::mem::take(&mut self.ids), std::mem::take(&mut self.neg));
         ids.clear();
         neg.clear();
-        for h in &rule.heads {
-            let atom = core.find_filled(h, slots, &mut self.fill);
-            ids.push(self.id(atom.expect("a match's heads were derived")));
+        for &head in matches.heads(i) {
+            ids.push(self.id(head));
         }
         for lit in &rule.body {
             match *lit {
@@ -1925,5 +2057,53 @@ impl<'a> Emitter<'a> {
 
     pub(crate) fn finish(self) -> GroundProgram {
         self.ground
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::syntax::Program;
+
+    fn atom(p: &str, args: &[&str]) -> Atom {
+        Atom::new(p, args)
+    }
+
+    #[test]
+    fn recorded_matches_carry_their_head_atoms() {
+        use BodyItem::{Naf, Pos};
+        let mut p = Program::new();
+        for (x, y) in [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")] {
+            p.add_fact(atom("edge", &[x, y]));
+        }
+        p.add_fact(atom("mark", &["b"]));
+        let reach = |x, y| atom("reach", &[x, y]);
+        p.add_rule(Rule::new(
+            vec![reach("X", "Y")],
+            vec![Pos(atom("edge", &["X", "Y"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![reach("X", "Z")],
+            vec![Pos(reach("X", "Y")), Pos(atom("edge", &["Y", "Z"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("pair", &["X", "Y"]), atom("apart", &["X", "Y"])],
+            vec![Pos(reach("X", "Y")), Pos(atom("mark", &["Y"]))],
+        ));
+        p.add_rule(Rule::new(
+            vec![atom("lonely", &["X"])],
+            vec![Pos(atom("mark", &["X"])), Naf(reach("X", "X"))],
+        ));
+        p.add_rule(Rule::new(
+            vec![],
+            vec![Pos(atom("pair", &["X", "X"])), Pos(atom("mark", &["X"]))],
+        ));
+        let (built, _) = build_program(p.rules(), [], &|_| unreachable!());
+        let mut derived = 0;
+        for (r, matches) in built.matches.iter().enumerate() {
+            built.core.assert_heads_found(r, matches);
+            derived += matches.len() * built.core.rules[r].heads.len();
+        }
+        assert!(derived > 10, "every rule with a head derives: {derived}");
     }
 }

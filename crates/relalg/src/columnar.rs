@@ -7,8 +7,9 @@
 //! dense hashing; strings are materialized only at the answer boundary
 //! ([`CqPlan::materialize`]). Row order is whatever the constructor was
 //! given: [`ColumnarRelation::from_relation`] keeps the source
-//! [`Relation`]'s value order, and [`WorldSet::from_id_rows`] sorts its id
-//! rows. No kernel depends on row order: answers are sets of id rows.
+//! [`Relation`]'s value order, and a [`WorldSet`] sorts its id rows
+//! ([`WorldSet::from_split`], which [`WorldSet::from_id_rows`] ends in).
+//! No kernel depends on row order: answers are sets of id rows.
 //!
 //! A [`WorldSet`] holds the distinct solution worlds of one prepared slice
 //! as a shared core — the rows every world has — plus one delta per world,
@@ -265,8 +266,9 @@ impl WorldSet {
     /// and deduplicated per relation, and worlds with equal rows are kept
     /// once, in input order. The core is then the merge-intersection of
     /// each relation's sorted rows over the worlds, and each delta the
-    /// merge-difference of a world's rows and the core's. Fails when a
-    /// row's length is not its relation's arity.
+    /// merge-difference of a world's rows and the core's. The parts end in
+    /// [`WorldSet::from_split`]. Fails when a row's length is not its
+    /// relation's arity.
     pub fn from_id_rows<R>(
         relations: &[(&str, usize)],
         worlds: impl IntoIterator<Item = Vec<Vec<R>>>,
@@ -275,6 +277,15 @@ impl WorldSet {
     where
         R: AsRef<[u32]> + Ord + std::hash::Hash,
     {
+        /// Per-relation rows as `(relation index, row)` pairs.
+        fn part<'r>(
+            slots: impl IntoIterator<Item = impl IntoIterator<Item = &'r [u32]>>,
+        ) -> Vec<(usize, &'r [u32])> {
+            let slots = slots.into_iter().enumerate();
+            slots
+                .flat_map(|(slot, rows)| rows.into_iter().map(move |row| (slot, row)))
+                .collect()
+        }
         let worlds: Vec<Vec<Vec<R>>> = worlds
             .into_iter()
             .map(|mut world| {
@@ -287,50 +298,79 @@ impl WorldSet {
             .collect();
         let mut seen = HashSet::new();
         let distinct: Vec<&Vec<Vec<R>>> = worlds.iter().filter(|w| seen.insert(*w)).collect();
-        let database = |blocks: Vec<(&str, usize, Vec<&[u32]>)>| {
-            let blocks = blocks
+        let (core, deltas) = match &distinct[..] {
+            [] => (Vec::new(), Vec::new()),
+            [first, rest @ ..] => {
+                let shared: Vec<Vec<&[u32]>> = first
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, rows)| {
+                        let mut shared: Vec<&[u32]> = rows.iter().map(AsRef::as_ref).collect();
+                        for world in rest {
+                            shared = merge(&shared, &world[slot], true);
+                        }
+                        shared
+                    })
+                    .collect();
+                let deltas = distinct
+                    .iter()
+                    .map(|world| {
+                        let slots = world.iter().zip(&shared);
+                        part(slots.map(|(rows, shared)| merge(shared, rows, false)))
+                    })
+                    .collect();
+                (part(shared.iter().map(|rows| rows.iter().copied())), deltas)
+            }
+        };
+        WorldSet::from_split(relations, core, deltas, symbols)
+    }
+
+    /// The set of distinct worlds, given split into a core and per-world
+    /// deltas: `core` holds the rows every world has, `deltas[i]` world
+    /// `i`'s remaining rows, each row as its relation's index in
+    /// `relations` and its symbol ids, already minted by `symbols`. Rows
+    /// are distinct within a part and no delta row is a core row; their
+    /// order is free, because each part is sorted here once, by relation
+    /// and then by row. The core declares every relation (none when there
+    /// is no world), a delta only the relations it has rows for, and the
+    /// deltas are kept by ascending row count, ties in input order. Fails
+    /// when a row's length is not its relation's arity.
+    pub fn from_split(
+        relations: &[(&str, usize)],
+        core: Vec<(usize, &[u32])>,
+        deltas: Vec<Vec<(usize, &[u32])>>,
+        symbols: &Arc<SymbolTable>,
+    ) -> Result<WorldSet> {
+        let database = |mut part: Vec<(usize, &[u32])>, every: bool| {
+            part.sort_unstable();
+            debug_assert!(
+                part.windows(2).all(|w| w[0] != w[1]),
+                "a row repeats in a part"
+            );
+            debug_assert!(part
+                .last()
+                .map_or(true, |&(slot, _)| slot < relations.len()));
+            let rows: Vec<&[u32]> = part.iter().map(|&(_, row)| row).collect();
+            let mut at = 0;
+            let blocks: Vec<(&str, usize, &[&[u32]])> = relations
                 .iter()
-                .map(|(name, arity, rows)| (*name, *arity, &rows[..]));
+                .enumerate()
+                .map(|(slot, &(name, arity))| {
+                    let len = part[at..].iter().take_while(|(s, _)| *s == slot).count();
+                    at += len;
+                    (name, arity, &rows[at - len..at])
+                })
+                .filter(|(_, _, rows)| every || !rows.is_empty())
+                .collect();
             ColumnarDatabase::from_id_rows(blocks, symbols)
         };
-        // The core declares no relation when there is no world, so an empty
-        // set charges nothing.
-        let core: Vec<Vec<&[u32]>> = match distinct.split_first() {
-            None => Vec::new(),
-            Some((first, rest)) => (0..relations.len())
-                .map(|slot| {
-                    let mut shared: Vec<&[u32]> = first[slot].iter().map(AsRef::as_ref).collect();
-                    for world in rest {
-                        shared = merge(&shared, &world[slot], true);
-                    }
-                    shared
-                })
-                .collect(),
-        };
-        let mut deltas = distinct
-            .iter()
-            .map(|world| {
-                let blocks = relations
-                    .iter()
-                    .zip(world.iter().zip(&core))
-                    .map(|(&(name, arity), (rows, shared))| {
-                        (name, arity, merge(shared, rows, false))
-                    })
-                    .filter(|(_, _, rows)| !rows.is_empty())
-                    .collect();
-                database(blocks)
-            })
+        let core = database(core, !deltas.is_empty())?;
+        let mut deltas = deltas
+            .into_iter()
+            .map(|delta| database(delta, false))
             .collect::<Result<Vec<_>>>()?;
         deltas.sort_by_key(ColumnarDatabase::row_count);
-        let core = relations
-            .iter()
-            .zip(core)
-            .map(|(&(name, arity), rows)| (name, arity, rows))
-            .collect();
-        Ok(WorldSet {
-            core: database(core)?,
-            deltas,
-        })
+        Ok(WorldSet { core, deltas })
     }
 
     /// Number of distinct worlds.
@@ -1747,6 +1787,178 @@ mod tests {
                     *value
                 );
             }
+        }
+    }
+
+    /// `WorldSet::from_id_rows` as it was before it ended in
+    /// [`WorldSet::from_split`]: every world's rows sorted, equal worlds
+    /// dropped by hashing, the core and deltas merged and built directly.
+    fn reference_world_set(
+        relations: &[(&str, usize)],
+        worlds: &[Vec<Vec<Vec<u32>>>],
+        symbols: &Arc<SymbolTable>,
+    ) -> Result<WorldSet> {
+        let worlds: Vec<Vec<Vec<&[u32]>>> = worlds
+            .iter()
+            .map(|world| {
+                let mut world: Vec<Vec<&[u32]>> = world
+                    .iter()
+                    .map(|rows| rows.iter().map(Vec::as_slice).collect())
+                    .collect();
+                for rows in &mut world {
+                    rows.sort_unstable();
+                    rows.dedup();
+                }
+                world
+            })
+            .collect();
+        let mut seen = HashSet::new();
+        let distinct: Vec<_> = worlds.iter().filter(|w| seen.insert(*w)).collect();
+        let database = |blocks: Vec<(&str, usize, Vec<&[u32]>)>| {
+            let blocks = blocks
+                .iter()
+                .map(|(name, arity, rows)| (*name, *arity, &rows[..]));
+            ColumnarDatabase::from_id_rows(blocks, symbols)
+        };
+        let core: Vec<Vec<&[u32]>> = match distinct.split_first() {
+            None => Vec::new(),
+            Some((first, rest)) => (0..relations.len())
+                .map(|slot| {
+                    let mut shared = first[slot].clone();
+                    for world in rest {
+                        shared = merge(&shared, &world[slot], true);
+                    }
+                    shared
+                })
+                .collect(),
+        };
+        let mut deltas = distinct
+            .iter()
+            .map(|world| {
+                let blocks = relations
+                    .iter()
+                    .zip(world.iter().zip(&core))
+                    .map(|(&(name, arity), (rows, shared))| {
+                        (name, arity, merge(shared, rows, false))
+                    })
+                    .filter(|(_, _, rows)| !rows.is_empty())
+                    .collect();
+                database(blocks)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        deltas.sort_by_key(ColumnarDatabase::row_count);
+        let core = relations
+            .iter()
+            .zip(core)
+            .map(|(&(name, arity), rows)| (name, arity, rows))
+            .collect();
+        Ok(WorldSet {
+            core: database(core)?,
+            deltas,
+        })
+    }
+
+    /// The same blocks, row for row, in the same order, at the same cost.
+    fn assert_same_set(got: &WorldSet, want: &WorldSet, context: &str) {
+        let blocks = |db: &ColumnarDatabase| db.relations().cloned().collect::<Vec<_>>();
+        assert_eq!(blocks(&got.core), blocks(&want.core), "{context}: core");
+        assert_eq!(got.len(), want.len(), "{context}: world count");
+        for (i, (g, w)) in got.deltas.iter().zip(&want.deltas).enumerate() {
+            assert_eq!(blocks(g), blocks(w), "{context}: delta {i}");
+        }
+        assert_eq!(got.exact_bytes(), want.exact_bytes(), "{context}: bytes");
+    }
+
+    #[test]
+    fn split_constructor_builds_the_reference_world_sets() {
+        const RELATIONS: [(&str, usize); 3] = [("R", 2), ("S", 1), ("E", 3)];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let symbols = Arc::new(SymbolTable::new());
+        for case in 0..400 {
+            // A few rows over a small domain, so that worlds overlap and
+            // rows repeat within a world.
+            let world = |next: &mut dyn FnMut(u64) -> u64| -> Vec<Vec<Vec<u32>>> {
+                RELATIONS
+                    .iter()
+                    .map(|&(_, arity)| {
+                        let rows = if arity == 3 { next(2) } else { next(6) };
+                        (0..rows)
+                            .map(|_| (0..arity).map(|_| next(3) as u32).collect())
+                            .collect()
+                    })
+                    .collect()
+            };
+            let worlds: Vec<Vec<Vec<Vec<u32>>>> = match case % 4 {
+                0 => (0..next(2)).map(|_| world(&mut next)).collect(),
+                1 => vec![world(&mut next)],
+                2 => {
+                    let one = world(&mut next);
+                    let other = world(&mut next);
+                    vec![one.clone(), other, one.clone(), one]
+                }
+                _ => (0..2 + next(4)).map(|_| world(&mut next)).collect(),
+            };
+            let context = format!("case {case}: {worlds:?}");
+            let want = reference_world_set(&RELATIONS, &worlds, &symbols).unwrap();
+            let got = WorldSet::from_id_rows(&RELATIONS, worlds.clone(), &symbols).unwrap();
+            assert_same_set(&got, &want, &format!("from_id_rows, {context}"));
+            // The split by sets of `(relation, row)`, each part listed in
+            // reverse order for the constructor to sort.
+            let sets: Vec<BTreeSet<(usize, &[u32])>> = worlds
+                .iter()
+                .map(|world| {
+                    let slots = world.iter().enumerate();
+                    slots
+                        .flat_map(|(slot, rows)| rows.iter().map(move |row| (slot, &row[..])))
+                        .collect()
+                })
+                .collect();
+            let mut distinct: Vec<&BTreeSet<(usize, &[u32])>> = Vec::new();
+            for set in &sets {
+                if !distinct.contains(&set) {
+                    distinct.push(set);
+                }
+            }
+            let core = distinct
+                .split_first()
+                .map_or(BTreeSet::new(), |(first, rest)| {
+                    let shared = (*first).clone();
+                    rest.iter().fold(shared, |core, set| {
+                        core.intersection(set).copied().collect()
+                    })
+                });
+            let deltas: Vec<Vec<(usize, &[u32])>> = distinct
+                .iter()
+                .map(|set| {
+                    let rows: Vec<_> = set.difference(&core).copied().collect();
+                    rows.into_iter().rev().collect()
+                })
+                .collect();
+            let core: Vec<(usize, &[u32])> = core.into_iter().rev().collect();
+            let got = WorldSet::from_split(&RELATIONS, core, deltas, &symbols).unwrap();
+            assert_same_set(&got, &want, &format!("from_split, {context}"));
+        }
+        let long: Vec<Vec<Vec<u32>>> = vec![vec![vec![1, 2, 3]], vec![], vec![]];
+        for set in [
+            reference_world_set(&RELATIONS, std::slice::from_ref(&long), &symbols),
+            WorldSet::from_id_rows(&RELATIONS, [long.clone()], &symbols),
+            WorldSet::from_split(
+                &RELATIONS,
+                vec![(0, &long[0][0][..])],
+                vec![vec![]],
+                &symbols,
+            ),
+        ] {
+            assert!(matches!(
+                set,
+                Err(RelalgError::ArityMismatch { found: 3, .. })
+            ));
         }
     }
 }
