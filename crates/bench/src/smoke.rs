@@ -545,78 +545,6 @@ pub fn run_smoke_traced() -> Result<(SmokeReport, String), String> {
     }
     metrics.push(("cache_evictions".to_string(), evictions as f64));
 
-    // Sharded serving: the deterministic chain system (four disjoint
-    // chains of three peers) served through a 2-shard store must answer
-    // every peer query exactly like the single-store oracle — divergence is
-    // a hard error, not a tracked metric — and the store's operation count
-    // is pinned *exactly* in the gate: every engine read is one pin of the
-    // coordinator's epoch mirror, and no read reaches a worker shard.
-    let chain = crate::sharding::chain_system(3)?;
-    let store = Arc::new(
-        pdes_store::ShardedStore::builder(chain.clone())
-            .shards(2)
-            .build(),
-    );
-    let sharded_engine = pdes_core::engine::QueryEngine::builder(chain.clone())
-        .store(store.clone() as Arc<dyn pdes_core::store::PeerStore>)
-        .strategy(Strategy::Asp)
-        .build();
-    let oracle_engine = pdes_core::engine::QueryEngine::builder(chain.clone())
-        .strategy(Strategy::Asp)
-        .build();
-    let shard_fv = pdes_core::pca::vars(&["X", "Y"]);
-    let start = Instant::now();
-    for peer in chain.peer_ids().cloned().collect::<Vec<_>>() {
-        let relation = chain
-            .peer(&peer)
-            .map_err(|e| e.to_string())?
-            .schema
-            .relation_names()
-            .next()
-            .ok_or("chain peer owns no relation")?
-            .to_string();
-        let query = relalg::query::Formula::atom(&relation, vec!["X", "Y"]);
-        let sharded = sharded_engine
-            .answer(&peer, &query, &shard_fv)
-            .map_err(|e| e.to_string())?;
-        let oracle = oracle_engine
-            .answer(&peer, &query, &shard_fv)
-            .map_err(|e| e.to_string())?;
-        if sharded.tuples != oracle.tuples {
-            return Err(format!(
-                "sharded answers diverged from the single-store oracle at peer {peer}"
-            ));
-        }
-    }
-    metrics.push((
-        "shard_asp_cold_ms".to_string(),
-        start.elapsed().as_secs_f64() * 1e3,
-    ));
-    let naive_engine = pdes_core::engine::QueryEngine::builder(chain.clone())
-        .store(store.clone() as Arc<dyn pdes_core::store::PeerStore>)
-        .strategy(Strategy::Naive)
-        .build();
-    let head = pdes_core::system::PeerId::new("c0p0");
-    let head_query = relalg::query::Formula::atom("T0_0", vec!["X", "Y"]);
-    let naive = naive_engine
-        .answer(&head, &head_query, &shard_fv)
-        .map_err(|e| e.to_string())?;
-    let naive_oracle = oracle_engine
-        .answer_with(Strategy::Naive, &head, &head_query, &shard_fv)
-        .map_err(|e| e.to_string())?;
-    if naive.tuples != naive_oracle.tuples {
-        return Err("sharded naive answers diverged from the single-store oracle".to_string());
-    }
-    // Every store operation is a pin or a commit, each on at most one shard.
-    let store_ops = {
-        let stats = pdes_core::store::PeerStore::mvcc_stats(store.as_ref());
-        stats.pins + stats.publishes
-    };
-    if store_ops == 0 {
-        return Err("serving never reached the sharded store".to_string());
-    }
-    metrics.push(("shard_local_queries".to_string(), store_ops as f64));
-
     // Closed-loop readers under a sustained writer at a fixed small
     // configuration: the throughput is gated *downward* in CI — a read path
     // that starts blocking on commits loses most of it.
@@ -756,8 +684,6 @@ mod tests {
             "mvcc_epochs_published",
             "snapshot_pins",
             "cache_evictions",
-            "shard_asp_cold_ms",
-            "shard_local_queries",
             "reader_qps_under_writes",
             "analyzer_errors",
             "analyzer_warnings",
@@ -785,8 +711,6 @@ mod tests {
             smoke.get("trace_event_count"),
             smoke.get("trace_span_count").map(|s| s * 2.0)
         );
-        // Engine reads pin epochs from the coordinator mirror.
-        assert!(smoke.get("shard_local_queries") > Some(0.0));
         // The MVCC sub-workload pinned and published (hard errors inside
         // the run back these up).
         assert!(smoke.get("mvcc_epochs_published") > Some(0.0));

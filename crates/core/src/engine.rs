@@ -500,11 +500,10 @@ pub struct QueryEngineBuilder {
 
 impl QueryEngineBuilder {
     /// Answer over `store` — the peer-state access point shared by every
-    /// layer. Replaces the builder's current store; pass a
-    /// `pdes-store` `ShardedStore` here to serve queries over peers
-    /// partitioned across worker shards. [`QueryEngine::builder`] is the
-    /// single-system shorthand (it wraps the system into an
-    /// [`InProcessStore`]).
+    /// layer. Replaces the builder's current store; tests pass their own
+    /// [`PeerStore`] doubles or a pinned [`Snapshot`] here.
+    /// [`QueryEngine::builder`] is the single-system shorthand (it wraps the
+    /// system into an [`InProcessStore`]).
     pub fn store(mut self, store: Arc<dyn PeerStore>) -> Self {
         self.store = store;
         self
@@ -586,8 +585,7 @@ impl QueryEngineBuilder {
     /// carrying the rendered report. Without it, this never fails.
     pub fn try_build(self) -> Result<QueryEngine> {
         // The analyzer is topology-only (schemas, DECs, trust — never
-        // instance data), so the store's local replica serves it without a
-        // transport round-trip.
+        // instance data), so the store's replica serves it without a pin.
         let topology = self.store.topology().clone();
         let (report, verdicts) = topology.analyze_with_verdicts();
         if self.strict_analysis && !report.is_clean() {
@@ -754,7 +752,7 @@ pub struct QueryEngine {
     /// and applies deltas.
     store: Arc<dyn PeerStore>,
     /// Local topology replica (instances empty): closure queries, schema
-    /// checks and strategy resolution never pay a transport round-trip.
+    /// checks and strategy resolution never pin the store.
     topology: P2PSystem,
     strategy: Strategy,
     solver_config: SolverConfig,
@@ -791,7 +789,7 @@ impl QueryEngine {
 
     /// Start building an engine over `system`, served through the canonical
     /// [`InProcessStore`]. To answer over a different [`PeerStore`] (e.g. a
-    /// sharded runtime), follow with [`QueryEngineBuilder::store`].
+    /// pinned [`Snapshot`]), follow with [`QueryEngineBuilder::store`].
     pub fn builder(system: P2PSystem) -> QueryEngineBuilder {
         QueryEngineBuilder {
             store: Arc::new(InProcessStore::new(system)),
@@ -824,8 +822,8 @@ impl QueryEngine {
     }
 
     /// Materialize the full system (topology + every peer's current
-    /// instance) from the store. A transport round-trip per shard on a
-    /// sharded store — use for oracles and snapshots, not hot paths.
+    /// instance) from the store. It clones every instance — use for oracles
+    /// and snapshots, not hot paths.
     pub fn snapshot_system(&self) -> Result<P2PSystem> {
         self.pin()?.system()
     }

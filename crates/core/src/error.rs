@@ -6,8 +6,7 @@ use std::fmt;
 /// consistent query answering.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches need a wildcard arm so new
-/// failure modes (such as [`CoreError::Transport`]) can be added without a
-/// breaking release.
+/// failure modes can be added without a breaking release.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CoreError {
@@ -62,17 +61,6 @@ pub enum CoreError {
     Repair(repair::RepairError),
     /// Propagated answer-set engine error.
     Datalog(datalog::DatalogError),
-    /// A store transport failed to deliver a request to (or a response from)
-    /// a worker shard — a disconnected channel, a dead worker thread, or a
-    /// malformed reply. Carries the index of the shard that failed; the
-    /// failure description is a rendered string because transports sit below
-    /// the error type and their faults are not recoverable values.
-    Transport {
-        /// Index of the shard whose transport failed.
-        shard: usize,
-        /// Rendered description of the underlying failure.
-        source: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -114,9 +102,6 @@ impl fmt::Display for CoreError {
             CoreError::Constraint(e) => write!(f, "{e}"),
             CoreError::Repair(e) => write!(f, "{e}"),
             CoreError::Datalog(e) => write!(f, "{e}"),
-            CoreError::Transport { shard, source } => {
-                write!(f, "transport failure on shard {shard}: {source}")
-            }
         }
     }
 }
@@ -162,12 +147,6 @@ mod tests {
         assert!(CoreError::Unsupported("negated query atoms".into())
             .to_string()
             .contains("negated"));
-        let transport = CoreError::Transport {
-            shard: 2,
-            source: "reply channel disconnected".into(),
-        };
-        assert!(transport.to_string().contains("shard 2"));
-        assert!(transport.to_string().contains("disconnected"));
     }
 
     #[test]

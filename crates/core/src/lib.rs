@@ -19,8 +19,7 @@
 //!   mechanism, with per-slice memoization and relevance-driven grounding;
 //! * [`store`] — the [`store::PeerStore`] trait through which the engine and
 //!   every other layer reach peer state, with
-//!   [`store::InProcessStore`] as the canonical single-process
-//!   implementation (the sharded runtime lives in the `pdes-store` crate).
+//!   [`store::InProcessStore`] as its implementation.
 //!
 //! ## Quickstart
 //!

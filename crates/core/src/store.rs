@@ -1,9 +1,9 @@
-//! Peer-state access behind a transport-shaped API: the [`PeerStore`] trait.
+//! Peer-state access behind one API: the [`PeerStore`] trait.
 //!
 //! The paper's model is a network of *autonomous* peers. `PeerStore` is the
 //! boundary through which the engine, the session layer and the tooling
-//! reach peer state, so an in-process system and a sharded multi-worker
-//! runtime (the `pdes-store` crate's `ShardedStore`) are interchangeable
+//! reach peer state, so [`InProcessStore`] and any test double (a pinned
+//! [`Snapshot`], a store that slows or refuses commits) are interchangeable
 //! behind one API. It has one read path and one write path:
 //!
 //! * **Topology** — peers, schemas, DECs, the trust relation and local ICs —
@@ -235,17 +235,14 @@ fn intern_system(system: &P2PSystem) -> (SymbolTable, BTreeMap<PeerId, Arc<Datab
 /// The single way engine, session and tooling reach peer state: reads
 /// through [`PeerStore::pin`], writes through [`PeerStore::apply_delta`].
 ///
-/// [`InProcessStore`] is the canonical single-process implementation;
-/// `pdes-store`'s `ShardedStore` serves the same API over an in-process
-/// loopback transport with peers partitioned across worker shards. Apart
-/// from latency and the transport-failure error surface
-/// ([`CoreError::Transport`]), implementations must be observationally
-/// equivalent: same answers, same version stamps for the same mutation
-/// sequence.
+/// [`InProcessStore`] is the library's implementation; tests swap in their
+/// own. Every implementation must serve the same answers and the same
+/// version stamps for the same mutation sequence, and a commit it refuses
+/// must publish nothing.
 pub trait PeerStore: Send + Sync {
     /// The topology-only replica: every peer with its schema, DECs, trust
-    /// and local ICs, but *empty* instances. Served locally (no transport
-    /// round-trip); use it for closure queries
+    /// and local ICs, but *empty* instances. Served without a pin; use it
+    /// for closure queries
     /// ([`P2PSystem::dependencies_of`]), ownership lookups, schema checks
     /// and analysis.
     fn topology(&self) -> &P2PSystem;
@@ -639,5 +636,42 @@ mod tests {
         assert_eq!(pinned.system().unwrap(), example1_system());
         assert!(pinned.version_of(&ghost).is_err());
         assert!(pinned.instance_of(&ghost).is_err());
+    }
+
+    #[test]
+    fn two_peer_transactions_publish_one_epoch_or_nothing() {
+        let store = InProcessStore::new(example1_system());
+        let (p2, p3) = (PeerId::new("P2"), PeerId::new("P3"));
+        let tx = BTreeMap::from([
+            (p2.clone(), insert("R2", ["x", "y"])),
+            (p3.clone(), insert("R3", ["x", "y"])),
+        ]);
+        let stamps = store.apply_delta(&tx).unwrap();
+        assert_eq!(stamps, BTreeMap::from([(p2.clone(), 1), (p3.clone(), 1)]));
+        assert_eq!(store.mvcc_stats().publishes, 1);
+        let after = store.pin().unwrap();
+        assert_eq!(after.epoch(), 1);
+        assert_eq!(after.version_of(&p2).unwrap(), 1);
+        assert_eq!(after.version_of(&p3).unwrap(), 1);
+        assert!(after
+            .instance_of(&p3)
+            .unwrap()
+            .holds("R3", &Tuple::strs(["x", "y"])));
+
+        // The second delta names an unknown relation: the first peer's
+        // valid delta must not land either.
+        let torn = BTreeMap::from([
+            (p2.clone(), insert("R2", ["u", "v"])),
+            (p3.clone(), insert("Nope", ["u", "v"])),
+        ]);
+        assert!(store.apply_delta(&torn).is_err());
+        assert_eq!(store.mvcc_stats().publishes, 1);
+        let pinned = store.pin().unwrap();
+        assert_eq!(pinned.epoch(), 1);
+        assert_eq!(pinned.versions(), after.versions());
+        assert_eq!(
+            pinned.instance_of(&p2).unwrap(),
+            after.instance_of(&p2).unwrap()
+        );
     }
 }

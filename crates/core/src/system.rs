@@ -610,8 +610,7 @@ impl P2PSystem {
     /// A *topology-only* replica of this system: same peers, schemas, DECs,
     /// trust relation and local ICs, but every peer instance emptied (each
     /// declared relation is present with zero tuples). This is the part of a
-    /// system that is safe to replicate onto every node of a distributed
-    /// deployment — instances stay with their owning shard and are fetched
+    /// system that every layer may read freely — instances are fetched
     /// through a [`crate::store::PeerStore`].
     pub fn topology_only(&self) -> P2PSystem {
         let mut out = self.clone();
@@ -627,8 +626,8 @@ impl P2PSystem {
         out
     }
 
-    /// Replace a peer's instance wholesale. Used by stores to install
-    /// instances fetched over a transport into a topology-only replica; the
+    /// Replace a peer's instance wholesale. Used by snapshots to install
+    /// their pinned instances into a topology-only replica; the
     /// peer must exist, but the instance is installed as-is (it is the
     /// store's responsibility to hand over data matching the schema).
     pub fn set_instance(&mut self, peer: &PeerId, instance: Database) -> Result<()> {

@@ -263,34 +263,6 @@ impl Executor {
         Ok(out)
     }
 
-    /// [`Executor::try_map`], with the item index passed to the closure —
-    /// for fallible fan-outs whose errors must name the failing item (e.g.
-    /// a store transport tagging `CoreError::Transport` with its shard
-    /// index). Same ordering contract: results in input order, or the
-    /// error of the lowest-indexed failing item.
-    pub fn try_map_indexed<T, U, E, F>(&self, items: &[T], f: F) -> Result<Vec<U>, E>
-    where
-        T: Sync,
-        U: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<U, E> + Sync,
-    {
-        let workers = self.workers_for(items.len());
-        if workers <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-        }
-        let results = self.map_indexed(items, f);
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(out)
-    }
-
     /// Intersect the sets `f(item)` over every item (the empty set for no
     /// items) — the certain-answer fold over worlds or repairs.
     ///
@@ -509,24 +481,6 @@ mod tests {
                 Ok(BTreeSet::new()),
                 "{workers} workers"
             );
-        }
-    }
-
-    #[test]
-    fn try_map_indexed_tags_errors_with_their_index() {
-        let items = ["ok", "ok", "boom", "ok", "boom"];
-        for workers in [1, 4] {
-            let exec = Executor::new(ExecConfig::with_workers(workers));
-            let result = exec.try_map_indexed(&items, |i, s| {
-                if *s == "boom" {
-                    Err(format!("failed at {i}"))
-                } else {
-                    Ok(format!("{i}:{s}"))
-                }
-            });
-            assert_eq!(result, Err("failed at 2".to_string()), "{workers} workers");
-            let ok = exec.try_map_indexed(&items[..2], |i, s| Ok::<_, String>(format!("{i}:{s}")));
-            assert_eq!(ok.unwrap(), vec!["0:ok", "1:ok"]);
         }
     }
 

@@ -195,8 +195,8 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics when the engine's store cannot be snapshotted (a transport
-    /// failure on a sharded store); use [`Session::try_with_engine`] to
+    /// Panics when the engine's store cannot be snapshotted (a custom
+    /// `PeerStore` whose `pin` fails); use [`Session::try_with_engine`] to
     /// handle that case. Over the default in-process store this never
     /// panics.
     pub fn with_engine(engine: QueryEngine) -> Self {
@@ -516,8 +516,8 @@ impl Tx<'_> {
     ///    repairing each once. A reader pins the transaction whole or not
     ///    at all, and the receipt's sequence number matches the published
     ///    epoch ([`ReadHandle::pin`]) and [`ReadHandle::snapshot_at`]'s. A
-    ///    failed commit (a dead shard, say) leaves the store, the versions
-    ///    and the log untouched.
+    ///    failed commit (one the store refuses, say) leaves the store, the
+    ///    versions and the log untouched.
     ///
     /// A commit whose staged changes normalize to nothing is a no-op: the
     /// log and versions are untouched and the receipt reports no touched

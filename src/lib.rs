@@ -12,14 +12,12 @@
 //! * [`datalog`] — the disjunctive answer-set engine (choice operator, HCF
 //!   shifting, cautious reasoning);
 //! * [`core`] — the paper's contribution: P2P systems, trust,
-//!   solutions, peer consistent answers, rewriting and ASP specifications;
+//!   solutions, peer consistent answers, rewriting and ASP specifications,
+//!   and the [`PeerStore`] trait every layer reads peer state through, with
+//!   [`InProcessStore`] as its implementation;
 //! * [`dsl`] — a textual format for systems and queries;
 //! * [`workload`] — synthetic workload and update-stream generation for the
 //!   benchmarks;
-//! * [`store`] — the peer-sharded serving runtime: the
-//!   [`PeerStore`] transport API (re-exported from `core`), plus
-//!   [`ShardedStore`] partitioning peers across worker shards by
-//!   closure-connected components over an in-process loopback transport;
 //! * [`session`] — live, versioned systems: snapshot-isolated `&self`
 //!   reads over MVCC epochs (cloneable [`ReadHandle`]s), a single
 //!   [`Writer`] handle owning `Tx`/commit updates validated against local
@@ -47,7 +45,6 @@ pub use pdes_core as core;
 pub use pdes_exec as exec;
 pub use pdes_obs as obs;
 pub use pdes_session as session;
-pub use pdes_store as store;
 pub use relalg;
 pub use repair;
 pub use workload;
@@ -63,15 +60,14 @@ pub use pdes_core::engine::{
 };
 pub use pdes_core::pca::vars;
 pub use pdes_core::{
-    CacheMetrics, MvccStats, P2PSystem, Peer, PeerId, Snapshot, SolutionOptions, TrustLevel,
-    VersionMap,
+    CacheMetrics, InProcessStore, MvccStats, P2PSystem, Peer, PeerId, PeerStore, Snapshot,
+    SolutionOptions, TrustLevel, VersionMap,
 };
 pub use pdes_exec::{ExecConfig, Executor};
 pub use pdes_obs::{
     Histogram, HistogramSummary, MetricsRegistry, NullRecorder, Recorder, Span, TraceRecorder,
 };
 pub use pdes_session::{ReadHandle, Session, Tx, Update, Version, Writer};
-pub use pdes_store::{InProcessStore, PeerStore, ShardedStore};
 pub use relalg::query::Formula;
 pub use relalg::Tuple;
 

@@ -2,18 +2,12 @@
 //! as interned columnar id blocks, must answer exactly like the string-world
 //! reference (`pdes_bench::reference`, which builds every world as
 //! a string `Database` and intersects `QueryEvaluator` answers) — for all
-//! four strategies, over the in-process store and the sharded store at
-//! shard counts 1/2, and across live commits, on a plain
-//! scan and on a negated query. The store's symbol table must be a
+//! four strategies, over the in-process store and across live commits, on
+//! a plain scan and on a negated query. The store's symbol table must be a
 //! bijection on everything it has interned (`intern(resolve(id)) == id`),
 //! and columnar worlds must decode back to the databases they came from.
-//!
-//! Like the sharding suite, the shard grid narrows through `PDES_SHARDS`
-//! so a CI matrix leg can exercise one cell.
 
-use p2p_data_exchange::{
-    vars, Formula, P2PSystem, PeerId, PeerStore, QueryEngine, ShardedStore, Strategy, Tuple,
-};
+use p2p_data_exchange::{vars, Formula, P2PSystem, PeerId, QueryEngine, Strategy, Tuple};
 use pdes_bench::reference::reference_answers;
 use relalg::database::GroundAtom;
 use relalg::{ColumnarDatabase, Delta, Symbol, SymbolTable};
@@ -28,16 +22,6 @@ const ALL_STRATEGIES: [Strategy; 4] = [
     Strategy::Asp,
     Strategy::TransitiveAsp,
 ];
-
-fn shard_counts() -> Vec<usize> {
-    match std::env::var("PDES_SHARDS") {
-        Ok(list) => list
-            .split(',')
-            .map(|n| n.trim().parse().expect("matrix entries are integers"))
-            .collect(),
-        Err(_) => vec![1, 2],
-    }
-}
 
 /// The generated workloads the equivalence runs over: a two-peer chain with
 /// conflicts and a four-peer star (different topologies exercise different
@@ -188,33 +172,6 @@ fn interned_answers_match_legacy_across_live_commits() {
                     all_answers(&engine, strategy, &queries),
                     reference(&system, strategy, &queries),
                     "{strategy:?} diverged after commit {round}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn interned_answers_match_legacy_over_the_sharded_store() {
-    for w in workloads() {
-        let queries = peer_queries(&w.system);
-        for strategy in ALL_STRATEGIES {
-            let want = reference(&w.system, strategy, &queries);
-            for shards in shard_counts() {
-                let store = Arc::new(
-                    ShardedStore::builder(w.system.clone())
-                        .shards(shards)
-                        .build(),
-                );
-                let engine = QueryEngine::builder(w.system.clone())
-                    .store(store as Arc<dyn PeerStore>)
-                    .strategy(strategy)
-                    .build();
-                assert_eq!(
-                    all_answers(&engine, strategy, &queries),
-                    want,
-                    "{strategy:?} sharded answers diverged from the string \
-                     reference at shards={shards}"
                 );
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! * property: under a sustained writer, an engine pointed at any reader's
 //!   pinned epoch answers exactly like a fresh engine built on that epoch's
-//!   hydrated system — for all four strategies, shards 1/2;
+//!   hydrated system — for all four strategies;
 //! * `Writer::commit` completes while a [`Snapshot`] is held, and the held
 //!   snapshot stays frozen at its pre-commit epoch;
 //! * timing — readers pinned to an epoch never block on a concurrent
@@ -17,12 +17,17 @@
 //! * fault injection: a panic inside the commit-side repair leaves no
 //!   reader blocked and no wrong answer behind;
 //! * torn reads: readers racing two-peer transactions pin each one whole
-//!   or not at all.
+//!   or not at all;
+//! * refused commits: a two-peer transaction the store refuses fails with
+//!   the store's error and changes nothing — no epoch, stamp, log entry or
+//!   warm answer moves.
 
+use p2p_data_exchange::core::CoreError;
 use p2p_data_exchange::obs::Recorder;
+use p2p_data_exchange::session::SessionError;
 use p2p_data_exchange::{
     example1_system, vars, Formula, InProcessStore, P2PSystem, PeerId, PeerStore, Query,
-    QueryEngine, Session, ShardedStore, Strategy, Tuple, Update, Version,
+    QueryEngine, Session, Strategy, Tuple, Update, Version,
 };
 use proptest::prelude::*;
 use relalg::database::GroundAtom;
@@ -47,8 +52,8 @@ proptest! {
     /// the reader pins the just-published epoch. Each pinned epoch — served
     /// through the store's MVCC path by an engine whose store *is* the
     /// snapshot — answers exactly like a fresh engine built on the epoch's
-    /// hydrated system, for every strategy and shard count, even though the
-    /// live system has long since moved past the pin.
+    /// hydrated system, for every strategy, even though the live system has
+    /// long since moved past the pin.
     #[test]
     fn pinned_epochs_answer_like_fresh_engines(seed in 0u64..10, batches in 1usize..3) {
         let w = generate(&WorkloadSpec {
@@ -69,48 +74,42 @@ proptest! {
         let hot_q = Query::named("P1", Formula::atom("T1", vec!["X", "Y"]), &["X", "Y"]);
         let live_q = Query::new(w.queried_peer.clone(), w.query.clone(), w.free_vars.clone());
 
-        for shards in [1usize, 2] {
-            let store = Arc::new(
-                ShardedStore::builder(w.system.clone())
-                    .shards(shards)
-                    .build(),
-            );
-            let session = Session::with_engine(
-                QueryEngine::builder(w.system.clone())
-                    .store(store as Arc<dyn PeerStore>)
-                    .strategy(Strategy::Asp)
-                    .build(),
-            );
-            let mut writer = session.writer().unwrap();
-            let mut pins = vec![session.pin().unwrap()];
-            for batch in &stream {
-                let _ = writer
-                    .apply(&[Update::new(batch.peer.clone(), batch.delta.clone())])
-                    .unwrap();
-                pins.push(session.pin().unwrap());
-            }
-            for (i, pin) in pins.iter().enumerate() {
-                let hydrated = pin.system().unwrap();
-                // An engine whose store is the pinned snapshot itself…
-                let frozen = QueryEngine::builder(pin.topology().clone())
-                    .store(Arc::new(pin.clone()) as Arc<dyn PeerStore>)
-                    .build();
-                // …versus a fresh engine over the hydrated system.
-                let fresh = QueryEngine::builder(hydrated).build();
-                for strategy in ALL_STRATEGIES {
-                    for q in [&live_q, &hot_q] {
-                        let got = frozen
-                            .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
-                            .unwrap();
-                        let want = fresh
-                            .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
-                            .unwrap();
-                        prop_assert_eq!(
-                            &got.tuples, &want.tuples,
-                            "pin {} diverged: {:?} shards={}",
-                            i, strategy, shards
-                        );
-                    }
+        let store = Arc::new(InProcessStore::new(w.system.clone()));
+        let session = Session::with_engine(
+            QueryEngine::builder(w.system.clone())
+                .store(store as Arc<dyn PeerStore>)
+                .strategy(Strategy::Asp)
+                .build(),
+        );
+        let mut writer = session.writer().unwrap();
+        let mut pins = vec![session.pin().unwrap()];
+        for batch in &stream {
+            let _ = writer
+                .apply(&[Update::new(batch.peer.clone(), batch.delta.clone())])
+                .unwrap();
+            pins.push(session.pin().unwrap());
+        }
+        for (i, pin) in pins.iter().enumerate() {
+            let hydrated = pin.system().unwrap();
+            // An engine whose store is the pinned snapshot itself…
+            let frozen = QueryEngine::builder(pin.topology().clone())
+                .store(Arc::new(pin.clone()) as Arc<dyn PeerStore>)
+                .build();
+            // …versus a fresh engine over the hydrated system.
+            let fresh = QueryEngine::builder(hydrated).build();
+            for strategy in ALL_STRATEGIES {
+                for q in [&live_q, &hot_q] {
+                    let got = frozen
+                        .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
+                        .unwrap();
+                    let want = fresh
+                        .answer_with(strategy, &q.peer, &q.query, &q.free_vars)
+                        .unwrap();
+                    prop_assert_eq!(
+                        &got.tuples, &want.tuples,
+                        "pin {} diverged: {:?}",
+                        i, strategy
+                    );
                 }
             }
         }
@@ -144,10 +143,13 @@ fn commits_complete_while_snapshots_are_held() {
 }
 
 /// An [`InProcessStore`] whose `apply_delta` sleeps with a flag raised —
-/// the artificially slowed commit of the no-blocking acceptance test.
+/// the artificially slowed commit of the no-blocking acceptance test — or,
+/// with `refuse_next` raised, refuses the next commit with [`refusal`]
+/// before touching the inner store.
 struct SlowCommitStore {
     inner: InProcessStore,
     committing: AtomicBool,
+    refuse_next: AtomicBool,
     delay: Duration,
 }
 
@@ -156,9 +158,15 @@ impl SlowCommitStore {
         SlowCommitStore {
             inner: InProcessStore::new(system),
             committing: AtomicBool::new(false),
+            refuse_next: AtomicBool::new(false),
             delay,
         }
     }
+}
+
+/// The error a [`SlowCommitStore`] refuses a commit with.
+fn refusal() -> CoreError {
+    CoreError::Unsupported("the store refused this commit".to_string())
 }
 
 impl PeerStore for SlowCommitStore {
@@ -174,6 +182,9 @@ impl PeerStore for SlowCommitStore {
         &self,
         changes: &BTreeMap<PeerId, Delta>,
     ) -> p2p_data_exchange::core::Result<p2p_data_exchange::VersionMap> {
+        if self.refuse_next.swap(false, Ordering::SeqCst) {
+            return Err(refusal());
+        }
         self.committing.store(true, Ordering::SeqCst);
         std::thread::sleep(self.delay);
         let result = self.inner.apply_delta(changes);
@@ -242,6 +253,52 @@ fn pinned_readers_never_block_on_a_slow_commit() {
 
     // After the writer thread joins, the epoch advanced.
     assert!(session.pin().unwrap().epoch() > pinned.epoch());
+}
+
+/// A two-peer transaction the store refuses fails with exactly the store's
+/// error and changes nothing: not the pinned epoch, the stamps, the hydrated
+/// system, the session's versions or log, the store's publish count, nor a
+/// warm answer over the closure the transaction touches.
+#[test]
+fn a_refused_commit_fails_a_spanning_transaction_and_changes_nothing() {
+    let store = Arc::new(SlowCommitStore::new(example1_system(), Duration::ZERO));
+    let session = Session::with_engine(
+        QueryEngine::builder(example1_system())
+            .store(store.clone() as Arc<dyn PeerStore>)
+            .strategy(Strategy::Asp)
+            .build(),
+    );
+    let (p2, p3) = (PeerId::new("P2"), PeerId::new("P3"));
+    // P1 imports from P2 and P3, so its answers depend on both halves.
+    let q1 = Query::named("P1", Formula::atom("R1", vec!["X", "Y"]), &["X", "Y"]);
+    let mut writer = session.writer().unwrap();
+    let mut spanning = |tag: &str| {
+        let mut tx = writer.begin();
+        tx.insert(&p2, "R2", Tuple::strs([tag, "v"])).unwrap();
+        tx.insert(&p3, "R3", Tuple::strs([tag, "v"])).unwrap();
+        tx.commit()
+    };
+    let _ = spanning("first").expect("live commit");
+    let warm = session.query(&q1).unwrap();
+    let before = (session.pin().unwrap(), session.versions(), session.log());
+    let publishes = store.mvcc_stats().publishes;
+
+    store.refuse_next.store(true, Ordering::SeqCst);
+    let err = spanning("second").expect_err("the store refuses the commit");
+    assert!(
+        matches!(&err, SessionError::Core(e) if *e == refusal()),
+        "expected the store's refusal, got {err:?}"
+    );
+    let pinned = session.pin().unwrap();
+    assert_eq!(pinned.epoch(), before.0.epoch());
+    assert_eq!(pinned.versions(), before.0.versions());
+    assert_eq!(pinned.system().unwrap(), before.0.system().unwrap());
+    assert_eq!(session.versions(), before.1);
+    assert_eq!(session.log(), before.2);
+    assert_eq!(store.mvcc_stats().publishes, publishes);
+    let after = session.query(&q1).unwrap();
+    assert!(after.stats.cache_hit, "the refused commit staled nothing");
+    assert_eq!(after.tuples, warm.tuples);
 }
 
 /// Raises a flag when dropped, so reader loops stop also when the writer
