@@ -26,7 +26,7 @@
 //! | `PDES-A204` | warning | trust entry between peers that share no DEC |
 //! | `PDES-A205` | warning | asymmetric (or mutually deferring) trust |
 //! | `PDES-A206` | warning | DEC without a matching trust declaration |
-//! | `PDES-A207` | info | one closure-connected component (sharding-hostile) |
+//! | `PDES-A207` | info | undirected DEC graph is one component spanning all peers |
 //! | `PDES-A301` | info | not rewritable: peer has local ICs |
 //! | `PDES-A302` | info | not rewritable: less-trusted DEC is not a full inclusion |
 //! | `PDES-A303` | info | not rewritable: same-trusted DEC is not key agreement |

@@ -232,24 +232,20 @@ fn untrusted_dec_fires_a206() {
 
 #[test]
 fn one_giant_component_fires_a207() {
-    // A—B—C chained by DECs: one closure-connected component spanning all
-    // peers, so closure-based sharding cannot spread them.
+    // A—B—C chained by DECs: the undirected DEC graph is one component
+    // spanning all peers.
     let report = lint_source(
         "peer A\npeer B\npeer C\n\
          relation A R(k, v)\nrelation B S(k, v)\nrelation C T(k, v)\n\
          trust A less B\ntrust B less C\n\
          dec d1 A B: S(X, Y) -> R(X, Y)\ndec d2 B C: T(X, Y) -> S(X, Y)\n",
     );
-    assert!(
-        report.has_code(codes::SHARDING_HOSTILE),
-        "{}",
-        report.render()
-    );
+    assert!(report.has_code(codes::ONE_COMPONENT), "{}", report.render());
 }
 
 #[test]
 fn split_components_do_not_fire_a207() {
-    // Two disjoint DEC pairs: two components, sharding can separate them.
+    // Two disjoint DEC pairs: two components.
     let report = lint_source(
         "peer A\npeer B\npeer C\npeer D\n\
          relation A R(k, v)\nrelation B S(k, v)\n\
@@ -258,7 +254,7 @@ fn split_components_do_not_fire_a207() {
          dec d1 A B: S(X, Y) -> R(X, Y)\ndec d2 C D: U(X, Y) -> T(X, Y)\n",
     );
     assert!(
-        !report.has_code(codes::SHARDING_HOSTILE),
+        !report.has_code(codes::ONE_COMPONENT),
         "{}",
         report.render()
     );

@@ -82,10 +82,9 @@ pub mod codes {
     /// A DEC whose owner declares no trust towards the other peer (the
     /// semantics ignores such DECs).
     pub const UNTRUSTED_DEC: &str = "PDES-A206";
-    /// The whole DEC network is one closure-connected component: every
-    /// peer is (transitively) relevant to every other, so closure-based
-    /// sharding degenerates to a single shard (sharding-hostile topology).
-    pub const SHARDING_HOSTILE: &str = "PDES-A207";
+    /// The undirected DEC graph is one connected component spanning every
+    /// peer (of a system with two peers or more).
+    pub const ONE_COMPONENT: &str = "PDES-A207";
     /// Not rewritable: the peer has local integrity constraints.
     pub const REWRITE_LOCAL_ICS: &str = "PDES-A301";
     /// Not rewritable: a DEC towards a more-trusted peer is not a full
@@ -603,9 +602,8 @@ fn check_topology(system: &P2PSystem, report: &mut Report) {
         }
     }
 
-    // Sharding affinity: if the *undirected* DEC graph is one component
-    // spanning every peer, closure-connected-component partitioning (the
-    // sharded store's placement unit) can never use more than one shard.
+    // Connectivity: is the *undirected* DEC graph one component spanning
+    // every peer?
     if peers.len() > 1 {
         let mut parent: Vec<usize> = (0..peers.len()).collect();
         fn find(parent: &mut [usize], mut i: usize) -> usize {
@@ -622,12 +620,11 @@ fn check_topology(system: &P2PSystem, report: &mut Report) {
         let roots: BTreeSet<usize> = (0..peers.len()).map(|i| find(&mut parent, i)).collect();
         if roots.len() == 1 {
             report.push(Diagnostic {
-                code: codes::SHARDING_HOSTILE,
+                code: codes::ONE_COMPONENT,
                 severity: Severity::Info,
                 location: Location::System,
                 message: format!(
-                    "the DEC network is one closure-connected component spanning all \
-                     {} peers; closure-based sharding degenerates to a single shard",
+                    "the undirected DEC graph is one connected component spanning all {} peers",
                     peers.len()
                 ),
                 payload: vec![("peers".into(), peers.len().to_string())],

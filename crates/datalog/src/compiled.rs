@@ -127,7 +127,10 @@ impl CompiledProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ground::{GroundProgram, GroundRule};
+    use crate::shift::shift_ground;
     use crate::syntax::{Atom, BodyItem, Rule};
+    use std::collections::BTreeSet;
 
     fn atom(p: &str, args: &[&str]) -> Atom {
         Atom::new(p, args)
@@ -303,5 +306,95 @@ mod tests {
         let want = IncrementalGround::new(&analysis.restrict(&program)).unwrap();
         assert_eq!(got.to_ground().to_string(), want.to_ground().to_string());
         assert_eq!(got.exact_bytes(), want.exact_bytes());
+    }
+
+    /// `ground` rebuilt atom by atom and rule by rule through the public
+    /// `intern` and `add_rule`: the same ids and rules, no certificate.
+    fn uncertified(ground: &GroundProgram) -> GroundProgram {
+        let mut copy = GroundProgram::default();
+        for (id, atom) in ground.atoms() {
+            assert_eq!(copy.intern(atom), id);
+        }
+        for rule in ground.rules() {
+            copy.add_rule(GroundRule {
+                heads: rule.heads.to_vec(),
+                pos: rule.pos.to_vec(),
+                neg: rule.neg.to_vec(),
+            });
+        }
+        copy
+    }
+
+    #[test]
+    fn the_tightness_certificate_changes_no_model_and_no_branch_node() {
+        use crate::solve::{solve, solve_ground_recorded, SolveResult, SolverConfig};
+        use crate::syntax::{ChoiceAtom, Term};
+        use pdes_exec::Executor;
+        use pdes_obs::TraceRecorder;
+        // The recursive `reach` program, plus a disjunction, a choice and
+        // default negation over its non-recursive part.
+        let mut program = program();
+        program.add_rule(Rule::new(
+            vec![atom("in", &["X"]), atom("out", &["X"])],
+            vec![
+                BodyItem::Pos(atom("edge", &["X", "Y"])),
+                BodyItem::Naf(atom("loop", &["X", "X"])),
+            ],
+        ));
+        program.add_rule(Rule::new(
+            vec![atom("pick", &["X", "Y"])],
+            vec![
+                BodyItem::Pos(atom("edge", &["X", "Y"])),
+                BodyItem::Pos(atom("in", &["X"])),
+                BodyItem::Choice(ChoiceAtom::new(vec![Term::var("X")], vec![Term::var("Y")])),
+            ],
+        ));
+        program.add_constraint(vec![
+            BodyItem::Pos(atom("pick", &["X", "Y"])),
+            BodyItem::Pos(atom("out", &["Y"])),
+        ]);
+        let compiled = CompiledProgram::new(&program).unwrap();
+        let order = Arc::new(TextOrder::new());
+        let solved = |ground: GroundProgram| {
+            let recorder = TraceRecorder::new();
+            let config = SolverConfig::default();
+            let result =
+                solve_ground_recorded(ground, config, &Executor::sequential(), &recorder).unwrap();
+            let passes = recorder.registry().counter_value("solver.unfounded_passes");
+            (result, passes)
+        };
+        let decoded = |r: &SolveResult| -> BTreeSet<_> {
+            r.answer_sets.iter().map(|s| r.ground.decode(s)).collect()
+        };
+        for (seed, recursive) in [
+            ("reach", true),
+            ("in", false),
+            ("pick", false),
+            ("colored", false),
+        ] {
+            let analysis = compiled.analyze([], &[QuerySeed::new(seed)]);
+            let (state, _) = compiled.ground(&analysis, [], &Vec::new(), &order);
+            let ground = state.to_solver();
+            assert_eq!(ground.is_tight(), !recursive, "{seed}");
+            assert_eq!(state.to_ground().is_tight(), !recursive, "{seed}");
+            assert_eq!(shift_ground(&state.to_ground()).is_tight(), !recursive);
+            let copy = uncertified(&ground);
+            assert!(!copy.is_tight(), "{seed}: `add_rule` drops the certificate");
+            let (certified, passes) = solved(ground);
+            let (reference, reference_passes) = solved(copy);
+            assert_eq!(certified.answer_sets, reference.answer_sets, "{seed}");
+            assert_eq!(certified.branch_nodes, reference.branch_nodes, "{seed}");
+            assert!(reference_passes > 0, "{seed}");
+            if recursive {
+                assert_eq!(passes, reference_passes, "{seed}");
+            } else {
+                assert_eq!(passes, 0, "{seed}: a tight slice runs no pass");
+            }
+            // The text front door is never certified and agrees.
+            let text = solve(&analysis.restrict(&program), SolverConfig::default()).unwrap();
+            assert!(!text.ground.is_tight());
+            assert_eq!(decoded(&certified), decoded(&text), "{seed}");
+            assert!(!certified.answer_sets.is_empty(), "{seed}");
+        }
     }
 }

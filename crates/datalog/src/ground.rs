@@ -219,6 +219,12 @@ impl<'a> Iterator for RuleIter<'a> {
 /// shift keep no index from atoms to ids; [`GroundProgram::atom_id`] and
 /// [`GroundProgram::intern`] build a hash index on first use. The rules are
 /// one flat table (see the module docs), lent as [`RuleRef`] slices.
+///
+/// A program may carry a *tightness certificate*
+/// ([`GroundProgram::is_tight`]): its rules have no positive cycle, so the
+/// solver may skip its unfounded-set pass. Only a grounding that proved it
+/// sets it ([`crate::IncrementalGround::to_ground`] and `to_solver`); the
+/// shift keeps it, and [`GroundProgram::add_rule`] drops it.
 #[derive(Debug, Clone, Default)]
 pub struct GroundProgram {
     symbols: Arc<Symbols>,
@@ -235,6 +241,8 @@ pub struct GroundProgram {
     rule_ends: Vec<[u32; 3]>,
     /// Whether some rule has two or more heads.
     disjunctive: bool,
+    /// Certified free of positive cycles (see [`GroundProgram::is_tight`]).
+    tight: bool,
     /// Atom ids keyed by the predicate id followed by the constant ids;
     /// built by the first lookup and kept current by every later append.
     index: OnceLock<HashMap<Box<[u32]>, AtomId>>,
@@ -379,9 +387,27 @@ impl GroundProgram {
         self.push_atom(pred, &args)
     }
 
-    /// Add a ground rule.
+    /// Add a ground rule. The rule may close a positive cycle, so the
+    /// program loses its tightness certificate.
     pub fn add_rule(&mut self, rule: GroundRule) {
+        self.tight = false;
         self.push_rule(&rule.heads, &rule.pos, &[&rule.neg]);
+    }
+
+    /// Whether the program is certified *tight*: no atom depends on itself
+    /// through positive body literals alone. On a tight program every
+    /// supported model is stable (Fages 1994), which lets
+    /// [`crate::solve::NormalSolver`] skip its unfounded-set pass. `false`
+    /// means only "not certified": programs from [`Grounder`] or built by
+    /// hand are never certified, tight or not.
+    pub fn is_tight(&self) -> bool {
+        self.tight
+    }
+
+    /// Certify the program tight; the caller has proved it (see
+    /// [`GroundProgram::is_tight`]).
+    pub(crate) fn certify_tight(&mut self) {
+        self.tight = true;
     }
 
     /// Append the rule `heads :- pos, not neg` to the rule table, its
@@ -420,8 +446,8 @@ impl GroundProgram {
         (0..self.atom_count()).map(|id| (id, self.atom(id)))
     }
 
-    /// Render a set of atom ids as ground atoms (sorted, for stable output).
-    pub fn decode(&self, ids: &BTreeSet<AtomId>) -> BTreeSet<GroundAtom> {
+    /// Render atom ids as ground atoms (sorted, for stable output).
+    pub fn decode(&self, ids: &[AtomId]) -> BTreeSet<GroundAtom> {
         ids.iter().map(|&id| self.atom(id)).collect()
     }
 }

@@ -313,7 +313,10 @@ impl IncrementalGround {
 
     /// Emit the [`GroundProgram`] of the current facts and instance groups:
     /// no joins, each atom's ids copied once, in first-use order, over the
-    /// state's shared symbol table.
+    /// state's shared symbol table. The program is certified tight
+    /// ([`GroundProgram::is_tight`]) when no predicate of the state's rules
+    /// feeds a positive recursive component: a predicate-level positive
+    /// graph without cycles has no ground positive cycle either.
     pub fn to_ground(&self) -> GroundProgram {
         self.emit(false)
     }
@@ -321,9 +324,17 @@ impl IncrementalGround {
     /// The program the solver runs: for a [`crate::CompiledProgram`]
     /// certified head-cycle-free, the shift of [`IncrementalGround::to_ground`]
     /// (rule for rule and id for id), unchecked; otherwise `to_ground` itself.
+    /// Either way it carries `to_ground`'s tightness certificate: the shift
+    /// adds default-negated literals only.
     pub fn to_solver(&self) -> GroundProgram {
         debug_assert!(!self.hcf || crate::graph::is_head_cycle_free(&self.to_ground()));
         self.emit(self.hcf)
+    }
+
+    /// Whether the state's rules have no positive cycle at the predicate
+    /// level. Patches add facts, never rules, so this holds across them.
+    fn is_tight(&self) -> bool {
+        !self.feeds_recursion.contains(&true)
     }
 
     fn emit(&self, shift: bool) -> GroundProgram {
@@ -339,7 +350,11 @@ impl IncrementalGround {
                 emitter.rule(&ids[..heads], &ids[heads..body], &ids[body..], shift);
             }
         }
-        emitter.finish()
+        let mut program = emitter.finish();
+        if self.is_tight() {
+            program.certify_tight();
+        }
+        program
     }
 }
 

@@ -27,7 +27,8 @@
 //! * [`graph`] — dependency graphs, stratification and head-cycle-freeness;
 //! * [`shift`] — the HCF disjunctive → normal shifting of Section 4.1;
 //! * [`solve`](mod@solve) — stable-model enumeration (DPLL-style search with forward,
-//!   support and unfounded-set propagation for normal programs; candidate
+//!   support and unfounded-set propagation for normal programs, the last
+//!   skipped on programs certified tight; candidate
 //!   enumeration plus reduct-minimality checking for non-HCF disjunctive
 //!   programs);
 //! * [`reason`] — cautious / brave consequences and query-predicate

@@ -8,7 +8,7 @@
 //!   assignment at the propagation fixpoint is an answer set already (the
 //!   type's docs give the argument), so only its coherence is checked;
 //!   debug builds also re-run the Gelfond–Lifschitz reduct check on it as
-//!   an assertion.
+//!   an assertion. Models are sorted vectors of atom ids.
 //! * [`DisjunctiveSolver`] — answer sets of arbitrary ground disjunctive
 //!   programs by candidate-model enumeration plus a reduct-minimality check.
 //!   This is only used for programs that are *not* head-cycle-free; the
@@ -39,7 +39,15 @@
 //!   computes the atoms still derivable when unassigned negated literals
 //!   are read optimistically — a Horn least model by missing-positive
 //!   counters (Dowling & Gallier, 1984) — and every other atom becomes
-//!   false. Coherence compares ids through a complement-id table.
+//!   false. A program certified tight ([`GroundProgram::is_tight`]: no
+//!   positive cycle) skips the pass: at a fixpoint of forward and support
+//!   propagation it can set nothing and find no conflict, so the closure
+//!   and the search tree are the same without it (see [`NormalSolver`]).
+//!   Debug builds run it anyway and assert that. Every pass run counts
+//!   towards the `solver.unfounded_passes` counter.
+//! * **Coherence.** A complete assignment is checked against the list of
+//!   complement pairs (`p` and `-p` both interned), compared by id; a
+//!   program without such a pair checks nothing.
 //! * **Branching.** The branch atom is read off the counters: the first
 //!   rule whose body is neither dead nor true gives an unassigned
 //!   default-negated atom, else the first such rule an unassigned positive
@@ -103,8 +111,9 @@ pub struct SolveResult {
     /// The ground program that was solved (after choice unfolding and, when
     /// applicable, HCF shifting of the original).
     pub ground: GroundProgram,
-    /// The answer sets, as sets of atom ids of `ground`.
-    pub answer_sets: Vec<BTreeSet<AtomId>>,
+    /// The answer sets, each as the sorted atom ids of `ground` it makes
+    /// true; the list itself is sorted and free of duplicates.
+    pub answer_sets: Vec<Vec<AtomId>>,
     /// Number of branch nodes explored.
     pub branch_nodes: usize,
     /// Whether the disjunctive program was solved by HCF shifting.
@@ -169,8 +178,10 @@ pub fn solve_ground_with(
 
 /// [`solve_ground_with`], reporting search telemetry to `recorder`: every
 /// explored branch node counts towards the `solver.branch_nodes` counter,
-/// and each parallel search subtree runs under a `solve.subtree` span (so a
-/// trace shows the fan-out shape and per-subtree time).
+/// every unfounded-set pass of a normal search towards
+/// `solver.unfounded_passes`, and each parallel search subtree runs under a
+/// `solve.subtree` span (so a trace shows the fan-out shape and per-subtree
+/// time).
 pub fn solve_ground_recorded(
     ground: GroundProgram,
     config: SolverConfig,
@@ -235,14 +246,13 @@ impl NodeBudget<'_> {
 /// Truth assignment used during search.
 type Assignment = Vec<Option<bool>>;
 
-/// The complement-id table of a ground program: for every atom whose
-/// complement (`p` ↔ `-p`) is interned too, the complement's id. Computed
-/// once per ground program, so the coherence check compares ids only.
-/// Atoms pair by id: a predicate id with its other-signed twin, then equal
-/// constant ids.
-fn complement_ids(program: &GroundProgram) -> Vec<Option<AtomId>> {
+/// The complement pairs of a ground program: `(p, -p)` for every atom
+/// whose complement is interned too. Computed once per ground program, so
+/// the coherence check compares ids only. Atoms pair by id: a predicate id
+/// with its other-signed twin, then equal constant ids.
+fn complement_pairs(program: &GroundProgram) -> Vec<(AtomId, AtomId)> {
     let n = program.atom_count();
-    let mut complements = vec![None; n];
+    let mut pairs = Vec::new();
     let twin: Vec<Option<u32>> = (0..program.predicate_count() as u32)
         .map(|pred| program.complement_predicate(pred))
         .collect();
@@ -255,7 +265,7 @@ fn complement_ids(program: &GroundProgram) -> Vec<Option<AtomId>> {
         }
     }
     if positive.is_empty() {
-        return complements;
+        return pairs;
     }
     for id in 0..n {
         let pred = program.atom_predicate(id);
@@ -263,24 +273,20 @@ fn complement_ids(program: &GroundProgram) -> Vec<Option<AtomId>> {
             continue;
         };
         if let Some(&other) = positive.get(&(twin, program.atom_args(id))) {
-            complements[id] = Some(other);
-            complements[other] = Some(id);
+            pairs.push((other, id));
         }
     }
-    complements
+    pairs
 }
 
 /// Is the complete assignment coherent, i.e. free of `p` / `-p` clashes?
-fn is_coherent(complements: &[Option<AtomId>], assign: &Assignment) -> bool {
+fn is_coherent(complements: &[(AtomId, AtomId)], assign: &Assignment) -> bool {
     let holds = |a: AtomId| assign[a] == Some(true);
-    complements
-        .iter()
-        .enumerate()
-        .all(|(atom, complement)| !(holds(atom) && complement.is_some_and(holds)))
+    !complements.iter().any(|&(p, q)| holds(p) && holds(q))
 }
 
-/// The true atoms of a complete assignment.
-fn true_atoms(assign: &Assignment) -> BTreeSet<AtomId> {
+/// The true atoms of a complete assignment, in id order.
+fn true_atoms(assign: &Assignment) -> Vec<AtomId> {
     assign
         .iter()
         .enumerate()
@@ -388,6 +394,20 @@ impl Occurrences {
 ///   over rules whose bodies are true in M; those rules are rules of P^M,
 ///   so M ⊆ LM(P^M).
 ///
+/// On a program certified tight ([`GroundProgram::is_tight`]) propagation
+/// stops at the fixpoint of forward and support propagation, and the last
+/// step reads differently. Support propagation makes an atom false once its
+/// last rule's body dies, so every true atom of a complete fixpoint M heads
+/// a rule whose body is true in M: M is a *supported* model. On a tight
+/// program every supported model is stable (Fages 1994; Erdem & Lifschitz,
+/// "Tight logic programs", 2003). The skipped pass would have changed
+/// nothing: along the positive dependency order, which tightness makes
+/// well-founded, every atom not false at a support fixpoint heads a rule
+/// with no dead body literal, whose positive atoms are not false either and
+/// so derivable, so it is optimistically derivable itself. The search tree
+/// is therefore the same with or without the pass; debug builds run it and
+/// assert that it sets nothing and finds no conflict.
+///
 /// So a complete assignment is kept when it is coherent. The
 /// Gelfond–Lifschitz check is a `debug_assert!`: every debug-build solve
 /// re-checks the argument on every model it finds.
@@ -402,8 +422,8 @@ pub struct NormalSolver<'a> {
     pos_occ: Occurrences,
     /// Per atom: the rules with the atom default-negated in their body.
     neg_occ: Occurrences,
-    /// Per atom: its complement's id (see [`complement_ids`]).
-    complements: Vec<Option<AtomId>>,
+    /// The complement pairs (see [`complement_pairs`]).
+    complements: Vec<(AtomId, AtomId)>,
 }
 
 impl Drop for NormalSolver<'_> {
@@ -465,12 +485,13 @@ impl<'a> NormalSolver<'a> {
             head_rules,
             pos_occ: Occurrences::build(atoms, rules, |[heads_end, pos_end, _]| heads_end..pos_end),
             neg_occ: Occurrences::build(atoms, rules, |[_, pos_end, end]| pos_end..end),
-            complements: complement_ids(program),
+            complements: complement_pairs(program),
         }
     }
 
-    /// Enumerate all stable models. Returns (models, branch node count).
-    pub fn answer_sets(&self) -> Result<(Vec<BTreeSet<AtomId>>, usize), DatalogError> {
+    /// Enumerate all stable models, each as sorted atom ids. Returns
+    /// (models, branch node count).
+    pub fn answer_sets(&self) -> Result<(Vec<Vec<AtomId>>, usize), DatalogError> {
         self.answer_sets_with(&Executor::sequential())
     }
 
@@ -484,18 +505,18 @@ impl<'a> NormalSolver<'a> {
     pub fn answer_sets_with(
         &self,
         exec: &Executor,
-    ) -> Result<(Vec<BTreeSet<AtomId>>, usize), DatalogError> {
+    ) -> Result<(Vec<Vec<AtomId>>, usize), DatalogError> {
         self.answer_sets_recorded(exec, &pdes_obs::NullRecorder)
     }
 
     /// [`Self::answer_sets_with`], reporting search telemetry to `recorder`
-    /// (`solver.branch_nodes` counter; one `solve.subtree` span per parallel
-    /// search subtree).
+    /// (`solver.branch_nodes` and `solver.unfounded_passes` counters; one
+    /// `solve.subtree` span per parallel search subtree).
     pub fn answer_sets_recorded(
         &self,
         exec: &Executor,
         recorder: &dyn Recorder,
-    ) -> Result<(Vec<BTreeSet<AtomId>>, usize), DatalogError> {
+    ) -> Result<(Vec<Vec<AtomId>>, usize), DatalogError> {
         let counter = AtomicUsize::new(0);
         let budget = NodeBudget {
             counter: &counter,
@@ -504,25 +525,33 @@ impl<'a> NormalSolver<'a> {
         let root: Assignment = vec![None; self.program.atom_count()];
         let workers = exec.config().workers;
         let mut models = Vec::new();
+        let mut passes = 0;
         if workers <= 1 || self.program.atom_count() < self.config.parallel_min_atoms {
-            self.search(&mut SearchState::new(self, &root), &mut models, &budget)?;
+            let mut state = SearchState::new(self, &root);
+            self.search(&mut state, &mut models, &budget)?;
+            passes = state.passes;
         } else {
-            let seeds = self.expand_seeds(root, workers * 4, &mut models, &budget)?;
+            let seeds = self.expand_seeds(root, workers * 4, &mut models, &budget, &mut passes)?;
             recorder.count("solver.subtrees", seeds.len() as u64);
             let found = exec.try_map(&seeds, |seed| {
                 let span = Span::enter(recorder, "solve.subtree");
                 let mut local = Vec::new();
-                self.search(&mut SearchState::new(self, seed), &mut local, &budget)?;
+                let mut state = SearchState::new(self, seed);
+                self.search(&mut state, &mut local, &budget)?;
                 span.finish();
-                Ok::<_, DatalogError>(local)
+                Ok::<_, DatalogError>((local, state.passes))
             })?;
-            models.extend(found.into_iter().flatten());
+            for (local, subtree_passes) in found {
+                models.extend(local);
+                passes += subtree_passes;
+            }
         }
         // Deterministic order for reproducibility.
         models.sort();
         models.dedup();
         let branch_nodes = counter.load(Ordering::Relaxed);
         recorder.count("solver.branch_nodes", branch_nodes as u64);
+        recorder.count("solver.unfounded_passes", passes as u64);
         Ok((models, branch_nodes))
     }
 
@@ -530,13 +559,15 @@ impl<'a> NormalSolver<'a> {
     /// nodes exist (or the tree is exhausted). Complete nodes encountered on
     /// the way are model-checked into `models` directly; the returned seeds
     /// are exactly the open frontier, so seeds ∪ visited covers the same
-    /// tree the sequential search walks.
+    /// tree the sequential search walks. Adds the unfounded-set passes it
+    /// runs to `passes`.
     fn expand_seeds(
         &self,
         root: Assignment,
         target: usize,
-        models: &mut Vec<BTreeSet<AtomId>>,
+        models: &mut Vec<Vec<AtomId>>,
         budget: &NodeBudget<'_>,
+        passes: &mut usize,
     ) -> Result<Vec<Assignment>, DatalogError> {
         let mut frontier: VecDeque<Assignment> = VecDeque::from([root]);
         while frontier.len() < target {
@@ -545,7 +576,9 @@ impl<'a> NormalSolver<'a> {
             };
             budget.tick()?;
             let mut state = SearchState::new(self, &seed);
-            if !state.propagate() {
+            let consistent = state.propagate();
+            *passes += state.passes;
+            if !consistent {
                 continue;
             }
             match self.pick_branch_atom(&state) {
@@ -565,7 +598,7 @@ impl<'a> NormalSolver<'a> {
     /// Keep a complete assignment at a propagation fixpoint when it is
     /// coherent. It is stable already (see [`NormalSolver`]); debug builds
     /// check that again with the reduct's least model.
-    fn collect_model(&self, assign: &Assignment, models: &mut Vec<BTreeSet<AtomId>>) {
+    fn collect_model(&self, assign: &Assignment, models: &mut Vec<Vec<AtomId>>) {
         debug_assert!(
             self.is_stable(assign),
             "a total propagation fixpoint is stable"
@@ -580,7 +613,7 @@ impl<'a> NormalSolver<'a> {
     fn search(
         &self,
         state: &mut SearchState<'_, 'a>,
-        models: &mut Vec<BTreeSet<AtomId>>,
+        models: &mut Vec<Vec<AtomId>>,
         budget: &NodeBudget<'_>,
     ) -> Result<(), DatalogError> {
         budget.tick()?;
@@ -734,6 +767,19 @@ struct SearchState<'s, 'a> {
     derivable: Vec<bool>,
     /// Per rule: the unfounded-set pass's missing-positive counters.
     missing: Vec<usize>,
+    /// Unfounded-set passes run, for the `solver.unfounded_passes` counter.
+    passes: usize,
+}
+
+/// What one unfounded-set pass did to the assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unfounded {
+    /// Every atom outside the derivable set was false already.
+    Unchanged,
+    /// Some unassigned atoms were unfounded and are now false.
+    Falsified,
+    /// A true atom is unfounded.
+    Conflict,
 }
 
 impl<'s, 'a> SearchState<'s, 'a> {
@@ -754,6 +800,7 @@ impl<'s, 'a> SearchState<'s, 'a> {
             unsupported: buffer((0..atoms).filter(|&a| solver.head_rules[a] == 0)),
             derivable: vec![false; atoms],
             missing: buffer((0..rules).map(|_| 0)),
+            passes: 0,
         };
         for (atom, value) in seed.iter().enumerate() {
             if let Some(value) = *value {
@@ -815,33 +862,51 @@ impl<'s, 'a> SearchState<'s, 'a> {
     }
 
     /// Extend the assignment to the closure of forward, support and
-    /// unfounded-set propagation. Returns `false` on conflict.
+    /// unfounded-set propagation. Returns `false` on conflict. On a program
+    /// certified tight the closure is reached without the unfounded-set
+    /// pass (see [`NormalSolver`]); debug builds run it to check that.
     fn propagate(&mut self) -> bool {
+        let tight = self.solver.program.is_tight();
         loop {
             if !self.propagate_queued() {
                 return false;
             }
-            // Unfounded-set pruning: atoms outside the optimistic derivable
-            // set cannot be true.
-            self.optimistic_derivable();
-            let mut changed = false;
-            for atom in 0..self.assign.len() {
-                if self.derivable[atom] {
-                    continue;
-                }
-                match self.assign[atom] {
-                    Some(true) => return false,
-                    Some(false) => {}
-                    None => {
-                        self.set(atom, false);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
+            if tight {
+                debug_assert_eq!(
+                    self.falsify_unfounded(),
+                    Unfounded::Unchanged,
+                    "a tight program's support fixpoint has no unfounded atom"
+                );
                 return true;
             }
+            self.passes += 1;
+            match self.falsify_unfounded() {
+                Unfounded::Unchanged => return true,
+                Unfounded::Falsified => {}
+                Unfounded::Conflict => return false,
+            }
         }
+    }
+
+    /// Unfounded-set pruning: atoms outside the optimistic derivable set
+    /// cannot be true, so the unassigned ones become false.
+    fn falsify_unfounded(&mut self) -> Unfounded {
+        self.optimistic_derivable();
+        let mut changed = Unfounded::Unchanged;
+        for atom in 0..self.assign.len() {
+            if self.derivable[atom] {
+                continue;
+            }
+            match self.assign[atom] {
+                Some(true) => return Unfounded::Conflict,
+                Some(false) => {}
+                None => {
+                    self.set(atom, false);
+                    changed = Unfounded::Falsified;
+                }
+            }
+        }
+        changed
     }
 
     /// Drain the forward and support queues. Returns `false` on conflict.
@@ -889,8 +954,8 @@ impl<'s, 'a> SearchState<'s, 'a> {
 pub struct DisjunctiveSolver<'a> {
     program: &'a GroundProgram,
     config: SolverConfig,
-    /// Per atom: its complement's id (see [`complement_ids`]).
-    complements: Vec<Option<AtomId>>,
+    /// The complement pairs (see [`complement_pairs`]).
+    complements: Vec<(AtomId, AtomId)>,
 }
 
 impl<'a> DisjunctiveSolver<'a> {
@@ -899,19 +964,21 @@ impl<'a> DisjunctiveSolver<'a> {
         DisjunctiveSolver {
             program,
             config,
-            complements: complement_ids(program),
+            complements: complement_pairs(program),
         }
     }
 
-    /// Enumerate all answer sets. Returns (models, branch node count).
-    pub fn answer_sets(&self) -> Result<(Vec<BTreeSet<AtomId>>, usize), DatalogError> {
+    /// Enumerate all answer sets, each as sorted atom ids. Returns (models,
+    /// branch node count).
+    pub fn answer_sets(&self) -> Result<(Vec<Vec<AtomId>>, usize), DatalogError> {
         let mut models = Vec::new();
         let mut nodes = 0usize;
         let assign: Assignment = vec![None; self.program.atom_count()];
         self.search(assign, &mut models, &mut nodes)?;
         models.sort();
         models.dedup();
-        Ok((models, nodes))
+        let models = models.into_iter().map(|m| m.into_iter().collect());
+        Ok((models.collect(), nodes))
     }
 
     fn search(
@@ -932,7 +999,7 @@ impl<'a> DisjunctiveSolver<'a> {
         }
         match assign.iter().position(|v| v.is_none()) {
             None => {
-                let model = true_atoms(&assign);
+                let model = true_atoms(&assign).into_iter().collect();
                 if self.is_answer_set(&model) && is_coherent(&self.complements, &assign) {
                     models.push(model);
                 }

@@ -290,7 +290,8 @@ fn edited_models_decode_like_the_reference() {
             .intern(GroundAtom::new(&r1, &[&*constant.render(), "b"]));
         let with = |id| {
             let mut model = first.clone();
-            model.insert(id);
+            let at = model.partition_point(|&a| a < id);
+            model.insert(at, id);
             model
         };
         result.answer_sets = vec![
@@ -298,7 +299,7 @@ fn edited_models_decode_like_the_reference() {
             with(aux),
             with(negated),
             with(fresh),
-            BTreeSet::new(),
+            Vec::new(),
         ];
         let context = format!("edited example1 P1 {flavour}");
         let worlds = assert_decodes_agree(&spec, &result, &symbols, &context);

@@ -392,3 +392,62 @@ fn certain_answers_check_fewer_worlds_than_the_slice_has() {
     let (leaf, one) = checked("P1", "T1");
     assert_eq!((leaf, one), (1, 1));
 }
+
+/// `solver.unfounded_passes` counts the unfounded-set passes the solver
+/// runs. A tight slice — every slice of Example 1 — runs none, while the
+/// transitive slice of two peers that import from each other has a
+/// positive cycle and runs some. Skipping the pass changes no search node:
+/// `solver.branch_nodes` reads what it read before the pass was skipped.
+#[test]
+fn tight_slices_run_no_unfounded_pass() {
+    // `solver.branch_nodes` of the two answers below, as counted by a
+    // solver that ran the unfounded-set pass on every program.
+    const TIGHT_BRANCH_NODES: u64 = 11;
+    const CYCLIC_BRANCH_NODES: u64 = 1;
+    let counters = |engine: &QueryEngine, recorder: &TraceRecorder, peer: &str, relation: &str| {
+        let answers = engine
+            .answer(
+                &PeerId::new(peer),
+                &Formula::atom(relation, vec!["X", "Y"]),
+                &vars(&["X", "Y"]),
+            )
+            .unwrap();
+        assert!(!answers.tuples.is_empty());
+        let registry = recorder.registry();
+        (
+            registry.counter_value("solver.unfounded_passes"),
+            registry.counter_value("solver.branch_nodes"),
+        )
+    };
+    let (tight, recorder) = traced_example1_engine();
+    let (passes, nodes) = counters(&tight, &recorder, "P1", "R1");
+    assert_eq!(passes, 0, "a tight slice runs no pass");
+    assert_eq!(nodes, TIGHT_BRANCH_NODES);
+
+    let mut system = p2p_data_exchange::P2PSystem::new();
+    for (peer, relation) in [("P", "R"), ("Q", "S")] {
+        let peer = PeerId::new(peer);
+        system.add_peer(peer.clone()).unwrap();
+        system
+            .add_relation(&peer, RelationSchema::new(relation, &["x", "y"]))
+            .unwrap();
+    }
+    let (p, q) = (PeerId::new("P"), PeerId::new("Q"));
+    system.insert(&p, "R", Tuple::strs(["a", "b"])).unwrap();
+    system.insert(&q, "S", Tuple::strs(["c", "d"])).unwrap();
+    for (owner, other, from, to) in [(&p, &q, "S", "R"), (&q, &p, "R", "S")] {
+        let dec = constraints::builders::full_inclusion("import", from, to, 2).unwrap();
+        system.add_dec(owner, other, dec).unwrap();
+        system
+            .set_trust(owner, p2p_data_exchange::TrustLevel::Less, other)
+            .unwrap();
+    }
+    let recorder = Arc::new(TraceRecorder::new());
+    let cyclic = QueryEngine::builder(system)
+        .strategy(Strategy::TransitiveAsp)
+        .recorder(recorder.clone())
+        .build();
+    let (passes, nodes) = counters(&cyclic, &recorder, "P", "R");
+    assert!(passes > 0, "a positive cycle keeps the pass");
+    assert_eq!(nodes, CYCLIC_BRANCH_NODES);
+}

@@ -187,7 +187,7 @@ fn solve_at_every_pool_size(ground: &GroundProgram, context: &str) -> SolveResul
 
 /// Answer sets as decoded atoms, comparable across differently numbered
 /// programs (the shifted program and its original).
-fn decoded(ground: &GroundProgram, sets: &[BTreeSet<AtomId>]) -> BTreeSet<BTreeSet<GroundAtom>> {
+fn decoded(ground: &GroundProgram, sets: &[Vec<AtomId>]) -> BTreeSet<BTreeSet<GroundAtom>> {
     sets.iter().map(|s| ground.decode(s)).collect()
 }
 

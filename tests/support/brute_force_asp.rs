@@ -12,8 +12,9 @@
 use datalog::ground::{AtomId, GroundProgram};
 use std::collections::BTreeSet;
 
-/// Every answer set of a normal ground program, in ascending order.
-pub fn answer_sets(program: &GroundProgram) -> Vec<BTreeSet<AtomId>> {
+/// Every answer set of a normal ground program, each as sorted atom ids,
+/// in ascending order.
+pub fn answer_sets(program: &GroundProgram) -> Vec<Vec<AtomId>> {
     assert!(
         !program.is_disjunctive(),
         "the reference handles normal programs only"
@@ -30,6 +31,9 @@ pub fn answer_sets(program: &GroundProgram) -> Vec<BTreeSet<AtomId>> {
         .collect();
     models.sort();
     models
+        .into_iter()
+        .map(|m| m.into_iter().collect())
+        .collect()
 }
 
 /// No constraint's body holds in `model`.
@@ -67,7 +71,7 @@ fn least_model_of_reduct(program: &GroundProgram, model: &BTreeSet<AtomId>) -> B
 
 /// No atom of `model` has its classical complement in `model` too.
 fn is_coherent(program: &GroundProgram, model: &BTreeSet<AtomId>) -> bool {
-    let decoded = program.decode(model);
+    let decoded: BTreeSet<_> = model.iter().map(|&a| program.atom(a)).collect();
     decoded
         .iter()
         .all(|atom| !decoded.contains(&atom.clone().strongly_negated()))
